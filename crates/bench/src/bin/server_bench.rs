@@ -7,17 +7,12 @@
 //! ```
 //!
 //! For each shard count in {1, 4, 8} the harness spawns an `rl-server`
-//! over a freshly indexed `ShardedPipeline` and measures two modes
-//! against the *same* server: the historical JSON v6 path (one
-//! single-record probe per lockstep round trip per client) and the
-//! protocol-v7 binary path (`--batch` records per request, `--pipeline`
-//! requests in flight per connection). Both rows land in
-//! `<out>/results/BENCH_server.json`, so the perf trajectory stays
-//! comparable across the protocol change. Throughput is reported in
-//! probe *records* per second in both modes. Under `--smoke` the run
-//! fails unless the binary mode is strictly faster than the JSON mode
-//! on the same run. An online-resharding drill (protocol v10) rides in
-//! the same output file as a `mode: "reshard-split"` row: a live split
+//! over a freshly indexed `ShardedPipeline` and measures pipelined
+//! probes over it (`--batch` records per request, `--pipeline` requests
+//! in flight per connection), one `mode: "binary-pipelined"` row each in
+//! `<out>/results/BENCH_server.json`. Throughput is reported in probe
+//! *records* per second. An online-resharding drill (protocol v10) rides
+//! in the same output file as a `mode: "reshard-split"` row: a live split
 //! of a populated shard while a writer keeps inserting, gated under
 //! `--smoke` on zero lost or duplicated acknowledged writes across the
 //! cutover and a worst-case write stall under twice the heartbeat.
@@ -75,19 +70,19 @@ const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
 
 #[derive(Debug, Clone, Serialize)]
 struct Row {
-    /// `json-lockstep` (the historical v6 path: one single-record probe
-    /// per synchronous round trip) or `binary-pipelined` (protocol v7:
-    /// `batch` records per frame, `pipeline_depth` frames in flight).
+    /// Always `binary-pipelined` (`batch` records per frame,
+    /// `pipeline_depth` frames in flight); the tag tells these rows from
+    /// the `reshard-split` row sharing the output file.
     mode: String,
     shards: usize,
     workers: usize,
     records_indexed: u64,
-    /// Probe *records* sent (both modes), so probes_per_sec compares.
+    /// Probe *records* sent.
     probes: u64,
     clients: u64,
-    /// Requests in flight per connection (1 = lockstep).
+    /// Requests in flight per connection.
     pipeline_depth: u64,
-    /// Probe records per request (1 = single-record).
+    /// Probe records per request.
     batch: u64,
     matched: u64,
     elapsed_secs: f64,
@@ -178,26 +173,20 @@ fn main() {
     println!("| mode | shards | indexed | probes | clients | depth | batch | secs | probes/sec |");
     println!("|---|---|---|---|---|---|---|---|---|");
     for shards in SHARD_COUNTS {
-        // Both modes run against the same server over the same index, so
-        // the smoke gate below compares like with like.
-        for row in run_one(&opts, shards) {
-            println!(
-                "| {} | {} | {} | {} | {} | {} | {} | {:.3} | {:.0} |",
-                row.mode,
-                row.shards,
-                row.records_indexed,
-                row.probes,
-                row.clients,
-                row.pipeline_depth,
-                row.batch,
-                row.elapsed_secs,
-                row.probes_per_sec,
-            );
-            rows.push(row);
-        }
-    }
-    if opts.smoke {
-        smoke_check_binary_beats_json(&rows);
+        let row = run_one(&opts, shards);
+        println!(
+            "| {} | {} | {} | {} | {} | {} | {} | {:.3} | {:.0} |",
+            row.mode,
+            row.shards,
+            row.records_indexed,
+            row.probes,
+            row.clients,
+            row.pipeline_depth,
+            row.batch,
+            row.elapsed_secs,
+            row.probes_per_sec,
+        );
+        rows.push(row);
     }
 
     // Reshard phase (protocol v10): a live shard split while a writer
@@ -1153,109 +1142,41 @@ fn bench_pipeline(seed: u64, shards: usize) -> ShardedPipeline {
         .expect("build pipeline")
 }
 
-fn bench_server(opts: &Opts, shards: usize, reactor: bool) -> Server {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let schema = RecordSchema::build(
-        Alphabet::linkage(),
-        vec![
-            AttributeSpec::new("FirstName", 2, 64, false, 5),
-            AttributeSpec::new("LastName", 2, 64, false, 5),
-        ],
-        &mut rng,
-    );
-    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-    let pipeline = ShardedPipeline::new(schema, LinkageConfig::rule_aware(rule), shards, &mut rng)
-        .expect("build pipeline");
+fn bench_server(opts: &Opts, shards: usize) -> Server {
     Server::spawn(
-        pipeline,
+        bench_pipeline(opts.seed, shards),
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: shards,
             queue_capacity: 256,
             snapshot_path: None,
-            reactor,
             ..ServerConfig::default()
         },
     )
     .expect("spawn server")
 }
 
-/// Two servers, two measurements: the protocol v6 serving stack as it
-/// existed before this release (blocking accept loop, NDJSON, one
-/// single-record probe per lockstep round trip — continuous with every
-/// earlier `BENCH_server.json` row), then the v7 stack (poll reactor,
-/// binary frames, `--batch` records per request, `--pipeline` requests
-/// in flight). Both index the same corpus from the same seed.
-fn run_one(opts: &Opts, shards: usize) -> Vec<Row> {
-    let index = |addr: std::net::SocketAddr| {
-        let mut client = Client::connect(addr).expect("connect");
-        let corpus: Vec<Record> = (0..opts.records).map(|i| record(i, i)).collect();
-        for chunk in corpus.chunks(1_000) {
-            client.index(chunk).expect("index");
-        }
-        client
-    };
-
-    // Phase 1 — the v6 stack: thread-per-connection blocking loop.
-    let server = bench_server(opts, shards, false);
+/// One server, one measurement: `--clients` connections each keeping
+/// `--pipeline` probe requests of `--batch` records in flight.
+fn run_one(opts: &Opts, shards: usize) -> Row {
+    let server = bench_server(opts, shards);
     let addr = server.local_addr();
-    let client = index(addr);
+    let mut client = Client::connect(addr).expect("connect");
+    let corpus: Vec<Record> = (0..opts.records).map(|i| record(i, i)).collect();
+    for chunk in corpus.chunks(1_000) {
+        client.index(chunk).expect("index");
+    }
     let per_client = opts.probes / opts.clients;
     let opts_records = opts.records;
-    let start = Instant::now();
-    let handles: Vec<_> = (0..opts.clients)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let mut matched = 0u64;
-                for i in 0..per_client {
-                    // Probe an exact copy of an indexed record under a
-                    // fresh id, so every round trip does real blocking
-                    // plus classification work and finds its twin.
-                    let src = (c * per_client + i) % opts_records;
-                    let probe = record(1_000_000 + src, src);
-                    let (pairs, _) = client.probe(&[probe]).expect("probe");
-                    matched += u64::from(!pairs.is_empty());
-                }
-                matched
-            })
-        })
-        .collect();
-    let matched: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    let elapsed = start.elapsed().as_secs_f64();
-    let done = per_client * opts.clients;
-    assert!(
-        matched >= done / 2,
-        "probes stopped matching: {matched}/{done}"
-    );
-    client.shutdown().expect("shutdown");
-    server.wait();
-    let json_row = Row {
-        mode: "json-lockstep".into(),
-        shards,
-        workers: shards,
-        records_indexed: opts.records,
-        probes: done,
-        clients: opts.clients,
-        pipeline_depth: 1,
-        batch: 1,
-        matched,
-        elapsed_secs: elapsed,
-        probes_per_sec: done as f64 / elapsed,
-    };
-
-    // Phase 2 — the v7 stack: reactor accept loop, binary frames,
-    // batched and pipelined probes.
-    let server = bench_server(opts, shards, true);
-    let addr = server.local_addr();
-    let mut client = index(addr);
     let (depth, batch) = (opts.pipeline, opts.batch);
     let start = Instant::now();
     let handles: Vec<_> = (0..opts.clients)
         .map(|c| {
             std::thread::spawn(move || {
-                let mut client = Client::connect_binary(addr).expect("connect binary");
-                assert!(client.is_binary(), "server must speak protocol v7");
+                let mut client = Client::connect(addr).expect("connect");
+                // Exact copies of indexed records under fresh ids, so every
+                // probe does real blocking plus classification work and
+                // finds its twin.
                 let batches: Vec<Vec<Record>> = (0..per_client)
                     .map(|i| {
                         let base = (c * per_client + i) * batch;
@@ -1277,64 +1198,31 @@ fn run_one(opts: &Opts, shards: usize) -> Vec<Row> {
             })
         })
         .collect();
-    let bin_matched: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    let bin_elapsed = start.elapsed().as_secs_f64();
-    let bin_done = per_client * opts.clients * batch;
+    let matched: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    let elapsed = start.elapsed().as_secs_f64();
+    let done = per_client * opts.clients * batch;
     assert!(
-        bin_matched >= bin_done / 2,
-        "pipelined probes stopped matching: {bin_matched}/{bin_done}"
+        matched >= done / 2,
+        "pipelined probes stopped matching: {matched}/{done}"
     );
-    let bin_row = Row {
+    if opts.smoke {
+        // One probe request per pipelined batch.
+        smoke_check_metrics(&mut client, per_client * opts.clients);
+    }
+    client.shutdown().expect("shutdown");
+    server.wait();
+    Row {
         mode: "binary-pipelined".into(),
         shards,
         workers: shards,
         records_indexed: opts.records,
-        probes: bin_done,
+        probes: done,
         clients: opts.clients,
         pipeline_depth: depth,
         batch,
-        matched: bin_matched,
-        elapsed_secs: bin_elapsed,
-        probes_per_sec: bin_done as f64 / bin_elapsed,
-    };
-
-    if opts.smoke {
-        // Binary-phase traffic: one probe request per pipelined batch.
-        smoke_check_metrics(&mut client, per_client * opts.clients);
-    }
-
-    client.shutdown().expect("shutdown");
-    server.wait();
-
-    vec![json_row, bin_row]
-}
-
-/// The CI gate for the protocol change: on every shard count the binary
-/// pipelined mode must be strictly faster than the JSON lockstep mode
-/// measured against the same server on the same run.
-fn smoke_check_binary_beats_json(rows: &[Row]) {
-    for pair in rows.chunks(2) {
-        let [json, bin] = pair else {
-            panic!("expected json/binary row pairs")
-        };
-        assert_eq!(
-            (json.mode.as_str(), bin.mode.as_str()),
-            ("json-lockstep", "binary-pipelined")
-        );
-        assert!(
-            bin.probes_per_sec > json.probes_per_sec,
-            "binary protocol must beat JSON on the same run: {} shards, binary {:.0} <= json {:.0}",
-            json.shards,
-            bin.probes_per_sec,
-            json.probes_per_sec,
-        );
-        println!(
-            "smoke: {} shards — binary {:.0} probes/sec vs json {:.0} ({:.1}x)",
-            json.shards,
-            bin.probes_per_sec,
-            json.probes_per_sec,
-            bin.probes_per_sec / json.probes_per_sec,
-        );
+        matched,
+        elapsed_secs: elapsed,
+        probes_per_sec: done as f64 / elapsed,
     }
 }
 

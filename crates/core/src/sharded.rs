@@ -120,9 +120,6 @@ pub struct ShardedState {
     pub shards: Vec<ShardState>,
     /// Records indexed so far (across shards).
     pub indexed: usize,
-    /// Legacy round-robin cursor. Placement is keyspace-hashed now; kept
-    /// (always 0) so old snapshot readers still parse.
-    pub next_shard: usize,
     /// The versioned shard map. Absent in snapshots from before online
     /// resharding: those restored pipelines get a fresh uniform map, which
     /// is safe because probes fan out to every shard and deletes broadcast
@@ -579,7 +576,6 @@ impl ShardedPipeline {
             classifier: self.classifier.clone(),
             shards: states,
             indexed: self.indexed,
-            next_shard: 0,
             map: Some(self.map.clone()),
         })
     }
@@ -1129,13 +1125,19 @@ mod tests {
         let json = serde_json::to_string(&state).unwrap();
         p.shutdown();
 
-        let restored: ShardedState = serde_json::from_str(&json).unwrap();
-        let q = ShardedPipeline::from_state(restored).unwrap();
-        assert_eq!(q.indexed_len(), 30);
-        assert_eq!(q.shard_map().epoch(), 1);
-        let (after, _) = q.link(&b).unwrap();
-        assert_eq!(before, after);
-        q.shutdown();
+        // Version-3 snapshot documents written before the round-robin
+        // cursor was dropped still carry its key; they must load the same.
+        let with_cursor = json.replacen("\"indexed\":30,", "\"indexed\":30,\"next_shard\":0,", 1);
+        assert_ne!(with_cursor, json, "fixture must carry the old key");
+        for doc in [json, with_cursor] {
+            let restored: ShardedState = serde_json::from_str(&doc).unwrap();
+            let q = ShardedPipeline::from_state(restored).unwrap();
+            assert_eq!(q.indexed_len(), 30);
+            assert_eq!(q.shard_map().epoch(), 1);
+            let (after, _) = q.link(&b).unwrap();
+            assert_eq!(before, after);
+            q.shutdown();
+        }
     }
 
     #[test]

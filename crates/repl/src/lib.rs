@@ -186,7 +186,7 @@ fn bootstrap(config: &FollowerConfig, durability: &DurabilityConfig) -> std::io:
         if attempt > 0 {
             std::thread::sleep(backoff.next_delay());
         }
-        let mut client = match Client::connect_binary_with_timeout(
+        let mut client = match Client::connect_with_timeout(
             config.primary_addr.as_str(),
             Some(config.request_timeout),
         ) {
@@ -196,6 +196,10 @@ fn bootstrap(config: &FollowerConfig, durability: &DurabilityConfig) -> std::io:
                 continue;
             }
         };
+        // Asked before the transfer, because the transfer ends with the
+        // primary closing the connection. Best effort: an error here just
+        // means the lease gets seeded on the first subscription instead.
+        let grant = client.repl_status().map(|s| s.lease_ms).unwrap_or(0);
         match fetch_checkpoint(&mut client) {
             Ok(ckpt) => {
                 std::fs::create_dir_all(&durability.data_dir)?;
@@ -205,9 +209,6 @@ fn bootstrap(config: &FollowerConfig, durability: &DurabilityConfig) -> std::io:
                     "rl-repl: bootstrapped from {} (checkpoint at op seq {})",
                     config.primary_addr, ckpt.ops
                 );
-                // Best effort: an error here just means the lease gets
-                // seeded on the first subscription instead.
-                let grant = client.repl_status().map(|s| s.lease_ms).unwrap_or(0);
                 return Ok(grant);
             }
             Err(e) => last_err = e,
@@ -219,11 +220,9 @@ fn bootstrap(config: &FollowerConfig, durability: &DurabilityConfig) -> std::io:
     )))
 }
 
-/// Downloads the primary's checkpoint over an open connection. The
-/// client handles the transfer framing — base64 JSON lines on protocol
-/// ≤6, raw binary chunk frames on v7 (which is what cut the 10k-record
-/// bootstrap from seconds to tens of milliseconds) — and this crate
-/// parses and validates the document.
+/// Downloads the primary's checkpoint over an open connection (which
+/// the primary closes afterwards). The client handles the transfer
+/// framing; this crate parses and validates the document.
 fn fetch_checkpoint(client: &mut Client) -> Result<Checkpoint, String> {
     let bytes = client
         .fetch_checkpoint_raw()
@@ -404,16 +403,17 @@ fn peer_status(addr: &str, timeout: Duration) -> Option<rl_server::ReplStatusRep
 
 /// Fetches a fresh checkpoint over a reconnected client and installs it,
 /// with the resync window flagged so a concurrent `Promote` is refused
-/// rather than crowning a half-loaded store.
+/// rather than crowning a half-loaded store. Both the stream that ended
+/// and the transfer leave a closed connection behind, hence the two
+/// reconnects; the client comes back ready to resubscribe.
 fn resync_from_primary(handle: &ReplHandle, client: &mut Client) -> Result<(), String> {
+    let reconnect = |client: &mut Client| client.reconnect().map_err(|e| format!("reconnect: {e}"));
     handle.set_resyncing(true);
-    let result = client
-        .reconnect()
-        .map_err(|e| format!("reconnect: {e}"))
+    let result = reconnect(client)
         .and_then(|()| fetch_checkpoint(client))
         .and_then(|ckpt| handle.resync(ckpt));
     handle.set_resyncing(false);
-    result
+    result.and_then(|()| reconnect(client))
 }
 
 /// One connected session: subscribe from the local op sequence and apply
@@ -446,7 +446,7 @@ fn run_session(
     } else {
         config.request_timeout
     };
-    let mut client = Client::connect_binary_with_timeout(primary_addr, Some(contact_timeout))
+    let mut client = Client::connect_with_timeout(primary_addr, Some(contact_timeout))
         .map_err(|e| format!("connect: {e}"))?;
     // Seed the lease on first contact rather than waiting for a stream
     // heartbeat: a primary can die right after a follower attaches, and
@@ -532,8 +532,8 @@ fn run_session(
                         handle.op_seq()
                     );
                     // The primary closes the subscription after this
-                    // line; fetch the checkpoint over a new connection,
-                    // then resubscribe on it.
+                    // frame; fetch the checkpoint over a new connection,
+                    // then resubscribe on a third.
                     resync_from_primary(handle, &mut client)?;
                     break;
                 }

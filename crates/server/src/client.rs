@@ -1,31 +1,21 @@
 //! A typed client for the rl-server protocol.
 //!
-//! One [`Client`] owns one TCP connection; requests are synchronous
-//! (send one line, read one line). The connection is persistent, so a
-//! client can issue many requests without reconnecting.
+//! One [`Client`] owns one TCP connection, opened with the one-line JSON
+//! `Upgrade` handshake and speaking length-prefixed, CRC-checked
+//! `rl-wire` frames from then on. Typed methods are synchronous (send one
+//! request, read its reply); the connection is persistent, so a client
+//! can issue many requests without reconnecting. Requests and responses
+//! are correlated by id, which is what [`Client::probe_pipelined`] builds
+//! on: up to `depth` probe batches in flight on one connection,
+//! overlapping server-side execution with the wire round-trip instead of
+//! paying one full RTT per probe.
 //!
 //! Every socket operation carries a timeout (default
 //! [`Client::DEFAULT_TIMEOUT`]): a server that accepts the connection but
 //! never answers — or stalls mid-reply — surfaces as a typed
-//! [`ClientError::Timeout`] instead of hanging the caller forever.
-//!
-//! ## Binary protocol (v7)
-//!
-//! [`Client::connect_binary`] (or [`Client::upgrade`] on a live
-//! connection) negotiates the `rl-wire` binary framing: one JSON
-//! `Upgrade` line, and on a v7 server both sides switch to
-//! length-prefixed, CRC-checked frames. A pre-v7 server rejects the
-//! unknown verb with a `Parse` error and the client silently stays on
-//! JSON — every typed method works identically in both modes. Binary
-//! mode correlates requests and responses by id, which unlocks
-//! [`Client::probe_pipelined`]: up to `depth` probe batches in flight on
-//! one connection, overlapping server-side execution with the wire
-//! round-trip instead of paying one full RTT per probe. Reconnects
-//! (including the retry path below) re-negotiate automatically.
-//!
-//! A frame that fails its CRC, or a connection closed mid-frame,
-//! surfaces as [`ClientError::FrameCorrupt`] — never as a misparsed
-//! response.
+//! [`ClientError::Timeout`] instead of hanging the caller forever. A
+//! frame that fails its CRC, or a connection closed mid-frame, surfaces
+//! as [`ClientError::FrameCorrupt`] — never as a misparsed response.
 //!
 //! ## Retry policy
 //!
@@ -61,14 +51,14 @@
 
 use crate::protocol::{
     wire, ErrorCode, ReplStatusReply, Reply, Request, RequestError, Response, ShardMapReply,
-    StatsReply, FIRST_BINARY_VERSION, PROTOCOL_VERSION,
+    StatsReply, PROTOCOL_VERSION,
 };
 use cbv_hb::matcher::MatchStats;
 use cbv_hb::Record;
 use rl_streamrule::{LateArrival, WindowSpec};
 use rl_wire::{FrameReader, WireError};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Cursor, ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -80,12 +70,12 @@ pub enum ClientError {
     /// The server did not answer (or finish answering) within the
     /// configured timeout.
     Timeout,
-    /// The server's response line was not valid protocol JSON, or the
-    /// reply kind did not match the request.
+    /// The server's response did not decode, or the reply kind did not
+    /// match the request.
     Protocol(String),
-    /// A binary frame failed its CRC / framing checks, or the connection
-    /// closed in the middle of a frame (protocol v7). The stream has no
-    /// resync point; reconnect to continue.
+    /// A frame failed its CRC / framing checks, or the connection closed
+    /// in the middle of a frame. The stream has no resync point;
+    /// reconnect to continue.
     FrameCorrupt(String),
     /// The server rejected the request (typed: backpressure, parse, …).
     Server(RequestError),
@@ -123,35 +113,26 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// The connection in its current protocol mode. Both variants keep their
-/// buffers across calls: the `BufReader` / `FrameReader` read buffer and
-/// (in binary mode) the frame-encode scratch, so a busy client allocates
-/// nothing per request once warmed up.
-enum Conn {
-    /// Newline-delimited JSON (protocols ≤6, and the negotiation line).
-    Json {
-        reader: BufReader<TcpStream>,
-        writer: TcpStream,
-    },
-    /// `rl-wire` frames (protocol v7).
-    Binary {
-        frames: FrameReader<Box<dyn Read + Send>>,
-        writer: TcpStream,
-        /// Request-envelope scratch (id + JSON body), reused per send.
-        payload: Vec<u8>,
-        /// Frame-encode scratch (header + payload), reused per send.
-        wbuf: Vec<u8>,
-        /// Next request id; ids start at 1 (0 is the server-push id).
-        next_id: u64,
-    },
+/// One framed connection. The buffers live across calls — the
+/// `FrameReader`'s read buffer and the encode scratch — so a busy client
+/// allocates nothing per request once warmed up.
+struct Conn {
+    frames: FrameReader<TcpStream>,
+    writer: TcpStream,
+    /// Request-envelope scratch (id + body), reused per send.
+    payload: Vec<u8>,
+    /// Frame-encode scratch (header + payload), reused per send.
+    wbuf: Vec<u8>,
+    /// Next request id; ids start at 1 (0 is the server-push id).
+    next_id: u64,
 }
 
-/// One decoded binary frame, owned (detached from the reader's buffer).
+/// One decoded frame, owned (detached from the reader's buffer).
 enum BinMsg {
     /// An id-enveloped [`Response`].
     Response(u64, Response),
     /// A replicated WAL frame from a `Subscribe` stream: `(seq, epoch,
-    /// op)`. Legacy `TAG_WAL` frames carry epoch 0 implicitly.
+    /// op)`. `TAG_WAL` frames carry epoch 0 implicitly.
     Wal(u64, u64, rl_store::WalOp),
     /// Raw checkpoint bytes from a `FetchCheckpoint` transfer.
     Chunk(Vec<u8>),
@@ -163,14 +144,11 @@ pub type ProbeOutcome = (Vec<(u64, u64)>, MatchStats);
 
 /// A connected client.
 pub struct Client {
-    /// `None` only transiently while switching protocol modes.
-    conn: Option<Conn>,
+    conn: Conn,
     /// Resolved server addresses, kept for reconnects and replaced when a
     /// `NotPrimary` redirect points elsewhere.
     addrs: Vec<SocketAddr>,
     timeout: Option<Duration>,
-    /// Re-negotiate binary framing after every reconnect.
-    want_binary: bool,
     /// Read-your-writes session token: the highest `applied_seq` any
     /// mutation reply on this client has carried (protocol v8).
     session_seq: u64,
@@ -199,132 +177,55 @@ impl Client {
     pub const READ_YOUR_WRITES_WAIT: Duration = Duration::from_secs(1);
 
     /// Connects to a running server with [`Self::DEFAULT_TIMEOUT`] on
-    /// reads and writes. The connection speaks JSON (protocol ≤6); use
-    /// [`Self::connect_binary`] to negotiate `rl-wire` frames.
+    /// reads and writes.
     ///
     /// # Errors
-    /// Returns [`ClientError::Io`] when the connection cannot be made.
+    /// See [`Self::connect_with_timeout`].
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
         Self::connect_with_timeout(addr, Some(Self::DEFAULT_TIMEOUT))
     }
 
-    /// Connects with an explicit per-operation read/write timeout
-    /// (`None` disables timeouts and restores the old block-forever
-    /// behaviour).
+    /// Connects with an explicit per-operation read/write timeout (`None`
+    /// blocks forever) and performs the `Upgrade` handshake.
     ///
     /// # Errors
-    /// Returns [`ClientError::Io`] when the connection cannot be made.
+    /// [`ClientError::Io`] when the connection cannot be made,
+    /// [`ClientError::Timeout`] when the server accepts but never answers
+    /// the handshake, [`ClientError::Server`] when it refuses it.
     pub fn connect_with_timeout<A: ToSocketAddrs>(
         addr: A,
         timeout: Option<Duration>,
     ) -> Result<Self, ClientError> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let (reader, writer) = open_connection(&addrs, timeout)?;
         Ok(Self {
-            conn: Some(Conn::Json { reader, writer }),
+            conn: open_connection(&addrs, timeout)?,
             addrs,
             timeout,
-            want_binary: false,
             session_seq: 0,
             session_checked: 0,
         })
     }
 
-    /// Connects and negotiates the binary protocol (v7) with
-    /// [`Self::DEFAULT_TIMEOUT`]. Falls back to JSON transparently when
-    /// the server predates v7 — check [`Self::is_binary`] if it matters.
+    /// [`Self::connect_with_timeout`] under the name it had while a JSON
+    /// transport existed beside the framed one. The repository's frozen
+    /// benchmark calls it; the rename is a ROADMAP item.
     ///
     /// # Errors
-    /// Returns [`ClientError::Io`] when the connection cannot be made.
-    pub fn connect_binary<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
-        Self::connect_binary_with_timeout(addr, Some(Self::DEFAULT_TIMEOUT))
-    }
-
-    /// [`Self::connect_binary`] with an explicit timeout.
-    ///
-    /// # Errors
-    /// Returns [`ClientError::Io`] when the connection cannot be made.
+    /// See [`Self::connect_with_timeout`].
     pub fn connect_binary_with_timeout<A: ToSocketAddrs>(
         addr: A,
         timeout: Option<Duration>,
     ) -> Result<Self, ClientError> {
-        let mut client = Self::connect_with_timeout(addr, timeout)?;
-        client.want_binary = true;
-        client.upgrade()?;
-        Ok(client)
-    }
-
-    /// Whether the connection is currently speaking `rl-wire` frames.
-    pub fn is_binary(&self) -> bool {
-        matches!(self.conn, Some(Conn::Binary { .. }))
-    }
-
-    /// Negotiates the binary protocol on the live connection: sends the
-    /// JSON `Upgrade` line and, if the server answers with a version ≥ 7,
-    /// switches this connection to `rl-wire` frames. Returns whether the
-    /// connection is binary afterwards; a pre-v7 server's `Parse`
-    /// rejection is the graceful "stay on JSON" answer, not an error.
-    /// Idempotent on an already-binary connection. Future
-    /// [`Self::reconnect`]s re-negotiate.
-    ///
-    /// # Errors
-    /// I/O, timeout, or protocol errors (not version mismatches).
-    pub fn upgrade(&mut self) -> Result<bool, ClientError> {
-        self.want_binary = true;
-        if self.is_binary() {
-            return Ok(true);
-        }
-        self.send(&Request::Upgrade {
-            max_version: PROTOCOL_VERSION,
-        })?;
-        match self.recv_reply() {
-            Ok(Reply::Upgraded { version }) if version >= FIRST_BINARY_VERSION => {
-                self.switch_to_binary();
-                Ok(true)
-            }
-            Ok(Reply::Upgraded { .. }) => Ok(false),
-            Ok(other) => Err(unexpected("Upgraded", &other)),
-            Err(ClientError::Server(e)) if e.code == ErrorCode::Parse => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Flips the connection to frame mode. Bytes the JSON reader already
-    /// buffered past the `Upgraded` line are the first frame bytes — they
-    /// are carried over, not dropped.
-    fn switch_to_binary(&mut self) {
-        let Some(Conn::Json { reader, writer }) = self.conn.take() else {
-            return;
-        };
-        let leftover = reader.buffer().to_vec();
-        let raw = reader.into_inner();
-        let boxed: Box<dyn Read + Send> = Box::new(Cursor::new(leftover).chain(raw));
-        self.conn = Some(Conn::Binary {
-            frames: FrameReader::new(boxed),
-            writer,
-            payload: Vec::new(),
-            wbuf: Vec::new(),
-            next_id: 1,
-        });
-    }
-
-    fn conn_mut(&mut self) -> &mut Conn {
-        self.conn.as_mut().expect("client connection poisoned")
+        Self::connect_with_timeout(addr, timeout)
     }
 
     /// Drops the current connection and dials the server again (same
-    /// resolved addresses, same timeout). A binary client re-negotiates
-    /// the upgrade; if the server meanwhile downgraded (a v6 primary
-    /// behind a redirect), the connection continues on JSON.
+    /// resolved addresses, same timeout).
     ///
     /// # Errors
-    /// Returns [`ClientError::Io`] when the connection cannot be made.
+    /// See [`Self::connect_with_timeout`].
     pub fn reconnect(&mut self) -> Result<(), ClientError> {
-        let (reader, writer) = open_connection(&self.addrs, self.timeout)?;
-        self.conn = Some(Conn::Json { reader, writer });
-        if self.want_binary {
-            self.upgrade()?;
-        }
+        self.conn = open_connection(&self.addrs, self.timeout)?;
         Ok(())
     }
 
@@ -333,14 +234,10 @@ impl Client {
     /// # Errors
     /// Returns [`ClientError::Io`] if the socket rejects the setting.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        let stream = match self.conn_mut() {
-            Conn::Json { reader, .. } => reader.get_ref(),
-            // Reader and writer are clones of one socket; the options
-            // apply to both directions either way.
-            Conn::Binary { writer, .. } => writer,
-        };
-        stream.set_read_timeout(timeout)?;
-        stream.set_write_timeout(timeout)?;
+        // Reader and writer are clones of one socket; the options apply
+        // to both.
+        self.conn.writer.set_read_timeout(timeout)?;
+        self.conn.writer.set_write_timeout(timeout)?;
         Ok(())
     }
 
@@ -374,13 +271,10 @@ impl Client {
         self.recv_reply()
     }
 
-    /// Reads the next *reply*, skipping unsolicited push lines (protocol
-    /// v6): a connection that carried a match subscription may still have
-    /// `Heartbeat` or `MatchEvent` pushes in flight when the caller
-    /// returns to request/reply mode, and they must not be mistaken for
-    /// the answer to the request just sent. Streaming consumers that
-    /// *want* every line (the replication follower, the watch loop) use
-    /// [`Self::recv`] directly.
+    /// Reads the next *reply*, skipping `Heartbeat` and `MatchEvent`
+    /// pushes, which are never the answer to a request. Streaming
+    /// consumers that *want* every frame (the replication follower, the
+    /// watch loop) use [`Self::recv`] directly.
     fn recv_reply(&mut self) -> Result<Reply, ClientError> {
         loop {
             match self.recv()? {
@@ -436,7 +330,7 @@ impl Client {
 
     /// Writes one request without reading a reply. With [`Self::recv`],
     /// this drives the protocol's streaming requests (`FetchCheckpoint`,
-    /// `Subscribe`), whose responses span many lines/frames.
+    /// `Subscribe`), whose responses span many frames.
     ///
     /// # Errors
     /// I/O, timeout, or encoding failures.
@@ -444,77 +338,39 @@ impl Client {
         self.send_inner(request).map(|_| ())
     }
 
-    /// Sends a request and returns the id it was assigned (always
-    /// [`wire::PUSH_ID`] in JSON mode, where responses carry no ids).
+    /// Sends a request and returns the id it was assigned.
     fn send_inner(&mut self, request: &Request) -> Result<u64, ClientError> {
-        match self.conn_mut() {
-            Conn::Json { writer, .. } => {
-                let mut line = serde_json::to_string(request)
-                    .map_err(|e| ClientError::Protocol(format!("encode request: {e}")))?;
-                line.push('\n');
-                writer.write_all(line.as_bytes())?;
-                writer.flush()?;
-                Ok(wire::PUSH_ID)
-            }
-            Conn::Binary {
-                writer,
-                payload,
-                wbuf,
-                next_id,
-                ..
-            } => {
-                let id = *next_id;
-                *next_id += 1;
-                wire::encode_request(id, request, payload)
-                    .map_err(|e| ClientError::Protocol(format!("encode request: {e}")))?;
-                wbuf.clear();
-                rl_wire::encode_frame_into(wire::TAG_REQUEST, payload, wbuf);
-                writer.write_all(wbuf)?;
-                writer.flush()?;
-                Ok(id)
-            }
-        }
+        let conn = &mut self.conn;
+        let id = conn.next_id;
+        conn.next_id += 1;
+        wire::encode_request(id, request, &mut conn.payload)
+            .map_err(|e| ClientError::Protocol(format!("encode request: {e}")))?;
+        conn.send_frame(wire::TAG_REQUEST)?;
+        Ok(id)
     }
 
     /// Reads one response. Pairs with [`Self::send`] to consume streaming
-    /// responses; in binary mode, WAL frames come back as
-    /// [`Reply::WalFrame`] just like on JSON, so stream consumers are
-    /// mode-agnostic.
+    /// responses; a replicated WAL frame comes back as
+    /// [`Reply::WalFrame`].
     ///
     /// # Errors
     /// Returns [`ClientError::Server`] for typed rejections, otherwise
     /// I/O or protocol errors.
     pub fn recv(&mut self) -> Result<Reply, ClientError> {
-        match self.conn_mut() {
-            Conn::Json { reader, .. } => {
-                let mut response_line = String::new();
-                let n = reader.read_line(&mut response_line)?;
-                if n == 0 {
-                    return Err(ClientError::Protocol("server closed the connection".into()));
-                }
-                let response: Response = serde_json::from_str(response_line.trim())
-                    .map_err(|e| ClientError::Protocol(format!("decode response: {e}")))?;
-                response.into_result().map_err(ClientError::Server)
-            }
-            Conn::Binary { frames, .. } => match read_bin_msg(frames)? {
-                BinMsg::Response(_, response) => {
-                    response.into_result().map_err(ClientError::Server)
-                }
-                BinMsg::Wal(seq, epoch, op) => Ok(Reply::WalFrame { seq, op, epoch }),
-                BinMsg::Chunk(_) => Err(ClientError::Protocol(
-                    "unexpected checkpoint chunk frame outside a transfer".into(),
-                )),
-            },
+        match read_bin_msg(&mut self.conn.frames)? {
+            BinMsg::Response(_, response) => response.into_result().map_err(ClientError::Server),
+            BinMsg::Wal(seq, epoch, op) => Ok(Reply::WalFrame { seq, op, epoch }),
+            BinMsg::Chunk(_) => Err(ClientError::Protocol(
+                "unexpected checkpoint chunk frame outside a transfer".into(),
+            )),
         }
     }
 
     /// Probes many batches with up to `depth` requests in flight on this
-    /// connection (protocol v7). The serving path executes request *n*
-    /// while request *n+1* is still on the wire, so throughput is no
-    /// longer bounded by one round-trip per batch. Results come back in
-    /// `batches` order regardless of completion order (responses are
-    /// correlated by id). On a JSON connection this degrades to
-    /// sequential [`Self::probe`] calls.
+    /// connection. The serving path executes request *n* while request
+    /// *n+1* is still on the wire, so throughput is not bounded by one
+    /// round-trip per batch. Results come back in `batches` order
+    /// regardless of completion order (responses are correlated by id).
     ///
     /// # Errors
     /// The first typed server rejection (after all in-flight replies are
@@ -526,13 +382,6 @@ impl Client {
         depth: usize,
     ) -> Result<Vec<ProbeOutcome>, ClientError> {
         let depth = depth.max(1);
-        if !self.is_binary() {
-            let mut results = Vec::with_capacity(batches.len());
-            for batch in batches {
-                results.push(self.probe(batch)?);
-            }
-            return Ok(results);
-        }
         let mut results: Vec<Option<ProbeOutcome>> = Vec::new();
         results.resize_with(batches.len(), || None);
         let mut in_flight: HashMap<u64, usize> = HashMap::new();
@@ -549,10 +398,7 @@ impl Client {
             if in_flight.is_empty() {
                 break;
             }
-            let Some(Conn::Binary { frames, .. }) = self.conn.as_mut() else {
-                unreachable!("checked binary above; mode never changes mid-call");
-            };
-            match read_bin_msg(frames)? {
+            match read_bin_msg(&mut self.conn.frames)? {
                 BinMsg::Response(id, response) => {
                     let Some(slot) = in_flight.remove(&id) else {
                         // A push (heartbeat from an earlier subscription)
@@ -588,10 +434,10 @@ impl Client {
     }
 
     /// Downloads the primary's checkpoint document as raw bytes:
-    /// `FetchCheckpoint`, the `CheckpointMeta` reply, then the chunk
-    /// stream — base64 JSON lines on protocol ≤6, raw `rl-wire` chunk
-    /// frames on v7 (no base64, no JSON: this is what makes a large
-    /// follower bootstrap fast). The caller parses/validates the bytes.
+    /// `FetchCheckpoint`, the `CheckpointMeta` reply, then the raw chunk
+    /// frames. The caller parses/validates the bytes. The server closes
+    /// the connection once the transfer (or its refusal) is written;
+    /// [`Self::reconnect`] before the next request.
     ///
     /// # Errors
     /// Typed server rejections, transfer truncation (as
@@ -602,43 +448,21 @@ impl Client {
             Reply::CheckpointMeta { len, chunks } => (len, chunks),
             other => return Err(unexpected("CheckpointMeta", &other)),
         };
-        let mut bytes: Vec<u8> = Vec::with_capacity(len as usize);
-        if self.is_binary() {
-            for expected in 0..chunks {
-                let Some(Conn::Binary { frames, .. }) = self.conn.as_mut() else {
-                    unreachable!("checked binary above; mode never changes mid-call");
-                };
-                match read_bin_msg(frames)? {
-                    BinMsg::Chunk(data) => bytes.extend_from_slice(&data),
-                    BinMsg::Response(_, response) => {
-                        let reply = response.into_result().map_err(ClientError::Server)?;
-                        return Err(ClientError::Protocol(format!(
-                            "expected chunk frame {expected}, got {reply:?}"
-                        )));
-                    }
-                    BinMsg::Wal(..) => {
-                        return Err(ClientError::Protocol(format!(
-                            "expected chunk frame {expected}, got a WAL frame"
-                        )));
-                    }
+        // `len` is the server's claim; let the chunks size the buffer.
+        let mut bytes: Vec<u8> = Vec::new();
+        for expected in 0..chunks {
+            match read_bin_msg(&mut self.conn.frames)? {
+                BinMsg::Chunk(data) => bytes.extend_from_slice(&data),
+                BinMsg::Response(_, response) => {
+                    let reply = response.into_result().map_err(ClientError::Server)?;
+                    return Err(ClientError::Protocol(format!(
+                        "expected chunk frame {expected}, got {reply:?}"
+                    )));
                 }
-            }
-        } else {
-            for expected in 0..chunks {
-                match self.recv()? {
-                    Reply::CheckpointChunk { index, data } => {
-                        if index != expected {
-                            return Err(ClientError::Protocol(format!(
-                                "checkpoint chunk {index} arrived, expected {expected}"
-                            )));
-                        }
-                        bytes.extend(
-                            crate::repl::b64::decode(&data).map_err(|e| {
-                                ClientError::Protocol(format!("chunk {index}: {e}"))
-                            })?,
-                        );
-                    }
-                    other => return Err(unexpected("CheckpointChunk", &other)),
+                BinMsg::Wal(..) => {
+                    return Err(ClientError::Protocol(format!(
+                        "expected chunk frame {expected}, got a WAL frame"
+                    )));
                 }
             }
         }
@@ -831,30 +655,15 @@ impl Client {
         }
     }
 
-    /// Sends a durability ack ([`wire::TAG_ACK`]) up a binary `Subscribe`
+    /// Sends a durability ack ([`wire::TAG_ACK`]) up a `Subscribe`
     /// stream: this follower has applied and WAL-logged through `seq`.
-    /// The primary counts it toward `--sync-replicas` quorums. A no-op on
-    /// JSON connections (the line protocol has no follower→primary lane).
+    /// The primary counts it toward `--sync-replicas` quorums.
     ///
     /// # Errors
     /// I/O or timeout writing the frame.
     pub fn send_ack(&mut self, seq: u64) -> Result<(), ClientError> {
-        match self.conn_mut() {
-            Conn::Json { .. } => Ok(()),
-            Conn::Binary {
-                writer,
-                payload,
-                wbuf,
-                ..
-            } => {
-                wire::encode_ack(seq, payload);
-                wbuf.clear();
-                rl_wire::encode_frame_into(wire::TAG_ACK, payload, wbuf);
-                writer.write_all(wbuf)?;
-                writer.flush()?;
-                Ok(())
-            }
-        }
+        wire::encode_ack(seq, &mut self.conn.payload);
+        self.conn.send_frame(wire::TAG_ACK)
     }
 
     /// Full metrics snapshot (protocol v3): request counters and latency
@@ -974,16 +783,16 @@ impl Client {
         }
     }
 
-    /// Opens a match subscription (protocol v6): the connection switches
-    /// to streaming mode and this client should only be used with
+    /// Opens a match subscription (protocol v6): the stream owns the
+    /// connection, so this client should only be used with
     /// [`Self::next_watch_event`] from here on (use a second client for
     /// requests). Returns `(sub_id, tables)` from the `Subscribed`
     /// greeting.
     ///
     /// # Errors
     /// Typed server rejections (bad rule, subscription limit), I/O, or
-    /// protocol errors. On error the connection is still in
-    /// request/reply mode.
+    /// protocol errors. The server closes the connection after a refusal
+    /// too; [`Self::reconnect`] before reusing this client.
     pub fn subscribe_matches(
         &mut self,
         rule: &str,
@@ -1062,7 +871,7 @@ impl Client {
 /// CRC failures, framing garbage, and a mid-frame close all surface as
 /// [`ClientError::FrameCorrupt`] — a corrupt length prefix could point
 /// anywhere, so the stream has no resync point and must be reconnected.
-fn read_bin_msg(frames: &mut FrameReader<Box<dyn Read + Send>>) -> Result<BinMsg, ClientError> {
+fn read_bin_msg(frames: &mut FrameReader<TcpStream>) -> Result<BinMsg, ClientError> {
     match frames.read_frame() {
         Ok(Some((wire::TAG_RESPONSE, payload))) => {
             let (id, response) = wire::decode_response(payload)
@@ -1110,10 +919,19 @@ pub enum WatchEvent {
     },
 }
 
-fn open_connection(
-    addrs: &[SocketAddr],
-    timeout: Option<Duration>,
-) -> Result<(BufReader<TcpStream>, TcpStream), ClientError> {
+impl Conn {
+    /// Frames `self.payload` under `tag` and writes it out.
+    fn send_frame(&mut self, tag: u8) -> Result<(), ClientError> {
+        self.wbuf.clear();
+        rl_wire::encode_frame_into(tag, &self.payload, &mut self.wbuf);
+        self.writer.write_all(&self.wbuf)?;
+        self.writer.flush()?;
+        Ok(())
+    }
+}
+
+/// Dials the first reachable address and performs the handshake.
+fn open_connection(addrs: &[SocketAddr], timeout: Option<Duration>) -> Result<Conn, ClientError> {
     if addrs.is_empty() {
         return Err(ClientError::Io(std::io::Error::new(
             ErrorKind::InvalidInput,
@@ -1127,13 +945,51 @@ fn open_connection(
                 stream.set_nodelay(true).ok();
                 stream.set_read_timeout(timeout)?;
                 stream.set_write_timeout(timeout)?;
-                let writer = stream.try_clone()?;
-                return Ok((BufReader::new(stream), writer));
+                return handshake(stream);
             }
             Err(e) => last_err = Some(e),
         }
     }
     Err(ClientError::Io(last_err.expect("addrs is non-empty")))
+}
+
+/// The one JSON exchange a connection carries: the `Upgrade` line out,
+/// the `Upgraded` (or typed error) line back. The reply is read byte by
+/// byte — the next byte already belongs to the framed stream.
+fn handshake(mut stream: TcpStream) -> Result<Conn, ClientError> {
+    /// Longest reply line accepted (a refusal is ~200 bytes).
+    const MAX_REPLY_LINE: usize = 4096;
+    let upgrade = Request::Upgrade {
+        max_version: PROTOCOL_VERSION,
+    };
+    let mut line = serde_json::to_string(&upgrade)
+        .map_err(|e| ClientError::Protocol(format!("encode request: {e}")))?;
+    line.push('\n');
+    stream.write_all(line.as_bytes())?;
+    let mut reply = Vec::new();
+    let mut byte = [0u8; 1];
+    loop {
+        match stream.read(&mut byte)? {
+            0 => return Err(ClientError::Protocol("server closed the connection".into())),
+            _ if byte[0] == b'\n' => break,
+            _ if reply.len() == MAX_REPLY_LINE => {
+                return Err(ClientError::Protocol("handshake reply too long".into()))
+            }
+            _ => reply.push(byte[0]),
+        }
+    }
+    let response: Response = serde_json::from_slice(&reply)
+        .map_err(|e| ClientError::Protocol(format!("decode handshake reply: {e}")))?;
+    match response.into_result().map_err(ClientError::Server)? {
+        Reply::Upgraded { .. } => Ok(Conn {
+            frames: FrameReader::new(stream.try_clone()?),
+            writer: stream,
+            payload: Vec::new(),
+            wbuf: Vec::new(),
+            next_id: 1,
+        }),
+        other => Err(unexpected("Upgraded", &other)),
+    }
 }
 
 /// Requests whose retry cannot change server state: reads answered from
@@ -1151,8 +1007,8 @@ fn is_idempotent_read(request: &Request) -> bool {
 }
 
 /// Failures worth one reconnect-and-retry: the server never answered
-/// (timeout), the connection dropped mid-exchange (cleanly, mid-line, or
-/// mid-frame), or it was closed before the reply arrived.
+/// (timeout), the connection dropped mid-exchange (cleanly or mid-frame),
+/// or it was closed before the reply arrived.
 fn is_transient(error: &ClientError) -> bool {
     match error {
         ClientError::Timeout => true,

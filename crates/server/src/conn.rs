@@ -1,0 +1,174 @@
+//! What a connection's responses travel through: the outbox a reactor
+//! connection's workers complete into, and the blocking frame writer a
+//! streaming verb uses once it owns its connection.
+
+use crate::metrics::ReqType;
+use crate::protocol::{wire, ErrorCode, Request, RequestError, Response};
+use crate::server::Inner;
+use parking_lot::Mutex;
+use rl_store::WalOp;
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// The worker-visible half of a reactor connection: response bytes go
+/// into `outbox`, `in_flight` gates close and detach, and `wake` pokes
+/// the reactor's poll loop so it notices the new bytes.
+pub(crate) struct ConnShared {
+    pub(crate) outbox: Mutex<Vec<u8>>,
+    pub(crate) in_flight: AtomicUsize,
+    wake: Box<dyn Fn() + Send + Sync>,
+}
+
+impl ConnShared {
+    pub(crate) fn new(wake: Box<dyn Fn() + Send + Sync>) -> Self {
+        Self {
+            outbox: Mutex::new(Vec::new()),
+            in_flight: AtomicUsize::new(0),
+            wake,
+        }
+    }
+
+    /// Appends already-serialized bytes (a handshake line) to the outbox.
+    pub(crate) fn push_bytes(&self, bytes: &[u8]) {
+        self.outbox.lock().extend_from_slice(bytes);
+        (self.wake)();
+    }
+
+    /// Appends one response frame to the outbox and wakes the reactor.
+    pub(crate) fn push_response(&self, id: u64, response: &Response) {
+        self.push_bytes(&response_frame(id, response));
+    }
+
+    /// [`Self::push_response`] plus the in-flight decrement, in that
+    /// order: the reactor only closes a drained connection once
+    /// `in_flight` is zero AND the outbox is empty, so the response bytes
+    /// must be visible before the counter drops.
+    pub(crate) fn complete(&self, id: u64, response: &Response) {
+        let frame = response_frame(id, response);
+        self.outbox.lock().extend_from_slice(&frame);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        (self.wake)();
+    }
+}
+
+/// One response as an id-enveloped `rl-wire` frame.
+fn response_frame(id: u64, response: &Response) -> Vec<u8> {
+    let mut payload = Vec::new();
+    let mut frame = Vec::new();
+    encode_response_frame(id, response, &mut payload, &mut frame);
+    frame
+}
+
+fn encode_response_frame(id: u64, response: &Response, payload: &mut Vec<u8>, frame: &mut Vec<u8>) {
+    if wire::encode_response(id, response, payload).is_err() {
+        let fallback = Response::Err(RequestError::new(ErrorCode::Parse, "encode"));
+        let _ = wire::encode_response(id, &fallback, payload);
+    }
+    frame.clear();
+    rl_wire::encode_frame_into(wire::TAG_RESPONSE, payload, frame);
+}
+
+/// The write half of a connection a streaming verb owns. `id` is the
+/// originating request's id: every response (stream pushes included)
+/// carries it, so the client can attribute stream frames to the call
+/// that opened them.
+pub(crate) struct StreamWriter {
+    stream: TcpStream,
+    id: u64,
+    payload: Vec<u8>,
+    frame: Vec<u8>,
+}
+
+impl StreamWriter {
+    fn new(stream: TcpStream, id: u64) -> Self {
+        Self {
+            stream,
+            id,
+            payload: Vec::new(),
+            frame: Vec::new(),
+        }
+    }
+
+    /// The underlying socket (timeout configuration, and the read half
+    /// follower acks arrive on).
+    pub(crate) fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    fn write_frame(&mut self) -> std::io::Result<()> {
+        self.stream.write_all(&self.frame)?;
+        self.stream.flush()
+    }
+
+    /// Writes one response frame.
+    pub(crate) fn write_response(&mut self, response: &Response) -> std::io::Result<()> {
+        encode_response_frame(self.id, response, &mut self.payload, &mut self.frame);
+        self.write_frame()
+    }
+
+    /// Ships one replicated WAL op as a [`wire::TAG_WAL`] /
+    /// [`wire::TAG_WAL_E`] frame carrying the binary op encoding. Epoch-0
+    /// frames keep the un-stamped tag, as the WAL itself does.
+    pub(crate) fn write_wal(&mut self, seq: u64, op: &WalOp, epoch: u64) -> std::io::Result<()> {
+        let tag = if epoch == 0 {
+            wire::encode_wal(seq, op, &mut self.payload);
+            wire::TAG_WAL
+        } else {
+            wire::encode_wal_epoch(seq, epoch, op, &mut self.payload);
+            wire::TAG_WAL_E
+        };
+        self.frame.clear();
+        rl_wire::encode_frame_into(tag, &self.payload, &mut self.frame);
+        self.write_frame()
+    }
+
+    /// Ships one checkpoint chunk as the raw bytes of a
+    /// [`wire::TAG_CHUNK`] frame.
+    pub(crate) fn write_chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
+        self.frame.clear();
+        rl_wire::encode_frame_into(wire::TAG_CHUNK, data, &mut self.frame);
+        self.write_frame()
+    }
+}
+
+/// True for the verbs [`serve_stream`] handles: they answer with many
+/// frames and so cannot round-trip through the one-reply job queue.
+pub(crate) fn is_streaming(request: &Request) -> bool {
+    matches!(
+        request,
+        Request::FetchCheckpoint | Request::Subscribe { .. } | Request::SubscribeMatches { .. }
+    )
+}
+
+/// Body of the dedicated thread a streaming connection is detached to
+/// (`stream` is already back in blocking mode): serves `request`, one of
+/// the [`is_streaming`] verbs, and closes the connection when the stream
+/// ends — whether it ran to completion, was refused with a single error
+/// frame, or the peer went away. A stream has no framing left to
+/// resynchronize on, so the connection never returns to request/reply
+/// service.
+pub(crate) fn serve_stream(inner: &Arc<Inner>, stream: TcpStream, request: Request, id: u64) {
+    let mut writer = StreamWriter::new(stream, id);
+    match request {
+        Request::FetchCheckpoint => {
+            inner.metrics.record_streaming(ReqType::FetchCheckpoint);
+            crate::repl::serve_fetch_checkpoint(inner, &mut writer);
+        }
+        Request::Subscribe { from_seq, epoch } => {
+            inner.metrics.record_streaming(ReqType::Subscribe);
+            crate::repl::serve_subscribe(inner, &mut writer, from_seq, epoch);
+        }
+        Request::SubscribeMatches {
+            rule,
+            window,
+            late,
+            cap,
+        } => {
+            inner.metrics.record_streaming(ReqType::SubscribeMatches);
+            crate::subs::serve_subscribe_matches(inner, &mut writer, &rule, window, late, cap);
+        }
+        _ => {}
+    }
+}

@@ -1,0 +1,443 @@
+//! Request execution: one handler per verb, run on a worker thread
+//! against the shared state, each a function from a parsed request to a
+//! typed reply or a typed error. Socket I/O never happens here.
+
+use crate::background::reshard_migrate_loop;
+use crate::protocol::{
+    ErrorCode, ReplStatusReply, Reply, Request, RequestError, Response, ShardMapReply, StatsReply,
+    PROTOCOL_VERSION,
+};
+use crate::repl::{await_quorum, ReplRole};
+use crate::server::{Inner, ServerState};
+use crate::snapshot::{Snapshot, SnapshotError};
+use cbv_hb::Record;
+use rl_reshard::ReshardOp;
+use rl_store::WalOp;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+type Handled = Result<Reply, RequestError>;
+
+/// Executes one request. Streaming verbs, `Upgrade` and `Shutdown` are
+/// answered on the connection (see [`crate::reactor`]); one of them
+/// reaching a worker is a misrouted job.
+pub(crate) fn execute(inner: &Arc<Inner>, request: Request) -> Response {
+    let handled = match request {
+        // `Insert` is `Index` with the durability intent spelled out; both
+        // hit the WAL before the reply when a data dir is configured.
+        Request::Index { records } | Request::Insert { records } => insert(inner, &records),
+        Request::Delete { ids } => delete(inner, &ids),
+        Request::Probe { records } => probe(inner, &records),
+        Request::Stream { record } => stream(inner, &record),
+        Request::DedupStatus => Ok(dedup_status(inner)),
+        Request::Stats => Ok(stats(inner)),
+        Request::Metrics => Ok(Reply::Metrics(inner.metrics.snapshot())),
+        Request::Snapshot { path } => snapshot(inner, path),
+        Request::ReplStatus => Ok(repl_status(inner)),
+        Request::Promote => promote(inner),
+        Request::Unsubscribe { sub_id } => Ok(Reply::Unsubscribed {
+            removed: inner.subs.unsubscribe(sub_id),
+        }),
+        Request::GetShardMap => shard_map(inner),
+        Request::MigrationStatus => Ok(Reply::Migration(
+            inner.state.read().pipeline.migration_status(),
+        )),
+        Request::Reshard { op } => reshard(inner, op),
+        Request::FetchCheckpoint
+        | Request::Subscribe { .. }
+        | Request::SubscribeMatches { .. }
+        | Request::Upgrade { .. }
+        | Request::Shutdown => Err(RequestError::new(
+            ErrorCode::Unavailable,
+            "this request is handled on the connection, not by a worker",
+        )),
+    };
+    match handled {
+        Ok(reply) => Response::Ok(reply),
+        Err(e) => Response::Err(e),
+    }
+}
+
+fn linkage(e: cbv_hb::error::Error) -> RequestError {
+    RequestError::new(ErrorCode::Linkage, e.to_string())
+}
+
+fn insert(inner: &Inner, records: &[Record]) -> Handled {
+    let mut state = inner.state.write();
+    reject_if_follower(inner)?;
+    let mut applied_seq = 0;
+    if inner.store.is_some() {
+        // Validate before logging so the WAL never holds an op that will
+        // fail again at replay.
+        state
+            .pipeline
+            .schema()
+            .embed_all(records)
+            .map_err(linkage)?;
+        let ops: Vec<WalOp> = records.iter().cloned().map(WalOp::Insert).collect();
+        applied_seq = log_mutation(inner, &ops)?;
+    }
+    state.pipeline.index(records).map_err(linkage)?;
+    let total_indexed = state.pipeline.indexed_len();
+    inner.metrics.indexed_records.set(total_indexed as i64);
+    // Fan out to match subscriptions while still holding the state write
+    // lock, so event order across connections matches mutation order.
+    for record in records {
+        inner.subs.observe(&inner.metrics, record);
+    }
+    // Quorum waits happen after the lock is released: acks arrive
+    // independently, and other requests must not stall behind the
+    // bounded wait.
+    drop(state);
+    await_quorum(inner, applied_seq)?;
+    Ok(Reply::Indexed {
+        accepted: records.len(),
+        total_indexed,
+        applied_seq,
+    })
+}
+
+fn delete(inner: &Inner, ids: &[u64]) -> Handled {
+    let mut state = inner.state.write();
+    reject_if_follower(inner)?;
+    let mut applied_seq = 0;
+    if inner.store.is_some() {
+        let ops: Vec<WalOp> = ids.iter().map(|&id| WalOp::Delete(id)).collect();
+        applied_seq = log_mutation(inner, &ops)?;
+    }
+    let removed = state.pipeline.delete(ids).map_err(linkage)?;
+    let total_indexed = state.pipeline.indexed_len();
+    inner.metrics.indexed_records.set(total_indexed as i64);
+    for &id in ids {
+        inner.subs.remove(id);
+    }
+    drop(state);
+    await_quorum(inner, applied_seq)?;
+    Ok(Reply::Deleted {
+        removed,
+        total_indexed,
+        applied_seq,
+    })
+}
+
+fn probe(inner: &Inner, records: &[Record]) -> Handled {
+    let state = inner.state.read();
+    let (pairs, stats) = state.pipeline.link(records).map_err(linkage)?;
+    let notes = crate::protocol::truncation_notes(&stats);
+    Ok(Reply::Matches {
+        pairs,
+        stats,
+        notes,
+    })
+}
+
+fn stream(inner: &Inner, record: &Record) -> Handled {
+    let mut state = inner.state.write();
+    reject_if_follower(inner)?;
+    let mut applied_seq = 0;
+    if inner.store.is_some() {
+        state.pipeline.schema().embed(record).map_err(linkage)?;
+        // Logged as `Observe` (not `Insert`): replay re-runs the
+        // match-then-index round, rebuilding the stream pairs and the
+        // dedup forest deterministically.
+        applied_seq = log_mutation(inner, &[WalOp::Observe(record.clone())])?;
+    }
+    let t0 = Instant::now();
+    let matches = observe(&mut state, record).map_err(linkage)?;
+    // Same histogram StreamMatcher::observe records into: one streaming
+    // round (match + index), whatever engine runs it.
+    let metrics = &inner.metrics;
+    metrics.pipeline.observe.observe_duration(t0.elapsed());
+    metrics.streamed_records.set(state.streamed as i64);
+    metrics
+        .indexed_records
+        .set(state.pipeline.indexed_len() as i64);
+    inner.subs.observe(metrics, record);
+    drop(state);
+    await_quorum(inner, applied_seq)?;
+    Ok(Reply::Observed {
+        matches,
+        applied_seq,
+    })
+}
+
+fn dedup_status(inner: &Inner) -> Reply {
+    let clusters = inner.state.write().dedup.clusters(2);
+    Reply::DedupStatus {
+        linked_records: clusters.iter().map(Vec::len).sum(),
+        clusters,
+    }
+}
+
+fn stats(inner: &Inner) -> Reply {
+    let state = inner.state.read();
+    let blocking = state.pipeline.blocking_stats().unwrap_or_default();
+    inner.metrics.update_block_gauges(&blocking);
+    Reply::Stats(StatsReply {
+        protocol_version: PROTOCOL_VERSION,
+        shards: state.pipeline.num_shards(),
+        workers: inner.config.workers.max(1),
+        queue_capacity: inner.config.queue_capacity.max(1),
+        indexed: state.pipeline.indexed_len(),
+        streamed: state.streamed,
+        requests_served: inner.requests_served.load(Ordering::Relaxed),
+        rejected_backpressure: inner.rejected_backpressure.load(Ordering::Relaxed),
+        uptime_secs: inner.started.elapsed().as_secs(),
+        blocking,
+        shard_map_epoch: state.pipeline.shard_map().epoch(),
+        shard_records: shard_records(&state).unwrap_or_default(),
+    })
+}
+
+fn shard_records(state: &ServerState) -> cbv_hb::error::Result<Vec<u64>> {
+    let counts = state.pipeline.shard_record_counts()?;
+    Ok(counts.into_iter().map(|c| c as u64).collect())
+}
+
+fn snapshot(inner: &Inner, path: Option<String>) -> Handled {
+    let target = path
+        .map(PathBuf::from)
+        .or_else(|| inner.config.snapshot_path.clone())
+        .ok_or_else(|| {
+            RequestError::new(
+                ErrorCode::Unavailable,
+                "no snapshot path configured; pass one in the request or start \
+                 the server with --snapshot",
+            )
+        })?;
+    let state = inner.state.read();
+    let indexed = write_snapshot(&state, &target)
+        .map_err(|e| RequestError::new(ErrorCode::Snapshot, e.to_string()))?;
+    Ok(Reply::Snapshotted {
+        path: target.to_string_lossy().into_owned(),
+        indexed,
+    })
+}
+
+fn repl_status(inner: &Inner) -> Reply {
+    let role = inner.repl.role.lock().clone();
+    let applied = inner.store.as_ref().map(|s| s.lock().op_seq()).unwrap_or(0);
+    let (head_seq, lag_bytes, primary_addr) = match &role {
+        ReplRole::Follower { primary_addr } => (
+            // The stream's head can trail reality between heartbeats;
+            // never report a head behind what we have already applied.
+            inner.repl.head_seq.load(Ordering::SeqCst).max(applied),
+            inner.repl.lag_bytes.load(Ordering::SeqCst),
+            Some(primary_addr.clone()),
+        ),
+        _ => (applied, 0, None),
+    };
+    Reply::ReplStatus(ReplStatusReply {
+        role: role.label().to_string(),
+        primary_addr,
+        applied_seq: applied,
+        head_seq,
+        lag_frames: head_seq.saturating_sub(applied),
+        lag_bytes: if head_seq > applied { lag_bytes } else { 0 },
+        followers: inner.repl.followers.load(Ordering::SeqCst),
+        reconnects: inner.repl.reconnects.load(Ordering::SeqCst),
+        epoch: inner.repl.epoch(),
+        lease_ms: inner.config.lease_ms,
+    })
+}
+
+fn promote(inner: &Inner) -> Handled {
+    // The state write lock fences in-flight mutations and apply calls;
+    // the role lock then makes the flip atomic with respect to every role
+    // check (lock order state → role → store).
+    let _state = inner.state.write();
+    let mut role = inner.repl.role.lock();
+    match role.clone() {
+        ReplRole::Follower { .. } => {
+            // A follower mid-bootstrap has an incomplete store — promoting
+            // it would crown a primary with a torn checkpoint. Typed
+            // refusal; retry once resync ends.
+            if inner.repl.resyncing.load(Ordering::SeqCst) {
+                return Err(RequestError::new(
+                    ErrorCode::Unavailable,
+                    "promote refused: a checkpoint bootstrap/resync is in \
+                     flight; retry once the follower is caught up",
+                ));
+            }
+            let Some(store) = &inner.store else {
+                return Err(RequestError::new(
+                    ErrorCode::Unavailable,
+                    "promote requires a data directory",
+                ));
+            };
+            let mut store = store.lock();
+            // Start the new primary's write era: bump the epoch and
+            // persist the marker on a fresh segment in one durable step,
+            // so a restart (or the fenced old primary's frames) can never
+            // roll the era back. The follower's WAL mirrors the old
+            // primary's frames, so op sequencing continues seamlessly.
+            let epoch = store.bump_epoch().map_err(|e| {
+                RequestError::new(ErrorCode::Storage, format!("promote failed: {e}"))
+            })?;
+            let head_seq = store.op_seq();
+            *role = ReplRole::Primary;
+            inner.repl.epoch.store(epoch, Ordering::SeqCst);
+            inner.metrics.repl_lag_frames.set(0);
+            inner.metrics.repl_lag_bytes.set(0);
+            eprintln!("rl-server: promoted to primary at op seq {head_seq} (epoch {epoch})");
+            Ok(Reply::Promoted {
+                head_seq,
+                was_follower: true,
+                epoch,
+            })
+        }
+        ReplRole::Primary => Ok(Reply::Promoted {
+            head_seq: inner.store.as_ref().map(|s| s.lock().op_seq()).unwrap_or(0),
+            was_follower: false,
+            epoch: inner.repl.epoch(),
+        }),
+        ReplRole::Standalone => Err(RequestError::new(
+            ErrorCode::Unavailable,
+            "promote only applies to replicated servers (follower, or primary \
+             started with --allow-replicas)",
+        )),
+    }
+}
+
+fn shard_map(inner: &Inner) -> Handled {
+    let state = inner.state.read();
+    let map = state.pipeline.shard_map();
+    Ok(Reply::ShardMap(ShardMapReply {
+        epoch: map.epoch(),
+        num_shards: map.num_shards(),
+        ranges: map.assignments().to_vec(),
+        records: shard_records(&state).map_err(linkage)?,
+        migration: state.pipeline.migration_status(),
+    }))
+}
+
+fn reshard(inner: &Arc<Inner>, op: ReshardOp) -> Handled {
+    let mut state = inner.state.write();
+    // Only a primary (or standalone) may change the shard map — followers
+    // receive the change as a replicated cutover frame.
+    reject_if_follower(inner)?;
+    let driver = state.pipeline.begin_reshard(op).map_err(linkage)?;
+    let status = state.pipeline.migration_status();
+    inner.metrics.reshard_state.set(1);
+    inner.metrics.reshard_migrated.set(0);
+    inner.metrics.reshard_lag.set(status.total as i64);
+    drop(state);
+    // At most one migration runs (begin_reshard enforces it), so any
+    // previous migrator has finished — join it before the new thread
+    // takes the slot.
+    let mut slot = inner.reshard_thread.lock();
+    if let Some(handle) = slot.take() {
+        let _ = handle.join();
+    }
+    let migrator = Arc::clone(inner);
+    *slot = Some(
+        std::thread::Builder::new()
+            .name("rl-reshard-migrate".into())
+            .spawn(move || reshard_migrate_loop(&migrator, driver))
+            .expect("spawn reshard migrator"),
+    );
+    Ok(Reply::ReshardStarted {
+        kind: op.kind().to_string(),
+        source: status.source,
+        target: status.target,
+        total: status.total,
+    })
+}
+
+/// Rejects a mutation on a follower with a typed redirect. Called with
+/// the state write lock held, so a concurrent promote (which also takes
+/// it) cannot interleave with the check-then-mutate sequence.
+fn reject_if_follower(inner: &Inner) -> Result<(), RequestError> {
+    match &*inner.repl.role.lock() {
+        ReplRole::Follower { primary_addr } => Err(RequestError::new(
+            ErrorCode::NotPrimary,
+            "read-only follower; send mutations to the primary",
+        )
+        .with_primary(primary_addr.clone())),
+        _ => Ok(()),
+    }
+}
+
+/// Streaming observe against the sharded index: probe the single record,
+/// record matched pairs in the dedup forest, then index it.
+fn observe(state: &mut ServerState, record: &Record) -> cbv_hb::error::Result<Vec<u64>> {
+    let batch = std::slice::from_ref(record).to_vec();
+    let (pairs, _) = state.pipeline.link(&batch)?;
+    let matches: Vec<u64> = pairs.into_iter().map(|(a, _)| a).collect();
+    state.pipeline.index(&batch)?;
+    for &a in &matches {
+        state.dedup.union(a, record.id);
+        state.stream_pairs.push((a, record.id));
+    }
+    state.streamed += 1;
+    Ok(matches)
+}
+
+/// Appends mutation ops to the WAL ahead of applying them. Called under
+/// the state write lock; on failure the mutation must be rejected, not
+/// applied (acknowledge-after-durable). The batch is logged
+/// all-or-nothing, so a Storage error means NO record of a multi-record
+/// request is durable — never a silent prefix that resurfaces at replay.
+/// Returns the op sequence of the batch's last frame (the reply's
+/// `applied_seq`), 0 without a store.
+pub(crate) fn log_mutation(inner: &Inner, ops: &[WalOp]) -> Result<u64, RequestError> {
+    let Some(store) = &inner.store else {
+        return Ok(0);
+    };
+    let mut store = store.lock();
+    store.append_batch(ops).map_err(|e| {
+        RequestError::new(
+            ErrorCode::Storage,
+            format!("wal append failed; mutation not applied: {e}"),
+        )
+    })?;
+    inner.metrics.wal_appends.add(ops.len() as u64);
+    inner.metrics.wal_bytes.set(store.wal_bytes() as i64);
+    Ok(store.op_seq())
+}
+
+/// Applies one recovered or replicated WAL op to the state, with the
+/// same semantics the original request had.
+pub(crate) fn apply_op(state: &mut ServerState, op: &WalOp) -> cbv_hb::error::Result<()> {
+    match op {
+        WalOp::Insert(record) => state.pipeline.index(std::slice::from_ref(record)),
+        WalOp::Observe(record) => observe(state, record).map(|_| ()),
+        WalOp::Delete(id) => state.pipeline.delete(&[*id]).map(|_| ()),
+        // A cutover commit replays as a synchronous reshard at the same
+        // position in the op stream it was logged at: planning is
+        // deterministic, so the recomputed plan (and a split's recomputed
+        // target id) matches what the primary executed.
+        WalOp::Reshard {
+            merge,
+            source,
+            target,
+        } => {
+            let op = if *merge {
+                ReshardOp::Merge {
+                    source: *source as usize,
+                    target: *target as usize,
+                }
+            } else {
+                ReshardOp::Split {
+                    source: *source as usize,
+                }
+            };
+            state.pipeline.reshard_sync(op).map(|_| ())
+        }
+    }
+}
+
+pub(crate) fn write_snapshot(state: &ServerState, path: &Path) -> Result<usize, SnapshotError> {
+    let exported = state
+        .pipeline
+        .export_state()
+        .map_err(|e| SnapshotError::Format {
+            path: Some(path.to_path_buf()),
+            msg: e.to_string(),
+        })?;
+    let indexed = exported.indexed;
+    Snapshot::new(exported, state.stream_pairs.clone(), state.streamed)?.save(path)?;
+    Ok(indexed)
+}

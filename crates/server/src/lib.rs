@@ -2,17 +2,22 @@
 //!
 //! Turns the in-process [`cbv_hb::sharded::ShardedPipeline`] into a
 //! long-running TCP service: the index is built once (or restored from a
-//! snapshot) and then served to many clients over a newline-delimited
-//! JSON protocol — the operational mode the paper's linkage unit implies,
-//! where data custodians submit records to a central service that holds
-//! the compact Hamming-space index.
+//! snapshot) and then served to many clients over `rl-wire` binary frames
+//! — the operational mode the paper's linkage unit implies, where data
+//! custodians submit records to a central service that holds the compact
+//! Hamming-space index.
 //!
 //! ## Pieces
 //!
 //! - [`protocol`] — the request/response wire types (`Index`, `Probe`,
-//!   `Stream`, `DedupStatus`, `Stats`, `Metrics`, `Snapshot`, `Shutdown`).
-//! - [`server`] — [`Server`]: accept loop, bounded worker pool with typed
-//!   backpressure, graceful drain on shutdown.
+//!   `Stream`, `DedupStatus`, `Stats`, `Metrics`, `Snapshot`, `Shutdown`,
+//!   …) and their frame envelopes.
+//! - [`server`] — [`Server`]: configuration, shared state, bounded worker
+//!   pool with typed backpressure, graceful drain on shutdown. Around it
+//!   (crate-private): `reactor` (the `poll(2)` loop owning every
+//!   request/reply connection), `conn` (outbox and stream writer),
+//!   `handlers` (one function per verb), `background` (checkpointer,
+//!   WAL flusher, compactor, reshard migrator).
 //! - [`metrics`] — [`ServerMetrics`]: per-request-type counters and
 //!   queue-wait / execution latency histograms, Prometheus-exposable.
 //! - [`snapshot`] — [`Snapshot`]: atomic (temp + rename), versioned
@@ -28,7 +33,8 @@
 //!   `NotPrimary` redirects.
 //! - [`repl`] (protocol v5) — replication roles and the primary-side
 //!   checkpoint-transfer / WAL-subscription handlers; the follower loop
-//!   lives in the `rl-repl` crate. See `docs/REPLICATION.md`.
+//!   lives in the `rl-repl` crate and drives the server through
+//!   [`ReplHandle`]. See `docs/REPLICATION.md`.
 //! - **subs** (protocol v6) — streaming match subscriptions:
 //!   `SubscribeMatches` compiles a rule into a pruned blocking plan
 //!   (`rl-streamrule`) and pushes `MatchEvent` lines through a bounded
@@ -67,12 +73,16 @@
 //! server.wait();
 //! ```
 
+pub(crate) mod background;
 pub mod client;
+pub(crate) mod conn;
+pub(crate) mod handlers;
 pub mod metrics;
 pub mod protocol;
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 pub(crate) mod reactor;
 pub mod repl;
+pub(crate) mod repl_handle;
 pub mod server;
 pub mod snapshot;
 pub(crate) mod subs;
@@ -84,7 +94,8 @@ pub use protocol::{
     FIRST_BINARY_VERSION, PROTOCOL_VERSION,
 };
 pub use repl::{ApplyError, ReplRole, ReplState};
-pub use server::{DurabilityConfig, ReplHandle, Server, ServerConfig};
+pub use repl_handle::ReplHandle;
+pub use server::{DurabilityConfig, Server, ServerConfig};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 // Durability building blocks, re-exported for server embedders.
 pub use rl_store::{Checkpoint, Store, StoreError, StoreOptions, SyncPolicy, WalOp};

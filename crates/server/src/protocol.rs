@@ -1,19 +1,14 @@
-//! The wire protocol: newline-delimited JSON over TCP, upgradable to
-//! binary frames.
+//! The wire protocol: the request/response types and their `rl-wire`
+//! frame envelopes.
 //!
-//! Every connection starts in JSON mode: one JSON object per line,
-//! answered with exactly one JSON object on one line. Requests are
-//! externally tagged by command name (`{"Probe": {...}}`); responses are
-//! an envelope with an `ok` discriminator so clients can branch before
-//! deserializing the payload.
-//!
-//! Protocol v7 adds an in-band upgrade: a client sends
-//! [`Request::Upgrade`] as a normal JSON line; a v7 server answers
-//! [`Reply::Upgraded`] and both sides switch to `rl-wire` binary frames
-//! (see [`wire`] for the frame tags and payload envelopes). A pre-v7
-//! server answers the unknown verb with a `Parse` error, and the client
-//! simply stays on JSON — graceful both ways. See `docs/WIRE.md` for the
-//! framing and `docs/SERVER.md` for the full request reference.
+//! A connection opens with exactly one JSON line, [`Request::Upgrade`],
+//! answered with one JSON [`Reply::Upgraded`] line; from then on both
+//! sides exchange `rl-wire` binary frames (see [`wire`] for the frame
+//! tags and payload envelopes). Hot-path verbs carry compact binary
+//! bodies; every other verb carries its JSON encoding *inside* a frame —
+//! externally tagged by command name (`{"Probe": {...}}`), responses in
+//! an `Ok`/`Err` envelope. See `docs/WIRE.md` for the framing and
+//! `docs/SERVER.md` for the full request reference.
 
 use cbv_hb::blocking::StructureStats;
 use cbv_hb::matcher::MatchStats;
@@ -68,11 +63,17 @@ use serde::{Deserialize, Serialize};
 /// cutover). The Stats reply gains `shard_map_epoch` and per-shard
 /// `shard_records` so clients can watch a rebalance converge. The new
 /// verbs ride the JSON body of the binary wire (no new binary bodies),
-/// so v7–v9 peers interoperate untouched.
-pub const PROTOCOL_VERSION: u32 = 10;
+/// so v7–v9 peers interoperate untouched. Version 11 removed the
+/// newline-delimited JSON transport: the `Upgrade` line is the only JSON
+/// line a socket carries, a client offering less than
+/// [`FIRST_BINARY_VERSION`] is refused, a streaming verb owns its
+/// connection (the server closes it when the stream ends, accepted or
+/// refused), and the base64 `CheckpointChunk` reply is gone — chunks are
+/// raw frames.
+pub const PROTOCOL_VERSION: u32 = 11;
 
-/// The first protocol version that speaks `rl-wire` binary frames. An
-/// `Upgraded` answer below this stays on JSON.
+/// The first protocol version that speaks `rl-wire` binary frames, and so
+/// the lowest `max_version` the `Upgrade` handshake accepts.
 pub const FIRST_BINARY_VERSION: u32 = 7;
 
 /// A client request.
@@ -108,15 +109,15 @@ pub enum Request {
     /// before the reply when the server has a data dir.
     Delete { ids: Vec<u64> },
     /// Replication bootstrap (protocol v5): ask a primary for its latest
-    /// checkpoint. Answered with a [`Reply::CheckpointMeta`] line followed
-    /// by `chunks` [`Reply::CheckpointChunk`] lines of base64 data — the
-    /// one request besides `Subscribe` that produces multiple response
-    /// lines. A primary with no checkpoint yet takes one first.
+    /// checkpoint. Answered with a [`Reply::CheckpointMeta`] response
+    /// followed by `chunks` raw [`wire::TAG_CHUNK`] frames, after which
+    /// the server closes the connection. A primary with no checkpoint yet
+    /// takes one first.
     FetchCheckpoint,
     /// Replication tail (protocol v5): stream WAL frames with global op
     /// sequence greater than `from_seq`, interleaved with
-    /// [`Reply::Heartbeat`] lines while idle. The connection stays in
-    /// streaming mode until either side closes it. A `from_seq` outside
+    /// [`Reply::Heartbeat`] responses while idle. The stream owns the
+    /// connection until either side closes it. A `from_seq` outside
     /// the primary's retained log is answered with
     /// [`Reply::ResyncRequired`]. Protocol v8 adds `epoch`: the highest
     /// primary epoch the subscriber has observed. A sender whose own epoch
@@ -141,9 +142,11 @@ pub enum Request {
     /// Streaming match subscription (protocol v6): compile `rule` (the
     /// `parse_rule` DSL) into a pruned blocking plan and push a
     /// [`Reply::MatchEvent`] line whenever a newly ingested record matches
-    /// a record inside `window`. The connection switches to streaming
-    /// mode: first line is [`Reply::Subscribed`], then events interleaved
-    /// with [`Reply::Heartbeat`] keep-alives. A subscriber that cannot
+    /// a record inside `window`. The stream owns the connection: first
+    /// comes [`Reply::Subscribed`], then events interleaved with
+    /// [`Reply::Heartbeat`] keep-alives; a refused subscription gets one
+    /// typed error instead, and either way the server closes the
+    /// connection when it is done. A subscriber that cannot
     /// drain its bounded event queue receives a terminal
     /// [`Reply::SubscriptionLagged`] and must resubscribe (mirroring
     /// replication's `ResyncRequired` contract).
@@ -163,14 +166,13 @@ pub enum Request {
         /// The id from [`Reply::Subscribed`].
         sub_id: u64,
     },
-    /// Negotiates the binary wire upgrade (protocol v7). Sent as a JSON
-    /// line; a v7 server replies [`Reply::Upgraded`] and **both sides
-    /// switch to `rl-wire` binary frames immediately after that
+    /// The handshake that opens every connection, sent as one JSON line;
+    /// the server replies with a JSON [`Reply::Upgraded`] line and **both
+    /// sides speak `rl-wire` binary frames immediately after that
     /// exchange**. `max_version` is the highest protocol version the
     /// client speaks; the server answers with `min(max_version, own)`,
-    /// and only an answer ≥ 7 switches the connection. A pre-v7 server
-    /// rejects the unknown verb with a `Parse` error, which clients
-    /// treat as "stay on JSON".
+    /// and refuses a `max_version` below [`FIRST_BINARY_VERSION`] (or any
+    /// other first line) with one typed JSON error line and a close.
     Upgrade {
         /// Highest protocol version the client supports.
         max_version: u32,
@@ -202,7 +204,8 @@ pub enum Request {
 /// Why a request was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorCode {
-    /// The request line was not valid JSON for [`Request`].
+    /// The request did not decode as a [`Request`] (or the line opening
+    /// the connection was not the `Upgrade` handshake).
     Parse,
     /// The bounded work queue is full; retry after backing off.
     Backpressure,
@@ -402,22 +405,17 @@ pub enum Reply {
         /// Records captured in the snapshot.
         indexed: usize,
     },
-    /// First response line to `FetchCheckpoint` (protocol v5): announces
-    /// the transfer that follows.
+    /// First response to `FetchCheckpoint` (protocol v5): announces the
+    /// transfer that follows.
     CheckpointMeta {
-        /// Size of the checkpoint document in bytes (before base64).
+        /// Size of the checkpoint document in bytes.
         len: u64,
-        /// Number of `CheckpointChunk` lines that follow.
+        /// Number of [`wire::TAG_CHUNK`] frames that follow, in order.
         chunks: u64,
     },
-    /// One chunk of a checkpoint transfer (protocol v5).
-    CheckpointChunk {
-        /// 0-based chunk index (chunks arrive in order).
-        index: u64,
-        /// Base64-encoded bytes of this chunk.
-        data: String,
-    },
-    /// One replicated WAL frame in a `Subscribe` stream (protocol v5).
+    /// One replicated WAL frame in a `Subscribe` stream (protocol v5). On
+    /// the wire it is a [`wire::TAG_WAL`] / [`wire::TAG_WAL_E`] frame;
+    /// [`crate::Client::recv`] surfaces it as this reply.
     WalFrame {
         /// Global op sequence of this frame (`from_seq + 1`, `+2`, …).
         seq: u64,
@@ -503,9 +501,8 @@ pub enum Reply {
         /// False when the id named no live subscription.
         removed: bool,
     },
-    /// Response to `Upgrade` (protocol v7): the negotiated protocol
-    /// version. When it is ≥ 7 both sides switch to binary frames right
-    /// after this line; otherwise the connection stays on JSON.
+    /// Response to `Upgrade`: the negotiated protocol version. Both sides
+    /// switch to binary frames right after this line.
     Upgraded {
         /// `min(client max_version, server version)`.
         version: u32,
@@ -618,7 +615,7 @@ pub struct StatsReply {
     pub shard_records: Vec<u64>,
 }
 
-/// The one-line response envelope.
+/// The response envelope.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// The request succeeded.
@@ -637,7 +634,7 @@ impl Response {
     }
 }
 
-/// Binary envelopes for protocol v7 (after the [`Request::Upgrade`]
+/// Binary envelopes (everything after the [`Request::Upgrade`]
 /// handshake). Each `rl-wire` frame carries one of these payloads,
 /// discriminated by the frame tag:
 ///
@@ -649,8 +646,7 @@ impl Response {
 /// - [`TAG_WAL`] — `global op seq: u64 LE` followed by the binary
 ///   [`rl_store::WalOp`] encoding (the same one v2 WAL segments store).
 /// - [`TAG_CHUNK`] — raw checkpoint bytes, no envelope: chunks arrive in
-///   order after a `CheckpointMeta` response, without the base64 + JSON
-///   overhead of the v5 transfer.
+///   order after a `CheckpointMeta` response.
 pub mod wire {
     use super::{Reply, Request, Response};
     use cbv_hb::matcher::MatchStats;
@@ -1106,10 +1102,6 @@ mod tests {
             Response::Ok(Reply::CheckpointMeta {
                 len: 1024,
                 chunks: 2,
-            }),
-            Response::Ok(Reply::CheckpointChunk {
-                index: 0,
-                data: "aGVsbG8=".into(),
             }),
             Response::Ok(Reply::WalFrame {
                 seq: 9,

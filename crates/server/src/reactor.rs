@@ -1,37 +1,39 @@
-//! The readiness-driven connection reactor (Linux, protocol v7).
+//! The readiness-driven connection reactor.
 //!
 //! One thread owns every request/reply connection: a `poll(2)` loop over
 //! the listener, a self-pipe waker, and all live sockets. Connections
-//! cost a buffer each, not a thread each, and a binary (protocol v7)
-//! connection may have many requests in flight at once — the reactor
-//! keeps parsing frames while workers execute earlier ones, and workers
-//! push each response into the connection's outbox as it completes
-//! (correlated by request id, so out-of-order completion is fine).
+//! cost a buffer each, not a thread each, and a connection may have many
+//! requests in flight at once — the reactor keeps parsing frames while
+//! workers execute earlier ones, and workers push each response into the
+//! connection's outbox as it completes (correlated by request id, so
+//! out-of-order completion is fine).
 //!
-//! JSON-mode (protocol ≤6) connections have no request ids, so their
-//! responses must arrive in request order: the reactor parses at most one
-//! request at a time per JSON connection (`in_flight` gate). That matches
-//! the old thread-per-connection behaviour exactly.
+//! A connection opens with one JSON line, `{"Upgrade":{"max_version":N}}`,
+//! answered with one JSON `Upgraded` line; everything after it is
+//! `rl-wire` frames. Any other first line, or a `max_version` below
+//! [`FIRST_BINARY_VERSION`], gets one typed JSON error line and a close.
 //!
 //! Streaming verbs (`FetchCheckpoint`, `Subscribe`, `SubscribeMatches`)
 //! are long-lived and blocking by design; the reactor *detaches* such a
 //! connection — flushes its outbox, flips the socket back to blocking,
-//! and hands it (plus any already-read bytes) to a dedicated thread
-//! running the classic loop. The reactor never blocks on anyone.
+//! and hands it to a dedicated thread that owns it until the stream ends
+//! ([`crate::conn::serve_stream`]). The reactor never blocks on anyone,
+//! and joins every such thread before [`Reactor::run`] returns.
 //!
-//! Pinned behaviours preserved from the thread-per-connection loop:
-//! partial requests ride in the connection buffer until complete; a
-//! trailing JSON request without a final newline is answered at EOF; a
-//! `Shutdown` ack is written and then the connection closes; a full job
-//! queue answers typed `Backpressure` immediately; shutdown finishes
-//! in-flight requests and flushes outboxes before closing.
+//! Pinned behaviours: partial requests ride in the connection buffer
+//! until complete; a `Shutdown` ack is written and then the connection
+//! closes; a full job queue answers typed `Backpressure` immediately;
+//! shutdown finishes in-flight requests and flushes outboxes before
+//! closing; a connection whose peer pipelines requests without reading
+//! the replies stops being read once [`MAX_BUFFERED`] bytes are waiting
+//! in either direction.
 
+use crate::conn::{is_streaming, serve_stream, ConnShared};
 use crate::metrics::ReqType;
-use crate::protocol::{wire, ErrorCode, Reply, Request, RequestError, Response};
-use crate::server::{
-    begin_shutdown, is_streaming, negotiate_upgrade, serve_detached, Completion, ConnShared, Inner,
-    Job,
+use crate::protocol::{
+    wire, ErrorCode, Reply, Request, RequestError, Response, FIRST_BINARY_VERSION, PROTOCOL_VERSION,
 };
+use crate::server::{begin_shutdown, Inner, Job};
 use crossbeam::channel::{Sender, TrySendError};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -40,6 +42,7 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 #[repr(C)]
@@ -62,11 +65,15 @@ extern "C" {
 /// flag even with no socket activity (the waker usually wakes it first).
 const POLL_TIMEOUT_MS: c_int = 100;
 
-/// Stop parsing new requests from a connection holding this many
-/// unparsed buffered bytes; reading resumes once the backlog drains.
-/// Bounds memory against a client that floods pipelined requests faster
-/// than the workers drain them.
-const MAX_UNPARSED: usize = 4 * 1024 * 1024;
+/// Stop reading (and parsing) a connection holding this many bytes in
+/// either direction — unparsed input, or responses its peer has not read;
+/// both resume once the backlog drains. Bounds memory against a client
+/// that floods pipelined requests faster than the workers drain them, or
+/// never reads what it asked for.
+const MAX_BUFFERED: usize = 4 * 1024 * 1024;
+
+/// Longest handshake line accepted (the real one is ~30 bytes).
+const MAX_HANDSHAKE_LINE: usize = 1024;
 
 /// How long shutdown waits for in-flight responses to flush before
 /// force-closing connections (mirrors the streaming write timeout).
@@ -79,8 +86,7 @@ enum Parsed {
     /// Unrecoverable framing/socket state: drop the connection.
     Close,
     /// Hand the connection to a dedicated blocking thread to serve this
-    /// streaming request (id is the originating request id in binary
-    /// mode, [`wire::PUSH_ID`] for JSON).
+    /// streaming request, answering under the given request id.
     Detach(Request, u64),
 }
 
@@ -90,10 +96,12 @@ struct Conn {
     /// Bytes read but not yet parsed; `rpos` is the consumed prefix.
     rbuf: Vec<u8>,
     rpos: usize,
-    binary: bool,
+    /// The `Upgrade` handshake is done; input is frames from here on.
+    upgraded: bool,
     /// Peer closed its write half; serve what's buffered, then close.
     eof: bool,
-    /// Stop parsing (Shutdown ack sent); close once drained.
+    /// Stop parsing (Shutdown acked, or handshake refused); close once
+    /// the outbox has drained.
     closing: bool,
     dead: bool,
 }
@@ -107,179 +115,229 @@ impl Conn {
         self.shared.in_flight.load(Ordering::SeqCst)
     }
 
-    fn outbox_empty(&self) -> bool {
-        self.shared.outbox.lock().is_empty()
+    fn outbox_len(&self) -> usize {
+        self.shared.outbox.lock().len()
     }
 
     /// Drained and finished: nothing buffered in, nothing pending out.
     fn done(&self) -> bool {
-        (self.eof || self.closing) && self.in_flight() == 0 && self.outbox_empty()
+        (self.eof || self.closing) && self.in_flight() == 0 && self.outbox_len() == 0
     }
 
     fn push(&self, id: u64, response: &Response) {
-        self.shared.push_response(id, self.binary, response);
+        self.shared.push_response(id, response);
+    }
+
+    /// Answers the handshake: one JSON line, the only one a connection
+    /// ever carries in this direction.
+    fn push_line(&self, response: &Response) {
+        let mut line = serde_json::to_string(response)
+            .unwrap_or_else(|_| "{\"Err\":{\"code\":\"Parse\",\"message\":\"encode\"}}".into());
+        line.push('\n');
+        self.shared.push_bytes(line.as_bytes());
+    }
+
+    /// Refuses the handshake: one typed error line, then close once it
+    /// has been written.
+    fn refuse(&mut self, code: ErrorCode, message: &str) -> Parsed {
+        self.push_line(&Response::Err(RequestError::new(code, message)));
+        self.closing = true;
+        Parsed::Keep
     }
 }
 
-/// Runs the reactor until shutdown. Takes over the accept loop's role.
-pub(crate) fn run(inner: &Arc<Inner>, listener: TcpListener, job_tx: &Sender<Job>) {
-    if listener.set_nonblocking(true).is_err() {
-        // Fall back to the classic loop rather than serving nothing.
-        crate::server::accept_loop(inner, &listener, job_tx);
-        return;
+/// Whether the reactor should take more input from a connection: not
+/// after EOF or a close decision, and not while [`MAX_BUFFERED`] bytes
+/// are already waiting to be parsed or to be read by the peer.
+fn wants_input(eof: bool, closing: bool, unparsed: usize, outbox_len: usize) -> bool {
+    !eof && !closing && unparsed < MAX_BUFFERED && outbox_len <= MAX_BUFFERED
+}
+
+/// The listener and the self-pipe waker, set up (fallibly) before the
+/// reactor thread starts so a socket that cannot go nonblocking is an
+/// error from `Server::spawn*`, not a server that silently serves nothing.
+pub(crate) struct Reactor {
+    listener: TcpListener,
+    wake_rx: UnixStream,
+    wake_tx: Arc<UnixStream>,
+}
+
+impl Reactor {
+    pub(crate) fn new(listener: TcpListener) -> std::io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        Ok(Self {
+            listener,
+            wake_rx,
+            wake_tx: Arc::new(wake_tx),
+        })
     }
-    let Ok((wake_rx, wake_tx)) = UnixStream::pair() else {
-        crate::server::accept_loop(inner, &listener, job_tx);
-        return;
-    };
-    let _ = wake_rx.set_nonblocking(true);
-    let _ = wake_tx.set_nonblocking(true);
-    let wake_tx = Arc::new(wake_tx);
 
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut pollfds: Vec<PollFd> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    let mut drain_deadline: Option<Instant> = None;
+    /// Runs until shutdown has drained every connection, then joins the
+    /// streaming threads it detached: when this returns, nothing the
+    /// reactor started is still writing to a socket or reading the WAL.
+    pub(crate) fn run(self, inner: &Arc<Inner>, job_tx: &Sender<Job>) {
+        let mut streams: Vec<JoinHandle<()>> = Vec::new();
+        self.serve(inner, job_tx, &mut streams);
+        for handle in streams {
+            let _ = handle.join();
+        }
+    }
 
-    loop {
-        let shutting = inner.shutdown.load(Ordering::SeqCst);
-        conns.retain(|c| !c.dead && !c.done());
-        if shutting {
-            if conns.is_empty() {
-                return;
-            }
-            // In-flight requests always run to completion (matching the
-            // blocking loop, which waited on the worker however long it
-            // took); the drain deadline only bounds how long we wait for
-            // peers to *read* their already-computed responses.
-            if conns.iter().all(|c| c.in_flight() == 0) {
-                let deadline =
-                    *drain_deadline.get_or_insert_with(|| Instant::now() + SHUTDOWN_DRAIN);
-                if Instant::now() >= deadline {
+    fn serve(&self, inner: &Arc<Inner>, job_tx: &Sender<Job>, streams: &mut Vec<JoinHandle<()>>) {
+        let (listener, wake_tx) = (&self.listener, &self.wake_tx);
+        // `Read` is implemented for `&UnixStream`; reading needs it `mut`.
+        let mut wake_rx = &self.wake_rx;
+        let mut conns: Vec<Conn> = Vec::new();
+        let mut pollfds: Vec<PollFd> = Vec::new();
+        let mut scratch = vec![0u8; 64 * 1024];
+        let mut drain_deadline: Option<Instant> = None;
+
+        loop {
+            let shutting = inner.shutdown.load(Ordering::SeqCst);
+            conns.retain(|c| !c.dead && !c.done());
+            if shutting {
+                if conns.is_empty() {
                     return;
                 }
-            } else {
-                drain_deadline = None;
+                // In-flight requests always run to completion, however long
+                // the worker takes; the drain deadline only bounds how long
+                // we wait for peers to *read* their already-computed
+                // responses.
+                if conns.iter().all(|c| c.in_flight() == 0) {
+                    let deadline =
+                        *drain_deadline.get_or_insert_with(|| Instant::now() + SHUTDOWN_DRAIN);
+                    if Instant::now() >= deadline {
+                        return;
+                    }
+                } else {
+                    drain_deadline = None;
+                }
             }
-        }
 
-        // fds: [0] listener (while accepting), [1] waker, then conns.
-        pollfds.clear();
-        pollfds.push(PollFd {
-            fd: listener.as_raw_fd(),
-            events: if shutting { 0 } else { POLLIN },
-            revents: 0,
-        });
-        pollfds.push(PollFd {
-            fd: wake_rx.as_raw_fd(),
-            events: POLLIN,
-            revents: 0,
-        });
-        for conn in &conns {
-            let mut events = 0;
-            if !conn.eof && !conn.closing && conn.unparsed() < MAX_UNPARSED {
-                events |= POLLIN;
-            }
-            if !conn.outbox_empty() {
-                events |= POLLOUT;
-            }
+            // fds: [0] listener (while accepting), [1] waker, then conns.
+            pollfds.clear();
             pollfds.push(PollFd {
-                fd: conn.stream.as_raw_fd(),
-                events,
+                fd: listener.as_raw_fd(),
+                events: if shutting { 0 } else { POLLIN },
                 revents: 0,
             });
-        }
-        let rc = unsafe {
-            poll(
-                pollfds.as_mut_ptr(),
-                pollfds.len() as c_ulong,
-                POLL_TIMEOUT_MS,
-            )
-        };
-        if rc < 0 {
-            let err = std::io::Error::last_os_error();
-            if err.kind() != ErrorKind::Interrupted {
-                eprintln!("rl-server: reactor poll failed: {err}");
-                return;
-            }
-            continue;
-        }
-
-        // Drain the waker (workers poke it once per completed response).
-        if pollfds[1].revents & POLLIN != 0 {
-            while matches!((&wake_rx).read(&mut scratch[..256]), Ok(n) if n > 0) {}
-        }
-
-        // Accept everything pending.
-        if !shutting && pollfds[0].revents & POLLIN != 0 {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        stream.set_nodelay(true).ok();
-                        let tx = Arc::clone(&wake_tx);
-                        let shared = Arc::new(ConnShared::new(Box::new(move || {
-                            let _ = (&*tx).write(&[1]);
-                        })));
-                        conns.push(Conn {
-                            stream,
-                            shared,
-                            rbuf: Vec::new(),
-                            rpos: 0,
-                            binary: false,
-                            eof: false,
-                            closing: false,
-                            dead: false,
-                        });
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => break,
+            pollfds.push(PollFd {
+                fd: wake_rx.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            });
+            for conn in &conns {
+                let outbox_len = conn.outbox_len();
+                let mut events = 0;
+                if wants_input(conn.eof, conn.closing, conn.unparsed(), outbox_len) {
+                    events |= POLLIN;
                 }
+                if outbox_len > 0 {
+                    events |= POLLOUT;
+                }
+                pollfds.push(PollFd {
+                    fd: conn.stream.as_raw_fd(),
+                    events,
+                    revents: 0,
+                });
             }
-        }
-
-        // Read, parse/dispatch, and flush each connection. Parsing runs
-        // every iteration (not only on POLLIN): a worker completion can
-        // lift the in-flight gate with no new socket bytes.
-        let mut detached: Vec<(usize, Request, u64)> = Vec::new();
-        for (i, conn) in conns.iter_mut().enumerate() {
-            let revents = pollfds.get(2 + i).map(|p| p.revents).unwrap_or(0);
-            if revents & (POLLERR | POLLHUP) != 0 {
-                // Half-closed peers still get their pending responses;
-                // POLLHUP with unread data keeps POLLIN set too, so only
-                // treat it as EOF, not instant death.
-                conn.eof = true;
-            }
-            if revents & POLLIN != 0 {
-                read_into(conn, &mut scratch);
-            }
-            if conn.dead {
+            let rc = unsafe {
+                poll(
+                    pollfds.as_mut_ptr(),
+                    pollfds.len() as c_ulong,
+                    POLL_TIMEOUT_MS,
+                )
+            };
+            if rc < 0 {
+                let err = std::io::Error::last_os_error();
+                if err.kind() != ErrorKind::Interrupted {
+                    eprintln!("rl-server: reactor poll failed: {err}");
+                    return;
+                }
                 continue;
             }
-            // Parsing continues during shutdown drain: handle_request
-            // answers new work with a typed ShuttingDown error.
-            if !conn.closing {
-                match parse_and_dispatch(inner, job_tx, conn) {
-                    Parsed::Keep => {}
-                    Parsed::Close => conn.dead = true,
-                    Parsed::Detach(request, id) => {
-                        detached.push((i, request, id));
-                        continue;
+
+            // Drain the waker (workers poke it once per completed response).
+            if pollfds[1].revents & POLLIN != 0 {
+                while matches!(wake_rx.read(&mut scratch[..256]), Ok(n) if n > 0) {}
+            }
+
+            // Accept everything pending.
+            if !shutting && pollfds[0].revents & POLLIN != 0 {
+                loop {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            if stream.set_nonblocking(true).is_err() {
+                                continue;
+                            }
+                            stream.set_nodelay(true).ok();
+                            let tx = Arc::clone(wake_tx);
+                            let shared = Arc::new(ConnShared::new(Box::new(move || {
+                                let _ = (&*tx).write(&[1]);
+                            })));
+                            conns.push(Conn {
+                                stream,
+                                shared,
+                                rbuf: Vec::new(),
+                                rpos: 0,
+                                upgraded: false,
+                                eof: false,
+                                closing: false,
+                                dead: false,
+                            });
+                        }
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                        Err(_) => break,
                     }
                 }
             }
-            flush_outbox(conn);
-        }
 
-        // Detach streaming connections (highest index first so removal
-        // doesn't shift earlier ones).
-        detached.sort_by_key(|d| std::cmp::Reverse(d.0));
-        for (i, request, id) in detached {
-            let conn = conns.remove(i);
-            detach(inner, job_tx, conn, request, id);
+            // Read, parse/dispatch, and flush each connection. Parsing runs
+            // every iteration (not only on POLLIN): a worker completion, or
+            // the peer reading its replies, can lift a gate with no new
+            // socket bytes.
+            let mut detached: Vec<(usize, Request, u64)> = Vec::new();
+            for (i, conn) in conns.iter_mut().enumerate() {
+                let revents = pollfds.get(2 + i).map(|p| p.revents).unwrap_or(0);
+                if revents & (POLLERR | POLLHUP) != 0 {
+                    // Half-closed peers still get their pending responses;
+                    // POLLHUP with unread data keeps POLLIN set too, so only
+                    // treat it as EOF, not instant death.
+                    conn.eof = true;
+                }
+                if revents & POLLIN != 0 {
+                    read_into(conn, &mut scratch);
+                }
+                if conn.dead {
+                    continue;
+                }
+                // Parsing continues during shutdown drain: handle_request
+                // answers new work with a typed ShuttingDown error.
+                if !conn.closing {
+                    match parse_and_dispatch(inner, job_tx, conn) {
+                        Parsed::Keep => {}
+                        Parsed::Close => conn.dead = true,
+                        Parsed::Detach(request, id) => {
+                            detached.push((i, request, id));
+                            continue;
+                        }
+                    }
+                }
+                flush_outbox(conn);
+            }
+
+            // Detach streaming connections (highest index first so removal
+            // doesn't shift earlier ones).
+            detached.sort_by_key(|d| std::cmp::Reverse(d.0));
+            for (i, request, id) in detached {
+                let conn = conns.remove(i);
+                streams.retain(|h| !h.is_finished());
+                streams.extend(detach(inner, conn, request, id));
+            }
         }
     }
 }
@@ -308,27 +366,25 @@ fn read_into(conn: &mut Conn, scratch: &mut [u8]) {
     }
 }
 
-/// Parses as many complete requests as the mode's ordering rules allow,
-/// dispatching each. Compacts the consumed prefix before returning.
+/// Parses and dispatches every complete request buffered, after the
+/// handshake line that must come first. Compacts the consumed prefix
+/// before returning.
 fn parse_and_dispatch(inner: &Arc<Inner>, job_tx: &Sender<Job>, conn: &mut Conn) -> Parsed {
     let result = loop {
-        if !conn.binary && conn.in_flight() > 0 {
-            // JSON responses carry no id; keep them in request order by
-            // serving one request at a time.
+        if conn.outbox_len() > MAX_BUFFERED {
+            // The peer is not reading its replies; producing more would
+            // grow the outbox without bound. Resume once it drains.
             break Parsed::Keep;
         }
-        if conn.binary {
-            match parse_binary(inner, job_tx, conn) {
-                Ok(Some(parsed)) => break parsed,
-                Ok(None) => {}
-                Err(()) => break Parsed::Keep,
-            }
+        let step = if conn.upgraded {
+            parse_frame(inner, job_tx, conn)
         } else {
-            match parse_json_line(inner, job_tx, conn) {
-                Ok(Some(parsed)) => break parsed,
-                Ok(None) => {}
-                Err(()) => break Parsed::Keep,
-            }
+            parse_handshake(inner, conn)
+        };
+        match step {
+            Ok(Some(parsed)) => break parsed,
+            Ok(None) => {}
+            Err(()) => break Parsed::Keep,
         }
     };
     if conn.rpos > 0 {
@@ -338,46 +394,42 @@ fn parse_and_dispatch(inner: &Arc<Inner>, job_tx: &Sender<Job>, conn: &mut Conn)
     result
 }
 
-/// One JSON line: `Ok(Some)` ends parsing with a verdict, `Ok(None)`
-/// consumed a request and parsing may continue, `Err(())` means no
-/// complete request is buffered.
-fn parse_json_line(
-    inner: &Arc<Inner>,
-    job_tx: &Sender<Job>,
-    conn: &mut Conn,
-) -> Result<Option<Parsed>, ()> {
+/// The line that opens every connection: `Ok(Some)` ends parsing with a
+/// verdict, `Ok(None)` consumed it and parsing may continue, `Err(())`
+/// means it has not fully arrived.
+fn parse_handshake(inner: &Arc<Inner>, conn: &mut Conn) -> Result<Option<Parsed>, ()> {
+    const EXPECTED: &str = "a connection opens with the line {\"Upgrade\":{\"max_version\":N}}";
     let buf = &conn.rbuf[conn.rpos..];
-    let (line_end, consumed) = match buf.iter().position(|&b| b == b'\n') {
-        Some(nl) => (nl, nl + 1),
-        // The classic loop answers a trailing request sent without a
-        // final newline once the peer closes; mirror that here.
-        None if conn.eof && !buf.is_empty() => (buf.len(), buf.len()),
-        None => return Err(()),
-    };
-    let line = String::from_utf8_lossy(&buf[..line_end]).into_owned();
-    conn.rpos += consumed;
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    let request = match serde_json::from_str::<Request>(trimmed) {
-        Ok(request) => request,
-        Err(e) => {
-            conn.push(
-                wire::PUSH_ID,
-                &Response::Err(RequestError::new(
-                    ErrorCode::Parse,
-                    format!("bad request: {e}"),
-                )),
-            );
-            return Ok(None);
+    let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
+        // A line that long, or one cut short by EOF, can never complete.
+        if buf.len() > MAX_HANDSHAKE_LINE || (conn.eof && !buf.is_empty()) {
+            return Ok(Some(conn.refuse(ErrorCode::Parse, EXPECTED)));
         }
+        return Err(());
     };
-    handle_request(inner, job_tx, conn, request, wire::PUSH_ID)
+    let line = serde_json::from_slice::<Request>(&buf[..nl]);
+    conn.rpos += nl + 1;
+    match line {
+        Ok(Request::Upgrade { max_version }) if max_version >= FIRST_BINARY_VERSION => {
+            inner.metrics.record_streaming(ReqType::Upgrade);
+            let version = max_version.min(PROTOCOL_VERSION);
+            conn.push_line(&Response::Ok(Reply::Upgraded { version }));
+            conn.upgraded = true;
+            Ok(None)
+        }
+        Ok(Request::Upgrade { max_version }) => Ok(Some(conn.refuse(
+            ErrorCode::Unavailable,
+            &format!(
+                "protocol version {max_version} is the JSON-lines transport, which is no \
+                 longer served; negotiate version {FIRST_BINARY_VERSION} or later (rl-wire frames)"
+            ),
+        ))),
+        Ok(_) | Err(_) => Ok(Some(conn.refuse(ErrorCode::Parse, EXPECTED))),
+    }
 }
 
-/// One binary frame (same contract as [`parse_json_line`]).
-fn parse_binary(
+/// One frame (same contract as [`parse_handshake`]).
+fn parse_frame(
     inner: &Arc<Inner>,
     job_tx: &Sender<Job>,
     conn: &mut Conn,
@@ -424,8 +476,8 @@ fn parse_binary(
     handle_request(inner, job_tx, conn, request, id)
 }
 
-/// Routes one parsed request: inline (Upgrade, Shutdown), detach
-/// (streaming verbs), or worker dispatch.
+/// Routes one parsed request: inline (Shutdown), detach (streaming
+/// verbs), or worker dispatch.
 fn handle_request(
     inner: &Arc<Inner>,
     job_tx: &Sender<Job>,
@@ -434,21 +486,12 @@ fn handle_request(
     id: u64,
 ) -> Result<Option<Parsed>, ()> {
     if is_streaming(&request) {
-        // (JSON mode reaches here with in_flight == 0 by the ordering
-        // gate; binary mode checked before consuming the frame.)
+        // (`parse_frame` checked in_flight == 0 before consuming it.)
         return Ok(Some(Parsed::Detach(request, id)));
     }
     match request {
-        Request::Upgrade { max_version } => {
-            inner.metrics.record_streaming(ReqType::Upgrade);
-            let (version, binary) = negotiate_upgrade(max_version);
-            // Ack in the *current* mode; frames start after it.
-            conn.push(id, &Response::Ok(Reply::Upgraded { version }));
-            if binary {
-                conn.binary = true;
-            }
-            Ok(None)
-        }
+        // Shutdown only flips an atomic — answered here so a saturated
+        // job queue can never reject it with Backpressure.
         Request::Shutdown => {
             begin_shutdown(inner);
             conn.push(id, &Response::Ok(Reply::ShuttingDown));
@@ -469,11 +512,8 @@ fn handle_request(
             conn.shared.in_flight.fetch_add(1, Ordering::SeqCst);
             let job = Job {
                 request,
-                completion: Completion::Outbox {
-                    conn: Arc::clone(&conn.shared),
-                    id,
-                    binary: conn.binary,
-                },
+                conn: Arc::clone(&conn.shared),
+                id,
                 enqueued: Instant::now(),
             };
             match job_tx.try_send(job) {
@@ -529,42 +569,55 @@ fn flush_outbox(conn: &mut Conn) {
             }
         }
     }
-    // The Shutdown ack (and only it) closes the connection once written.
+    // A Shutdown ack or a handshake refusal closes the connection once
+    // written.
     if conn.closing {
         conn.eof = true;
     }
 }
 
 /// Moves a connection off the reactor onto a dedicated blocking thread
-/// for a streaming verb, carrying over buffered bytes in both
-/// directions.
-fn detach(inner: &Arc<Inner>, job_tx: &Sender<Job>, mut conn: Conn, request: Request, id: u64) {
+/// that serves `request` and then closes it. Returns the thread's handle
+/// (`None` when the connection died first) for [`Reactor::run`] to join.
+fn detach(inner: &Arc<Inner>, conn: Conn, request: Request, id: u64) -> Option<JoinHandle<()>> {
     // The outbox must flush before the stream handler writes anything.
     // in_flight is 0 (detach precondition), so these bytes are complete
     // responses; write them out in blocking mode.
-    if conn.stream.set_nonblocking(false).is_err() {
-        return;
-    }
+    conn.stream.set_nonblocking(false).ok()?;
     {
         let mut outbox = conn.shared.outbox.lock();
         if !outbox.is_empty() {
             let _ = conn.stream.set_write_timeout(Some(SHUTDOWN_DRAIN));
-            if (&conn.stream).write_all(&outbox).is_err() {
-                return;
-            }
+            (&conn.stream).write_all(&outbox).ok()?;
             let _ = conn.stream.set_write_timeout(None);
             outbox.clear();
         }
     }
-    let leftover: Vec<u8> = conn.rbuf.split_off(conn.rpos);
     let inner = Arc::clone(inner);
-    let job_tx = job_tx.clone();
-    let binary = conn.binary;
     let stream = conn.stream;
-    let result = std::thread::Builder::new()
+    let spawned = std::thread::Builder::new()
         .name("rl-conn".into())
-        .spawn(move || serve_detached(inner, job_tx, stream, leftover, binary, request, id));
-    if result.is_err() {
+        .spawn(move || serve_stream(&inner, stream, request, id));
+    if spawned.is_err() {
         eprintln!("rl-server: could not spawn a streaming connection thread");
+    }
+    spawned.ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn input_interest_stops_at_either_buffer_bound() {
+        assert!(wants_input(false, false, 0, 0));
+        assert!(wants_input(false, false, MAX_BUFFERED - 1, MAX_BUFFERED));
+        // A client that pipelines requests and never reads its replies:
+        // once the outbox passes the bound the reactor stops reading (and
+        // therefore producing) until the peer drains it.
+        assert!(!wants_input(false, false, 0, MAX_BUFFERED + 1));
+        assert!(!wants_input(false, false, MAX_BUFFERED, 0));
+        assert!(!wants_input(true, false, 0, 0), "nothing follows EOF");
+        assert!(!wants_input(false, true, 0, 0), "closing stops parsing");
     }
 }

@@ -12,10 +12,12 @@
 //!
 //! The follower half (bootstrap, apply loop, reconnect/backoff, promote
 //! helpers) lives in the `rl-repl` crate, driving the server through
-//! [`crate::server::ReplHandle`].
+//! [`crate::ReplHandle`].
 
+use crate::background::run_checkpoint;
+use crate::conn::StreamWriter;
 use crate::protocol::{wire, ErrorCode, Reply, RequestError, Response};
-use crate::server::{run_checkpoint, ConnWriter, Inner};
+use crate::server::Inner;
 use parking_lot::Mutex;
 use rl_store::{scan_segments, segment_path, StoreError, WalReader, CHECKPOINT_FILE};
 use rl_wire::FrameReader;
@@ -32,27 +34,27 @@ pub const HEARTBEAT_EVERY: Duration = Duration::from_millis(500);
 /// How often the sender re-polls the active segment when caught up.
 const SUBSCRIBE_POLL: Duration = Duration::from_millis(20);
 
-/// Raw bytes per checkpoint chunk (before base64 expansion).
+/// Bytes per checkpoint chunk frame.
 const CHECKPOINT_CHUNK: usize = 192 * 1024;
 
 /// If a follower stops draining its socket for this long, the sender
 /// drops the connection rather than blocking a thread forever.
 const SUBSCRIBE_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Why [`crate::server::ReplHandle::apply`] rejected a streamed frame,
+/// Why [`crate::ReplHandle::apply`] rejected a streamed frame,
 /// split by what the follower's apply loop must do about it.
 #[derive(Debug)]
 pub enum ApplyError {
     /// Transient or ordering problem (sequence gap, local WAL write
     /// failure, role flip): drop the subscription and resubscribe from
-    /// [`crate::server::ReplHandle::op_seq`]. Nothing was made durable,
+    /// [`crate::ReplHandle::op_seq`]. Nothing was made durable,
     /// so resuming from the durable position loses nothing.
     Retry(String),
     /// The local WAL and the in-memory index disagree (an op the primary
     /// validated was rejected here, or an op already durable locally
     /// failed to apply): resubscribing from `op_seq` would either loop on
     /// the same frame or silently skip a durable op forever. Only a fresh
-    /// checkpoint re-bootstrap ([`crate::server::ReplHandle::resync`])
+    /// checkpoint re-bootstrap ([`crate::ReplHandle::resync`])
     /// restores a consistent pair.
     Resync(String),
     /// The frame's epoch is below what this follower has already seen
@@ -233,29 +235,22 @@ pub(crate) fn await_quorum(inner: &Inner, seq: u64) -> Result<(), RequestError> 
     }
 }
 
-/// Serves one `FetchCheckpoint` request: meta line + base64 chunk lines.
-/// A primary with no committed checkpoint takes one first, so a follower
-/// can always bootstrap. Returns `Err` only when the socket died (the
-/// connection is then closed); protocol-level failures are written as a
-/// single error response and return `Ok`.
-pub(crate) fn serve_fetch_checkpoint(
-    inner: &Arc<Inner>,
-    writer: &mut ConnWriter,
-) -> std::io::Result<()> {
+/// Serves one `FetchCheckpoint` request: a `CheckpointMeta` response,
+/// then the document as raw chunk frames. A primary with no committed
+/// checkpoint takes one first, so a follower can always bootstrap.
+/// Protocol-level failures are written as a single error response. The
+/// caller closes the connection afterwards either way.
+pub(crate) fn serve_fetch_checkpoint(inner: &Arc<Inner>, writer: &mut StreamWriter) {
     // Same bound Subscribe uses: a follower that stops draining
-    // mid-transfer must not pin this connection thread forever. Restored
-    // after the transfer because (unlike Subscribe) the connection keeps
-    // serving requests.
-    let prev_timeout = writer.stream().write_timeout().ok().flatten();
+    // mid-transfer must not pin this connection thread forever.
     let _ = writer
         .stream()
         .set_write_timeout(Some(SUBSCRIBE_WRITE_TIMEOUT));
-    let result = send_checkpoint(inner, writer);
-    let _ = writer.stream().set_write_timeout(prev_timeout);
-    result
+    // A write error means the follower went away; nothing left to tell it.
+    let _ = send_checkpoint(inner, writer);
 }
 
-fn send_checkpoint(inner: &Arc<Inner>, writer: &mut ConnWriter) -> std::io::Result<()> {
+fn send_checkpoint(inner: &Arc<Inner>, writer: &mut StreamWriter) -> std::io::Result<()> {
     if let Some(err) = require_primary(inner, "checkpoint transfer") {
         return writer.write_response(&Response::Err(err));
     }
@@ -288,8 +283,8 @@ fn send_checkpoint(inner: &Arc<Inner>, writer: &mut ConnWriter) -> std::io::Resu
         len: bytes.len() as u64,
         chunks: chunks.len() as u64,
     }))?;
-    for (index, chunk) in chunks.into_iter().enumerate() {
-        writer.write_chunk(index as u64, chunk)?;
+    for chunk in chunks {
+        writer.write_chunk(chunk)?;
     }
     Ok(())
 }
@@ -307,12 +302,12 @@ enum StreamEnd {
     Closed,
 }
 
-/// Serves one `Subscribe { from_seq, epoch }` request: streams `WalFrame`
-/// lines from the retained log, heartbeating while caught up, until
-/// either side goes away. Consumes the connection.
+/// Serves one `Subscribe { from_seq, epoch }` request: streams WAL
+/// frames from the retained log, heartbeating while caught up, until
+/// either side goes away.
 pub(crate) fn serve_subscribe(
     inner: &Arc<Inner>,
-    writer: &mut ConnWriter,
+    writer: &mut StreamWriter,
     from_seq: u64,
     epoch: u64,
 ) {
@@ -362,7 +357,7 @@ pub(crate) fn serve_subscribe(
 /// advancing across rotations and polling the active segment's tail.
 fn stream_frames(
     inner: &Arc<Inner>,
-    writer: &mut ConnWriter,
+    writer: &mut StreamWriter,
     from_seq: u64,
     follower_id: u64,
 ) -> StreamEnd {
@@ -373,17 +368,14 @@ fn stream_frames(
     if from_seq < base || from_seq > head {
         return StreamEnd::Resync(base);
     }
-    // Binary subscribers send durability acks ([`wire::TAG_ACK`]) back up
-    // this connection; poll for them on a cloned read half while caught
-    // up. The short read timeout doubles as the tail-poll sleep. JSON
-    // followers send no acks and keep the plain sleep.
-    let mut ack_frames: Option<FrameReader<TcpStream>> = writer
-        .binary_stream()
-        .and_then(|s| s.try_clone().ok())
-        .map(|clone| {
-            let _ = clone.set_read_timeout(Some(SUBSCRIBE_POLL));
-            FrameReader::new(clone)
-        });
+    // Subscribers send durability acks ([`wire::TAG_ACK`]) back up this
+    // connection; poll for them on a cloned read half while caught up.
+    // The short read timeout doubles as the tail-poll sleep.
+    let Ok(ack_half) = writer.stream().try_clone() else {
+        return StreamEnd::Gone;
+    };
+    let _ = ack_half.set_read_timeout(Some(SUBSCRIBE_POLL));
+    let mut ack_frames = FrameReader::new(ack_half);
     // Tell the follower the head immediately: with no traffic it would
     // otherwise wait a full heartbeat interval to learn its lag is 0.
     if write_heartbeat(inner, writer, &dir, None).is_err() {
@@ -480,16 +472,11 @@ fn stream_frames(
                             }
                             last_heartbeat = Instant::now();
                         }
-                        match ack_frames.as_mut() {
-                            // The blocking-with-timeout ack read IS the
-                            // tail poll: frames wake it immediately, the
-                            // timeout caps the poll latency.
-                            Some(frames) => {
-                                if drain_acks(inner, frames, follower_id).is_err() {
-                                    return StreamEnd::Gone;
-                                }
-                            }
-                            None => std::thread::sleep(SUBSCRIBE_POLL),
+                        // The blocking-with-timeout ack read IS the tail
+                        // poll: frames wake it immediately, the timeout
+                        // caps the poll latency.
+                        if drain_acks(inner, &mut ack_frames, follower_id).is_err() {
+                            return StreamEnd::Gone;
                         }
                     }
                 }
@@ -552,7 +539,7 @@ fn refresh_base(inner: &Inner) -> u64 {
 /// `None` for `at` means the subscriber is at the head (initial greeting).
 fn write_heartbeat(
     inner: &Inner,
-    writer: &mut ConnWriter,
+    writer: &mut StreamWriter,
     dir: &Path,
     at: Option<(u64, u64)>,
 ) -> std::io::Result<()> {
@@ -632,127 +619,6 @@ impl Drop for FollowerGuard<'_> {
             .unwrap_or_else(|e| e.into_inner())
             .remove(&self.id);
         self.inner.repl.ack_cv.notify_all();
-    }
-}
-
-/// Standard base64 (RFC 4648, with padding), hand-rolled because the
-/// workspace is offline and vendors no base64 crate. Only the checkpoint
-/// transfer uses it; WAL frames travel as plain JSON.
-pub mod b64 {
-    const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-    /// Encodes `data` as standard padded base64.
-    pub fn encode(data: &[u8]) -> String {
-        let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-        for chunk in data.chunks(3) {
-            let b = [
-                chunk[0],
-                chunk.get(1).copied().unwrap_or(0),
-                chunk.get(2).copied().unwrap_or(0),
-            ];
-            let n = (u32::from(b[0]) << 16) | (u32::from(b[1]) << 8) | u32::from(b[2]);
-            out.push(ALPHABET[(n >> 18) as usize & 63] as char);
-            out.push(ALPHABET[(n >> 12) as usize & 63] as char);
-            out.push(if chunk.len() > 1 {
-                ALPHABET[(n >> 6) as usize & 63] as char
-            } else {
-                '='
-            });
-            out.push(if chunk.len() > 2 {
-                ALPHABET[n as usize & 63] as char
-            } else {
-                '='
-            });
-        }
-        out
-    }
-
-    /// Decodes standard padded base64.
-    ///
-    /// # Errors
-    /// Returns a description of the first malformed quartet or symbol.
-    pub fn decode(text: &str) -> Result<Vec<u8>, String> {
-        let bytes = text.as_bytes();
-        // Not `is_multiple_of`: that would raise the 1.75 MSRV.
-        #[allow(clippy::manual_is_multiple_of)]
-        if bytes.len() % 4 != 0 {
-            return Err(format!(
-                "base64 length {} is not a multiple of 4",
-                bytes.len()
-            ));
-        }
-        let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
-        for (i, quartet) in bytes.chunks(4).enumerate() {
-            let mut vals = [0u32; 4];
-            let mut pad = 0usize;
-            for (j, &c) in quartet.iter().enumerate() {
-                if c == b'=' {
-                    if j < 2 || quartet[j..].iter().any(|&x| x != b'=') {
-                        return Err(format!("misplaced padding in quartet {i}"));
-                    }
-                    pad = 4 - j;
-                    break;
-                }
-                vals[j] = decode_symbol(c).ok_or_else(|| {
-                    format!("invalid base64 symbol {:?} in quartet {i}", c as char)
-                })?;
-            }
-            if pad > 0 && i != bytes.len() / 4 - 1 {
-                return Err(format!("padding before final quartet ({i})"));
-            }
-            let n = (vals[0] << 18) | (vals[1] << 12) | (vals[2] << 6) | vals[3];
-            out.push((n >> 16) as u8);
-            if pad < 2 {
-                out.push((n >> 8) as u8);
-            }
-            if pad < 1 {
-                out.push(n as u8);
-            }
-        }
-        Ok(out)
-    }
-
-    fn decode_symbol(c: u8) -> Option<u32> {
-        match c {
-            b'A'..=b'Z' => Some(u32::from(c - b'A')),
-            b'a'..=b'z' => Some(u32::from(c - b'a') + 26),
-            b'0'..=b'9' => Some(u32::from(c - b'0') + 52),
-            b'+' => Some(62),
-            b'/' => Some(63),
-            _ => None,
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn known_vectors() {
-            // RFC 4648 test vectors.
-            assert_eq!(encode(b""), "");
-            assert_eq!(encode(b"f"), "Zg==");
-            assert_eq!(encode(b"fo"), "Zm8=");
-            assert_eq!(encode(b"foo"), "Zm9v");
-            assert_eq!(encode(b"foob"), "Zm9vYg==");
-            assert_eq!(encode(b"fooba"), "Zm9vYmE=");
-            assert_eq!(encode(b"foobar"), "Zm9vYmFy");
-        }
-
-        #[test]
-        fn roundtrip_all_byte_values() {
-            let data: Vec<u8> = (0..=255u8).cycle().take(1021).collect();
-            assert_eq!(decode(&encode(&data)).unwrap(), data);
-        }
-
-        #[test]
-        fn rejects_malformed_input() {
-            assert!(decode("abc").is_err(), "bad length");
-            assert!(decode("ab!d").is_err(), "bad symbol");
-            assert!(decode("=abc").is_err(), "leading padding");
-            assert!(decode("ab=c").is_err(), "padding mid-quartet");
-            assert!(decode("ab==cdef").is_err(), "padding before final quartet");
-        }
     }
 }
 

@@ -1,5 +1,5 @@
-//! The TCP service: readiness-driven reactor (or classic thread-per-
-//! connection accept loop), bounded worker pool, graceful shutdown.
+//! The TCP service: configuration, shared state, the bounded worker pool,
+//! and the [`Server`] handle (spawn, graceful shutdown, wait).
 //!
 //! Architecture (std networking only):
 //!
@@ -12,45 +12,42 @@
 //!                                              (ShardedPipeline, dedup)
 //! ```
 //!
-//! On Linux a single reactor thread ([`crate::reactor`]) owns every
-//! request/reply connection: it polls readiness, parses newline-delimited
-//! JSON (protocol ≤6) or `rl-wire` binary frames (protocol v7, after a
-//! [`Request::Upgrade`] handshake), and enqueues jobs; workers deliver
-//! responses into a per-connection outbox that the reactor drains. Idle
-//! connections therefore cost no threads, and a binary connection may
-//! have many requests in flight at once (pipelining, correlated by
-//! request id). Streaming verbs (`FetchCheckpoint`, `Subscribe`,
-//! `SubscribeMatches`) detach the connection to a dedicated blocking
-//! thread. Elsewhere (and with [`ServerConfig::reactor`] off) every
-//! connection gets its own thread, as before.
+//! One reactor thread ([`crate::reactor`]) owns every request/reply
+//! connection: it polls readiness, answers the one-line JSON
+//! [`Request::Upgrade`] handshake that opens a connection, parses
+//! `rl-wire` frames from then on, and enqueues jobs; workers
+//! ([`crate::handlers`]) deliver responses into a per-connection outbox
+//! ([`crate::conn`]) that the reactor drains. Idle connections cost no
+//! threads, and a connection may have many requests in flight at once
+//! (pipelining, correlated by request id). A streaming verb
+//! (`FetchCheckpoint`, `Subscribe`, `SubscribeMatches`) takes its
+//! connection off the reactor onto a dedicated blocking thread that owns
+//! it until the stream ends.
 //!
 //! When the bounded queue is full the request is rejected immediately
-//! with a typed [`ErrorCode::Backpressure`] error rather than blocking
-//! the socket. Workers execute jobs against the shared state — probes
-//! under a read lock (concurrent), index/stream under a write lock.
-//! `Shutdown` stops the accept loop, finishes in-flight requests, drains
-//! the queue, and joins the workers.
+//! with a typed [`crate::ErrorCode::Backpressure`] error rather than
+//! blocking the socket. Workers execute jobs against the shared state —
+//! probes under a read lock (concurrent), index/stream under a write
+//! lock. `Shutdown` stops accepting, finishes in-flight requests, drains
+//! the queue, and joins every thread the server started.
 
+use crate::background;
+use crate::conn::ConnShared;
+use crate::handlers::{apply_op, execute, write_snapshot};
 use crate::metrics::{ReqType, ServerMetrics};
-use crate::protocol::{
-    wire, ErrorCode, ReplStatusReply, Reply, Request, RequestError, Response, ShardMapReply,
-    StatsReply, PROTOCOL_VERSION,
-};
-use crate::repl::{ApplyError, ReplRole, ReplState};
-use crate::snapshot::{Snapshot, SnapshotError};
+use crate::protocol::{Request, Response};
+use crate::repl::{ReplRole, ReplState};
+use crate::repl_handle::ReplHandle;
 use crate::subs::SubHub;
 use cbv_hb::dedup::UnionFind;
-use cbv_hb::sharded::{ReshardDriver, ShardedPipeline};
-use cbv_hb::Record;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use cbv_hb::sharded::ShardedPipeline;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use rl_reshard::ReshardOp;
-use rl_store::{Checkpoint, Store, StoreOptions, SyncPolicy, WalOp};
-use rl_wire::FrameReader;
-use std::io::{BufRead, BufReader, Cursor, ErrorKind, Read, Write};
+use rl_store::{Store, StoreOptions, SyncPolicy};
+use std::io::ErrorKind;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -110,12 +107,6 @@ pub struct ServerConfig {
     /// subscription costs a connection thread, a compiled blocking plan,
     /// and a bounded event queue.
     pub max_subscriptions: usize,
-    /// Serve request/reply connections from the readiness-driven reactor
-    /// (protocol v7; Linux only, silently falls back to thread-per-
-    /// connection elsewhere). Off forces the classic blocking loop, which
-    /// still negotiates the binary protocol but serves one request at a
-    /// time per connection.
-    pub reactor: bool,
     /// Lease duration granted to followers on every subscription
     /// heartbeat (protocol v8), in milliseconds. A follower running with
     /// `--auto-failover` elects a new primary once a granted lease
@@ -142,7 +133,6 @@ impl Default for ServerConfig {
             durability: None,
             repl_role: ReplRole::Standalone,
             max_subscriptions: 64,
-            reactor: true,
             lease_ms: 0,
             sync_replicas: 0,
             quorum_timeout: Duration::from_secs(2),
@@ -152,253 +142,52 @@ impl Default for ServerConfig {
 
 /// Everything a request can touch, behind one lock.
 pub(crate) struct ServerState {
-    pipeline: ShardedPipeline,
+    pub(crate) pipeline: ShardedPipeline,
     /// Union-find over stream-matched record ids (the dedup view).
-    dedup: UnionFind,
+    pub(crate) dedup: UnionFind,
     /// Pairs feeding `dedup`, kept for snapshots.
-    stream_pairs: Vec<(u64, u64)>,
-    streamed: u64,
+    pub(crate) stream_pairs: Vec<(u64, u64)>,
+    pub(crate) streamed: u64,
 }
 
-/// A unit of work: the parsed request plus where to send the response.
+impl ServerState {
+    /// State over `pipeline` with the dedup forest rebuilt from
+    /// `stream_pairs`.
+    pub(crate) fn new(
+        pipeline: ShardedPipeline,
+        stream_pairs: Vec<(u64, u64)>,
+        streamed: u64,
+    ) -> Self {
+        let mut dedup = UnionFind::new();
+        for &(a, b) in &stream_pairs {
+            dedup.union(a, b);
+        }
+        Self {
+            pipeline,
+            dedup,
+            stream_pairs,
+            streamed,
+        }
+    }
+}
+
+/// A unit of work: the parsed request plus the connection and request id
+/// its response goes back to.
 pub(crate) struct Job {
     pub(crate) request: Request,
-    pub(crate) completion: Completion,
-    /// When the connection handler enqueued the job; the gap to worker
-    /// pickup is the queue-wait phase of the latency split.
+    pub(crate) conn: Arc<ConnShared>,
+    pub(crate) id: u64,
+    /// When the reactor enqueued the job; the gap to worker pickup is the
+    /// queue-wait phase of the latency split.
     pub(crate) enqueued: Instant,
 }
 
-/// Where a worker delivers a finished response.
-pub(crate) enum Completion {
-    /// Blocking dispatch: the connection thread waits on this channel
-    /// (classic loop, detached streaming connections).
-    Channel(Sender<Response>),
-    /// Reactor dispatch: serialize into the connection's outbox and wake
-    /// the reactor. `binary` and `id` are captured at enqueue time, so a
-    /// response always matches the protocol mode its request arrived in.
-    Outbox {
-        conn: Arc<ConnShared>,
-        id: u64,
-        binary: bool,
-    },
-}
-
-impl Completion {
-    pub(crate) fn deliver(self, response: Response) {
-        match self {
-            Completion::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            Completion::Outbox { conn, id, binary } => conn.complete(id, binary, &response),
-        }
-    }
-}
-
-/// The worker-visible half of a reactor connection: response bytes go
-/// into `outbox`, `in_flight` gates pipelining/ordering and close, and
-/// `wake` pokes the reactor's poll loop so it notices the new bytes.
-pub(crate) struct ConnShared {
-    pub(crate) outbox: Mutex<Vec<u8>>,
-    pub(crate) in_flight: AtomicUsize,
-    wake: Box<dyn Fn() + Send + Sync>,
-}
-
-impl ConnShared {
-    pub(crate) fn new(wake: Box<dyn Fn() + Send + Sync>) -> Self {
-        Self {
-            outbox: Mutex::new(Vec::new()),
-            in_flight: AtomicUsize::new(0),
-            wake,
-        }
-    }
-
-    /// Appends one serialized response (JSON line or binary frame) to the
-    /// outbox and wakes the reactor.
-    pub(crate) fn push_response(&self, id: u64, binary: bool, response: &Response) {
-        let bytes = encode_response_bytes(id, binary, response);
-        self.outbox.lock().extend_from_slice(&bytes);
-        (self.wake)();
-    }
-
-    /// [`Self::push_response`] plus the in-flight decrement, in that
-    /// order: the reactor only closes a drained connection once
-    /// `in_flight` is zero AND the outbox is empty, so the response bytes
-    /// must be visible before the counter drops.
-    fn complete(&self, id: u64, binary: bool, response: &Response) {
-        let bytes = encode_response_bytes(id, binary, response);
-        self.outbox.lock().extend_from_slice(&bytes);
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        (self.wake)();
-    }
-}
-
-/// One response as wire bytes: a newline-terminated JSON line (protocol
-/// ≤6) or an id-enveloped `rl-wire` frame (protocol v7).
-pub(crate) fn encode_response_bytes(id: u64, binary: bool, response: &Response) -> Vec<u8> {
-    if binary {
-        let mut payload = Vec::new();
-        if wire::encode_response(id, response, &mut payload).is_err() {
-            let fallback = Response::Err(RequestError::new(ErrorCode::Parse, "encode"));
-            let _ = wire::encode_response(id, &fallback, &mut payload);
-        }
-        let mut frame = Vec::with_capacity(payload.len() + rl_wire::HEADER_LEN);
-        rl_wire::encode_frame_into(wire::TAG_RESPONSE, &payload, &mut frame);
-        frame
-    } else {
-        let mut json = serde_json::to_string(response)
-            .unwrap_or_else(|_| "{\"Err\":{\"code\":\"Parse\",\"message\":\"encode\"}}".into());
-        json.push('\n');
-        json.into_bytes()
-    }
-}
-
-/// A connection's write half, protocol-mode aware. Streaming handlers
-/// (`repl`, `subs`) write through this so one code path serves both JSON
-/// lines and binary frames.
-pub(crate) enum ConnWriter {
-    /// Newline-delimited JSON responses (protocol ≤6).
-    Json(TcpStream),
-    /// `rl-wire` frames (protocol v7). `id` is the originating request's
-    /// id: every response (including stream pushes) carries it, so a
-    /// pipelining client can attribute stream lines to the subscribe
-    /// call that opened them.
-    Binary {
-        stream: TcpStream,
-        id: u64,
-        payload: Vec<u8>,
-        frame: Vec<u8>,
-    },
-}
-
-impl ConnWriter {
-    pub(crate) fn binary(stream: TcpStream, id: u64) -> Self {
-        ConnWriter::Binary {
-            stream,
-            id,
-            payload: Vec::new(),
-            frame: Vec::new(),
-        }
-    }
-
-    /// The underlying socket (for timeout configuration).
-    pub(crate) fn stream(&self) -> &TcpStream {
-        match self {
-            ConnWriter::Json(s) => s,
-            ConnWriter::Binary { stream, .. } => stream,
-        }
-    }
-
-    /// Unwraps the write stream (for re-entering [`json_conn_loop`]).
-    fn into_json(self) -> TcpStream {
-        match self {
-            ConnWriter::Json(s) => s,
-            ConnWriter::Binary { stream, .. } => stream,
-        }
-    }
-
-    /// Retargets binary responses at a new request id (no-op for JSON).
-    pub(crate) fn set_id(&mut self, new_id: u64) {
-        if let ConnWriter::Binary { id, .. } = self {
-            *id = new_id;
-        }
-    }
-
-    /// Writes one response in the connection's protocol mode.
-    pub(crate) fn write_response(&mut self, response: &Response) -> std::io::Result<()> {
-        match self {
-            ConnWriter::Json(stream) => write_response(stream, response),
-            ConnWriter::Binary {
-                stream,
-                id,
-                payload,
-                frame,
-            } => {
-                if wire::encode_response(*id, response, payload).is_err() {
-                    let fallback = Response::Err(RequestError::new(ErrorCode::Parse, "encode"));
-                    let _ = wire::encode_response(*id, &fallback, payload);
-                }
-                frame.clear();
-                rl_wire::encode_frame_into(wire::TAG_RESPONSE, payload, frame);
-                stream.write_all(frame)?;
-                stream.flush()
-            }
-        }
-    }
-
-    /// The socket when the connection is in binary mode (the ack read
-    /// half of a v8 subscription), `None` on JSON.
-    pub(crate) fn binary_stream(&self) -> Option<&TcpStream> {
-        match self {
-            ConnWriter::Json(_) => None,
-            ConnWriter::Binary { stream, .. } => Some(stream),
-        }
-    }
-
-    /// Ships one replicated WAL op: a JSON `WalFrame` line, or a compact
-    /// [`wire::TAG_WAL`] / [`wire::TAG_WAL_E`] frame carrying the binary
-    /// op encoding. Epoch-0 frames keep the pre-v8 tag so v7 followers
-    /// decode unchanged history.
-    pub(crate) fn write_wal(&mut self, seq: u64, op: &WalOp, epoch: u64) -> std::io::Result<()> {
-        match self {
-            ConnWriter::Json(stream) => write_response(
-                stream,
-                &Response::Ok(Reply::WalFrame {
-                    seq,
-                    op: op.clone(),
-                    epoch,
-                }),
-            ),
-            ConnWriter::Binary {
-                stream,
-                payload,
-                frame,
-                ..
-            } => {
-                let tag = if epoch == 0 {
-                    wire::encode_wal(seq, op, payload);
-                    wire::TAG_WAL
-                } else {
-                    wire::encode_wal_epoch(seq, epoch, op, payload);
-                    wire::TAG_WAL_E
-                };
-                frame.clear();
-                rl_wire::encode_frame_into(tag, payload, frame);
-                stream.write_all(frame)?;
-                stream.flush()
-            }
-        }
-    }
-
-    /// Ships one checkpoint chunk: base64 inside a JSON `CheckpointChunk`
-    /// line (protocol v5), or the raw bytes in a [`wire::TAG_CHUNK`]
-    /// frame — no base64, no JSON, which is what makes the v7 bootstrap
-    /// transfer fast.
-    pub(crate) fn write_chunk(&mut self, index: u64, data: &[u8]) -> std::io::Result<()> {
-        match self {
-            ConnWriter::Json(stream) => write_response(
-                stream,
-                &Response::Ok(Reply::CheckpointChunk {
-                    index,
-                    data: crate::repl::b64::encode(data),
-                }),
-            ),
-            ConnWriter::Binary { stream, frame, .. } => {
-                frame.clear();
-                rl_wire::encode_frame_into(wire::TAG_CHUNK, data, frame);
-                stream.write_all(frame)?;
-                stream.flush()
-            }
-        }
-    }
-}
-
 pub(crate) struct Inner {
-    state: RwLock<ServerState>,
+    pub(crate) state: RwLock<ServerState>,
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: AtomicBool,
-    started: Instant,
-    requests_served: AtomicU64,
+    pub(crate) started: Instant,
+    pub(crate) requests_served: AtomicU64,
     pub(crate) rejected_backpressure: AtomicU64,
     local_addr: SocketAddr,
     pub(crate) metrics: Arc<ServerMetrics>,
@@ -410,12 +199,12 @@ pub(crate) struct Inner {
     pub(crate) store: Option<Mutex<Store>>,
     /// Replication role and lag counters (see [`crate::repl`]).
     pub(crate) repl: ReplState,
-    /// Live match subscriptions (protocol v6; see [`crate::subs`]).
+    /// Live match subscriptions (see [`crate::subs`]).
     pub(crate) subs: SubHub,
-    /// The background migrator serving the in-flight `Reshard`, if any
-    /// (protocol v10). A finished thread's handle stays here until the
-    /// next reshard (or shutdown) joins it.
-    reshard_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The background migrator serving the in-flight `Reshard`, if any. A
+    /// finished thread's handle stays here until the next reshard (or
+    /// shutdown) joins it.
+    pub(crate) reshard_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 /// A running linkage service. Dropping the handle does not stop the
@@ -424,20 +213,33 @@ pub(crate) struct Inner {
 pub struct Server {
     inner: Arc<Inner>,
     jobs: Sender<Job>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    worker_handles: Vec<std::thread::JoinHandle<()>>,
-    checkpoint_handle: Option<std::thread::JoinHandle<()>>,
-    wal_sync_handle: Option<std::thread::JoinHandle<()>>,
-    compact_handle: Option<std::thread::JoinHandle<()>>,
+    /// The reactor: the only producer of jobs, so it is joined before the
+    /// job channel closes.
+    reactor: std::thread::JoinHandle<()>,
+    /// Workers and background loops.
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+fn spawn_thread(
+    inner: &Arc<Inner>,
+    name: impl Into<String>,
+    body: impl FnOnce(&Arc<Inner>) + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    let inner = Arc::clone(inner);
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || body(&inner))
+        .expect("spawn server thread")
 }
 
 impl Server {
-    /// Binds the listener, spawns the worker pool and the accept loop, and
+    /// Binds the listener, spawns the worker pool and the reactor, and
     /// returns immediately. `pipeline` may be freshly built or restored
     /// from a snapshot ([`crate::snapshot::Snapshot`]).
     ///
     /// # Errors
-    /// Returns I/O errors from binding the address.
+    /// Returns I/O errors from binding the address or setting up the
+    /// reactor's sockets.
     pub fn spawn(pipeline: ShardedPipeline, config: ServerConfig) -> std::io::Result<Self> {
         Self::spawn_with_history(pipeline, Vec::new(), 0, config)
     }
@@ -446,14 +248,15 @@ impl Server {
     /// counter from a restored snapshot.
     ///
     /// # Errors
-    /// Returns I/O errors from binding the address.
+    /// Same as [`Self::spawn`].
     pub fn spawn_with_history(
         pipeline: ShardedPipeline,
         stream_pairs: Vec<(u64, u64)>,
         streamed: u64,
         config: ServerConfig,
     ) -> std::io::Result<Self> {
-        Self::spawn_core(pipeline, stream_pairs, streamed, config, None)
+        let state = ServerState::new(pipeline, stream_pairs, streamed);
+        Self::spawn_core(state, config, None)
     }
 
     /// Spawns a **durable** server from `config.durability` (which must be
@@ -489,23 +292,9 @@ impl Server {
             Some(snap) => {
                 let pipeline = ShardedPipeline::from_state(snap.state)
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
-                let mut dedup = UnionFind::new();
-                for &(a, b) in &snap.stream_pairs {
-                    dedup.union(a, b);
-                }
-                ServerState {
-                    pipeline,
-                    dedup,
-                    stream_pairs: snap.stream_pairs,
-                    streamed: snap.streamed,
-                }
+                ServerState::new(pipeline, snap.stream_pairs, snap.streamed)
             }
-            None => ServerState {
-                pipeline: fresh()?,
-                dedup: UnionFind::new(),
-                stream_pairs: Vec::new(),
-                streamed: 0,
-            },
+            None => ServerState::new(fresh()?, Vec::new(), 0),
         };
         for op in &recovery.ops {
             apply_op(&mut state, op).map_err(|e| std::io::Error::other(e.to_string()))?;
@@ -523,30 +312,26 @@ impl Server {
                 report.duration.as_secs_f64() * 1e3,
             );
         }
-        let ServerState {
-            pipeline,
-            stream_pairs,
-            streamed,
-            ..
-        } = state;
-        let server = Self::spawn_core(pipeline, stream_pairs, streamed, config, Some(store))?;
-        server
-            .inner
-            .metrics
-            .replayed_ops
-            .set(report.replayed_ops as i64);
-        server
-            .inner
-            .metrics
+        let server = Self::spawn_core(state, config, Some(store))?;
+        let metrics = &server.inner.metrics;
+        metrics.replayed_ops.set(report.replayed_ops as i64);
+        metrics
             .replay_duration_ms
             .set(report.duration.as_millis() as i64);
         Ok(server)
     }
 
+    #[cfg(not(unix))]
+    fn spawn_core(_: ServerState, _: ServerConfig, _: Option<Store>) -> std::io::Result<Self> {
+        Err(std::io::Error::new(
+            ErrorKind::Unsupported,
+            "rl-server serves connections from a poll(2) reactor and needs a unix target",
+        ))
+    }
+
+    #[cfg(unix)]
     fn spawn_core(
-        mut pipeline: ShardedPipeline,
-        stream_pairs: Vec<(u64, u64)>,
-        streamed: u64,
+        mut state: ServerState,
         config: ServerConfig,
         store: Option<Store>,
     ) -> std::io::Result<Self> {
@@ -559,36 +344,29 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let mut dedup = UnionFind::new();
-        for &(a, b) in &stream_pairs {
-            dedup.union(a, b);
-        }
+        let reactor = crate::reactor::Reactor::new(listener)?;
+
         let metrics = ServerMetrics::new();
-        pipeline.attach_metrics(Arc::clone(&metrics.pipeline));
-        metrics.indexed_records.set(pipeline.indexed_len() as i64);
-        metrics.streamed_records.set(streamed as i64);
+        state.pipeline.attach_metrics(Arc::clone(&metrics.pipeline));
+        metrics
+            .indexed_records
+            .set(state.pipeline.indexed_len() as i64);
+        metrics.streamed_records.set(state.streamed as i64);
         if let Some(store) = &store {
             metrics.wal_bytes.set(store.wal_bytes() as i64);
         }
-        let workers = config.workers.max(1);
-        let queue_capacity = config.queue_capacity.max(1);
         let repl = ReplState::new(
             config.repl_role.clone(),
             store.as_ref().map(Store::op_seq).unwrap_or(0),
             store.as_ref().map(Store::epoch).unwrap_or(0),
         );
         let subs = SubHub::new(
-            pipeline.schema().clone(),
-            pipeline.classifier(),
+            state.pipeline.schema().clone(),
+            state.pipeline.classifier(),
             config.max_subscriptions,
         );
         let inner = Arc::new(Inner {
-            state: RwLock::new(ServerState {
-                pipeline,
-                dedup,
-                stream_pairs,
-                streamed,
-            }),
+            state: RwLock::new(state),
             config,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
@@ -602,102 +380,51 @@ impl Server {
             reshard_thread: Mutex::new(None),
         });
 
-        let (job_tx, job_rx) = bounded::<Job>(queue_capacity);
-        let worker_handles = (0..workers)
+        let (job_tx, job_rx) = bounded::<Job>(inner.config.queue_capacity.max(1));
+        let reactor = {
+            let job_tx = job_tx.clone();
+            spawn_thread(&inner, "rl-reactor", move |inner| {
+                reactor.run(inner, &job_tx)
+            })
+        };
+        let mut threads: Vec<_> = (0..inner.config.workers.max(1))
             .map(|i| {
-                let inner = Arc::clone(&inner);
                 let rx: Receiver<Job> = job_rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("rl-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, &rx))
-                    .expect("spawn worker")
+                spawn_thread(&inner, format!("rl-worker-{i}"), move |inner| {
+                    worker_loop(inner, &rx)
+                })
             })
             .collect();
         drop(job_rx);
 
-        let accept_handle = {
-            let inner = Arc::clone(&inner);
-            let job_tx = job_tx.clone();
-            std::thread::Builder::new()
-                .name("rl-accept".into())
-                .spawn(move || {
-                    #[cfg(target_os = "linux")]
-                    if inner.config.reactor {
-                        crate::reactor::run(&inner, listener, &job_tx);
-                        return;
-                    }
-                    accept_loop(&inner, &listener, &job_tx);
-                })
-                .expect("spawn accept loop")
-        };
-
-        let checkpoint_handle = match (
-            &inner.store,
-            inner
-                .config
-                .durability
-                .as_ref()
-                .and_then(|d| d.checkpoint_every),
-        ) {
-            (Some(_), Some(every)) => {
-                let inner = Arc::clone(&inner);
-                Some(
-                    std::thread::Builder::new()
-                        .name("rl-checkpoint".into())
-                        .spawn(move || checkpoint_loop(&inner, every))
-                        .expect("spawn checkpointer"),
-                )
+        if let (Some(_), Some(durability)) = (&inner.store, &inner.config.durability) {
+            if let Some(every) = durability.checkpoint_every {
+                threads.push(spawn_thread(&inner, "rl-checkpoint", move |inner| {
+                    background::checkpoint_loop(inner, every)
+                }));
+                // Blocking-store compaction runs on its own thread, off
+                // the checkpoint path: merging delta overlays only needs a
+                // state read lock (shard workers serialize the actual
+                // store mutation), so it does not stall mutations behind a
+                // write lock before every checkpoint. Same trigger as the
+                // checkpointer — compaction matters when checkpoints
+                // export the overlay it bounds.
+                threads.push(spawn_thread(&inner, "rl-compact", move |inner| {
+                    background::compact_loop(inner, every)
+                }));
             }
-            _ => None,
-        };
-
-        let wal_sync_handle = match inner.config.durability.as_ref().map(|d| d.sync) {
-            Some(SyncPolicy::GroupCommit(interval)) if inner.store.is_some() => {
-                let inner = Arc::clone(&inner);
-                Some(
-                    std::thread::Builder::new()
-                        .name("rl-wal-sync".into())
-                        .spawn(move || wal_sync_loop(&inner, interval))
-                        .expect("spawn wal sync"),
-                )
+            if let SyncPolicy::GroupCommit(interval) = durability.sync {
+                threads.push(spawn_thread(&inner, "rl-wal-sync", move |inner| {
+                    background::wal_sync_loop(inner, interval)
+                }));
             }
-            _ => None,
-        };
-
-        // Blocking-store compaction runs on its own thread, off the
-        // checkpoint path: merging delta overlays only needs a state read
-        // lock (shard workers serialize the actual store mutation), so it
-        // no longer stalls mutations behind a write lock before every
-        // checkpoint. Same trigger as the checkpointer — compaction
-        // matters when checkpoints export the overlay it bounds.
-        let compact_handle = match (
-            &inner.store,
-            inner
-                .config
-                .durability
-                .as_ref()
-                .and_then(|d| d.checkpoint_every),
-        ) {
-            (Some(_), Some(every)) => {
-                let inner = Arc::clone(&inner);
-                Some(
-                    std::thread::Builder::new()
-                        .name("rl-compact".into())
-                        .spawn(move || compact_loop(&inner, every))
-                        .expect("spawn compactor"),
-                )
-            }
-            _ => None,
-        };
+        }
 
         Ok(Self {
             inner,
             jobs: job_tx,
-            accept_handle: Some(accept_handle),
-            worker_handles,
-            checkpoint_handle,
-            wal_sync_handle,
-            compact_handle,
+            reactor,
+            threads,
         })
     }
 
@@ -710,9 +437,7 @@ impl Server {
     /// follower loop): apply streamed ops, reset to a checkpoint, read
     /// and publish replication lag.
     pub fn repl_handle(&self) -> ReplHandle {
-        ReplHandle {
-            inner: Arc::clone(&self.inner),
-        }
+        ReplHandle::new(Arc::clone(&self.inner))
     }
 
     /// Requests shutdown from the owning process (equivalent to a client
@@ -721,25 +446,15 @@ impl Server {
         begin_shutdown(&self.inner);
     }
 
-    /// Blocks until the accept loop has stopped and all queued requests
+    /// Blocks until the reactor has stopped — which includes every
+    /// streaming connection thread it detached — and all queued requests
     /// have drained through the workers. Takes a final snapshot if a
     /// snapshot path is configured.
-    pub fn wait(mut self) {
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
+    pub fn wait(self) {
+        let _ = self.reactor.join();
         // Closing the job channel lets workers finish the backlog and exit.
         drop(self.jobs);
-        for handle in self.worker_handles.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.checkpoint_handle.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.wal_sync_handle.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.compact_handle.take() {
+        for handle in self.threads {
             let _ = handle.join();
         }
         // The migrator observes the shutdown flag and aborts its copy (the
@@ -768,10 +483,10 @@ pub(crate) fn begin_shutdown(inner: &Inner) {
     if inner.shutdown.swap(true, Ordering::SeqCst) {
         return;
     }
-    // Wake the accept loop: it blocks in accept(), so poke it with a
-    // throwaway connection to make it observe the flag. A wildcard bind
-    // address (0.0.0.0 / ::) is not connectable on every platform, so
-    // poke loopback on the bound port instead.
+    // Wake the reactor out of poll(2) so it observes the flag now rather
+    // than at its next timeout: a throwaway connection makes the listener
+    // readable. A wildcard bind address (0.0.0.0 / ::) is not connectable
+    // on every platform, so poke loopback on the bound port instead.
     let mut addr = inner.local_addr;
     if addr.ip().is_unspecified() {
         addr.set_ip(match addr.ip() {
@@ -780,369 +495,6 @@ pub(crate) fn begin_shutdown(inner: &Inner) {
         });
     }
     let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
-}
-
-pub(crate) fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener, job_tx: &Sender<Job>) {
-    let mut conn_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let inner = Arc::clone(inner);
-        let job_tx = job_tx.clone();
-        conn_handles.retain(|h| !h.is_finished());
-        let handle = std::thread::Builder::new()
-            .name("rl-conn".into())
-            .spawn(move || handle_connection(&inner, stream, &job_tx))
-            .expect("spawn connection handler");
-        conn_handles.push(handle);
-    }
-    for handle in conn_handles {
-        let _ = handle.join();
-    }
-}
-
-fn handle_connection(inner: &Arc<Inner>, stream: TcpStream, job_tx: &Sender<Job>) {
-    // A short read timeout lets idle connections notice server shutdown
-    // without disturbing active clients (timeouts just re-poll the flag).
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    json_conn_loop(inner, job_tx, BufReader::new(box_reader(stream)), writer);
-}
-
-pub(crate) type ConnReader = Box<dyn Read + Send>;
-
-pub(crate) fn box_reader<R: Read + Send + 'static>(r: R) -> ConnReader {
-    Box::new(r)
-}
-
-/// Whether the connection loop should keep reading after a request.
-pub(crate) enum ConnFlow {
-    Continue,
-    Close,
-}
-
-/// Serves a streaming request inline on a (blocking) connection thread:
-/// these answer with many lines/frames and so cannot round-trip through
-/// the one-reply job queue. `Close` means the stream consumed the
-/// connection.
-pub(crate) fn serve_streaming(
-    inner: &Arc<Inner>,
-    writer: &mut ConnWriter,
-    request: Request,
-) -> ConnFlow {
-    match request {
-        Request::FetchCheckpoint => {
-            inner.metrics.record_streaming(ReqType::FetchCheckpoint);
-            match crate::repl::serve_fetch_checkpoint(inner, writer) {
-                Ok(()) => ConnFlow::Continue,
-                Err(_) => ConnFlow::Close,
-            }
-        }
-        Request::Subscribe { from_seq, epoch } => {
-            inner.metrics.record_streaming(ReqType::Subscribe);
-            crate::repl::serve_subscribe(inner, writer, from_seq, epoch);
-            // A subscription consumes the connection: when the stream
-            // ends (either side went away) there is no framing left to
-            // resynchronize on, so close.
-            ConnFlow::Close
-        }
-        Request::SubscribeMatches {
-            rule,
-            window,
-            late,
-            cap,
-        } => {
-            inner.metrics.record_streaming(ReqType::SubscribeMatches);
-            // `false` means the subscription was refused with a single
-            // error line and the connection is still usable.
-            if crate::subs::serve_subscribe_matches(inner, writer, &rule, window, late, cap) {
-                ConnFlow::Close
-            } else {
-                ConnFlow::Continue
-            }
-        }
-        _ => ConnFlow::Continue,
-    }
-}
-
-/// True for the verbs [`serve_streaming`] handles.
-pub(crate) fn is_streaming(request: &Request) -> bool {
-    matches!(
-        request,
-        Request::FetchCheckpoint | Request::Subscribe { .. } | Request::SubscribeMatches { .. }
-    )
-}
-
-/// Answers a [`Request::Upgrade`] negotiation: the agreed version is the
-/// lower of what both sides speak, and only v7+ switches the connection
-/// to binary frames. Returns the version to reply with and whether to
-/// switch.
-pub(crate) fn negotiate_upgrade(max_version: u32) -> (u32, bool) {
-    let version = max_version.min(PROTOCOL_VERSION);
-    (version, version >= crate::protocol::FIRST_BINARY_VERSION)
-}
-
-/// The classic blocking JSON loop (protocol ≤6 framing). Also the
-/// fallback when the reactor is off, and the tail of a detached
-/// streaming connection. Switches itself to [`binary_conn_loop`] when
-/// the client negotiates protocol v7.
-pub(crate) fn json_conn_loop(
-    inner: &Arc<Inner>,
-    job_tx: &Sender<Job>,
-    mut reader: BufReader<ConnReader>,
-    writer_stream: TcpStream,
-) {
-    let mut writer = ConnWriter::Json(writer_stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                // Client closed. Answer a trailing request that was sent
-                // without a final newline before hanging up.
-                if !line.trim().is_empty() {
-                    let _ = serve_line(inner, job_tx, &mut writer, line.trim());
-                }
-                return;
-            }
-            // A line without '\n' means EOF mid-line; the next read
-            // returns Ok(0) and the branch above dispatches it.
-            Ok(_) if !line.ends_with('\n') => continue,
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // read_line keeps partial bytes it already consumed in
-                // `line`; leave them so a request split across TCP
-                // segments resumes on the next read instead of being
-                // truncated.
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            line.clear();
-            continue;
-        }
-        match serve_line(inner, job_tx, &mut writer, trimmed) {
-            ConnFlow::Continue => line.clear(),
-            ConnFlow::Close => return,
-        }
-        if matches!(writer, ConnWriter::Binary { .. }) {
-            // The Upgrade handshake switched modes. Bytes the BufReader
-            // already pulled off the socket belong to the binary stream;
-            // hand them over so nothing is lost.
-            let leftover = reader.buffer().to_vec();
-            let raw = reader.into_inner();
-            let chained = box_reader(Cursor::new(leftover).chain(raw));
-            return binary_conn_loop(inner, job_tx, FrameReader::new(chained), writer);
-        }
-    }
-}
-
-/// Serves one request line on the connection thread.
-fn serve_line(
-    inner: &Arc<Inner>,
-    job_tx: &Sender<Job>,
-    writer: &mut ConnWriter,
-    line: &str,
-) -> ConnFlow {
-    let response = match serde_json::from_str::<Request>(line) {
-        Ok(request) if is_streaming(&request) => return serve_streaming(inner, writer, request),
-        Ok(Request::Upgrade { max_version }) => {
-            inner.metrics.record_streaming(ReqType::Upgrade);
-            let (version, binary) = negotiate_upgrade(max_version);
-            // The acknowledgement goes out in the *old* mode — the
-            // client reads it as a JSON line before sending any frame.
-            if writer
-                .write_response(&Response::Ok(Reply::Upgraded { version }))
-                .is_err()
-            {
-                return ConnFlow::Close;
-            }
-            if binary {
-                let Ok(cloned) = writer.stream().try_clone() else {
-                    return ConnFlow::Close;
-                };
-                *writer = ConnWriter::binary(cloned, wire::PUSH_ID);
-            }
-            return ConnFlow::Continue;
-        }
-        Ok(request) => dispatch_request(inner, job_tx, request),
-        Err(e) => Response::Err(RequestError::new(
-            ErrorCode::Parse,
-            format!("bad request: {e}"),
-        )),
-    };
-    let is_shutdown_ack = matches!(response, Response::Ok(Reply::ShuttingDown));
-    if writer.write_response(&response).is_err() || is_shutdown_ack {
-        return ConnFlow::Close;
-    }
-    ConnFlow::Continue
-}
-
-/// The blocking binary-frame loop (protocol v7). One request at a time —
-/// pipelining depth beyond 1 needs the reactor — but every byte saved:
-/// requests and responses travel as id-enveloped `rl-wire` frames.
-/// [`FrameReader`] is resumable across the 200 ms read timeout, so a
-/// frame split across TCP segments is reassembled, not truncated.
-pub(crate) fn binary_conn_loop(
-    inner: &Arc<Inner>,
-    job_tx: &Sender<Job>,
-    mut frames: FrameReader<ConnReader>,
-    mut writer: ConnWriter,
-) {
-    loop {
-        let (id, request) = match frames.read_frame() {
-            Ok(None) => return,
-            Ok(Some((tag, payload))) => {
-                if tag != wire::TAG_REQUEST {
-                    // A client must only send requests; anything else is
-                    // a framing bug with no way to resynchronize.
-                    return;
-                }
-                match wire::decode_request(payload) {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        writer.set_id(wire::PUSH_ID);
-                        let _ = writer.write_response(&Response::Err(RequestError::new(
-                            ErrorCode::Parse,
-                            format!("bad request: {e}"),
-                        )));
-                        continue;
-                    }
-                }
-            }
-            Err(e) if e.is_would_block() => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            // Corrupt, oversized, or truncated frames: the stream cannot
-            // be resynchronized, close.
-            Err(_) => return,
-        };
-        writer.set_id(id);
-        if is_streaming(&request) {
-            if let ConnFlow::Close = serve_streaming(inner, &mut writer, request) {
-                return;
-            }
-            continue;
-        }
-        let response = match request {
-            Request::Upgrade { max_version } => {
-                inner.metrics.record_streaming(ReqType::Upgrade);
-                let (version, _) = negotiate_upgrade(max_version);
-                // Already binary; re-upgrading is an idempotent ack.
-                Response::Ok(Reply::Upgraded { version })
-            }
-            request => dispatch_request(inner, job_tx, request),
-        };
-        let is_shutdown_ack = matches!(response, Response::Ok(Reply::ShuttingDown));
-        if writer.write_response(&response).is_err() || is_shutdown_ack {
-            return;
-        }
-    }
-}
-
-/// Entry point for a connection the reactor detached for a streaming
-/// verb: serve the stream on this dedicated thread, then keep serving
-/// requests in the classic blocking way (the connection never returns to
-/// the reactor). `leftover` is whatever the reactor had read past the
-/// streaming request.
-pub(crate) fn serve_detached(
-    inner: Arc<Inner>,
-    job_tx: Sender<Job>,
-    stream: TcpStream,
-    leftover: Vec<u8>,
-    binary: bool,
-    request: Request,
-    id: u64,
-) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let Ok(wstream) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = if binary {
-        ConnWriter::binary(wstream, id)
-    } else {
-        ConnWriter::Json(wstream)
-    };
-    if let ConnFlow::Close = serve_streaming(&inner, &mut writer, request) {
-        return;
-    }
-    let reader = box_reader(Cursor::new(leftover).chain(stream));
-    if binary {
-        binary_conn_loop(&inner, &job_tx, FrameReader::new(reader), writer);
-    } else if let ConnWriter::Json(_) = writer {
-        json_conn_loop(&inner, &job_tx, BufReader::new(reader), writer.into_json());
-    }
-}
-
-pub(crate) fn write_response(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    let mut json = serde_json::to_string(response)
-        .unwrap_or_else(|_| "{\"Err\":{\"code\":\"Parse\",\"message\":\"encode\"}}".into());
-    json.push('\n');
-    writer.write_all(json.as_bytes())?;
-    writer.flush()
-}
-
-fn dispatch_request(inner: &Arc<Inner>, job_tx: &Sender<Job>, request: Request) -> Response {
-    // Shutdown only flips an atomic — handle it inline so it can never be
-    // rejected with Backpressure by a saturated job queue.
-    if matches!(request, Request::Shutdown) {
-        begin_shutdown(inner);
-        return Response::Ok(Reply::ShuttingDown);
-    }
-    if inner.shutdown.load(Ordering::SeqCst) {
-        return Response::Err(RequestError::new(
-            ErrorCode::ShuttingDown,
-            "server is shutting down",
-        ));
-    }
-    let (reply_tx, reply_rx) = bounded(1);
-    let job = Job {
-        request,
-        completion: Completion::Channel(reply_tx),
-        enqueued: Instant::now(),
-    };
-    match job_tx.try_send(job) {
-        Ok(()) => {}
-        Err(TrySendError::Full(_)) => {
-            inner.rejected_backpressure.fetch_add(1, Ordering::Relaxed);
-            inner.metrics.rejected_backpressure.inc();
-            return Response::Err(RequestError::new(
-                ErrorCode::Backpressure,
-                format!(
-                    "work queue full ({} pending); retry later",
-                    inner.config.queue_capacity
-                ),
-            ));
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            return Response::Err(RequestError::new(
-                ErrorCode::ShuttingDown,
-                "worker pool stopped",
-            ));
-        }
-    }
-    match reply_rx.recv() {
-        Ok(response) => response,
-        Err(_) => Response::Err(RequestError::new(
-            ErrorCode::ShuttingDown,
-            "worker dropped the request during shutdown",
-        )),
-    }
 }
 
 fn worker_loop(inner: &Arc<Inner>, rx: &Receiver<Job>) {
@@ -1169,917 +521,6 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Receiver<Job>) {
                 );
             }
         }
-        job.completion.deliver(response);
+        job.conn.complete(job.id, &response);
     }
-}
-
-fn execute(inner: &Arc<Inner>, request: Request) -> Response {
-    match request {
-        // `Insert` (protocol v4) is `Index` with the durability intent
-        // spelled out; both hit the WAL before the reply when a data dir
-        // is configured.
-        Request::Index { records } | Request::Insert { records } => {
-            let mut state = inner.state.write();
-            if let Some(err) = reject_if_follower(inner) {
-                return Response::Err(err);
-            }
-            let mut applied_seq = 0;
-            if inner.store.is_some() {
-                // Validate before logging so the WAL never holds an op
-                // that will fail again at replay.
-                if let Err(e) = state.pipeline.schema().embed_all(&records) {
-                    return Response::Err(RequestError::new(ErrorCode::Linkage, e.to_string()));
-                }
-                let ops: Vec<WalOp> = records.iter().cloned().map(WalOp::Insert).collect();
-                match log_mutation(inner, &ops) {
-                    Ok(seq) => applied_seq = seq,
-                    Err(e) => return Response::Err(e),
-                }
-            }
-            match state.pipeline.index(&records) {
-                Ok(()) => {
-                    let total_indexed = state.pipeline.indexed_len();
-                    inner.metrics.indexed_records.set(total_indexed as i64);
-                    // Fan out to match subscriptions while still holding
-                    // the state write lock, so event order across
-                    // connections matches mutation order.
-                    for record in &records {
-                        inner.subs.observe(&inner.metrics, record);
-                    }
-                    // Quorum waits happen after the lock is released:
-                    // acks arrive independently, and other requests must
-                    // not stall behind the bounded wait.
-                    drop(state);
-                    if let Err(e) = crate::repl::await_quorum(inner, applied_seq) {
-                        return Response::Err(e);
-                    }
-                    Response::Ok(Reply::Indexed {
-                        accepted: records.len(),
-                        total_indexed,
-                        applied_seq,
-                    })
-                }
-                Err(e) => Response::Err(RequestError::new(ErrorCode::Linkage, e.to_string())),
-            }
-        }
-        Request::Delete { ids } => {
-            let mut state = inner.state.write();
-            if let Some(err) = reject_if_follower(inner) {
-                return Response::Err(err);
-            }
-            let mut applied_seq = 0;
-            if inner.store.is_some() {
-                let ops: Vec<WalOp> = ids.iter().map(|&id| WalOp::Delete(id)).collect();
-                match log_mutation(inner, &ops) {
-                    Ok(seq) => applied_seq = seq,
-                    Err(e) => return Response::Err(e),
-                }
-            }
-            match state.pipeline.delete(&ids) {
-                Ok(removed) => {
-                    let total_indexed = state.pipeline.indexed_len();
-                    inner.metrics.indexed_records.set(total_indexed as i64);
-                    for &id in &ids {
-                        inner.subs.remove(id);
-                    }
-                    drop(state);
-                    if let Err(e) = crate::repl::await_quorum(inner, applied_seq) {
-                        return Response::Err(e);
-                    }
-                    Response::Ok(Reply::Deleted {
-                        removed,
-                        total_indexed,
-                        applied_seq,
-                    })
-                }
-                Err(e) => Response::Err(RequestError::new(ErrorCode::Linkage, e.to_string())),
-            }
-        }
-        Request::Probe { records } => {
-            let state = inner.state.read();
-            match state.pipeline.link(&records) {
-                Ok((pairs, stats)) => {
-                    let notes = crate::protocol::truncation_notes(&stats);
-                    Response::Ok(Reply::Matches {
-                        pairs,
-                        stats,
-                        notes,
-                    })
-                }
-                Err(e) => Response::Err(RequestError::new(ErrorCode::Linkage, e.to_string())),
-            }
-        }
-        Request::Stream { record } => {
-            let mut state = inner.state.write();
-            if let Some(err) = reject_if_follower(inner) {
-                return Response::Err(err);
-            }
-            let mut applied_seq = 0;
-            if inner.store.is_some() {
-                if let Err(e) = state.pipeline.schema().embed(&record) {
-                    return Response::Err(RequestError::new(ErrorCode::Linkage, e.to_string()));
-                }
-                // Logged as `Observe` (not `Insert`): replay re-runs the
-                // match-then-index round, rebuilding the stream pairs and
-                // the dedup forest deterministically.
-                match log_mutation(inner, &[WalOp::Observe(record.clone())]) {
-                    Ok(seq) => applied_seq = seq,
-                    Err(e) => return Response::Err(e),
-                }
-            }
-            let t0 = Instant::now();
-            match observe(&mut state, &record) {
-                Ok(matches) => {
-                    // Same histogram StreamMatcher::observe records into:
-                    // one streaming round (match + index), whatever engine
-                    // runs it.
-                    inner
-                        .metrics
-                        .pipeline
-                        .observe
-                        .observe_duration(t0.elapsed());
-                    inner.metrics.streamed_records.set(state.streamed as i64);
-                    inner
-                        .metrics
-                        .indexed_records
-                        .set(state.pipeline.indexed_len() as i64);
-                    inner.subs.observe(&inner.metrics, &record);
-                    drop(state);
-                    if let Err(e) = crate::repl::await_quorum(inner, applied_seq) {
-                        return Response::Err(e);
-                    }
-                    Response::Ok(Reply::Observed {
-                        matches,
-                        applied_seq,
-                    })
-                }
-                Err(e) => Response::Err(RequestError::new(ErrorCode::Linkage, e.to_string())),
-            }
-        }
-        Request::DedupStatus => {
-            let mut state = inner.state.write();
-            let clusters = state.dedup.clusters(2);
-            Response::Ok(Reply::DedupStatus {
-                linked_records: clusters.iter().map(Vec::len).sum(),
-                clusters,
-            })
-        }
-        Request::Stats => {
-            let state = inner.state.read();
-            let blocking = state.pipeline.blocking_stats().unwrap_or_default();
-            inner.metrics.update_block_gauges(&blocking);
-            Response::Ok(Reply::Stats(StatsReply {
-                protocol_version: PROTOCOL_VERSION,
-                shards: state.pipeline.num_shards(),
-                workers: inner.config.workers.max(1),
-                queue_capacity: inner.config.queue_capacity.max(1),
-                indexed: state.pipeline.indexed_len(),
-                streamed: state.streamed,
-                requests_served: inner.requests_served.load(Ordering::Relaxed),
-                rejected_backpressure: inner.rejected_backpressure.load(Ordering::Relaxed),
-                uptime_secs: inner.started.elapsed().as_secs(),
-                blocking,
-                shard_map_epoch: state.pipeline.shard_map().epoch(),
-                shard_records: state
-                    .pipeline
-                    .shard_record_counts()
-                    .map(|counts| counts.into_iter().map(|c| c as u64).collect())
-                    .unwrap_or_default(),
-            }))
-        }
-        Request::Metrics => Response::Ok(Reply::Metrics(inner.metrics.snapshot())),
-        Request::Snapshot { path } => {
-            let target = path
-                .map(PathBuf::from)
-                .or_else(|| inner.config.snapshot_path.clone());
-            let Some(target) = target else {
-                return Response::Err(RequestError::new(
-                    ErrorCode::Unavailable,
-                    "no snapshot path configured; pass one in the request or start \
-                     the server with --snapshot",
-                ));
-            };
-            let state = inner.state.read();
-            match write_snapshot(&state, &target) {
-                Ok(indexed) => Response::Ok(Reply::Snapshotted {
-                    path: target.to_string_lossy().into_owned(),
-                    indexed,
-                }),
-                Err(e) => Response::Err(RequestError::new(ErrorCode::Snapshot, e.to_string())),
-            }
-        }
-        Request::ReplStatus => {
-            let role = inner.repl.role.lock().clone();
-            let applied = inner.store.as_ref().map(|s| s.lock().op_seq()).unwrap_or(0);
-            let (head_seq, lag_bytes, primary_addr) = match &role {
-                ReplRole::Follower { primary_addr } => (
-                    // The stream's head can trail reality between
-                    // heartbeats; never report a head behind what we
-                    // have already applied.
-                    inner.repl.head_seq.load(Ordering::SeqCst).max(applied),
-                    inner.repl.lag_bytes.load(Ordering::SeqCst),
-                    Some(primary_addr.clone()),
-                ),
-                _ => (applied, 0, None),
-            };
-            Response::Ok(Reply::ReplStatus(ReplStatusReply {
-                role: role.label().to_string(),
-                primary_addr,
-                applied_seq: applied,
-                head_seq,
-                lag_frames: head_seq.saturating_sub(applied),
-                lag_bytes: if head_seq > applied { lag_bytes } else { 0 },
-                followers: inner.repl.followers.load(Ordering::SeqCst),
-                reconnects: inner.repl.reconnects.load(Ordering::SeqCst),
-                epoch: inner.repl.epoch(),
-                lease_ms: inner.config.lease_ms,
-            }))
-        }
-        Request::Promote => {
-            // The state write lock fences in-flight mutations and apply
-            // calls; the role lock then makes the flip atomic with
-            // respect to every role check (lock order state → role →
-            // store).
-            let _state = inner.state.write();
-            let mut role = inner.repl.role.lock();
-            match role.clone() {
-                ReplRole::Follower { .. } => {
-                    // A follower mid-bootstrap has an incomplete store —
-                    // promoting it would crown a primary with a torn
-                    // checkpoint. Typed refusal; retry once resync ends.
-                    if inner.repl.resyncing.load(Ordering::SeqCst) {
-                        return Response::Err(RequestError::new(
-                            ErrorCode::Unavailable,
-                            "promote refused: a checkpoint bootstrap/resync is in \
-                             flight; retry once the follower is caught up",
-                        ));
-                    }
-                    let Some(store) = &inner.store else {
-                        return Response::Err(RequestError::new(
-                            ErrorCode::Unavailable,
-                            "promote requires a data directory",
-                        ));
-                    };
-                    let mut store = store.lock();
-                    // Start the new primary's write era: bump the epoch
-                    // and persist the marker on a fresh segment in one
-                    // durable step, so a restart (or the fenced old
-                    // primary's frames) can never roll the era back. The
-                    // follower's WAL mirrors the old primary's frames, so
-                    // op sequencing continues seamlessly.
-                    let epoch = match store.bump_epoch() {
-                        Ok(e) => e,
-                        Err(e) => {
-                            return Response::Err(RequestError::new(
-                                ErrorCode::Storage,
-                                format!("promote failed: {e}"),
-                            ));
-                        }
-                    };
-                    let head_seq = store.op_seq();
-                    *role = ReplRole::Primary;
-                    inner.repl.epoch.store(epoch, Ordering::SeqCst);
-                    inner.metrics.repl_lag_frames.set(0);
-                    inner.metrics.repl_lag_bytes.set(0);
-                    eprintln!(
-                        "rl-server: promoted to primary at op seq {head_seq} (epoch {epoch})"
-                    );
-                    Response::Ok(Reply::Promoted {
-                        head_seq,
-                        was_follower: true,
-                        epoch,
-                    })
-                }
-                ReplRole::Primary => Response::Ok(Reply::Promoted {
-                    head_seq: inner.store.as_ref().map(|s| s.lock().op_seq()).unwrap_or(0),
-                    was_follower: false,
-                    epoch: inner.repl.epoch(),
-                }),
-                ReplRole::Standalone => Response::Err(RequestError::new(
-                    ErrorCode::Unavailable,
-                    "promote only applies to replicated servers (follower, or primary \
-                     started with --allow-replicas)",
-                )),
-            }
-        }
-        Request::Unsubscribe { sub_id } => {
-            let removed = inner.subs.unsubscribe(sub_id);
-            Response::Ok(Reply::Unsubscribed { removed })
-        }
-        Request::GetShardMap => {
-            let state = inner.state.read();
-            let map = state.pipeline.shard_map();
-            let records = match state.pipeline.shard_record_counts() {
-                Ok(counts) => counts.into_iter().map(|c| c as u64).collect(),
-                Err(e) => {
-                    return Response::Err(RequestError::new(ErrorCode::Linkage, e.to_string()))
-                }
-            };
-            Response::Ok(Reply::ShardMap(ShardMapReply {
-                epoch: map.epoch(),
-                num_shards: map.num_shards(),
-                ranges: map.assignments().to_vec(),
-                records,
-                migration: state.pipeline.migration_status(),
-            }))
-        }
-        Request::MigrationStatus => {
-            let state = inner.state.read();
-            Response::Ok(Reply::Migration(state.pipeline.migration_status()))
-        }
-        Request::Reshard { op } => {
-            let mut state = inner.state.write();
-            // Only a primary (or standalone) may change the shard map —
-            // followers receive the change as a replicated cutover frame.
-            if let Some(err) = reject_if_follower(inner) {
-                return Response::Err(err);
-            }
-            match state.pipeline.begin_reshard(op) {
-                Ok(driver) => {
-                    let status = state.pipeline.migration_status();
-                    inner.metrics.reshard_state.set(1);
-                    inner.metrics.reshard_migrated.set(0);
-                    inner.metrics.reshard_lag.set(status.total as i64);
-                    drop(state);
-                    // At most one migration runs (begin_reshard enforces
-                    // it), so any previous migrator has finished — join it
-                    // before the new thread takes the slot.
-                    let mut slot = inner.reshard_thread.lock();
-                    if let Some(handle) = slot.take() {
-                        let _ = handle.join();
-                    }
-                    let migrator = Arc::clone(inner);
-                    *slot = Some(
-                        std::thread::Builder::new()
-                            .name("rl-reshard-migrate".into())
-                            .spawn(move || reshard_migrate_loop(&migrator, driver))
-                            .expect("spawn reshard migrator"),
-                    );
-                    Response::Ok(Reply::ReshardStarted {
-                        kind: op.kind().to_string(),
-                        source: status.source,
-                        target: status.target,
-                        total: status.total,
-                    })
-                }
-                Err(e) => Response::Err(RequestError::new(ErrorCode::Linkage, e.to_string())),
-            }
-        }
-        // Streaming requests and the protocol negotiation are served
-        // inline on the connection (see `serve_streaming` and the conn
-        // loops); reaching a worker means a misrouted job.
-        Request::FetchCheckpoint
-        | Request::Subscribe { .. }
-        | Request::SubscribeMatches { .. }
-        | Request::Upgrade { .. } => Response::Err(RequestError::new(
-            ErrorCode::Unavailable,
-            "streaming requests are handled on the connection",
-        )),
-        Request::Shutdown => {
-            begin_shutdown(inner);
-            Response::Ok(Reply::ShuttingDown)
-        }
-    }
-}
-
-/// Rejects a mutation on a follower with a typed redirect. Called with
-/// the state write lock held, so a concurrent promote (which also takes
-/// it) cannot interleave with the check-then-mutate sequence.
-fn reject_if_follower(inner: &Inner) -> Option<RequestError> {
-    let role = inner.repl.role.lock();
-    if let ReplRole::Follower { primary_addr } = &*role {
-        Some(
-            RequestError::new(
-                ErrorCode::NotPrimary,
-                "read-only follower; send mutations to the primary",
-            )
-            .with_primary(primary_addr.clone()),
-        )
-    } else {
-        None
-    }
-}
-
-/// Streaming observe against the sharded index: probe the single record,
-/// record matched pairs in the dedup forest, then index it.
-fn observe(state: &mut ServerState, record: &Record) -> cbv_hb::error::Result<Vec<u64>> {
-    let batch = std::slice::from_ref(record).to_vec();
-    let (pairs, _) = state.pipeline.link(&batch)?;
-    let matches: Vec<u64> = pairs.into_iter().map(|(a, _)| a).collect();
-    state.pipeline.index(&batch)?;
-    for &a in &matches {
-        state.dedup.union(a, record.id);
-        state.stream_pairs.push((a, record.id));
-    }
-    state.streamed += 1;
-    Ok(matches)
-}
-
-/// Appends mutation ops to the WAL ahead of applying them. Called under
-/// the state write lock; on failure the mutation must be rejected, not
-/// applied (acknowledge-after-durable). The batch is logged
-/// all-or-nothing, so a Storage error means NO record of a multi-record
-/// request is durable — never a silent prefix that resurfaces at replay.
-/// Returns the op sequence of the batch's last frame (the reply's
-/// `applied_seq`), 0 without a store.
-fn log_mutation(inner: &Inner, ops: &[WalOp]) -> Result<u64, RequestError> {
-    let Some(store) = &inner.store else {
-        return Ok(0);
-    };
-    let mut store = store.lock();
-    if let Err(e) = store.append_batch(ops) {
-        return Err(RequestError::new(
-            ErrorCode::Storage,
-            format!("wal append failed; mutation not applied: {e}"),
-        ));
-    }
-    inner.metrics.wal_appends.add(ops.len() as u64);
-    inner.metrics.wal_bytes.set(store.wal_bytes() as i64);
-    Ok(store.op_seq())
-}
-
-/// Applies one recovered WAL op to the state, with the same semantics the
-/// original request had.
-fn apply_op(state: &mut ServerState, op: &WalOp) -> cbv_hb::error::Result<()> {
-    match op {
-        WalOp::Insert(record) => state.pipeline.index(std::slice::from_ref(record)),
-        WalOp::Observe(record) => observe(state, record).map(|_| ()),
-        WalOp::Delete(id) => state.pipeline.delete(&[*id]).map(|_| ()),
-        // A cutover commit replays as a synchronous reshard at the same
-        // position in the op stream it was logged at: planning is
-        // deterministic, so the recomputed plan (and a split's recomputed
-        // target id) matches what the primary executed.
-        WalOp::Reshard {
-            merge,
-            source,
-            target,
-        } => {
-            let op = if *merge {
-                ReshardOp::Merge {
-                    source: *source as usize,
-                    target: *target as usize,
-                }
-            } else {
-                ReshardOp::Split {
-                    source: *source as usize,
-                }
-            };
-            state.pipeline.reshard_sync(op).map(|_| ())
-        }
-    }
-}
-
-/// Background group-commit flusher: fsyncs the WAL on the group-commit
-/// cadence even when traffic stops. Appends only check the interval
-/// inline, so without this an idle server would hold the last burst of
-/// acknowledged writes unsynced indefinitely — the "at most one interval
-/// lost to power failure" bound would only hold under continuous traffic.
-/// [`rl_store::Wal::sync`] is a no-op when nothing is pending, so the
-/// idle cost is a lock acquisition per interval.
-fn wal_sync_loop(inner: &Arc<Inner>, interval: Duration) {
-    let tick = interval
-        .min(Duration::from_millis(25))
-        .max(Duration::from_millis(1));
-    let mut last = Instant::now();
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(tick);
-        if last.elapsed() < interval {
-            continue;
-        }
-        last = Instant::now();
-        if let Some(store) = &inner.store {
-            if let Err(e) = store.lock().sync() {
-                eprintln!("rl-server: background WAL sync failed: {e}");
-            }
-        }
-    }
-}
-
-/// The background migrator for an online reshard: streams the source
-/// shard's moved records into the target in bounded batches (no state
-/// lock held — the shard workers serialize each batch against concurrent
-/// mutations, which are dual-applied to both shards meanwhile), then
-/// commits the cutover under the state write lock: WAL-log the
-/// `Reshard` frame *first* (the commit is the only durable trace of the
-/// migration — a crash before it replays to a world where the migration
-/// never started), then install the new map and purge the source.
-/// Shutdown or a copy failure aborts: the target's partial copy is
-/// purged and the old map stays in force.
-fn reshard_migrate_loop(inner: &Arc<Inner>, mut driver: ReshardDriver) {
-    const BATCH: usize = 512;
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            abort_migration(inner, "shutdown requested");
-            return;
-        }
-        match driver.copy_batch(BATCH) {
-            Ok(true) => break,
-            Ok(false) => {
-                let migrated = driver.migrated();
-                inner.metrics.reshard_migrated.set(migrated as i64);
-                let total = inner.state.read().pipeline.migration_status().total;
-                inner
-                    .metrics
-                    .reshard_lag
-                    .set(total.saturating_sub(migrated) as i64);
-            }
-            Err(e) => {
-                eprintln!("rl-server: reshard copy failed: {e}; aborting the migration");
-                abort_migration(inner, "copy failed");
-                return;
-            }
-        }
-    }
-    inner.metrics.reshard_state.set(2);
-    let mut state = inner.state.write();
-    let status = state.pipeline.migration_status();
-    let mut applied_seq = 0;
-    if inner.store.is_some() {
-        let commit = WalOp::Reshard {
-            merge: status.kind == "merge",
-            source: status.source as u64,
-            target: status.target as u64,
-        };
-        match log_mutation(inner, &[commit]) {
-            Ok(seq) => applied_seq = seq,
-            Err(e) => {
-                drop(state);
-                eprintln!(
-                    "rl-server: reshard cutover not durable ({}); aborting the migration",
-                    e.message
-                );
-                abort_migration(inner, "cutover append failed");
-                return;
-            }
-        }
-    }
-    match state.pipeline.finish_reshard(&driver) {
-        Ok(epoch) => {
-            inner.metrics.reshard_migrated.set(driver.migrated() as i64);
-            inner.metrics.reshard_lag.set(0);
-            inner.metrics.reshard_state.set(0);
-            drop(state);
-            if let Err(e) = crate::repl::await_quorum(inner, applied_seq) {
-                eprintln!(
-                    "rl-server: reshard cutover committed locally (epoch {epoch}) but the \
-                     replica quorum timed out: {}",
-                    e.message
-                );
-            }
-            eprintln!(
-                "rl-server: reshard {} of shard {} into {} complete: {} record(s) moved, \
-                 shard map epoch {epoch}",
-                status.kind, status.source, status.target, status.migrated
-            );
-        }
-        Err(e) => {
-            // The commit frame (if any) is already durable: recovery will
-            // replay the reshard even though this process could not apply
-            // it. Surface loudly; the index stays serving on the old map.
-            drop(state);
-            eprintln!("rl-server: reshard cutover failed to apply: {e}");
-            abort_migration(inner, "cutover apply failed");
-        }
-    }
-}
-
-/// Rolls the in-flight migration back (purges the target's partial copy,
-/// keeps the current map) and clears the reshard gauges.
-fn abort_migration(inner: &Arc<Inner>, why: &str) {
-    let mut state = inner.state.write();
-    match state.pipeline.abort_reshard() {
-        Ok(()) => eprintln!("rl-server: migration aborted ({why})"),
-        Err(e) => eprintln!("rl-server: migration abort ({why}) failed: {e}"),
-    }
-    drop(state);
-    inner.metrics.reshard_state.set(0);
-    inner.metrics.reshard_lag.set(0);
-}
-
-/// Background blocking-store compactor: on the checkpoint cadence, merge
-/// each disk-resident structure's delta overlay into a fresh generation
-/// and scrub tombstones. Runs under a state *read* lock — the shard
-/// workers serialize the store mutation — so probes and mutations keep
-/// flowing; the checkpointer no longer does this inline.
-fn compact_loop(inner: &Arc<Inner>, every: Duration) {
-    let mut last = Instant::now();
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(25));
-        if last.elapsed() < every {
-            continue;
-        }
-        last = Instant::now();
-        let state = inner.state.read();
-        if let Err(e) = state.pipeline.compact_stores() {
-            eprintln!("rl-server: blocking-store compaction failed: {e}");
-        } else {
-            inner.metrics.compactions.inc();
-        }
-    }
-}
-
-/// The background checkpointer: every `every`, rotate the WAL, export the
-/// index, and commit a checkpoint that lets recovery skip the pruned log.
-fn checkpoint_loop(inner: &Arc<Inner>, every: Duration) {
-    let mut last = Instant::now();
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(25));
-        if last.elapsed() < every {
-            continue;
-        }
-        last = Instant::now();
-        if let Err(e) = run_checkpoint(inner) {
-            // A failed checkpoint costs replay time, never durability:
-            // the WAL it failed to prune still holds every mutation.
-            eprintln!("rl-server: checkpoint failed: {e}");
-        }
-    }
-}
-
-pub(crate) fn run_checkpoint(inner: &Inner) -> Result<(), rl_store::StoreError> {
-    let Some(store) = &inner.store else {
-        return Ok(());
-    };
-    // The state read lock excludes mutations (which hold write) for the
-    // rotate + export window, so the exported snapshot covers exactly the
-    // segments up to the rotation watermark. (Blocking-store compaction,
-    // which used to run here inline, moved to its own thread — see
-    // `compact_loop`.)
-    let state = inner.state.read();
-    // Mid-migration, moved records transiently live on two shards; an
-    // exported snapshot would duplicate them forever. The lock ordering
-    // makes this check stable: cutover needs the state write lock, which
-    // this read lock excludes until the export is done. Skipping costs
-    // replay time, never durability.
-    if state.pipeline.migration_status().active {
-        return Ok(());
-    }
-    let covered = store.lock().begin_checkpoint()?;
-    let exported = state.pipeline.export_state().map_err(|e| {
-        rl_store::StoreError::Snapshot(SnapshotError::Format {
-            path: None,
-            msg: e.to_string(),
-        })
-    })?;
-    let snapshot = Snapshot::new(exported, state.stream_pairs.clone(), state.streamed)
-        .map_err(rl_store::StoreError::Snapshot)?;
-    drop(state);
-    let mut store = store.lock();
-    store.commit_checkpoint(snapshot, covered)?;
-    inner.metrics.wal_bytes.set(store.wal_bytes() as i64);
-    inner.metrics.checkpoints.inc();
-    Ok(())
-}
-
-/// The follower-side driver interface: everything the `rl-repl` apply
-/// loop needs from a running server, without exposing its internals.
-/// Cloneable and thread-safe; holding one does not keep the server
-/// running.
-#[derive(Clone)]
-pub struct ReplHandle {
-    inner: Arc<Inner>,
-}
-
-impl ReplHandle {
-    /// The node's current replication role.
-    pub fn role(&self) -> ReplRole {
-        self.inner.repl.role()
-    }
-
-    /// True once shutdown has begun (the apply loop should exit).
-    pub fn is_shutdown(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// The global op sequence applied locally — what to resume a
-    /// subscription from (`Subscribe { from_seq: op_seq() }`).
-    pub fn op_seq(&self) -> u64 {
-        self.inner
-            .store
-            .as_ref()
-            .map(|s| s.lock().op_seq())
-            .unwrap_or(0)
-    }
-
-    /// Applies one streamed WAL frame: validated, sequence-checked,
-    /// write-ahead logged to the follower's own WAL (so restarts resume
-    /// without re-bootstrapping), then applied to the index.
-    ///
-    /// # Errors
-    /// [`ApplyError::Retry`] means drop the subscription and resubscribe
-    /// from [`Self::op_seq`]; [`ApplyError::Resync`] means the local WAL
-    /// and index disagree and the caller must re-bootstrap via
-    /// [`Self::resync`]; [`ApplyError::StaleEpoch`] means the frame was
-    /// written by a fenced (demoted) primary and the session must end —
-    /// reconnecting to the same node will keep failing until it stands
-    /// down or catches up past the current epoch.
-    pub fn apply(&self, seq: u64, op: &WalOp, epoch: u64) -> Result<(), ApplyError> {
-        let inner = &self.inner;
-        let mut state = inner.state.write();
-        if !inner.repl.role.lock().is_follower() {
-            return Err(ApplyError::Retry(
-                "not a follower (promoted or standalone)".into(),
-            ));
-        }
-        let Some(store) = &inner.store else {
-            return Err(ApplyError::Retry("no data directory".into()));
-        };
-        // Epoch fencing: a frame from an older era than this follower has
-        // observed comes from a demoted primary that does not yet know it
-        // lost — refusing it is what makes failover safe against split
-        // brain. A newer era is legitimate news (a promotion happened);
-        // adopt it durably before the frame lands in the local WAL.
-        let known = inner.repl.epoch();
-        if epoch < known {
-            return Err(ApplyError::StaleEpoch(format!(
-                "frame {seq} carries epoch {epoch} but this follower has \
-                 observed epoch {known}; the sender is a fenced ex-primary"
-            )));
-        }
-        if epoch > known {
-            store
-                .lock()
-                .observe_epoch(epoch)
-                .map_err(|e| ApplyError::Retry(format!("epoch adoption failed: {e}")))?;
-            inner.repl.epoch.store(epoch, Ordering::SeqCst);
-        }
-        // Validate before logging (the primary's own pattern): a record
-        // the local schema cannot embed must never enter the local WAL,
-        // where it would fail again at every replay.
-        if let WalOp::Insert(record) | WalOp::Observe(record) = op {
-            if let Err(e) = state.pipeline.schema().embed(record) {
-                return Err(ApplyError::Resync(format!(
-                    "frame {seq} rejected by the local schema: {e}"
-                )));
-            }
-        }
-        {
-            let mut store = store.lock();
-            let expected = store.op_seq() + 1;
-            if seq != expected {
-                return Err(ApplyError::Retry(format!(
-                    "sequence gap: expected op {expected}, got {seq}"
-                )));
-            }
-            store
-                .append(op)
-                .map_err(|e| ApplyError::Retry(format!("wal append failed: {e}")))?;
-            inner.metrics.wal_appends.add(1);
-            inner.metrics.wal_bytes.set(store.wal_bytes() as i64);
-        }
-        // The op is durable locally from here on: resubscribing from
-        // `op_seq` would skip it in memory forever (it only resurfaces at
-        // a restart replay), so a failure now is not reconnectable.
-        apply_op(&mut state, op)
-            .map_err(|e| ApplyError::Resync(format!("apply of durable op {seq} failed: {e}")))?;
-        // Followers serve match subscriptions off the replicated stream.
-        match op {
-            WalOp::Insert(record) | WalOp::Observe(record) => {
-                inner.subs.observe(&inner.metrics, record);
-            }
-            WalOp::Delete(id) => inner.subs.remove(*id),
-            // A reshard moves records between shards without changing the
-            // record set, so subscriptions see nothing.
-            WalOp::Reshard { .. } => {}
-        }
-        inner
-            .metrics
-            .indexed_records
-            .set(state.pipeline.indexed_len() as i64);
-        inner.metrics.streamed_records.set(state.streamed as i64);
-        drop(state);
-        inner.repl.applied_seq.store(seq, Ordering::SeqCst);
-        let head = inner.repl.head_seq.load(Ordering::SeqCst).max(seq);
-        inner
-            .metrics
-            .repl_lag_frames
-            .set(head.saturating_sub(seq) as i64);
-        Ok(())
-    }
-
-    /// Replaces the follower's entire state with a primary checkpoint
-    /// (bootstrap, or a `ResyncRequired` answer): validates it, rebuilds
-    /// the in-memory index from its snapshot, and resets the local data
-    /// directory so the WAL resumes at the checkpoint's op watermark.
-    ///
-    /// # Errors
-    /// An invalid checkpoint, a snapshot the pipeline cannot load, or a
-    /// storage failure while resetting the data directory.
-    pub fn resync(&self, ckpt: Checkpoint) -> Result<(), String> {
-        ckpt.validate(None).map_err(|e| e.to_string())?;
-        let inner = &self.inner;
-        let mut state = inner.state.write();
-        if !inner.repl.role.lock().is_follower() {
-            return Err("not a follower (promoted or standalone)".into());
-        }
-        let Some(store) = &inner.store else {
-            return Err("no data directory".into());
-        };
-        // Build the replacement pipeline before touching anything, so a
-        // bad snapshot leaves both memory and disk untouched.
-        let mut pipeline = ShardedPipeline::from_state(ckpt.snapshot.state.clone())
-            .map_err(|e| format!("checkpoint snapshot rejected: {e}"))?;
-        pipeline.attach_metrics(Arc::clone(&inner.metrics.pipeline));
-        {
-            let mut store = store.lock();
-            store
-                .reset_to_checkpoint(&ckpt)
-                .map_err(|e| format!("data directory reset failed: {e}"))?;
-            // The checkpoint may come from a newer era than any frame we
-            // saw; mirror whatever the store adopted so epoch fencing
-            // judges future frames against the freshest known era.
-            inner.repl.epoch.store(store.epoch(), Ordering::SeqCst);
-        }
-        let mut dedup = UnionFind::new();
-        for &(a, b) in &ckpt.snapshot.stream_pairs {
-            dedup.union(a, b);
-        }
-        let old = std::mem::replace(
-            &mut *state,
-            ServerState {
-                pipeline,
-                dedup,
-                stream_pairs: ckpt.snapshot.stream_pairs.clone(),
-                streamed: ckpt.snapshot.streamed,
-            },
-        );
-        inner
-            .metrics
-            .indexed_records
-            .set(state.pipeline.indexed_len() as i64);
-        inner.metrics.streamed_records.set(state.streamed as i64);
-        drop(state);
-        old.pipeline.shutdown();
-        inner.repl.applied_seq.store(ckpt.ops, Ordering::SeqCst);
-        let head = inner.repl.head_seq.load(Ordering::SeqCst).max(ckpt.ops);
-        inner.repl.head_seq.store(head, Ordering::SeqCst);
-        inner
-            .metrics
-            .repl_lag_frames
-            .set(head.saturating_sub(ckpt.ops) as i64);
-        Ok(())
-    }
-
-    /// Records the primary's head position from a stream heartbeat and
-    /// refreshes the lag gauges.
-    pub fn update_lag(&self, head_seq: u64, lag_bytes: u64) {
-        let repl = &self.inner.repl;
-        repl.head_seq.store(head_seq, Ordering::SeqCst);
-        repl.lag_bytes.store(lag_bytes, Ordering::SeqCst);
-        let applied = repl.applied_seq.load(Ordering::SeqCst);
-        self.inner
-            .metrics
-            .repl_lag_frames
-            .set(head_seq.saturating_sub(applied) as i64);
-        self.inner.metrics.repl_lag_bytes.set(lag_bytes as i64);
-    }
-
-    /// Counts one subscription reconnect (for `rl_repl_reconnects_total`).
-    pub fn note_reconnect(&self) {
-        self.inner.repl.reconnects.fetch_add(1, Ordering::SeqCst);
-        self.inner.metrics.repl_reconnects.inc();
-    }
-
-    /// The highest primary epoch this node has observed. Subscriptions
-    /// present it so a fenced ex-primary refuses to serve them.
-    pub fn epoch(&self) -> u64 {
-        self.inner.repl.epoch()
-    }
-
-    /// Durably adopts a newer primary epoch learned out-of-band (a
-    /// heartbeat, not a frame). Raise-only; older values are ignored.
-    pub fn observe_epoch(&self, epoch: u64) -> Result<(), String> {
-        if epoch <= self.inner.repl.epoch() {
-            return Ok(());
-        }
-        let Some(store) = &self.inner.store else {
-            return Err("no data directory".into());
-        };
-        store
-            .lock()
-            .observe_epoch(epoch)
-            .map_err(|e| e.to_string())?;
-        self.inner.repl.epoch.store(epoch, Ordering::SeqCst);
-        Ok(())
-    }
-
-    /// Marks a checkpoint bootstrap/resync window. While set, `Promote`
-    /// is refused with `Unavailable` — promoting a half-bootstrapped
-    /// follower would crown a primary with torn state.
-    pub fn set_resyncing(&self, resyncing: bool) {
-        self.inner.repl.resyncing.store(resyncing, Ordering::SeqCst);
-    }
-}
-
-fn write_snapshot(state: &ServerState, path: &std::path::Path) -> Result<usize, SnapshotError> {
-    let exported = state
-        .pipeline
-        .export_state()
-        .map_err(|e| SnapshotError::Format {
-            path: Some(path.to_path_buf()),
-            msg: e.to_string(),
-        })?;
-    let indexed = exported.indexed;
-    Snapshot::new(exported, state.stream_pairs.clone(), state.streamed)?.save(path)?;
-    Ok(indexed)
 }

@@ -22,9 +22,10 @@
 //! explicit `Delete` requests are forwarded so removed records stop
 //! matching immediately.
 
+use crate::conn::StreamWriter;
 use crate::protocol::{ErrorCode, Reply, RequestError, Response};
 use crate::repl::HEARTBEAT_EVERY;
-use crate::server::{ConnWriter, Inner};
+use crate::server::Inner;
 use cbv_hb::matcher::Classifier;
 use cbv_hb::pipeline::LinkageConfig;
 use cbv_hb::schema::RecordSchema;
@@ -235,21 +236,19 @@ impl Drop for SubGuard<'_> {
     }
 }
 
-/// Serves one `SubscribeMatches` request. Returns `true` when the
-/// connection was consumed by streaming (the caller must close it);
-/// `false` means a single error line was written and the connection can
-/// keep serving requests.
+/// Serves one `SubscribeMatches` request: the event stream, or a single
+/// error response when the subscription is refused. The caller closes
+/// the connection afterwards either way.
 pub(crate) fn serve_subscribe_matches(
     inner: &Arc<Inner>,
-    writer: &mut ConnWriter,
+    writer: &mut StreamWriter,
     rule: &str,
     window: WindowSpec,
     late: LateArrival,
     cap: u64,
-) -> bool {
-    let refuse = |writer: &mut ConnWriter, err: RequestError| {
+) {
+    let refuse = |writer: &mut StreamWriter, err: RequestError| {
         let _ = writer.write_response(&Response::Err(err));
-        false
     };
     if inner.shutdown.load(Ordering::SeqCst) {
         return refuse(
@@ -313,14 +312,11 @@ pub(crate) fn serve_subscribe_matches(
     let _ = writer.stream().set_write_timeout(Some(SUB_WRITE_TIMEOUT));
     if writer
         .write_response(&Response::Ok(Reply::Subscribed { sub_id, tables }))
-        .is_err()
+        .is_ok()
     {
-        drop(guard);
-        return true;
+        stream_events(inner, writer, &engine, &rx, &dropped);
     }
-    stream_events(inner, writer, &engine, &rx, &dropped);
     drop(guard);
-    true
 }
 
 /// The serving loop: drains the subscription's queue onto the socket,
@@ -328,7 +324,7 @@ pub(crate) fn serve_subscribe_matches(
 /// with `SubscriptionLagged` the moment any event was dropped.
 fn stream_events(
     inner: &Arc<Inner>,
-    writer: &mut ConnWriter,
+    writer: &mut StreamWriter,
     engine: &Arc<WindowedEngine>,
     rx: &Receiver<Event>,
     dropped: &AtomicU64,

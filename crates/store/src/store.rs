@@ -205,6 +205,12 @@ impl Store {
             let last = i == seqs.len() - 1;
             let seg = match replay_from_epoch(&path, epoch) {
                 Ok(seg) => seg,
+                // A leftover old-format segment holds acknowledged writes
+                // this build cannot read: quarantining it would drop them
+                // silently, so refuse to start and leave it untouched.
+                Err(e @ StoreError::NotAWal { .. }) if crate::wal::is_retired_v1(&path) => {
+                    return Err(e)
+                }
                 Err(StoreError::NotAWal { path, msg }) => {
                     eprintln!(
                         "rl-store: WARNING: {} is not a WAL segment ({msg}); \
@@ -279,7 +285,7 @@ impl Store {
             }
         }
 
-        let (mut seq, mut wal) = match (reuse, abandoned_after) {
+        let (seq, mut wal) = match (reuse, abandoned_after) {
             (_, Some(max)) => {
                 let seq = max + 1;
                 (seq, Wal::create(&segment_path(dir, seq), opts.sync)?)
@@ -293,13 +299,6 @@ impl Store {
                 (seq, Wal::create(&segment_path(dir, seq), opts.sync)?)
             }
         };
-        if epoch > 0 && wal.format() == crate::wal::WalFormat::V1Json {
-            // An epoch'd store must never append un-stamped v1 frames (the
-            // floor would truncate them on the next replay); leave the v1
-            // segment behind and continue on a fresh v2 one.
-            seq += 1;
-            wal = Wal::create(&segment_path(dir, seq), opts.sync)?;
-        }
         wal.set_epoch(epoch);
 
         let prior_bytes = scan_segments(dir)?
@@ -426,22 +425,12 @@ impl Store {
 
     /// Adopts a higher epoch observed on the replication stream (a
     /// follower learning its primary was re-elected). Subsequent local
-    /// appends are stamped with it; lower or equal epochs are no-ops. If
-    /// the active segment is a pre-upgrade v1 file (which cannot carry
-    /// stamps), it is rotated out first.
-    ///
-    /// # Errors
-    /// Returns [`StoreError::Io`] if the protective rotation fails.
-    pub fn observe_epoch(&mut self, epoch: u64) -> Result<(), StoreError> {
-        if epoch <= self.epoch {
-            return Ok(());
+    /// appends are stamped with it; lower or equal epochs are no-ops.
+    pub fn observe_epoch(&mut self, epoch: u64) {
+        if epoch > self.epoch {
+            self.epoch = epoch;
+            self.wal.set_epoch(epoch);
         }
-        if self.wal.format() == crate::wal::WalFormat::V1Json {
-            self.rotate()?;
-        }
-        self.epoch = epoch;
-        self.wal.set_epoch(epoch);
-        Ok(())
     }
 
     /// Phase 2 of a checkpoint: atomically publish `checkpoint.snap` and
@@ -508,13 +497,6 @@ impl Store {
     /// Sequence number of the active WAL segment.
     pub fn active_seq(&self) -> u64 {
         self.seq
-    }
-
-    /// Frame format of the active WAL segment: v2 for anything created
-    /// after the wire upgrade, v1 for a pre-upgrade segment reopened by
-    /// recovery (it keeps its format until rotation).
-    pub fn active_format(&self) -> crate::wal::WalFormat {
-        self.wal.format()
     }
 
     /// Global sequence of the last appended op (checkpoint watermark plus
@@ -1009,9 +991,9 @@ mod tests {
     fn observe_epoch_raises_and_ignores_lower() {
         let dir = fresh_dir("epoch-observe");
         let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
-        store.observe_epoch(3).unwrap();
+        store.observe_epoch(3);
         assert_eq!(store.epoch(), 3);
-        store.observe_epoch(2).unwrap();
+        store.observe_epoch(2);
         assert_eq!(store.epoch(), 3, "epochs never go backwards");
         store.append(&WalOp::Insert(rec(1))).unwrap();
         drop(store);

@@ -1,16 +1,11 @@
 //! The write-ahead log: append-only, length-prefixed, CRC-checksummed.
 //!
-//! A WAL segment is an 8-byte magic header followed by frames. Two
-//! segment formats coexist, discriminated by the magic:
-//!
-//! - **v1** (`RLWAL1`) — the original CRC'd-JSON format: each frame is
-//!   `len: u32 LE | crc: u32 LE | JSON WalOp`. Read-compatible forever;
-//!   a v1 segment reopened for appending keeps receiving v1 frames, so a
-//!   segment is never mixed-format internally.
-//! - **v2** (`RLWAL2`) — `rl-wire` frames (magic + version + tag + len +
-//!   CRC-32 over header and payload) carrying a compact binary [`WalOp`]
-//!   encoding. All newly created segments use v2; the same framing runs
-//!   on the protocol v7 socket and the replication stream.
+//! A WAL segment is the 8-byte `RLWAL2` magic followed by `rl-wire`
+//! frames (magic + version + tag + len + CRC-32 over header and payload)
+//! carrying a compact binary [`WalOp`] encoding — the same framing that
+//! runs on the socket and the replication stream. A segment in the
+//! retired `RLWAL1` (CRC'd-JSON) format is refused with a
+//! [`StoreError::NotAWal`] that names it; nothing reads or writes it.
 //!
 //! A crash mid-append leaves a *torn* final frame (short header, short
 //! payload, or CRC mismatch); [`replay`] detects it, reports the longest
@@ -41,13 +36,14 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Magic bytes opening a v1 (CRC'd-JSON) WAL segment.
-pub const WAL_MAGIC: [u8; 8] = *b"RLWAL1\0\0";
+/// Magic bytes opening a WAL segment.
+pub const WAL_MAGIC: [u8; 8] = *b"RLWAL2\0\0";
 
-/// Magic bytes opening a v2 (binary `rl-wire`-framed) WAL segment.
-pub const WAL_MAGIC_V2: [u8; 8] = *b"RLWAL2\0\0";
+/// Magic of the retired CRC'd-JSON segment format, kept only so a
+/// leftover segment is refused by name instead of as "bad magic".
+const RETIRED_V1_MAGIC: [u8; 8] = *b"RLWAL1\0\0";
 
-/// `rl-wire` frame tag for a binary-encoded [`WalOp`] in a v2 segment.
+/// `rl-wire` frame tag for a binary-encoded [`WalOp`].
 /// Carries no epoch: frames written while the store's epoch is 0 use this
 /// tag, keeping pre-epoch segments byte-identical.
 pub const WAL_FRAME_TAG: u8 = 1;
@@ -68,25 +64,33 @@ pub const WAL_EPOCH_MARK_TAG: u8 = 3;
 /// requests (a torn length prefix can decode to anything).
 const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
 
-/// On-disk frame format of one segment, decided by its magic header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalFormat {
-    /// `len | crc | JSON` frames under the `RLWAL1` magic.
-    V1Json,
-    /// `rl-wire` frames with binary ops under the `RLWAL2` magic.
-    V2Binary,
+/// Accepts the segment magic; anything else is [`StoreError::NotAWal`],
+/// with the retired v1 format called out by name.
+fn check_magic(path: &Path, magic: &[u8]) -> Result<(), StoreError> {
+    if magic == WAL_MAGIC {
+        return Ok(());
+    }
+    let msg = if magic == RETIRED_V1_MAGIC {
+        "RLWAL1 (v1 CRC'd-JSON) segment: that format is no longer read; replay it \
+         with a release that still does and checkpoint, then restart"
+            .to_string()
+    } else {
+        format!("bad magic {magic:?}")
+    };
+    Err(StoreError::NotAWal {
+        path: path.to_path_buf(),
+        msg,
+    })
 }
 
-impl WalFormat {
-    fn from_magic(magic: &[u8]) -> Option<WalFormat> {
-        if magic == WAL_MAGIC {
-            Some(WalFormat::V1Json)
-        } else if magic == WAL_MAGIC_V2 {
-            Some(WalFormat::V2Binary)
-        } else {
-            None
-        }
-    }
+/// True when `path` starts with the retired v1 magic. Recovery uses it to
+/// tell a leftover old-format segment (refuse to start, file untouched)
+/// from a foreign file (quarantine and carry on).
+pub(crate) fn is_retired_v1(path: &Path) -> bool {
+    let mut magic = [0u8; RETIRED_V1_MAGIC.len()];
+    File::open(path)
+        .and_then(|mut f| f.read_exact(&mut magic))
+        .is_ok_and(|()| magic == RETIRED_V1_MAGIC)
 }
 
 /// One logged index mutation. Replayed in order, these reconstruct the
@@ -267,8 +271,6 @@ pub struct Wal {
     last_sync: Instant,
     /// Appends written since the last fsync.
     unsynced: u64,
-    /// Frame format, fixed at create/open time by the segment magic.
-    format: WalFormat,
     /// Primary epoch stamped into appended frames. 0 writes legacy
     /// [`WAL_FRAME_TAG`] frames; non-zero writes [`WAL_FRAME_EPOCH_TAG`]
     /// frames. The store keeps this in sync with its own epoch.
@@ -284,13 +286,13 @@ pub struct Wal {
 
 impl Wal {
     /// Creates a fresh segment at `path` (truncating anything there) and
-    /// syncs the header. New segments always use the v2 binary format.
+    /// syncs the header.
     ///
     /// # Errors
     /// Returns [`StoreError::Io`] naming the path on failure.
     pub fn create(path: &Path, policy: SyncPolicy) -> Result<Self, StoreError> {
         let mut file = File::create(path).map_err(|e| StoreError::io("create", path, e))?;
-        file.write_all(&WAL_MAGIC_V2)
+        file.write_all(&WAL_MAGIC)
             .map_err(|e| StoreError::io("write", path, e))?;
         file.sync_all()
             .map_err(|e| StoreError::io("fsync", path, e))?;
@@ -309,7 +311,6 @@ impl Wal {
             last_sync: Instant::now(),
             unsynced: 0,
             poisoned: false,
-            format: WalFormat::V2Binary,
             epoch: 0,
         })
     }
@@ -317,13 +318,11 @@ impl Wal {
     /// Opens an existing segment for appending after recovery decided its
     /// valid length: the file is truncated to `valid_len` (dropping any
     /// torn tail) and positioned at the end. A `valid_len` shorter than
-    /// the header re-initializes the segment. The segment keeps the frame
-    /// format its magic declares — a pre-upgrade v1 segment continues to
-    /// receive v1 frames, so no file is ever mixed-format internally.
+    /// the header re-initializes the segment.
     ///
     /// # Errors
     /// Returns [`StoreError::Io`] naming the path on failure and
-    /// [`StoreError::NotAWal`] on a foreign header.
+    /// [`StoreError::NotAWal`] on a foreign (or retired-format) header.
     pub fn open_append(
         path: &Path,
         policy: SyncPolicy,
@@ -342,10 +341,7 @@ impl Wal {
         let mut magic = [0u8; WAL_MAGIC.len()];
         file.read_exact(&mut magic)
             .map_err(|e| StoreError::io("read", path, e))?;
-        let format = WalFormat::from_magic(&magic).ok_or_else(|| StoreError::NotAWal {
-            path: path.to_path_buf(),
-            msg: format!("bad magic {magic:?}"),
-        })?;
+        check_magic(path, &magic)?;
         file.set_len(valid_len)
             .map_err(|e| StoreError::io("truncate", path, e))?;
         file.seek(SeekFrom::End(0))
@@ -359,20 +355,11 @@ impl Wal {
             last_sync: Instant::now(),
             unsynced: 0,
             poisoned: false,
-            format,
             epoch: 0,
         })
     }
 
-    /// The segment's frame format (decided by its magic header).
-    pub fn format(&self) -> WalFormat {
-        self.format
-    }
-
-    /// Sets the primary epoch stamped into subsequent appends. Only
-    /// meaningful on v2 segments; v1 frames have no epoch field and are
-    /// always read back as epoch 0 (the store rotates to a v2 segment
-    /// before ever raising the epoch, so this never loses a stamp).
+    /// Sets the primary epoch stamped into subsequent appends.
     pub fn set_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
     }
@@ -387,17 +374,8 @@ impl Wal {
     /// raises the stamp for subsequent appends.
     ///
     /// # Errors
-    /// Returns [`StoreError::Io`] on write failure or when the segment is
-    /// v1 (markers only exist in the v2 framing; the store rotates before
-    /// bumping, so a v1 target is a logic error surfaced loudly).
+    /// Returns [`StoreError::Io`] on write failure.
     pub fn append_marker(&mut self, epoch: u64) -> Result<(), StoreError> {
-        if self.format != WalFormat::V2Binary {
-            return Err(StoreError::io(
-                "append",
-                &self.path,
-                std::io::Error::other("epoch markers require a v2 segment"),
-            ));
-        }
         if self.poisoned {
             return Err(StoreError::io(
                 "append",
@@ -461,31 +439,13 @@ impl Wal {
         let mut payload = Vec::new();
         for op in ops {
             payload.clear();
-            match self.format {
-                WalFormat::V2Binary => {
-                    if self.epoch == 0 {
-                        op.encode_bin(&mut payload);
-                        rl_wire::encode_frame_into(WAL_FRAME_TAG, &payload, &mut buf);
-                    } else {
-                        payload.extend_from_slice(&self.epoch.to_le_bytes());
-                        op.encode_bin(&mut payload);
-                        rl_wire::encode_frame_into(WAL_FRAME_EPOCH_TAG, &payload, &mut buf);
-                    }
-                }
-                WalFormat::V1Json => {
-                    payload = serde_json::to_string(op)
-                        .map_err(|e| {
-                            StoreError::io(
-                                "encode",
-                                &self.path,
-                                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
-                            )
-                        })?
-                        .into_bytes();
-                    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-                    buf.extend_from_slice(&payload);
-                }
+            if self.epoch == 0 {
+                op.encode_bin(&mut payload);
+                rl_wire::encode_frame_into(WAL_FRAME_TAG, &payload, &mut buf);
+            } else {
+                payload.extend_from_slice(&self.epoch.to_le_bytes());
+                op.encode_bin(&mut payload);
+                rl_wire::encode_frame_into(WAL_FRAME_EPOCH_TAG, &payload, &mut buf);
             }
         }
         if let Err(e) = self.file.write_all(&buf) {
@@ -567,8 +527,8 @@ pub struct ReadFrame {
     pub op: WalOp,
     /// Framed size on disk (header + payload), for byte-lag accounting.
     pub frame_len: u64,
-    /// Primary epoch the frame was written under (0 for legacy frames and
-    /// every v1 frame).
+    /// Primary epoch the frame was written under (0 for un-stamped
+    /// frames).
     pub epoch: u64,
 }
 
@@ -584,7 +544,6 @@ pub struct WalReader {
     path: PathBuf,
     file: File,
     pos: u64,
-    format: WalFormat,
     /// Highest epoch seen so far (markers included). A later frame with a
     /// lower epoch is stale-primary residue recovery should have
     /// truncated; the reader reports it as corruption rather than ship it.
@@ -596,30 +555,21 @@ impl WalReader {
     ///
     /// # Errors
     /// Returns [`StoreError::Io`] when the file cannot be opened/read and
-    /// [`StoreError::NotAWal`] on a foreign header. A file shorter than
-    /// the magic (creation in flight) is reported as `Io` with
-    /// `UnexpectedEof` — callers retry.
+    /// [`StoreError::NotAWal`] on a foreign (or retired-format) header. A
+    /// file shorter than the magic (creation in flight) is reported as
+    /// `Io` with `UnexpectedEof` — callers retry.
     pub fn open(path: &Path) -> Result<Self, StoreError> {
         let mut file = File::open(path).map_err(|e| StoreError::io("open", path, e))?;
         let mut magic = [0u8; WAL_MAGIC.len()];
         file.read_exact(&mut magic)
             .map_err(|e| StoreError::io("read", path, e))?;
-        let format = WalFormat::from_magic(&magic).ok_or_else(|| StoreError::NotAWal {
-            path: path.to_path_buf(),
-            msg: format!("bad magic {magic:?}"),
-        })?;
+        check_magic(path, &magic)?;
         Ok(Self {
             path: path.to_path_buf(),
             file,
             pos: WAL_MAGIC.len() as u64,
-            format,
             cur_epoch: 0,
         })
-    }
-
-    /// The segment's frame format (decided by its magic header).
-    pub fn format(&self) -> WalFormat {
-        self.format
     }
 
     /// Highest epoch observed so far (epoch-bump markers included).
@@ -642,61 +592,6 @@ impl WalReader {
         self.file
             .seek(SeekFrom::Start(self.pos))
             .map_err(|e| StoreError::io("seek", &self.path, e))?;
-        match self.format {
-            WalFormat::V1Json => self.next_frame_v1(),
-            WalFormat::V2Binary => self.next_frame_v2(),
-        }
-    }
-
-    fn next_frame_v1(&mut self) -> Result<Option<ReadFrame>, StoreError> {
-        let mut header = [0u8; 8];
-        match read_full(&mut self.file, &mut header) {
-            Ok(true) => {}
-            Ok(false) => return Ok(None),
-            Err(e) => return Err(StoreError::io("read", &self.path, e)),
-        }
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        if len > MAX_FRAME_LEN {
-            return Err(StoreError::io(
-                "read",
-                &self.path,
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("frame length {len} exceeds maximum (corrupt segment)"),
-                ),
-            ));
-        }
-        let mut payload = vec![0u8; len as usize];
-        match read_full(&mut self.file, &mut payload) {
-            Ok(true) => {}
-            Ok(false) => return Ok(None),
-            Err(e) => return Err(StoreError::io("read", &self.path, e)),
-        }
-        if crc32(&payload) != crc {
-            // Could be an append in flight (header landed, payload bytes
-            // still buffered) — report "nothing yet" and let the caller
-            // poll; a genuinely corrupt frame keeps failing and the
-            // segment-advance logic upstream turns that into a resync.
-            return Ok(None);
-        }
-        let op = serde_json::from_slice::<WalOp>(&payload).map_err(|e| {
-            StoreError::io(
-                "decode",
-                &self.path,
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
-            )
-        })?;
-        let frame_len = 8 + u64::from(len);
-        self.pos += frame_len;
-        Ok(Some(ReadFrame {
-            op,
-            frame_len,
-            epoch: 0,
-        }))
-    }
-
-    fn next_frame_v2(&mut self) -> Result<Option<ReadFrame>, StoreError> {
         // Loops only to skip epoch-bump markers (at most a handful per
         // segment); every op frame returns.
         loop {
@@ -728,7 +623,8 @@ impl WalReader {
                 Ok(tag) => tag,
                 // A CRC mismatch with all bytes present can still be an
                 // append whose payload write is racing us; report "nothing
-                // yet", as the v1 path does.
+                // yet" (a genuinely corrupt frame keeps failing, and the
+                // sender's segment-advance logic turns that into a resync).
                 Err(rl_wire::WireError::Corrupt { .. }) => return Ok(None),
                 Err(e) => return Err(self.corrupt(&e.to_string())),
             };
@@ -879,94 +775,58 @@ pub fn replay_from_epoch(path: &Path, min_epoch: u64) -> Result<ReplaySegment, S
             max_epoch: min_epoch,
         });
     }
-    let Some(format) = WalFormat::from_magic(&bytes[..WAL_MAGIC.len()]) else {
-        return Err(StoreError::NotAWal {
-            path: path.to_path_buf(),
-            msg: format!("bad magic {:?}", &bytes[..WAL_MAGIC.len()]),
-        });
-    };
+    check_magic(path, &bytes[..WAL_MAGIC.len()])?;
     let mut ops = Vec::new();
     let mut pos = WAL_MAGIC.len();
     let mut epoch = min_epoch;
-    match format {
-        // Stops at clean EOF or the first torn header. v1 frames carry no
-        // epoch (they are all epoch 0), so a non-zero floor makes the
-        // whole segment stale.
-        WalFormat::V1Json => {
-            while epoch == 0 && pos < bytes.len() {
-                let Some(header) = bytes.get(pos..pos + 8) else {
+    while pos < bytes.len() {
+        // Any parse failure — torn header, short payload, bad
+        // CRC, wrong tag, undecodable op, stale epoch — ends the
+        // valid prefix.
+        let Ok(Some((tag, payload, consumed))) = rl_wire::peek_frame(&bytes[pos..], MAX_FRAME_LEN)
+        else {
+            break;
+        };
+        match tag {
+            WAL_FRAME_TAG => {
+                if epoch > 0 {
+                    break; // un-stamped frame after a bump: stale
+                }
+                let Ok(op) = WalOp::decode_bin(payload) else {
                     break;
                 };
-                let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-                let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-                if len > MAX_FRAME_LEN {
-                    break; // torn length prefix
-                }
-                let Some(payload) = bytes.get(pos + 8..pos + 8 + len as usize) else {
-                    break; // torn payload
-                };
-                if crc32(payload) != crc {
-                    break; // corrupt frame
-                }
-                let Ok(op) = serde_json::from_slice::<WalOp>(payload) else {
-                    break; // CRC-valid but undecodable: treat as end of log
-                };
                 ops.push(op);
-                pos += 8 + len as usize;
             }
-        }
-        WalFormat::V2Binary => {
-            while pos < bytes.len() {
-                // Any parse failure — torn header, short payload, bad
-                // CRC, wrong tag, undecodable op, stale epoch — ends the
-                // valid prefix; same longest-valid-prefix semantics as v1.
-                let Ok(Some((tag, payload, consumed))) =
-                    rl_wire::peek_frame(&bytes[pos..], MAX_FRAME_LEN)
+            WAL_FRAME_EPOCH_TAG => {
+                let Some(fe) = payload
+                    .get(..8)
+                    .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
                 else {
                     break;
                 };
-                match tag {
-                    WAL_FRAME_TAG => {
-                        if epoch > 0 {
-                            break; // un-stamped frame after a bump: stale
-                        }
-                        let Ok(op) = WalOp::decode_bin(payload) else {
-                            break;
-                        };
-                        ops.push(op);
-                    }
-                    WAL_FRAME_EPOCH_TAG => {
-                        let Some(fe) = payload
-                            .get(..8)
-                            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                        else {
-                            break;
-                        };
-                        if fe < epoch {
-                            break; // stale-epoch frame
-                        }
-                        let Ok(op) = WalOp::decode_bin(&payload[8..]) else {
-                            break;
-                        };
-                        epoch = fe;
-                        ops.push(op);
-                    }
-                    WAL_EPOCH_MARK_TAG => {
-                        let Some(fe) = (payload.len() == 8)
-                            .then(|| u64::from_le_bytes(payload.try_into().unwrap()))
-                        else {
-                            break;
-                        };
-                        if fe < epoch {
-                            break; // stale marker
-                        }
-                        epoch = fe;
-                    }
-                    _ => break,
+                if fe < epoch {
+                    break; // stale-epoch frame
                 }
-                pos += consumed;
+                let Ok(op) = WalOp::decode_bin(&payload[8..]) else {
+                    break;
+                };
+                epoch = fe;
+                ops.push(op);
             }
+            WAL_EPOCH_MARK_TAG => {
+                let Some(fe) =
+                    (payload.len() == 8).then(|| u64::from_le_bytes(payload.try_into().unwrap()))
+                else {
+                    break;
+                };
+                if fe < epoch {
+                    break; // stale marker
+                }
+                epoch = fe;
+            }
+            _ => break,
         }
+        pos += consumed;
     }
     Ok(ReplaySegment {
         valid_len: pos as u64,
@@ -1223,76 +1083,27 @@ mod tests {
         ));
         // Oversized length prefix is corruption, not a retryable tail.
         let mut bytes = WAL_MAGIC.to_vec();
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(&[0, 0, 0, 0]);
+        rl_wire::encode_frame_into(WAL_FRAME_TAG, b"x", &mut bytes);
+        bytes[WAL_MAGIC.len() + 4..WAL_MAGIC.len() + 8].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let mut reader = WalReader::open(&path).unwrap();
         assert!(reader.next_frame().is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Hand-encodes a v1 (CRC'd-JSON) segment, byte-identical to what the
-    /// pre-upgrade WAL wrote — the compatibility fixture for mixed-format
-    /// recovery.
-    fn write_v1_segment(path: &Path, ops: &[WalOp]) {
-        let mut bytes = WAL_MAGIC.to_vec();
-        for op in ops {
-            let payload = serde_json::to_string(op).unwrap().into_bytes();
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-        }
-        std::fs::write(path, bytes).unwrap();
-    }
-
     #[test]
-    fn new_segments_are_v2_binary() {
-        let path = tmp("v2.log");
-        let wal = Wal::create(&path, SyncPolicy::Never).unwrap();
-        assert_eq!(wal.format(), WalFormat::V2Binary);
-        drop(wal);
-        let head = std::fs::read(&path).unwrap();
-        assert_eq!(&head[..8], &WAL_MAGIC_V2);
-        assert_eq!(
-            WalReader::open(&path).unwrap().format(),
-            WalFormat::V2Binary
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn v1_segment_replays_and_stays_v1_on_reopen() {
-        let path = tmp("v1-compat.log");
-        let ops = vec![
-            WalOp::Insert(rec(1)),
-            WalOp::Observe(rec(2)),
-            WalOp::Delete(1),
-        ];
-        write_v1_segment(&path, &ops);
-
-        // Replay decodes the JSON frames.
-        let seg = replay(&path).unwrap();
-        assert_eq!(seg.ops, ops);
-        assert_eq!(seg.torn_bytes, 0);
-
-        // The tailer reads them too (replication from an old segment).
-        let mut reader = WalReader::open(&path).unwrap();
-        assert_eq!(reader.format(), WalFormat::V1Json);
-        for want in &ops {
-            assert_eq!(&reader.next_frame().unwrap().unwrap().op, want);
+    fn retired_v1_magic_is_refused_by_name() {
+        let path = tmp("v1-refused.log");
+        std::fs::write(&path, b"RLWAL1\0\0leftover frames").unwrap();
+        for err in [
+            replay(&path).unwrap_err(),
+            WalReader::open(&path).unwrap_err(),
+            Wal::open_append(&path, SyncPolicy::Never, 8).unwrap_err(),
+        ] {
+            assert!(matches!(err, StoreError::NotAWal { .. }), "{err}");
+            assert!(err.to_string().contains("RLWAL1"), "{err}");
         }
-        assert!(reader.next_frame().unwrap().is_none());
-
-        // Reopening for append keeps the segment v1: the new frame must
-        // be readable by the same v1 replay.
-        let mut wal = Wal::open_append(&path, SyncPolicy::Never, seg.valid_len).unwrap();
-        assert_eq!(wal.format(), WalFormat::V1Json);
-        wal.append(&WalOp::Insert(rec(9))).unwrap();
-        drop(wal);
-        let seg = replay(&path).unwrap();
-        assert_eq!(seg.ops.len(), 4);
-        assert_eq!(seg.ops[3], WalOp::Insert(rec(9)));
-        assert_eq!(seg.torn_bytes, 0);
+        assert!(is_retired_v1(&path));
         std::fs::remove_file(&path).unwrap();
     }
 

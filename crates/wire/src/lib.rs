@@ -1,6 +1,6 @@
 //! # rl-wire — length-prefixed, CRC-checked binary framing
 //!
-//! The shared framing layer under protocol v7, WAL v2 segments, and the
+//! The shared framing layer under the socket protocol, WAL segments, and the
 //! replication stream. One frame on the wire is:
 //!
 //! ```text

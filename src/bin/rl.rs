@@ -25,8 +25,9 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::process::exit;
 
-fn usage() -> ! {
-    eprintln!(
+/// The usage text; it is also the list of flags that exist —
+/// [`parse_flags`] rejects any `--flag` that does not appear in it.
+const USAGE: &str =
         "usage:\n  rl generate --source ncvr|dblp --records N --scheme pl|ph \
          [--seed S] --out-a A.csv --out-b B.csv [--out-truth T.csv]\n  \
          rl link --a A.csv --b B.csv --rule EXPR --out M.csv [--header] \
@@ -41,18 +42,22 @@ fn usage() -> ! {
          [--workers N] [--queue N] [--snapshot PATH] [--slow-ms MS] [--seed S] \
          [--data-dir DIR] [--checkpoint-every SECS] [--wal-sync-ms MS] \
          [--allow-replicas] [--replicate-from HOST:PORT] [--max-subscriptions N] \
-         [--no-reactor] [--block-store memory|mmap] [--block-dir DIR] \
+         [--lease-ms MS] [--sync-replicas N] [--quorum-timeout-ms MS] \
+         [--auto-failover] [--peers HOST:PORT,...] \
+         [--block-store memory|mmap] [--block-dir DIR] \
          [--block-cap N] [--block-cap-mode chain|drop] [--block-top-k N] \
          [--block-compact-ratio R]\n  \
-         rl promote [--addr HOST:PORT] [--timeout-ms MS] [--json]\n  \
+         rl promote [--addr HOST:PORT] [--timeout-ms MS]\n  \
          rl reshard --mode split|merge --source N [--target N] \
-         [--addr HOST:PORT] [--timeout-ms MS] [--json]\n  \
+         [--addr HOST:PORT] [--timeout-ms MS]\n  \
          rl client --cmd stats|metrics|dedup-status|repl-status|shard-map|migration-status|shutdown|snapshot|index|insert|delete|probe|stream|watch \
          [--addr HOST:PORT] [--input F.csv] [--out M.csv] [--path SNAP] [--ids 1,2,...] \
-         [--header] [--id-column N] [--timeout-ms MS] [--prometheus] [--json]\n  \
+         [--header] [--id-column N] [--timeout-ms MS] [--prometheus]\n  \
          rl client --cmd watch --rule EXPR [--window N | --window-ms MS] \
-         [--late drop|apply] [--cap N] [--limit N] [--addr HOST:PORT]"
-    );
+         [--late drop|apply] [--cap N] [--limit N] [--addr HOST:PORT]";
+
+fn usage() -> ! {
+    eprintln!("{USAGE}");
     exit(2)
 }
 
@@ -86,16 +91,18 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             eprintln!("unexpected argument {:?}", args[i]);
             usage();
         }
+        let is_flag_char = |c: char| c.is_ascii_alphanumeric() || c == '-';
+        if !USAGE
+            .split(|c| !is_flag_char(c))
+            .any(|word| word == args[i])
+        {
+            eprintln!("unknown flag {}", args[i]);
+            usage();
+        }
         // Boolean flags take no value.
         if matches!(
             key.as_str(),
-            "header"
-                | "report"
-                | "prometheus"
-                | "allow-replicas"
-                | "no-reactor"
-                | "json"
-                | "auto-failover"
+            "header" | "report" | "prometheus" | "allow-replicas" | "auto-failover"
         ) {
             flags.insert(key, "true".into());
             i += 1;
@@ -472,7 +479,7 @@ fn dedup(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// Runs the persistent linkage service: builds a fresh sharded index (or
 /// restores it from `--snapshot` when the file exists) and serves the
-/// newline-delimited JSON protocol until a client sends `Shutdown`.
+/// framed protocol until a client sends `Shutdown`.
 ///
 /// With `--data-dir` the server runs durably: startup recovers the index
 /// from the directory's checkpoint + WAL tail, every mutation is
@@ -559,9 +566,6 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if sync_replicas > 0 && !allow_replicas {
         return Err("--sync-replicas only applies to primaries (--allow-replicas)".into());
     }
-    // The readiness-driven reactor (Linux) is the default; --no-reactor
-    // forces the classic thread-per-connection accept loop.
-    let reactor = !flags.contains_key("no-reactor");
     if allow_replicas && replicate_from.is_some() {
         // Follower fan-out (a replica re-serving the stream) is future
         // work; today a node is a primary or a follower, not both.
@@ -611,7 +615,6 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
             ReplRole::Standalone
         },
         max_subscriptions,
-        reactor,
         lease_ms,
         sync_replicas,
         quorum_timeout: std::time::Duration::from_millis(quorum_timeout_ms),
@@ -629,7 +632,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
             Follower::spawn(follower_config).map_err(|e| format!("cannot start follower: {e}"))?;
         eprintln!(
             "rl-server listening on {} (follower of {primary}{}, data dir {}); \
-             send {{\"Shutdown\":null}} to stop, {{\"Promote\":null}} to promote",
+             `rl client --cmd shutdown` stops it, `rl promote` promotes it",
             follower.local_addr(),
             if auto_failover { ", auto-failover" } else { "" },
             dir.display()
@@ -649,7 +652,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
         )
         .map_err(|e| format!("cannot start server: {e}"))?;
         eprintln!(
-            "rl-server listening on {} (durable{}, data dir {}); send {{\"Shutdown\":null}} to stop",
+            "rl-server listening on {} (durable{}, data dir {}); `rl client --cmd shutdown` stops it",
             server.local_addr(),
             if allow_replicas {
                 ", serving replicas"
@@ -725,7 +728,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let server = server.map_err(|e| format!("cannot start server: {e}"))?;
 
     eprintln!(
-        "rl-server listening on {} ({shard_count} shards); send {{\"Shutdown\":null}} to stop",
+        "rl-server listening on {} ({shard_count} shards); `rl client --cmd shutdown` stops it",
         server.local_addr()
     );
     server.wait();
@@ -814,12 +817,7 @@ fn promote(flags: &HashMap<String, String>) -> Result<(), String> {
     } else {
         Some(std::time::Duration::from_millis(timeout_ms))
     };
-    let mut client = if flags.contains_key("json") {
-        Client::connect_with_timeout(&*addr, timeout)
-    } else {
-        Client::connect_binary_with_timeout(&*addr, timeout)
-    }
-    .map_err(|e| e.to_string())?;
+    let mut client = Client::connect_with_timeout(&*addr, timeout).map_err(|e| e.to_string())?;
     let (head_seq, was_follower, epoch) = client.promote().map_err(|e| e.to_string())?;
     if was_follower {
         eprintln!("{addr} promoted to primary at op seq {head_seq} (epoch {epoch})");
@@ -864,12 +862,7 @@ fn reshard(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         other => return Err(format!("unknown --mode {other:?} (split|merge)")),
     };
-    let mut client = if flags.contains_key("json") {
-        Client::connect_with_timeout(&*addr, timeout)
-    } else {
-        Client::connect_binary_with_timeout(&*addr, timeout)
-    }
-    .map_err(|e| e.to_string())?;
+    let mut client = Client::connect_with_timeout(&*addr, timeout).map_err(|e| e.to_string())?;
 
     let before = client.shard_map().map_err(|e| e.to_string())?;
     let (kind, src, target, total) = client.reshard(op).map_err(|e| e.to_string())?;
@@ -926,15 +919,7 @@ fn client(flags: &HashMap<String, String>) -> Result<(), String> {
     } else {
         Some(std::time::Duration::from_millis(timeout_ms))
     };
-    // Binary (protocol v7) by default, with transparent JSON fallback on
-    // old servers; --json forces the line protocol (e.g. for debugging
-    // with a packet capture).
-    let mut client = if flags.contains_key("json") {
-        Client::connect_with_timeout(&*addr, timeout)
-    } else {
-        Client::connect_binary_with_timeout(&*addr, timeout)
-    }
-    .map_err(|e| e.to_string())?;
+    let mut client = Client::connect_with_timeout(&*addr, timeout).map_err(|e| e.to_string())?;
 
     let read_file = |key: &str| -> Result<Vec<Record>, String> {
         let path = req(flags, key)?;

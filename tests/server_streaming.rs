@@ -8,7 +8,10 @@ use rand::SeedableRng;
 use record_linkage::cbv_hb::pipeline::LinkageConfig;
 use record_linkage::cbv_hb::sharded::ShardedPipeline;
 use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
-use record_linkage::server::{Client, LateArrival, Server, ServerConfig, WatchEvent, WindowSpec};
+use record_linkage::server::{
+    Client, ClientError, ErrorCode, LateArrival, Server, ServerConfig, WatchEvent, WindowSpec,
+};
+use std::time::Duration;
 
 fn pipeline(seed: u64, shards: usize) -> ShardedPipeline {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -244,4 +247,53 @@ fn unsubscribe_from_another_connection_ends_the_stream() {
 
     admin.shutdown().unwrap();
     server.wait();
+}
+
+/// A streaming verb owns its connection whether it is accepted or
+/// refused: a refusal is one typed error, then the server closes.
+#[test]
+fn refused_subscription_is_a_typed_error_then_close() {
+    let server = spawn(65);
+    let addr = server.local_addr();
+
+    let mut sub = Client::connect(addr).unwrap();
+    match sub.subscribe_matches("not a rule", WindowSpec::Count(10), LateArrival::Drop, 0) {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Parse, "{}", e.message),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    match sub.next_watch_event() {
+        Err(ClientError::Protocol(msg)) => assert!(msg.contains("closed"), "{msg}"),
+        other => panic!("the refused connection must be closed, got {other:?}"),
+    }
+    // After a reconnect the client is a request/reply client again.
+    sub.reconnect().unwrap();
+    assert_eq!(sub.stats().unwrap().indexed, 0);
+
+    sub.shutdown().unwrap();
+    server.wait();
+}
+
+/// `wait()` joins the streaming threads the reactor detached: once it
+/// returns, a live subscription's connection has already been closed —
+/// nothing is still writing to a socket behind the final WAL sync and
+/// shutdown snapshot.
+#[test]
+fn wait_returns_only_after_a_live_subscription_stream_has_ended() {
+    let server = spawn(66);
+    let addr = server.local_addr();
+
+    let mut sub = Client::connect(addr).unwrap();
+    sub.subscribe_matches("0<=2", WindowSpec::Count(10), LateArrival::Drop, 0)
+        .unwrap();
+
+    server.shutdown();
+    server.wait();
+
+    // No waiting allowed: whatever the stream wrote is already buffered
+    // and the close already happened, or the thread outlived `wait()`.
+    sub.set_timeout(Some(Duration::from_millis(1))).unwrap();
+    match sub.next_watch_event() {
+        Err(ClientError::Protocol(msg)) => assert!(msg.contains("closed"), "{msg}"),
+        other => panic!("stream thread still alive after wait(): {other:?}"),
+    }
 }

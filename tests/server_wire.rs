@@ -1,19 +1,22 @@
-//! Protocol v7 negotiation and binary framing over real TCP: upgrade in
-//! both directions (new client / old server, old client / new server),
-//! the full typed API over binary frames, pipelined probes, corrupt /
-//! truncated frame handling, and the raw checkpoint transfer.
+//! The one transport over real TCP: the `Upgrade` handshake and its
+//! refusals, frames split across TCP segments, malformed frame bodies,
+//! the full typed API, pipelined probes, and corrupt / truncated frame
+//! handling on the client side.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use record_linkage::cbv_hb::pipeline::LinkageConfig;
 use record_linkage::cbv_hb::sharded::ShardedPipeline;
 use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
+use record_linkage::server::protocol::wire;
 use record_linkage::server::{
     Client, ClientError, ErrorCode, Reply, Request, Response, Server, ServerConfig,
 };
 use record_linkage::textdist::Alphabet;
+use rl_wire::FrameReader;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::Duration;
 
 fn pipeline(seed: u64, shards: usize) -> ShardedPipeline {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -48,11 +51,93 @@ fn records(salt: u64, base: u64, n: u64) -> Vec<Record> {
         .collect()
 }
 
+/// Sends `first_line` on a fresh connection and returns the one line the
+/// server answers it with, plus the connection.
+fn open_with(addr: SocketAddr, first_line: &str) -> (Response, BufReader<TcpStream>) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.write_all(first_line.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let response =
+        serde_json::from_str(&line).unwrap_or_else(|e| panic!("not a response line ({e}): {line}"));
+    (response, reader)
+}
+
+/// A raw framed connection: the handshake done by hand, then frames.
+fn raw_connect(addr: SocketAddr) -> (TcpStream, FrameReader<TcpStream>) {
+    let (response, reader) = open_with(addr, "{\"Upgrade\":{\"max_version\":11}}\n");
+    assert_eq!(response, Response::Ok(Reply::Upgraded { version: 11 }));
+    assert!(
+        reader.buffer().is_empty(),
+        "nothing follows the ack unasked"
+    );
+    let stream = reader.into_inner();
+    let frames = FrameReader::new(stream.try_clone().unwrap());
+    (stream, frames)
+}
+
+fn request_frame(id: u64, request: &Request) -> Vec<u8> {
+    let mut payload = Vec::new();
+    wire::encode_request(id, request, &mut payload).unwrap();
+    let mut frame = Vec::new();
+    rl_wire::encode_frame_into(wire::TAG_REQUEST, &payload, &mut frame);
+    frame
+}
+
+fn read_response(frames: &mut FrameReader<TcpStream>) -> (u64, Response) {
+    let (tag, payload) = frames.read_frame().unwrap().expect("a response frame");
+    assert_eq!(tag, wire::TAG_RESPONSE);
+    wire::decode_response(payload).unwrap()
+}
+
+fn assert_refused_then_closed(addr: SocketAddr, first_line: &str, code: ErrorCode) -> String {
+    let (response, mut reader) = open_with(addr, first_line);
+    let Response::Err(err) = response else {
+        panic!("{first_line:?} must be refused, got {response:?}")
+    };
+    assert_eq!(err.code, code, "{}", err.message);
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "exactly one line, then EOF: {rest:?}");
+    err.message
+}
+
 #[test]
-fn v7_client_downgrades_against_v6_server() {
-    // A pre-v7 server does not know the `Upgrade` verb; its JSON parser
-    // answers with a typed Parse error, and the client must fall back to
-    // JSON — not error out, not switch modes.
+fn non_upgrade_first_line_gets_one_typed_error_line_then_eof() {
+    let server = Server::spawn(pipeline(60, 1), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    // Garbage, and a well-formed request of the retired line protocol.
+    assert_refused_then_closed(addr, "this is not json\n", ErrorCode::Parse);
+    let message = assert_refused_then_closed(addr, "{\"Stats\":null}\n", ErrorCode::Parse);
+    assert!(message.contains("Upgrade"), "says what to send: {message}");
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    server.wait();
+}
+
+#[test]
+fn upgrade_below_the_first_binary_version_is_refused() {
+    let server = Server::spawn(pipeline(61, 1), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let message = assert_refused_then_closed(
+        addr,
+        "{\"Upgrade\":{\"max_version\":6}}\n",
+        ErrorCode::Unavailable,
+    );
+    assert!(message.contains("version 6"), "{message}");
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    server.wait();
+}
+
+#[test]
+fn client_surfaces_a_refused_handshake_as_the_typed_error() {
+    // A peer that answers the `Upgrade` line with an error (a pre-framing
+    // server did, with `Parse`): the client reports it; there is no
+    // second transport to fall back to.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let mock = std::thread::spawn(move || {
@@ -64,49 +149,94 @@ fn v7_client_downgrades_against_v6_server() {
             line.contains("Upgrade"),
             "client must negotiate before anything else, got: {line}"
         );
-        // Byte-for-byte what the v6 serve loop sends for an unknown verb.
         let out = "{\"Err\":{\"code\":\"Parse\",\"message\":\"bad request: unknown variant `Upgrade`\"}}\n";
         (&stream).write_all(out.as_bytes()).unwrap();
-        // The client stays on JSON: serve one Stats request to prove the
-        // connection survived the failed negotiation.
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("Stats"), "expected a JSON Stats line: {line}");
-        let stats = serde_json::to_string(&Response::Ok(Reply::ShuttingDown)).unwrap();
-        (&stream)
-            .write_all(format!("{stats}\n").as_bytes())
-            .unwrap();
     });
-
-    let mut client = Client::connect_binary(addr).unwrap();
-    assert!(
-        !client.is_binary(),
-        "v6 server must leave the client on JSON"
-    );
-    // The connection is still usable in JSON mode after the downgrade.
-    let reply = client.call(&Request::Stats).unwrap();
-    assert!(matches!(reply, Reply::ShuttingDown));
+    match Client::connect(addr) {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Parse),
+        other => panic!("expected the typed refusal, got {:?}", other.err()),
+    }
     mock.join().unwrap();
 }
 
 #[test]
-fn v6_client_stays_json_against_v7_server() {
-    let server = Server::spawn(pipeline(61, 1), ServerConfig::default()).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    assert!(!client.is_binary(), "plain connect never negotiates");
-    client.index(&records(3, 0, 50)).unwrap();
-    let (pairs, _) = client.probe(&records(3, 1000, 50)).unwrap();
-    assert_eq!(pairs.len(), 50);
-    let c = Client::connect(server.local_addr()).unwrap();
-    c.shutdown().unwrap();
+fn frame_split_across_tcp_segments_survives_poll_timeouts() {
+    // The reactor's poll times out every 100 ms with nothing to read;
+    // bytes of a partial frame must ride in the connection buffer across
+    // those wake-ups, wherever the split falls.
+    let server = Server::spawn(pipeline(66, 1), ServerConfig::default()).unwrap();
+    let (mut stream, mut frames) = raw_connect(server.local_addr());
+    let frame = request_frame(7, &Request::Stats);
+    let mid_header = rl_wire::HEADER_LEN / 2;
+    let mid_payload = rl_wire::HEADER_LEN + (frame.len() - rl_wire::HEADER_LEN) / 2;
+    for (id, cut) in [(7, mid_header), (8, mid_payload)] {
+        let frame = request_frame(id, &Request::Stats);
+        stream.write_all(&frame[..cut]).unwrap();
+        std::thread::sleep(Duration::from_millis(350));
+        stream.write_all(&frame[cut..]).unwrap();
+        match read_response(&mut frames) {
+            (got, Response::Ok(Reply::Stats(stats))) => {
+                assert_eq!(got, id);
+                assert_eq!(stats.protocol_version, 11);
+            }
+            other => panic!("split frame was not answered as one request: {other:?}"),
+        }
+    }
+    stream
+        .write_all(&request_frame(9, &Request::Shutdown))
+        .unwrap();
+    assert_eq!(
+        read_response(&mut frames),
+        (9, Response::Ok(Reply::ShuttingDown))
+    );
+    assert!(
+        frames.read_frame().unwrap().is_none(),
+        "the Shutdown ack closes the connection"
+    );
+    server.wait();
+}
+
+#[test]
+fn malformed_frame_body_gets_typed_parse_and_the_connection_survives() {
+    let server = Server::spawn(pipeline(67, 1), ServerConfig::default()).unwrap();
+    let (mut stream, mut frames) = raw_connect(server.local_addr());
+    // A well-framed (CRC-valid) request whose body is not a request: id,
+    // the JSON body format byte, then text that is not JSON.
+    let mut payload = 5u64.to_le_bytes().to_vec();
+    payload.push(0);
+    payload.extend_from_slice(b"this is not json");
+    let mut frame = Vec::new();
+    rl_wire::encode_frame_into(wire::TAG_REQUEST, &payload, &mut frame);
+    stream.write_all(&frame).unwrap();
+    match read_response(&mut frames) {
+        (_, Response::Err(e)) => assert_eq!(e.code, ErrorCode::Parse, "{}", e.message),
+        other => panic!("expected a typed Parse error, got {other:?}"),
+    }
+    // Framing was intact, so the stream is still in sync.
+    stream
+        .write_all(&request_frame(6, &Request::Stats))
+        .unwrap();
+    assert!(matches!(
+        read_response(&mut frames),
+        (6, Response::Ok(Reply::Stats(_)))
+    ));
+    // A frame that fails its CRC has no resync point: the server closes.
+    let mut corrupt = request_frame(7, &Request::Stats);
+    let last = corrupt.len() - 1;
+    corrupt[last] ^= 0x40;
+    stream.write_all(&corrupt).unwrap();
+    assert!(frames.read_frame().unwrap().is_none(), "closed, no reply");
+    Client::connect(server.local_addr())
+        .unwrap()
+        .shutdown()
+        .unwrap();
     server.wait();
 }
 
 #[test]
 fn binary_session_serves_the_full_typed_api() {
     let server = Server::spawn(pipeline(62, 2), ServerConfig::default()).unwrap();
-    let mut client = Client::connect_binary(server.local_addr()).unwrap();
-    assert!(client.is_binary(), "v7 server must upgrade the connection");
+    let mut client = Client::connect(server.local_addr()).unwrap();
 
     client.index(&records(4, 0, 100)).unwrap();
     let (pairs, _) = client.probe(&records(4, 1000, 100)).unwrap();
@@ -123,9 +253,7 @@ fn binary_session_serves_the_full_typed_api() {
         .unwrap();
     assert!(matches.is_empty());
 
-    // A second upgrade on a live binary connection is an idempotent ack.
     // (`stream` above indexed its record, hence 101.)
-    assert!(client.upgrade().unwrap());
     assert_eq!(client.stats().unwrap().indexed, 101);
 
     // Typed errors survive the frame envelope.
@@ -143,7 +271,7 @@ fn binary_session_serves_the_full_typed_api() {
 #[test]
 fn pipelined_probes_match_sequential_results() {
     let server = Server::spawn(pipeline(63, 2), ServerConfig::default()).unwrap();
-    let mut client = Client::connect_binary(server.local_addr()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
     client.index(&records(7, 0, 200)).unwrap();
 
     let batches: Vec<Vec<Record>> = (0..16).map(|b| records(7, 5000 + b * 100, 10)).collect();
@@ -171,7 +299,7 @@ fn pipelined_probes_match_sequential_results() {
 #[test]
 fn pipelined_error_is_typed_and_connection_survives() {
     let server = Server::spawn(pipeline(64, 1), ServerConfig::default()).unwrap();
-    let mut client = Client::connect_binary(server.local_addr()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
     client.index(&records(9, 0, 50)).unwrap();
 
     // One malformed batch (wrong field count) in the middle: the call
@@ -203,7 +331,7 @@ fn mock_v7_server(
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         assert!(line.contains("Upgrade"));
-        let ack = serde_json::to_string(&Response::Ok(Reply::Upgraded { version: 7 })).unwrap();
+        let ack = serde_json::to_string(&Response::Ok(Reply::Upgraded { version: 11 })).unwrap();
         (&stream).write_all(format!("{ack}\n").as_bytes()).unwrap();
         after(stream);
     });
@@ -222,8 +350,7 @@ fn mid_frame_close_is_frame_corrupt() {
         (&stream).write_all(&frame[..frame.len() - 10]).unwrap();
         drop(stream);
     });
-    let mut client = Client::connect_binary(addr).unwrap();
-    assert!(client.is_binary());
+    let mut client = Client::connect(addr).unwrap();
     client.send(&Request::Stats).unwrap();
     match client.recv() {
         Err(ClientError::FrameCorrupt(_)) => {}
@@ -253,7 +380,7 @@ fn bit_flipped_frame_is_frame_corrupt_not_misparse() {
         (&stream).write_all(&frame).unwrap();
         drop(stream);
     });
-    let mut client = Client::connect_binary(addr).unwrap();
+    let mut client = Client::connect(addr).unwrap();
     client.send(&Request::Stats).unwrap();
     match client.recv() {
         Err(ClientError::FrameCorrupt(_)) => {}
@@ -263,10 +390,49 @@ fn bit_flipped_frame_is_frame_corrupt_not_misparse() {
 }
 
 #[test]
-fn shutdown_round_trips_in_binary_mode() {
+fn silence_after_the_handshake_is_a_timeout_not_a_hang() {
+    let (addr, mock) = mock_v7_server(|stream| {
+        // Swallow the request, answer nothing, hold the socket open.
+        let mut buf = [0u8; 1024];
+        let _ = (&stream).read(&mut buf).unwrap();
+        std::thread::sleep(Duration::from_secs(1));
+        drop(stream);
+    });
+    let mut client = Client::connect_with_timeout(addr, Some(Duration::from_millis(200))).unwrap();
+    let t0 = std::time::Instant::now();
+    match client.call(&Request::Snapshot { path: None }) {
+        Err(ClientError::Timeout) => {}
+        other => panic!("expected Timeout, got {other:?}"),
+    }
+    assert!(
+        t0.elapsed() < Duration::from_millis(900),
+        "returned promptly"
+    );
+    mock.join().unwrap();
+}
+
+#[test]
+fn shutdown_round_trips() {
     let server = Server::spawn(pipeline(65, 1), ServerConfig::default()).unwrap();
-    let client = Client::connect_binary(server.local_addr()).unwrap();
-    assert!(client.is_binary());
+    let client = Client::connect(server.local_addr()).unwrap();
     client.shutdown().unwrap();
     server.wait();
+}
+
+/// The options that selected the deleted paths are gone from the CLI, not
+/// silently ignored.
+#[test]
+fn cli_rejects_the_retired_transport_flags() {
+    for args in [
+        &["serve", "--rule", "0<=4", "--fields", "1", "--no-reactor"][..],
+        &["client", "--json", "--cmd", "stats"][..],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_rl"))
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
 }
