@@ -36,7 +36,7 @@
 //! `base + delta − dead` into generation `N+1` (write to a temp file,
 //! fsync, rename), then prunes generations older than `N`.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
@@ -46,6 +46,7 @@ use std::sync::Arc;
 use rl_wire::{encode_frame_into, peek_frame, WireError, DEFAULT_MAX_FRAME, HEADER_LEN};
 use serde::{Deserialize, Serialize};
 
+use crate::hash::{WordMap, WordSet};
 use crate::{BlockPolicy, BlockStorage, CapMode, StoreError, StoreStats, HISTOGRAM_BINS};
 
 /// Frame tags (namespaced away from the network protocol's tag space —
@@ -558,11 +559,11 @@ pub struct MmapStore {
     generation: u64,
     num_tables: usize,
     base: Option<Arc<Base>>,
-    delta: Vec<HashMap<u128, Vec<u64>>>,
+    delta: Vec<WordMap<u128, Vec<u64>>>,
     /// Keys whose base bucket was scrubbed into the delta: probes must
     /// skip the base layer for these.
-    overridden: Vec<HashSet<u128>>,
-    dead: HashSet<u64>,
+    overridden: Vec<WordSet<u128>>,
+    dead: WordSet<u64>,
     dropped: u64,
     needs_rebuild: bool,
 }
@@ -576,9 +577,9 @@ impl MmapStore {
             generation: 0,
             num_tables: l,
             base: None,
-            delta: (0..l).map(|_| HashMap::new()).collect(),
-            overridden: (0..l).map(|_| HashSet::new()).collect(),
-            dead: HashSet::new(),
+            delta: (0..l).map(|_| WordMap::default()).collect(),
+            overridden: (0..l).map(|_| WordSet::default()).collect(),
+            dead: WordSet::default(),
             dropped: 0,
             needs_rebuild: false,
         }
@@ -676,7 +677,9 @@ impl BlockStorage for MmapStore {
     }
 
     fn insert(&mut self, table: usize, key: u128, id: u64, policy: &BlockPolicy) -> bool {
-        self.dead.remove(&id);
+        if !self.dead.is_empty() {
+            self.dead.remove(&id);
+        }
         if policy.max_block_size > 0 && policy.cap_mode == CapMode::Drop {
             let (live, _) = self.live_and_dead(table, key);
             if live >= policy.max_block_size {
@@ -844,8 +847,8 @@ impl BlockStorage for MmapStore {
         let base = Base::open(&final_path, self.num_tables, next)?;
         self.base = Some(Arc::new(base));
         self.generation = next;
-        self.delta.iter_mut().for_each(HashMap::clear);
-        self.overridden.iter_mut().for_each(HashSet::clear);
+        self.delta.iter_mut().for_each(WordMap::clear);
+        self.overridden.iter_mut().for_each(WordSet::clear);
         self.dead.clear();
         self.needs_rebuild = false;
 
@@ -921,8 +924,8 @@ impl BlockStorage for MmapStore {
     fn clear(&mut self) {
         self.base = None;
         self.generation = 0;
-        self.delta.iter_mut().for_each(HashMap::clear);
-        self.overridden.iter_mut().for_each(HashSet::clear);
+        self.delta.iter_mut().for_each(WordMap::clear);
+        self.overridden.iter_mut().for_each(WordSet::clear);
         self.dead.clear();
         self.dropped = 0;
         self.needs_rebuild = false;
@@ -938,7 +941,7 @@ struct MmapRepr {
     dir: String,
     generation: u64,
     num_tables: usize,
-    delta: Vec<HashMap<u128, Vec<u64>>>,
+    delta: Vec<WordMap<u128, Vec<u64>>>,
     overridden: Vec<Vec<u128>>,
     dead: Vec<u64>,
     dropped: u64,

@@ -33,15 +33,20 @@
 //!   id; a bucket is scrubbed in place when its dead fraction crosses the
 //!   threshold, so long-running mutable servers do not degrade.
 //!
+//! Both keep their mutable tables and tombstones in hash maps under one
+//! process-keyed word hasher ([`hash`]).
+//!
 //! The two implementations are *candidate-set equivalent*: the same
 //! insert/remove/probe sequence yields byte-identical id streams (a
 //! property-tested invariant), so a serving pipeline can switch stores
 //! without changing match results.
 
 mod disk;
+pub mod hash;
 mod mem;
 
 pub use disk::MmapStore;
+pub use hash::{WordMap, WordSet};
 pub use mem::InMemoryStore;
 
 use serde::{Deserialize, Serialize};

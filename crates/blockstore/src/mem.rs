@@ -1,10 +1,9 @@
 //! Heap-resident [`BlockStorage`]: the historical `HashMap` blocking
 //! tables, now policy-aware (cap, top-k handled by callers, tombstones).
 
-use std::collections::{HashMap, HashSet};
-
 use serde::{Deserialize, Serialize};
 
+use crate::hash::{WordMap, WordSet};
 use crate::{BlockPolicy, BlockStorage, CapMode, StoreError, StoreStats, HISTOGRAM_BINS};
 
 /// `L` in-memory hash tables with a shared tombstone set.
@@ -14,8 +13,8 @@ use crate::{BlockPolicy, BlockStorage, CapMode, StoreError, StoreStats, HISTOGRA
 /// threshold, and [`InMemoryStore::compact`] scrubs everything.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct InMemoryStore {
-    tables: Vec<HashMap<u128, Vec<u64>>>,
-    dead: HashSet<u64>,
+    tables: Vec<WordMap<u128, Vec<u64>>>,
+    dead: WordSet<u64>,
     dropped: u64,
 }
 
@@ -23,8 +22,8 @@ impl InMemoryStore {
     /// An empty store with `l` tables.
     pub fn new(l: usize) -> Self {
         Self {
-            tables: (0..l).map(|_| HashMap::new()).collect(),
-            dead: HashSet::new(),
+            tables: (0..l).map(|_| WordMap::default()).collect(),
+            dead: WordSet::default(),
             dropped: 0,
         }
     }
@@ -43,7 +42,9 @@ impl BlockStorage for InMemoryStore {
     }
 
     fn insert(&mut self, table: usize, key: u128, id: u64, policy: &BlockPolicy) -> bool {
-        self.dead.remove(&id);
+        if !self.dead.is_empty() {
+            self.dead.remove(&id);
+        }
         let bucket = self.tables[table].entry(key).or_default();
         if policy.max_block_size > 0 && policy.cap_mode == CapMode::Drop {
             let live = if self.dead.is_empty() {

@@ -22,19 +22,33 @@
 //!     comparison";
 //!   - compound rules (the paper's C1/C2/C3) compose recursively: union for
 //!     OR of subrules, intersection for AND of subrules.
+//!
+//! **Keys.** A structure never asks its hash families for a key one table
+//! and one bit at a time. Its families are compiled once — when the
+//! structure is built, and again by [`BlockingPlan::compile_kernels`] after
+//! a plan was deserialized, never serialized — into a
+//! [`rl_lsh::KeyKernel`] over the *packed record-level c-vector*: the
+//! record's attribute vectors concatenated into two to five `u64` words on
+//! the stack ([`EmbeddedRecord::pack_into`]). One call,
+//! [`BlockingStructure::keys_into`], yields all `L` keys and serves insert,
+//! remove, bucket inspection and probing; the families' own
+//! `key`/`key_concat` stay as the definition the kernels are tested
+//! bit-identical against.
+//!
+//! **Candidate sets** are sorted, de-duplicated `Vec<u64>`s. A
+//! single-structure plan gathers its bucket ids into the caller's
+//! [`ProbeScratch`] and sorts them; compound plans intersect, unite and
+//! subtract by merging sorted vectors.
 
 use crate::error::{Error, Result};
 use crate::rule::{Pred, Rule};
 use crate::schema::{EmbeddedRecord, RecordSchema};
 use rand::Rng;
-use rl_bitvec::BitVec;
 use rl_blockstore::{BlockPolicy, StoreKind, TableSet};
 use rl_lsh::backend::{Backend, BackendKind, BlockingBackend};
-use rl_lsh::hashfn::KeyAccumulator;
 use rl_lsh::params::{and_probability, base_success_probability, optimal_l, or_probability};
-use rl_lsh::{BitSampleFamily, BitSampler, CoveringFamily};
+use rl_lsh::{BitSampleFamily, BitSampler, CoveringFamily, KeyKernel};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::path::Path;
 
 /// Where a backend samples its bits from.
@@ -59,21 +73,39 @@ struct SubFamily {
 }
 
 impl SubFamily {
-    fn key(&self, rec: &EmbeddedRecord, l: usize) -> u128 {
-        match &self.source {
-            Source::Record => self.backend.key_concat(l, &rec.attr_refs()),
-            Source::Attr(i) => self.backend.key(l, &rec.attrs[*i]),
-            Source::Attrs(attrs) => {
-                let refs: Vec<&BitVec> = attrs.iter().map(|&i| &rec.attrs[i]).collect();
-                self.backend.key_concat(l, &refs)
-            }
-        }
-    }
-
     fn key_bits(&self, l: usize) -> usize {
         self.backend.key_bits(l)
     }
+
+    /// For each position of the vector this family hashes, its bit offset
+    /// in the packed record-level c-vector of `schema`.
+    fn position_map(&self, schema: &RecordSchema) -> Vec<u32> {
+        let span = |attr: usize| {
+            let offset = schema.attr_offset(attr) as u32;
+            offset..offset + schema.specs()[attr].m as u32
+        };
+        match &self.source {
+            Source::Record => (0..schema.total_size() as u32).collect(),
+            Source::Attr(attr) => span(*attr).collect(),
+            Source::Attrs(attrs) => attrs.iter().flat_map(|&attr| span(attr)).collect(),
+        }
+    }
 }
+
+/// A structure's families compiled against one schema's record layout.
+/// Derived state: rebuilt from the families, never written to a snapshot.
+#[derive(Debug, Clone, Default)]
+struct CompiledKeys {
+    kernel: KeyKernel,
+    /// `m̄` of the schema the kernel was compiled for: the size every
+    /// record it keys must have.
+    record_bits: usize,
+    /// The last insert's or remove's keys, kept for its buffer.
+    scratch: Vec<u128>,
+}
+
+/// Records of up to this many words (512 bits) are packed on the stack.
+const STACK_WORDS: usize = 8;
 
 /// A blocking structure: `L` hash tables `T_l`, each keyed by a composite
 /// hash built from one or more sub-families (one per fused conjunct).
@@ -98,9 +130,57 @@ pub struct BlockingStructure {
     /// many flipped bits (0 = exact probing).
     #[serde(default)]
     probe_flips: u32,
+    /// `families`, compiled (see the module documentation).
+    #[serde(skip)]
+    keys: CompiledKeys,
 }
 
 impl BlockingStructure {
+    /// Assembles a structure over empty in-memory tables and compiles its
+    /// key kernel against `schema`.
+    fn assemble(
+        schema: &RecordSchema,
+        label: String,
+        families: Vec<SubFamily>,
+        p_collide: f64,
+        conjuncts: Vec<Pred>,
+        probe_flips: u32,
+    ) -> Self {
+        let l = families[0].backend.l();
+        let mut structure = Self {
+            label,
+            families,
+            store: TableSet::memory(l),
+            p_collide,
+            conjuncts,
+            probe_flips,
+            keys: CompiledKeys::default(),
+        };
+        structure.compile_kernel(schema);
+        structure
+    }
+
+    /// (Re)compiles the key kernel against `schema`'s record layout — the
+    /// schema the structure was built for.
+    fn compile_kernel(&mut self, schema: &RecordSchema) {
+        let maps: Vec<Vec<u32>> = self
+            .families
+            .iter()
+            .map(|f| f.position_map(schema))
+            .collect();
+        let families: Vec<(&Backend, &[u32])> = self
+            .families
+            .iter()
+            .zip(&maps)
+            .map(|(f, map)| (&f.backend, map.as_slice()))
+            .collect();
+        self.keys = CompiledKeys {
+            kernel: KeyKernel::compile(&families),
+            record_bits: schema.total_size(),
+            scratch: Vec::new(),
+        };
+    }
+
     /// Builds the record-level HB structure: keys sample `k` bits uniformly
     /// from the `m̄`-bit record-level c-vector; `theta` is the record-level
     /// Hamming threshold used for the `L` computation.
@@ -129,17 +209,17 @@ impl BlockingStructure {
         }
         let l = optimal_l(p_collide, delta);
         let family = BitSampleFamily::random(m, k as usize, l, rng)?;
-        Ok(Self {
-            label: format!("record-level(theta={theta},K={k},L={l})"),
-            families: vec![SubFamily {
+        Ok(Self::assemble(
+            schema,
+            format!("record-level(theta={theta},K={k},L={l})"),
+            vec![SubFamily {
                 source: Source::Record,
                 backend: Backend::RandomSampling(family),
             }],
-            store: TableSet::memory(l),
             p_collide,
-            conjuncts: Vec::new(),
-            probe_flips: 0,
-        })
+            Vec::new(),
+            0,
+        ))
     }
 
     /// As [`Self::record_level`], but with a fixed number of blocking
@@ -166,17 +246,17 @@ impl BlockingStructure {
         }
         let p = base_success_probability(theta, m);
         let family = BitSampleFamily::random(m, k as usize, l, rng)?;
-        Ok(Self {
-            label: format!("record-level(theta={theta},K={k},L={l},fixed)"),
-            families: vec![SubFamily {
+        Ok(Self::assemble(
+            schema,
+            format!("record-level(theta={theta},K={k},L={l},fixed)"),
+            vec![SubFamily {
                 source: Source::Record,
                 backend: Backend::RandomSampling(family),
             }],
-            store: TableSet::memory(l),
-            p_collide: p.powi(k as i32),
-            conjuncts: Vec::new(),
-            probe_flips: 0,
-        })
+            p.powi(k as i32),
+            Vec::new(),
+            0,
+        ))
     }
 
     /// Multi-probe record-level HB (Lv et al., adapted): each probe also
@@ -214,17 +294,17 @@ impl BlockingStructure {
         }
         let l = optimal_l(p_collide, delta);
         let family = BitSampleFamily::random(m, k as usize, l, rng)?;
-        Ok(Self {
-            label: format!("record-level-mp(theta={theta},K={k},L={l},t={flips})"),
-            families: vec![SubFamily {
+        Ok(Self::assemble(
+            schema,
+            format!("record-level-mp(theta={theta},K={k},L={l},t={flips})"),
+            vec![SubFamily {
                 source: Source::Record,
                 backend: Backend::RandomSampling(family),
             }],
-            store: TableSet::memory(l),
             p_collide,
-            conjuncts: Vec::new(),
-            probe_flips: flips,
-        })
+            Vec::new(),
+            flips,
+        ))
     }
 
     /// Builds a fused conjunction structure over `(attr, θ)` conjuncts:
@@ -279,14 +359,14 @@ impl BlockingStructure {
             .map(|c| format!("f{}<={}", c.attr, c.theta))
             .collect::<Vec<_>>()
             .join("&");
-        Ok(Self {
-            label: format!("attr-level({label},L={l})"),
+        Ok(Self::assemble(
+            schema,
+            format!("attr-level({label},L={l})"),
             families,
-            store: TableSet::memory(l),
             p_collide,
-            conjuncts: conjuncts.to_vec(),
-            probe_flips: 0,
-        })
+            conjuncts.to_vec(),
+            0,
+        ))
     }
 
     /// Builds a record-level covering structure: `L = 2^{theta+1} − 1`
@@ -307,17 +387,17 @@ impl BlockingStructure {
         }
         let family = CoveringFamily::random(m, theta, rng)?;
         let l = family.l();
-        Ok(Self {
-            label: format!("covering-record(theta={theta},L={l})"),
-            families: vec![SubFamily {
+        Ok(Self::assemble(
+            schema,
+            format!("covering-record(theta={theta},L={l})"),
+            vec![SubFamily {
                 source: Source::Record,
                 backend: Backend::Covering(family),
             }],
-            store: TableSet::memory(l),
-            p_collide: 1.0,
-            conjuncts: Vec::new(),
-            probe_flips: 0,
-        })
+            1.0,
+            Vec::new(),
+            0,
+        ))
     }
 
     /// Builds a covering structure for a conjunction of `(attr, θ)`
@@ -367,17 +447,17 @@ impl BlockingStructure {
             .map(|c| format!("f{}<={}", c.attr, c.theta))
             .collect::<Vec<_>>()
             .join("&");
-        Ok(Self {
-            label: format!("covering({label},theta={theta_total},L={l})"),
-            families: vec![SubFamily {
+        Ok(Self::assemble(
+            schema,
+            format!("covering({label},theta={theta_total},L={l})"),
+            vec![SubFamily {
                 source,
                 backend: Backend::Covering(family),
             }],
-            store: TableSet::memory(l),
-            p_collide: 1.0,
-            conjuncts: conjuncts.to_vec(),
-            probe_flips: 0,
-        })
+            1.0,
+            conjuncts.to_vec(),
+            0,
+        ))
     }
 
     /// Number of blocking groups `L`.
@@ -480,91 +560,127 @@ impl BlockingStructure {
             .all(|c| a.attr_distance(b, c.attr) <= c.theta)
     }
 
-    /// Composite key of `rec` for table `l`.
-    fn key(&self, rec: &EmbeddedRecord, l: usize) -> u128 {
-        if self.families.len() == 1 {
-            self.families[0].key(rec, l)
+    /// Replaces `out` by the composite keys of `rec` for tables `0..L`:
+    /// packs the record-level c-vector once (on the stack up to
+    /// 512 bits) and runs the compiled kernel over its words.
+    ///
+    /// # Panics
+    /// Panics if `rec` does not have the size of the schema this structure
+    /// was built for, or if the structure was deserialized and
+    /// [`BlockingPlan::compile_kernels`] has not been called since.
+    pub fn keys_into(&self, rec: &EmbeddedRecord, out: &mut Vec<u128>) {
+        let bits = rec.total_bits();
+        assert!(
+            self.keys.kernel.tables() == self.l() && bits == self.keys.record_bits,
+            "a record of {bits} bits met a blocking structure compiled for {} bits and {} of \
+             its {} tables (a deserialized plan needs BlockingPlan::compile_kernels)",
+            self.keys.record_bits,
+            self.keys.kernel.tables(),
+            self.l(),
+        );
+        let words = bits.div_ceil(64);
+        if words <= STACK_WORDS {
+            let mut packed = [0u64; STACK_WORDS];
+            rec.pack_into(&mut packed[..words]);
+            self.keys.kernel.keys_into(&packed[..words], out);
         } else {
-            // Concatenate sub-keys when they fit in 128 bits; fold through
-            // the accumulator otherwise (merging buckets is harmless).
-            let total_k: usize = self.families.iter().map(|f| f.key_bits(l)).sum();
-            if total_k <= 128 {
-                let mut key: u128 = 0;
-                let mut shift = 0;
-                for f in &self.families {
-                    key |= f.key(rec, l) << shift;
-                    shift += f.key_bits(l);
-                }
-                key
-            } else {
-                let mut acc = KeyAccumulator::new();
-                for f in &self.families {
-                    let k = f.key(rec, l);
-                    acc.push(k as u64);
-                    acc.push((k >> 64) as u64);
-                }
-                acc.finish()
-            }
+            let mut packed = vec![0u64; words];
+            rec.pack_into(&mut packed);
+            self.keys.kernel.keys_into(&packed, out);
         }
     }
 
     /// Hashes `rec` into all `L` tables (the indexing pass for data set A).
     pub fn insert(&mut self, rec: &EmbeddedRecord) {
-        for l in 0..self.l() {
-            let key = self.key(rec, l);
+        let mut keys = std::mem::take(&mut self.keys.scratch);
+        self.keys_into(rec, &mut keys);
+        for (l, &key) in keys.iter().enumerate() {
             self.store.insert(l, key, rec.id);
         }
+        self.keys.scratch = keys;
     }
 
     /// Removes `rec` from every table (tombstone + lazy per-bucket
     /// scrub): the record's keys are recomputed, so the exact buckets it
     /// occupies are the ones scrub-checked.
     pub fn remove(&mut self, rec: &EmbeddedRecord) {
-        for l in 0..self.l() {
-            let key = self.key(rec, l);
+        let mut keys = std::mem::take(&mut self.keys.scratch);
+        self.keys_into(rec, &mut keys);
+        for (l, &key) in keys.iter().enumerate() {
             self.store.remove(l, key, rec.id);
         }
+        self.keys.scratch = keys;
     }
 
     /// Ids co-blocked with `rec` in table `l` (the bucket `rec` maps to).
     pub fn bucket(&self, rec: &EmbeddedRecord, l: usize) -> Vec<u64> {
+        let mut keys = Vec::new();
+        self.keys_into(rec, &mut keys);
         let mut out = Vec::new();
-        self.store.probe_into(l, self.key(rec, l), &mut out);
+        self.probe_key_into(l, keys[l], &mut out);
         out
+    }
+
+    /// Appends the live ids of table `l`'s bucket for `key` to `out`, in
+    /// insertion order — for callers that walk the tables themselves with
+    /// the keys of [`Self::keys_into`].
+    pub fn probe_key_into(&self, l: usize, key: u128, out: &mut Vec<u64>) {
+        self.store.probe_into(l, key, out);
     }
 
     /// The de-duplicated union of co-blocked ids across all tables
-    /// (including multi-probe neighbours when configured).
-    pub fn candidates(&self, rec: &EmbeddedRecord) -> HashSet<u64> {
-        let mut out = HashSet::new();
-        self.candidates_into(rec, &mut out);
-        out
+    /// (including multi-probe neighbours when configured), ascending.
+    pub fn candidates(&self, rec: &EmbeddedRecord) -> Vec<u64> {
+        let mut scratch = ProbeScratch::default();
+        self.candidates_into(rec, &mut scratch);
+        scratch.candidates
     }
 
-    /// Extends `out` with co-blocked ids (avoids re-allocating per call).
-    /// Returns `true` when the store's per-probe top-k bound cut the
-    /// candidate set short (callers surface this as a typed
+    /// Leaves the ascending, de-duplicated co-blocked ids of `rec` in
+    /// `scratch.candidates`, allocating nothing once the scratch has grown
+    /// to the workload. Returns `true` when the store's per-probe top-k
+    /// bound cut the candidate set short (callers surface this as a typed
     /// `CandidatesTruncated` note).
-    pub fn candidates_into(&self, rec: &EmbeddedRecord, out: &mut HashSet<u64>) -> bool {
+    pub fn candidates_into(&self, rec: &EmbeddedRecord, scratch: &mut ProbeScratch) -> bool {
+        let ProbeScratch {
+            keys,
+            bucket,
+            candidates,
+        } = scratch;
+        self.keys_into(rec, keys);
+        candidates.clear();
         let top_k = self.store.policy().probe_top_k;
-        let mut scratch = Vec::new();
-        for l in 0..self.l() {
-            scratch.clear();
-            let base = self.key(rec, l);
-            self.store.probe_into(l, base, &mut scratch);
+        for (l, &key) in keys.iter().enumerate() {
+            // Unbounded probes gather straight into the result; bounded
+            // ones go table by table through `bucket`.
+            let ids = if top_k == 0 {
+                &mut *candidates
+            } else {
+                bucket.clear();
+                &mut *bucket
+            };
+            self.store.probe_into(l, key, ids);
             if self.probe_flips > 0 {
                 let k_bits: usize = self.families.iter().map(|f| f.key_bits(l)).sum();
-                self.probe_neighbours(l, base, k_bits, self.probe_flips, 0, &mut scratch);
+                self.probe_neighbours(l, key, k_bits, self.probe_flips, 0, ids);
             }
-            for &id in &scratch {
+            if top_k > 0 {
                 // Deterministic truncation: tables in order, ids in
                 // insertion order, so both storage backends cut at the
-                // same candidate.
-                if top_k > 0 && out.len() >= top_k && !out.contains(&id) {
-                    return true;
+                // same candidate. `candidates` stays sorted throughout.
+                for &id in bucket.iter() {
+                    if let Err(at) = candidates.binary_search(&id) {
+                        if candidates.len() >= top_k {
+                            return true;
+                        }
+                        candidates.insert(at, id);
+                    }
                 }
-                out.insert(id);
             }
+        }
+        if top_k == 0 {
+            candidates.sort_unstable();
+            candidates.dedup();
         }
         false
     }
@@ -1005,22 +1121,35 @@ impl BlockingPlan {
         }
     }
 
-    /// The candidate id set for a probe record, per the rule's logic, using
-    /// the paper's literal NOT semantics: a candidate is excluded when it is
-    /// co-blocked with the probe in *any* table of a negated structure.
+    /// Recompiles every structure's key kernel against `schema` — the
+    /// schema the plan was built for. Kernels are derived state and are not
+    /// serialized: call this once on a deserialized plan, before it keys a
+    /// record. (Plans from the constructors arrive compiled.)
+    pub fn compile_kernels(&mut self, schema: &RecordSchema) {
+        for s in &mut self.structures {
+            s.compile_kernel(schema);
+        }
+    }
+
+    /// The candidate ids for a probe record, ascending, per the rule's
+    /// logic, using the paper's literal NOT semantics: a candidate is
+    /// excluded when it is co-blocked with the probe in *any* table of a
+    /// negated structure.
     ///
     /// Caveat: with small `K` the negated structure's tables have few
     /// buckets, so unrelated records co-block by chance and true matches
     /// are over-excluded. Prefer [`Self::candidates_verified`], which
     /// confirms each exclusion hint with a cheap single-attribute distance.
-    pub fn candidates(&self, rec: &EmbeddedRecord) -> HashSet<u64> {
-        let mut truncated = false;
+    pub fn candidates(&self, rec: &EmbeddedRecord) -> Vec<u64> {
+        let mut scratch = ProbeScratch::default();
         self.eval(
             &self.expr,
             rec,
             None::<&fn(u64) -> Option<&'static EmbeddedRecord>>,
-            &mut truncated,
-        )
+            &mut scratch,
+            &mut false,
+        );
+        scratch.candidates
     }
 
     /// As [`Self::candidates`], but each NOT-exclusion hint is verified: a
@@ -1028,7 +1157,7 @@ impl BlockingPlan {
     /// conjuncts actually hold for the pair (one popcount per conjunct).
     /// This keeps the paper's "never brought for comparison" pruning while
     /// avoiding chance-collision over-exclusion.
-    pub fn candidates_verified<'s, F>(&self, rec: &EmbeddedRecord, lookup: F) -> HashSet<u64>
+    pub fn candidates_verified<'s, F>(&self, rec: &EmbeddedRecord, lookup: F) -> Vec<u64>
     where
         F: Fn(u64) -> Option<&'s EmbeddedRecord>,
     {
@@ -1042,75 +1171,138 @@ impl BlockingPlan {
         &self,
         rec: &EmbeddedRecord,
         lookup: F,
-    ) -> (HashSet<u64>, bool)
+    ) -> (Vec<u64>, bool)
+    where
+        F: Fn(u64) -> Option<&'s EmbeddedRecord>,
+    {
+        let mut scratch = ProbeScratch::default();
+        let truncated = self.candidates_into(rec, lookup, &mut scratch);
+        (scratch.candidates, truncated)
+    }
+
+    /// [`Self::candidates_verified_counted`] for a probe loop: the
+    /// candidates are left in `scratch` ([`ProbeScratch::candidates`]),
+    /// whose buffers a single-structure plan reuses from probe to probe.
+    pub fn candidates_into<'s, F>(
+        &self,
+        rec: &EmbeddedRecord,
+        lookup: F,
+        scratch: &mut ProbeScratch,
+    ) -> bool
     where
         F: Fn(u64) -> Option<&'s EmbeddedRecord>,
     {
         let mut truncated = false;
-        let set = self.eval(&self.expr, rec, Some(&lookup), &mut truncated);
-        (set, truncated)
+        self.eval(&self.expr, rec, Some(&lookup), scratch, &mut truncated);
+        truncated
     }
 
+    /// Evaluates `expr` for `rec`, leaving its candidate set — ascending,
+    /// de-duplicated — in `scratch.candidates`.
     fn eval<'s, F>(
         &self,
         expr: &PlanExpr,
         rec: &EmbeddedRecord,
         lookup: Option<&F>,
+        scratch: &mut ProbeScratch,
         truncated: &mut bool,
-    ) -> HashSet<u64>
-    where
+    ) where
         F: Fn(u64) -> Option<&'s EmbeddedRecord>,
     {
         match expr {
             PlanExpr::Leaf(i) => {
-                let mut out = HashSet::new();
-                *truncated |= self.structures[*i].candidates_into(rec, &mut out);
-                out
+                *truncated |= self.structures[*i].candidates_into(rec, scratch);
             }
             PlanExpr::Or(children) => {
-                let mut out = HashSet::new();
+                let mut union = Vec::new();
                 for c in children {
-                    out.extend(self.eval(c, rec, lookup, truncated));
+                    self.eval(c, rec, lookup, scratch, truncated);
+                    union = union_sorted(&union, &scratch.candidates);
                 }
-                out
+                scratch.candidates = union;
             }
             PlanExpr::And { children, negated } => {
-                let mut sets: Vec<HashSet<u64>> = children
+                let mut sets: Vec<Vec<u64>> = children
                     .iter()
-                    .map(|c| self.eval(c, rec, lookup, truncated))
+                    .map(|c| {
+                        self.eval(c, rec, lookup, scratch, truncated);
+                        std::mem::take(&mut scratch.candidates)
+                    })
                     .collect();
                 // Intersect starting from the smallest set.
-                sets.sort_by_key(HashSet::len);
+                sets.sort_by_key(Vec::len);
                 let mut iter = sets.into_iter();
                 let mut acc = iter.next().unwrap_or_default();
                 for s in iter {
-                    acc.retain(|id| s.contains(id));
+                    retain_merged(&mut acc, &s, |_, in_both| in_both);
                 }
-                if !acc.is_empty() {
-                    for &n in negated {
-                        let structure = &self.structures[n];
-                        let excl = structure.candidates(rec);
-                        acc.retain(|id| {
-                            if !excl.contains(id) {
-                                return true;
-                            }
-                            match lookup {
-                                // Verified mode: only exclude when the
-                                // negated conjuncts truly hold.
-                                Some(f) => f(*id).is_none_or(|a| !structure.conjuncts_hold(a, rec)),
-                                // Literal mode: any co-block excludes.
-                                None => false,
-                            }
-                        });
-                        if acc.is_empty() {
-                            break;
-                        }
+                for &n in negated {
+                    if acc.is_empty() {
+                        break;
                     }
+                    let structure = &self.structures[n];
+                    structure.candidates_into(rec, scratch);
+                    retain_merged(&mut acc, &scratch.candidates, |id, co_blocked| {
+                        if !co_blocked {
+                            return true;
+                        }
+                        match lookup {
+                            // Verified mode: only exclude when the
+                            // negated conjuncts truly hold.
+                            Some(f) => f(id).is_none_or(|a| !structure.conjuncts_hold(a, rec)),
+                            // Literal mode: any co-block excludes.
+                            None => false,
+                        }
+                    });
                 }
-                acc
+                scratch.candidates = acc;
             }
         }
     }
+}
+
+/// The buffers a probing thread carries from probe to probe: the `L` keys
+/// of the record, one table's bucket (bounded probes only), and the
+/// candidate set. A steady-state probe of a single-structure plan through
+/// [`BlockingPlan::candidates_into`] allocates nothing.
+#[derive(Debug, Default)]
+pub struct ProbeScratch {
+    keys: Vec<u128>,
+    bucket: Vec<u64>,
+    candidates: Vec<u64>,
+}
+
+impl ProbeScratch {
+    /// The candidate ids the last probe left here: ascending, distinct.
+    pub fn candidates(&self) -> &[u64] {
+        &self.candidates
+    }
+}
+
+/// One forward pass over ascending `acc` and `other`: keeps the ids of
+/// `acc` for which `keep(id, id ∈ other)` holds. Intersection keeps those
+/// in both, difference those in `acc` alone.
+fn retain_merged(acc: &mut Vec<u64>, other: &[u64], mut keep: impl FnMut(u64, bool) -> bool) {
+    let mut rest = other;
+    acc.retain(|&id| {
+        rest = &rest[rest.partition_point(|&o| o < id)..];
+        keep(id, rest.first() == Some(&id))
+    });
+}
+
+/// The union of two ascending, distinct id lists, ascending and distinct.
+fn union_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let next = a[i].min(b[j]);
+        i += usize::from(a[i] == next);
+        j += usize::from(b[j] == next);
+        out.push(next);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// Recursive compiler: returns the expression for `rule`, appending any new
@@ -1608,5 +1800,250 @@ mod multiprobe_tests {
         let s = schema(7);
         let mut rng = StdRng::seed_from_u64(8);
         assert!(BlockingStructure::record_level_multiprobe(&s, 4, 10, 0.1, 11, &mut rng).is_err());
+    }
+}
+
+/// The compiled kernels against the definition they replace: for every
+/// structure shape the constructors and the plan compilers emit, the keys
+/// of [`BlockingStructure::keys_into`] must equal, bit for bit, the keys
+/// the families' reference functions give one table and one bit at a time.
+#[cfg(test)]
+mod kernel_tests {
+    use super::*;
+    use crate::schema::AttributeSpec;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use rl_bitvec::BitVec;
+    use rl_lsh::hashfn::KeyAccumulator;
+    use textdist::Alphabet;
+
+    /// Table `l`'s key the way it was computed before the kernels: each
+    /// family's `key`/`key_concat` over borrowed attribute vectors,
+    /// concatenated up to 128 bits and folded beyond.
+    fn reference_key(s: &BlockingStructure, rec: &EmbeddedRecord, l: usize) -> u128 {
+        let sub = |f: &SubFamily| match &f.source {
+            Source::Record => f
+                .backend
+                .key_concat(l, &rec.attrs.iter().collect::<Vec<_>>()),
+            Source::Attr(i) => f.backend.key(l, &rec.attrs[*i]),
+            Source::Attrs(attrs) => {
+                let refs: Vec<&BitVec> = attrs.iter().map(|&i| &rec.attrs[i]).collect();
+                f.backend.key_concat(l, &refs)
+            }
+        };
+        if s.families.len() == 1 {
+            return sub(&s.families[0]);
+        }
+        let total: usize = s.families.iter().map(|f| f.key_bits(l)).sum();
+        if total <= 128 {
+            let (mut key, mut shift) = (0u128, 0);
+            for f in &s.families {
+                key |= sub(f) << shift;
+                shift += f.key_bits(l);
+            }
+            key
+        } else {
+            let mut acc = KeyAccumulator::new();
+            for f in &s.families {
+                let k = sub(f);
+                acc.push(k as u64);
+                acc.push((k >> 64) as u64);
+            }
+            acc.finish()
+        }
+    }
+
+    fn schema_of(widths: &[usize], ks: &[u32], rng: &mut StdRng) -> RecordSchema {
+        let specs = widths
+            .iter()
+            .zip(ks)
+            .enumerate()
+            .map(|(i, (&m, &k))| AttributeSpec::new(format!("f{i}"), 2, m, false, k))
+            .collect();
+        RecordSchema::build(Alphabet::linkage(), specs, rng)
+    }
+
+    /// A record of the schema's shape with every bit drawn at random.
+    fn random_record(schema: &RecordSchema, rng: &mut StdRng) -> EmbeddedRecord {
+        let attrs = schema
+            .specs()
+            .iter()
+            .map(|s| BitVec::from_positions(s.m, (0..s.m).filter(|_| rng.random_bool(0.4))))
+            .collect();
+        EmbeddedRecord { id: 1, attrs }
+    }
+
+    fn assert_kernel_is_reference(s: &BlockingStructure, schema: &RecordSchema, rng: &mut StdRng) {
+        let mut keys = Vec::new();
+        for _ in 0..3 {
+            let rec = random_record(schema, rng);
+            s.keys_into(&rec, &mut keys);
+            let reference: Vec<u128> = (0..s.l()).map(|l| reference_key(s, &rec, l)).collect();
+            assert_eq!(keys, reference, "{}", s.label());
+        }
+    }
+
+    /// The attribute indexes `0..n` in a random order: fused structures
+    /// must not depend on conjuncts being listed in schema order.
+    fn shuffled_attrs(n: usize, rng: &mut StdRng) -> Vec<usize> {
+        let mut attrs: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            attrs.swap(i, rng.random_range(0..=i));
+        }
+        attrs
+    }
+
+    /// Attribute widths: one to four attributes, 1 to 600 bits in all, so
+    /// attributes start and end anywhere relative to word boundaries.
+    fn widths() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(1usize..=150, 1..=4)
+    }
+
+    proptest! {
+        #[test]
+        fn record_level_sampling(widths in widths(), k in 1u32..=128, seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let schema = schema_of(&widths, &[1, 1, 1, 1], &mut rng);
+            let s = BlockingStructure::record_level_with_l(&schema, 0, k, 4, &mut rng).unwrap();
+            assert_kernel_is_reference(&s, &schema, &mut rng);
+        }
+
+        #[test]
+        fn fused_sampling_conjunctions_below_and_above_128_key_bits(
+            widths in widths(),
+            ks in proptest::collection::vec(1u32..=90, 4),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let schema = schema_of(&widths, &ks, &mut rng);
+            // Every non-empty selection of attributes, in a shuffled order:
+            // one conjunct is `Source::Attr` alone, several are fused.
+            let attrs = shuffled_attrs(widths.len(), &mut rng);
+            for take in 1..=attrs.len() {
+                let conjuncts: Vec<Pred> =
+                    attrs[..take].iter().map(|&attr| Pred { attr, theta: 0 }).collect();
+                let s = BlockingStructure::conjunction_with_l(&schema, &conjuncts, 3, 0.5, &mut rng)
+                    .unwrap();
+                assert_kernel_is_reference(&s, &schema, &mut rng);
+            }
+        }
+
+        #[test]
+        fn covering_over_the_record_an_attribute_and_fused_attributes(
+            widths in widths(),
+            theta in 0u32..=2,
+            seed in any::<u64>(),
+        ) {
+            // Kept widths are about half the source: below 128 bits for
+            // most single attributes, above for records beyond ~256 bits.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let schema = schema_of(&widths, &[1, 1, 1, 1], &mut rng);
+            let theta = theta.min(widths.iter().sum::<usize>() as u32);
+            let s = BlockingStructure::covering_record_level(&schema, theta, &mut rng).unwrap();
+            assert_kernel_is_reference(&s, &schema, &mut rng);
+            let attrs = shuffled_attrs(widths.len(), &mut rng);
+            for take in 1..=attrs.len() {
+                let conjuncts: Vec<Pred> = attrs[..take]
+                    .iter()
+                    .map(|&attr| Pred { attr, theta: u32::from(take == 1) })
+                    .collect();
+                let s = BlockingStructure::covering_conjunction(&schema, &conjuncts, &mut rng)
+                    .unwrap();
+                assert_kernel_is_reference(&s, &schema, &mut rng);
+            }
+        }
+
+        #[test]
+        fn every_structure_of_a_compiled_compound_rule(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let schema = schema_of(&[15, 15, 68, 22], &[2, 2, 3, 3], &mut rng);
+            // AND of predicates, OR of predicates, compound OR, and NOT.
+            let rule = Rule::or([
+                Rule::and([
+                    Rule::pred(3, 4),
+                    Rule::pred(0, 4),
+                    Rule::not(Rule::and([Rule::pred(1, 2), Rule::pred(2, 4)])),
+                ]),
+                Rule::and([
+                    Rule::or([Rule::pred(1, 4), Rule::pred(2, 8)]),
+                    Rule::pred(0, 2),
+                ]),
+            ]);
+            for plan in [
+                BlockingPlan::compile(&schema, &rule, 0.3, &mut rng).unwrap(),
+                BlockingPlan::compile_covering(&schema, &Rule::or([
+                    Rule::and([Rule::pred(3, 1), Rule::pred(0, 1), Rule::not(Rule::pred(1, 1))]),
+                    Rule::pred(2, 2),
+                ]), &mut rng).unwrap(),
+            ] {
+                for s in plan.structures() {
+                    assert_kernel_is_reference(s, &schema, &mut rng);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn records_beyond_512_bits_are_packed_on_the_heap() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let schema = schema_of(&[300, 7, 290], &[40, 5, 40], &mut rng);
+        assert!(schema.total_size().div_ceil(64) > STACK_WORDS);
+        let s = BlockingStructure::covering_record_level(&schema, 1, &mut rng).unwrap();
+        assert_kernel_is_reference(&s, &schema, &mut rng);
+        let all = [0, 1, 2].map(|attr| Pred { attr, theta: 0 });
+        let s = BlockingStructure::conjunction_with_l(&schema, &all, 2, 0.5, &mut rng).unwrap();
+        assert_kernel_is_reference(&s, &schema, &mut rng);
+    }
+
+    #[test]
+    fn a_clone_and_a_recompiled_copy_key_alike() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let schema = schema_of(&[15, 15, 68, 22], &[5, 5, 10, 10], &mut rng);
+        let plan = BlockingPlan::record_level(&schema, 4, 30, 0.1, &mut rng).unwrap();
+        let json = serde_json::to_string(&plan).unwrap();
+        assert!(!json.contains("\"keys\""), "compiled state was serialized");
+        let mut restored: BlockingPlan = serde_json::from_str(&json).unwrap();
+        restored.compile_kernels(&schema);
+        let rec = random_record(&schema, &mut rng);
+        let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+        plan.structures()[0].keys_into(&rec, &mut a);
+        plan.clone().structures()[0].keys_into(&rec, &mut b);
+        restored.structures()[0].keys_into(&rec, &mut c);
+        assert_eq!(a, b);
+        assert_eq!(a, c);
+    }
+
+    #[test]
+    #[should_panic(expected = "120 bits")]
+    fn a_record_of_another_schema_is_refused() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let schema = schema_of(&[15, 15, 68, 22], &[5, 5, 10, 10], &mut rng);
+        let other = schema_of(&[15, 15, 68, 23], &[5, 5, 10, 10], &mut rng);
+        let mut plan = BlockingPlan::record_level(&schema, 4, 30, 0.1, &mut rng).unwrap();
+        plan.insert(&random_record(&other, &mut rng));
+    }
+
+    #[test]
+    fn merges_agree_with_set_algebra() {
+        use std::collections::BTreeSet;
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..200 {
+            let mut draw = |n: usize| -> BTreeSet<u64> {
+                (0..rng.random_range(0..n))
+                    .map(|_| rng.random_range(0..40u64))
+                    .collect()
+            };
+            let (a, b) = (draw(30), draw(30));
+            let (va, vb): (Vec<u64>, Vec<u64>) =
+                (a.iter().copied().collect(), b.iter().copied().collect());
+            assert!(union_sorted(&va, &vb).into_iter().eq(a.union(&b).copied()));
+            let mut both = va.clone();
+            retain_merged(&mut both, &vb, |_, in_b| in_b);
+            assert!(both.into_iter().eq(a.intersection(&b).copied()));
+            let mut only_a = va.clone();
+            retain_merged(&mut only_a, &vb, |_, in_b| !in_b);
+            assert!(only_a.into_iter().eq(a.difference(&b).copied()));
+        }
     }
 }

@@ -20,7 +20,8 @@ use rl_bitvec::BitVec;
 use rl_lsh::hashfn::PRIME;
 use rl_lsh::UniversalHash;
 use serde::{Deserialize, Serialize};
-use textdist::{Alphabet, QGramSet};
+use textdist::alphabet::PAD;
+use textdist::{for_each_qgram_index, Alphabet, QGramSet};
 
 /// Default collision tolerance `ρ` used throughout the paper's evaluation.
 pub const DEFAULT_RHO: f64 = 1.0;
@@ -91,7 +92,9 @@ impl CVectorEmbedder {
     /// `{0, …, m−1}`.
     ///
     /// # Panics
-    /// Panics if `q == 0` or `m == 0`.
+    /// Panics if `q == 0` or `m == 0`, or if `padded` q-grams (`q > 1`)
+    /// are asked for over an alphabet without the pad symbol `_` — an
+    /// embedder that could not embed its first value.
     pub fn random<R: Rng + ?Sized>(
         alphabet: Alphabet,
         q: usize,
@@ -101,6 +104,10 @@ impl CVectorEmbedder {
     ) -> Self {
         assert!(q > 0, "q must be positive");
         assert!(m > 0 && (m as u64) <= PRIME, "m out of range");
+        assert!(
+            !padded || q == 1 || alphabet.contains(PAD),
+            "a padded attribute needs the pad symbol {PAD:?} in its alphabet"
+        );
         Self {
             alphabet,
             q,
@@ -135,12 +142,18 @@ impl CVectorEmbedder {
 
     /// Embeds `s`: each q-gram index `x ∈ U_s` sets position `g(x)`
     /// (Figure 4). Colliding q-grams set the same position once.
+    ///
+    /// The q-gram indexes are streamed straight into the vector — a repeated
+    /// q-gram sets its bit twice, which is all the de-duplication `U_s`
+    /// stands for here — so the result equals
+    /// `BitVec::from_positions(m, qgram_set(s).indexes().map(g))` without
+    /// the set, the normalized string or the q-grams ever existing.
     pub fn embed(&self, s: &str) -> BitVec {
-        let set = self.qgram_set(s);
-        BitVec::from_positions(
-            self.size(),
-            set.indexes().iter().map(|&x| self.hash.eval(x) as usize),
-        )
+        let mut v = BitVec::zeros(self.size());
+        for_each_qgram_index(s, self.q, &self.alphabet, self.padded, |x| {
+            v.set(self.hash.eval(x) as usize);
+        });
+        v
     }
 }
 
@@ -271,7 +284,41 @@ mod tests {
         assert_eq!(e.embed("WASHINGTON").len(), 15);
     }
 
+    #[test]
+    #[should_panic(expected = "pad symbol")]
+    fn padded_embedder_over_an_alphabet_without_pad_is_refused_at_build() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let _ = CVectorEmbedder::random(Alphabet::new("0123456789"), 2, 8, true, &mut rng);
+    }
+
+    #[test]
+    fn unpadded_and_unigram_embedders_need_no_pad_symbol() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let digits = Alphabet::new("0123456789");
+        let e = CVectorEmbedder::random(digits.clone(), 2, 8, false, &mut rng);
+        assert!(e.embed("1998").count_ones() > 0);
+        let e = CVectorEmbedder::random(digits, 1, 8, true, &mut rng);
+        assert!(e.embed("1998").count_ones() > 0);
+    }
+
     proptest! {
+        #[test]
+        fn streamed_embedding_equals_the_set_definition(
+            s in "[A-Ca-c0-2 _.éß#-]{0,14}",
+            q in 1usize..=3,
+            padded in any::<bool>(),
+            m in 1usize..=200,
+            seed in 0u64..50,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let e = CVectorEmbedder::random(Alphabet::linkage(), q, m, padded, &mut rng);
+            let by_definition = BitVec::from_positions(
+                m,
+                e.qgram_set(&s).indexes().iter().map(|&x| e.hash.eval(x) as usize),
+            );
+            prop_assert_eq!(e.embed(&s), by_definition);
+        }
+
         #[test]
         fn hamming_in_chat_bounded_by_hamming_in_h(
             a in "[A-Z]{1,10}", b in "[A-Z]{1,10}", seed in 0u64..50

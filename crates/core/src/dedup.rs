@@ -6,7 +6,7 @@
 //! the data set with the usual plan, classify co-blocked pairs with the
 //! rule, and merge matched pairs into clusters with a union–find.
 
-use crate::blocking::BlockingPlan;
+use crate::blocking::{BlockingPlan, ProbeScratch};
 use crate::error::Result;
 use crate::matcher::{Classifier, MatchStats, RecordStore};
 use crate::pipeline::LinkageConfig;
@@ -139,9 +139,10 @@ pub fn deduplicate<R: Rng + ?Sized>(
     }
     let mut result = DedupResult::default();
     let mut uf = UnionFind::new();
+    let mut scratch = ProbeScratch::default();
     for probe in &embedded {
-        let candidates = plan.candidates_verified(probe, |id| store.get(id));
-        for id in candidates {
+        plan.candidates_into(probe, |id| store.get(id), &mut scratch);
+        for &id in scratch.candidates() {
             // Each unordered pair once; skip self.
             if id >= probe.id {
                 continue;

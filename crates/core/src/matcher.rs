@@ -8,12 +8,18 @@
 //! the same de-duplication; [`match_structure_literal`] is the verbatim
 //! Algorithm 2 loop over a single structure, with a switch to disable the
 //! de-dup collection for the ablation bench.
+//!
+//! [`match_record`] is the probe loop's inner step and allocates nothing
+//! in steady state: candidates are formulated in the caller's
+//! [`ProbeScratch`], each is classified with only the popcounts its rule
+//! reaches, and matches go to the caller's closure.
 
-use crate::blocking::{BlockingPlan, BlockingStructure};
+use crate::blocking::{BlockingPlan, BlockingStructure, ProbeScratch};
 use crate::rule::Rule;
 use crate::schema::EmbeddedRecord;
+use rl_blockstore::WordMap;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// How candidate pairs are classified after blocking.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -42,7 +48,7 @@ impl Classifier {
     /// records' attribute count.
     pub fn matches(&self, a: &EmbeddedRecord, b: &EmbeddedRecord) -> bool {
         match self {
-            Classifier::Rule(rule) => rule.evaluate(&a.distances(b)),
+            Classifier::Rule(rule) => rule.evaluate_with(&|attr| a.attr_distance(b, attr)),
             Classifier::TotalThreshold(theta) => a.total_distance(b) <= *theta,
             Classifier::Weighted { weights, threshold } => {
                 assert_eq!(
@@ -79,10 +85,11 @@ pub struct MatchStats {
 }
 
 /// A store of embedded records from data set A, addressable by id —
-/// the paper's `retrieve(Id)` primitive (Table 2).
+/// the paper's `retrieve(Id)` primitive (Table 2). Ids are the clients',
+/// so the map is keyed per process (`rl_blockstore::hash`).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RecordStore {
-    records: HashMap<u64, EmbeddedRecord>,
+    records: WordMap<u64, EmbeddedRecord>,
 }
 
 impl RecordStore {
@@ -128,28 +135,47 @@ impl RecordStore {
 }
 
 /// Matches one probe record against an indexed plan: formulates the
-/// candidate set per the rule's blocking logic, retrieves each candidate,
-/// and classifies the pair. Returns matched A-side ids.
+/// candidate set per the rule's blocking logic (in `scratch`), retrieves
+/// each candidate, classifies the pair, and hands every matched A-side id
+/// to `on_match`, ascending.
 pub fn match_record(
     plan: &BlockingPlan,
     store: &RecordStore,
     probe: &EmbeddedRecord,
     classifier: &Classifier,
+    scratch: &mut ProbeScratch,
     stats: &mut MatchStats,
-) -> Vec<u64> {
-    let (candidates, truncated) = plan.candidates_verified_counted(probe, |id| store.get(id));
-    stats.candidates += candidates.len() as u64;
+    mut on_match: impl FnMut(u64),
+) {
+    let truncated = plan.candidates_into(probe, |id| store.get(id), scratch);
+    stats.candidates += scratch.candidates().len() as u64;
     stats.truncated += u64::from(truncated);
-    let mut out = Vec::new();
-    for id in candidates {
+    for &id in scratch.candidates() {
         let Some(a) = store.get(id) else { continue };
         stats.distance_computations += 1;
         if classifier.matches(a, probe) {
-            out.push(id);
+            stats.matched += 1;
+            on_match(id);
         }
     }
-    stats.matched += out.len() as u64;
-    out
+}
+
+/// [`match_record`] over a batch of probes, appending the matched
+/// `(id_A, id_B)` pairs to `matches`.
+pub fn match_batch(
+    plan: &BlockingPlan,
+    store: &RecordStore,
+    probes: &[EmbeddedRecord],
+    classifier: &Classifier,
+    scratch: &mut ProbeScratch,
+    stats: &mut MatchStats,
+    matches: &mut Vec<(u64, u64)>,
+) {
+    for probe in probes {
+        match_record(plan, store, probe, classifier, scratch, stats, |a| {
+            matches.push((a, probe.id))
+        });
+    }
 }
 
 /// Verbatim Algorithm 2 over a single blocking structure: scans the buckets
@@ -167,24 +193,31 @@ pub fn match_structure_literal(
 ) -> Vec<u64> {
     let mut seen: HashSet<u64> = HashSet::new(); // the paper's UniqueCollection C
     let mut out = Vec::new();
-    for l in 0..structure.l() {
-        for id in structure.bucket(probe, l) {
+    let mut computations = 0u64;
+    let mut keys = Vec::new();
+    structure.keys_into(probe, &mut keys);
+    let mut bucket = Vec::new();
+    for (l, &key) in keys.iter().enumerate() {
+        bucket.clear();
+        structure.probe_key_into(l, key, &mut bucket);
+        for &id in &bucket {
             if dedup && !seen.insert(id) {
                 continue;
             }
             let Some(a) = store.get(id) else { continue };
-            stats.distance_computations += 1;
+            computations += 1;
             if classifier.matches(a, probe) && (dedup || !out.contains(&id)) {
                 out.push(id);
             }
         }
     }
+    stats.distance_computations += computations;
     stats.candidates += if dedup {
         seen.len() as u64
     } else {
         // Without de-dup the candidate multiset size equals the number of
-        // computations performed for this probe.
-        stats.distance_computations
+        // computations performed for *this* probe.
+        computations
     };
     stats.matched += out.len() as u64;
     out
@@ -219,6 +252,21 @@ mod tests {
         s.embed(&Record::new(id, f)).unwrap()
     }
 
+    fn matched(
+        plan: &BlockingPlan,
+        store: &RecordStore,
+        probe: &EmbeddedRecord,
+        classifier: &Classifier,
+        stats: &mut MatchStats,
+    ) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut scratch = ProbeScratch::default();
+        match_record(plan, store, probe, classifier, &mut scratch, stats, |id| {
+            out.push(id)
+        });
+        out
+    }
+
     #[test]
     fn match_record_finds_perturbed_copy() {
         let (schema, mut plan, mut store) = setup(1);
@@ -228,7 +276,7 @@ mod tests {
         let probe = embed(&schema, 2, ["JONAS", "MARTHA"]); // 1 substitute
         let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
         let mut stats = MatchStats::default();
-        let matches = match_record(&plan, &store, &probe, &Classifier::Rule(rule), &mut stats);
+        let matches = matched(&plan, &store, &probe, &Classifier::Rule(rule), &mut stats);
         assert_eq!(matches, vec![1]);
         assert_eq!(stats.matched, 1);
         assert!(stats.candidates >= 1);
@@ -244,7 +292,7 @@ mod tests {
         let probe = embed(&schema, 2, ["WILLOUGHBY", "KATHERINE"]);
         let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
         let mut stats = MatchStats::default();
-        let matches = match_record(&plan, &store, &probe, &Classifier::Rule(rule), &mut stats);
+        let matches = matched(&plan, &store, &probe, &Classifier::Rule(rule), &mut stats);
         assert!(matches.is_empty());
     }
 
@@ -314,6 +362,58 @@ mod tests {
         // The identical pair collides in all L tables; without dedup each
         // occurrence costs a computation.
         assert_eq!(without.distance_computations, structure.l() as u64);
+    }
+
+    #[test]
+    fn literal_algorithm2_counts_each_probe_once_in_a_reused_stats() {
+        let (schema, _, mut store) = setup(8);
+        let mut rng = StdRng::seed_from_u64(98);
+        let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
+        let mut plan = BlockingPlan::compile(&schema, &rule, 0.01, &mut rng).unwrap();
+        let a = embed(&schema, 1, ["JONES", "MARTHA"]);
+        plan.insert(&a);
+        store.insert(a);
+        let probe = embed(&schema, 2, ["JONES", "MARTHA"]);
+        let structure = &plan.structures()[0];
+        let l = structure.l() as u64;
+        let classifier = Classifier::Rule(rule);
+        // Two probes through one `MatchStats`: without de-dup each adds its
+        // own L computations to the candidates, not the running total.
+        let mut stats = MatchStats::default();
+        for probes in 1..=2 {
+            match_structure_literal(structure, &store, &probe, &classifier, false, &mut stats);
+            assert_eq!(stats.distance_computations, probes * l);
+            assert_eq!(stats.candidates, probes * l);
+            assert_eq!(stats.matched, probes);
+        }
+    }
+
+    #[test]
+    fn scratch_carries_nothing_from_probe_to_probe() {
+        let (schema, mut plan, mut store) = setup(9);
+        for (id, first) in [(1, "JONES"), (2, "WILLOUGHBY")] {
+            let a = embed(&schema, id, [first, "MARTHA"]);
+            plan.insert(&a);
+            store.insert(a);
+        }
+        let classifier = Classifier::Rule(Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]));
+        let mut scratch = ProbeScratch::default();
+        let mut stats = MatchStats::default();
+        for (probe, expect) in [("JONES", 1), ("WILLOUGHBY", 2), ("JONES", 1)] {
+            let probe = embed(&schema, 9, [probe, "MARTHA"]);
+            let mut out = Vec::new();
+            match_record(
+                &plan,
+                &store,
+                &probe,
+                &classifier,
+                &mut scratch,
+                &mut stats,
+                |id| out.push(id),
+            );
+            assert_eq!(out, vec![expect]);
+        }
+        assert_eq!(stats.matched, 3);
     }
 
     #[test]

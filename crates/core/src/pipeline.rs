@@ -9,12 +9,12 @@
 //! linkage (Section 5.3 notes the method handles an arbitrary number of
 //! data sets).
 
-use crate::blocking::BlockingPlan;
+use crate::blocking::{BlockingPlan, ProbeScratch};
 use crate::error::Result;
-use crate::matcher::{match_record, Classifier, MatchStats, RecordStore};
+use crate::matcher::{match_batch, Classifier, MatchStats, RecordStore};
 use crate::record::Record;
 use crate::rule::Rule;
-use crate::schema::RecordSchema;
+use crate::schema::{EmbeddedRecord, RecordSchema};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -444,18 +444,7 @@ impl LinkagePipeline {
         let embed = t0.elapsed();
         result.timings.embed_nanos = embed.as_nanos();
         let t1 = Instant::now();
-        for probe in &embedded {
-            let matched = match_record(
-                &self.plan,
-                &self.store,
-                probe,
-                &self.classifier,
-                &mut result.stats,
-            );
-            result
-                .matches
-                .extend(matched.into_iter().map(|a| (a, probe.id)));
-        }
+        self.match_all(&embedded, &mut result.stats, &mut result.matches);
         let matching = t1.elapsed();
         result.timings.match_nanos = matching.as_nanos();
         if let Some(m) = &self.metrics {
@@ -463,6 +452,25 @@ impl LinkagePipeline {
             m.matching.observe_duration(matching);
         }
         Ok(result)
+    }
+
+    /// Matches every probe against the index, one [`ProbeScratch`] for the
+    /// whole batch, appending `(id_A, id_B)` pairs to `matches`.
+    fn match_all(
+        &self,
+        probes: &[EmbeddedRecord],
+        stats: &mut MatchStats,
+        matches: &mut Vec<(u64, u64)>,
+    ) {
+        match_batch(
+            &self.plan,
+            &self.store,
+            probes,
+            &self.classifier,
+            &mut ProbeScratch::default(),
+            stats,
+            matches,
+        );
     }
 
     /// As [`Self::link`], but probes records across `threads` worker
@@ -491,16 +499,7 @@ impl LinkagePipeline {
                         let embedded = self.schema.embed_all(chunk)?;
                         let mut stats = MatchStats::default();
                         let mut matches = Vec::new();
-                        for probe in &embedded {
-                            let matched = match_record(
-                                &self.plan,
-                                &self.store,
-                                probe,
-                                &self.classifier,
-                                &mut stats,
-                            );
-                            matches.extend(matched.into_iter().map(|a| (a, probe.id)));
-                        }
+                        self.match_all(&embedded, &mut stats, &mut matches);
                         Ok((matches, stats))
                     })
                 })
@@ -556,10 +555,12 @@ impl LinkagePipeline {
         let state: PersistedPipeline = serde_json::from_reader(reader)
             .map_err(|e| crate::Error::InvalidParameter(format!("deserialize pipeline: {e}")))?;
         let classifier = Classifier::Rule(state.config.rule.clone());
+        let mut plan = state.plan;
+        plan.compile_kernels(&state.schema);
         let mut pipeline = Self {
             schema: state.schema,
             config: state.config,
-            plan: state.plan,
+            plan,
             store: state.store,
             classifier,
             indexed: state.indexed,

@@ -61,11 +61,23 @@ impl Rule {
     /// Panics if a predicate references an attribute beyond
     /// `distances.len()` — validate the rule against the schema first.
     pub fn evaluate(&self, distances: &[u32]) -> bool {
+        self.evaluate_with(&|attr| distances[attr])
+    }
+
+    /// Evaluates the rule, asking `distance(attr)` for an attribute's
+    /// distance only when a predicate on it is reached: AND and OR stop at
+    /// the first child that decides them, so a candidate pair costs the
+    /// popcounts its rule needs and no vector of all of them.
+    ///
+    /// # Panics
+    /// Whatever `distance` does for an attribute it does not know —
+    /// validate the rule against the schema first.
+    pub fn evaluate_with(&self, distance: &impl Fn(usize) -> u32) -> bool {
         match self {
-            Rule::Pred(p) => distances[p.attr] <= p.theta,
-            Rule::And(rs) => rs.iter().all(|r| r.evaluate(distances)),
-            Rule::Or(rs) => rs.iter().any(|r| r.evaluate(distances)),
-            Rule::Not(r) => !r.evaluate(distances),
+            Rule::Pred(p) => distance(p.attr) <= p.theta,
+            Rule::And(rs) => rs.iter().all(|r| r.evaluate_with(distance)),
+            Rule::Or(rs) => rs.iter().any(|r| r.evaluate_with(distance)),
+            Rule::Not(r) => !r.evaluate_with(distance),
         }
     }
 
@@ -249,6 +261,26 @@ mod tests {
         assert!(c1().evaluate(&[4, 4, 8, 99]));
         assert!(!c1().evaluate(&[5, 4, 8, 0]));
         assert!(!c1().evaluate(&[4, 4, 9, 0]));
+    }
+
+    #[test]
+    fn evaluation_reads_only_the_distances_it_reaches() {
+        use std::cell::RefCell;
+        let asked = &RefCell::new(Vec::new());
+        let distance = |d: [u32; 4]| {
+            move |attr: usize| {
+                asked.borrow_mut().push(attr);
+                d[attr]
+            }
+        };
+        // C1 fails on its first conjunct: the other two are never read.
+        assert!(!c1().evaluate_with(&distance([5, 0, 0, 0])));
+        assert_eq!(asked.take(), vec![0]);
+        // C2's first disjunct holds: the address is never read.
+        assert!(c2().evaluate_with(&distance([0, 0, 99, 0])));
+        assert_eq!(asked.take(), vec![0, 1]);
+        assert!(c3().evaluate_with(&distance([4, 5, 0, 0])));
+        assert_eq!(asked.take(), vec![0, 1]);
     }
 
     #[test]

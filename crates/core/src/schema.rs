@@ -14,8 +14,7 @@ use crate::record::Record;
 use rand::Rng;
 use rl_bitvec::BitVec;
 use serde::{Deserialize, Serialize};
-use textdist::qgram::average_qgram_count;
-use textdist::{qgrams, qgrams_unpadded, Alphabet};
+use textdist::{qgram_count, Alphabet};
 
 /// Configuration of one linkage attribute `f_i`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -78,21 +77,7 @@ impl AttributeSpec {
     where
         I: IntoIterator<Item = &'a str>,
     {
-        let b = if padded {
-            average_qgram_count(sample, q)
-        } else {
-            let mut total = 0usize;
-            let mut n = 0usize;
-            for v in sample {
-                total += qgrams_unpadded(v, q).len();
-                n += 1;
-            }
-            if n == 0 {
-                0.0
-            } else {
-                total as f64 / n as f64
-            }
-        };
+        let b = measure_b(sample, q, padded);
         Self::sized_for(name, q, b, rho, r, padded, k)
     }
 }
@@ -106,11 +91,7 @@ where
     let mut total = 0usize;
     let mut n = 0usize;
     for v in sample {
-        total += if padded {
-            qgrams(v, q).len()
-        } else {
-            qgrams_unpadded(v, q).len()
-        };
+        total += qgram_count(v, q, padded);
         n += 1;
     }
     if n == 0 {
@@ -181,18 +162,30 @@ impl RecordSchema {
         &self.embedders
     }
 
-    /// Embeds a record into per-attribute c-vectors.
+    /// Everything that can make [`Self::embed`] refuse `record`, without
+    /// embedding it: a caller that must validate before it commits (the
+    /// server logs a mutation before applying it) checks, then embeds once.
     ///
     /// # Errors
     /// Returns [`Error::FieldCountMismatch`] when the record's field count
     /// differs from the schema's attribute count.
-    pub fn embed(&self, record: &Record) -> Result<EmbeddedRecord> {
+    pub fn check(&self, record: &Record) -> Result<()> {
         if record.fields.len() != self.specs.len() {
             return Err(Error::FieldCountMismatch {
                 found: record.fields.len(),
                 expected: self.specs.len(),
             });
         }
+        Ok(())
+    }
+
+    /// Embeds a record into per-attribute c-vectors.
+    ///
+    /// # Errors
+    /// Returns [`Error::FieldCountMismatch`] when the record's field count
+    /// differs from the schema's attribute count.
+    pub fn embed(&self, record: &Record) -> Result<EmbeddedRecord> {
+        self.check(record)?;
         let attrs = self
             .embedders
             .iter()
@@ -245,6 +238,38 @@ impl EmbeddedRecord {
     /// Materializes the record-level c-vector (size `m̄_opt`).
     pub fn concat(&self) -> BitVec {
         BitVec::concat(self.attrs.iter())
+    }
+
+    /// Size of the record-level c-vector, `Σ_i |attrs[i]|` bits.
+    pub fn total_bits(&self) -> usize {
+        self.attrs.iter().map(BitVec::len).sum()
+    }
+
+    /// Writes the record-level c-vector into `words` — the attribute
+    /// vectors concatenated bit-contiguously, exactly the words of
+    /// [`Self::concat`] — without allocating: whole words are shifted into
+    /// place. `words` must be zeroed and hold [`Self::total_bits`] bits.
+    ///
+    /// # Panics
+    /// Panics if `words` is too short.
+    pub fn pack_into(&self, words: &mut [u64]) {
+        let mut offset = 0usize;
+        for v in &self.attrs {
+            for (i, &w) in v.words()[..v.len().div_ceil(64)].iter().enumerate() {
+                // Only the bits of `w` that are `v`'s: a vector whose padding
+                // bits were not zero (it did not come from this crate) must
+                // not spill into its neighbour.
+                let own = v.len() - 64 * i;
+                let w = if own < 64 { w & ((1u64 << own) - 1) } else { w };
+                let at = offset + 64 * i;
+                let (word, shift) = (at / 64, at % 64);
+                words[word] |= w << shift;
+                if shift != 0 && w >> (64 - shift) != 0 {
+                    words[word + 1] |= w >> (64 - shift);
+                }
+            }
+            offset += v.len();
+        }
     }
 
     /// Borrowed attribute vectors in concatenation order (for samplers that
@@ -320,6 +345,37 @@ mod tests {
         assert_eq!(e1.concat().hamming(&e2.concat()), per_attr);
         assert_eq!(e1.attr_distance(&e2, 0), 0);
         assert!(e1.attr_distance(&e2, 1) > 0);
+    }
+
+    #[test]
+    fn packed_words_are_the_words_of_the_concatenation() {
+        let s = ncvr_like_schema(8);
+        let e = s
+            .embed(&Record::new(
+                1,
+                ["JOHN", "SMITH", "12 OAK STREET", "DURHAM"],
+            ))
+            .unwrap();
+        assert_eq!(e.total_bits(), 120);
+        let mut words = [0u64; 2];
+        e.pack_into(&mut words);
+        assert_eq!(&words[..], e.concat().words());
+        // Widths that end on, straddle and fill word boundaries.
+        for widths in [
+            vec![64, 64],
+            vec![63, 2, 63],
+            vec![1, 128, 5],
+            vec![70, 70, 70],
+        ] {
+            let attrs: Vec<BitVec> = widths
+                .iter()
+                .map(|&m| BitVec::from_positions(m, (0..m).filter(|p| p % 3 != 1)))
+                .collect();
+            let e = EmbeddedRecord { id: 0, attrs };
+            let mut words = vec![0u64; e.total_bits().div_ceil(64)];
+            e.pack_into(&mut words);
+            assert_eq!(words, e.concat().words(), "{widths:?}");
+        }
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! Communication is message-passing over crossbeam channels, so the same
 //! shape lifts directly to a networked deployment.
 
-use crate::blocking::{BlockingPlan, StructureStats};
+use crate::blocking::{BlockingPlan, ProbeScratch, StructureStats};
 use crate::error::{Error, Result};
-use crate::matcher::{match_record, Classifier, MatchStats, RecordStore};
+use crate::matcher::{match_batch, Classifier, MatchStats, RecordStore};
 use crate::pipeline::{LinkageConfig, PipelineMetrics};
 use crate::record::Record;
 use crate::schema::{EmbeddedRecord, RecordSchema};
@@ -46,7 +46,8 @@ use std::time::Instant;
 enum Command {
     Index(Vec<EmbeddedRecord>),
     Probe {
-        batch: Vec<EmbeddedRecord>,
+        /// One batch, shared by every shard it fans out to.
+        batch: Arc<[EmbeddedRecord]>,
         reply: Sender<(Vec<(u64, u64)>, MatchStats)>,
     },
     Delete {
@@ -167,6 +168,7 @@ fn shard_worker(
     // Armed while this worker is a migration target: every id deleted in the
     // window is remembered so late-arriving copies cannot resurrect it.
     let mut migration_deletes: Option<HashSet<u64>> = None;
+    let mut scratch = ProbeScratch::default();
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Command::Index(batch) => {
@@ -183,10 +185,15 @@ fn shard_worker(
             Command::Probe { batch, reply } => {
                 let mut stats = MatchStats::default();
                 let mut matches = Vec::new();
-                for probe in &batch {
-                    let matched = match_record(&plan, &store, probe, &classifier, &mut stats);
-                    matches.extend(matched.into_iter().map(|a| (a, probe.id)));
-                }
+                match_batch(
+                    &plan,
+                    &store,
+                    &batch,
+                    &classifier,
+                    &mut scratch,
+                    &mut stats,
+                    &mut matches,
+                );
                 // The gatherer may have hung up on error paths; ignore.
                 let _ = reply.send((matches, stats));
             }
@@ -500,15 +507,19 @@ impl ShardedPipeline {
             // deletes broadcast, so the map only governs new placements.
             None => ShardMap::uniform(num_shards),
         };
-        let mut template = state.shards[0].plan.clone();
+        let mut shard_states = state.shards;
+        for s in &mut shard_states {
+            // Key kernels are derived state, absent from a snapshot.
+            s.plan.compile_kernels(&state.schema);
+        }
+        let mut template = shard_states[0].plan.clone();
         template.clear_for_rebuild();
-        let store_root = state.shards[0]
+        let store_root = shard_states[0]
             .plan
             .store_root()
             .and_then(|p| p.parent().map(|p| p.to_path_buf()));
         let classifier = state.classifier.clone();
-        let shards = state
-            .shards
+        let shards = shard_states
             .into_iter()
             .enumerate()
             .map(|(i, mut s)| {
@@ -726,7 +737,7 @@ impl ShardedPipeline {
     /// internal error if a shard worker died.
     pub fn link(&self, records: &[Record]) -> Result<(Vec<(u64, u64)>, MatchStats)> {
         let t0 = Instant::now();
-        let embedded = self.schema.embed_all(records)?;
+        let embedded: Arc<[EmbeddedRecord]> = self.schema.embed_all(records)?.into();
         let embed = t0.elapsed();
         let t1 = Instant::now();
         let (reply_tx, reply_rx) = bounded(self.shards.len());
@@ -734,7 +745,7 @@ impl ShardedPipeline {
             shard
                 .sender
                 .send(Command::Probe {
-                    batch: embedded.clone(),
+                    batch: Arc::clone(&embedded),
                     reply: reply_tx.clone(),
                 })
                 .map_err(worker_died)?;

@@ -7,7 +7,7 @@
 //! [`StreamMatcher`] supports exactly that mode: each arriving record is
 //! matched against everything seen so far, then indexed.
 
-use crate::blocking::BlockingPlan;
+use crate::blocking::{BlockingPlan, ProbeScratch};
 use crate::error::{Error, Result};
 use crate::matcher::{match_record, Classifier, MatchStats, RecordStore};
 use crate::pipeline::{LinkageConfig, PipelineMetrics};
@@ -26,6 +26,7 @@ pub struct StreamMatcher {
     plan: BlockingPlan,
     store: RecordStore,
     classifier: Classifier,
+    scratch: ProbeScratch,
     stats: MatchStats,
     observed: u64,
     metrics: Option<Arc<PipelineMetrics>>,
@@ -49,6 +50,7 @@ impl StreamMatcher {
             plan,
             store: RecordStore::new(),
             classifier,
+            scratch: ProbeScratch::default(),
             stats: MatchStats::default(),
             observed: 0,
             metrics: None,
@@ -96,12 +98,15 @@ impl StreamMatcher {
     /// `embedded.id` at this point.
     fn observe_embedded(&mut self, embedded: EmbeddedRecord) -> Vec<u64> {
         let t0 = Instant::now();
-        let matches = match_record(
+        let mut matches = Vec::new();
+        match_record(
             &self.plan,
             &self.store,
             &embedded,
             &self.classifier,
+            &mut self.scratch,
             &mut self.stats,
+            |id| matches.push(id),
         );
         self.plan.insert(&embedded);
         self.store.insert(embedded);

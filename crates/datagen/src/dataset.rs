@@ -50,6 +50,68 @@ impl PairConfig {
     }
 }
 
+/// Where a remembered record lives: its index in A or in B.
+#[derive(Clone, Copy)]
+enum Slot {
+    A(usize),
+    B(usize),
+}
+
+/// The exact de-duplication set of [`DatasetPair::generate`], holding no
+/// copy of any record: a digest of a record's fields leads to the slots of
+/// the records remembered under that digest, whose fields are then
+/// compared. (A `HashSet<Vec<String>>` of clones costs five allocations and
+/// a 40-byte SipHash per record — most of a benchmark run's set-up.)
+struct SeenRecords {
+    /// Digest → the last record remembered under it (index into `chain`).
+    last: HashMap<u64, u32>,
+    /// Per remembered record, in order: where it is, and the record before
+    /// it with the same digest (`NONE`: no other).
+    chain: Vec<(Slot, u32)>,
+}
+
+impl SeenRecords {
+    const NONE: u32 = u32::MAX;
+
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            last: HashMap::with_capacity(n),
+            chain: Vec::with_capacity(n),
+        }
+    }
+
+    /// Unless a remembered record has exactly `r`'s fields, remembers `r` as
+    /// living at `slot` of `a`/`b` — where the caller stores it next — and
+    /// returns `true`.
+    fn insert(&mut self, r: &Record, slot: Slot, a: &[Record], b: &[Record]) -> bool {
+        // FNV-1a over the fields, each closed by a byte no UTF-8 text holds.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for f in &r.fields {
+            for &byte in f.as_bytes().iter().chain(&[0xff]) {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let last = self.last.entry(digest).or_insert(Self::NONE);
+        let mut at = *last;
+        while at != Self::NONE {
+            let (slot, before) = self.chain[at as usize];
+            let seen = match slot {
+                Slot::A(i) => &a[i],
+                Slot::B(i) => &b[i],
+            };
+            if seen.fields == r.fields {
+                return false;
+            }
+            at = before;
+        }
+        let index = u32::try_from(self.chain.len()).expect("fewer than 2^32 records");
+        assert!(index != Self::NONE, "fewer than 2^32 - 1 records");
+        self.chain.push((slot, *last));
+        *last = index;
+        true
+    }
+}
+
 /// Two data sets plus exact ground truth.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DatasetPair {
@@ -75,8 +137,9 @@ impl DatasetPair {
         // Draw A, avoiding exact duplicate records so that ground truth is
         // unambiguous (real data sets are de-duplicated the same way in the
         // HARRA setting the paper links against).
-        let mut seen: HashSet<Vec<String>> = HashSet::with_capacity(n);
+        let mut seen = SeenRecords::with_capacity(n);
         let mut a: Vec<Record> = Vec::with_capacity(n);
+        let mut b: Vec<Record> = Vec::with_capacity(n);
         let mut id = 0u64;
         let light = PerturbationScheme::Light;
         while a.len() < n {
@@ -88,12 +151,11 @@ impl DatasetPair {
             } else {
                 source.sample(id, rng)
             };
-            if seen.insert(r.fields.clone()) {
+            if seen.insert(&r, Slot::A(a.len()), &a, &b) {
                 a.push(r);
                 id += 1;
             }
         }
-        let mut b: Vec<Record> = Vec::with_capacity(n);
         let mut ground_truth = HashSet::new();
         let mut ops = HashMap::new();
         let mut next_b_id = n as u64;
@@ -106,7 +168,8 @@ impl DatasetPair {
                 next_b_id += 1;
             }
         }
-        // Fill B with fresh records (not derived from A).
+        // Fill B with fresh records (not derived from A): unlike the
+        // perturbed copies above, these join the de-duplication.
         while b.len() < n {
             let r = if !b.is_empty() && rng.random::<f64>() < config.within_duplicate_rate {
                 let origin = &b[rng.random_range(0..b.len())];
@@ -114,7 +177,7 @@ impl DatasetPair {
             } else {
                 source.sample(next_b_id, rng)
             };
-            if seen.insert(r.fields.clone()) {
+            if seen.insert(&r, Slot::B(b.len()), &a, &b) {
                 b.push(r);
                 next_b_id += 1;
             }

@@ -51,10 +51,21 @@ impl UniversalHash {
     }
 
     /// Evaluates the hash.
+    ///
+    /// `P = 2^61 − 1`, so `2^61 ≡ 1 (mod P)` and a value reduces by adding
+    /// its high bits onto its low 61 — two folds and one conditional
+    /// subtraction in place of a 128-bit division, for the same residue.
     #[inline]
     pub fn eval(&self, x: u64) -> u64 {
-        let v = (u128::from(self.a) * u128::from(x) + u128::from(self.b)) % u128::from(PRIME);
-        (v % u128::from(self.m)) as u64
+        // a < 2^61 and x < 2^64: v < 2^125 + 2^61.
+        let v = u128::from(self.a) * u128::from(x) + u128::from(self.b);
+        let p = u128::from(PRIME);
+        let v = (v & p) + (v >> 61); // < 2^61 + 2^64
+        let mut v = ((v & p) + (v >> 61)) as u64; // < 2^61 + 2^4
+        if v >= PRIME {
+            v -= PRIME;
+        }
+        v % self.m
     }
 
     /// The output range `m`.
@@ -206,7 +217,37 @@ mod tests {
         assert_ne!(a.finish(), b.finish());
     }
 
+    #[test]
+    fn eval_at_the_edges_of_the_field() {
+        let by_division = |a: u64, b: u64, m: u64, x: u64| {
+            ((u128::from(a) * u128::from(x) + u128::from(b)) % u128::from(PRIME) % u128::from(m))
+                as u64
+        };
+        for &a in &[1, 2, PRIME / 2, PRIME - 1] {
+            for &b in &[1, PRIME - 1] {
+                for &x in &[0, 1, PRIME - 1, PRIME, PRIME + 1, u64::MAX - 1, u64::MAX] {
+                    let h = UniversalHash::with_coefficients(a, b, PRIME);
+                    assert_eq!(h.eval(x), by_division(a, b, PRIME, x), "a={a} b={b} x={x}");
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn mersenne_folding_equals_division(
+            a in 1u64..PRIME,
+            b in 1u64..PRIME,
+            m in 1u64..=PRIME,
+            x in any::<u64>(),
+        ) {
+            let by_division = (u128::from(a) * u128::from(x) + u128::from(b))
+                % u128::from(PRIME)
+                % u128::from(m);
+            let h = UniversalHash::with_coefficients(a, b, m);
+            prop_assert_eq!(u128::from(h.eval(x)), by_division);
+        }
+
         #[test]
         fn accumulator_deterministic(vals in proptest::collection::vec(any::<u64>(), 0..20)) {
             let mut a = KeyAccumulator::new();

@@ -16,6 +16,9 @@
 //! * [`backend`] — the [`backend::BlockingBackend`] trait and serializable
 //!   [`backend::Backend`] enum that let the blocking layer swap the
 //!   bit-sampling family for the covering family.
+//! * [`kernel`] — the families compiled against a packed record layout:
+//!   gather programs and `pext` extract steps that produce all `L` keys of
+//!   a record from its words, bit-identical to the reference functions.
 //! * [`table`] — key → id-list blocking tables (the `T_l` hash tables).
 //! * [`hashfn`] — pairwise-independent universal hashes
 //!   `g(x) = ((a·x + b) mod P) mod m`, shared with the c-vector embedder.
@@ -27,6 +30,7 @@ pub mod error;
 pub mod euclidean;
 pub mod hamming;
 pub mod hashfn;
+pub mod kernel;
 pub mod minhash;
 pub mod params;
 pub mod table;
@@ -36,5 +40,6 @@ pub use covering::{CoveringFamily, CoveringGroup, MAX_COVERING_THETA};
 pub use error::FamilyError;
 pub use hamming::{BitSampleFamily, BitSampler};
 pub use hashfn::UniversalHash;
+pub use kernel::KeyKernel;
 pub use params::{base_success_probability, optimal_l};
 pub use table::BlockingTable;

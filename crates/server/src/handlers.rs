@@ -70,12 +70,12 @@ fn insert(inner: &Inner, records: &[Record]) -> Handled {
     let mut applied_seq = 0;
     if inner.store.is_some() {
         // Validate before logging so the WAL never holds an op that will
-        // fail again at replay.
-        state
-            .pipeline
-            .schema()
-            .embed_all(records)
-            .map_err(linkage)?;
+        // fail again at replay — without embedding: `index` below embeds,
+        // once, and this lock is held exclusively.
+        let schema = state.pipeline.schema();
+        for record in records {
+            schema.check(record).map_err(linkage)?;
+        }
         let ops: Vec<WalOp> = records.iter().cloned().map(WalOp::Insert).collect();
         applied_seq = log_mutation(inner, &ops)?;
     }
@@ -138,7 +138,7 @@ fn stream(inner: &Inner, record: &Record) -> Handled {
     reject_if_follower(inner)?;
     let mut applied_seq = 0;
     if inner.store.is_some() {
-        state.pipeline.schema().embed(record).map_err(linkage)?;
+        state.pipeline.schema().check(record).map_err(linkage)?;
         // Logged as `Observe` (not `Insert`): replay re-runs the
         // match-then-index round, rebuilding the stream pairs and the
         // dedup forest deterministically.

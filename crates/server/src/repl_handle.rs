@@ -87,7 +87,7 @@ impl ReplHandle {
         // the local schema cannot embed must never enter the local WAL,
         // where it would fail again at every replay.
         if let WalOp::Insert(record) | WalOp::Observe(record) = op {
-            if let Err(e) = state.pipeline.schema().embed(record) {
+            if let Err(e) = state.pipeline.schema().check(record) {
                 return Err(ApplyError::Resync(format!(
                     "frame {seq} rejected by the local schema: {e}"
                 )));

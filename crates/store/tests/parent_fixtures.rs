@@ -1,0 +1,255 @@
+//! Documents written by the commit before the key kernels, the sorted-vector
+//! candidate sets and the word hasher (`tests/fixtures/`, made there with
+//! the builders below) against this build:
+//!
+//! * each loads, and answers the probes exactly as it did there;
+//! * the same index built here serializes to the same document, value for
+//!   value — so no key was added to or dropped from a plan, a pipeline or a
+//!   `ShardedState` (compiled kernels and scratch buffers stay out), the
+//!   snapshot version is still 3, and every blocking key in every table is
+//!   the key the reference functions gave.
+//!
+//! The three indexes cover the structure shapes the plan compilers emit:
+//! record-level sampling; a fused sampling conjunction with a NOT structure;
+//! covering structures over one attribute and over fused attributes listed
+//! out of schema order.
+
+use cbv_hb::pipeline::LinkagePipeline;
+use cbv_hb::sharded::ShardedPipeline;
+use cbv_hb::{parse_rule, AttributeSpec, LinkageConfig, Record, RecordSchema};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rl_store::snapshot::{Snapshot, SNAPSHOT_VERSION};
+use serde_json::Value;
+use std::path::PathBuf;
+use textdist::Alphabet;
+
+fn fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+fn schema(rng: &mut StdRng) -> RecordSchema {
+    RecordSchema::build(
+        Alphabet::linkage(),
+        vec![
+            AttributeSpec::new("FirstName", 2, 15, false, 2),
+            AttributeSpec::new("LastName", 2, 15, false, 2),
+            AttributeSpec::new("Town", 2, 22, false, 3),
+        ],
+        rng,
+    )
+}
+
+fn indexed() -> Vec<Record> {
+    [
+        ["JOHN", "SMITH", "DURHAM"],
+        ["JON", "SMITH", "DURHAM"],
+        ["JOHN", "SMYTHE", "RALEIGH"],
+        ["MARY", "JONES", "RALEIGH"],
+        ["MARIE", "JONES", "RALEIGH"],
+        ["PETER", "WRIGHT", "CARY"],
+        ["PETRA", "WRIGHT", "APEX"],
+        ["AGNES", "MOORE", "WILMINGTON"],
+        ["AGNES", "MOORE", "WILSON"],
+        ["OLIVER", "STONE", "CHAPEL HILL"],
+        ["OLIVIA", "STONE", "CHAPEL HILL"],
+        ["WILHELMINA", "VANDERBILT", "ASHEVILLE"],
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, f)| Record::new(i as u64 * 7 + 1, f))
+    .collect()
+}
+
+fn probes() -> Vec<Record> {
+    [
+        ["JOHN", "SMITH", "DURHAM"],
+        ["MARY", "JONES", "RALEIGH"],
+        ["PETER", "WRIGHT", "APEX"],
+        ["AGNES", "MOORE", "WILSON"],
+        ["OLIVER", "STONE", "CHAPEL HILL"],
+        ["NOBODY", "ATALL", "NOWHERE"],
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, f)| Record::new(1000 + i as u64, f))
+    .collect()
+}
+
+/// Record-level HB over all three attributes, as `LinkagePipeline::save`
+/// writes it.
+fn record_level() -> LinkagePipeline {
+    let mut rng = StdRng::seed_from_u64(11);
+    let schema = schema(&mut rng);
+    let rule = parse_rule("0<=4 & 1<=4").unwrap();
+    let mut p =
+        LinkagePipeline::new(schema, LinkageConfig::record_level(rule, 4, 12), &mut rng).unwrap();
+    p.index(&indexed()).unwrap();
+    p
+}
+
+fn sharded(config: LinkageConfig) -> ShardedPipeline {
+    let mut rng = StdRng::seed_from_u64(12);
+    let schema = schema(&mut rng);
+    let mut p = ShardedPipeline::new(schema, config, 2, &mut rng).unwrap();
+    p.index(&indexed()).unwrap();
+    p
+}
+
+/// A fused two-attribute sampling conjunction and the structure of a NOT.
+fn rule_aware() -> ShardedPipeline {
+    sharded(LinkageConfig::rule_aware(
+        parse_rule("0<=4 & 1<=4 & !(2<=2)").unwrap(),
+    ))
+}
+
+/// A covering family over attributes 1 and 0 fused in that order, and one
+/// over attribute 2 alone.
+fn covering_rule_aware() -> ShardedPipeline {
+    sharded(LinkageConfig::covering_rule_aware(
+        parse_rule("(1<=1 & 0<=1) | 2<=1").unwrap(),
+    ))
+}
+
+fn snapshot_of(p: &ShardedPipeline) -> String {
+    let snapshot = Snapshot::new(p.export_state().unwrap(), Vec::new(), 0).unwrap();
+    serde_json::to_string(&snapshot).unwrap()
+}
+
+/// Path of the first place two documents differ at, if any.
+fn first_difference(ours: &Value, theirs: &Value, path: &str) -> Option<String> {
+    match (ours, theirs) {
+        (Value::Object(a), Value::Object(b)) => {
+            let keys = |o: &[(String, Value)]| o.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+            if keys(a) != keys(b) {
+                return Some(format!("{path}: keys {:?} vs {:?}", keys(a), keys(b)));
+            }
+            a.iter()
+                .zip(b)
+                .find_map(|((k, x), (_, y))| first_difference(x, y, &format!("{path}.{k}")))
+        }
+        (Value::Array(a), Value::Array(b)) => {
+            if a.len() != b.len() {
+                return Some(format!("{path}: {} vs {} elements", a.len(), b.len()));
+            }
+            a.iter()
+                .zip(b)
+                .enumerate()
+                .find_map(|(i, (x, y))| first_difference(x, y, &format!("{path}[{i}]")))
+        }
+        (a, b) if a == b => None,
+        (a, b) => Some(format!("{path}: {a:?} vs {b:?}")),
+    }
+}
+
+fn assert_same_document(ours: &str, name: &str) {
+    let theirs = std::fs::read_to_string(fixture(name)).unwrap();
+    let ours: Value = serde_json::from_str(ours).unwrap();
+    let theirs: Value = serde_json::from_str(&theirs).unwrap();
+    if let Some(at) = first_difference(&ours, &theirs, "$") {
+        panic!("{name}: this build writes a different document — {at}");
+    }
+}
+
+fn sorted(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    pairs.sort_unstable();
+    pairs
+}
+
+#[test]
+fn saved_pipeline_of_the_parent_loads_probes_and_rewrites_identically() {
+    let name = "pipeline-record-level.json";
+    let file = std::fs::File::open(fixture(name)).unwrap();
+    let restored = LinkagePipeline::load(std::io::BufReader::new(file)).unwrap();
+    let answered = sorted(restored.link(&probes()).unwrap().matches);
+    assert_eq!(
+        answered,
+        [
+            (1, 1000),
+            (8, 1000),
+            (15, 1000),
+            (22, 1001),
+            (29, 1001),
+            (36, 1002),
+            (43, 1002),
+            (50, 1003),
+            (57, 1003),
+            (64, 1004)
+        ]
+    );
+    let fresh = record_level();
+    assert_eq!(sorted(fresh.link(&probes()).unwrap().matches), answered);
+    let mut ours = Vec::new();
+    fresh.save(&mut ours).unwrap();
+    assert_same_document(std::str::from_utf8(&ours).unwrap(), name);
+    // A restored pipeline goes on indexing (its kernels were recompiled).
+    let mut restored = restored;
+    restored
+        .index(&[Record::new(999, ["NOBODY", "ATALL", "NOWHERE"])])
+        .unwrap();
+    assert!(restored
+        .link(&probes())
+        .unwrap()
+        .matches
+        .contains(&(999, 1005)));
+}
+
+#[test]
+fn snapshots_of_the_parent_load_probe_and_rewrite_identically() {
+    assert_eq!(SNAPSHOT_VERSION, 3);
+    /// A fixture, how to build the same index here, and what it answered.
+    type Case = (&'static str, fn() -> ShardedPipeline, &'static [(u64, u64)]);
+    let cases: [Case; 2] = [
+        (
+            "snapshot-v3-rule-aware.json",
+            rule_aware,
+            &[(8, 1005), (15, 1000), (36, 1002), (50, 1003)],
+        ),
+        (
+            "snapshot-v3-covering-rule-aware.json",
+            covering_rule_aware,
+            &[
+                (1, 1000),
+                (8, 1000),
+                (15, 1001),
+                (22, 1001),
+                (29, 1001),
+                (36, 1002),
+                (43, 1002),
+                (50, 1003),
+                (57, 1003),
+                (64, 1004),
+                (71, 1004),
+            ],
+        ),
+    ];
+    for (name, build, expected) in cases {
+        let snapshot = Snapshot::load(&fixture(name)).unwrap();
+        assert_eq!(snapshot.version, 3, "{name}");
+        let restored = ShardedPipeline::from_state(snapshot.state).unwrap();
+        let (pairs, _) = restored.link(&probes()).unwrap();
+        assert_eq!(pairs, expected, "{name}");
+        let fresh = build();
+        assert_eq!(fresh.link(&probes()).unwrap().0, pairs, "{name}");
+        assert_same_document(&snapshot_of(&fresh), name);
+        // Restored shards go on indexing and deleting.
+        let mut restored = restored;
+        restored
+            .index(&[Record::new(999, ["NOBODY", "ATALL", "NOWHERE"])])
+            .unwrap();
+        assert_eq!(restored.delete(&[1, 999]).unwrap(), 2, "{name}");
+        restored.shutdown();
+        fresh.shutdown();
+    }
+}
+
+#[test]
+#[should_panic(expected = "compile_kernels")]
+fn a_plan_deserialized_on_its_own_says_what_it_is_missing() {
+    let json = serde_json::to_string(record_level().plan()).unwrap();
+    let mut plan: cbv_hb::blocking::BlockingPlan = serde_json::from_str(&json).unwrap();
+    let probe = record_level().schema().embed(&probes()[0]).unwrap();
+    plan.insert(&probe);
+}

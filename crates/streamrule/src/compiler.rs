@@ -137,11 +137,7 @@ impl CompiledRule {
     where
         F: Fn(u64) -> Option<&'s EmbeddedRecord>,
     {
-        let mut cands: Vec<u64> = self
-            .plan
-            .candidates_verified(probe, &lookup)
-            .into_iter()
-            .collect();
+        let mut cands = self.plan.candidates_verified(probe, &lookup);
         stats.candidates += cands.len() as u64;
         if self.cap > 0 && cands.len() > self.cap {
             // Keep the cap nearest; unresolvable ids sort last and fall off.
@@ -152,7 +148,10 @@ impl CompiledRule {
         for id in cands {
             let Some(a) = lookup(id) else { continue };
             stats.distance_computations += 1;
-            if self.rule.evaluate(&a.distances(probe)) {
+            if self
+                .rule
+                .evaluate_with(&|attr| a.attr_distance(probe, attr))
+            {
                 out.push(id);
             }
         }
@@ -165,6 +164,7 @@ impl CompiledRule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbv_hb::blocking::ProbeScratch;
     use cbv_hb::matcher::{match_record, Classifier, RecordStore};
     use cbv_hb::schema::AttributeSpec;
     use cbv_hb::Record;
@@ -267,12 +267,14 @@ mod tests {
                 assert!(mine.contains(t), "missed match {t} for probe {}", probe.id);
             }
             assert_eq!(mine.len(), truth.len(), "probe {}", probe.id);
-            let _ = match_record(
+            match_record(
                 &unrestricted,
                 &store,
                 probe,
                 &classifier,
+                &mut ProbeScratch::default(),
                 &mut unrestricted_stats,
+                |_| {},
             );
         }
         // The shared "City" attribute floods the record-level buckets with

@@ -32,5 +32,5 @@ pub use damerau::damerau_levenshtein;
 pub use jaccard::{jaccard_distance, jaccard_similarity};
 pub use jaro::{jaro_similarity, jaro_winkler_distance, jaro_winkler_similarity};
 pub use levenshtein::{levenshtein, levenshtein_within};
-pub use qgram::{qgrams, qgrams_unpadded, QGramSet};
+pub use qgram::{for_each_qgram_index, qgram_count, qgrams, qgrams_unpadded, QGramSet};
 pub use soundex::soundex;

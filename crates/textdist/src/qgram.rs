@@ -50,6 +50,86 @@ pub fn qgrams_unpadded(s: &str, q: usize) -> Vec<Vec<char>> {
     chars.windows(q).map(<[char]>::to_vec).collect()
 }
 
+/// How many q-grams [`qgrams`] (`padded`) or [`qgrams_unpadded`] returns for
+/// `s`, from its length alone.
+///
+/// # Panics
+/// Panics if `q == 0`.
+pub fn qgram_count(s: &str, q: usize, padded: bool) -> usize {
+    assert!(q > 0, "q must be positive");
+    let n = s.chars().count();
+    if !padded {
+        (n + 1).saturating_sub(q)
+    } else if n == 0 {
+        0
+    } else {
+        n + q - 1
+    }
+}
+
+/// Streams the Algorithm-1 index of every q-gram of `s` to `f`, in string
+/// order and with repeats, without building the normalized string or the
+/// q-grams: `s` is folded into `alphabet` character by character (as
+/// [`Alphabet::normalize`] does) and the base-`|S|` numeral of the current
+/// window is rolled forward one symbol at a time.
+///
+/// The indexes are exactly `alphabet.qgram_index(g)` for `g` in
+/// `qgrams(&alphabet.normalize(s), q)` (or `qgrams_unpadded`). The window
+/// arithmetic wraps, as `qgram_index` does in a release build.
+///
+/// # Panics
+/// Panics if `q == 0`, or if `padded`, `q > 1` and the alphabet lacks
+/// [`PAD`] while `s` has at least one alphabet character.
+pub fn for_each_qgram_index(
+    s: &str,
+    q: usize,
+    alphabet: &Alphabet,
+    padded: bool,
+    mut f: impl FnMut(u64),
+) {
+    assert!(q > 0, "q must be positive");
+    let ords = s
+        .chars()
+        .filter_map(|c| alphabet.ord(c.to_ascii_uppercase()).map(u64::from));
+    if padded && ords.clone().next().is_none() {
+        // An empty value has no q-grams, not q-grams of pads.
+        return;
+    }
+    let pads = if padded { q - 1 } else { 0 };
+    let pad = if pads > 0 {
+        u64::from(
+            alphabet
+                .ord(PAD)
+                .expect("padded q-grams need the pad symbol in the alphabet"),
+        )
+    } else {
+        0
+    };
+    let symbols = std::iter::repeat_n(pad, pads)
+        .chain(ords)
+        .chain(std::iter::repeat_n(pad, pads));
+    // A second pass over the same symbols, q behind the first, names the
+    // symbol that leaves the window.
+    let mut leaving = symbols.clone();
+    let base = alphabet.len() as u64;
+    let top = (1..q).fold(1u64, |t, _| t.wrapping_mul(base));
+    let (mut ind, mut filled) = (0u64, 0usize);
+    for o in symbols {
+        if filled == q {
+            let old = leaving
+                .next()
+                .expect("the lagging pass is q symbols behind");
+            ind = ind.wrapping_sub(old.wrapping_mul(top));
+        } else {
+            filled += 1;
+        }
+        ind = ind.wrapping_mul(base).wrapping_add(o);
+        if filled == q {
+            f(ind);
+        }
+    }
+}
+
 /// The set `U_s` of q-gram indexes of a string (duplicates collapsed).
 ///
 /// Stored sorted and deduplicated so that set operations (for the Jaccard
@@ -77,24 +157,9 @@ impl QGramSet {
     }
 
     fn build_inner(s: &str, q: usize, alphabet: &Alphabet, padded: bool) -> Self {
-        let norm = alphabet.normalize(s);
-        let grams = if padded {
-            qgrams(&norm, q)
-        } else {
-            qgrams_unpadded(&norm, q)
-        };
-        let raw_count = grams.len();
-        let mut indexes: Vec<u64> = grams
-            .iter()
-            .map(|g| {
-                alphabet
-                    .qgram_index(g)
-                    .expect("normalized string contains only alphabet symbols")
-            })
-            .collect();
-        indexes.sort_unstable();
-        indexes.dedup();
-        Self { indexes, raw_count }
+        let mut indexes = Vec::new();
+        for_each_qgram_index(s, q, alphabet, padded, |x| indexes.push(x));
+        Self::from_indexes(indexes)
     }
 
     /// Constructs a set directly from indexes (used by tests and generators).
@@ -171,7 +236,7 @@ where
     let mut total = 0usize;
     let mut n = 0usize;
     for v in values {
-        total += qgrams(v, q).len();
+        total += qgram_count(v, q, true);
         n += 1;
     }
     if n == 0 {
@@ -184,6 +249,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bigrams_of_john_match_paper() {
@@ -281,6 +347,61 @@ mod tests {
         let b = average_qgram_count(vals.iter().copied(), 2);
         assert!((b - 5.5).abs() < 1e-12);
         assert_eq!(average_qgram_count(std::iter::empty(), 2), 0.0);
+    }
+
+    /// The q-gram indexes of `s` the way they were computed before the
+    /// streaming form: normalize, materialize the q-grams, index each.
+    fn reference_indexes(s: &str, q: usize, a: &Alphabet, padded: bool) -> Vec<u64> {
+        let norm = a.normalize(s);
+        let grams = if padded {
+            qgrams(&norm, q)
+        } else {
+            qgrams_unpadded(&norm, q)
+        };
+        grams.iter().map(|g| a.qgram_index(g).unwrap()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn streamed_indexes_equal_materialized_qgrams(
+            s in "[A-Ca-c0-2 _.éß#-]{0,14}",
+            q in 1usize..=4,
+            padded in any::<bool>(),
+        ) {
+            for a in [Alphabet::upper(), Alphabet::linkage()] {
+                let mut streamed = Vec::new();
+                for_each_qgram_index(&s, q, &a, padded, |x| streamed.push(x));
+                prop_assert_eq!(&streamed, &reference_indexes(&s, q, &a, padded));
+                let set = if padded {
+                    QGramSet::build(&s, q, &a)
+                } else {
+                    QGramSet::build_unpadded(&s, q, &a)
+                };
+                prop_assert_eq!(set.raw_count(), streamed.len());
+                prop_assert_eq!(set, QGramSet::from_indexes(streamed));
+            }
+        }
+
+        #[test]
+        fn qgram_count_equals_materialized_len(s in "[A-Ca-c éß]{0,9}", q in 1usize..=4) {
+            prop_assert_eq!(qgram_count(&s, q, true), qgrams(&s, q).len());
+            prop_assert_eq!(qgram_count(&s, q, false), qgrams_unpadded(&s, q).len());
+        }
+    }
+
+    #[test]
+    fn unpadded_and_unigram_streams_need_no_pad_symbol() {
+        let digits = Alphabet::new("0123456789");
+        assert_eq!(QGramSet::build_unpadded("1998", 2, &digits).len(), 3);
+        assert_eq!(QGramSet::build("1998", 1, &digits).len(), 3);
+        // Nothing of the value survives normalization: no pad is reached for.
+        assert!(QGramSet::build("ABC", 2, &digits).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "pad symbol")]
+    fn padded_stream_over_an_alphabet_without_pad_panics_by_name() {
+        let _ = QGramSet::build("1998", 2, &Alphabet::new("0123456789"));
     }
 
     #[test]

@@ -543,15 +543,19 @@ impl<'de, T: de::DeserializeOwned + Ord> Deserialize<'de> for std::collections::
     }
 }
 
-impl<T: Serialize + Eq + std::hash::Hash> Serialize for std::collections::HashSet<T> {
+impl<T: Serialize + Eq + std::hash::Hash, H: std::hash::BuildHasher> Serialize
+    for std::collections::HashSet<T, H>
+{
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let v = seq_to_value::<T, S::Error>(self.iter())?;
         serializer.serialize_value(v)
     }
 }
 
-impl<'de, T: de::DeserializeOwned + Eq + std::hash::Hash> Deserialize<'de>
-    for std::collections::HashSet<T>
+impl<'de, T, H> Deserialize<'de> for std::collections::HashSet<T, H>
+where
+    T: de::DeserializeOwned + Eq + std::hash::Hash,
+    H: std::hash::BuildHasher + Default,
 {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let items: Vec<T> = value_to_seq(deserializer.into_value()?)?;
@@ -694,15 +698,20 @@ fn value_to_map<K: MapKey, V: de::DeserializeOwned, E: de::Error>(
     }
 }
 
-impl<K: MapKey + Eq + std::hash::Hash, V: Serialize> Serialize for std::collections::HashMap<K, V> {
+impl<K: MapKey + Eq + std::hash::Hash, V: Serialize, H: std::hash::BuildHasher> Serialize
+    for std::collections::HashMap<K, V, H>
+{
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let v = map_to_value::<K, V, S::Error>(self.iter())?;
         serializer.serialize_value(v)
     }
 }
 
-impl<'de, K: MapKey + Eq + std::hash::Hash, V: de::DeserializeOwned> Deserialize<'de>
-    for std::collections::HashMap<K, V>
+impl<'de, K, V, H> Deserialize<'de> for std::collections::HashMap<K, V, H>
+where
+    K: MapKey + Eq + std::hash::Hash,
+    V: de::DeserializeOwned,
+    H: std::hash::BuildHasher + Default,
 {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let entries = value_to_map::<K, V, D::Error>(deserializer.into_value()?)?;
@@ -866,6 +875,24 @@ mod tests {
         let arr = [9u64, 8, 7, 6];
         let back: [u64; 4] = from_value(to_value(&arr).unwrap()).unwrap();
         assert_eq!(back, arr);
+    }
+
+    #[test]
+    fn maps_and_sets_roundtrip_under_any_default_build_hasher() {
+        use std::collections::HashSet;
+        use std::hash::{BuildHasherDefault, DefaultHasher};
+        type Fixed = BuildHasherDefault<DefaultHasher>;
+        let mut m: HashMap<u64, Vec<u64>, Fixed> = HashMap::default();
+        m.insert(3, vec![1]);
+        m.insert(4, vec![]);
+        let plain: HashMap<u64, Vec<u64>> = m.iter().map(|(k, v)| (*k, v.clone())).collect();
+        // Same document whatever the hasher, and it loads under either.
+        assert_eq!(to_value(&m).unwrap(), to_value(&plain).unwrap());
+        let back: HashMap<u64, Vec<u64>, Fixed> = from_value(to_value(&plain).unwrap()).unwrap();
+        assert_eq!(back, m);
+        let s: HashSet<u64, Fixed> = [5, 6].into_iter().collect();
+        let back: HashSet<u64, Fixed> = from_value(to_value(&s).unwrap()).unwrap();
+        assert_eq!(back, s);
     }
 
     #[test]

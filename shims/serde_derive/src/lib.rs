@@ -5,14 +5,25 @@
 //! raw `proc_macro::TokenStream`, and the impls are emitted as source
 //! strings. Supports what this workspace uses — non-generic named/tuple
 //! structs and enums with unit/newtype/tuple/struct variants, externally
-//! tagged, plus the `#[serde(default)]` field attribute.
+//! tagged, plus the `#[serde(default)]` and `#[serde(skip)]` field
+//! attributes.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[derive(Debug, Clone)]
 struct Field {
     name: String,
+    /// `#[serde(default)]`: a missing key deserializes to `Default`.
     default: bool,
+    /// `#[serde(skip)]`: never written, always `Default` on read.
+    skip: bool,
+}
+
+/// The `#[serde(...)]` flags found on one field.
+#[derive(Debug, Clone, Copy, Default)]
+struct FieldAttrs {
+    default: bool,
+    skip: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -40,38 +51,41 @@ enum Item {
     },
 }
 
-/// True when an attribute body (the tokens inside `#[...]`) is
-/// `serde(default)`.
-fn attr_is_serde_default(body: &TokenStream) -> bool {
+/// Folds the flags of one attribute body (the tokens inside `#[...]`) into
+/// `attrs`; anything but `serde(...)` is ignored.
+fn read_serde_attr(body: &TokenStream, attrs: &mut FieldAttrs) {
     let mut iter = body.clone().into_iter();
-    match (iter.next(), iter.next()) {
-        (Some(TokenTree::Ident(name)), Some(TokenTree::Group(args)))
-            if name.to_string() == "serde" =>
-        {
-            args.stream()
-                .into_iter()
-                .any(|t| matches!(&t, TokenTree::Ident(i) if i.to_string() == "default"))
+    if let (Some(TokenTree::Ident(name)), Some(TokenTree::Group(args))) = (iter.next(), iter.next())
+    {
+        if name.to_string() != "serde" {
+            return;
         }
-        _ => false,
+        for t in args.stream() {
+            if let TokenTree::Ident(i) = &t {
+                match i.to_string().as_str() {
+                    "default" => attrs.default = true,
+                    "skip" => attrs.skip = true,
+                    _ => {}
+                }
+            }
+        }
     }
 }
 
-/// Consumes leading `#[...]` attributes; reports whether any was
-/// `#[serde(default)]`.
-fn skip_attrs(iter: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) -> bool {
-    let mut has_default = false;
+/// Consumes leading `#[...]` attributes; reports the `#[serde(...)]` flags
+/// among them.
+fn skip_attrs(iter: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) -> FieldAttrs {
+    let mut attrs = FieldAttrs::default();
     while matches!(iter.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
         iter.next();
         match iter.next() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
-                if attr_is_serde_default(&g.stream()) {
-                    has_default = true;
-                }
+                read_serde_attr(&g.stream(), &mut attrs);
             }
             other => panic!("malformed attribute after `#`: {other:?}"),
         }
     }
-    has_default
+    attrs
 }
 
 /// Consumes a visibility qualifier (`pub`, `pub(crate)`, …) if present.
@@ -86,7 +100,7 @@ fn skip_visibility(iter: &mut std::iter::Peekable<impl Iterator<Item = TokenTree
 }
 
 /// Parses `name: Type` fields from the body of a braced struct or
-/// struct variant, tracking `#[serde(default)]`.
+/// struct variant, tracking `#[serde(default)]` and `#[serde(skip)]`.
 fn parse_named_fields(body: TokenStream) -> Vec<Field> {
     let mut iter = body.into_iter().peekable();
     let mut fields = Vec::new();
@@ -94,7 +108,7 @@ fn parse_named_fields(body: TokenStream) -> Vec<Field> {
         if iter.peek().is_none() {
             break;
         }
-        let default = skip_attrs(&mut iter);
+        let attrs = skip_attrs(&mut iter);
         skip_visibility(&mut iter);
         let name = match iter.next() {
             Some(TokenTree::Ident(i)) => i.to_string(),
@@ -128,7 +142,11 @@ fn parse_named_fields(body: TokenStream) -> Vec<Field> {
                 }
             }
         }
-        fields.push(Field { name, default });
+        fields.push(Field {
+            name,
+            default: attrs.default,
+            skip: attrs.skip,
+        });
     }
     fields
 }
@@ -265,7 +283,7 @@ fn gen_serialize(item: &Item) -> String {
                         "let mut __fields: ::std::vec::Vec<(::std::string::String, \
                          ::serde::__private::Value)> = ::std::vec::Vec::new();\n",
                     );
-                    for f in fs {
+                    for f in fs.iter().filter(|f| !f.skip) {
                         let fname = &f.name;
                         out.push_str(&format!(
                             "__fields.push((::std::string::String::from(\"{fname}\"), \
@@ -350,7 +368,7 @@ fn gen_serialize(item: &Item) -> String {
                             "let mut __vfields: ::std::vec::Vec<(::std::string::String, \
                              ::serde::__private::Value)> = ::std::vec::Vec::new();\n",
                         );
-                        for f in fs {
+                        for f in fs.iter().filter(|f| !f.skip) {
                             let fname = &f.name;
                             body.push_str(&format!(
                                 "__vfields.push((::std::string::String::from(\"{fname}\"), \
@@ -377,6 +395,9 @@ fn gen_named_field_reads(fs: &[Field], type_name: &str) -> String {
     fs.iter()
         .map(|f| {
             let fname = &f.name;
+            if f.skip {
+                return format!("{fname}: ::std::default::Default::default(),\n");
+            }
             let reader = if f.default {
                 "de_field_default"
             } else {

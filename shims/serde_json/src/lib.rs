@@ -528,6 +528,33 @@ mod tests {
     use super::*;
 
     #[test]
+    fn skipped_field_is_not_written_and_reads_back_as_default() {
+        #[derive(serde::Serialize, serde::Deserialize, Debug, PartialEq)]
+        struct Cached {
+            a: u64,
+            #[serde(skip)]
+            cache: Vec<u64>,
+            #[serde(default)]
+            b: u64,
+        }
+        let full = Cached {
+            a: 1,
+            cache: vec![9],
+            b: 2,
+        };
+        assert_eq!(to_string(&full).unwrap(), r#"{"a":1,"b":2}"#);
+        // A document that does carry the key (hand-written) cannot fill it.
+        let back: Cached = from_str(r#"{"a":1,"cache":[7],"b":2}"#).unwrap();
+        assert_eq!(
+            back,
+            Cached {
+                cache: Vec::new(),
+                ..full
+            }
+        );
+    }
+
+    #[test]
     fn roundtrip_scalars() {
         assert_eq!(to_string(&42u64).unwrap(), "42");
         assert_eq!(from_str::<u64>("42").unwrap(), 42);

@@ -1,12 +1,16 @@
 //! Randomized pipeline properties: arbitrary valid rules over arbitrary
 //! schemas must (a) compile, (b) classify exactly per the rule, and
-//! (c) always surface exact-duplicate records for positive rules.
+//! (c) always surface exact-duplicate records for positive rules; and
+//! (d) the plan's sorted-vector candidate algebra must formulate exactly
+//! the candidates that hash sets, filled bucket by bucket, would.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
+use record_linkage::cbv_hb::blocking::{BlockingPlan, BlockingStructure};
+use record_linkage::cbv_hb::{AttributeSpec, EmbeddedRecord, Record, RecordSchema, Rule};
 use record_linkage::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 /// Strategy for a random *positive* rule (no NOT) over `n_attrs` attributes
 /// with thresholds below `max_theta`.
@@ -18,6 +22,119 @@ fn positive_rule(n_attrs: usize, max_theta: u32) -> impl Strategy<Value = Rule> 
             proptest::collection::vec(inner, 1..3).prop_map(Rule::Or),
         ]
     })
+}
+
+/// Strategy for a rule with a NOT: positive conjuncts and one negated
+/// predicate or conjunction of predicates (the paper's C3 shape), possibly
+/// beside another subrule under an OR.
+fn rule_with_not(n_attrs: usize, max_theta: u32) -> impl Strategy<Value = Rule> {
+    let pred = || (0..n_attrs, 1..=max_theta).prop_map(|(a, t)| Rule::pred(a, t));
+    let negated = prop_oneof![
+        pred(),
+        proptest::collection::vec(pred(), 1..3).prop_map(Rule::And),
+    ];
+    let c3 = (
+        proptest::collection::vec(positive_rule(n_attrs, max_theta), 1..3),
+        negated,
+    )
+        .prop_map(|(mut conjuncts, negated)| {
+            conjuncts.push(Rule::not(negated));
+            Rule::And(conjuncts)
+        });
+    (c3, positive_rule(n_attrs, max_theta), any::<bool>()).prop_map(|(c3, other, alone)| {
+        if alone {
+            c3
+        } else {
+            Rule::or([other, c3])
+        }
+    })
+}
+
+/// One structure's candidates as the probe loop formulated them when
+/// candidate sets were hash sets: tables in order, ids in insertion order,
+/// each new id entering the set until `top_k` distinct ones are in
+/// (0: no bound). Returns the set and whether it was cut short.
+fn leaf_model(s: &BlockingStructure, probe: &EmbeddedRecord, top_k: usize) -> (HashSet<u64>, bool) {
+    let mut keys = Vec::new();
+    s.keys_into(probe, &mut keys);
+    let mut out = HashSet::new();
+    let mut bucket = Vec::new();
+    for (l, &key) in keys.iter().enumerate() {
+        bucket.clear();
+        s.probe_key_into(l, key, &mut bucket);
+        for &id in &bucket {
+            if top_k > 0 && out.len() >= top_k && !out.contains(&id) {
+                return (out, true);
+            }
+            out.insert(id);
+        }
+    }
+    (out, false)
+}
+
+/// The candidate set of `rule` by set algebra over [`leaf_model`]s, taking
+/// structures from `structures` in the order the plan compiler made them:
+/// an AND's fused predicates first, then its compound conjuncts, then one
+/// structure per NOT; an OR's children left to right.
+fn plan_model<'p>(
+    rule: &Rule,
+    structures: &mut std::slice::Iter<'p, BlockingStructure>,
+    probe: &EmbeddedRecord,
+    store: Option<&HashMap<u64, EmbeddedRecord>>,
+    top_k: usize,
+    truncated: &mut bool,
+) -> HashSet<u64> {
+    let mut leaf = |structures: &mut std::slice::Iter<'p, BlockingStructure>| {
+        let (set, cut) = leaf_model(structures.next().unwrap(), probe, top_k);
+        *truncated |= cut;
+        set
+    };
+    match rule {
+        Rule::Pred(_) => leaf(structures),
+        Rule::Or(children) => {
+            let mut out = HashSet::new();
+            for c in children {
+                out.extend(plan_model(c, structures, probe, store, top_k, truncated));
+            }
+            out
+        }
+        Rule::And(children) => {
+            let mut sets = Vec::new();
+            if children.iter().any(|c| matches!(c, Rule::Pred(_))) {
+                sets.push(leaf(structures));
+            }
+            for c in children {
+                if !matches!(c, Rule::Pred(_) | Rule::Not(_)) {
+                    sets.push(plan_model(c, structures, probe, store, top_k, truncated));
+                }
+            }
+            let mut acc = sets.pop().unwrap();
+            for s in sets {
+                acc.retain(|id| s.contains(id));
+            }
+            for _ in children.iter().filter(|c| matches!(c, Rule::Not(_))) {
+                let negated = structures.next().unwrap();
+                // A NOT structure's own truncation was never reported.
+                let (excluded, _) = leaf_model(negated, probe, top_k);
+                acc.retain(|id| {
+                    !excluded.contains(id)
+                        || store.is_some_and(|store| {
+                            store
+                                .get(id)
+                                .is_none_or(|a| !negated.conjuncts_hold(a, probe))
+                        })
+                });
+            }
+            acc
+        }
+        Rule::Not(_) => unreachable!("validated rules negate only under an AND"),
+    }
+}
+
+fn ascending(set: HashSet<u64>) -> Vec<u64> {
+    let mut v: Vec<u64> = set.into_iter().collect();
+    v.sort_unstable();
+    v
 }
 
 fn schema(seed: u64, n_attrs: usize) -> RecordSchema {
@@ -85,6 +202,48 @@ proptest! {
             result.matches.contains(&(1, 100)),
             "exact duplicate missed"
         );
+    }
+
+    #[test]
+    fn sorted_candidate_algebra_equals_set_semantics(
+        rule in prop_oneof![positive_rule(3, 6), rule_with_not(3, 6)],
+        seed in 0u64..50,
+        top_k in prop_oneof![0usize..1, 1usize..12],
+        // A three-letter alphabet: many near-duplicates, full buckets.
+        values in proptest::collection::vec("[A-C]{2,4}", 3 * 45),
+    ) {
+        let s = schema(seed, 3);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5E7);
+        let mut config = LinkageConfig::rule_aware(rule.clone());
+        config.delta = 0.3;
+        config.block.probe_top_k = top_k;
+        let mut plan = BlockingPlan::from_config(&s, &config, &mut rng).unwrap();
+        let records: Vec<EmbeddedRecord> = values
+            .chunks(3)
+            .enumerate()
+            .map(|(i, f)| s.embed(&record(i as u64 * 3 + 1, f)).unwrap())
+            .collect();
+        let (indexed, probes) = records.split_at(40);
+        let mut store = HashMap::new();
+        for rec in indexed {
+            plan.insert(rec);
+            // Every fifth record is in the tables but cannot be retrieved,
+            // as after a delete: a NOT cannot verify against it.
+            if rec.id % 5 != 0 {
+                store.insert(rec.id, rec.clone());
+            }
+        }
+        for probe in probes {
+            let mut cut = false;
+            let verified =
+                plan_model(&rule, &mut plan.structures().iter(), probe, Some(&store), top_k, &mut cut);
+            let (ours, ours_cut) = plan.candidates_verified_counted(probe, |id| store.get(&id));
+            prop_assert_eq!(&ours, &ascending(verified), "verified, top_k {}", top_k);
+            prop_assert_eq!(ours_cut, cut);
+            let literal =
+                plan_model(&rule, &mut plan.structures().iter(), probe, None, top_k, &mut false);
+            prop_assert_eq!(plan.candidates(probe), ascending(literal), "literal, top_k {}", top_k);
+        }
     }
 
     #[test]
