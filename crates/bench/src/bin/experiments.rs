@@ -13,6 +13,7 @@
 //!   fig11     PC per perturbation operation (PL and PH)
 //!   fig12     RR/PC and total running time per method
 //!   missing   extension: PC under missing values (rule-aware OR helps)
+//!   covering  extension: CoveringLSH vs random sampling at matched L
 //!   all       everything above
 //! ```
 
@@ -45,7 +46,7 @@ struct Opts {
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
-        eprintln!("usage: experiments <table3|fig6|fig7|fig8a|fig8b|fig9|fig11|fig12|missing|guarantee|rho|jw|privacy|kopt|scale|multiprobe|traditional|qsweep|nonstd|all> [--records N] [--trials T] [--seed S] [--out DIR]");
+        eprintln!("usage: experiments <table3|fig6|fig7|fig8a|fig8b|fig9|fig11|fig12|missing|guarantee|rho|jw|privacy|kopt|scale|multiprobe|traditional|qsweep|nonstd|covering|all> [--records N] [--trials T] [--seed S] [--out DIR]");
         std::process::exit(2);
     };
     let mut opts = Opts {
@@ -90,6 +91,7 @@ fn main() {
         "traditional" => traditional(&opts),
         "qsweep" => qsweep(&opts),
         "nonstd" => nonstd(&opts),
+        "covering" => covering(&opts),
         "all" => {
             table3(&opts);
             fig6(&opts);
@@ -109,6 +111,7 @@ fn main() {
             traditional(&opts);
             qsweep(&opts);
             nonstd(&opts);
+            covering(&opts);
         }
         other => {
             eprintln!("unknown subcommand {other}");
@@ -1449,4 +1452,95 @@ fn nonstd(opts: &Opts) {
     }
     t.print();
     write_json(&opts.out, "nonstd", &json);
+}
+
+// ------------------------------------------------- extension: covering
+
+/// CoveringLSH against random bit sampling at the same number of tables,
+/// `L = 2^{θ+1} − 1` (docs/THEORY.md §9): how many of the cross pairs
+/// within record-level distance θ each backend co-blocks, and at what
+/// candidate cost. Counts only — identical flags write identical JSON.
+fn covering(opts: &Opts) {
+    use cbv_hb::blocking::BlockingPlan;
+    println!("\n## Extension — CoveringLSH vs random sampling at matched L");
+    let theta = 4u32;
+    let pair = ncvr_pair(opts.records, PerturbationScheme::Light, opts.seed);
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    // Fixed 4 × 48-bit c-vectors: wide enough for realistic covering
+    // groups, small enough that light perturbations stay within θ.
+    let specs = (0..4)
+        .map(|f| AttributeSpec::new(format!("f{f}"), 2, 48, false, 30))
+        .collect();
+    let schema = RecordSchema::build(Alphabet::linkage(), specs, &mut rng);
+    let enc_a = schema.embed_all(&pair.a).expect("embed A");
+    let enc_b = schema.embed_all(&pair.b).expect("embed B");
+    // Brute force keeps the recall denominator exact: per B record, the
+    // A records within θ that both backends promise to co-block.
+    let within: Vec<Vec<u64>> = enc_b
+        .iter()
+        .map(|b| {
+            let near = enc_a.iter().filter(|a| a.total_distance(b) <= theta);
+            near.map(|a| a.id).collect()
+        })
+        .collect();
+    let within_pairs: usize = within.iter().map(Vec::len).sum();
+
+    let matched_l = (1usize << (theta + 1)) - 1;
+    let plan_rng = || StdRng::seed_from_u64(opts.seed ^ 0xC0FE);
+    let plans = [
+        (
+            "covering",
+            BlockingPlan::covering_record_level(&schema, theta, &mut plan_rng()),
+        ),
+        (
+            "random",
+            BlockingPlan::record_level_with_l(&schema, theta, 30, matched_l, &mut plan_rng()),
+        ),
+    ];
+    let mut t = Table::new(
+        "Covering vs random blocking (NCVR, PL, θ = 4, matched L)",
+        [
+            "backend",
+            "L",
+            "key bits",
+            "within-θ pairs",
+            "co-blocked",
+            "recall",
+            "candidate pairs",
+        ],
+    );
+    let mut json = Vec::new();
+    for (backend, plan) in plans {
+        let mut plan = plan.expect("valid plan");
+        let stats = plan.stats();
+        let (l, key_bits) = (stats[0].l, stats[0].key_bits);
+        plan.insert_all(&enc_a);
+        let (mut co_blocked, mut candidate_pairs) = (0usize, 0usize);
+        for (rec, near) in enc_b.iter().zip(&within) {
+            let cands = plan.candidates(rec);
+            candidate_pairs += cands.len();
+            co_blocked += near.iter().filter(|a| cands.contains(a)).count();
+        }
+        let recall = if within_pairs == 0 {
+            1.0
+        } else {
+            co_blocked as f64 / within_pairs as f64
+        };
+        t.row([
+            backend.to_string(),
+            l.to_string(),
+            key_bits.to_string(),
+            within_pairs.to_string(),
+            co_blocked.to_string(),
+            format!("{recall:.4}"),
+            candidate_pairs.to_string(),
+        ]);
+        json.push(serde_json::json!({
+            "backend": backend, "theta": theta, "l": l, "key_bits": key_bits,
+            "within_theta_pairs": within_pairs, "co_blocked": co_blocked,
+            "recall": recall, "candidate_pairs": candidate_pairs,
+        }));
+    }
+    t.print();
+    write_json(&opts.out, "covering", &json);
 }

@@ -2,26 +2,18 @@
 //! byte-identical probe answers, Stats reporting the active backend, and
 //! clear rejection of pre-backend (version 1) snapshot files.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use record_linkage::cbv_hb::pipeline::LinkageConfig;
+mod common;
+
+use common::{pipeline_with, server_config};
+use record_linkage::cbv_hb::pipeline::BlockingMode;
 use record_linkage::cbv_hb::sharded::ShardedPipeline;
-use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
+use record_linkage::cbv_hb::Record;
 use record_linkage::server::{Client, Server, ServerConfig, Snapshot, SnapshotError};
 
 fn covering_pipeline(seed: u64, shards: usize) -> ShardedPipeline {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let schema = RecordSchema::build(
-        record_linkage::textdist::Alphabet::linkage(),
-        vec![
-            AttributeSpec::new("FirstName", 2, 48, false, 5),
-            AttributeSpec::new("LastName", 2, 48, false, 5),
-        ],
-        &mut rng,
-    );
-    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-    let config = LinkageConfig::covering_rule_aware(rule);
-    ShardedPipeline::new(schema, config, shards, &mut rng).unwrap()
+    pipeline_with(seed, shards, |config| {
+        config.mode = BlockingMode::CoveringRuleAware;
+    })
 }
 
 fn records(base: u64) -> Vec<Record> {
@@ -46,11 +38,8 @@ fn covering_server_snapshot_roundtrip_answers_identically() {
     let _ = std::fs::remove_file(&snap_path);
 
     let config = ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_capacity: 16,
         snapshot_path: Some(snap_path.clone()),
-        ..ServerConfig::default()
+        ..server_config(2, 16)
     };
     let server = Server::spawn(covering_pipeline(31, 2), config.clone()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();

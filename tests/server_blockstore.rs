@@ -5,32 +5,12 @@
 //! destroyed (rebuild from the record store), and surface bounded-probe
 //! truncation in `MatchStats`.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use record_linkage::cbv_hb::pipeline::LinkageConfig;
-use record_linkage::cbv_hb::sharded::ShardedPipeline;
-use record_linkage::cbv_hb::{AttributeSpec, BlockStoreKind, Record, RecordSchema, Rule};
-use record_linkage::server::{Client, Server, ServerConfig, Snapshot};
-use std::path::{Path, PathBuf};
+mod common;
 
-fn pipeline(seed: u64, shards: usize, block_dir: Option<&Path>) -> ShardedPipeline {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let schema = RecordSchema::build(
-        record_linkage::textdist::Alphabet::linkage(),
-        vec![
-            AttributeSpec::new("FirstName", 2, 48, false, 5),
-            AttributeSpec::new("LastName", 2, 48, false, 5),
-        ],
-        &mut rng,
-    );
-    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-    let mut config = LinkageConfig::rule_aware(rule);
-    if let Some(dir) = block_dir {
-        config.block.kind = BlockStoreKind::Mmap;
-        config.block.dir = Some(dir.to_string_lossy().into_owned());
-    }
-    ShardedPipeline::new(schema, config, shards, &mut rng).unwrap()
-}
+use common::{fresh_dir, mmap_pipeline, pipeline, pipeline_with, server_config};
+use record_linkage::cbv_hb::sharded::ShardedPipeline;
+use record_linkage::cbv_hb::Record;
+use record_linkage::server::{Client, Server, Snapshot};
 
 fn records(base: u64) -> Vec<Record> {
     [
@@ -55,30 +35,22 @@ fn probes() -> Vec<Record> {
     probes
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("rl-blockstore-test-{tag}-{}", std::process::id()))
-}
-
-/// Spawns a server over `p`, indexes the corpus, probes, and returns
-/// (pairs, blocking stats) after a clean shutdown.
+/// Indexes four records into `p` and seals them (for mmap: into a
+/// generation file, read through the mapping), serves it, indexes the
+/// other three over the wire (into the delta overlay), probes across
+/// both, and returns (pairs, blocking stats) after a clean shutdown.
 fn serve_and_probe(
-    p: ShardedPipeline,
+    mut p: ShardedPipeline,
 ) -> (
     Vec<(u64, u64)>,
     Vec<record_linkage::cbv_hb::blocking::StructureStats>,
 ) {
-    let server = Server::spawn(
-        p,
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 2,
-            queue_capacity: 16,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let corpus = records(0);
+    p.index(&corpus[..4]).unwrap();
+    p.compact_stores().unwrap();
+    let server = Server::spawn(p, server_config(2, 16)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    client.index(&records(0)).unwrap();
+    client.index(&corpus[4..]).unwrap();
     let (pairs, _) = client.probe(&probes()).unwrap();
     let stats = client.stats().unwrap().blocking;
     client.shutdown().unwrap();
@@ -88,11 +60,10 @@ fn serve_and_probe(
 
 #[test]
 fn mmap_server_answers_identically_to_memory_and_reports_store() {
-    let dir = temp_dir("wire");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir("blockstore-wire");
 
-    let (mem_pairs, mem_stats) = serve_and_probe(pipeline(71, 2, None));
-    let (mmap_pairs, mmap_stats) = serve_and_probe(pipeline(71, 2, Some(&dir)));
+    let (mem_pairs, mem_stats) = serve_and_probe(pipeline(71, 2));
+    let (mmap_pairs, mmap_stats) = serve_and_probe(mmap_pipeline(71, 2, &dir));
 
     assert_eq!(
         mem_pairs, mmap_pairs,
@@ -115,20 +86,20 @@ fn mmap_server_answers_identically_to_memory_and_reports_store() {
         assert!(s.size_histogram.iter().sum::<u64>() > 0, "{}", s.label);
         assert!(s.p99_bucket() <= s.max_bucket, "{}", s.label);
     }
-    // Writes land in the delta overlay until a compaction seals a
-    // generation, so the directory may not have materialized yet.
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        mmap_stats.iter().map(|s| s.on_disk_bytes).sum::<u64>() > 0,
+        "the compared probes never touched a sealed generation"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn snapshot_restore_rebuilds_destroyed_blockstore() {
-    let dir = temp_dir("rebuild");
-    let snap_dir = temp_dir("rebuild-snap");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&snap_dir).unwrap();
+    let dir = fresh_dir("blockstore-rebuild");
+    let snap_dir = fresh_dir("blockstore-rebuild-snap");
     let snap_path = snap_dir.join("index.snap");
 
-    let mut p = pipeline(72, 2, Some(&dir));
+    let mut p = mmap_pipeline(72, 2, &dir);
     p.index(&records(0)).unwrap();
     let (pairs_before, _) = p.link(&probes()).unwrap();
     // Seal a generation so the tables are genuinely disk-resident before
@@ -151,12 +122,7 @@ fn snapshot_restore_rebuilds_destroyed_blockstore() {
         restored,
         snap.stream_pairs,
         snap.streamed,
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 2,
-            queue_capacity: 16,
-            ..ServerConfig::default()
-        },
+        server_config(2, 16),
     )
     .unwrap();
     let mut client2 = Client::connect(server2.local_addr()).unwrap();
@@ -181,29 +147,8 @@ fn snapshot_restore_rebuilds_destroyed_blockstore() {
 
 #[test]
 fn bounded_probe_reports_truncation_in_match_stats() {
-    let mut rng = StdRng::seed_from_u64(73);
-    let schema = RecordSchema::build(
-        record_linkage::textdist::Alphabet::linkage(),
-        vec![
-            AttributeSpec::new("FirstName", 2, 48, false, 5),
-            AttributeSpec::new("LastName", 2, 48, false, 5),
-        ],
-        &mut rng,
-    );
-    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-    let mut config = LinkageConfig::rule_aware(rule);
-    config.block.probe_top_k = 1;
-    let p = ShardedPipeline::new(schema, config, 1, &mut rng).unwrap();
-    let server = Server::spawn(
-        p,
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 1,
-            queue_capacity: 16,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let p = pipeline_with(73, 1, |config| config.block.probe_top_k = 1);
+    let server = Server::spawn(p, server_config(1, 16)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     // Five copies of the same name land in the same buckets; a top-1
     // probe bound must cut the candidate list and say so.

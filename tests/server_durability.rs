@@ -3,86 +3,19 @@
 //! binary, and a torn final WAL frame — the acceptance criteria of the
 //! storage subsystem.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use record_linkage::cbv_hb::pipeline::LinkageConfig;
-use record_linkage::cbv_hb::sharded::ShardedPipeline;
-use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
-use record_linkage::server::{Client, DurabilityConfig, Server, ServerConfig, SyncPolicy};
-use record_linkage::textdist::Alphabet;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use common::{durable_config, fresh_dir, gauge, pipeline, probe_one, records, spawn_rl_serve};
+use record_linkage::cbv_hb::Record;
+use record_linkage::server::{Client, ReplRole, Server, ServerConfig};
+use std::io::Write;
 use std::time::Duration;
-
-fn pipeline(seed: u64, shards: usize) -> ShardedPipeline {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let schema = RecordSchema::build(
-        Alphabet::linkage(),
-        vec![
-            AttributeSpec::new("FirstName", 2, 64, false, 5),
-            AttributeSpec::new("LastName", 2, 64, false, 5),
-        ],
-        &mut rng,
-    );
-    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-    ShardedPipeline::new(schema, LinkageConfig::rule_aware(rule), shards, &mut rng).unwrap()
-}
-
-/// A well-spread synthetic name (multiplicative hash), so distinct
-/// indices share few bigrams and the match assertions stay exact.
-fn synth_name(salt: u64, i: u64) -> String {
-    let mut x = (i + 1)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(salt.wrapping_mul(0xA24B_AED4_963E_E407));
-    (0..6)
-        .map(|_| {
-            let c = (b'A' + (x % 26) as u8) as char;
-            x /= 26;
-            c
-        })
-        .collect()
-}
-
-fn records(salt: u64, base: u64, n: u64) -> Vec<Record> {
-    (0..n)
-        .map(|i| Record::new(base + i, [synth_name(salt, i), synth_name(salt ^ 0xF00, i)]))
-        .collect()
-}
-
-/// Probe `record` under a fresh probe id and return the indexed ids it
-/// matched.
-fn probe_one(client: &mut Client, record: &Record, probe_id: u64) -> Vec<u64> {
-    let probe = Record::new(probe_id, record.fields.iter().cloned());
-    let (pairs, _) = client.probe(std::slice::from_ref(&probe)).unwrap();
-    pairs.into_iter().map(|(a, _)| a).collect()
-}
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rl-durability-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn durable_config(dir: &Path) -> ServerConfig {
-    ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        durability: Some(DurabilityConfig {
-            data_dir: dir.to_path_buf(),
-            sync: SyncPolicy::Always,
-            // No background checkpointer: restart replays the WAL alone,
-            // exercising the no-checkpoint recovery path.
-            checkpoint_every: None,
-        }),
-        ..ServerConfig::default()
-    }
-}
 
 #[test]
 fn acked_mutations_survive_clean_restart() {
     let dir = fresh_dir("clean-restart");
-    let server = Server::spawn_durable(|| Ok(pipeline(41, 2)), durable_config(&dir)).unwrap();
+    let config = || durable_config(&dir, ReplRole::Standalone);
+    let server = Server::spawn_durable(|| Ok(pipeline(41, 2)), config()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     let a = records(3, 0, 12);
@@ -94,16 +27,34 @@ fn acked_mutations_survive_clean_restart() {
     let (removed, total) = client.delete(&[a[4].id, 9999]).unwrap();
     assert_eq!((removed, total), (1, 12), "one real id, one unknown");
 
+    // One WAL op per record inserted or streamed and per id in a delete,
+    // known or not: every acknowledged op hit the log exactly once.
+    let acked_ops = 12 + 1 + 2;
+    let m = client.metrics().unwrap();
+    assert_eq!(
+        m.counter_value("rl_wal_appends_total", None),
+        Some(acked_ops)
+    );
+    assert!(
+        gauge(&m, "rl_wal_bytes") > 0,
+        "durable ops left no WAL bytes"
+    );
+
     client.shutdown().unwrap();
     server.wait();
 
     // Restart from the data dir: the fresh closure must NOT win — the
     // replayed WAL rebuilds the exact acknowledged state.
-    let server2 = Server::spawn_durable(|| Ok(pipeline(41, 2)), durable_config(&dir)).unwrap();
+    let server2 = Server::spawn_durable(|| Ok(pipeline(41, 2)), config()).unwrap();
     let mut client2 = Client::connect(server2.local_addr()).unwrap();
     let stats = client2.stats().unwrap();
     assert_eq!(stats.indexed, 12, "12 inserted + 1 streamed - 1 deleted");
     assert_eq!(stats.streamed, 1, "stream history restored");
+    let replayed = gauge(&client2.metrics().unwrap(), "rl_replayed_ops");
+    assert_eq!(
+        replayed, acked_ops as i64,
+        "replay must cover every acked op"
+    );
 
     for (i, rec) in a.iter().enumerate() {
         let hits = probe_one(&mut client2, rec, 1000 + i as u64);
@@ -124,55 +75,10 @@ fn acked_mutations_survive_clean_restart() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Spawns the real `rl` binary in durable serve mode and parses the bound
-/// address off its stderr. A drain thread keeps reading afterwards so the
-/// child never blocks on a full pipe.
-fn spawn_rl_serve(dir: &Path) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rl"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--rule",
-            "0<=4 & 1<=4",
-            "--fields",
-            "2",
-            "--shards",
-            "2",
-            "--data-dir",
-            dir.to_str().unwrap(),
-            "--checkpoint-every",
-            "1",
-        ])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn rl serve");
-    let mut reader = BufReader::new(child.stderr.take().unwrap());
-    let mut addr = None;
-    for _ in 0..50 {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap() == 0 {
-            break;
-        }
-        if let Some(rest) = line.strip_prefix("rl-server listening on ") {
-            addr = rest.split_whitespace().next().map(str::to_owned);
-            break;
-        }
-    }
-    let addr = addr.expect("server never reported its address");
-    std::thread::spawn(move || {
-        let mut sink = Vec::new();
-        let _ = reader.read_to_end(&mut sink);
-    });
-    (child, addr)
-}
-
 #[test]
 fn acked_writes_survive_hard_kill_and_torn_tail() {
     let dir = fresh_dir("hard-kill");
-    let (mut child, addr) = spawn_rl_serve(&dir);
+    let (mut child, addr) = spawn_rl_serve(&dir, &["--checkpoint-every", "1"]);
     let mut client = Client::connect(&*addr).unwrap();
 
     // Batch A lands before the 1-second checkpoint cadence fires; batch B
@@ -208,7 +114,7 @@ fn acked_writes_survive_hard_kill_and_torn_tail() {
     seg.sync_all().unwrap();
     drop(seg);
 
-    let (mut child2, addr2) = spawn_rl_serve(&dir);
+    let (mut child2, addr2) = spawn_rl_serve(&dir, &["--checkpoint-every", "1"]);
     let mut client2 = Client::connect(&*addr2).unwrap();
     let stats = client2.stats().unwrap();
     assert_eq!(

@@ -4,50 +4,12 @@
 //! typed request errors. Byte-level transport cases (handshake refusals,
 //! split and malformed frames) live in `server_wire.rs`.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use record_linkage::cbv_hb::pipeline::LinkageConfig;
+mod common;
+
+use common::{pipeline, records, server_config};
 use record_linkage::cbv_hb::sharded::ShardedPipeline;
-use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
+use record_linkage::cbv_hb::Record;
 use record_linkage::server::{Client, ClientError, ErrorCode, Server, ServerConfig, Snapshot};
-use record_linkage::textdist::Alphabet;
-
-fn pipeline(seed: u64, shards: usize) -> ShardedPipeline {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let schema = RecordSchema::build(
-        Alphabet::linkage(),
-        vec![
-            // Generous sizes keep hash-collision false positives out of the
-            // deterministic assertions below.
-            AttributeSpec::new("FirstName", 2, 64, false, 5),
-            AttributeSpec::new("LastName", 2, 64, false, 5),
-        ],
-        &mut rng,
-    );
-    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-    ShardedPipeline::new(schema, LinkageConfig::rule_aware(rule), shards, &mut rng).unwrap()
-}
-
-/// A well-spread synthetic name (multiplicative hash), so distinct indices
-/// share few bigrams.
-fn synth_name(salt: u64, i: u64) -> String {
-    let mut x = (i + 1)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(salt.wrapping_mul(0xA24B_AED4_963E_E407));
-    (0..6)
-        .map(|_| {
-            let c = (b'A' + (x % 26) as u8) as char;
-            x /= 26;
-            c
-        })
-        .collect()
-}
-
-fn records(salt: u64, base: u64, n: u64) -> Vec<Record> {
-    (0..n)
-        .map(|i| Record::new(base + i, [synth_name(salt, i), synth_name(salt ^ 0xF00, i)]))
-        .collect()
-}
 
 #[test]
 fn full_lifecycle_with_snapshot_restart() {
@@ -57,11 +19,8 @@ fn full_lifecycle_with_snapshot_restart() {
     let _ = std::fs::remove_file(&snap_path);
 
     let config = ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_capacity: 16,
         snapshot_path: Some(snap_path.clone()),
-        ..ServerConfig::default()
+        ..server_config(2, 16)
     };
     let server = Server::spawn(pipeline(21, 2), config.clone()).unwrap();
     let addr = server.local_addr();
@@ -144,14 +103,7 @@ fn backpressure_is_a_typed_reject_not_a_hang() {
     // One worker and a one-slot queue: while the worker chews a large
     // index request, concurrent requests must be rejected with the typed
     // Backpressure error instead of queueing without bound.
-    let config = ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        queue_capacity: 1,
-        snapshot_path: None,
-        ..ServerConfig::default()
-    };
-    let server = Server::spawn(pipeline(22, 1), config).unwrap();
+    let server = Server::spawn(pipeline(22, 1), server_config(1, 1)).unwrap();
     let addr = server.local_addr();
 
     // Occupy the worker from a separate thread (the reply blocks until
@@ -203,14 +155,7 @@ fn shutdown_bypasses_a_saturated_queue() {
     // Shutdown is answered inline by the reactor, so it must be
     // acknowledged even when every worker is busy and the job queue is
     // full — otherwise a loaded server could never be stopped remotely.
-    let config = ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        queue_capacity: 1,
-        snapshot_path: None,
-        ..ServerConfig::default()
-    };
-    let server = Server::spawn(pipeline(27, 1), config).unwrap();
+    let server = Server::spawn(pipeline(27, 1), server_config(1, 1)).unwrap();
     let addr = server.local_addr();
 
     // Occupy the single worker with a large index; its outcome depends on

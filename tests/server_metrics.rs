@@ -4,28 +4,12 @@
 //! execution latency split, the pipeline phase timers — and that the
 //! Prometheus rendering is a valid exposition document.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use record_linkage::cbv_hb::pipeline::LinkageConfig;
-use record_linkage::cbv_hb::sharded::ShardedPipeline;
-use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
+mod common;
+
+use common::{gauge, pipeline};
+use record_linkage::cbv_hb::Record;
 use record_linkage::obs::encode_prometheus;
 use record_linkage::server::{Client, Server, ServerConfig, PROTOCOL_VERSION};
-use record_linkage::textdist::Alphabet;
-
-fn pipeline(seed: u64, shards: usize) -> ShardedPipeline {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let schema = RecordSchema::build(
-        Alphabet::linkage(),
-        vec![
-            AttributeSpec::new("FirstName", 2, 64, false, 5),
-            AttributeSpec::new("LastName", 2, 64, false, 5),
-        ],
-        &mut rng,
-    );
-    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-    ShardedPipeline::new(schema, LinkageConfig::rule_aware(rule), shards, &mut rng).unwrap()
-}
 
 #[test]
 fn metrics_cover_request_lifecycle() {
@@ -96,18 +80,8 @@ fn metrics_cover_request_lifecycle() {
     assert_eq!(observe.data.count, 1);
 
     // Gauges track index/stream totals (2 indexed + 1 streamed).
-    let indexed = m
-        .gauges
-        .iter()
-        .find(|g| g.name == "rl_indexed_records")
-        .unwrap();
-    assert_eq!(indexed.value, 3);
-    let streamed = m
-        .gauges
-        .iter()
-        .find(|g| g.name == "rl_streamed_records")
-        .unwrap();
-    assert_eq!(streamed.value, 1);
+    assert_eq!(gauge(&m, "rl_indexed_records"), 3);
+    assert_eq!(gauge(&m, "rl_streamed_records"), 1);
 
     // A second Metrics call sees the first one counted.
     let m2 = c.metrics().unwrap();

@@ -6,63 +6,14 @@
 //! happened, or the committed cutover replayed); and a merge must drain
 //! its source shard without changing any probe answer.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use record_linkage::cbv_hb::pipeline::LinkageConfig;
-use record_linkage::cbv_hb::sharded::ShardedPipeline;
-use record_linkage::cbv_hb::{AttributeSpec, BlockStoreKind, Record, RecordSchema, Rule};
-use record_linkage::server::{Client, ReshardOp, Server, ServerConfig};
-use std::io::{BufRead, BufReader, Read};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use common::{
+    fresh_dir, gauge, mmap_pipeline, pipeline, records, server_config, spawn_rl_serve, wait_for,
+};
+use record_linkage::cbv_hb::Record;
+use record_linkage::server::{Client, ReshardOp, Server};
 use std::time::{Duration, Instant};
-
-fn pipeline(seed: u64, shards: usize, block_dir: Option<&Path>) -> ShardedPipeline {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let schema = RecordSchema::build(
-        record_linkage::textdist::Alphabet::linkage(),
-        vec![
-            AttributeSpec::new("FirstName", 2, 64, false, 5),
-            AttributeSpec::new("LastName", 2, 64, false, 5),
-        ],
-        &mut rng,
-    );
-    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-    let mut config = LinkageConfig::rule_aware(rule);
-    if let Some(dir) = block_dir {
-        config.block.kind = BlockStoreKind::Mmap;
-        config.block.dir = Some(dir.to_string_lossy().into_owned());
-    }
-    ShardedPipeline::new(schema, config, shards, &mut rng).unwrap()
-}
-
-/// A well-spread synthetic name (multiplicative hash), so distinct
-/// indices share few bigrams and the oracle comparison stays exact.
-fn synth_name(salt: u64, i: u64) -> String {
-    let mut x = (i + 1)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(salt.wrapping_mul(0xA24B_AED4_963E_E407));
-    (0..6)
-        .map(|_| {
-            let c = (b'A' + (x % 26) as u8) as char;
-            x /= 26;
-            c
-        })
-        .collect()
-}
-
-fn records(salt: u64, base: u64, n: u64) -> Vec<Record> {
-    (0..n)
-        .map(|i| Record::new(base + i, [synth_name(salt, i), synth_name(salt ^ 0xF00, i)]))
-        .collect()
-}
-
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rl-reshard-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Probes `all` against the server under fresh probe ids and returns the
 /// sorted (indexed, probe) relation.
@@ -90,34 +41,16 @@ fn relation_hash(pairs: &[(u64, u64)]) -> u64 {
 }
 
 /// Polls `MigrationStatus` until the server reports no active migration.
-fn await_migration(client: &mut Client, deadline: Duration) {
-    let t0 = Instant::now();
-    loop {
-        let status = client.migration_status().unwrap();
-        if !status.active {
-            return;
-        }
-        assert!(
-            t0.elapsed() < deadline,
-            "migration still active after {deadline:?}: {status:?}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+fn await_migration(client: &mut Client) {
+    wait_for("the migration to finish", || {
+        (!client.migration_status().unwrap().active).then_some(())
+    });
 }
 
 #[test]
 fn live_split_of_mmap_shard_under_load_matches_unsharded_oracle() {
     let block_dir = fresh_dir("mmap-split");
-    let server = Server::spawn(
-        pipeline(91, 2, Some(&block_dir)),
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 2,
-            queue_capacity: 32,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::spawn(mmap_pipeline(91, 2, &block_dir), server_config(2, 32)).unwrap();
     let addr = server.local_addr();
     let mut client = Client::connect(addr).unwrap();
 
@@ -134,13 +67,17 @@ fn live_split_of_mmap_shard_under_load_matches_unsharded_oracle() {
 
     // Concurrent load: a second client keeps inserting and probing while
     // the migration copies and cuts over. Every acknowledged insert is
-    // collected so the loss check below covers the racing writes too.
+    // collected so the loss check below covers the racing writes too,
+    // and the slowest one bounds the write stall the cutover imposed.
     let writer = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
         let mut acked = Vec::new();
+        let mut slowest = Duration::ZERO;
         for wave in 0..10u64 {
             let batch = records(6, 1000 + wave * 10, 10);
+            let sent = Instant::now();
             let (accepted, _) = c.insert(&batch).unwrap();
+            slowest = slowest.max(sent.elapsed());
             assert_eq!(accepted, 10, "insert rejected during migration");
             acked.extend(batch.iter().cloned());
             // Reads during the window double-probe source and target.
@@ -153,7 +90,7 @@ fn live_split_of_mmap_shard_under_load_matches_unsharded_oracle() {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        acked
+        (acked, slowest)
     });
     std::thread::sleep(Duration::from_millis(10));
 
@@ -161,8 +98,30 @@ fn live_split_of_mmap_shard_under_load_matches_unsharded_oracle() {
     assert_eq!(kind, "split");
     assert_eq!(source, 0);
     assert_eq!(target, 2, "split target is the new shard id");
-    await_migration(&mut client, Duration::from_secs(30));
-    let racing = writer.join().unwrap();
+    await_migration(&mut client);
+    let (racing, slowest) = writer.join().unwrap();
+    // A cutover that stalled a write for two of the 500 ms heartbeats
+    // would read as a dead primary to an auto-failover follower
+    // (docs/RESHARD.md).
+    assert!(
+        slowest < 2 * Duration::from_millis(500),
+        "cutover stalled an acked insert for {slowest:?}"
+    );
+    let m = client.metrics().unwrap();
+    assert_eq!(
+        gauge(&m, "rl_reshard_state"),
+        0,
+        "migration still marked live"
+    );
+    assert_eq!(
+        gauge(&m, "rl_reshard_lag_ops"),
+        0,
+        "lag gauge did not drain"
+    );
+    assert!(
+        gauge(&m, "rl_reshard_migrated_records") > 0,
+        "copier moved nothing on a populated split"
+    );
 
     // The epoch bump is visible over protocol v10, through both the
     // dedicated GetShardMap verb and the Stats reply.
@@ -198,7 +157,7 @@ fn live_split_of_mmap_shard_under_load_matches_unsharded_oracle() {
             rec.id
         );
     }
-    let mut oracle = pipeline(91, 1, None);
+    let mut oracle = pipeline(91, 1);
     oracle.index(&all).unwrap();
     let probes: Vec<Record> = all
         .iter()
@@ -224,16 +183,7 @@ fn live_split_of_mmap_shard_under_load_matches_unsharded_oracle() {
 
 #[test]
 fn merge_over_the_wire_drains_source_and_preserves_matches() {
-    let server = Server::spawn(
-        pipeline(92, 3, None),
-        ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: 2,
-            queue_capacity: 16,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::spawn(pipeline(92, 3), server_config(2, 16)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     let all = records(9, 0, 120);
@@ -257,7 +207,7 @@ fn merge_over_the_wire_drains_source_and_preserves_matches() {
         total, before.records[2],
         "merge moves the whole source shard"
     );
-    await_migration(&mut client, Duration::from_secs(30));
+    await_migration(&mut client);
 
     let after = client.shard_map().unwrap();
     assert_eq!(after.epoch, 2);
@@ -278,51 +228,6 @@ fn merge_over_the_wire_drains_source_and_preserves_matches() {
     server.wait();
 }
 
-/// Spawns the real `rl` binary in durable serve mode and parses the bound
-/// address off its stderr. A drain thread keeps reading afterwards so the
-/// child never blocks on a full pipe.
-fn spawn_rl_serve(dir: &Path) -> (Child, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rl"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--rule",
-            "0<=4 & 1<=4",
-            "--fields",
-            "2",
-            "--shards",
-            "2",
-            "--data-dir",
-            dir.to_str().unwrap(),
-            "--checkpoint-every",
-            "1",
-        ])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn rl serve");
-    let mut reader = BufReader::new(child.stderr.take().unwrap());
-    let mut addr = None;
-    for _ in 0..50 {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap() == 0 {
-            break;
-        }
-        if let Some(rest) = line.strip_prefix("rl-server listening on ") {
-            addr = rest.split_whitespace().next().map(str::to_owned);
-            break;
-        }
-    }
-    let addr = addr.expect("server never reported its address");
-    std::thread::spawn(move || {
-        let mut sink = Vec::new();
-        let _ = reader.read_to_end(&mut sink);
-    });
-    (child, addr)
-}
-
 /// Probes every record in `all` and asserts each matches itself — the
 /// acked-write retention check used after each crash recovery below.
 fn assert_all_present(client: &mut Client, all: &[Record]) {
@@ -339,7 +244,7 @@ fn assert_all_present(client: &mut Client, all: &[Record]) {
 #[test]
 fn sigkill_during_migration_recovers_or_rolls_back_deterministically() {
     let dir = fresh_dir("sigkill");
-    let (mut child, addr) = spawn_rl_serve(&dir);
+    let (mut child, addr) = spawn_rl_serve(&dir, &["--checkpoint-every", "1"]);
     let mut client = Client::connect(&*addr).unwrap();
 
     let all = records(13, 0, 200);
@@ -357,7 +262,7 @@ fn sigkill_during_migration_recovers_or_rolls_back_deterministically() {
     // never reached the WAL (migration rolled back — epoch 1, old
     // topology) or it did (replay re-runs the cutover — epoch 2, split
     // topology). Anything else is a torn migration.
-    let (mut child2, addr2) = spawn_rl_serve(&dir);
+    let (mut child2, addr2) = spawn_rl_serve(&dir, &["--checkpoint-every", "1"]);
     let mut client2 = Client::connect(&*addr2).unwrap();
     let map = client2.shard_map().unwrap();
     match map.epoch {
@@ -380,7 +285,7 @@ fn sigkill_during_migration_recovers_or_rolls_back_deterministically() {
     // epoch and topology are durable, not session state.
     if client2.shard_map().unwrap().epoch == 1 {
         client2.reshard(ReshardOp::Split { source: 0 }).unwrap();
-        await_migration(&mut client2, Duration::from_secs(30));
+        await_migration(&mut client2);
     }
     let committed = client2.shard_map().unwrap();
     assert_eq!(committed.epoch, 2);
@@ -388,7 +293,7 @@ fn sigkill_during_migration_recovers_or_rolls_back_deterministically() {
     client2.shutdown().unwrap();
     child2.wait().unwrap();
 
-    let (mut child3, addr3) = spawn_rl_serve(&dir);
+    let (mut child3, addr3) = spawn_rl_serve(&dir, &["--checkpoint-every", "1"]);
     let mut client3 = Client::connect(&*addr3).unwrap();
     let replayed = client3.shard_map().unwrap();
     assert_eq!(replayed.epoch, 2, "committed cutover did not replay");

@@ -3,32 +3,33 @@
 //! eviction over the wire, and the bounded-queue lag contract for slow
 //! consumers.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use record_linkage::cbv_hb::pipeline::LinkageConfig;
-use record_linkage::cbv_hb::sharded::ShardedPipeline;
-use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
+mod common;
+
+use common::{gauge, pipeline, stop, wait_for};
+use record_linkage::cbv_hb::Record;
+use record_linkage::obs::MetricsSnapshot;
 use record_linkage::server::{
     Client, ClientError, ErrorCode, LateArrival, Server, ServerConfig, WatchEvent, WindowSpec,
 };
 use std::time::Duration;
 
-fn pipeline(seed: u64, shards: usize) -> ShardedPipeline {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let schema = RecordSchema::build(
-        record_linkage::textdist::Alphabet::linkage(),
-        vec![
-            AttributeSpec::new("FirstName", 2, 64, false, 5),
-            AttributeSpec::new("LastName", 2, 64, false, 5),
-        ],
-        &mut rng,
-    );
-    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-    ShardedPipeline::new(schema, LinkageConfig::rule_aware(rule), shards, &mut rng).unwrap()
-}
-
 fn spawn(seed: u64) -> Server {
     Server::spawn(pipeline(seed, 2), ServerConfig::default()).unwrap()
+}
+
+/// The `Metrics` reply once the subscription counters cover the `received`
+/// events: every delivered event counted, with one delivery-latency sample
+/// each. A stream thread counts an event just after writing it, so the
+/// reader of that event can be a few instructions ahead — hence a bounded
+/// wait rather than one look.
+fn metrics_after_delivery(client: &mut Client, received: u64) -> MetricsSnapshot {
+    let what = format!("{received} delivered events counted, one latency sample each");
+    wait_for(&what, || {
+        let m = client.metrics().unwrap();
+        let events = m.counter_value("rl_sub_events_total", None).unwrap();
+        let deliver = m.histogram_data("rl_sub_deliver_seconds", None).unwrap();
+        (events >= received && deliver.data.count == events).then_some(m)
+    })
 }
 
 /// Two subscriptions with different rules over the same stream see
@@ -98,11 +99,10 @@ fn subscribers_receive_disjoint_event_streams() {
         other => panic!("expected a match event, got {other:?}"),
     }
 
-    drop(first_sub);
-    drop(last_sub);
-    let admin = Client::connect(addr).unwrap();
-    admin.shutdown().unwrap();
-    server.wait();
+    let m = metrics_after_delivery(&mut producer, 2);
+    assert_eq!(gauge(&m, "rl_subs_active"), 2, "two live subscribers");
+
+    stop(server, [first_sub, last_sub, producer]);
 }
 
 /// A record pushed out of a count window stops producing matches; the
@@ -156,10 +156,14 @@ fn evicted_record_stops_matching_over_the_wire() {
         other => panic!("expected a match event, got {other:?}"),
     }
 
-    drop(sub);
-    let admin = Client::connect(addr).unwrap();
-    admin.shutdown().unwrap();
-    server.wait();
+    // Five admissions through a window of two: the churn reached the
+    // exported counters.
+    let m = metrics_after_delivery(&mut producer, 1);
+    let evictions = m.counter_value("rl_window_evictions_total", None).unwrap();
+    assert!(evictions >= 5 - 2, "only {evictions} window evictions");
+    assert_eq!(gauge(&m, "rl_subs_active"), 1, "one live subscriber");
+
+    stop(server, [sub, producer]);
 }
 
 /// A subscriber that stops reading gets a typed `SubscriptionLagged`
@@ -211,10 +215,7 @@ fn slow_subscriber_gets_lagged_not_unbounded_memory() {
         n - 1
     );
 
-    drop(sub);
-    let admin = Client::connect(addr).unwrap();
-    admin.shutdown().unwrap();
-    server.wait();
+    stop(server, [sub, producer]);
 }
 
 /// `Unsubscribe` through a second connection tears the subscription down:

@@ -3,53 +3,18 @@
 //! the full typed API, pipelined probes, and corrupt / truncated frame
 //! handling on the client side.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use record_linkage::cbv_hb::pipeline::LinkageConfig;
-use record_linkage::cbv_hb::sharded::ShardedPipeline;
-use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
+mod common;
+
+use common::{pipeline, records};
+use record_linkage::cbv_hb::Record;
 use record_linkage::server::protocol::wire;
 use record_linkage::server::{
     Client, ClientError, ErrorCode, Reply, Request, Response, Server, ServerConfig,
 };
-use record_linkage::textdist::Alphabet;
 use rl_wire::FrameReader;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
-
-fn pipeline(seed: u64, shards: usize) -> ShardedPipeline {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let schema = RecordSchema::build(
-        Alphabet::linkage(),
-        vec![
-            AttributeSpec::new("FirstName", 2, 64, false, 5),
-            AttributeSpec::new("LastName", 2, 64, false, 5),
-        ],
-        &mut rng,
-    );
-    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-    ShardedPipeline::new(schema, LinkageConfig::rule_aware(rule), shards, &mut rng).unwrap()
-}
-
-fn synth_name(salt: u64, i: u64) -> String {
-    let mut x = (i + 1)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(salt.wrapping_mul(0xA24B_AED4_963E_E407));
-    (0..6)
-        .map(|_| {
-            let c = (b'A' + (x % 26) as u8) as char;
-            x /= 26;
-            c
-        })
-        .collect()
-}
-
-fn records(salt: u64, base: u64, n: u64) -> Vec<Record> {
-    (0..n)
-        .map(|i| Record::new(base + i, [synth_name(salt, i), synth_name(salt ^ 0xF00, i)]))
-        .collect()
-}
 
 /// Sends `first_line` on a fresh connection and returns the one line the
 /// server answers it with, plus the connection.
