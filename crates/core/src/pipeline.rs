@@ -246,8 +246,8 @@ impl LinkageConfig {
 /// Shared latency histograms for the three pipeline phases (embed →
 /// block → match), plus streaming observe. One instance is shared by
 /// every engine that serves one index — the histograms are lock-free, so
-/// shard workers and probe threads record into them concurrently and the
-/// result *is* the cross-shard merge (fixed bucket boundaries make that
+/// any number of probing threads record into them concurrently and the
+/// result *is* the merge across them (fixed bucket boundaries make that
 /// merge exact; see `rl_obs::Histogram`).
 #[derive(Debug)]
 pub struct PipelineMetrics {

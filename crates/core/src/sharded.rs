@@ -1,13 +1,26 @@
-//! Sharded linkage: data-partitioned HB across worker threads.
+//! Sharded linkage: data-partitioned HB over shards that are plain data.
 //!
 //! The paper's authors scale LSH-based linkage by distributing blocking
 //! groups over workers (their refs [15, 16]). This module provides the
-//! standard data-partitioned variant of that architecture as an in-process
-//! service: `n` shard workers each own a full blocking plan (identical hash
-//! functions) over a partition of data set A; probes fan out to all shards
-//! and the matched ids are unioned. The per-pair recall guarantee is
-//! unchanged — a pair's A-side lives in exactly one shard, whose plan
-//! delivers the usual `1 − δ` bound.
+//! standard data-partitioned variant of that architecture in process: `n`
+//! shards each own a full blocking plan (identical hash functions) over a
+//! partition of data set A; a probe walks every shard and the matched ids
+//! are unioned. The per-pair recall guarantee is unchanged — a pair's
+//! A-side lives in exactly one shard, whose plan delivers the usual `1 − δ`
+//! bound.
+//!
+//! A shard is `{plan, store}` behind its own `RwLock`; nothing here owns a
+//! thread. [`ShardedPipeline::link`] takes `&self` and runs to completion
+//! on the calling thread — embed once, then every shard under its read
+//! lock with one [`ProbeScratch`] — so any number of threads probe one
+//! pipeline at once. Mutations take `&mut self` and each shard's write
+//! lock in turn, and have landed when they return: an indexed record is
+//! searchable.
+//!
+//! Lock order: shards ascending, and only `link` holds more than one. The
+//! [`ReshardDriver`] (which shares the two shards' `Arc`s, not the
+//! pipeline) and [`ShardedPipeline::compact_stores`] take one shard lock at
+//! a time, so they run beside probes.
 //!
 //! Placement is governed by a versioned [`ShardMap`] (`rl-reshard`): record
 //! ids hash through [`key_point`] into a 64-bit keyspace whose ranges are
@@ -16,13 +29,10 @@
 //! a [`ReshardDriver`] streams the moved records into the target shard off
 //! the write path, and [`ShardedPipeline::finish_reshard`] cuts over with
 //! an epoch bump. During the migration window, writes into the moved ranges
-//! are dual-applied to both shards and probes fan out as always — the
-//! candidate union keeps CoveringLSH's zero-false-negative guarantee while
-//! a record transiently exists on two shards (duplicate pairs are deduped
-//! at the gather step).
-//!
-//! Communication is message-passing over crossbeam channels, so the same
-//! shape lifts directly to a networked deployment.
+//! are dual-applied to both shards and probes walk every shard as always —
+//! the candidate union keeps CoveringLSH's zero-false-negative guarantee
+//! while a record transiently exists on two shards (duplicate pairs are
+//! deduped at the gather step).
 
 use crate::blocking::{BlockingPlan, ProbeScratch, StructureStats};
 use crate::error::{Error, Result};
@@ -30,7 +40,7 @@ use crate::matcher::{match_batch, Classifier, MatchStats, RecordStore};
 use crate::pipeline::{LinkageConfig, PipelineMetrics};
 use crate::record::Record;
 use crate::schema::{EmbeddedRecord, RecordSchema};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use parking_lot::{RwLock, RwLockReadGuard};
 use rand::Rng;
 use rl_reshard::{
     key_point, KeyRange, MigrationStatus, ReshardError, ReshardOp, ReshardPlan, ShardMap,
@@ -40,62 +50,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
-
-enum Command {
-    Index(Vec<EmbeddedRecord>),
-    Probe {
-        /// One batch, shared by every shard it fans out to.
-        batch: Arc<[EmbeddedRecord]>,
-        reply: Sender<(Vec<(u64, u64)>, MatchStats)>,
-    },
-    Delete {
-        ids: Vec<u64>,
-        reply: Sender<Vec<u64>>,
-    },
-    Compact {
-        reply: Sender<std::result::Result<(), String>>,
-    },
-    Export {
-        reply: Sender<ShardState>,
-    },
-    Stats {
-        reply: Sender<Vec<StructureStats>>,
-    },
-    /// Migration source: page the shard's records within `ranges`, ids
-    /// strictly greater than `after`, ascending, at most `limit`.
-    CollectMigration {
-        ranges: Vec<KeyRange>,
-        after: Option<u64>,
-        limit: usize,
-        reply: Sender<Vec<EmbeddedRecord>>,
-    },
-    /// Migration target: adopt copied records, skipping ids the target
-    /// already owns (a dual-applied write raced ahead of the copy and wrote
-    /// the newer version) and ids deleted since the migration began.
-    MigrateIn {
-        batch: Vec<EmbeddedRecord>,
-        reply: Sender<usize>,
-    },
-    /// Arm the target's delete memory: while a migration is in flight the
-    /// worker remembers every deleted id, so a stale copy collected on the
-    /// source *before* the delete can never resurrect the record here.
-    BeginMigrationTarget,
-    EndMigrationTarget,
-    /// Drop every record whose key point falls in `ranges` (cutover purge
-    /// on the source; abort rollback on the target).
-    PurgeRange {
-        ranges: Vec<KeyRange>,
-        reply: Sender<usize>,
-    },
-    /// Record count, optionally restricted to key ranges.
-    Count {
-        ranges: Option<Vec<KeyRange>>,
-        reply: Sender<usize>,
-    },
-    Stop,
-}
 
 /// One shard's complete indexed state: its blocking plan (tables populated)
 /// plus the embedded records it owns. Serializable, so a sharded index can
@@ -123,174 +78,114 @@ pub struct ShardedState {
     pub indexed: usize,
     /// The versioned shard map. Absent in snapshots from before online
     /// resharding: those restored pipelines get a fresh uniform map, which
-    /// is safe because probes fan out to every shard and deletes broadcast
-    /// — the map only governs *new* placement and migration scope.
+    /// is safe because probes walk every shard and deletes broadcast — the
+    /// map only governs *new* placement and migration scope.
     #[serde(default)]
     pub map: Option<ShardMap>,
 }
 
+/// A shard as the pipeline holds it: the state a snapshot exports, plus the
+/// delete memory of a migration target.
 struct Shard {
-    sender: Sender<Command>,
-    handle: JoinHandle<()>,
+    state: ShardState,
+    /// Armed while this shard is a migration target: every id deleted in
+    /// the window is remembered, so a stale copy collected on the source
+    /// *before* the delete can never resurrect the record here.
+    migration_deletes: Option<HashSet<u64>>,
 }
 
-fn spawn_shard(
-    index: usize,
-    plan: BlockingPlan,
-    store: RecordStore,
-    classifier: Classifier,
-) -> Shard {
-    let (tx, rx) = unbounded();
-    let handle = std::thread::Builder::new()
-        .name(format!("rl-shard-{index}"))
-        .spawn(move || shard_worker(plan, store, classifier, rx))
-        .expect("spawn shard worker");
-    Shard { sender: tx, handle }
-}
+type SharedShard = Arc<RwLock<Shard>>;
 
-fn worker_died<T>(_: T) -> Error {
-    Error::InvalidParameter("shard worker died".into())
-}
+/// What a probe returns: the matched `(id_A, id_B)` pairs, ascending and
+/// distinct, and the matching counters summed over the shards.
+pub type Linked = (Vec<(u64, u64)>, MatchStats);
 
-fn in_ranges(ranges: &[KeyRange], id: u64) -> bool {
-    let p = key_point(id);
-    ranges.iter().any(|r| r.contains(p))
-}
+impl Shard {
+    fn shared(plan: BlockingPlan, store: RecordStore) -> SharedShard {
+        Arc::new(RwLock::new(Shard {
+            state: ShardState { plan, store },
+            migration_deletes: None,
+        }))
+    }
 
-fn shard_worker(
-    plan: BlockingPlan,
-    store: RecordStore,
-    classifier: Classifier,
-    rx: Receiver<Command>,
-) {
-    let mut plan = plan;
-    let mut store = store;
-    // Armed while this worker is a migration target: every id deleted in the
-    // window is remembered so late-arriving copies cannot resurrect it.
-    let mut migration_deletes: Option<HashSet<u64>> = None;
-    let mut scratch = ProbeScratch::default();
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Command::Index(batch) => {
-                for rec in batch {
-                    if let Some(mem) = migration_deletes.as_mut() {
-                        // A re-insert after a delete is a fresh record; the
-                        // id must not stay tombstoned in the delete memory.
-                        mem.remove(&rec.id);
-                    }
-                    plan.insert(&rec);
-                    store.insert(rec);
-                }
+    fn insert_all(&mut self, batch: Vec<EmbeddedRecord>) {
+        for rec in batch {
+            if let Some(mem) = self.migration_deletes.as_mut() {
+                // A re-insert after a delete is a fresh record; the id must
+                // not stay tombstoned in the delete memory.
+                mem.remove(&rec.id);
             }
-            Command::Probe { batch, reply } => {
-                let mut stats = MatchStats::default();
-                let mut matches = Vec::new();
-                match_batch(
-                    &plan,
-                    &store,
-                    &batch,
-                    &classifier,
-                    &mut scratch,
-                    &mut stats,
-                    &mut matches,
-                );
-                // The gatherer may have hung up on error paths; ignore.
-                let _ = reply.send((matches, stats));
+            self.state.plan.insert(&rec);
+            self.state.store.insert(rec);
+        }
+    }
+
+    /// Tombstone delete: the record leaves the store (so it can never be
+    /// retrieved as a candidate again) *and* its blocking bucket entries
+    /// are tombstoned, with the lazy per-bucket scrub reclaiming dead slots
+    /// once a bucket's dead ratio crosses the configured threshold. The ids
+    /// that were present are appended to `removed`.
+    fn delete(&mut self, ids: &[u64], removed: &mut Vec<u64>) {
+        let ShardState { plan, store } = &mut self.state;
+        for &id in ids {
+            if let Some(rec) = store.get(id) {
+                plan.remove(rec);
+                store.remove(id);
+                removed.push(id);
             }
-            Command::Delete { ids, reply } => {
-                // Tombstone delete: the record leaves the store (so it can
-                // never be retrieved as a candidate again) *and* its
-                // blocking bucket entries are tombstoned, with the lazy
-                // per-bucket scrub reclaiming dead slots once a bucket's
-                // dead ratio crosses the configured threshold.
-                let mut removed = Vec::new();
-                for &id in &ids {
-                    if let Some(rec) = store.get(id).cloned() {
-                        plan.remove(&rec);
-                        store.remove(id);
-                        removed.push(id);
-                    }
-                    if let Some(mem) = migration_deletes.as_mut() {
-                        mem.insert(id);
-                    }
-                }
-                let _ = reply.send(removed);
+            if let Some(mem) = self.migration_deletes.as_mut() {
+                mem.insert(id);
             }
-            Command::Compact { reply } => {
-                let _ = reply.send(plan.compact().map_err(|e| e.to_string()));
-            }
-            Command::Export { reply } => {
-                let _ = reply.send(ShardState {
-                    plan: plan.clone(),
-                    store: store.clone(),
-                });
-            }
-            Command::Stats { reply } => {
-                let _ = reply.send(plan.stats());
-            }
-            Command::CollectMigration {
-                ranges,
-                after,
-                limit,
-                reply,
-            } => {
-                let mut batch: Vec<EmbeddedRecord> = store
-                    .iter()
-                    .filter(|rec| after.is_none_or(|a| rec.id > a))
-                    .filter(|rec| in_ranges(&ranges, rec.id))
-                    .cloned()
-                    .collect();
-                batch.sort_unstable_by_key(|r| r.id);
-                batch.truncate(limit);
-                let _ = reply.send(batch);
-            }
-            Command::MigrateIn { batch, reply } => {
-                let mut adopted = 0;
-                for rec in batch {
-                    if migration_deletes
-                        .as_ref()
-                        .is_some_and(|mem| mem.contains(&rec.id))
-                    {
-                        continue; // deleted since the copy was collected
-                    }
-                    if store.get(rec.id).is_some() {
-                        continue; // dual-applied write already landed here
-                    }
-                    plan.insert(&rec);
-                    store.insert(rec);
-                    adopted += 1;
-                }
-                let _ = reply.send(adopted);
-            }
-            Command::BeginMigrationTarget => {
-                migration_deletes = Some(HashSet::new());
-            }
-            Command::EndMigrationTarget => {
-                migration_deletes = None;
-            }
-            Command::PurgeRange { ranges, reply } => {
-                let victims: Vec<EmbeddedRecord> = store
-                    .iter()
-                    .filter(|rec| in_ranges(&ranges, rec.id))
-                    .cloned()
-                    .collect();
-                for rec in &victims {
-                    plan.remove(rec);
-                    store.remove(rec.id);
-                }
-                let _ = reply.send(victims.len());
-            }
-            Command::Count { ranges, reply } => {
-                let count = match ranges {
-                    None => store.len(),
-                    Some(ranges) => store
-                        .iter()
-                        .filter(|rec| in_ranges(&ranges, rec.id))
-                        .count(),
-                };
-                let _ = reply.send(count);
-            }
-            Command::Stop => break,
+        }
+    }
+
+    /// The shard's records whose key point falls in `ranges`.
+    fn records_in<'a>(
+        &'a self,
+        ranges: &'a [KeyRange],
+    ) -> impl Iterator<Item = &'a EmbeddedRecord> {
+        self.state.store.iter().filter(move |rec| {
+            let point = key_point(rec.id);
+            ranges.iter().any(|r| r.contains(point))
+        })
+    }
+
+    /// Migration source: one page of the shard's records within `ranges`,
+    /// ids strictly greater than `after`, ascending, at most `limit`.
+    fn collect_migration(
+        &self,
+        ranges: &[KeyRange],
+        after: Option<u64>,
+        limit: usize,
+    ) -> Vec<EmbeddedRecord> {
+        let mut batch: Vec<EmbeddedRecord> = self
+            .records_in(ranges)
+            .filter(|rec| after.is_none_or(|a| rec.id > a))
+            .cloned()
+            .collect();
+        batch.sort_unstable_by_key(|r| r.id);
+        batch.truncate(limit);
+        batch
+    }
+
+    /// Migration target: adopt copied records, skipping ids the target
+    /// already owns (a dual-applied write raced ahead of the copy and wrote
+    /// the newer version) and ids deleted since the migration began.
+    fn migrate_in(&mut self, mut batch: Vec<EmbeddedRecord>) {
+        let (store, deleted) = (&self.state.store, &self.migration_deletes);
+        batch.retain(|rec| {
+            store.get(rec.id).is_none() && !deleted.as_ref().is_some_and(|d| d.contains(&rec.id))
+        });
+        self.insert_all(batch);
+    }
+
+    /// Drops every record whose key point falls in `ranges` (cutover purge
+    /// on the source; abort rollback on the target).
+    fn purge_range(&mut self, ranges: &[KeyRange]) {
+        let victims: Vec<EmbeddedRecord> = self.records_in(ranges).cloned().collect();
+        for rec in &victims {
+            self.state.plan.remove(rec);
+            self.state.store.remove(rec.id);
         }
     }
 }
@@ -305,12 +200,14 @@ struct Migration {
 }
 
 /// Drives the copy phase of a migration: page records out of the source,
-/// adopt them on the target. Holds only cloned channel senders, so the
-/// caller can run it from a background thread *without* holding any
-/// pipeline lock — indexing and probing proceed concurrently.
+/// adopt them on the target. Holds the two shards themselves, not the
+/// pipeline, so the caller can run it from a background thread *without*
+/// holding any pipeline lock — indexing and probing proceed concurrently.
+/// It locks one shard at a time (source shared, then target exclusive),
+/// never both.
 pub struct ReshardDriver {
-    source: Sender<Command>,
-    target: Sender<Command>,
+    source: SharedShard,
+    target: SharedShard,
     moved: Vec<KeyRange>,
     cursor: Option<u64>,
     migrated: Arc<AtomicU64>,
@@ -324,34 +221,20 @@ impl ReshardDriver {
     /// [`ShardedPipeline::finish_reshard`].
     ///
     /// # Errors
-    /// Returns an internal error if a shard worker died.
+    /// Infallible; the `Result` is kept for the callers that unwrap it
+    /// (`tests/reshard_prop.rs`, the server's migrator).
     pub fn copy_batch(&mut self, limit: usize) -> Result<bool> {
-        if self.done {
-            return Ok(true);
+        if !self.done {
+            let source = self.source.read();
+            let page = source.collect_migration(&self.moved, self.cursor, limit.max(1));
+            drop(source);
+            let copied = page.len() as u64;
+            self.done = copied == 0;
+            self.cursor = page.last().map(|r| r.id).or(self.cursor);
+            self.target.write().migrate_in(page);
+            self.migrated.fetch_add(copied, Ordering::Relaxed);
         }
-        let (tx, rx) = bounded(1);
-        self.source
-            .send(Command::CollectMigration {
-                ranges: self.moved.clone(),
-                after: self.cursor,
-                limit: limit.max(1),
-                reply: tx,
-            })
-            .map_err(worker_died)?;
-        let batch = rx.recv().map_err(worker_died)?;
-        if batch.is_empty() {
-            self.done = true;
-            return Ok(true);
-        }
-        self.cursor = batch.last().map(|r| r.id);
-        let copied = batch.len() as u64;
-        let (tx, rx) = bounded(1);
-        self.target
-            .send(Command::MigrateIn { batch, reply: tx })
-            .map_err(worker_died)?;
-        rx.recv().map_err(worker_died)?;
-        self.migrated.fetch_add(copied, Ordering::Relaxed);
-        Ok(false)
+        Ok(self.done)
     }
 
     /// Records copied so far.
@@ -365,16 +248,18 @@ impl ReshardDriver {
     }
 }
 
-/// A sharded linkage service: partitioned index, fan-out probes.
+/// A sharded linkage index: partitioned data, probes that walk every shard
+/// on the calling thread. `Send + Sync`: share it behind an `Arc` or a
+/// reader-writer lock and probe from as many threads as there are.
 pub struct ShardedPipeline {
     schema: RecordSchema,
     classifier: Classifier,
-    shards: Vec<Shard>,
+    shards: Vec<SharedShard>,
     /// Versioned keyspace → shard assignment; governs new placements.
     map: ShardMap,
     migration: Option<Migration>,
     /// An empty clone of the compiled plan (identical hash draws), used to
-    /// synthesize workers for shards created by a split.
+    /// synthesize shards created by a split.
     template: BlockingPlan,
     /// Root directory of disk-resident stores (`None` for in-memory); new
     /// shards rehome their stores under `<root>/shard-<i>/`.
@@ -394,27 +279,25 @@ impl std::fmt::Debug for ShardedPipeline {
 }
 
 impl ShardedPipeline {
-    /// Builds the service with `num_shards` workers. Every shard gets a
-    /// clone of one compiled plan, so hash functions are identical across
-    /// shards and results are independent of the partitioning.
+    /// Builds the index with `num_shards` shards. Every shard gets a clone
+    /// of one compiled plan, so hash functions are identical across shards
+    /// and results are independent of the partitioning.
     ///
     /// # Errors
-    /// Returns configuration errors from rule validation / plan compilation.
+    /// Returns configuration errors from rule validation / plan compilation,
+    /// and [`Error::InvalidParameter`] for zero shards.
     pub fn new<R: Rng + ?Sized>(
         schema: RecordSchema,
         config: LinkageConfig,
         num_shards: usize,
         rng: &mut R,
     ) -> Result<Self> {
-        if num_shards == 0 {
-            return Err(Error::InvalidParameter("need at least one shard".into()));
-        }
         let plan = BlockingPlan::from_config(&schema, &config, rng)?;
         let classifier = Classifier::Rule(config.rule);
         Self::from_parts(schema, plan, classifier, num_shards)
     }
 
-    /// Builds the service from an already-compiled plan (e.g. to mirror an
+    /// Builds the index from an already-compiled plan (e.g. to mirror an
     /// existing [`crate::pipeline::LinkagePipeline`] exactly, hash
     /// functions included).
     ///
@@ -444,12 +327,7 @@ impl ShardedPipeline {
                         Error::Reshard(ReshardError::RequiresMigration("the blocking plan".into()))
                     })?;
                 }
-                Ok(spawn_shard(
-                    i,
-                    shard_plan,
-                    RecordStore::new(),
-                    classifier.clone(),
-                ))
+                Ok(Shard::shared(shard_plan, RecordStore::new()))
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
@@ -465,19 +343,20 @@ impl ShardedPipeline {
         })
     }
 
-    /// Attaches phase-timing metrics. Embed / dispatch / fan-out durations
-    /// for subsequent [`ShardedPipeline::index`] and
+    /// Attaches phase-timing metrics: the embed, insert (`block`) and match
+    /// durations of subsequent [`ShardedPipeline::index`] and
     /// [`ShardedPipeline::link`] calls are recorded into the shared
-    /// histograms (typically one [`PipelineMetrics`] per process, so
-    /// sharded and single-pipeline timings aggregate in one place).
+    /// histograms — the same three phases
+    /// [`crate::pipeline::LinkagePipeline`] records, so one
+    /// [`PipelineMetrics`] per process aggregates both engines.
     pub fn attach_metrics(&mut self, metrics: Arc<PipelineMetrics>) {
         self.metrics = Some(metrics);
     }
 
-    /// Restores a service from a previously exported
-    /// [`ShardedState`] — each shard worker starts preloaded with its
-    /// snapshotted plan and store, so probe results are identical to the
-    /// pipeline the state was exported from.
+    /// Restores an index from a previously exported [`ShardedState`] —
+    /// each shard starts preloaded with its snapshotted plan and store, so
+    /// probe results are identical to the pipeline the state was exported
+    /// from.
     ///
     /// # Errors
     /// Returns [`Error::InvalidParameter`] when the state has no shards or
@@ -492,7 +371,7 @@ impl ShardedPipeline {
         let map = match state.map {
             Some(map) => {
                 map.validate().map_err(Error::Reshard)?;
-                // A worker spawned by an aborted split may outlive the map
+                // A shard created by an aborted split may outlive the map
                 // (it owns no keyspace), so `<=` rather than `==`.
                 if map.num_shards() > num_shards {
                     return Err(Error::InvalidParameter(format!(
@@ -503,7 +382,7 @@ impl ShardedPipeline {
                 map
             }
             // Pre-reshard snapshot: records were placed round-robin. A
-            // uniform map is still correct — probes fan out everywhere and
+            // uniform map is still correct — probes walk every shard and
             // deletes broadcast, so the map only governs new placements.
             None => ShardMap::uniform(num_shards),
         };
@@ -518,7 +397,6 @@ impl ShardedPipeline {
             .plan
             .store_root()
             .and_then(|p| p.parent().map(|p| p.to_path_buf()));
-        let classifier = state.classifier.clone();
         let shards = shard_states
             .into_iter()
             .enumerate()
@@ -535,12 +413,12 @@ impl ShardedPipeline {
                         .compact()
                         .map_err(|e| Error::InvalidParameter(format!("shard {i} rebuild: {e}")))?;
                 }
-                Ok(spawn_shard(i, s.plan, s.store, classifier.clone()))
+                Ok(Shard::shared(s.plan, s.store))
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
             schema: state.schema,
-            classifier,
+            classifier: state.classifier,
             shards,
             map,
             migration: None,
@@ -552,47 +430,30 @@ impl ShardedPipeline {
     }
 
     /// Exports the full pipeline state (schema, classifier, and every
-    /// shard's populated plan + store) for serialization. The workers stay
-    /// running; indexing concurrently with an export yields a snapshot
-    /// that is consistent per shard but may stagger across shards.
+    /// shard's populated plan + store) for serialization.
     ///
     /// # Errors
     /// Returns [`Error::Reshard`] with [`ReshardError::MigrationInFlight`]
     /// while a migration is running — a mid-copy export would capture moved
     /// records on *both* shards with no migration marker to purge them, so
-    /// snapshots wait for cutover or abort. Returns
-    /// [`Error::InvalidParameter`] if a shard worker died.
+    /// snapshots wait for cutover or abort.
     pub fn export_state(&self) -> Result<ShardedState> {
         if self.migration.is_some() {
             return Err(Error::Reshard(ReshardError::MigrationInFlight));
         }
-        // One reply channel per shard keeps states in shard order, so a
-        // restored pipeline reproduces the exact partitioning.
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (reply_tx, reply_rx) = bounded(1);
-            shard
-                .sender
-                .send(Command::Export { reply: reply_tx })
-                .map_err(worker_died)?;
-            pending.push(reply_rx);
-        }
-        let mut states = Vec::with_capacity(self.shards.len());
-        for reply_rx in pending {
-            let state = reply_rx.recv().map_err(worker_died)?;
-            states.push(state);
-        }
         Ok(ShardedState {
             schema: self.schema.clone(),
             classifier: self.classifier.clone(),
-            shards: states,
+            // In shard order, so a restored pipeline reproduces the exact
+            // partitioning.
+            shards: self.shards.iter().map(|s| s.read().state.clone()).collect(),
             indexed: self.indexed,
             map: Some(self.map.clone()),
         })
     }
 
-    /// Number of shard workers (including any spawned for an in-flight or
-    /// aborted split).
+    /// Number of shards (including any created for an in-flight or aborted
+    /// split).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
@@ -624,33 +485,18 @@ impl ShardedPipeline {
     }
 
     /// Per-shard record counts, in shard order (operator skew visibility).
-    ///
-    /// # Errors
-    /// Returns an internal error if a shard worker died.
-    pub fn shard_record_counts(&self) -> Result<Vec<usize>> {
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (reply_tx, reply_rx) = bounded(1);
-            shard
-                .sender
-                .send(Command::Count {
-                    ranges: None,
-                    reply: reply_tx,
-                })
-                .map_err(worker_died)?;
-            pending.push(reply_rx);
-        }
-        pending
-            .into_iter()
-            .map(|rx| rx.recv().map_err(worker_died))
+    pub fn shard_record_counts(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .map(|s| s.read().state.store.len())
             .collect()
     }
 
-    /// Indexes data set A: records are embedded here and dispatched to the
-    /// shard owning each record's keyspace point. While a migration is in
-    /// flight, writes landing in the moved ranges are **dual-applied** to
-    /// source and target so neither the copy stream nor the cutover can
-    /// lose them.
+    /// Indexes data set A: records are embedded here and inserted into the
+    /// shard owning each record's keyspace point; when this returns they
+    /// are searchable. While a migration is in flight, writes landing in
+    /// the moved ranges are **dual-applied** to source and target so
+    /// neither the copy stream nor the cutover can lose them.
     ///
     /// # Errors
     /// Returns [`Error::FieldCountMismatch`] on malformed records.
@@ -659,8 +505,7 @@ impl ShardedPipeline {
         let embedded = self.schema.embed_all(records)?;
         let embed = t0.elapsed();
         let t1 = Instant::now();
-        let n = self.shards.len();
-        let mut batches: Vec<Vec<EmbeddedRecord>> = vec![Vec::new(); n];
+        let mut batches: Vec<Vec<EmbeddedRecord>> = vec![Vec::new(); self.shards.len()];
         let dual = self
             .migration
             .as_ref()
@@ -677,18 +522,12 @@ impl ShardedPipeline {
         }
         for (shard, batch) in self.shards.iter().zip(batches) {
             if !batch.is_empty() {
-                shard
-                    .sender
-                    .send(Command::Index(batch))
-                    .map_err(worker_died)?;
+                shard.write().insert_all(batch);
             }
         }
         self.indexed += records.len();
         if let Some(m) = &self.metrics {
             m.embed.observe_duration(embed);
-            // Block-phase insertion happens asynchronously inside the shard
-            // workers; what the caller sees (and what we record) is the
-            // partition-and-dispatch cost.
             m.block.observe_duration(t1.elapsed());
         }
         Ok(())
@@ -703,77 +542,73 @@ impl ShardedPipeline {
     /// and the broadcast removes both copies but counts one record.
     ///
     /// # Errors
-    /// Returns an internal error if a shard worker died.
+    /// Infallible; the `Result` is kept for the benchmark's call sites.
     pub fn delete(&mut self, ids: &[u64]) -> Result<usize> {
-        let (reply_tx, reply_rx) = bounded(self.shards.len());
-        for shard in &self.shards {
-            shard
-                .sender
-                .send(Command::Delete {
-                    ids: ids.to_vec(),
-                    reply: reply_tx.clone(),
-                })
-                .map_err(worker_died)?;
-        }
-        drop(reply_tx);
         let mut removed_ids: Vec<u64> = Vec::new();
-        for _ in 0..self.shards.len() {
-            removed_ids.extend(reply_rx.recv().map_err(worker_died)?);
+        for shard in &self.shards {
+            shard.write().delete(ids, &mut removed_ids);
         }
         removed_ids.sort_unstable();
         removed_ids.dedup();
-        let removed = removed_ids.len();
-        self.indexed -= removed.min(self.indexed);
-        Ok(removed)
+        self.indexed = self.indexed.saturating_sub(removed_ids.len());
+        Ok(removed_ids.len())
     }
 
-    /// Probes data set B: every shard receives the full probe batch; the
-    /// matched `(id_A, id_B)` pairs are unioned and deduped (partitions are
-    /// disjoint in steady state; during a migration's double-live window a
-    /// moved record answers from both shards, and the dedup collapses it).
+    /// Probes data set B on the calling thread: the batch is embedded once
+    /// and matched against every shard in turn; the matched `(id_A, id_B)`
+    /// pairs are unioned and deduped (partitions are disjoint in steady
+    /// state; during a migration's double-live window a moved record
+    /// answers from both shards, and the dedup collapses it). Waits for a
+    /// shard that is being compacted or copied into.
     ///
     /// # Errors
-    /// Returns [`Error::FieldCountMismatch`] on malformed records, or an
-    /// internal error if a shard worker died.
-    pub fn link(&self, records: &[Record]) -> Result<(Vec<(u64, u64)>, MatchStats)> {
+    /// Returns [`Error::FieldCountMismatch`] on malformed records.
+    pub fn link(&self, records: &[Record]) -> Result<Linked> {
+        let shards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
+        self.link_locked(&shards, records)
+    }
+
+    /// [`Self::link`] for a thread that must not wait: `None`, with nothing
+    /// done, when any shard's lock is held exclusively right now.
+    pub fn try_link(&self, records: &[Record]) -> Option<Result<Linked>> {
+        let shards: Option<Vec<_>> = self.shards.iter().map(|s| s.try_read()).collect();
+        Some(self.link_locked(&shards?, records))
+    }
+
+    fn link_locked(
+        &self,
+        shards: &[RwLockReadGuard<'_, Shard>],
+        records: &[Record],
+    ) -> Result<Linked> {
         let t0 = Instant::now();
-        let embedded: Arc<[EmbeddedRecord]> = self.schema.embed_all(records)?.into();
+        let embedded = self.schema.embed_all(records)?;
         let embed = t0.elapsed();
         let t1 = Instant::now();
-        let (reply_tx, reply_rx) = bounded(self.shards.len());
-        for shard in &self.shards {
-            shard
-                .sender
-                .send(Command::Probe {
-                    batch: Arc::clone(&embedded),
-                    reply: reply_tx.clone(),
-                })
-                .map_err(worker_died)?;
-        }
-        drop(reply_tx);
         let mut matches = Vec::new();
         let mut stats = MatchStats::default();
-        for _ in 0..self.shards.len() {
-            let (m, s) = reply_rx.recv().map_err(worker_died)?;
-            matches.extend(m);
-            stats.candidates += s.candidates;
-            stats.distance_computations += s.distance_computations;
-            stats.matched += s.matched;
-            stats.truncated += s.truncated;
+        let mut scratch = ProbeScratch::default();
+        for shard in shards {
+            match_batch(
+                &shard.state.plan,
+                &shard.state.store,
+                &embedded,
+                &self.classifier,
+                &mut scratch,
+                &mut stats,
+                &mut matches,
+            );
         }
         matches.sort_unstable();
         matches.dedup();
         if let Some(m) = &self.metrics {
             m.embed.observe_duration(embed);
-            // Fan-out + shard lookup + gather: the match phase as the
-            // caller experiences it.
             m.matching.observe_duration(t1.elapsed());
         }
         Ok((matches, stats))
     }
 
     /// Starts an online reshard: plans the split/merge against the current
-    /// map, spawns (or arms) the target worker, and returns the
+    /// map, creates (or arms) the target shard, and returns the
     /// [`ReshardDriver`] that streams the moved records. The shard map is
     /// **not** changed yet — placements keep following the old map (plus
     /// dual-apply into the moved ranges) until
@@ -789,8 +624,8 @@ impl ShardedPipeline {
         }
         let plan = self.map.plan(op).map_err(Error::Reshard)?;
         if plan.target >= self.shards.len() {
-            // Split into a brand-new shard: synthesize a worker from the
-            // empty template (identical hash draws, so probe results are
+            // Split into a brand-new shard: synthesize it from the empty
+            // template (identical hash draws, so probe results are
             // indistinguishable from any other shard's).
             debug_assert_eq!(plan.target, self.shards.len());
             let mut target_plan = self.template.clone();
@@ -802,31 +637,17 @@ impl ShardedPipeline {
                     .rehome_stores(root, plan.target)
                     .map_err(|e| Error::Store(e.to_string()))?;
             }
-            self.shards.push(spawn_shard(
-                plan.target,
-                target_plan,
-                RecordStore::new(),
-                self.classifier.clone(),
-            ));
+            self.shards
+                .push(Shard::shared(target_plan, RecordStore::new()));
         }
+        let (source, target) = (&self.shards[plan.source], &self.shards[plan.target]);
         // Arm the target's delete memory before any write can race the copy.
-        self.shards[plan.target]
-            .sender
-            .send(Command::BeginMigrationTarget)
-            .map_err(worker_died)?;
-        let (tx, rx) = bounded(1);
-        self.shards[plan.source]
-            .sender
-            .send(Command::Count {
-                ranges: Some(plan.moved.clone()),
-                reply: tx,
-            })
-            .map_err(worker_died)?;
-        let total = rx.recv().map_err(worker_died)? as u64;
+        target.write().migration_deletes = Some(HashSet::new());
+        let total = source.read().records_in(&plan.moved).count() as u64;
         let migrated = Arc::new(AtomicU64::new(0));
         let driver = ReshardDriver {
-            source: self.shards[plan.source].sender.clone(),
-            target: self.shards[plan.target].sender.clone(),
+            source: Arc::clone(source),
+            target: Arc::clone(target),
             moved: plan.moved.clone(),
             cursor: None,
             migrated: migrated.clone(),
@@ -842,10 +663,10 @@ impl ShardedPipeline {
 
     /// Cuts a drained migration over: installs the successor map (epoch
     /// bump), purges the moved ranges from the source, and disarms the
-    /// target. Call with writes quiesced (e.g. under the server's state
-    /// write lock) after [`ReshardDriver::copy_batch`] returned `true`;
-    /// channel FIFO then guarantees the purge runs after every dual-applied
-    /// write. Returns the new map epoch.
+    /// target. Call after [`ReshardDriver::copy_batch`] returned `true`;
+    /// `&mut self` keeps writes out (a server holds its state write lock),
+    /// and every dual-applied write has already landed, inserts being
+    /// synchronous. Returns the new map epoch.
     ///
     /// # Errors
     /// Returns [`Error::Reshard`] when no migration is running or the copy
@@ -859,27 +680,18 @@ impl ShardedPipeline {
         }
         let mig = self.migration.take().expect("checked above");
         self.map = mig.plan.new_map.clone();
-        let (tx, rx) = bounded(1);
         self.shards[mig.plan.source]
-            .sender
-            .send(Command::PurgeRange {
-                ranges: mig.plan.moved.clone(),
-                reply: tx,
-            })
-            .map_err(worker_died)?;
-        rx.recv().map_err(worker_died)?;
-        self.shards[mig.plan.target]
-            .sender
-            .send(Command::EndMigrationTarget)
-            .map_err(worker_died)?;
+            .write()
+            .purge_range(&mig.plan.moved);
+        self.shards[mig.plan.target].write().migration_deletes = None;
         Ok(self.map.epoch())
     }
 
     /// Abandons an in-flight migration: purges everything copied or
     /// dual-applied into the target's moved ranges (the source never
     /// stopped owning them) and leaves the map untouched. The driver must
-    /// no longer be running. A worker spawned for the split stays alive,
-    /// empty, and is reused by the next split attempt.
+    /// no longer be running. A shard created for the split stays, empty,
+    /// and is reused by the next split attempt.
     ///
     /// # Errors
     /// Returns [`Error::Reshard`] when no migration is running.
@@ -888,19 +700,9 @@ impl ShardedPipeline {
             .migration
             .take()
             .ok_or(Error::Reshard(ReshardError::NoMigration))?;
-        let (tx, rx) = bounded(1);
-        self.shards[mig.plan.target]
-            .sender
-            .send(Command::PurgeRange {
-                ranges: mig.plan.moved.clone(),
-                reply: tx,
-            })
-            .map_err(worker_died)?;
-        rx.recv().map_err(worker_died)?;
-        self.shards[mig.plan.target]
-            .sender
-            .send(Command::EndMigrationTarget)
-            .map_err(worker_died)?;
+        let mut target = self.shards[mig.plan.target].write();
+        target.purge_range(&mig.plan.moved);
+        target.migration_deletes = None;
         Ok(())
     }
 
@@ -911,20 +713,10 @@ impl ShardedPipeline {
     ///
     /// # Errors
     /// Propagates [`ShardedPipeline::begin_reshard`] /
-    /// [`ShardedPipeline::finish_reshard`] failures; aborts the migration
-    /// on copy errors.
+    /// [`ShardedPipeline::finish_reshard`] failures.
     pub fn reshard_sync(&mut self, op: ReshardOp) -> Result<u64> {
         let mut driver = self.begin_reshard(op)?;
-        loop {
-            match driver.copy_batch(4096) {
-                Ok(true) => break,
-                Ok(false) => {}
-                Err(e) => {
-                    let _ = self.abort_reshard();
-                    return Err(e);
-                }
-            }
-        }
+        while !driver.copy_batch(4096)? {}
         self.finish_reshard(&driver)
     }
 
@@ -932,57 +724,34 @@ impl ShardedPipeline {
     /// structure, with the backend tag, `L`, key width, and summed bucket
     /// occupancy (shards share hash functions, so the shape fields agree;
     /// occupancy adds up over the disjoint partitions).
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidParameter`] if a shard worker died.
-    pub fn blocking_stats(&self) -> Result<Vec<StructureStats>> {
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (reply_tx, reply_rx) = bounded(1);
-            shard
-                .sender
-                .send(Command::Stats { reply: reply_tx })
-                .map_err(worker_died)?;
-            pending.push(reply_rx);
-        }
-        let mut merged: Vec<StructureStats> = Vec::new();
-        for reply_rx in pending {
-            let stats = reply_rx.recv().map_err(worker_died)?;
-            if merged.is_empty() {
-                merged = stats;
-            } else {
-                for (acc, s) in merged.iter_mut().zip(&stats) {
-                    acc.merge(s);
-                }
+    pub fn blocking_stats(&self) -> Vec<StructureStats> {
+        let mut per_shard = self.shards.iter().map(|s| s.read().state.plan.stats());
+        let mut merged = per_shard.next().unwrap_or_default();
+        for stats in per_shard {
+            for (acc, s) in merged.iter_mut().zip(&stats) {
+                acc.merge(s);
             }
         }
-        Ok(merged)
+        merged
     }
 
-    /// Compacts every shard's blocking stores: scrubs tombstones, and for
-    /// disk-resident stores merges the delta overlay into the next on-disk
-    /// generation (bounding each shard's resident memory). Takes `&self`
-    /// so a background compaction thread can run it under a read lock
-    /// without stalling probes.
+    /// Compacts every shard's blocking stores, one shard at a time under
+    /// that shard's write lock: scrubs tombstones, and for disk-resident
+    /// stores merges the delta overlay into the next on-disk generation
+    /// (bounding each shard's resident memory). Takes `&self` so a
+    /// background compaction thread can run it under a server's state read
+    /// lock; probes wait only for the shard being compacted.
     ///
     /// # Errors
-    /// Returns [`Error::Store`] on a shard's compaction failure, or
-    /// [`Error::InvalidParameter`] if a shard worker died.
+    /// Returns [`Error::Store`] on a shard's compaction failure.
     pub fn compact_stores(&self) -> Result<()> {
-        let mut pending = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let (reply_tx, reply_rx) = bounded(1);
             shard
-                .sender
-                .send(Command::Compact { reply: reply_tx })
-                .map_err(worker_died)?;
-            pending.push(reply_rx);
-        }
-        for reply_rx in pending {
-            reply_rx
-                .recv()
-                .map_err(worker_died)?
-                .map_err(Error::Store)?;
+                .write()
+                .state
+                .plan
+                .compact()
+                .map_err(|e| Error::Store(e.to_string()))?;
         }
         Ok(())
     }
@@ -997,15 +766,8 @@ impl ShardedPipeline {
         &self.classifier
     }
 
-    /// Stops the workers and waits for them to exit.
-    pub fn shutdown(self) {
-        for shard in &self.shards {
-            let _ = shard.sender.send(Command::Stop);
-        }
-        for shard in self.shards {
-            let _ = shard.handle.join();
-        }
-    }
+    /// Drops the pipeline. Kept for the benchmark's call sites only.
+    pub fn shutdown(self) {}
 }
 
 #[cfg(test)]
@@ -1081,7 +843,6 @@ mod tests {
             assert!(m_sharded.contains(&(i, 1000 + i)), "missing pair {i}");
         }
         assert!(stats.candidates >= 40);
-        sharded.shutdown();
     }
 
     #[test]
@@ -1093,7 +854,6 @@ mod tests {
         p.index(&[Record::new(1, ["JOHN", "SMITH"])]).unwrap();
         let (m, _) = p.link(&[Record::new(10, ["JON", "SMITH"])]).unwrap();
         assert_eq!(m, vec![(1, 10)]);
-        p.shutdown();
     }
 
     #[test]
@@ -1117,7 +877,6 @@ mod tests {
         for i in 0..30u64 {
             assert!(m.contains(&(i, 500 + i)), "missing pair {i}");
         }
-        p.shutdown();
     }
 
     #[test]
@@ -1134,7 +893,6 @@ mod tests {
         let state = p.export_state().unwrap();
         assert_eq!(state.shards.len(), 3);
         let json = serde_json::to_string(&state).unwrap();
-        p.shutdown();
 
         // Version-3 snapshot documents written before the round-robin
         // cursor was dropped still carry its key; they must load the same.
@@ -1147,7 +905,6 @@ mod tests {
             assert_eq!(q.shard_map().epoch(), 1);
             let (after, _) = q.link(&b).unwrap();
             assert_eq!(before, after);
-            q.shutdown();
         }
     }
 
@@ -1159,7 +916,6 @@ mod tests {
             ShardedPipeline::new(s, LinkageConfig::rule_aware(rule()), 2, &mut rng).unwrap();
         p.index(&records(4, 0, 10)).unwrap();
         let state = p.export_state().unwrap();
-        p.shutdown();
 
         let mut q = ShardedPipeline::from_state(state).unwrap();
         // records() derives names from the index 0..n, so this second batch
@@ -1175,7 +931,6 @@ mod tests {
                 "missing post-restore pair {i}"
             );
         }
-        q.shutdown();
     }
 
     #[test]
@@ -1188,7 +943,6 @@ mod tests {
         let b = records(8, 600, 20);
         let (before, _) = p.link(&b).unwrap();
         let state = p.export_state().unwrap();
-        p.shutdown();
 
         // A pre-reshard snapshot deserializes with no map field.
         let mut legacy = state;
@@ -1198,7 +952,6 @@ mod tests {
         assert_eq!(q.shard_map().num_shards(), 2);
         let (after, _) = q.link(&b).unwrap();
         assert_eq!(before, after);
-        q.shutdown();
     }
 
     #[test]
@@ -1207,7 +960,6 @@ mod tests {
         let s = schema(&mut rng);
         let p = ShardedPipeline::new(s, LinkageConfig::rule_aware(rule()), 1, &mut rng).unwrap();
         let mut state = p.export_state().unwrap();
-        p.shutdown();
         state.shards.clear();
         assert!(ShardedPipeline::from_state(state).is_err());
     }
@@ -1219,7 +971,7 @@ mod tests {
         let mut p =
             ShardedPipeline::new(s, LinkageConfig::rule_aware(rule()), 3, &mut rng).unwrap();
         p.index(&records(5, 0, 30)).unwrap();
-        let stats = p.blocking_stats().unwrap();
+        let stats = p.blocking_stats();
         assert!(!stats.is_empty());
         for st in &stats {
             assert_eq!(st.backend, "random");
@@ -1232,7 +984,6 @@ mod tests {
         let total_entries: usize = stats.iter().map(|s| s.entries).sum();
         let expected: usize = stats.iter().map(|s| s.l * 30).sum();
         assert_eq!(total_entries, expected);
-        p.shutdown();
     }
 
     #[test]
@@ -1241,10 +992,9 @@ mod tests {
         let s = schema(&mut rng);
         let config = LinkageConfig::covering(rule(), 4);
         let p = ShardedPipeline::new(s, config, 2, &mut rng).unwrap();
-        let stats = p.blocking_stats().unwrap();
+        let stats = p.blocking_stats();
         assert!(!stats.is_empty());
         assert!(stats.iter().all(|s| s.backend == "covering"));
-        p.shutdown();
     }
 
     #[test]
@@ -1282,11 +1032,9 @@ mod tests {
         // Export/restore after deletes rebuilds the plans without the
         // tombstoned records and keeps answering correctly.
         let state = p.export_state().unwrap();
-        p.shutdown();
         let q = ShardedPipeline::from_state(state).unwrap();
         let (restored, _) = q.link(&b).unwrap();
         assert_eq!(restored, after);
-        q.shutdown();
     }
 
     #[test]
@@ -1295,7 +1043,6 @@ mod tests {
         let s = schema(&mut rng);
         let p = ShardedPipeline::new(s, LinkageConfig::rule_aware(rule()), 2, &mut rng).unwrap();
         assert!(p.link(&[Record::new(1, ["ONLY"])]).is_err());
-        p.shutdown();
     }
 
     // ---- online resharding ------------------------------------------------
@@ -1340,14 +1087,13 @@ mod tests {
         assert_eq!(after, before);
 
         // The moved records now live on the target and nowhere else.
-        let counts = p.shard_record_counts().unwrap();
+        let counts = p.shard_record_counts();
         assert_eq!(
             counts.iter().sum::<usize>(),
             60,
             "purge lost or duplicated records"
         );
         assert_eq!(counts[2] as u64, migrated);
-        p.shutdown();
     }
 
     #[test]
@@ -1387,10 +1133,8 @@ mod tests {
         let (m_sharded, _) = p.link(&b).unwrap();
         let (m_oracle, _) = oracle.link(&b).unwrap();
         assert_eq!(m_sharded, m_oracle);
-        let counts = p.shard_record_counts().unwrap();
+        let counts = p.shard_record_counts();
         assert_eq!(counts.iter().sum::<usize>(), p.indexed_len());
-        p.shutdown();
-        oracle.shutdown();
     }
 
     #[test]
@@ -1410,7 +1154,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(epoch, 2);
-        let counts = p.shard_record_counts().unwrap();
+        let counts = p.shard_record_counts();
         assert_eq!(counts[2], 0, "merged-away shard still owns records");
         assert_eq!(counts.iter().sum::<usize>(), 45);
         assert!(p.shard_map().ranges_of(2).is_empty());
@@ -1424,8 +1168,7 @@ mod tests {
             Err(Error::Reshard(ReshardError::EmptySource(2)))
         ));
         p.index(&records(11, 100, 20)).unwrap();
-        assert_eq!(p.shard_record_counts().unwrap()[2], 0);
-        p.shutdown();
+        assert_eq!(p.shard_record_counts()[2], 0);
     }
 
     #[test]
@@ -1447,7 +1190,7 @@ mod tests {
 
         assert_eq!(p.shard_map().epoch(), 1, "abort must not bump the epoch");
         assert!(!p.migration_status().active);
-        let counts = p.shard_record_counts().unwrap();
+        let counts = p.shard_record_counts();
         assert_eq!(counts[2], 0, "abort left records on the target");
         assert_eq!(counts.iter().sum::<usize>(), 50);
         // The dual-applied mid-copy batch survived exactly once (on the
@@ -1461,8 +1204,7 @@ mod tests {
         let epoch = p.reshard_sync(ReshardOp::Split { source: 0 }).unwrap();
         assert_eq!(epoch, 2);
         assert_eq!(p.num_shards(), 3);
-        assert_eq!(p.shard_record_counts().unwrap().iter().sum::<usize>(), 40);
-        p.shutdown();
+        assert_eq!(p.shard_record_counts().iter().sum::<usize>(), 40);
     }
 
     #[test]
@@ -1484,7 +1226,6 @@ mod tests {
         let b = records(13, 6000, 30);
         let (before, _) = p.link(&b).unwrap();
         let state = p.export_state().unwrap();
-        p.shutdown();
         let q = ShardedPipeline::from_state(state).unwrap();
         assert_eq!(q.shard_map().epoch(), 2);
         assert_eq!(q.shard_map().num_shards(), 3);
@@ -1492,7 +1233,6 @@ mod tests {
         assert_eq!(after, before);
         // Replaying the same committed reshard on a restored follower is
         // how WAL recovery works; the next split must plan deterministically.
-        q.shutdown();
     }
 
     #[test]
@@ -1515,6 +1255,77 @@ mod tests {
         ));
         while !driver.copy_batch(64).unwrap() {}
         p.finish_reshard(&driver).unwrap();
-        p.shutdown();
+    }
+
+    // ---- shards as data: shared probes, synchronous inserts ----------------
+
+    /// What a server's `RwLock<ServerState>` and its reactor rely on.
+    const _: () = {
+        const fn shared_between_threads<T: Send + Sync>() {}
+        shared_between_threads::<ShardedPipeline>()
+    };
+
+    #[test]
+    fn concurrent_links_equal_the_unsharded_pipeline_also_mid_migration() {
+        let mut rng = StdRng::seed_from_u64(30);
+        let s = schema(&mut rng);
+        let config = LinkageConfig::rule_aware(rule());
+        let mut single = LinkagePipeline::new(s.clone(), config.clone(), &mut rng).unwrap();
+        let mut p =
+            ShardedPipeline::from_parts(s, single.plan().clone(), Classifier::Rule(config.rule), 3)
+                .unwrap();
+        let a = records(15, 0, 90);
+        single.index(&a).unwrap();
+        p.index(&a).unwrap();
+        let b = records(15, 7000, 90);
+        let mut expected = single.link(&b).unwrap().matches;
+        expected.sort_unstable();
+        assert!(expected.len() >= 90);
+
+        // Four threads released together, each probing the one pipeline.
+        let four_threads_agree = |p: &ShardedPipeline| {
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        start.wait();
+                        for _ in 0..5 {
+                            assert_eq!(p.link(&b).unwrap().0, expected);
+                        }
+                    });
+                }
+            });
+        };
+        four_threads_agree(&p);
+
+        let mut driver = p.begin_reshard(ReshardOp::Split { source: 1 }).unwrap();
+        driver.copy_batch(7).unwrap();
+        assert!(driver.migrated() > 0, "nothing is double-live yet");
+        four_threads_agree(&p);
+        // The rest of the copy runs beside the probes: the driver holds the
+        // two shards, not the pipeline.
+        std::thread::scope(|scope| {
+            scope.spawn(|| while !driver.copy_batch(3).unwrap() {});
+            four_threads_agree(&p);
+        });
+        p.finish_reshard(&driver).unwrap();
+        four_threads_agree(&p);
+    }
+
+    #[test]
+    fn try_link_declines_while_a_shard_is_written() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let s = schema(&mut rng);
+        let mut p =
+            ShardedPipeline::new(s, LinkageConfig::rule_aware(rule()), 2, &mut rng).unwrap();
+        p.index(&records(17, 0, 20)).unwrap();
+        let b = records(17, 800, 20);
+        let linked = p.link(&b).unwrap();
+        assert_eq!(p.try_link(&b).unwrap().unwrap(), linked);
+        {
+            let _copying_into = p.shards[1].write();
+            assert!(p.try_link(&b).is_none());
+        }
+        assert_eq!(p.try_link(&b).unwrap().unwrap(), linked);
     }
 }

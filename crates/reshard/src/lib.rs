@@ -2,7 +2,7 @@
 //! linkage pipeline.
 //!
 //! A [`ShardMap`] is an epoch-stamped assignment of the 64-bit record-hash
-//! keyspace to shard workers. Records are placed by hashing their id through
+//! keyspace to shards. Records are placed by hashing their id through
 //! [`key_point`] and looking the point up in the map; growing or shrinking a
 //! cluster is a *map change* (split/merge) rather than a rebuild. The map
 //! itself is pure data — the live migration machinery (double-probe,

@@ -40,7 +40,7 @@ pub(crate) fn wal_sync_loop(inner: &Arc<Inner>, interval: Duration) {
 
 /// The background migrator for an online reshard: streams the source
 /// shard's moved records into the target in bounded batches (no state
-/// lock held — the shard workers serialize each batch against concurrent
+/// lock held — each shard's own lock serializes a batch against concurrent
 /// mutations, which are dual-applied to both shards meanwhile), then
 /// commits the cutover under the state write lock: WAL-log the
 /// `Reshard` frame *first* (the commit is the only durable trace of the
@@ -141,9 +141,10 @@ fn abort_migration(inner: &Arc<Inner>, why: &str) {
 
 /// Background blocking-store compactor: on the checkpoint cadence, merge
 /// each disk-resident structure's delta overlay into a fresh generation
-/// and scrub tombstones. Runs under a state *read* lock — the shard
-/// workers serialize the store mutation — so probes and mutations keep
-/// flowing.
+/// and scrub tombstones. Runs under a state *read* lock, one shard at a
+/// time under that shard's write lock: probes wait only for the shard
+/// being compacted (a single-record probe that would have run on the
+/// reactor goes to the pool to do its waiting), mutations for the sweep.
 pub(crate) fn compact_loop(inner: &Arc<Inner>, every: Duration) {
     let mut last = Instant::now();
     while !inner.shutdown.load(Ordering::SeqCst) {

@@ -49,6 +49,7 @@
 //! primary. Reads on this client therefore always observe this client's
 //! own completed writes, even through a load-balanced replica.
 
+use crate::protocol::wire::Outgoing;
 use crate::protocol::{
     wire, ErrorCode, ReplStatusReply, Reply, Request, RequestError, Response, ShardMapReply,
     StatsReply, PROTOCOL_VERSION,
@@ -249,6 +250,13 @@ impl Client {
     /// Returns [`ClientError::Server`] for typed rejections, otherwise
     /// I/O or protocol errors.
     pub fn call(&mut self, request: &Request) -> Result<Reply, ClientError> {
+        self.call_outgoing(request.into())
+    }
+
+    /// [`Self::call`] on the borrowed form the typed methods build: a
+    /// retry or a redirect encodes the caller's records again rather than
+    /// a copy kept for the purpose.
+    fn call_outgoing(&mut self, request: Outgoing<'_>) -> Result<Reply, ClientError> {
         match self.call_once(request) {
             Ok(reply) => Ok(reply),
             Err(ClientError::Server(err)) => self.follow_redirect(request, err),
@@ -266,8 +274,8 @@ impl Client {
     }
 
     /// One request/response exchange, no retries.
-    fn call_once(&mut self, request: &Request) -> Result<Reply, ClientError> {
-        self.send(request)?;
+    fn call_once(&mut self, request: Outgoing<'_>) -> Result<Reply, ClientError> {
+        self.send_inner(request)?;
         self.recv_reply()
     }
 
@@ -293,7 +301,7 @@ impl Client {
     /// Any other server error passes through.
     fn follow_redirect(
         &mut self,
-        request: &Request,
+        request: Outgoing<'_>,
         mut err: RequestError,
     ) -> Result<Reply, ClientError> {
         let mut visited: Vec<String> = Vec::new();
@@ -335,15 +343,15 @@ impl Client {
     /// # Errors
     /// I/O, timeout, or encoding failures.
     pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        self.send_inner(request).map(|_| ())
+        self.send_inner(request.into()).map(|_| ())
     }
 
     /// Sends a request and returns the id it was assigned.
-    fn send_inner(&mut self, request: &Request) -> Result<u64, ClientError> {
+    fn send_inner(&mut self, request: Outgoing<'_>) -> Result<u64, ClientError> {
         let conn = &mut self.conn;
         let id = conn.next_id;
         conn.next_id += 1;
-        wire::encode_request(id, request, &mut conn.payload)
+        wire::encode_outgoing(id, request, &mut conn.payload)
             .map_err(|e| ClientError::Protocol(format!("encode request: {e}")))?;
         conn.send_frame(wire::TAG_REQUEST)?;
         Ok(id)
@@ -389,9 +397,7 @@ impl Client {
         let mut next = 0;
         while next < batches.len() || !in_flight.is_empty() {
             while next < batches.len() && in_flight.len() < depth && first_err.is_none() {
-                let id = self.send_inner(&Request::Probe {
-                    records: batches[next].clone(),
-                })?;
+                let id = self.send_inner(Outgoing::Probe(&batches[next]))?;
                 in_flight.insert(id, next);
                 next += 1;
             }
@@ -480,19 +486,7 @@ impl Client {
     /// # Errors
     /// See [`Self::call`].
     pub fn index(&mut self, records: &[Record]) -> Result<(usize, usize), ClientError> {
-        match self.call(&Request::Index {
-            records: records.to_vec(),
-        })? {
-            Reply::Indexed {
-                accepted,
-                total_indexed,
-                applied_seq,
-            } => {
-                self.note_applied(applied_seq);
-                Ok((accepted, total_indexed))
-            }
-            other => Err(unexpected("Indexed", &other)),
-        }
+        self.call_indexed(Outgoing::Index(records))
     }
 
     /// Durable insert (protocol v4): like [`Self::index`], but a server
@@ -502,9 +496,11 @@ impl Client {
     /// # Errors
     /// See [`Self::call`].
     pub fn insert(&mut self, records: &[Record]) -> Result<(usize, usize), ClientError> {
-        match self.call(&Request::Insert {
-            records: records.to_vec(),
-        })? {
+        self.call_indexed(Outgoing::Insert(records))
+    }
+
+    fn call_indexed(&mut self, request: Outgoing<'_>) -> Result<(usize, usize), ClientError> {
+        match self.call_outgoing(request)? {
             Reply::Indexed {
                 accepted,
                 total_indexed,
@@ -546,9 +542,7 @@ impl Client {
         records: &[Record],
     ) -> Result<(Vec<(u64, u64)>, MatchStats), ClientError> {
         self.ensure_read_your_writes()?;
-        match self.call(&Request::Probe {
-            records: records.to_vec(),
-        })? {
+        match self.call_outgoing(Outgoing::Probe(records))? {
             Reply::Matches { pairs, stats, .. } => Ok((pairs, stats)),
             other => Err(unexpected("Matches", &other)),
         }
@@ -711,7 +705,7 @@ impl Client {
     /// # Errors
     /// Any transport or server error, verbatim.
     pub fn repl_status_once(&mut self) -> Result<ReplStatusReply, ClientError> {
-        match self.call_once(&Request::ReplStatus)? {
+        match self.call_once(Outgoing::Other(&Request::ReplStatus))? {
             Reply::ReplStatus(status) => Ok(status),
             other => Err(unexpected("ReplStatus", &other)),
         }
@@ -995,14 +989,13 @@ fn handshake(mut stream: TcpStream) -> Result<Conn, ClientError> {
 /// Requests whose retry cannot change server state: reads answered from
 /// the in-memory index and counters. Everything else — mutations, but
 /// also `Snapshot` (writes a file) and `Shutdown` — is excluded.
-fn is_idempotent_read(request: &Request) -> bool {
+fn is_idempotent_read(request: Outgoing<'_>) -> bool {
     matches!(
         request,
-        Request::Probe { .. }
-            | Request::Stats
-            | Request::Metrics
-            | Request::DedupStatus
-            | Request::ReplStatus
+        Outgoing::Probe(_)
+            | Outgoing::Other(
+                Request::Stats | Request::Metrics | Request::DedupStatus | Request::ReplStatus
+            )
     )
 }
 

@@ -14,7 +14,9 @@ use std::sync::Arc;
 
 /// The worker-visible half of a reactor connection: response bytes go
 /// into `outbox`, `in_flight` gates close and detach, and `wake` pokes
-/// the reactor's poll loop so it notices the new bytes.
+/// the reactor's poll loop so it notices bytes a worker put there. The
+/// reactor's own pushes (handshake lines, refusals, replies it computed
+/// itself) need no poke: it flushes the outbox in the same turn.
 pub(crate) struct ConnShared {
     pub(crate) outbox: Mutex<Vec<u8>>,
     pub(crate) in_flight: AtomicUsize,
@@ -30,21 +32,21 @@ impl ConnShared {
         }
     }
 
-    /// Appends already-serialized bytes (a handshake line) to the outbox.
+    /// Reactor thread: appends already-serialized bytes (a handshake
+    /// line) to the outbox.
     pub(crate) fn push_bytes(&self, bytes: &[u8]) {
         self.outbox.lock().extend_from_slice(bytes);
-        (self.wake)();
     }
 
-    /// Appends one response frame to the outbox and wakes the reactor.
+    /// Reactor thread: appends one response frame to the outbox.
     pub(crate) fn push_response(&self, id: u64, response: &Response) {
         self.push_bytes(&response_frame(id, response));
     }
 
-    /// [`Self::push_response`] plus the in-flight decrement, in that
-    /// order: the reactor only closes a drained connection once
-    /// `in_flight` is zero AND the outbox is empty, so the response bytes
-    /// must be visible before the counter drops.
+    /// Worker thread: [`Self::push_response`], the in-flight decrement and
+    /// the wake, in that order: the reactor only closes a drained
+    /// connection once `in_flight` is zero AND the outbox is empty, so the
+    /// response bytes must be visible before the counter drops.
     pub(crate) fn complete(&self, id: u64, response: &Response) {
         let frame = response_frame(id, response);
         self.outbox.lock().extend_from_slice(&frame);

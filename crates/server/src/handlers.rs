@@ -1,6 +1,8 @@
-//! Request execution: one handler per verb, run on a worker thread
-//! against the shared state, each a function from a parsed request to a
-//! typed reply or a typed error. Socket I/O never happens here.
+//! Request execution: one handler per verb, each a function from a parsed
+//! request to a typed reply or a typed error, run against the shared state
+//! on a worker thread — or, for a lone single-record probe that finds every
+//! lock free ([`try_probe`]), on the reactor itself. Socket I/O never
+//! happens here.
 
 use crate::background::reshard_migrate_loop;
 use crate::protocol::{
@@ -10,9 +12,10 @@ use crate::protocol::{
 use crate::repl::{await_quorum, ReplRole};
 use crate::server::{Inner, ServerState};
 use crate::snapshot::{Snapshot, SnapshotError};
+use cbv_hb::sharded::Linked;
 use cbv_hb::Record;
 use rl_reshard::ReshardOp;
-use rl_store::WalOp;
+use rl_store::{Store, StoreError, WalOp};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -76,8 +79,7 @@ fn insert(inner: &Inner, records: &[Record]) -> Handled {
         for record in records {
             schema.check(record).map_err(linkage)?;
         }
-        let ops: Vec<WalOp> = records.iter().cloned().map(WalOp::Insert).collect();
-        applied_seq = log_mutation(inner, &ops)?;
+        applied_seq = log_with(inner, records.len(), |store| store.append_inserts(records))?;
     }
     state.pipeline.index(records).map_err(linkage)?;
     let total_indexed = state.pipeline.indexed_len();
@@ -124,13 +126,29 @@ fn delete(inner: &Inner, ids: &[u64]) -> Handled {
 
 fn probe(inner: &Inner, records: &[Record]) -> Handled {
     let state = inner.state.read();
-    let (pairs, stats) = state.pipeline.link(records).map_err(linkage)?;
+    let linked = state.pipeline.link(records);
+    linked.map(matches_reply).map_err(linkage)
+}
+
+/// [`probe`] for the reactor thread, which must never wait: `None`, with
+/// nothing done, unless the state lock and every shard lock can be shared
+/// right now — a probe that meets a mutation, a compaction or a migration
+/// copy is a job for the pool.
+pub(crate) fn try_probe(inner: &Inner, records: &[Record]) -> Option<Response> {
+    let state = inner.state.try_read()?;
+    Some(match state.pipeline.try_link(records)? {
+        Ok(linked) => Response::Ok(matches_reply(linked)),
+        Err(e) => Response::Err(linkage(e)),
+    })
+}
+
+fn matches_reply((pairs, stats): Linked) -> Reply {
     let notes = crate::protocol::truncation_notes(&stats);
-    Ok(Reply::Matches {
+    Reply::Matches {
         pairs,
         stats,
         notes,
-    })
+    }
 }
 
 fn stream(inner: &Inner, record: &Record) -> Handled {
@@ -173,7 +191,7 @@ fn dedup_status(inner: &Inner) -> Reply {
 
 fn stats(inner: &Inner) -> Reply {
     let state = inner.state.read();
-    let blocking = state.pipeline.blocking_stats().unwrap_or_default();
+    let blocking = state.pipeline.blocking_stats();
     inner.metrics.update_block_gauges(&blocking);
     Reply::Stats(StatsReply {
         protocol_version: PROTOCOL_VERSION,
@@ -183,17 +201,17 @@ fn stats(inner: &Inner) -> Reply {
         indexed: state.pipeline.indexed_len(),
         streamed: state.streamed,
         requests_served: inner.requests_served.load(Ordering::Relaxed),
-        rejected_backpressure: inner.rejected_backpressure.load(Ordering::Relaxed),
+        rejected_backpressure: inner.metrics.rejected_backpressure.get(),
         uptime_secs: inner.started.elapsed().as_secs(),
         blocking,
         shard_map_epoch: state.pipeline.shard_map().epoch(),
-        shard_records: shard_records(&state).unwrap_or_default(),
+        shard_records: shard_records(&state),
     })
 }
 
-fn shard_records(state: &ServerState) -> cbv_hb::error::Result<Vec<u64>> {
-    let counts = state.pipeline.shard_record_counts()?;
-    Ok(counts.into_iter().map(|c| c as u64).collect())
+fn shard_records(state: &ServerState) -> Vec<u64> {
+    let counts = state.pipeline.shard_record_counts();
+    counts.into_iter().map(|c| c as u64).collect()
 }
 
 fn snapshot(inner: &Inner, path: Option<String>) -> Handled {
@@ -308,7 +326,7 @@ fn shard_map(inner: &Inner) -> Handled {
         epoch: map.epoch(),
         num_shards: map.num_shards(),
         ranges: map.assignments().to_vec(),
-        records: shard_records(&state).map_err(linkage)?,
+        records: shard_records(&state),
         migration: state.pipeline.migration_status(),
     }))
 }
@@ -363,10 +381,10 @@ fn reject_if_follower(inner: &Inner) -> Result<(), RequestError> {
 /// Streaming observe against the sharded index: probe the single record,
 /// record matched pairs in the dedup forest, then index it.
 fn observe(state: &mut ServerState, record: &Record) -> cbv_hb::error::Result<Vec<u64>> {
-    let batch = std::slice::from_ref(record).to_vec();
-    let (pairs, _) = state.pipeline.link(&batch)?;
+    let batch = std::slice::from_ref(record);
+    let (pairs, _) = state.pipeline.link(batch)?;
     let matches: Vec<u64> = pairs.into_iter().map(|(a, _)| a).collect();
-    state.pipeline.index(&batch)?;
+    state.pipeline.index(batch)?;
     for &a in &matches {
         state.dedup.union(a, record.id);
         state.stream_pairs.push((a, record.id));
@@ -383,17 +401,28 @@ fn observe(state: &mut ServerState, record: &Record) -> cbv_hb::error::Result<Ve
 /// Returns the op sequence of the batch's last frame (the reply's
 /// `applied_seq`), 0 without a store.
 pub(crate) fn log_mutation(inner: &Inner, ops: &[WalOp]) -> Result<u64, RequestError> {
+    log_with(inner, ops.len(), |store| store.append_batch(ops))
+}
+
+/// [`log_mutation`] over whatever `append` writes as its `frames` frames —
+/// an insert logs its records as they are, without wrapping a copy of each
+/// in a [`WalOp`] first.
+fn log_with(
+    inner: &Inner,
+    frames: usize,
+    append: impl FnOnce(&mut Store) -> Result<(), StoreError>,
+) -> Result<u64, RequestError> {
     let Some(store) = &inner.store else {
         return Ok(0);
     };
     let mut store = store.lock();
-    store.append_batch(ops).map_err(|e| {
+    append(&mut store).map_err(|e| {
         RequestError::new(
             ErrorCode::Storage,
             format!("wal append failed; mutation not applied: {e}"),
         )
     })?;
-    inner.metrics.wal_appends.add(ops.len() as u64);
+    inner.metrics.wal_appends.add(frames as u64);
     inner.metrics.wal_bytes.set(store.wal_bytes() as i64);
     Ok(store.op_seq())
 }

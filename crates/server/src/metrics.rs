@@ -2,8 +2,9 @@
 //! histograms, merged with the pipeline's phase timers in one registry.
 //!
 //! Every request's latency is split into **queue wait** (enqueue →
-//! worker pickup, a direct saturation signal) and **execution** (worker
-//! time inside the linkage engine). Both are recorded per request type
+//! worker pickup, a direct saturation signal; zero for a probe the
+//! reactor executed itself) and **execution** (time inside the handler,
+//! on whichever thread ran it). Both are recorded per request type
 //! into `rl-obs` log-linear histograms, so shard- or replica-level
 //! snapshots merge exactly. The whole registry is served by the
 //! `Metrics` request (protocol v3) and renders to Prometheus text via
@@ -162,6 +163,19 @@ pub struct ServerMetrics {
     pub rejected_backpressure: Arc<Counter>,
     /// Requests slower end-to-end than the configured threshold.
     pub slow_requests: Arc<Counter>,
+    /// Single-record probes the reactor executed itself
+    /// (`rl_probes_inline_total`).
+    pub probes_inline: Arc<Counter>,
+    /// Single-record probes that went to the pool because a lock was held
+    /// exclusively (`rl_probes_inline_declined_total{reason="lock_busy"}`).
+    pub probes_declined_busy: Arc<Counter>,
+    /// Single-record probes that went to the pool because the reactor had
+    /// other requests to dispatch in the same turn
+    /// (`rl_probes_inline_declined_total{reason="not_alone"}`).
+    pub probes_declined_not_alone: Arc<Counter>,
+    /// Handlers that panicked; each was answered with a typed `internal:`
+    /// error and the thread kept serving (`rl_handler_panics_total`).
+    pub handler_panics: Arc<Counter>,
     /// Records currently indexed (restored + indexed + streamed).
     pub indexed_records: Arc<Gauge>,
     /// Records observed through `Stream` since startup (or restore).
@@ -231,8 +245,8 @@ pub struct ServerMetrics {
     /// (`rl_compactions_total`).
     pub compactions: Arc<Counter>,
     /// Pipeline phase timers (embed / block / match, stream observe),
-    /// shared with the `ShardedPipeline` so shard workers record into
-    /// the same histograms.
+    /// shared with the `ShardedPipeline`, which records into them on
+    /// whichever thread runs the call.
     pub pipeline: Arc<PipelineMetrics>,
 }
 
@@ -263,7 +277,7 @@ impl ServerMetrics {
         );
         let exec = per_type_hist(
             "request_exec_seconds",
-            "Worker execution time (queue wait excluded)",
+            "Handler execution time (queue wait excluded)",
         );
         let rejected_backpressure = registry.counter(
             "rejected_backpressure_total",
@@ -273,6 +287,26 @@ impl ServerMetrics {
         let slow_requests = registry.counter(
             "slow_requests_total",
             "Requests slower end-to-end than the slow-request threshold",
+            &[],
+        );
+        let probes_inline = registry.counter(
+            "probes_inline_total",
+            "Single-record probes executed on the reactor thread",
+            &[],
+        );
+        let probes_declined_busy = registry.counter(
+            "probes_inline_declined_total",
+            "Single-record probes sent to the pool instead of the reactor, by reason",
+            &[("reason", "lock_busy")],
+        );
+        let probes_declined_not_alone = registry.counter(
+            "probes_inline_declined_total",
+            "Single-record probes sent to the pool instead of the reactor, by reason",
+            &[("reason", "not_alone")],
+        );
+        let handler_panics = registry.counter(
+            "handler_panics_total",
+            "Handlers that panicked and were answered with a typed internal error",
             &[],
         );
         let indexed_records = registry.gauge("indexed_records", "Records in the index", &[]);
@@ -399,6 +433,10 @@ impl ServerMetrics {
             exec,
             rejected_backpressure,
             slow_requests,
+            probes_inline,
+            probes_declined_busy,
+            probes_declined_not_alone,
+            handler_panics,
             indexed_records,
             streamed_records,
             wal_appends,

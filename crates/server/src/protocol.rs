@@ -693,22 +693,53 @@ pub mod wire {
     const BODY_INDEXED: u8 = 2;
     const BODY_OBSERVED: u8 = 3;
 
+    /// A request as its sender holds it: the record-carrying verbs borrow
+    /// the caller's records, so sending (and re-sending, on a retry or a
+    /// redirect) never copies them into a [`Request`] first.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Outgoing<'a> {
+        Probe(&'a [Record]),
+        Index(&'a [Record]),
+        Insert(&'a [Record]),
+        Other(&'a Request),
+    }
+
+    impl<'a> From<&'a Request> for Outgoing<'a> {
+        fn from(req: &'a Request) -> Self {
+            match req {
+                Request::Probe { records } => Outgoing::Probe(records),
+                Request::Index { records } => Outgoing::Index(records),
+                Request::Insert { records } => Outgoing::Insert(records),
+                other => Outgoing::Other(other),
+            }
+        }
+    }
+
     /// Encodes `id` + body into `payload` (cleared first). `Probe`,
     /// `Index`, `Insert`, and `Stream` bodies are binary; the rest JSON.
     ///
     /// # Errors
     /// Serialization failure, as a message.
     pub fn encode_request(id: u64, req: &Request, payload: &mut Vec<u8>) -> Result<(), String> {
+        encode_outgoing(id, req.into(), payload)
+    }
+
+    /// [`encode_request`] from the borrowed form.
+    pub(crate) fn encode_outgoing(
+        id: u64,
+        req: Outgoing<'_>,
+        payload: &mut Vec<u8>,
+    ) -> Result<(), String> {
         payload.clear();
         payload.extend_from_slice(&id.to_le_bytes());
         match req {
-            Request::Probe { records } => encode_records(BODY_PROBE, records, payload),
-            Request::Index { records } => encode_records(BODY_INDEX, records, payload),
-            Request::Insert { records } => encode_records(BODY_INSERT, records, payload),
-            Request::Stream { record } => {
+            Outgoing::Probe(records) => encode_records(BODY_PROBE, records, payload),
+            Outgoing::Index(records) => encode_records(BODY_INDEX, records, payload),
+            Outgoing::Insert(records) => encode_records(BODY_INSERT, records, payload),
+            Outgoing::Other(Request::Stream { record }) => {
                 encode_records(BODY_STREAM, std::slice::from_ref(record), payload);
             }
-            other => {
+            Outgoing::Other(other) => {
                 payload.push(BODY_JSON);
                 let json = serde_json::to_string(other).map_err(|e| e.to_string())?;
                 payload.extend_from_slice(json.as_bytes());

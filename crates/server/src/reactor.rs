@@ -20,6 +20,12 @@
 //! ([`crate::conn::serve_stream`]). The reactor never blocks on anyone,
 //! and joins every such thread before [`Reactor::run`] returns.
 //!
+//! One kind of request the reactor executes itself rather than enqueue:
+//! a single-record `Probe` that is alone in its turn of the loop and finds
+//! every lock free (the rule and its bound are in [`crate::server`]'s
+//! module docs; [`probe_inline`]). Its reply goes straight into the
+//! outbox this thread flushes before it polls again.
+//!
 //! Pinned behaviours: partial requests ride in the connection buffer
 //! until complete; a `Shutdown` ack is written and then the connection
 //! closes; a full job queue answers typed `Backpressure` immediately;
@@ -29,11 +35,13 @@
 //! in either direction.
 
 use crate::conn::{is_streaming, serve_stream, ConnShared};
+use crate::handlers::try_probe;
 use crate::metrics::ReqType;
 use crate::protocol::{
     wire, ErrorCode, Reply, Request, RequestError, Response, FIRST_BINARY_VERSION, PROTOCOL_VERSION,
 };
-use crate::server::{begin_shutdown, Inner, Job};
+use crate::server::{account, begin_shutdown, guarded, Inner, Job};
+use cbv_hb::Record;
 use crossbeam::channel::{Sender, TrySendError};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -122,6 +130,20 @@ impl Conn {
     /// Drained and finished: nothing buffered in, nothing pending out.
     fn done(&self) -> bool {
         (self.eof || self.closing) && self.in_flight() == 0 && self.outbox_len() == 0
+    }
+
+    /// Whether this turn's parse will find something to act on: a whole
+    /// frame (or handshake line) buffered, and no gate that skips the
+    /// parse. A frame still arriving — a stalled client's, or a large
+    /// insert's over many turns — is nobody's request yet.
+    fn has_request(&self) -> bool {
+        let buf = &self.rbuf[self.rpos..];
+        let whole = if self.upgraded {
+            rl_wire::frame_buffered(buf)
+        } else {
+            buf.contains(&b'\n')
+        };
+        whole && !self.dead && !self.closing && self.outbox_len() <= MAX_BUFFERED
     }
 
     fn push(&self, id: u64, response: &Response) {
@@ -296,11 +318,9 @@ impl Reactor {
                 }
             }
 
-            // Read, parse/dispatch, and flush each connection. Parsing runs
-            // every iteration (not only on POLLIN): a worker completion, or
-            // the peer reading its replies, can lift a gate with no new
-            // socket bytes.
-            let mut detached: Vec<(usize, Request, u64)> = Vec::new();
+            // Read every ready connection before parsing any: whether a
+            // request is alone in this turn shows only once all of the
+            // turn's input is in.
             for (i, conn) in conns.iter_mut().enumerate() {
                 let revents = pollfds.get(2 + i).map(|p| p.revents).unwrap_or(0);
                 if revents & (POLLERR | POLLHUP) != 0 {
@@ -312,13 +332,24 @@ impl Reactor {
                 if revents & POLLIN != 0 {
                     read_into(conn, &mut scratch);
                 }
+            }
+            // True until the turn's first request has been parsed, and
+            // only if a single connection has one.
+            let mut lone = conns.iter().filter(|c| c.has_request()).count() == 1;
+
+            // Parse/dispatch and flush each connection. Parsing runs every
+            // iteration (not only on POLLIN): a worker completion, or the
+            // peer reading its replies, can lift a gate with no new socket
+            // bytes.
+            let mut detached: Vec<(usize, Request, u64)> = Vec::new();
+            for (i, conn) in conns.iter_mut().enumerate() {
                 if conn.dead {
                     continue;
                 }
                 // Parsing continues during shutdown drain: handle_request
                 // answers new work with a typed ShuttingDown error.
                 if !conn.closing {
-                    match parse_and_dispatch(inner, job_tx, conn) {
+                    match parse_and_dispatch(inner, job_tx, conn, &mut lone) {
                         Parsed::Keep => {}
                         Parsed::Close => conn.dead = true,
                         Parsed::Detach(request, id) => {
@@ -368,8 +399,14 @@ fn read_into(conn: &mut Conn, scratch: &mut [u8]) {
 
 /// Parses and dispatches every complete request buffered, after the
 /// handshake line that must come first. Compacts the consumed prefix
-/// before returning.
-fn parse_and_dispatch(inner: &Arc<Inner>, job_tx: &Sender<Job>, conn: &mut Conn) -> Parsed {
+/// before returning. `lone`: no other connection has a request this turn
+/// and none has been parsed in it yet.
+fn parse_and_dispatch(
+    inner: &Arc<Inner>,
+    job_tx: &Sender<Job>,
+    conn: &mut Conn,
+    lone: &mut bool,
+) -> Parsed {
     let result = loop {
         if conn.outbox_len() > MAX_BUFFERED {
             // The peer is not reading its replies; producing more would
@@ -377,7 +414,7 @@ fn parse_and_dispatch(inner: &Arc<Inner>, job_tx: &Sender<Job>, conn: &mut Conn)
             break Parsed::Keep;
         }
         let step = if conn.upgraded {
-            parse_frame(inner, job_tx, conn)
+            parse_frame(inner, job_tx, conn, lone)
         } else {
             parse_handshake(inner, conn)
         };
@@ -433,6 +470,7 @@ fn parse_frame(
     inner: &Arc<Inner>,
     job_tx: &Sender<Job>,
     conn: &mut Conn,
+    lone: &mut bool,
 ) -> Result<Option<Parsed>, ()> {
     let buf = &conn.rbuf[conn.rpos..];
     let (tag, payload, consumed) = match rl_wire::peek_frame(buf, rl_wire::DEFAULT_MAX_FRAME) {
@@ -451,6 +489,9 @@ fn parse_frame(
     if tag != wire::TAG_REQUEST {
         return Ok(Some(Parsed::Close));
     }
+    // Alone in the turn: the first request parsed in it, no other
+    // connection has one, and nothing is behind it in this one's buffer.
+    let alone = std::mem::take(lone) && consumed == buf.len();
     let decoded = wire::decode_request(payload);
     let (id, request) = match decoded {
         Ok(pair) => pair,
@@ -473,17 +514,19 @@ fn parse_frame(
         return Err(());
     }
     conn.rpos += consumed;
-    handle_request(inner, job_tx, conn, request, id)
+    handle_request(inner, job_tx, conn, request, id, alone)
 }
 
-/// Routes one parsed request: inline (Shutdown), detach (streaming
-/// verbs), or worker dispatch.
+/// Routes one parsed request: inline (Shutdown; a single-record probe
+/// `alone` in its turn, locks permitting), detach (streaming verbs), or
+/// worker dispatch.
 fn handle_request(
     inner: &Arc<Inner>,
     job_tx: &Sender<Job>,
     conn: &mut Conn,
     request: Request,
     id: u64,
+    alone: bool,
 ) -> Result<Option<Parsed>, ()> {
     if is_streaming(&request) {
         // (`parse_frame` checked in_flight == 0 before consuming it.)
@@ -509,6 +552,12 @@ fn handle_request(
                 );
                 return Ok(None);
             }
+            if let Request::Probe { records } = &request {
+                if let Some(response) = probe_inline(inner, records, alone) {
+                    conn.push(id, &response);
+                    return Ok(None);
+                }
+            }
             conn.shared.in_flight.fetch_add(1, Ordering::SeqCst);
             let job = Job {
                 request,
@@ -520,7 +569,6 @@ fn handle_request(
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) => {
                     conn.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                    inner.rejected_backpressure.fetch_add(1, Ordering::Relaxed);
                     inner.metrics.rejected_backpressure.inc();
                     conn.push(
                         id,
@@ -547,6 +595,35 @@ fn handle_request(
             Ok(None)
         }
     }
+}
+
+/// Executes a probe on the reactor thread if the inline rule allows it:
+/// one record, `alone` in its turn, and every lock free without waiting.
+/// `None` sends it to the pool (counted by reason when it was one record).
+/// An inline probe is booked like any other — one queue-wait sample (zero:
+/// it never queued) and one exec sample.
+fn probe_inline(inner: &Inner, records: &[Record], alone: bool) -> Option<Response> {
+    if records.len() != 1 {
+        return None;
+    }
+    let metrics = &inner.metrics;
+    if !alone {
+        metrics.probes_declined_not_alone.inc();
+        return None;
+    }
+    let t0 = Instant::now();
+    let response = match guarded(metrics, || try_probe(inner, records)) {
+        Ok(Some(response)) => response,
+        Ok(None) => {
+            metrics.probes_declined_busy.inc();
+            return None;
+        }
+        Err(panicked) => Response::Err(panicked),
+    };
+    let exec = t0.elapsed();
+    metrics.probes_inline.inc();
+    account(inner, ReqType::Probe, Duration::ZERO, exec, &response);
+    Some(response)
 }
 
 /// Writes as much of the outbox as the socket accepts right now.

@@ -170,13 +170,10 @@ impl ReplHandle {
             // judges future frames against the freshest known era.
             inner.repl.epoch.store(store.epoch(), Ordering::SeqCst);
         }
-        let old = std::mem::replace(
-            &mut *state,
-            ServerState::new(
-                pipeline,
-                ckpt.snapshot.stream_pairs.clone(),
-                ckpt.snapshot.streamed,
-            ),
+        *state = ServerState::new(
+            pipeline,
+            ckpt.snapshot.stream_pairs.clone(),
+            ckpt.snapshot.streamed,
         );
         inner
             .metrics
@@ -184,7 +181,6 @@ impl ReplHandle {
             .set(state.pipeline.indexed_len() as i64);
         inner.metrics.streamed_records.set(state.streamed as i64);
         drop(state);
-        old.pipeline.shutdown();
         inner.repl.applied_seq.store(ckpt.ops, Ordering::SeqCst);
         let head = inner.repl.head_seq.load(Ordering::SeqCst).max(ckpt.ops);
         inner.repl.head_seq.store(head, Ordering::SeqCst);

@@ -5,12 +5,20 @@
 //!
 //! ```text
 //!  clients ──TCP──▶ reactor (poll) ──try_send──▶ bounded job queue
-//!                        ▲                             │
-//!                        └── per-conn outbox ◀── worker pool (N threads)
-//!                                                      │
-//!                                             RwLock<ServerState>
-//!                                              (ShardedPipeline, dedup)
+//!                    │   ▲                             │
+//!     lone 1-record  │   └── per-conn outbox ◀── worker pool (N threads)
+//!     probe, locks   │                                 │
+//!     free: inline   └────try_read────▶ RwLock<ServerState>
+//!                                        (ShardedPipeline: N shards, each
+//!                                         data behind its own RwLock; dedup)
 //! ```
+//!
+//! The threads that exist: the reactor (`rl-reactor`), the pool
+//! (`rl-worker-<i>`), one `rl-conn` per live stream, and a durable
+//! server's background loops (`rl-checkpoint`, `rl-compact`,
+//! `rl-wal-sync`, `rl-reshard-migrate` while a migration copies). Shards
+//! are data, not threads: a probe runs to completion on the thread that
+//! picked it up.
 //!
 //! One reactor thread ([`crate::reactor`]) owns every request/reply
 //! connection: it polls readiness, answers the one-line JSON
@@ -24,18 +32,34 @@
 //! connection off the reactor onto a dedicated blocking thread that owns
 //! it until the stream ends.
 //!
+//! **The inline rule.** The reactor executes a request itself iff it is a
+//! `Probe` of exactly one record, it is the only request the reactor has
+//! to dispatch in this turn of its loop (one connection holding a
+//! complete frame and nothing behind it — the closed-loop caller, whose
+//! latency is otherwise thread wake-ups around microseconds of work; a
+//! frame still arriving elsewhere is not a request yet), and the state
+//! read lock and every shard read lock are free *now* (`try_read`). So
+//! the reactor never waits on a lock and is held for at most one
+//! single-record probe per turn — a bound on count, not on time: the
+//! probe itself is not cut short. Everything else goes to the pool.
+//!
 //! When the bounded queue is full the request is rejected immediately
 //! with a typed [`crate::ErrorCode::Backpressure`] error rather than
 //! blocking the socket. Workers execute jobs against the shared state —
-//! probes under a read lock (concurrent), index/stream under a write
-//! lock. `Shutdown` stops accepting, finishes in-flight requests, drains
-//! the queue, and joins every thread the server started.
+//! probes under a read lock (concurrent), mutations under the write lock,
+//! applied (searchable) before their reply. Lock order: `state` first;
+//! under it the shards, ascending (the migrator copies without `state`
+//! and never holds source and target together), or `repl.role` then
+//! `store` — never a shard lock and `store` at once. A panicking handler
+//! costs one request, not its thread (`guarded`). `Shutdown` stops
+//! accepting, finishes in-flight requests, drains the queue, and joins
+//! every thread the server started.
 
 use crate::background;
 use crate::conn::ConnShared;
 use crate::handlers::{apply_op, execute, write_snapshot};
 use crate::metrics::{ReqType, ServerMetrics};
-use crate::protocol::{Request, Response};
+use crate::protocol::{ErrorCode, Request, RequestError, Response};
 use crate::repl::{ReplRole, ReplState};
 use crate::repl_handle::ReplHandle;
 use crate::subs::SubHub;
@@ -46,6 +70,7 @@ use parking_lot::{Mutex, RwLock};
 use rl_store::{Store, StoreOptions, SyncPolicy};
 use std::io::ErrorKind;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -188,7 +213,6 @@ pub(crate) struct Inner {
     pub(crate) shutdown: AtomicBool,
     pub(crate) started: Instant,
     pub(crate) requests_served: AtomicU64,
-    pub(crate) rejected_backpressure: AtomicU64,
     local_addr: SocketAddr,
     pub(crate) metrics: Arc<ServerMetrics>,
     /// The durability layer (WAL + checkpoints); `None` without a data
@@ -371,7 +395,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
             requests_served: AtomicU64::new(0),
-            rejected_backpressure: AtomicU64::new(0),
             local_addr,
             metrics,
             store: store.map(Mutex::new),
@@ -404,11 +427,11 @@ impl Server {
                 }));
                 // Blocking-store compaction runs on its own thread, off
                 // the checkpoint path: merging delta overlays only needs a
-                // state read lock (shard workers serialize the actual
-                // store mutation), so it does not stall mutations behind a
-                // write lock before every checkpoint. Same trigger as the
-                // checkpointer — compaction matters when checkpoints
-                // export the overlay it bounds.
+                // state read lock (each shard's own write lock serializes
+                // the actual store mutation), so it does not stall
+                // mutations behind a write lock before every checkpoint.
+                // Same trigger as the checkpointer — compaction matters
+                // when checkpoints export the overlay it bounds.
                 threads.push(spawn_thread(&inner, "rl-compact", move |inner| {
                     background::compact_loop(inner, every)
                 }));
@@ -502,25 +525,151 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Receiver<Job>) {
         let queue_wait = job.enqueued.elapsed();
         let rtype = ReqType::of(&job.request);
         let t0 = Instant::now();
-        let response = execute(inner, job.request);
-        let exec = t0.elapsed();
-        inner.requests_served.fetch_add(1, Ordering::Relaxed);
-        inner
-            .metrics
-            .record_request(rtype, queue_wait, exec, matches!(response, Response::Ok(_)));
-        if let Some(threshold) = inner.config.slow_request_threshold {
-            let total = queue_wait + exec;
-            if total >= threshold {
-                inner.metrics.slow_requests.inc();
-                eprintln!(
-                    "rl-server: slow request type={} total={:.1}ms queue_wait={:.1}ms exec={:.1}ms",
-                    rtype.label(),
-                    total.as_secs_f64() * 1e3,
-                    queue_wait.as_secs_f64() * 1e3,
-                    exec.as_secs_f64() * 1e3,
-                );
-            }
-        }
+        let response =
+            guarded(&inner.metrics, || execute(inner, job.request)).unwrap_or_else(Response::Err);
+        account(inner, rtype, queue_wait, t0.elapsed(), &response);
         job.conn.complete(job.id, &response);
+    }
+}
+
+/// Runs a handler so that its panic costs one request, not the thread —
+/// a pool worker that would otherwise die silently and leave its client to
+/// time out, or the reactor and with it the whole server. The panic is
+/// counted (`rl_handler_panics_total`) and becomes a typed error for the
+/// caller to answer with; locks the handler held are recovered by the lock
+/// shim, not poisoned.
+pub(crate) fn guarded<T>(
+    metrics: &ServerMetrics,
+    handler: impl FnOnce() -> T,
+) -> Result<T, RequestError> {
+    catch_unwind(AssertUnwindSafe(handler)).map_err(|panic| {
+        metrics.handler_panics.inc();
+        let what = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "no message".into());
+        RequestError::new(
+            ErrorCode::Unavailable,
+            format!("internal: the handler panicked ({what}); the request's outcome is unknown"),
+        )
+    })
+}
+
+/// Books one executed request, on whichever thread executed it: the served
+/// counter, the per-type counter and latency split, the slow-request log.
+pub(crate) fn account(
+    inner: &Inner,
+    rtype: ReqType,
+    queue_wait: Duration,
+    exec: Duration,
+    response: &Response,
+) {
+    inner.requests_served.fetch_add(1, Ordering::Relaxed);
+    inner
+        .metrics
+        .record_request(rtype, queue_wait, exec, matches!(response, Response::Ok(_)));
+    if let Some(threshold) = inner.config.slow_request_threshold {
+        let total = queue_wait + exec;
+        if total >= threshold {
+            inner.metrics.slow_requests.inc();
+            eprintln!(
+                "rl-server: slow request type={} total={:.1}ms queue_wait={:.1}ms exec={:.1}ms",
+                rtype.label(),
+                total.as_secs_f64() * 1e3,
+                queue_wait.as_secs_f64() * 1e3,
+                exec.as_secs_f64() * 1e3,
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{Client, ClientError};
+    use crate::protocol::Reply;
+    use cbv_hb::pipeline::LinkageConfig;
+    use cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use textdist::Alphabet;
+
+    fn pipeline() -> ShardedPipeline {
+        let mut rng = StdRng::seed_from_u64(19);
+        let schema = RecordSchema::build(
+            Alphabet::linkage(),
+            vec![
+                AttributeSpec::new("FirstName", 2, 64, false, 5),
+                AttributeSpec::new("LastName", 2, 64, false, 5),
+            ],
+            &mut rng,
+        );
+        let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
+        ShardedPipeline::new(schema, LinkageConfig::rule_aware(rule), 2, &mut rng).unwrap()
+    }
+
+    #[test]
+    fn a_panicking_handler_is_one_typed_error_and_one_count() {
+        let metrics = ServerMetrics::new();
+        assert_eq!(guarded(&metrics, || 7).unwrap(), 7);
+        let err = guarded(&metrics, || -> u32 { panic!("shard {} on fire", 1) }).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Unavailable);
+        assert!(err.message.starts_with("internal:"), "{}", err.message);
+        assert!(err.message.contains("shard 1 on fire"), "{}", err.message);
+        // The thread that ran it is still here to run the next one.
+        assert_eq!(guarded(&metrics, || 8).unwrap(), 8);
+        let panics = metrics.snapshot();
+        assert_eq!(
+            panics.counter_value("rl_handler_panics_total", None),
+            Some(1)
+        );
+    }
+
+    /// (inline, declined for a busy lock, declined for company).
+    fn probe_paths(client: &mut Client) -> (u64, u64, u64) {
+        let m = client.metrics().unwrap();
+        let count = |name, label| m.counter_value(name, label).unwrap();
+        (
+            count("rl_probes_inline_total", None),
+            count("rl_probes_inline_declined_total", Some("lock_busy")),
+            count("rl_probes_inline_declined_total", Some("not_alone")),
+        )
+    }
+
+    #[test]
+    fn the_reactor_never_waits_on_a_lock() {
+        let server = Server::spawn(pipeline(), ServerConfig::default()).unwrap();
+        let mut a = Client::connect(server.local_addr()).unwrap();
+        // A reactor stuck on a lock would answer nobody: fail in seconds.
+        let mut b = Client::connect_with_timeout(server.local_addr(), Some(Duration::from_secs(3)))
+            .unwrap();
+        a.index(&[Record::new(1, ["JOHN", "SMITH"])]).unwrap();
+        let probe = Request::Probe {
+            records: vec![Record::new(10, ["JON", "SMITH"])],
+        };
+        assert!(matches!(a.call(&probe), Ok(Reply::Matches { .. })));
+        assert_eq!(probe_paths(&mut b), (1, 0, 0), "a lone probe, locks free");
+
+        let exclusive = server.inner.state.write();
+        a.set_timeout(Some(Duration::from_millis(300))).unwrap();
+        a.send(&probe).unwrap();
+        assert!(
+            matches!(a.recv(), Err(ClientError::Timeout)),
+            "a probe was answered through a held write lock"
+        );
+        // The reactor met the lock, passed the probe to the pool (where a
+        // worker now waits), and serves on: `Metrics` takes no state lock.
+        assert_eq!(probe_paths(&mut b), (1, 1, 0));
+        drop(exclusive);
+        a.set_timeout(Some(Client::DEFAULT_TIMEOUT)).unwrap();
+        match a.recv().unwrap() {
+            Reply::Matches { pairs, .. } => assert_eq!(pairs, vec![(1, 10)]),
+            other => panic!("expected the probe's answer, got {other:?}"),
+        }
+
+        drop((a, b));
+        server.shutdown();
+        server.wait();
     }
 }

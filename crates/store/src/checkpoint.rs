@@ -152,7 +152,6 @@ mod tests {
             ShardedPipeline::new(schema, LinkageConfig::rule_aware(rule), 2, &mut rng).unwrap();
         p.index(&[Record::new(1, ["JOHN", "SMITH"])]).unwrap();
         let state = p.export_state().unwrap();
-        p.shutdown();
         Snapshot::new(state, vec![], 0).unwrap()
     }
 

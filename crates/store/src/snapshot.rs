@@ -260,9 +260,7 @@ mod tests {
             Record::new(2, ["MARY", "JONES"]),
         ])
         .unwrap();
-        let state = p.export_state().unwrap();
-        p.shutdown();
-        state
+        p.export_state().unwrap()
     }
 
     #[test]
@@ -281,7 +279,6 @@ mod tests {
         let p = ShardedPipeline::from_state(loaded.state).unwrap();
         let (m, _) = p.link(&[Record::new(10, ["JON", "SMITH"])]).unwrap();
         assert_eq!(m, vec![(1, 10)]);
-        p.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -360,6 +360,18 @@ impl Store {
         Ok(())
     }
 
+    /// [`Self::append_batch`] of one [`WalOp::Insert`] per record, from
+    /// the borrowed records (see [`Wal::append_inserts`]).
+    ///
+    /// # Errors
+    /// Returns [`StoreError::Io`] naming the segment on failure.
+    pub fn append_inserts(&mut self, records: &[cbv_hb::Record]) -> Result<(), StoreError> {
+        self.wal.append_inserts(records)?;
+        self.appends += records.len() as u64;
+        self.op_seq += records.len() as u64;
+        Ok(())
+    }
+
     /// Forces an fsync of the active segment regardless of policy.
     ///
     /// # Errors
@@ -579,7 +591,6 @@ mod tests {
         let records: Vec<Record> = indexed.iter().map(|&id| rec(id)).collect();
         p.index(&records).unwrap();
         let state = p.export_state().unwrap();
-        p.shutdown();
         Snapshot::new(state, vec![], 0).unwrap()
     }
 

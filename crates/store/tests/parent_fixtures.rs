@@ -240,8 +240,6 @@ fn snapshots_of_the_parent_load_probe_and_rewrite_identically() {
             .index(&[Record::new(999, ["NOBODY", "ATALL", "NOWHERE"])])
             .unwrap();
         assert_eq!(restored.delete(&[1, 999]).unwrap(), 2, "{name}");
-        restored.shutdown();
-        fresh.shutdown();
     }
 }
 

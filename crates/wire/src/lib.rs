@@ -301,6 +301,15 @@ pub fn peek_frame(buf: &[u8], max_frame: u32) -> Result<Option<Peeked<'_>>, Wire
     Ok(Some((tag, payload, total)))
 }
 
+/// Whether `buf` holds every byte of the frame its header announces. Reads
+/// the length field only and validates nothing: it tells a frame that is
+/// still arriving from one [`peek_frame`] will have a verdict on, without
+/// the CRC pass.
+pub fn frame_buffered(buf: &[u8]) -> bool {
+    buf.len() >= HEADER_LEN
+        && buf.len() - HEADER_LEN >= u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize
+}
+
 /// Validates a frame whose header and payload sit in separate buffers
 /// (the shape file-based readers produce) and returns the type tag.
 ///
@@ -552,9 +561,11 @@ mod tests {
                 matches!(peek_frame(&bytes[..cut], 1024), Ok(None)),
                 "cut {cut}"
             );
+            assert!(!frame_buffered(&bytes[..cut]), "cut {cut}");
         }
         let (tag, payload, consumed) = peek_frame(&bytes, 1024).unwrap().unwrap();
         assert_eq!((tag, payload.len(), consumed), (1, 100, bytes.len()));
+        assert!(frame_buffered(&bytes));
     }
 
     #[test]

@@ -76,6 +76,16 @@ impl<T: ?Sized> RwLock<T> {
         RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
     }
 
+    /// Shared access without waiting: `None` while a writer holds the lock
+    /// or (std's queue being fair to writers) is waiting for it.
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.0.try_read() {
+            Ok(guard) => Some(RwLockReadGuard(guard)),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(RwLockReadGuard(e.into_inner())),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
@@ -135,5 +145,18 @@ mod tests {
         }
         l.write().push(4);
         assert_eq!(*l.read(), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn try_read_declines_only_while_a_writer_holds_the_lock() {
+        let l = RwLock::new(7);
+        {
+            let shared = l.read();
+            assert_eq!(l.try_read().map(|g| *g), Some(*shared));
+        }
+        let exclusive = l.write();
+        assert!(l.try_read().is_none());
+        drop(exclusive);
+        assert_eq!(l.try_read().map(|g| *g), Some(7));
     }
 }

@@ -11,12 +11,20 @@
 //! committed count. A count that rises means something on the path began
 //! to allocate per item again; lower the pin when it falls.
 //!
+//! A `ShardedPipeline::link` runs on the calling thread too, so the same
+//! counter sees all of it: on two shards it may spend what the single
+//! pipeline spends plus [`SHARDED_EXTRA`], and nothing per shard walked:
+//! the key buffer and the candidate buffer of the first shard serve the
+//! second.
+//!
 //! One test function: the counter is per thread, and nothing else runs on
 //! this one.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use record_linkage::cbv_hb::{AttributeSpec, RecordSchema};
+use record_linkage::cbv_hb::matcher::Classifier;
+use record_linkage::cbv_hb::sharded::ShardedPipeline;
+use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema};
 use record_linkage::datagen::{DatasetPair, NcvrSource, PairConfig, PerturbationScheme};
 use record_linkage::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -50,6 +58,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// What a two-shard `ShardedPipeline::link` may allocate beyond the
+/// `LinkagePipeline` budget of the same configuration (same hash draws,
+/// same records): the vector holding the shards' read guards, and one more
+/// step of the candidate buffer's growth — a shard's buckets are half the
+/// single index's, so on `batch_rule` (244 tables gathered before the
+/// de-duplication) the buffer reaches its size in smaller appends.
+const SHARDED_EXTRA: u64 = 2;
+
 /// C1 = f0 ≤ 4 ∧ f1 ≤ 4 ∧ f2 ≤ 8, the benchmark's classification rule.
 fn c1() -> Rule {
     Rule::and([Rule::pred(0, 4), Rule::pred(1, 4), Rule::pred(2, 8)])
@@ -78,24 +94,45 @@ fn a_single_record_link_stays_within_its_allocation_budget() {
         ("batch_rule", LinkageConfig::rule_aware(c1()), 18),
         ("batch_covering", LinkageConfig::covering(c1(), 4), 13),
     ];
-    for (name, config, budget) in budgets {
-        let mut pipeline = LinkagePipeline::new(schema.clone(), config, &mut rng).unwrap();
-        pipeline.index(&pair.a).unwrap();
+    let probes = &pair.b[..300];
+    // Worst and mean allocations of one call of `link`, which returns the
+    // number of pairs it matched.
+    let spend = |name: &str, link: &dyn Fn(&Record) -> usize| {
         let (mut worst, mut total, mut matched) = (0u64, 0u64, 0usize);
-        let probes = &pair.b[..300];
         for probe in probes {
             let before = ALLOCATIONS.with(Cell::get);
-            let result = pipeline.link(std::slice::from_ref(probe)).unwrap();
+            matched += link(probe);
             let spent = ALLOCATIONS.with(Cell::get) - before;
-            matched += result.matches.len();
             worst = worst.max(spent);
             total += spent;
         }
         assert!(matched > 100, "{name}: only {matched} pairs matched");
+        (worst, total as f64 / probes.len() as f64)
+    };
+    for (name, config, budget) in budgets {
+        let mut pipeline = LinkagePipeline::new(schema.clone(), config, &mut rng).unwrap();
+        // The same hash draws on both engines, so the same candidates.
+        let (plan, classifier) = (pipeline.plan().clone(), Classifier::Rule(c1()));
+        let mut sharded = ShardedPipeline::from_parts(schema.clone(), plan, classifier, 2).unwrap();
+        pipeline.index(&pair.a).unwrap();
+        let (worst, mean) = spend(name, &|probe| {
+            let result = pipeline.link(std::slice::from_ref(probe)).unwrap();
+            result.matches.len()
+        });
         assert!(
             worst <= budget,
-            "{name}: a single-record link allocated {worst} times (mean {:.1}); the budget is {budget}",
-            total as f64 / probes.len() as f64
+            "{name}: a single-record link allocated {worst} times (mean {mean:.1}); the budget is {budget}",
+        );
+
+        sharded.index(&pair.a).unwrap();
+        let (worst, mean) = spend(name, &|probe| {
+            let (pairs, _) = sharded.link(std::slice::from_ref(probe)).unwrap();
+            pairs.len()
+        });
+        let budget = budget + SHARDED_EXTRA;
+        assert!(
+            worst <= budget,
+            "{name}: a single-record link over two shards allocated {worst} times (mean {mean:.1}); the budget is {budget}",
         );
     }
 }

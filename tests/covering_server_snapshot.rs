@@ -109,7 +109,6 @@ fn version_1_snapshot_is_rejected_with_backend_explanation() {
     // index layout, not a generic failure.
     let p = covering_pipeline(32, 1);
     let state = p.export_state().unwrap();
-    p.shutdown();
     let mut snap = Snapshot::new(state, vec![], 0).unwrap();
     snap.version = 1;
     snap.save(&path).unwrap();

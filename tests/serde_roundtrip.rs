@@ -123,13 +123,11 @@ fn sharded_snapshot_roundtrip_probe_equivalence() {
     let path = dir.join("index.snap");
     let snap = Snapshot::new(pipeline.export_state().unwrap(), vec![], 0).unwrap();
     snap.save(&path).unwrap();
-    pipeline.shutdown();
 
     let loaded = Snapshot::load(&path).unwrap();
     let restored = ShardedPipeline::from_state(loaded.state).unwrap();
     let (after, _) = restored.link(&b).unwrap();
     assert_eq!(before, after);
-    restored.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -106,7 +106,7 @@ fn snapshot_restore_rebuilds_destroyed_blockstore() {
     // the snapshot is cut.
     p.compact_stores().unwrap();
     let state = p.export_state().unwrap();
-    p.shutdown();
+    drop(p);
     Snapshot::new(state, vec![], 0)
         .unwrap()
         .save(&snap_path)

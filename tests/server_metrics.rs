@@ -61,6 +61,9 @@ fn metrics_cover_request_lifecycle() {
     assert_eq!(wait.data.count, 4);
     assert_eq!(exec.data.count, 4);
     assert!(exec.data.quantile(0.99) >= exec.data.quantile(0.50));
+    // Each of the four was one record, alone in its turn of the reactor's
+    // loop with every lock free: executed there, none passed to the pool.
+    assert_eq!(probe_paths(&m), (4, 0));
 
     // Pipeline phase timers recorded by the sharded engine: one embed +
     // match pair per probe/stream link, embed + block per index.
@@ -83,15 +86,54 @@ fn metrics_cover_request_lifecycle() {
     assert_eq!(gauge(&m, "rl_indexed_records"), 3);
     assert_eq!(gauge(&m, "rl_streamed_records"), 1);
 
+    // The other path: a 16-record probe is the pool's whatever the turn
+    // looks like, and is no candidate for the reactor — neither counter
+    // moves. Pipelined single-record probes are candidates, each served by
+    // whichever path its turn allowed. Both paths book one queue-wait and
+    // one exec sample per probe.
+    let batch: Vec<Record> = (100..116)
+        .map(|i| Record::new(i, ["JON", "SMITH"]))
+        .collect();
+    assert_eq!(c.probe(&batch).unwrap().0.len(), 2 * batch.len());
+    let singles: Vec<Vec<Record>> = batch.iter().map(|r| vec![r.clone()]).collect();
+    assert_eq!(c.probe_pipelined(&singles, 8).unwrap().len(), singles.len());
+
     // A second Metrics call sees the first one counted.
     let m2 = c.metrics().unwrap();
     assert_eq!(
         m2.counter_value("rl_requests_total", Some("metrics")),
         Some(1)
     );
+    let probes = 4 + 1 + singles.len() as u64;
+    assert_eq!(
+        m2.counter_value("rl_requests_total", Some("probe")),
+        Some(probes)
+    );
+    for phase in ["rl_request_queue_wait_seconds", "rl_request_exec_seconds"] {
+        let samples = m2.histogram_data(phase, Some("probe")).unwrap().data.count;
+        assert_eq!(samples, probes, "{phase}");
+    }
+    let (inline, declined) = probe_paths(&m2);
+    assert!(inline >= 4, "the lone probes stay counted: {inline}");
+    assert_eq!(
+        inline + declined,
+        probes - 1,
+        "every single-record probe, once"
+    );
 
     c.shutdown().unwrap();
     server.wait();
+}
+
+/// Single-record probes (the reactor executed, the reactor passed to the
+/// pool for either reason).
+fn probe_paths(m: &record_linkage::obs::MetricsSnapshot) -> (u64, u64) {
+    let count = |name, label| m.counter_value(name, label).unwrap();
+    let declined = "rl_probes_inline_declined_total";
+    (
+        count("rl_probes_inline_total", None),
+        count(declined, Some("lock_busy")) + count(declined, Some("not_alone")),
+    )
 }
 
 #[test]

@@ -283,6 +283,78 @@ fn pipelined_error_is_typed_and_connection_survives() {
     server.wait();
 }
 
+#[test]
+fn an_acknowledged_insert_is_searchable_from_any_connection() {
+    let server = Server::spawn(pipeline(66, 3), ServerConfig::default()).unwrap();
+    let mut writer = Client::connect(server.local_addr()).unwrap();
+    let mut reader = Client::connect(server.local_addr()).unwrap();
+    // One record, a handful, and a bulk request spread over every shard:
+    // `Indexed` means searchable for each, so the other connection needs
+    // no fence after the acknowledgement.
+    let mut next = 0u64;
+    for size in [1u64, 7, 900] {
+        let batch = records(12, next, size);
+        // `records` names by position, so these are the batch's twins.
+        let twins = records(12, 50_000 + next, size);
+        next += size;
+        assert_eq!(writer.insert(&batch).unwrap().0, batch.len());
+        let (pairs, _) = reader.probe(&twins).unwrap();
+        for (rec, twin) in batch.iter().zip(&twins) {
+            assert!(
+                pairs.contains(&(rec.id, twin.id)),
+                "record {} of a {size}-record insert was acknowledged but not found",
+                rec.id
+            );
+        }
+    }
+    drop(reader);
+    writer.shutdown().unwrap();
+    server.wait();
+}
+
+#[test]
+fn a_connection_stalled_mid_frame_is_no_company_for_a_lone_probe() {
+    let server = Server::spawn(pipeline(67, 2), ServerConfig::default()).unwrap();
+    let mut b = Client::connect(server.local_addr()).unwrap();
+    b.index(&records(13, 0, 20)).unwrap();
+    // (executed on the reactor, passed to the pool for company in the turn)
+    let probe_paths = |client: &mut Client| {
+        let m = client.metrics().unwrap();
+        let count = |name, label| m.counter_value(name, label).unwrap();
+        (
+            count("rl_probes_inline_total", None),
+            count("rl_probes_inline_declined_total", Some("not_alone")),
+        )
+    };
+
+    // A sends half a frame and stops. The `Metrics` round trip that
+    // follows it puts those bytes in the reactor's buffer, where they
+    // stay, turn after turn.
+    let (mut a, mut a_frames) = raw_connect(server.local_addr());
+    let frame = request_frame(1, &Request::Stats);
+    a.write_all(&frame[..frame.len() / 2]).unwrap();
+    assert_eq!(probe_paths(&mut b), (0, 0));
+
+    let twins = records(13, 900, 3);
+    for twin in &twins {
+        b.probe(std::slice::from_ref(twin)).unwrap();
+    }
+    assert_eq!(
+        probe_paths(&mut b),
+        (twins.len() as u64, 0),
+        "half a frame on another connection is not a request"
+    );
+
+    a.write_all(&frame[frame.len() / 2..]).unwrap();
+    assert!(matches!(
+        read_response(&mut a_frames),
+        (1, Response::Ok(Reply::Stats(_)))
+    ));
+    drop((a, a_frames));
+    b.shutdown().unwrap();
+    server.wait();
+}
+
 /// Accepts one connection, performs the JSON upgrade handshake, then
 /// hands the raw stream to `after` for byte-level misbehaviour.
 fn mock_v7_server(
