@@ -46,7 +46,8 @@ use std::sync::Arc;
 use rl_wire::{encode_frame_into, peek_frame, WireError, DEFAULT_MAX_FRAME, HEADER_LEN};
 use serde::{Deserialize, Serialize};
 
-use crate::hash::{WordMap, WordSet};
+use crate::hash::WordSet;
+use crate::table::{hash_heap_bytes, tables_heap_bytes, Table};
 use crate::{BlockPolicy, BlockStorage, CapMode, StoreError, StoreStats, HISTOGRAM_BINS};
 
 /// Frame tags (namespaced away from the network protocol's tag space —
@@ -559,7 +560,7 @@ pub struct MmapStore {
     generation: u64,
     num_tables: usize,
     base: Option<Arc<Base>>,
-    delta: Vec<WordMap<u128, Vec<u64>>>,
+    delta: Vec<Table>,
     /// Keys whose base bucket was scrubbed into the delta: probes must
     /// skip the base layer for these.
     overridden: Vec<WordSet<u128>>,
@@ -577,7 +578,7 @@ impl MmapStore {
             generation: 0,
             num_tables: l,
             base: None,
-            delta: (0..l).map(|_| WordMap::default()).collect(),
+            delta: (0..l).map(|_| Table::default()).collect(),
             overridden: (0..l).map(|_| WordSet::default()).collect(),
             dead: WordSet::default(),
             dropped: 0,
@@ -618,7 +619,7 @@ impl MmapStore {
                 base.with_bucket_ids(table, key, &mut |_| n += 1);
             }
         }
-        n + self.delta[table].get(&key).map_or(0, Vec::len)
+        n + self.delta[table].get(key).map_or(0, |d| d.len())
     }
 
     fn live_and_dead(&self, table: usize, key: u128) -> (usize, usize) {
@@ -635,16 +636,15 @@ impl MmapStore {
                 base.with_bucket_ids(table, key, &mut count);
             }
         }
-        if let Some(d) = self.delta[table].get(&key) {
-            for &id in d {
-                count(id);
-            }
+        if let Some(d) = self.delta[table].get(key) {
+            d.iter().for_each(count);
         }
         (live, dead)
     }
 
     /// Rewrites `key`'s bucket as live-only delta content (the in-place
-    /// scrub of the disk store).
+    /// scrub of the disk store). Left undone — the tombstones go on
+    /// filtering — when the delta table's arena cannot take the bucket.
     fn scrub_bucket(&mut self, table: usize, key: u128) {
         let mut live = Vec::new();
         if let Some(base) = &self.base {
@@ -656,17 +656,51 @@ impl MmapStore {
                 });
             }
         }
-        if let Some(d) = self.delta[table].get(&key) {
-            live.extend(d.iter().filter(|id| !self.dead.contains(id)).copied());
+        if let Some(d) = self.delta[table].get(key) {
+            live.extend(d.iter().filter(|id| !self.dead.contains(id)));
         }
-        let in_base = self.base.as_ref().is_some_and(|b| b.has_key(table, key));
-        if in_base {
+        if !self.delta[table].replace(key, &live) {
+            return;
+        }
+        if self.base.as_ref().is_some_and(|b| b.has_key(table, key)) {
             self.overridden[table].insert(key);
         }
-        if live.is_empty() {
-            self.delta[table].remove(&key);
-        } else {
-            self.delta[table].insert(key, live);
+    }
+
+    fn live_count(&self, ids: &[u64]) -> usize {
+        ids.iter().filter(|id| !self.dead.contains(id)).count()
+    }
+
+    /// Folds every `(table, key, raw ids)` into `f`: a bucket's base ids
+    /// (unless it was scrubbed into the delta), then its delta ids,
+    /// tombstoned ones included. The slice is only valid during the call.
+    fn for_each_raw(&self, f: &mut dyn FnMut(usize, u128, &[u64])) {
+        let mut merged = Vec::new();
+        for (t, delta) in self.delta.iter().enumerate() {
+            let in_base = |key| {
+                let base = self.base.as_ref();
+                base.is_some_and(|b| b.has_key(t, key)) && !self.base_skipped(t, key)
+            };
+            if let Some(base) = &self.base {
+                base.for_each_key(t, &mut |key, raw_ids| {
+                    if self.base_skipped(t, key) {
+                        return;
+                    }
+                    let Some(d) = delta.get(key) else {
+                        return f(t, key, raw_ids);
+                    };
+                    merged.clear();
+                    merged.extend_from_slice(raw_ids);
+                    d.extend_into(&mut merged);
+                    f(t, key, &merged);
+                });
+            }
+            // Delta buckets the walk above has not already merged.
+            for (key, d) in delta.iter().filter(|(key, _)| !in_base(*key)) {
+                merged.clear();
+                d.extend_into(&mut merged);
+                f(t, key, &merged);
+            }
         }
     }
 }
@@ -687,7 +721,12 @@ impl BlockStorage for MmapStore {
                 return false;
             }
         }
-        self.delta[table].entry(key).or_default().push(id);
+        // A delta table whose arena is at its limit refuses like a full
+        // bucket.
+        if !self.delta[table].push(key, id) {
+            self.dropped += 1;
+            return false;
+        }
         true
     }
 
@@ -716,9 +755,9 @@ impl BlockStorage for MmapStore {
                 });
             }
         }
-        if let Some(d) = self.delta[table].get(&key) {
+        if let Some(d) = self.delta[table].get(key) {
             if self.dead.is_empty() {
-                out.extend_from_slice(d);
+                d.extend_into(out);
             } else {
                 out.extend(d.iter().filter(|id| !self.dead.contains(id)));
             }
@@ -730,107 +769,32 @@ impl BlockStorage for MmapStore {
     }
 
     fn for_each_bucket(&self, f: &mut dyn FnMut(usize, usize)) {
-        for t in 0..self.num_tables {
-            if let Some(base) = &self.base {
-                base.for_each_key(t, &mut |key, raw_ids| {
-                    if self.base_skipped(t, key) {
-                        return;
-                    }
-                    let mut live = raw_ids.iter().filter(|id| !self.dead.contains(id)).count();
-                    if let Some(d) = self.delta[t].get(&key) {
-                        live += d.iter().filter(|id| !self.dead.contains(id)).count();
-                    }
-                    if live > 0 {
-                        f(t, live);
-                    }
-                });
+        self.for_each_raw(&mut |t, _, ids| {
+            let live = self.live_count(ids);
+            if live > 0 {
+                f(t, live);
             }
-            for (key, d) in &self.delta[t] {
-                // Buckets also present in the base were counted (merged)
-                // by the walk above.
-                let merged_with_base = self
-                    .base
-                    .as_ref()
-                    .is_some_and(|b| b.has_key(t, *key) && !self.base_skipped(t, *key));
-                if merged_with_base {
-                    continue;
-                }
-                let live = d.iter().filter(|id| !self.dead.contains(id)).count();
-                if live > 0 {
-                    f(t, live);
-                }
-            }
-        }
+        });
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(usize, u128, &[u64])) {
-        let mut merged = Vec::new();
-        for t in 0..self.num_tables {
-            if let Some(base) = &self.base {
-                base.for_each_key(t, &mut |key, raw_ids| {
-                    if self.base_skipped(t, key) {
-                        return;
-                    }
-                    merged.clear();
-                    merged.extend(raw_ids.iter().filter(|id| !self.dead.contains(id)));
-                    if let Some(d) = self.delta[t].get(&key) {
-                        merged.extend(d.iter().filter(|id| !self.dead.contains(id)));
-                    }
-                    if !merged.is_empty() {
-                        f(t, key, &merged);
-                    }
-                });
+        let mut live = Vec::new();
+        self.for_each_raw(&mut |t, key, ids| {
+            live.clear();
+            live.extend(ids.iter().filter(|id| !self.dead.contains(id)));
+            if !live.is_empty() {
+                f(t, key, &live);
             }
-            for (key, d) in &self.delta[t] {
-                // Buckets also present in the base were visited (merged)
-                // by the walk above.
-                let merged_with_base = self
-                    .base
-                    .as_ref()
-                    .is_some_and(|b| b.has_key(t, *key) && !self.base_skipped(t, *key));
-                if merged_with_base {
-                    continue;
-                }
-                merged.clear();
-                merged.extend(d.iter().filter(|id| !self.dead.contains(id)));
-                if !merged.is_empty() {
-                    f(t, *key, &merged);
-                }
-            }
-        }
+        });
     }
 
     fn compact(&mut self, policy: &BlockPolicy) -> Result<(), StoreError> {
         // Merge base + delta − dead into key-sorted tables.
         let mut merged: Vec<BTreeMap<u128, Vec<u64>>> =
             (0..self.num_tables).map(|_| BTreeMap::new()).collect();
-        for (t, out) in merged.iter_mut().enumerate() {
-            if let Some(base) = &self.base {
-                base.for_each_key(t, &mut |key, raw_ids| {
-                    if self.base_skipped(t, key) {
-                        return;
-                    }
-                    let ids: Vec<u64> = raw_ids
-                        .iter()
-                        .filter(|id| !self.dead.contains(id))
-                        .copied()
-                        .collect();
-                    if !ids.is_empty() {
-                        out.insert(key, ids);
-                    }
-                });
-            }
-            for (key, d) in &self.delta[t] {
-                let live: Vec<u64> = d
-                    .iter()
-                    .filter(|id| !self.dead.contains(id))
-                    .copied()
-                    .collect();
-                if !live.is_empty() {
-                    out.entry(*key).or_default().extend(live);
-                }
-            }
-        }
+        self.for_each_entry(&mut |t, key, live| {
+            merged[t].insert(key, live.to_vec());
+        });
 
         fs::create_dir_all(&self.dir).map_err(|e| io_err("create block dir", e))?;
         let next = self.generation + 1;
@@ -847,7 +811,7 @@ impl BlockStorage for MmapStore {
         let base = Base::open(&final_path, self.num_tables, next)?;
         self.base = Some(Arc::new(base));
         self.generation = next;
-        self.delta.iter_mut().for_each(WordMap::clear);
+        self.delta.iter_mut().for_each(Table::clear);
         self.overridden.iter_mut().for_each(WordSet::clear);
         self.dead.clear();
         self.needs_rebuild = false;
@@ -869,62 +833,28 @@ impl BlockStorage for MmapStore {
             on_disk_bytes: self.base.as_ref().map_or(0, |b| b.bytes_len),
             ..StoreStats::default()
         };
-        // Dead entries = raw slots − live slots, counted bucket by bucket
-        // alongside the live histogram.
-        for t in 0..self.num_tables {
-            if let Some(base) = &self.base {
-                base.for_each_key(t, &mut |key, raw_ids| {
-                    if self.base_skipped(t, key) {
-                        return;
-                    }
-                    let (mut live, mut dead) = (0usize, 0u64);
-                    for id in raw_ids {
-                        if self.dead.contains(id) {
-                            dead += 1;
-                        } else {
-                            live += 1;
-                        }
-                    }
-                    if let Some(d) = self.delta[t].get(&key) {
-                        for id in d {
-                            if self.dead.contains(id) {
-                                dead += 1;
-                            } else {
-                                live += 1;
-                            }
-                        }
-                    }
-                    stats.dead_entries += dead;
-                    stats.record_bucket(live);
-                });
-            }
-            for (key, d) in &self.delta[t] {
-                let in_base = self
-                    .base
-                    .as_ref()
-                    .is_some_and(|b| b.has_key(t, *key) && !self.base_skipped(t, *key));
-                if in_base {
-                    continue;
-                }
-                let (mut live, mut dead) = (0usize, 0u64);
-                for id in d {
-                    if self.dead.contains(id) {
-                        dead += 1;
-                    } else {
-                        live += 1;
-                    }
-                }
-                stats.dead_entries += dead;
-                stats.record_bucket(live);
-            }
-        }
+        self.for_each_raw(&mut |_, _, ids| {
+            let live = self.live_count(ids);
+            stats.dead_entries += (ids.len() - live) as u64;
+            stats.record_bucket(live);
+        });
         stats
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        let overridden: usize = self
+            .overridden
+            .iter()
+            .map(|keys| hash_heap_bytes(keys.capacity(), 16))
+            .sum();
+        tables_heap_bytes(&self.delta, &self.dead)
+            + (std::mem::size_of_val(&self.overridden[..]) + overridden) as u64
     }
 
     fn clear(&mut self) {
         self.base = None;
         self.generation = 0;
-        self.delta.iter_mut().for_each(WordMap::clear);
+        self.delta.iter_mut().for_each(Table::clear);
         self.overridden.iter_mut().for_each(WordSet::clear);
         self.dead.clear();
         self.dropped = 0;
@@ -941,7 +871,7 @@ struct MmapRepr {
     dir: String,
     generation: u64,
     num_tables: usize,
-    delta: Vec<WordMap<u128, Vec<u64>>>,
+    delta: Vec<Table>,
     overridden: Vec<Vec<u128>>,
     dead: Vec<u64>,
     dropped: u64,

@@ -7,13 +7,28 @@
 //! This crate puts the tables behind a [`BlockStorage`] trait with two
 //! implementations:
 //!
-//! * [`InMemoryStore`] — the classic heap-resident tables.
+//! * [`InMemoryStore`] — heap-resident tables.
 //! * [`MmapStore`] — an LSM-lite, disk-resident store: an immutable,
 //!   memory-mapped *generation file* (CRC-framed via `rl-wire`, with a
 //!   binary-searched on-disk bucket directory per table) plus a small
 //!   in-memory delta overlay for appends and a tombstone set for deletes.
 //!   [`MmapStore::compact`] merges base + delta − dead into the next
 //!   generation file; until then probes read both layers.
+//!
+//! Every mutable table — the memory store's `L` and the mmap store's
+//! delta — is one layout, `table::Table`: a hash directory of 32-byte
+//! `(key, {first id, offset, length})` slots, the bucket's first id inline,
+//! and one `Vec<u64>` arena per table holding the ids after the first in
+//! power-of-two regions with per-class free lists. A singleton bucket —
+//! nearly all of them — costs its slot and control byte at the directory's
+//! load of 7/16 to 7/8 (38–75 B, against 88–144 B for a `u128` key, a
+//! `Vec` and its first four-id block) and nothing else; a further id costs
+//! 8 B times the slack of its region and of the arena's own growth. The
+//! offsets are 32-bit, which bounds one table's arena at 2³² − 1 ids beyond
+//! the first of each bucket (32 GiB, per table, per shard); the insert that
+//! would pass it is refused and counted in [`StoreStats::dropped`] like a
+//! [`CapMode::Drop`] insert. [`TableSet::heap_bytes`] reports what the
+//! tables hold.
 //!
 //! Both stores honour one [`BlockPolicy`] — the robustness knobs from
 //! "Scalable Blocking for Very Large Databases":
@@ -33,8 +48,8 @@
 //!   id; a bucket is scrubbed in place when its dead fraction crosses the
 //!   threshold, so long-running mutable servers do not degrade.
 //!
-//! Both keep their mutable tables and tombstones in hash maps under one
-//! process-keyed word hasher ([`hash`]).
+//! The directories and the tombstone sets hash under one process-keyed word
+//! hasher ([`hash`]).
 //!
 //! The two implementations are *candidate-set equivalent*: the same
 //! insert/remove/probe sequence yields byte-identical id streams (a
@@ -44,6 +59,7 @@
 mod disk;
 pub mod hash;
 mod mem;
+mod table;
 
 pub use disk::MmapStore;
 pub use hash::{WordMap, WordSet};
@@ -162,7 +178,8 @@ pub struct StoreStats {
     pub size_histogram: Vec<u64>,
     /// Stale slots: tombstoned ids still occupying bucket entries.
     pub dead_entries: u64,
-    /// Inserts discarded by [`CapMode::Drop`] since the store was built.
+    /// Inserts discarded by [`CapMode::Drop`], or refused at a table's
+    /// arena limit, since the store was built.
     pub dropped: u64,
     /// Bytes of the current on-disk generation file (0 for memory).
     pub on_disk_bytes: u64,
@@ -193,8 +210,9 @@ pub trait BlockStorage {
     fn num_tables(&self) -> usize;
 
     /// Inserts `id` into table `table`'s bucket for `key`. Returns
-    /// `false` when the policy's [`CapMode::Drop`] discarded the insert.
-    /// Re-inserting a tombstoned id revives it.
+    /// `false` when the policy's [`CapMode::Drop`] discarded the insert, or
+    /// the table is at its 2³²-id arena limit; both count in
+    /// [`StoreStats::dropped`]. Re-inserting a tombstoned id revives it.
     fn insert(&mut self, table: usize, key: u128, id: u64, policy: &BlockPolicy) -> bool;
 
     /// Tombstones `id` (globally — a deleted record leaves every bucket
@@ -224,6 +242,11 @@ pub trait BlockStorage {
 
     /// Occupancy diagnostics over live entries.
     fn stats(&self) -> StoreStats;
+
+    /// Heap bytes the store holds — directories, arenas, free lists and
+    /// tombstones (for the mmap store: of its delta overlay) — computed
+    /// from capacities without walking the entries.
+    fn heap_bytes(&self) -> u64;
 
     /// Drops all data (tables keep their count/location) — the first step
     /// of a rebuild after [`TableSet::needs_rebuild`].
@@ -411,6 +434,11 @@ impl TableSet {
     /// Occupancy diagnostics.
     pub fn stats(&self) -> StoreStats {
         self.store().stats()
+    }
+
+    /// Heap bytes held by the tables. See [`BlockStorage::heap_bytes`].
+    pub fn heap_bytes(&self) -> u64 {
+        self.store().heap_bytes()
     }
 
     /// Drops all data, clearing any [`TableSet::needs_rebuild`] flag.

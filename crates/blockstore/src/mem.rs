@@ -1,19 +1,20 @@
-//! Heap-resident [`BlockStorage`]: the historical `HashMap` blocking
-//! tables, now policy-aware (cap, top-k handled by callers, tombstones).
+//! Heap-resident [`BlockStorage`]: `L` [`Table`]s and a tombstone set,
+//! policy-aware (cap, top-k handled by callers, tombstones).
 
 use serde::{Deserialize, Serialize};
 
-use crate::hash::{WordMap, WordSet};
+use crate::hash::WordSet;
+use crate::table::{tables_heap_bytes, Bucket, Table};
 use crate::{BlockPolicy, BlockStorage, CapMode, StoreError, StoreStats, HISTOGRAM_BINS};
 
-/// `L` in-memory hash tables with a shared tombstone set.
+/// `L` in-memory tables with a shared tombstone set.
 ///
 /// Deletes only tombstone ids ([`InMemoryStore::remove`]); a bucket is
 /// scrubbed in place when its dead fraction crosses the policy's
 /// threshold, and [`InMemoryStore::compact`] scrubs everything.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct InMemoryStore {
-    tables: Vec<WordMap<u128, Vec<u64>>>,
+    tables: Vec<Table>,
     dead: WordSet<u64>,
     dropped: u64,
 }
@@ -22,13 +23,13 @@ impl InMemoryStore {
     /// An empty store with `l` tables.
     pub fn new(l: usize) -> Self {
         Self {
-            tables: (0..l).map(|_| WordMap::default()).collect(),
+            tables: (0..l).map(|_| Table::default()).collect(),
             dead: WordSet::default(),
             dropped: 0,
         }
     }
 
-    fn live_len(&self, bucket: &[u64]) -> usize {
+    fn live_len(&self, bucket: Bucket<'_>) -> usize {
         if self.dead.is_empty() {
             return bucket.len();
         }
@@ -45,19 +46,14 @@ impl BlockStorage for InMemoryStore {
         if !self.dead.is_empty() {
             self.dead.remove(&id);
         }
-        let bucket = self.tables[table].entry(key).or_default();
-        if policy.max_block_size > 0 && policy.cap_mode == CapMode::Drop {
-            let live = if self.dead.is_empty() {
-                bucket.len()
-            } else {
-                bucket.iter().filter(|x| !self.dead.contains(x)).count()
-            };
-            if live >= policy.max_block_size {
-                self.dropped += 1;
-                return false;
-            }
+        let capped = policy.max_block_size > 0
+            && policy.cap_mode == CapMode::Drop
+            && self.bucket_len(table, key) >= policy.max_block_size;
+        // A table whose arena is at its limit refuses like a full bucket.
+        if capped || !self.tables[table].push(key, id) {
+            self.dropped += 1;
+            return false;
         }
-        bucket.push(id);
         true
     }
 
@@ -67,23 +63,20 @@ impl BlockStorage for InMemoryStore {
             return;
         }
         let dead = &self.dead;
-        if let Some(bucket) = self.tables[table].get_mut(&key) {
+        if let Some(bucket) = self.tables[table].get(key) {
             let dead_in_bucket = bucket.iter().filter(|x| dead.contains(x)).count();
             if dead_in_bucket > 0
                 && (dead_in_bucket as f64) >= policy.compact_dead_ratio * (bucket.len() as f64)
             {
-                bucket.retain(|x| !dead.contains(x));
-                if bucket.is_empty() {
-                    self.tables[table].remove(&key);
-                }
+                self.tables[table].retain(key, |x| !dead.contains(&x));
             }
         }
     }
 
     fn probe_into(&self, table: usize, key: u128, out: &mut Vec<u64>) {
-        if let Some(bucket) = self.tables[table].get(&key) {
+        if let Some(bucket) = self.tables[table].get(key) {
             if self.dead.is_empty() {
-                out.extend_from_slice(bucket);
+                bucket.extend_into(out);
             } else {
                 out.extend(bucket.iter().filter(|id| !self.dead.contains(id)));
             }
@@ -91,15 +84,12 @@ impl BlockStorage for InMemoryStore {
     }
 
     fn bucket_len(&self, table: usize, key: u128) -> usize {
-        self.tables[table]
-            .get(&key)
-            .map(|b| self.live_len(b))
-            .unwrap_or(0)
+        self.tables[table].get(key).map_or(0, |b| self.live_len(b))
     }
 
     fn for_each_bucket(&self, f: &mut dyn FnMut(usize, usize)) {
         for (t, table) in self.tables.iter().enumerate() {
-            for bucket in table.values() {
+            for (_, bucket) in table.iter() {
                 let live = self.live_len(bucket);
                 if live > 0 {
                     f(t, live);
@@ -111,17 +101,11 @@ impl BlockStorage for InMemoryStore {
     fn for_each_entry(&self, f: &mut dyn FnMut(usize, u128, &[u64])) {
         let mut scratch = Vec::new();
         for (t, table) in self.tables.iter().enumerate() {
-            for (key, bucket) in table {
-                if self.dead.is_empty() {
-                    if !bucket.is_empty() {
-                        f(t, *key, bucket);
-                    }
-                    continue;
-                }
+            for (key, bucket) in table.iter() {
                 scratch.clear();
                 scratch.extend(bucket.iter().filter(|id| !self.dead.contains(id)));
                 if !scratch.is_empty() {
-                    f(t, *key, &scratch);
+                    f(t, key, &scratch);
                 }
             }
         }
@@ -131,10 +115,7 @@ impl BlockStorage for InMemoryStore {
         if !self.dead.is_empty() {
             let dead = std::mem::take(&mut self.dead);
             for table in &mut self.tables {
-                for bucket in table.values_mut() {
-                    bucket.retain(|id| !dead.contains(id));
-                }
-                table.retain(|_, bucket| !bucket.is_empty());
+                table.retain_all(|id| !dead.contains(&id));
             }
         }
         Ok(())
@@ -147,13 +128,17 @@ impl BlockStorage for InMemoryStore {
             ..StoreStats::default()
         };
         for table in &self.tables {
-            for bucket in table.values() {
+            for (_, bucket) in table.iter() {
                 let live = self.live_len(bucket);
                 stats.dead_entries += (bucket.len() - live) as u64;
                 stats.record_bucket(live);
             }
         }
         stats
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        tables_heap_bytes(&self.tables, &self.dead)
     }
 
     fn clear(&mut self) {
@@ -207,10 +192,10 @@ mod tests {
             s.insert(0, 1, id, &p);
         }
         s.remove(0, 1, 0, &p); // 1/4 dead — below threshold
-        let raw = s.tables[0].get(&1).unwrap().len();
+        let raw = s.tables[0].get(1).unwrap().len();
         assert_eq!(raw, 4);
         s.remove(0, 1, 1, &p); // 2/4 dead — scrub
-        let raw = s.tables[0].get(&1).unwrap().len();
+        let raw = s.tables[0].get(1).unwrap().len();
         assert_eq!(raw, 2);
         assert_eq!(s.bucket_len(0, 1), 2);
     }
@@ -229,5 +214,21 @@ mod tests {
         assert_eq!(s.tables[0].len(), 1);
         assert_eq!(s.stats().entries, 1);
         assert_eq!(s.stats().dead_entries, 0);
+    }
+
+    #[test]
+    fn a_full_arena_refuses_the_insert_and_counts_it() {
+        let mut s = InMemoryStore::new(1);
+        s.tables[0] = Table::with_arena_limit(1);
+        let p = policy();
+        assert!(s.insert(0, 1, 10, &p)); // inline
+        assert!(s.insert(0, 1, 11, &p)); // the arena's one word
+        assert!(!s.insert(0, 1, 12, &p));
+        assert!(s.insert(0, 2, 13, &p), "a new bucket needs no arena");
+        let mut out = Vec::new();
+        s.probe_into(0, 1, &mut out);
+        assert_eq!(out, vec![10, 11]);
+        assert_eq!(s.stats().dropped, 1);
+        assert_eq!(s.stats().entries, 3);
     }
 }

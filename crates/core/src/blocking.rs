@@ -768,6 +768,7 @@ impl BlockingStructure {
             dead_entries: s.dead_entries,
             dropped: s.dropped,
             on_disk_bytes: s.on_disk_bytes,
+            heap_bytes: self.store.heap_bytes(),
         }
     }
 }
@@ -808,6 +809,10 @@ pub struct StructureStats {
     /// Bytes of the store's on-disk generation file (0 for memory).
     #[serde(default)]
     pub on_disk_bytes: u64,
+    /// Heap bytes the store's tables hold: directories, id arenas, free
+    /// lists and tombstones (for an mmap store, of its delta overlay).
+    #[serde(default)]
+    pub heap_bytes: u64,
 }
 
 impl StructureStats {
@@ -828,6 +833,7 @@ impl StructureStats {
         self.dead_entries += other.dead_entries;
         self.dropped += other.dropped;
         self.on_disk_bytes += other.on_disk_bytes;
+        self.heap_bytes += other.heap_bytes;
     }
 
     /// Upper bound on the size of 99% of this structure's buckets, read

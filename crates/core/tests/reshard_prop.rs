@@ -143,8 +143,6 @@ fn split_equivalence_case(
     );
     assert_eq!(after, oracle_pairs, "pair sets diverged from oracle");
 
-    p.shutdown();
-    oracle.shutdown();
     if let Some(dir) = &block_dir {
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -232,6 +232,9 @@ pub struct ServerMetrics {
     /// Bytes of on-disk blocking generations (`rl_block_disk_bytes`);
     /// 0 for the in-memory store.
     pub block_disk_bytes: Arc<Gauge>,
+    /// Heap bytes held by the blocking tables — directories, id arenas,
+    /// tombstones (`rl_block_heap_bytes`); an mmap store's delta overlay.
+    pub block_heap_bytes: Arc<Gauge>,
     /// Online-reshard phase (`rl_reshard_state`): 0 idle, 1 copying,
     /// 2 cutover.
     pub reshard_state: Arc<Gauge>,
@@ -404,6 +407,11 @@ impl ServerMetrics {
             "Bytes of on-disk blocking-table generation files",
             &[],
         );
+        let block_heap_bytes = registry.gauge(
+            "block_heap_bytes",
+            "Heap bytes held by the blocking tables (directories, id arenas, tombstones)",
+            &[],
+        );
         let reshard_state = registry.gauge(
             "reshard_state",
             "Online-reshard phase: 0 idle, 1 copying, 2 cutover",
@@ -458,6 +466,7 @@ impl ServerMetrics {
             block_dead_entries,
             block_dropped,
             block_disk_bytes,
+            block_heap_bytes,
             reshard_state,
             reshard_migrated,
             reshard_lag,
@@ -479,6 +488,8 @@ impl ServerMetrics {
             .set(blocking.iter().map(|s| s.dropped).sum::<u64>() as i64);
         self.block_disk_bytes
             .set(blocking.iter().map(|s| s.on_disk_bytes).sum::<u64>() as i64);
+        self.block_heap_bytes
+            .set(blocking.iter().map(|s| s.heap_bytes).sum::<u64>() as i64);
     }
 
     /// One streaming request (`FetchCheckpoint` / `Subscribe`): served

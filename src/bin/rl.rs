@@ -953,7 +953,8 @@ fn client(flags: &HashMap<String, String>) -> Result<(), String> {
             for s in &stats.blocking {
                 eprintln!(
                     "blocking: {} backend={} store={} L={} key_bits={} buckets={} \
-                     max_bucket={} p99_bucket={} dead={} dropped={} on_disk_bytes={}",
+                     max_bucket={} p99_bucket={} dead={} dropped={} on_disk_bytes={} \
+                     heap_bytes={}",
                     s.label,
                     s.backend,
                     s.store,
@@ -964,7 +965,8 @@ fn client(flags: &HashMap<String, String>) -> Result<(), String> {
                     s.p99_bucket(),
                     s.dead_entries,
                     s.dropped,
-                    s.on_disk_bytes
+                    s.on_disk_bytes,
+                    s.heap_bytes
                 );
             }
         }

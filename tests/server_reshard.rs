@@ -174,7 +174,6 @@ fn live_split_of_mmap_shard_under_load_matches_unsharded_oracle() {
         wire, expect,
         "match relation diverged from the unsharded oracle"
     );
-    oracle.shutdown();
 
     client.shutdown().unwrap();
     server.wait();
