@@ -8,7 +8,7 @@
 //!   motivation).
 
 use cbv_hb::blocking::BlockingPlan;
-use cbv_hb::matcher::{match_structure_literal, Classifier, MatchStats, RecordStore};
+use cbv_hb::matcher::{index_row, match_structure_literal, Classifier, MatchStats, RecordSlab};
 use cbv_hb::qvector::QGramVectorEmbedder;
 use cbv_hb::{AttributeSpec, RecordSchema, Rule};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -49,13 +49,14 @@ fn bench_dedup(c: &mut Criterion) {
     let s = schema(&mut rng);
     let rule = Rule::and((0..4).map(|i| Rule::pred(i, 4)));
     let mut plan = BlockingPlan::compile(&s, &rule, 0.01, &mut rng).unwrap();
-    let mut store = RecordStore::new();
-    for r in &p.a {
-        let e = s.embed(r).unwrap();
-        plan.insert(&e);
-        store.insert(e);
+    let mut store = RecordSlab::new(s.layout());
+    let mut rows = Vec::new();
+    s.embed_rows(&p.a, &mut rows).unwrap();
+    for (id, row) in s.rows_of(&p.a, &rows) {
+        index_row(&mut plan, &mut store, id, row);
     }
-    let probes: Vec<_> = p.b.iter().take(200).map(|r| s.embed(r).unwrap()).collect();
+    s.embed_rows(&p.b[..200], &mut rows).unwrap();
+    let probes: Vec<&[u64]> = rows.chunks_exact(s.row_words()).collect();
     let classifier = Classifier::Rule(rule);
     let structure = &plan.structures()[0];
     let mut group = c.benchmark_group("algorithm2_dedup");

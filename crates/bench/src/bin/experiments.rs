@@ -1220,8 +1220,8 @@ fn scale(opts: &Opts) {
 /// Multi-probe ablation: probing flipped keys trades per-probe lookups for
 /// far fewer hash tables at the same recall guarantee.
 fn multiprobe(opts: &Opts) {
-    use cbv_hb::blocking::BlockingStructure;
-    use cbv_hb::matcher::RecordStore;
+    use cbv_hb::blocking::{BlockingStructure, ProbeScratch};
+    use cbv_hb::matcher::RecordSlab;
     println!("\n## Extension — multi-probe LSH (flip budget t)");
     let mut t = Table::new(
         "Multi-probe (NCVR, PL, record-level, K = 30, δ = 0.1)",
@@ -1243,22 +1243,24 @@ fn multiprobe(opts: &Opts) {
                 BlockingStructure::record_level_multiprobe(&schema, 4, 30, 0.1, flips, &mut rng)
                     .expect("valid");
             l_used = structure.l();
-            let mut store = RecordStore::new();
+            let mut store = RecordSlab::new(schema.layout());
+            let mut row = vec![0; schema.row_words()];
             for r in &pair.a {
-                let e = schema.embed(r).expect("ok");
-                structure.insert(&e);
-                store.insert(e);
+                schema.embed_row(r, &mut row).expect("ok");
+                structure.insert_row(r.id, &row);
+                store.insert(r.id, &row);
             }
             let rule = Rule::and((0..4).map(|i| Rule::pred(i, 4)));
             let mut matches = Vec::new();
             let mut n_cands = 0u64;
+            let mut scratch = ProbeScratch::default();
             for r in &pair.b {
-                let probe = schema.embed(r).expect("ok");
-                let c = structure.candidates(&probe);
-                n_cands += c.len() as u64;
-                for id in c {
+                schema.embed_row(r, &mut row).expect("ok");
+                structure.candidates_into_row(&row, &mut scratch);
+                n_cands += scratch.candidates().len() as u64;
+                for &id in scratch.candidates() {
                     if let Some(a) = store.get(id) {
-                        if rule.evaluate(&a.distances(&probe)) {
+                        if rule.evaluate_with(&|attr| store.layout().distance(a, &row, attr)) {
                             matches.push((id, r.id));
                         }
                     }

@@ -46,8 +46,8 @@ use std::sync::Arc;
 use rl_wire::{encode_frame_into, peek_frame, WireError, DEFAULT_MAX_FRAME, HEADER_LEN};
 use serde::{Deserialize, Serialize};
 
-use crate::hash::WordSet;
-use crate::table::{hash_heap_bytes, tables_heap_bytes, Table};
+use crate::hash::{hash_heap_bytes, WordSet};
+use crate::table::{tables_heap_bytes, Table};
 use crate::{BlockPolicy, BlockStorage, CapMode, StoreError, StoreStats, HISTOGRAM_BINS};
 
 /// Frame tags (namespaced away from the network protocol's tag space —
@@ -642,22 +642,24 @@ impl MmapStore {
         (live, dead)
     }
 
-    /// Rewrites `key`'s bucket as live-only delta content (the in-place
-    /// scrub of the disk store). Left undone — the tombstones go on
-    /// filtering — when the delta table's arena cannot take the bucket.
-    fn scrub_bucket(&mut self, table: usize, key: u128) {
+    /// Rewrites `key`'s bucket as live-only delta content, without
+    /// `evicted` (the in-place scrub of the disk store). Left undone — the
+    /// tombstones go on filtering, an evicted id stays a stale candidate —
+    /// when the delta table's arena cannot take the bucket.
+    fn scrub_bucket(&mut self, table: usize, key: u128, evicted: Option<u64>) {
         let mut live = Vec::new();
+        let mut keep = |id: u64| {
+            if Some(id) != evicted && !self.dead.contains(&id) {
+                live.push(id);
+            }
+        };
         if let Some(base) = &self.base {
             if !self.base_skipped(table, key) {
-                base.with_bucket_ids(table, key, &mut |id| {
-                    if !self.dead.contains(&id) {
-                        live.push(id);
-                    }
-                });
+                base.with_bucket_ids(table, key, &mut keep);
             }
         }
         if let Some(d) = self.delta[table].get(key) {
-            live.extend(d.iter().filter(|id| !self.dead.contains(id)));
+            d.iter().for_each(keep);
         }
         if !self.delta[table].replace(key, &live) {
             return;
@@ -741,8 +743,12 @@ impl BlockStorage for MmapStore {
         }
         let (_, dead) = self.live_and_dead(table, key);
         if dead > 0 && (dead as f64) >= policy.compact_dead_ratio * (raw as f64) {
-            self.scrub_bucket(table, key);
+            self.scrub_bucket(table, key, None);
         }
+    }
+
+    fn evict(&mut self, table: usize, key: u128, id: u64) {
+        self.scrub_bucket(table, key, Some(id));
     }
 
     fn probe_into(&self, table: usize, key: u128, out: &mut Vec<u64>) {
@@ -979,6 +985,43 @@ mod tests {
         out.clear();
         s.probe_into(0, 2, &mut out);
         assert_eq!(*out.last().unwrap(), 1000);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn evict_overrides_a_sealed_bucket_and_leaves_the_id_elsewhere() {
+        let dir = tmp_dir("evict");
+        let p = BlockPolicy::default();
+        let mut s = MmapStore::new(dir.clone(), 2);
+        for id in 0..64u64 {
+            s.insert(0, 5, id, &p);
+            s.insert(1, 6, id, &p);
+        }
+        s.compact(&p).unwrap();
+        s.insert(0, 5, 64, &p);
+        // One id of 65 leaves table 0's bucket: far under the dead ratio
+        // that a tombstone's lazy scrub waits for, and no tombstone is set.
+        s.evict(0, 5, 7);
+        s.evict(0, 5, 64);
+        let probe = |s: &MmapStore, table, key| {
+            let mut out = Vec::new();
+            s.probe_into(table, key, &mut out);
+            out
+        };
+        let rest: Vec<u64> = (0..64).filter(|&id| id != 7).collect();
+        assert_eq!(probe(&s, 0, 5), rest);
+        assert_eq!(probe(&s, 1, 6), (0..64).collect::<Vec<u64>>());
+        assert!(s.dead.is_empty());
+        assert_eq!(s.stats().entries, 63 + 64);
+        // The id re-enters elsewhere in the same table and is found there.
+        s.insert(0, 9, 7, &p);
+        assert_eq!(probe(&s, 0, 9), vec![7]);
+        // The override survives the document and the next generation.
+        let back: MmapStore = serde::from_value(serde::to_value(&s).unwrap()).unwrap();
+        assert_eq!(probe(&back, 0, 5), rest);
+        s.compact(&p).unwrap();
+        assert_eq!(probe(&s, 0, 5), rest);
+        assert_eq!(probe(&s, 0, 9), vec![7]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -220,6 +220,12 @@ pub trait BlockStorage {
     /// ratio crosses `policy.compact_dead_ratio`.
     fn remove(&mut self, table: usize, key: u128, id: u64, policy: &BlockPolicy);
 
+    /// Takes `id` out of the addressed bucket itself: no tombstone, no
+    /// other bucket touched. For a record that stays but whose key in this
+    /// table changed — a tombstone is id-wide and would hide the record's
+    /// new entry with the old one.
+    fn evict(&mut self, table: usize, key: u128, id: u64);
+
     /// Appends the live ids of the addressed bucket to `out`, in
     /// insertion order.
     fn probe_into(&self, table: usize, key: u128, out: &mut Vec<u64>);
@@ -398,6 +404,12 @@ impl TableSet {
     pub fn remove(&mut self, table: usize, key: u128, id: u64) {
         let policy = self.policy;
         self.store_mut().remove(table, key, id, &policy);
+    }
+
+    /// Takes `id` out of the addressed bucket. See
+    /// [`BlockStorage::evict`].
+    pub fn evict(&mut self, table: usize, key: u128, id: u64) {
+        self.store_mut().evict(table, key, id);
     }
 
     /// Appends the bucket's live ids to `out`, in insertion order.

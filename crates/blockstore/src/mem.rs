@@ -73,6 +73,10 @@ impl BlockStorage for InMemoryStore {
         }
     }
 
+    fn evict(&mut self, table: usize, key: u128, id: u64) {
+        self.tables[table].retain(key, |x| x != id);
+    }
+
     fn probe_into(&self, table: usize, key: u128, out: &mut Vec<u64>) {
         if let Some(bucket) = self.tables[table].get(key) {
             if self.dead.is_empty() {
@@ -179,6 +183,22 @@ mod tests {
         let mut out = Vec::new();
         s.probe_into(0, 1, &mut out);
         assert_eq!(out, vec![42, 42]);
+    }
+
+    #[test]
+    fn evict_takes_the_id_out_of_one_bucket_without_a_tombstone() {
+        let mut s = InMemoryStore::new(2);
+        let p = policy();
+        for id in 0..64 {
+            s.insert(0, 1, id, &p);
+            s.insert(1, 2, id, &p);
+        }
+        s.evict(0, 1, 7);
+        assert_eq!(s.tables[0].get(1).unwrap().len(), 63);
+        assert_eq!(s.bucket_len(1, 2), 64);
+        assert!(s.dead.is_empty());
+        s.evict(0, 3, 7); // not there: nothing happens
+        assert_eq!(s.stats().entries, 127);
     }
 
     #[test]

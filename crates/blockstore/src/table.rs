@@ -25,7 +25,7 @@ use std::hash::{Hash, Hasher};
 
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 
-use crate::hash::{WordMap, WordSet};
+use crate::hash::{hash_heap_bytes, WordMap, WordSet};
 
 /// A blocking key as two words: 8-aligned, so `(Key, Slot)` packs into 32
 /// bytes where `(u128, _)` would round up to 48.
@@ -226,19 +226,6 @@ impl<'a> Bucket<'a> {
         out.push(self.first);
         out.extend_from_slice(self.rest);
     }
-}
-
-/// Bytes a std `HashMap`/`HashSet` with room for `capacity` entries of
-/// `entry` bytes holds on the heap: hashbrown keeps a power-of-two number of
-/// slots at a load of at most 7/8, one control byte per slot and one group
-/// of 16 more.
-pub(crate) fn hash_heap_bytes(capacity: usize, entry: usize) -> usize {
-    let slots = match capacity {
-        0 => return 0,
-        1..=7 => (capacity + 1).next_power_of_two(),
-        _ => capacity / 7 * 8,
-    };
-    slots * (entry + 1) + 16
 }
 
 /// Heap bytes of a store's `L` tables and its tombstone set.

@@ -27,13 +27,24 @@
 //! and one bit at a time. Its families are compiled once — when the
 //! structure is built, and again by [`BlockingPlan::compile_kernels`] after
 //! a plan was deserialized, never serialized — into a
-//! [`rl_lsh::KeyKernel`] over the *packed record-level c-vector*: the
-//! record's attribute vectors concatenated into two to five `u64` words on
-//! the stack ([`EmbeddedRecord::pack_into`]). One call,
-//! [`BlockingStructure::keys_into`], yields all `L` keys and serves insert,
-//! remove, bucket inspection and probing; the families' own
-//! `key`/`key_concat` stay as the definition the kernels are tested
-//! bit-identical against.
+//! [`rl_lsh::KeyKernel`] over the *packed record-level c-vector*: the row
+//! of two to five `u64` words the engine keeps a record as
+//! ([`RecordSchema::embed_row`], [`crate::matcher::RecordSlab`]), read as it
+//! is. One call, [`BlockingStructure::keys_into_row`], yields all `L` keys
+//! and serves insert, remove, re-index, bucket inspection and probing; the
+//! families' own `key`/`key_concat` stay as the definition the kernels are
+//! tested bit-identical against.
+//!
+//! **Rows and the `&EmbeddedRecord` adapters.** Keys, the candidate algebra
+//! and the verified-NOT check ([`BlockingStructure::conjuncts_hold_row`],
+//! per-attribute popcounts under the schema's
+//! [`RowLayout`]) have one implementation, over rows; a plan's candidate
+//! evaluation is generic in what its record lookup returns (`Option<R>`,
+//! `R: AsRef<[u64]>`: a slab hands out `&[u64]`). The methods that take an
+//! [`EmbeddedRecord`] — `insert`, `remove`, `keys_into`, `bucket`,
+//! `candidates*`, `conjuncts_hold` — pack it
+//! ([`EmbeddedRecord::packed`]) and call their `_row` twin; they exist for
+//! callers that hold the unpacked reference (tests, the benchmark's replay).
 //!
 //! **Candidate sets** are sorted, de-duplicated `Vec<u64>`s. A
 //! single-structure plan gathers its bucket ids into the caller's
@@ -42,7 +53,7 @@
 
 use crate::error::{Error, Result};
 use crate::rule::{Pred, Rule};
-use crate::schema::{EmbeddedRecord, RecordSchema};
+use crate::schema::{EmbeddedRecord, PackedRow, RecordSchema, RowLayout};
 use rand::Rng;
 use rl_blockstore::{BlockPolicy, StoreKind, TableSet};
 use rl_lsh::backend::{Backend, BackendKind, BlockingBackend};
@@ -97,15 +108,12 @@ impl SubFamily {
 #[derive(Debug, Clone, Default)]
 struct CompiledKeys {
     kernel: KeyKernel,
-    /// `m̄` of the schema the kernel was compiled for: the size every
-    /// record it keys must have.
-    record_bits: usize,
+    /// The row layout of the schema the kernel was compiled for: every
+    /// record it keys must have that size.
+    layout: RowLayout,
     /// The last insert's or remove's keys, kept for its buffer.
     scratch: Vec<u128>,
 }
-
-/// Records of up to this many words (512 bits) are packed on the stack.
-const STACK_WORDS: usize = 8;
 
 /// A blocking structure: `L` hash tables `T_l`, each keyed by a composite
 /// hash built from one or more sub-families (one per fused conjunct).
@@ -176,7 +184,7 @@ impl BlockingStructure {
             .collect();
         self.keys = CompiledKeys {
             kernel: KeyKernel::compile(&families),
-            record_bits: schema.total_size(),
+            layout: schema.layout(),
             scratch: Vec::new(),
         };
     }
@@ -551,65 +559,112 @@ impl BlockingStructure {
         &self.conjuncts
     }
 
-    /// True when `a` and `b` satisfy every conjunct of this structure
+    /// True when rows `a` and `b` satisfy every conjunct of this structure
     /// (single-attribute popcounts — the cheap verification used for
     /// NOT-exclusion hints).
-    pub fn conjuncts_hold(&self, a: &EmbeddedRecord, b: &EmbeddedRecord) -> bool {
+    pub fn conjuncts_hold_row(&self, a: &[u64], b: &[u64]) -> bool {
+        let layout = &self.keys.layout;
         self.conjuncts
             .iter()
-            .all(|c| a.attr_distance(b, c.attr) <= c.theta)
+            .all(|c| layout.distance(a, b, c.attr) <= c.theta)
     }
 
-    /// Replaces `out` by the composite keys of `rec` for tables `0..L`:
-    /// packs the record-level c-vector once (on the stack up to
-    /// 512 bits) and runs the compiled kernel over its words.
+    /// [`Self::conjuncts_hold_row`] for unpacked records.
+    pub fn conjuncts_hold(&self, a: &EmbeddedRecord, b: &EmbeddedRecord) -> bool {
+        self.conjuncts_hold_row(self.packed(a).as_ref(), self.packed(b).as_ref())
+    }
+
+    /// Packs `rec` for the row path.
     ///
     /// # Panics
     /// Panics if `rec` does not have the size of the schema this structure
-    /// was built for, or if the structure was deserialized and
-    /// [`BlockingPlan::compile_kernels`] has not been called since.
-    pub fn keys_into(&self, rec: &EmbeddedRecord, out: &mut Vec<u128>) {
+    /// was built for.
+    fn packed(&self, rec: &EmbeddedRecord) -> PackedRow {
         let bits = rec.total_bits();
+        self.check_size(bits == self.keys.layout.bits(), bits, "bits");
+        rec.packed()
+    }
+
+    /// Panics unless the kernel is compiled for this structure's tables and
+    /// the record at hand `fits` it.
+    fn check_size(&self, fits: bool, size: usize, unit: &str) {
         assert!(
-            self.keys.kernel.tables() == self.l() && bits == self.keys.record_bits,
-            "a record of {bits} bits met a blocking structure compiled for {} bits and {} of \
+            self.keys.kernel.tables() == self.l() && fits,
+            "a record of {size} {unit} met a blocking structure compiled for {} bits and {} of \
              its {} tables (a deserialized plan needs BlockingPlan::compile_kernels)",
-            self.keys.record_bits,
+            self.keys.layout.bits(),
             self.keys.kernel.tables(),
             self.l(),
         );
-        let words = bits.div_ceil(64);
-        if words <= STACK_WORDS {
-            let mut packed = [0u64; STACK_WORDS];
-            rec.pack_into(&mut packed[..words]);
-            self.keys.kernel.keys_into(&packed[..words], out);
-        } else {
-            let mut packed = vec![0u64; words];
-            rec.pack_into(&mut packed);
-            self.keys.kernel.keys_into(&packed, out);
-        }
     }
 
-    /// Hashes `rec` into all `L` tables (the indexing pass for data set A).
+    /// Replaces `out` by the composite keys of `row` for tables `0..L`: the
+    /// compiled kernel run over the row's words.
+    ///
+    /// # Panics
+    /// Panics if `row` does not have the size of the schema this structure
+    /// was built for, or if the structure was deserialized and
+    /// [`BlockingPlan::compile_kernels`] has not been called since.
+    pub fn keys_into_row(&self, row: &[u64], out: &mut Vec<u128>) {
+        self.check_size(row.len() == self.keys.layout.words(), row.len(), "words");
+        self.keys.kernel.keys_into(row, out);
+    }
+
+    /// [`Self::keys_into_row`] for an unpacked record.
+    pub fn keys_into(&self, rec: &EmbeddedRecord, out: &mut Vec<u128>) {
+        self.keys_into_row(self.packed(rec).as_ref(), out);
+    }
+
+    /// Hashes record `id`, whose row is `row`, into all `L` tables (the
+    /// indexing pass for data set A).
+    pub fn insert_row(&mut self, id: u64, row: &[u64]) {
+        let mut keys = std::mem::take(&mut self.keys.scratch);
+        self.keys_into_row(row, &mut keys);
+        for (l, &key) in keys.iter().enumerate() {
+            self.store.insert(l, key, id);
+        }
+        self.keys.scratch = keys;
+    }
+
+    /// Removes record `id` from every table (tombstone + lazy per-bucket
+    /// scrub): the keys are recomputed from `row`, the row it was inserted
+    /// with, so the exact buckets it occupies are the ones scrub-checked.
+    pub fn remove_row(&mut self, id: u64, row: &[u64]) {
+        let mut keys = std::mem::take(&mut self.keys.scratch);
+        self.keys_into_row(row, &mut keys);
+        for (l, &key) in keys.iter().enumerate() {
+            self.store.remove(l, key, id);
+        }
+        self.keys.scratch = keys;
+    }
+
+    /// Re-keys record `id` from row `old` to row `new`: in a table where
+    /// the key changed the id leaves the old bucket itself
+    /// (`BlockStorage::evict` — a tombstone is id-wide, and the new entry
+    /// would revive the old) and enters the new one; where it did not,
+    /// nothing is touched. Each table holds the id once afterwards.
+    pub fn reindex_row(&mut self, id: u64, old: &[u64], new: &[u64]) {
+        let mut keys = std::mem::take(&mut self.keys.scratch);
+        let mut old_keys = Vec::new();
+        self.keys_into_row(old, &mut old_keys);
+        self.keys_into_row(new, &mut keys);
+        for (l, (&was, &now)) in old_keys.iter().zip(&keys).enumerate() {
+            if was != now {
+                self.store.evict(l, was, id);
+                self.store.insert(l, now, id);
+            }
+        }
+        self.keys.scratch = keys;
+    }
+
+    /// [`Self::insert_row`] for an unpacked record.
     pub fn insert(&mut self, rec: &EmbeddedRecord) {
-        let mut keys = std::mem::take(&mut self.keys.scratch);
-        self.keys_into(rec, &mut keys);
-        for (l, &key) in keys.iter().enumerate() {
-            self.store.insert(l, key, rec.id);
-        }
-        self.keys.scratch = keys;
+        self.insert_row(rec.id, self.packed(rec).as_ref());
     }
 
-    /// Removes `rec` from every table (tombstone + lazy per-bucket
-    /// scrub): the record's keys are recomputed, so the exact buckets it
-    /// occupies are the ones scrub-checked.
+    /// [`Self::remove_row`] for an unpacked record.
     pub fn remove(&mut self, rec: &EmbeddedRecord) {
-        let mut keys = std::mem::take(&mut self.keys.scratch);
-        self.keys_into(rec, &mut keys);
-        for (l, &key) in keys.iter().enumerate() {
-            self.store.remove(l, key, rec.id);
-        }
-        self.keys.scratch = keys;
+        self.remove_row(rec.id, self.packed(rec).as_ref());
     }
 
     /// Ids co-blocked with `rec` in table `l` (the bucket `rec` maps to).
@@ -636,18 +691,23 @@ impl BlockingStructure {
         scratch.candidates
     }
 
-    /// Leaves the ascending, de-duplicated co-blocked ids of `rec` in
+    /// [`Self::candidates_into_row`] for an unpacked record.
+    pub fn candidates_into(&self, rec: &EmbeddedRecord, scratch: &mut ProbeScratch) -> bool {
+        self.candidates_into_row(self.packed(rec).as_ref(), scratch)
+    }
+
+    /// Leaves the ascending, de-duplicated ids co-blocked with `row` in
     /// `scratch.candidates`, allocating nothing once the scratch has grown
     /// to the workload. Returns `true` when the store's per-probe top-k
     /// bound cut the candidate set short (callers surface this as a typed
     /// `CandidatesTruncated` note).
-    pub fn candidates_into(&self, rec: &EmbeddedRecord, scratch: &mut ProbeScratch) -> bool {
+    pub fn candidates_into_row(&self, row: &[u64], scratch: &mut ProbeScratch) -> bool {
         let ProbeScratch {
             keys,
             bucket,
             candidates,
         } = scratch;
-        self.keys_into(rec, keys);
+        self.keys_into_row(row, keys);
         candidates.clear();
         let top_k = self.store.policy().probe_top_k;
         for (l, &key) in keys.iter().enumerate() {
@@ -1047,20 +1107,44 @@ impl BlockingPlan {
         self.structures.iter().map(BlockingStructure::l).sum()
     }
 
-    /// Indexes a record from data set A into every structure.
-    pub fn insert(&mut self, rec: &EmbeddedRecord) {
+    /// Indexes record `id` of data set A, whose row is `row`, into every
+    /// structure.
+    pub fn insert_row(&mut self, id: u64, row: &[u64]) {
         for s in &mut self.structures {
-            s.insert(rec);
+            s.insert_row(id, row);
         }
     }
 
-    /// Removes a record from every structure's tables (tombstone + lazy
-    /// per-bucket scrub). Callers must pass the same embedding that was
-    /// inserted so the keys resolve to the same buckets.
-    pub fn remove(&mut self, rec: &EmbeddedRecord) {
+    /// Removes record `id` from every structure's tables (tombstone + lazy
+    /// per-bucket scrub). Callers must pass the row that was inserted so
+    /// the keys resolve to the same buckets.
+    pub fn remove_row(&mut self, id: u64, row: &[u64]) {
         for s in &mut self.structures {
-            s.remove(rec);
+            s.remove_row(id, row);
         }
+    }
+
+    /// Re-keys record `id`, indexed with row `old`, to row `new` in every
+    /// structure ([`BlockingStructure::reindex_row`]).
+    pub fn reindex_row(&mut self, id: u64, old: &[u64], new: &[u64]) {
+        for s in &mut self.structures {
+            s.reindex_row(id, old, new);
+        }
+    }
+
+    /// [`Self::insert_row`] for an unpacked record.
+    pub fn insert(&mut self, rec: &EmbeddedRecord) {
+        self.insert_row(rec.id, self.packed(rec).as_ref());
+    }
+
+    /// [`Self::remove_row`] for an unpacked record.
+    pub fn remove(&mut self, rec: &EmbeddedRecord) {
+        self.remove_row(rec.id, self.packed(rec).as_ref());
+    }
+
+    /// Packs `rec` for the row path, checked against the plan's schema.
+    fn packed(&self, rec: &EmbeddedRecord) -> PackedRow {
+        self.structures[0].packed(rec)
     }
 
     /// Applies a block-store configuration to every (empty) structure.
@@ -1150,8 +1234,8 @@ impl BlockingPlan {
         let mut scratch = ProbeScratch::default();
         self.eval(
             &self.expr,
-            rec,
-            None::<&fn(u64) -> Option<&'static EmbeddedRecord>>,
+            self.packed(rec).as_ref(),
+            None::<&fn(u64) -> Option<&'static [u64]>>,
             &mut scratch,
             &mut false,
         );
@@ -1186,9 +1270,8 @@ impl BlockingPlan {
         (scratch.candidates, truncated)
     }
 
-    /// [`Self::candidates_verified_counted`] for a probe loop: the
-    /// candidates are left in `scratch` ([`ProbeScratch::candidates`]),
-    /// whose buffers a single-structure plan reuses from probe to probe.
+    /// [`Self::candidates_into_row`] for an unpacked probe and a lookup of
+    /// unpacked records.
     pub fn candidates_into<'s, F>(
         &self,
         rec: &EmbeddedRecord,
@@ -1198,31 +1281,52 @@ impl BlockingPlan {
     where
         F: Fn(u64) -> Option<&'s EmbeddedRecord>,
     {
+        let lookup = |id| lookup(id).map(EmbeddedRecord::packed);
+        self.candidates_into_row(self.packed(rec).as_ref(), lookup, scratch)
+    }
+
+    /// The probe loop's candidate formulation: the verified candidates of
+    /// the probe whose row is `row` are left in `scratch`
+    /// ([`ProbeScratch::candidates`]), whose buffers a single-structure
+    /// plan reuses from probe to probe; `lookup` resolves an id to its row
+    /// (`&[u64]` from a slab, or anything that derefs to one). Returns
+    /// whether a top-k bound truncated the candidate stream.
+    pub fn candidates_into_row<R, F>(
+        &self,
+        row: &[u64],
+        lookup: F,
+        scratch: &mut ProbeScratch,
+    ) -> bool
+    where
+        F: Fn(u64) -> Option<R>,
+        R: AsRef<[u64]>,
+    {
         let mut truncated = false;
-        self.eval(&self.expr, rec, Some(&lookup), scratch, &mut truncated);
+        self.eval(&self.expr, row, Some(&lookup), scratch, &mut truncated);
         truncated
     }
 
-    /// Evaluates `expr` for `rec`, leaving its candidate set — ascending,
-    /// de-duplicated — in `scratch.candidates`.
-    fn eval<'s, F>(
+    /// Evaluates `expr` for the probe `row`, leaving its candidate set —
+    /// ascending, de-duplicated — in `scratch.candidates`.
+    fn eval<R, F>(
         &self,
         expr: &PlanExpr,
-        rec: &EmbeddedRecord,
+        row: &[u64],
         lookup: Option<&F>,
         scratch: &mut ProbeScratch,
         truncated: &mut bool,
     ) where
-        F: Fn(u64) -> Option<&'s EmbeddedRecord>,
+        F: Fn(u64) -> Option<R>,
+        R: AsRef<[u64]>,
     {
         match expr {
             PlanExpr::Leaf(i) => {
-                *truncated |= self.structures[*i].candidates_into(rec, scratch);
+                *truncated |= self.structures[*i].candidates_into_row(row, scratch);
             }
             PlanExpr::Or(children) => {
                 let mut union = Vec::new();
                 for c in children {
-                    self.eval(c, rec, lookup, scratch, truncated);
+                    self.eval(c, row, lookup, scratch, truncated);
                     union = union_sorted(&union, &scratch.candidates);
                 }
                 scratch.candidates = union;
@@ -1231,7 +1335,7 @@ impl BlockingPlan {
                 let mut sets: Vec<Vec<u64>> = children
                     .iter()
                     .map(|c| {
-                        self.eval(c, rec, lookup, scratch, truncated);
+                        self.eval(c, row, lookup, scratch, truncated);
                         std::mem::take(&mut scratch.candidates)
                     })
                     .collect();
@@ -1247,7 +1351,7 @@ impl BlockingPlan {
                         break;
                     }
                     let structure = &self.structures[n];
-                    structure.candidates_into(rec, scratch);
+                    structure.candidates_into_row(row, scratch);
                     retain_merged(&mut acc, &scratch.candidates, |id, co_blocked| {
                         if !co_blocked {
                             return true;
@@ -1255,7 +1359,9 @@ impl BlockingPlan {
                         match lookup {
                             // Verified mode: only exclude when the
                             // negated conjuncts truly hold.
-                            Some(f) => f(id).is_none_or(|a| !structure.conjuncts_hold(a, rec)),
+                            Some(f) => {
+                                f(id).is_none_or(|a| !structure.conjuncts_hold_row(a.as_ref(), row))
+                            }
                             // Literal mode: any co-block excludes.
                             None => false,
                         }
@@ -1282,6 +1388,11 @@ impl ProbeScratch {
     /// The candidate ids the last probe left here: ascending, distinct.
     pub fn candidates(&self) -> &[u64] {
         &self.candidates
+    }
+
+    /// [`Self::candidates`], owned, for a caller that probes once.
+    pub fn into_candidates(self) -> Vec<u64> {
+        self.candidates
     }
 }
 
@@ -1994,7 +2105,7 @@ mod kernel_tests {
     fn records_beyond_512_bits_are_packed_on_the_heap() {
         let mut rng = StdRng::seed_from_u64(3);
         let schema = schema_of(&[300, 7, 290], &[40, 5, 40], &mut rng);
-        assert!(schema.total_size().div_ceil(64) > STACK_WORDS);
+        assert!(schema.total_size().div_ceil(64) > crate::schema::STACK_WORDS);
         let s = BlockingStructure::covering_record_level(&schema, 1, &mut rng).unwrap();
         assert_kernel_is_reference(&s, &schema, &mut rng);
         let all = [0, 1, 2].map(|attr| Pred { attr, theta: 0 });

@@ -155,6 +155,16 @@ impl CVectorEmbedder {
         });
         v
     }
+
+    /// [`Self::embed`] into bits `offset..offset + m` of a packed
+    /// record-level row, which must hold them: the same positions set, no
+    /// vector built.
+    pub fn embed_at(&self, s: &str, offset: usize, row: &mut [u64]) {
+        for_each_qgram_index(s, self.q, &self.alphabet, self.padded, |x| {
+            let at = offset + self.hash.eval(x) as usize;
+            row[at / 64] |= 1 << (at % 64);
+        });
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use crate::blocking::{BlockingPlan, ProbeScratch};
 use crate::error::Result;
-use crate::matcher::{Classifier, MatchStats, RecordStore};
+use crate::matcher::{index_row, Classifier, MatchStats, RecordSlab};
 use crate::pipeline::LinkageConfig;
 use crate::record::Record;
 use crate::schema::RecordSchema;
@@ -131,29 +131,30 @@ pub fn deduplicate<R: Rng + ?Sized>(
 ) -> Result<DedupResult> {
     let mut plan = BlockingPlan::from_config(schema, config, rng)?;
     let classifier = Classifier::Rule(config.rule.clone());
-    let embedded = schema.embed_all(records)?;
-    let mut store = RecordStore::new();
-    for rec in &embedded {
-        plan.insert(rec);
-        store.insert(rec.clone());
+    let mut rows = Vec::new();
+    schema.embed_rows(records, &mut rows)?;
+    let rows = schema.rows_of(records, &rows);
+    let mut store = RecordSlab::new(schema.layout());
+    for (id, row) in rows.clone() {
+        index_row(&mut plan, &mut store, id, row);
     }
     let mut result = DedupResult::default();
     let mut uf = UnionFind::new();
     let mut scratch = ProbeScratch::default();
-    for probe in &embedded {
-        plan.candidates_into(probe, |id| store.get(id), &mut scratch);
+    for (probe, row) in rows {
+        plan.candidates_into_row(row, |id| store.get(id), &mut scratch);
         for &id in scratch.candidates() {
             // Each unordered pair once; skip self.
-            if id >= probe.id {
+            if id >= probe {
                 continue;
             }
             result.stats.candidates += 1;
             let Some(a) = store.get(id) else { continue };
             result.stats.distance_computations += 1;
-            if classifier.matches(a, probe) {
-                result.pairs.push((id, probe.id));
+            if classifier.matches_rows(store.layout(), a, row) {
+                result.pairs.push((id, probe));
                 result.stats.matched += 1;
-                uf.union(id, probe.id);
+                uf.union(id, probe);
             }
         }
     }

@@ -11,10 +11,10 @@
 
 use crate::blocking::{BlockingPlan, ProbeScratch};
 use crate::error::Result;
-use crate::matcher::{match_batch, Classifier, MatchStats, RecordStore};
+use crate::matcher::{index_row, match_batch, Classifier, MatchStats, RecordSlab};
 use crate::record::Record;
 use crate::rule::Rule;
-use crate::schema::{EmbeddedRecord, RecordSchema};
+use crate::schema::RecordSchema;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -325,7 +325,7 @@ struct PersistedPipeline {
     schema: RecordSchema,
     config: LinkageConfig,
     plan: BlockingPlan,
-    store: RecordStore,
+    store: RecordSlab,
     indexed: usize,
 }
 
@@ -346,9 +346,8 @@ pub struct LinkagePipeline {
     schema: RecordSchema,
     config: LinkageConfig,
     plan: BlockingPlan,
-    store: RecordStore,
+    store: RecordSlab,
     classifier: Classifier,
-    indexed: usize,
     index_timings: PhaseTimings,
     metrics: Option<Arc<PipelineMetrics>>,
 }
@@ -367,12 +366,11 @@ impl LinkagePipeline {
         let plan = BlockingPlan::from_config(&schema, &config, rng)?;
         let classifier = Classifier::Rule(config.rule.clone());
         Ok(Self {
+            store: RecordSlab::new(schema.layout()),
             schema,
             config,
             plan,
-            store: RecordStore::new(),
             classifier,
-            indexed: 0,
             index_timings: PhaseTimings::default(),
             metrics: None,
         })
@@ -399,9 +397,14 @@ impl LinkagePipeline {
         &self.plan
     }
 
-    /// Number of records indexed so far.
+    /// Number of records the index holds (an id indexed twice is one).
     pub fn indexed_len(&self) -> usize {
-        self.indexed
+        self.store.len()
+    }
+
+    /// Heap bytes the record store holds ([`RecordSlab::heap_bytes`]).
+    pub fn record_heap_bytes(&self) -> u64 {
+        self.store.heap_bytes()
     }
 
     /// Timings of the indexing side (embedding + hashing of data set A).
@@ -409,19 +412,20 @@ impl LinkagePipeline {
         self.index_timings
     }
 
-    /// Embeds and indexes data set A into the blocking structures.
+    /// Embeds and indexes data set A into the blocking structures. A
+    /// record whose id is already indexed replaces it.
     ///
     /// # Errors
     /// Returns [`crate::Error::FieldCountMismatch`] on malformed records.
     pub fn index(&mut self, records: &[Record]) -> Result<()> {
         let t0 = Instant::now();
-        let embedded = self.schema.embed_all(records)?;
+        let mut rows = Vec::new();
+        self.schema.embed_rows(records, &mut rows)?;
         let embed = t0.elapsed();
         self.index_timings.embed_nanos += embed.as_nanos();
         let t1 = Instant::now();
-        for rec in embedded {
-            self.plan.insert(&rec);
-            self.store.insert(rec);
+        for (id, row) in self.schema.rows_of(records, &rows) {
+            index_row(&mut self.plan, &mut self.store, id, row);
         }
         let block = t1.elapsed();
         self.index_timings.block_nanos += block.as_nanos();
@@ -429,7 +433,6 @@ impl LinkagePipeline {
             m.embed.observe_duration(embed);
             m.block.observe_duration(block);
         }
-        self.indexed += records.len();
         Ok(())
     }
 
@@ -440,11 +443,12 @@ impl LinkagePipeline {
     pub fn link(&self, records: &[Record]) -> Result<LinkageResult> {
         let mut result = LinkageResult::default();
         let t0 = Instant::now();
-        let embedded = self.schema.embed_all(records)?;
+        let mut rows = Vec::new();
+        self.schema.embed_rows(records, &mut rows)?;
         let embed = t0.elapsed();
         result.timings.embed_nanos = embed.as_nanos();
         let t1 = Instant::now();
-        self.match_all(&embedded, &mut result.stats, &mut result.matches);
+        self.match_all(records, &rows, &mut result.stats, &mut result.matches);
         let matching = t1.elapsed();
         result.timings.match_nanos = matching.as_nanos();
         if let Some(m) = &self.metrics {
@@ -458,14 +462,15 @@ impl LinkagePipeline {
     /// whole batch, appending `(id_A, id_B)` pairs to `matches`.
     fn match_all(
         &self,
-        probes: &[EmbeddedRecord],
+        probes: &[Record],
+        rows: &[u64],
         stats: &mut MatchStats,
         matches: &mut Vec<(u64, u64)>,
     ) {
         match_batch(
             &self.plan,
             &self.store,
-            probes,
+            self.schema.rows_of(probes, rows),
             &self.classifier,
             &mut ProbeScratch::default(),
             stats,
@@ -496,10 +501,11 @@ impl LinkagePipeline {
                 .iter()
                 .map(|chunk| {
                     scope.spawn(move |_| {
-                        let embedded = self.schema.embed_all(chunk)?;
+                        let mut rows = Vec::new();
+                        self.schema.embed_rows(chunk, &mut rows)?;
                         let mut stats = MatchStats::default();
                         let mut matches = Vec::new();
-                        self.match_all(&embedded, &mut stats, &mut matches);
+                        self.match_all(chunk, &rows, &mut stats, &mut matches);
                         Ok((matches, stats))
                     })
                 })
@@ -541,7 +547,7 @@ impl LinkagePipeline {
             config: self.config.clone(),
             plan: self.plan.clone(),
             store: self.store.clone(),
-            indexed: self.indexed,
+            indexed: self.store.len(),
         };
         serde_json::to_writer(writer, &state)
             .map_err(|e| crate::Error::InvalidParameter(format!("serialize pipeline: {e}")))
@@ -555,15 +561,17 @@ impl LinkagePipeline {
         let state: PersistedPipeline = serde_json::from_reader(reader)
             .map_err(|e| crate::Error::InvalidParameter(format!("deserialize pipeline: {e}")))?;
         let classifier = Classifier::Rule(state.config.rule.clone());
-        let mut plan = state.plan;
+        // Kernels and the slab's layout are derived from the schema, not
+        // part of the document.
+        let (mut plan, mut store) = (state.plan, state.store);
         plan.compile_kernels(&state.schema);
+        store.bind(state.schema.layout())?;
         let mut pipeline = Self {
             schema: state.schema,
             config: state.config,
             plan,
-            store: state.store,
+            store,
             classifier,
-            indexed: state.indexed,
             index_timings: PhaseTimings::default(),
             metrics: None,
         };
@@ -585,8 +593,8 @@ impl LinkagePipeline {
     /// rewritten.
     pub fn rebuild_blocking(&mut self) -> Result<()> {
         self.plan.clear_for_rebuild();
-        for rec in self.store.iter() {
-            self.plan.insert(rec);
+        for (id, row) in self.store.iter() {
+            self.plan.insert_row(id, row);
         }
         // Persist the rebuilt tables so the next open maps a fresh
         // generation instead of replaying the rebuild.

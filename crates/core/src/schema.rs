@@ -4,9 +4,25 @@
 //! A [`RecordSchema`] fixes, for each of the `n_f` common attributes, the
 //! q-gram length, padding mode, c-vector size `m_opt^(f_i)`, and the number
 //! of base hash functions `K^(f_i)` used by attribute-level blocking
-//! (Table 3 of the paper is exactly such a schema). Embedding a [`Record`]
-//! yields an [`EmbeddedRecord`]: one c-vector per attribute, conceptually
-//! concatenated into the record-level c-vector of size `m̄_opt`.
+//! (Table 3 of the paper is exactly such a schema).
+//!
+//! **Rows.** The engine keeps a record as what the paper says it is: the
+//! record-level c-vector of size `m̄_opt`, the attribute vectors concatenated
+//! bit-contiguously into one *row* of `⌈m̄/64⌉` words (two for the 120-bit
+//! NCVR record). [`RecordSchema::embed_row`] streams the q-gram positions of
+//! every field straight into the row's bits — no vector per attribute, no
+//! allocation — and a [`RowLayout`], derived from the attribute widths, says
+//! which `(word, mask)` pieces of a row are attribute `i`, so a distance is
+//! `popcount((a ^ b) & mask)` over one or two words.
+//!
+//! **The unpacked reference.** [`RecordSchema::embed`] and
+//! [`EmbeddedRecord`] — one [`BitVec`] per attribute — stay as the
+//! definition the rows are tested against (`embed_row` writes exactly the
+//! words of [`EmbeddedRecord::pack_into`]; layout distances equal
+//! [`EmbeddedRecord::attr_distance`]) and as what the serialized documents
+//! hold. The `&EmbeddedRecord` entry points of the blocking plan and the
+//! matcher are adapters: they pack the record ([`EmbeddedRecord::packed`], on
+//! the stack up to 512 bits) and call the row path.
 
 use crate::cvector::{optimal_m, CVectorEmbedder};
 use crate::error::{Error, Result};
@@ -202,6 +218,184 @@ impl RecordSchema {
     pub fn embed_all(&self, records: &[Record]) -> Result<Vec<EmbeddedRecord>> {
         records.iter().map(|r| self.embed(r)).collect()
     }
+
+    /// Words in a packed record-level c-vector: `⌈m̄_opt / 64⌉`.
+    pub fn row_words(&self) -> usize {
+        self.total_size().div_ceil(64)
+    }
+
+    /// Where each attribute sits in a row of this schema.
+    pub fn layout(&self) -> RowLayout {
+        RowLayout::from_widths(self.specs.iter().map(|s| s.m))
+    }
+
+    /// Embeds a record into `row`, overwriting it: the words
+    /// [`Self::embed`] followed by [`EmbeddedRecord::pack_into`] would
+    /// give, with nothing allocated.
+    ///
+    /// # Errors
+    /// Returns [`Error::FieldCountMismatch`] when the record's field count
+    /// differs from the schema's attribute count.
+    ///
+    /// # Panics
+    /// Panics if `row` is not [`Self::row_words`] long.
+    pub fn embed_row(&self, record: &Record, row: &mut [u64]) -> Result<()> {
+        self.check(record)?;
+        assert_eq!(row.len(), self.row_words(), "row of another schema");
+        row.fill(0);
+        let mut offset = 0;
+        for (e, v) in self.embedders.iter().zip(&record.fields) {
+            e.embed_at(v, offset, row);
+            offset += e.size();
+        }
+        Ok(())
+    }
+
+    /// Embeds a batch into `rows`, one row after the other (record `i` at
+    /// `rows[i * w..(i + 1) * w]`, `w` = [`Self::row_words`]): one buffer
+    /// for the batch, reusable from batch to batch.
+    ///
+    /// # Errors
+    /// As [`Self::embed_row`], for the first malformed record.
+    pub fn embed_rows(&self, records: &[Record], rows: &mut Vec<u64>) -> Result<()> {
+        let w = self.row_words();
+        rows.resize(records.len() * w, 0);
+        for (record, row) in records.iter().zip(rows.chunks_exact_mut(w)) {
+            self.embed_row(record, row)?;
+        }
+        Ok(())
+    }
+
+    /// A batch embedded by [`Self::embed_rows`], as `(id, row)`s.
+    pub fn rows_of<'a>(
+        &self,
+        records: &'a [Record],
+        rows: &'a [u64],
+    ) -> impl Iterator<Item = (u64, &'a [u64])> + Clone {
+        let ids = records.iter().map(|r| r.id);
+        ids.zip(rows.chunks_exact(self.row_words()))
+    }
+}
+
+/// Where each attribute's bits sit in a packed record-level c-vector, as
+/// `(word, mask)` pieces: an attribute that fits one word is one piece, one
+/// that straddles a boundary two, a wide one more. Derived from the
+/// attribute widths alone.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowLayout {
+    widths: Vec<usize>,
+    /// Every attribute's pieces, attribute after attribute.
+    pieces: Vec<(u32, u64)>,
+    /// Attribute `i`'s pieces are `pieces[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    /// Words in a row: `⌈Σ m_i / 64⌉`.
+    words: usize,
+}
+
+impl RowLayout {
+    /// The layout of attributes of these widths, concatenated in order.
+    pub fn from_widths(widths: impl IntoIterator<Item = usize>) -> Self {
+        let widths: Vec<usize> = widths.into_iter().collect();
+        let (mut pieces, mut starts) = (Vec::new(), vec![0u32]);
+        let mut offset = 0usize;
+        for &m in &widths {
+            let end = offset + m;
+            for word in offset / 64..end.div_ceil(64) {
+                // The bits of `word` inside `offset..end`.
+                let lo = offset.max(word * 64) - word * 64;
+                let hi = end.min(word * 64 + 64) - word * 64;
+                if hi > lo {
+                    let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
+                    pieces.push((word as u32, mask));
+                }
+            }
+            starts.push(pieces.len() as u32);
+            offset = end;
+        }
+        Self {
+            widths,
+            pieces,
+            starts,
+            words: offset.div_ceil(64),
+        }
+    }
+
+    /// Attribute widths `m_i` in bits, in order.
+    pub fn widths(&self) -> &[usize] {
+        &self.widths
+    }
+
+    /// Number of attributes.
+    pub fn arity(&self) -> usize {
+        self.widths.len()
+    }
+
+    /// Words in a row: `⌈Σ m_i / 64⌉`.
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Bits in a row that are an attribute's: `m̄ = Σ m_i`.
+    pub fn bits(&self) -> usize {
+        self.widths.iter().sum()
+    }
+
+    /// Hamming distance of rows `a` and `b` on attribute `i`: `u_Ĥ^(f_i)`.
+    #[inline]
+    pub fn distance(&self, a: &[u64], b: &[u64], i: usize) -> u32 {
+        let pieces = &self.pieces[self.starts[i] as usize..self.starts[i + 1] as usize];
+        pieces
+            .iter()
+            .map(|&(word, mask)| ((a[word as usize] ^ b[word as usize]) & mask).count_ones())
+            .sum()
+    }
+
+    /// Record-level Hamming distance of two rows (their bits past `m̄` are
+    /// zero, so whole words are compared).
+    #[inline]
+    pub fn total_distance(&self, a: &[u64], b: &[u64]) -> u32 {
+        a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
+    }
+
+    /// The row as the unpacked reference record (what documents hold).
+    pub fn unpack(&self, id: u64, row: &[u64]) -> EmbeddedRecord {
+        let mut offset = 0;
+        let attrs = self
+            .widths
+            .iter()
+            .map(|&m| {
+                let bit = |p: &usize| row[(offset + p) / 64] >> ((offset + p) % 64) & 1 == 1;
+                let v = BitVec::from_positions(m, (0..m).filter(bit));
+                offset += m;
+                v
+            })
+            .collect();
+        EmbeddedRecord { id, attrs }
+    }
+}
+
+/// Records of up to this many words (512 bits) are packed on the stack.
+pub(crate) const STACK_WORDS: usize = 8;
+
+/// A record-level c-vector packed from an [`EmbeddedRecord`]: on the stack
+/// up to 512 bits, on the heap beyond. What the `&EmbeddedRecord` adapters
+/// hand the row path.
+#[derive(Debug, Clone)]
+pub struct PackedRow {
+    stack: [u64; STACK_WORDS],
+    heap: Vec<u64>,
+    words: usize,
+}
+
+impl AsRef<[u64]> for PackedRow {
+    #[inline]
+    fn as_ref(&self) -> &[u64] {
+        if self.words <= STACK_WORDS {
+            &self.stack[..self.words]
+        } else {
+            &self.heap
+        }
+    }
 }
 
 /// A record embedded into Ĥ: one c-vector per attribute.
@@ -270,6 +464,24 @@ impl EmbeddedRecord {
             }
             offset += v.len();
         }
+    }
+
+    /// The record-level c-vector as a row: [`Self::pack_into`] a buffer of
+    /// its own.
+    pub fn packed(&self) -> PackedRow {
+        let words = self.total_bits().div_ceil(64);
+        let mut row = PackedRow {
+            stack: [0; STACK_WORDS],
+            heap: Vec::new(),
+            words,
+        };
+        if words <= STACK_WORDS {
+            self.pack_into(&mut row.stack[..words]);
+        } else {
+            row.heap = vec![0; words];
+            self.pack_into(&mut row.heap);
+        }
+        row
     }
 
     /// Borrowed attribute vectors in concatenation order (for samplers that

@@ -9,11 +9,12 @@
 //! A-side lives in exactly one shard, whose plan delivers the usual `1 − δ`
 //! bound.
 //!
-//! A shard is `{plan, store}` behind its own `RwLock`; nothing here owns a
-//! thread. [`ShardedPipeline::link`] takes `&self` and runs to completion
-//! on the calling thread — embed once, then every shard under its read
-//! lock with one [`ProbeScratch`] — so any number of threads probe one
-//! pipeline at once. Mutations take `&mut self` and each shard's write
+//! A shard is `{plan, store}` — blocking tables and a [`RecordSlab`] of
+//! packed rows — behind its own `RwLock`; nothing here owns a thread.
+//! [`ShardedPipeline::link`] takes `&self` and runs to completion on the
+//! calling thread — the batch embedded once into one buffer of rows, then
+//! every shard under its read lock with one [`ProbeScratch`] — so any number
+//! of threads probe one pipeline at once. Mutations take `&mut self` and each shard's write
 //! lock in turn, and have landed when they return: an indexed record is
 //! searchable.
 //!
@@ -36,10 +37,10 @@
 
 use crate::blocking::{BlockingPlan, ProbeScratch, StructureStats};
 use crate::error::{Error, Result};
-use crate::matcher::{match_batch, Classifier, MatchStats, RecordStore};
+use crate::matcher::{index_row, match_batch, unindex, Classifier, MatchStats, RecordSlab};
 use crate::pipeline::{LinkageConfig, PipelineMetrics};
 use crate::record::Record;
-use crate::schema::{EmbeddedRecord, RecordSchema};
+use crate::schema::RecordSchema;
 use parking_lot::{RwLock, RwLockReadGuard};
 use rand::Rng;
 use rl_reshard::{
@@ -53,7 +54,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One shard's complete indexed state: its blocking plan (tables populated)
-/// plus the embedded records it owns. Serializable, so a sharded index can
+/// plus the rows of the records it owns. Serializable, so a sharded index can
 /// be snapshotted to disk and restored by a later process (see
 /// [`ShardedPipeline::export_state`] / [`ShardedPipeline::from_state`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -61,7 +62,7 @@ pub struct ShardState {
     /// The shard's blocking plan with populated hash tables.
     pub plan: BlockingPlan,
     /// The embedded records partitioned onto this shard.
-    pub store: RecordStore,
+    pub store: RecordSlab,
 }
 
 /// The full serializable state of a [`ShardedPipeline`]: schema (hash
@@ -101,23 +102,27 @@ type SharedShard = Arc<RwLock<Shard>>;
 pub type Linked = (Vec<(u64, u64)>, MatchStats);
 
 impl Shard {
-    fn shared(plan: BlockingPlan, store: RecordStore) -> SharedShard {
+    fn shared(plan: BlockingPlan, store: RecordSlab) -> SharedShard {
         Arc::new(RwLock::new(Shard {
             state: ShardState { plan, store },
             migration_deletes: None,
         }))
     }
 
-    fn insert_all(&mut self, batch: Vec<EmbeddedRecord>) {
-        for rec in batch {
+    /// Indexes `(id, row)`s, a known id replacing its record. Returns how
+    /// many ids were new to the shard.
+    fn insert_all<'a>(&mut self, batch: impl IntoIterator<Item = (u64, &'a [u64])>) -> usize {
+        let ShardState { plan, store } = &mut self.state;
+        let mut added = 0;
+        for (id, row) in batch {
             if let Some(mem) = self.migration_deletes.as_mut() {
                 // A re-insert after a delete is a fresh record; the id must
                 // not stay tombstoned in the delete memory.
-                mem.remove(&rec.id);
+                mem.remove(&id);
             }
-            self.state.plan.insert(&rec);
-            self.state.store.insert(rec);
+            added += usize::from(index_row(plan, store, id, row));
         }
+        added
     }
 
     /// Tombstone delete: the record leaves the store (so it can never be
@@ -128,9 +133,7 @@ impl Shard {
     fn delete(&mut self, ids: &[u64], removed: &mut Vec<u64>) {
         let ShardState { plan, store } = &mut self.state;
         for &id in ids {
-            if let Some(rec) = store.get(id) {
-                plan.remove(rec);
-                store.remove(id);
+            if unindex(plan, store, id) {
                 removed.push(id);
             }
             if let Some(mem) = self.migration_deletes.as_mut() {
@@ -139,55 +142,69 @@ impl Shard {
         }
     }
 
-    /// The shard's records whose key point falls in `ranges`.
-    fn records_in<'a>(
-        &'a self,
-        ranges: &'a [KeyRange],
-    ) -> impl Iterator<Item = &'a EmbeddedRecord> {
-        self.state.store.iter().filter(move |rec| {
-            let point = key_point(rec.id);
-            ranges.iter().any(|r| r.contains(point))
-        })
+    /// The ids of the shard's records whose key point falls in `ranges`.
+    fn ids_in<'a>(&'a self, ranges: &'a [KeyRange]) -> impl Iterator<Item = u64> + 'a {
+        self.state
+            .store
+            .iter()
+            .map(|(id, _)| id)
+            .filter(move |&id| {
+                let point = key_point(id);
+                ranges.iter().any(|r| r.contains(point))
+            })
     }
 
     /// Migration source: one page of the shard's records within `ranges`,
     /// ids strictly greater than `after`, ascending, at most `limit`.
-    fn collect_migration(
-        &self,
-        ranges: &[KeyRange],
-        after: Option<u64>,
-        limit: usize,
-    ) -> Vec<EmbeddedRecord> {
-        let mut batch: Vec<EmbeddedRecord> = self
-            .records_in(ranges)
-            .filter(|rec| after.is_none_or(|a| rec.id > a))
-            .cloned()
+    fn collect_migration(&self, ranges: &[KeyRange], after: Option<u64>, limit: usize) -> Page {
+        let mut ids: Vec<u64> = self
+            .ids_in(ranges)
+            .filter(|&id| after.is_none_or(|a| id > a))
             .collect();
-        batch.sort_unstable_by_key(|r| r.id);
-        batch.truncate(limit);
-        batch
+        ids.sort_unstable();
+        ids.truncate(limit);
+        let store = &self.state.store;
+        let rows = ids.iter().flat_map(|&id| store.get(id)).flatten();
+        Page {
+            rows: rows.copied().collect(),
+            ids,
+        }
     }
 
     /// Migration target: adopt copied records, skipping ids the target
     /// already owns (a dual-applied write raced ahead of the copy and wrote
     /// the newer version) and ids deleted since the migration began.
-    fn migrate_in(&mut self, mut batch: Vec<EmbeddedRecord>) {
-        let (store, deleted) = (&self.state.store, &self.migration_deletes);
-        batch.retain(|rec| {
-            store.get(rec.id).is_none() && !deleted.as_ref().is_some_and(|d| d.contains(&rec.id))
-        });
-        self.insert_all(batch);
+    fn migrate_in(&mut self, page: &Page) {
+        let w = self.state.store.layout().words();
+        let fresh: Vec<(u64, &[u64])> = (page.ids.iter().copied())
+            .zip(page.rows.chunks_exact(w))
+            .filter(|(id, _)| {
+                self.state.store.get(*id).is_none()
+                    && !self
+                        .migration_deletes
+                        .as_ref()
+                        .is_some_and(|d| d.contains(id))
+            })
+            .collect();
+        self.insert_all(fresh);
     }
 
     /// Drops every record whose key point falls in `ranges` (cutover purge
     /// on the source; abort rollback on the target).
     fn purge_range(&mut self, ranges: &[KeyRange]) {
-        let victims: Vec<EmbeddedRecord> = self.records_in(ranges).cloned().collect();
-        for rec in &victims {
-            self.state.plan.remove(rec);
-            self.state.store.remove(rec.id);
+        let victims: Vec<u64> = self.ids_in(ranges).collect();
+        let ShardState { plan, store } = &mut self.state;
+        for id in victims {
+            unindex(plan, store, id);
         }
     }
+}
+
+/// One page of a migration's copy: ids ascending, their rows one after the
+/// other.
+struct Page {
+    ids: Vec<u64>,
+    rows: Vec<u64>,
 }
 
 /// An in-flight migration, tracked pipeline-side.
@@ -228,10 +245,10 @@ impl ReshardDriver {
             let source = self.source.read();
             let page = source.collect_migration(&self.moved, self.cursor, limit.max(1));
             drop(source);
-            let copied = page.len() as u64;
+            let copied = page.ids.len() as u64;
             self.done = copied == 0;
-            self.cursor = page.last().map(|r| r.id).or(self.cursor);
-            self.target.write().migrate_in(page);
+            self.cursor = page.ids.last().copied().or(self.cursor);
+            self.target.write().migrate_in(&page);
             self.migrated.fetch_add(copied, Ordering::Relaxed);
         }
         Ok(self.done)
@@ -327,7 +344,7 @@ impl ShardedPipeline {
                         Error::Reshard(ReshardError::RequiresMigration("the blocking plan".into()))
                     })?;
                 }
-                Ok(Shard::shared(shard_plan, RecordStore::new()))
+                Ok(Shard::shared(shard_plan, RecordSlab::new(schema.layout())))
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
@@ -388,8 +405,10 @@ impl ShardedPipeline {
         };
         let mut shard_states = state.shards;
         for s in &mut shard_states {
-            // Key kernels are derived state, absent from a snapshot.
+            // Key kernels and the slab's layout are derived from the schema,
+            // absent from a snapshot.
             s.plan.compile_kernels(&state.schema);
+            s.store.bind(state.schema.layout())?;
         }
         let mut template = shard_states[0].plan.clone();
         template.clear_for_rebuild();
@@ -406,8 +425,8 @@ impl ShardedPipeline {
                 // the record store (authoritative) before serving probes.
                 if s.plan.needs_rebuild() {
                     s.plan.clear_for_rebuild();
-                    for rec in s.store.iter() {
-                        s.plan.insert(rec);
+                    for (id, row) in s.store.iter() {
+                        s.plan.insert_row(id, row);
                     }
                     s.plan
                         .compact()
@@ -458,9 +477,17 @@ impl ShardedPipeline {
         self.shards.len()
     }
 
-    /// Records indexed so far (across shards).
+    /// Records the index holds (across shards; an id indexed twice is
+    /// one).
     pub fn indexed_len(&self) -> usize {
         self.indexed
+    }
+
+    /// Heap bytes the shards' record stores hold
+    /// ([`RecordSlab::heap_bytes`], summed).
+    pub fn record_heap_bytes(&self) -> u64 {
+        let bytes = |s: &SharedShard| s.read().state.store.heap_bytes();
+        self.shards.iter().map(bytes).sum()
     }
 
     /// The current shard map (epoch-stamped keyspace assignment).
@@ -493,8 +520,9 @@ impl ShardedPipeline {
     }
 
     /// Indexes data set A: records are embedded here and inserted into the
-    /// shard owning each record's keyspace point; when this returns they
-    /// are searchable. While a migration is in flight, writes landing in
+    /// shard owning each record's keyspace point, a record whose id is
+    /// already indexed replacing it; when this returns they are searchable.
+    /// While a migration is in flight, writes landing in
     /// the moved ranges are **dual-applied** to source and target so
     /// neither the copy stream nor the cutover can lose them.
     ///
@@ -502,30 +530,33 @@ impl ShardedPipeline {
     /// Returns [`Error::FieldCountMismatch`] on malformed records.
     pub fn index(&mut self, records: &[Record]) -> Result<()> {
         let t0 = Instant::now();
-        let embedded = self.schema.embed_all(records)?;
+        let mut rows = Vec::new();
+        self.schema.embed_rows(records, &mut rows)?;
         let embed = t0.elapsed();
         let t1 = Instant::now();
-        let mut batches: Vec<Vec<EmbeddedRecord>> = vec![Vec::new(); self.shards.len()];
+        // Per shard, the records it owns; then those it is also the
+        // migration target of (not new records: their owner counts them).
+        let mut owned: Vec<Vec<(u64, &[u64])>> = vec![Vec::new(); self.shards.len()];
+        let mut dual_applied = Vec::new();
         let dual = self
             .migration
             .as_ref()
             .map(|m| (m.plan.target, m.plan.moved.as_slice()));
-        for rec in embedded {
-            let point = key_point(rec.id);
-            let shard = self.map.shard_of(point);
-            if let Some((target, moved)) = dual {
-                if moved.iter().any(|r| r.contains(point)) {
-                    batches[target].push(rec.clone());
-                }
+        for (id, row) in self.schema.rows_of(records, &rows) {
+            let point = key_point(id);
+            if dual.is_some_and(|(_, moved)| moved.iter().any(|r| r.contains(point))) {
+                dual_applied.push((id, row));
             }
-            batches[shard].push(rec);
+            owned[self.map.shard_of(point)].push((id, row));
         }
-        for (shard, batch) in self.shards.iter().zip(batches) {
+        for (shard, batch) in self.shards.iter().zip(owned) {
             if !batch.is_empty() {
-                shard.write().insert_all(batch);
+                self.indexed += shard.write().insert_all(batch);
             }
         }
-        self.indexed += records.len();
+        if let Some((target, _)) = dual.filter(|_| !dual_applied.is_empty()) {
+            self.shards[target].write().insert_all(dual_applied);
+        }
         if let Some(m) = &self.metrics {
             m.embed.observe_duration(embed);
             m.block.observe_duration(t1.elapsed());
@@ -581,7 +612,8 @@ impl ShardedPipeline {
         records: &[Record],
     ) -> Result<Linked> {
         let t0 = Instant::now();
-        let embedded = self.schema.embed_all(records)?;
+        let mut rows = Vec::new();
+        self.schema.embed_rows(records, &mut rows)?;
         let embed = t0.elapsed();
         let t1 = Instant::now();
         let mut matches = Vec::new();
@@ -591,7 +623,7 @@ impl ShardedPipeline {
             match_batch(
                 &shard.state.plan,
                 &shard.state.store,
-                &embedded,
+                self.schema.rows_of(records, &rows),
                 &self.classifier,
                 &mut scratch,
                 &mut stats,
@@ -637,13 +669,13 @@ impl ShardedPipeline {
                     .rehome_stores(root, plan.target)
                     .map_err(|e| Error::Store(e.to_string()))?;
             }
-            self.shards
-                .push(Shard::shared(target_plan, RecordStore::new()));
+            let store = RecordSlab::new(self.schema.layout());
+            self.shards.push(Shard::shared(target_plan, store));
         }
         let (source, target) = (&self.shards[plan.source], &self.shards[plan.target]);
         // Arm the target's delete memory before any write can race the copy.
         target.write().migration_deletes = Some(HashSet::new());
-        let total = source.read().records_in(&plan.moved).count() as u64;
+        let total = source.read().ids_in(&plan.moved).count() as u64;
         let migrated = Arc::new(AtomicU64::new(0));
         let driver = ReshardDriver {
             source: Arc::clone(source),

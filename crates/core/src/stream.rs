@@ -9,10 +9,9 @@
 
 use crate::blocking::{BlockingPlan, ProbeScratch};
 use crate::error::{Error, Result};
-use crate::matcher::{match_record, Classifier, MatchStats, RecordStore};
+use crate::matcher::{index_row, match_record, Classifier, MatchStats, RecordSlab};
 use crate::pipeline::{LinkageConfig, PipelineMetrics};
 use crate::record::Record;
-use crate::schema::EmbeddedRecord;
 use crate::schema::RecordSchema;
 use rand::Rng;
 use std::sync::Arc;
@@ -24,7 +23,7 @@ use std::time::Instant;
 pub struct StreamMatcher {
     schema: RecordSchema,
     plan: BlockingPlan,
-    store: RecordStore,
+    store: RecordSlab,
     classifier: Classifier,
     scratch: ProbeScratch,
     stats: MatchStats,
@@ -46,9 +45,9 @@ impl StreamMatcher {
         let plan = BlockingPlan::from_config(&schema, &config, rng)?;
         let classifier = Classifier::Rule(config.rule);
         Ok(Self {
+            store: RecordSlab::new(schema.layout()),
             schema,
             plan,
-            store: RecordStore::new(),
             classifier,
             scratch: ProbeScratch::default(),
             stats: MatchStats::default(),
@@ -77,8 +76,8 @@ impl StreamMatcher {
         if self.store.get(record.id).is_some() {
             return Err(Error::DuplicateId { id: record.id });
         }
-        let embedded = self.schema.embed(record)?;
-        Ok(self.observe_embedded(embedded))
+        let row = self.embed_row(record)?;
+        Ok(self.observe_row(record.id, &row))
     }
 
     /// Observes one record, replacing any previously indexed record with
@@ -88,28 +87,27 @@ impl StreamMatcher {
     /// # Errors
     /// Returns [`crate::Error::FieldCountMismatch`] on malformed records.
     pub fn observe_upsert(&mut self, record: &Record) -> Result<Vec<u64>> {
-        let embedded = self.schema.embed(record)?;
+        let row = self.embed_row(record)?;
         self.store.remove(record.id);
-        Ok(self.observe_embedded(embedded))
+        Ok(self.observe_row(record.id, &row))
     }
 
     /// The shared match-then-index step. The caller has already settled
     /// duplicate-id policy (reject or upsert): the store must not contain
-    /// `embedded.id` at this point.
-    fn observe_embedded(&mut self, embedded: EmbeddedRecord) -> Vec<u64> {
+    /// `id` at this point.
+    fn observe_row(&mut self, id: u64, row: &[u64]) -> Vec<u64> {
         let t0 = Instant::now();
         let mut matches = Vec::new();
         match_record(
             &self.plan,
             &self.store,
-            &embedded,
+            row,
             &self.classifier,
             &mut self.scratch,
             &mut self.stats,
             |id| matches.push(id),
         );
-        self.plan.insert(&embedded);
-        self.store.insert(embedded);
+        index_row(&mut self.plan, &mut self.store, id, row);
         self.observed += 1;
         if let Some(m) = &self.metrics {
             m.observe.observe_duration(t0.elapsed());
@@ -117,12 +115,15 @@ impl StreamMatcher {
         matches
     }
 
-    /// Embeds a record against this matcher's schema without indexing it.
+    /// Embeds a record against this matcher's schema — its packed row —
+    /// without indexing it.
     ///
     /// # Errors
     /// Returns [`crate::Error::FieldCountMismatch`] on malformed records.
-    pub fn embed(&self, record: &Record) -> Result<EmbeddedRecord> {
-        self.schema.embed(record)
+    pub fn embed_row(&self, record: &Record) -> Result<Vec<u64>> {
+        let mut row = vec![0; self.schema.row_words()];
+        self.schema.embed_row(record, &mut row)?;
+        Ok(row)
     }
 
     /// True when a record with this id is currently indexed.
@@ -130,12 +131,12 @@ impl StreamMatcher {
         self.store.get(id).is_some()
     }
 
-    /// The embedded-record store backing this matcher. External plans
+    /// The record slab backing this matcher. External plans
     /// (e.g. per-subscription blocking plans in `rl-streamrule`) probe
     /// their own candidate sets and resolve ids through this store, which
     /// makes them tombstone-aware for free: a removed id no longer
     /// resolves, so stale bucket entries are skipped.
-    pub fn store(&self) -> &RecordStore {
+    pub fn store(&self) -> &RecordSlab {
         &self.store
     }
 
@@ -233,15 +234,12 @@ impl SharedStreamMatcher {
         // Embed under the read path first, then upgrade to index. A record
         // observed concurrently in the gap is simply not matched against —
         // the same non-guarantee any per-arrival ordering has.
-        let embedded = {
-            let guard = self.inner.read();
-            guard.schema.embed(record)?
-        };
+        let row = self.embed_row(record)?;
         let mut guard = self.inner.write();
         if guard.store.get(record.id).is_some() {
             return Err(Error::DuplicateId { id: record.id });
         }
-        Ok(guard.observe_embedded(embedded))
+        Ok(guard.observe_row(record.id, &row))
     }
 
     /// Observes one record with replace-on-duplicate semantics (see
@@ -250,21 +248,19 @@ impl SharedStreamMatcher {
     /// # Errors
     /// Returns [`crate::Error::FieldCountMismatch`] on malformed records.
     pub fn observe_upsert(&self, record: &Record) -> Result<Vec<u64>> {
-        let embedded = {
-            let guard = self.inner.read();
-            guard.schema.embed(record)?
-        };
+        let row = self.embed_row(record)?;
         let mut guard = self.inner.write();
         guard.store.remove(record.id);
-        Ok(guard.observe_embedded(embedded))
+        Ok(guard.observe_row(record.id, &row))
     }
 
-    /// Embeds a record against the matcher's schema without indexing it.
+    /// Embeds a record against the matcher's schema without indexing it
+    /// (see [`StreamMatcher::embed_row`]). Takes the read lock.
     ///
     /// # Errors
     /// Returns [`crate::Error::FieldCountMismatch`] on malformed records.
-    pub fn embed(&self, record: &Record) -> Result<EmbeddedRecord> {
-        self.inner.read().embed(record)
+    pub fn embed_row(&self, record: &Record) -> Result<Vec<u64>> {
+        self.inner.read().embed_row(record)
     }
 
     /// True when a record with this id is currently indexed.
@@ -272,11 +268,11 @@ impl SharedStreamMatcher {
         self.inner.read().contains(id)
     }
 
-    /// Runs `f` against the embedded-record store under the read lock.
+    /// Runs `f` against the record slab under the read lock.
     /// This is how external per-subscription plans (`rl-streamrule`)
     /// resolve candidate ids tombstone-aware — see
     /// [`StreamMatcher::store`]. Keep `f` short: it holds the lock.
-    pub fn with_store<R>(&self, f: impl FnOnce(&RecordStore) -> R) -> R {
+    pub fn with_store<R>(&self, f: impl FnOnce(&RecordSlab) -> R) -> R {
         f(self.inner.read().store())
     }
 
@@ -507,9 +503,10 @@ mod tests {
         m.observe(&Record::new(5, ["JOHN", "SMITH"])).unwrap();
         assert!(m.contains(5));
         assert!(!m.contains(6));
-        let probe = m.embed(&Record::new(6, ["JON", "SMITH"])).unwrap();
-        assert_eq!(m.store().get(5).unwrap().attrs.len(), 2);
-        assert!(probe.total_distance(m.store().get(5).unwrap()) <= 8);
+        let probe = m.embed_row(&Record::new(6, ["JON", "SMITH"])).unwrap();
+        let (layout, stored) = (m.store().layout(), m.store().get(5).unwrap());
+        assert_eq!(layout.arity(), 2);
+        assert!(layout.total_distance(&probe, stored) <= 8);
         let s = shared_matcher(12);
         s.observe(&Record::new(5, ["JOHN", "SMITH"])).unwrap();
         assert!(s.contains(5));

@@ -192,7 +192,10 @@ fn dedup_status(inner: &Inner) -> Reply {
 fn stats(inner: &Inner) -> Reply {
     let state = inner.state.read();
     let blocking = state.pipeline.blocking_stats();
-    inner.metrics.update_block_gauges(&blocking);
+    let record_heap_bytes = state.pipeline.record_heap_bytes();
+    inner
+        .metrics
+        .update_block_gauges(&blocking, record_heap_bytes);
     Reply::Stats(StatsReply {
         protocol_version: PROTOCOL_VERSION,
         shards: state.pipeline.num_shards(),
@@ -206,6 +209,7 @@ fn stats(inner: &Inner) -> Reply {
         blocking,
         shard_map_epoch: state.pipeline.shard_map().epoch(),
         shard_records: shard_records(&state),
+        record_heap_bytes,
     })
 }
 

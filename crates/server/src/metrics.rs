@@ -235,6 +235,9 @@ pub struct ServerMetrics {
     /// Heap bytes held by the blocking tables — directories, id arenas,
     /// tombstones (`rl_block_heap_bytes`); an mmap store's delta overlay.
     pub block_heap_bytes: Arc<Gauge>,
+    /// Heap bytes the shards' record slabs hold: rows, id → slot maps, free
+    /// lists (`rl_record_heap_bytes`).
+    pub record_heap_bytes: Arc<Gauge>,
     /// Online-reshard phase (`rl_reshard_state`): 0 idle, 1 copying,
     /// 2 cutover.
     pub reshard_state: Arc<Gauge>,
@@ -412,6 +415,11 @@ impl ServerMetrics {
             "Heap bytes held by the blocking tables (directories, id arenas, tombstones)",
             &[],
         );
+        let record_heap_bytes = registry.gauge(
+            "record_heap_bytes",
+            "Heap bytes held by the record slabs (packed rows, id-to-slot maps, free lists)",
+            &[],
+        );
         let reshard_state = registry.gauge(
             "reshard_state",
             "Online-reshard phase: 0 idle, 1 copying, 2 cutover",
@@ -467,6 +475,7 @@ impl ServerMetrics {
             block_dropped,
             block_disk_bytes,
             block_heap_bytes,
+            record_heap_bytes,
             reshard_state,
             reshard_migrated,
             reshard_lag,
@@ -475,9 +484,15 @@ impl ServerMetrics {
         })
     }
 
-    /// Refreshes the blocking-store gauges from merged structure stats
-    /// (called whenever the server aggregates them, e.g. on `Stats`).
-    pub fn update_block_gauges(&self, blocking: &[cbv_hb::blocking::StructureStats]) {
+    /// Refreshes the blocking-store gauges from merged structure stats, and
+    /// the record-store gauge (called whenever the server aggregates them,
+    /// e.g. on `Stats`).
+    pub fn update_block_gauges(
+        &self,
+        blocking: &[cbv_hb::blocking::StructureStats],
+        record_heap_bytes: u64,
+    ) {
+        self.record_heap_bytes.set(record_heap_bytes as i64);
         self.block_max_bucket
             .set(blocking.iter().map(|s| s.max_bucket).max().unwrap_or(0) as i64);
         self.block_p99_bucket

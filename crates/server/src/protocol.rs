@@ -613,6 +613,10 @@ pub struct StatsReply {
     /// empty from older peers).
     #[serde(default)]
     pub shard_records: Vec<u64>,
+    /// Heap bytes the shards' record slabs hold (since PR 24, no version
+    /// bump; absent — 0 — from older peers).
+    #[serde(default)]
+    pub record_heap_bytes: u64,
 }
 
 /// The response envelope.

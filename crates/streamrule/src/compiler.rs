@@ -16,10 +16,10 @@
 //! dropped candidates are the farthest, hence least likely to satisfy the
 //! rule).
 
-use cbv_hb::blocking::BlockingPlan;
+use cbv_hb::blocking::{BlockingPlan, ProbeScratch};
 use cbv_hb::error::Result;
 use cbv_hb::matcher::MatchStats;
-use cbv_hb::schema::{EmbeddedRecord, RecordSchema};
+use cbv_hb::schema::{RecordSchema, RowLayout};
 use cbv_hb::Rule;
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -58,6 +58,8 @@ impl SubscriptionSpec {
 pub struct CompiledRule {
     rule: Rule,
     plan: BlockingPlan,
+    /// Where the schema's attributes sit in a record's row.
+    layout: RowLayout,
     attrs: BTreeSet<usize>,
     cap: usize,
 }
@@ -81,6 +83,7 @@ impl CompiledRule {
         Ok(Self {
             rule,
             plan,
+            layout: schema.layout(),
             attrs,
             cap,
         })
@@ -118,30 +121,32 @@ impl CompiledRule {
         self.cap
     }
 
-    /// Indexes a record into the plan's tables so later probes can find it.
-    pub fn index(&mut self, rec: &EmbeddedRecord) {
-        self.plan.insert(rec);
+    /// Indexes record `id`, whose packed row is `row`, into the plan's
+    /// tables so later probes can find it.
+    pub fn index(&mut self, id: u64, row: &[u64]) {
+        self.plan.insert_row(id, row);
     }
 
-    /// Probes the plan: formulates the candidate set per the rule's
-    /// blocking logic, caps it to the `cap` nearest by total distance,
-    /// classifies each survivor with the rule, and returns matched ids in
-    /// ascending order. Candidates the `lookup` cannot resolve (evicted or
-    /// out-of-window records) are skipped — the tombstone discipline.
-    pub fn probe<'s, F>(
-        &self,
-        probe: &EmbeddedRecord,
-        lookup: F,
-        stats: &mut MatchStats,
-    ) -> Vec<u64>
+    /// Probes the plan with a record's packed row: formulates the
+    /// candidate set per the rule's blocking logic, caps it to the `cap`
+    /// nearest by total distance, classifies each survivor with the rule,
+    /// and returns matched ids in ascending order. Candidates whose row the
+    /// `lookup` cannot resolve (evicted or out-of-window records) are
+    /// skipped — the tombstone discipline.
+    pub fn probe<'s, F>(&self, probe: &[u64], lookup: F, stats: &mut MatchStats) -> Vec<u64>
     where
-        F: Fn(u64) -> Option<&'s EmbeddedRecord>,
+        F: Fn(u64) -> Option<&'s [u64]>,
     {
-        let mut cands = self.plan.candidates_verified(probe, &lookup);
+        let layout = &self.layout;
+        let mut scratch = ProbeScratch::default();
+        self.plan.candidates_into_row(probe, &lookup, &mut scratch);
+        let mut cands = scratch.into_candidates();
         stats.candidates += cands.len() as u64;
         if self.cap > 0 && cands.len() > self.cap {
             // Keep the cap nearest; unresolvable ids sort last and fall off.
-            cands.sort_by_key(|&id| lookup(id).map_or(u32::MAX, |a| a.total_distance(probe)));
+            cands.sort_by_key(|&id| {
+                lookup(id).map_or(u32::MAX, |a| layout.total_distance(a, probe))
+            });
             cands.truncate(self.cap);
         }
         let mut out = Vec::new();
@@ -150,7 +155,7 @@ impl CompiledRule {
             stats.distance_computations += 1;
             if self
                 .rule
-                .evaluate_with(&|attr| a.attr_distance(probe, attr))
+                .evaluate_with(&|attr| layout.distance(a, probe, attr))
             {
                 out.push(id);
             }
@@ -164,8 +169,7 @@ impl CompiledRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbv_hb::blocking::ProbeScratch;
-    use cbv_hb::matcher::{match_record, Classifier, RecordStore};
+    use cbv_hb::matcher::{match_record, Classifier, RecordSlab};
     use cbv_hb::schema::AttributeSpec;
     use cbv_hb::Record;
     use rand::rngs::StdRng;
@@ -241,19 +245,20 @@ mod tests {
 
         let recs = corpus();
         let embedded: Vec<_> = recs.iter().map(|r| s.embed(r).unwrap()).collect();
-        let mut store = RecordStore::new();
+        let mut store = RecordSlab::new(s.layout());
         for e in &embedded {
-            compiled.index(e);
+            compiled.index(e.id, e.packed().as_ref());
             unrestricted.insert(e);
-            store.insert(e.clone());
+            store.insert(e.id, e.packed().as_ref());
         }
 
         let mut compiled_stats = MatchStats::default();
         let mut unrestricted_stats = MatchStats::default();
         let classifier = Classifier::Rule(rule.clone());
         for probe in &embedded {
+            let row = probe.packed();
             let mine = compiled.probe(
-                probe,
+                row.as_ref(),
                 |id| if id == probe.id { None } else { store.get(id) },
                 &mut compiled_stats,
             );
@@ -270,7 +275,7 @@ mod tests {
             match_record(
                 &unrestricted,
                 &store,
-                probe,
+                row.as_ref(),
                 &classifier,
                 &mut ProbeScratch::default(),
                 &mut unrestricted_stats,
@@ -304,19 +309,20 @@ mod tests {
             Record::new(2, ["ANNA", "LEE", "X"]),
             Record::new(3, ["ANNA", "LEE", "X"]),
         ];
-        let mut store = RecordStore::new();
+        let row = |r: &Record| s.embed(r).unwrap().packed();
+        let mut store = RecordSlab::new(s.layout());
         for r in &recs {
-            let e = s.embed(r).unwrap();
-            capped.index(&e);
-            uncapped.index(&e);
-            store.insert(e);
+            capped.index(r.id, row(r).as_ref());
+            uncapped.index(r.id, row(r).as_ref());
+            store.insert(r.id, row(r).as_ref());
         }
-        let probe = s.embed(&Record::new(9, ["ANNA", "LEE", "X"])).unwrap();
+        let probe = row(&Record::new(9, ["ANNA", "LEE", "X"]));
+        let probe = probe.as_ref();
         let mut stats = MatchStats::default();
-        let hits = uncapped.probe(&probe, |id| store.get(id), &mut stats);
+        let hits = uncapped.probe(probe, |id| store.get(id), &mut stats);
         assert_eq!(hits, vec![1, 2, 3], "uncapped finds every twin");
         let mut capped_stats = MatchStats::default();
-        let hits = capped.probe(&probe, |id| store.get(id), &mut capped_stats);
+        let hits = capped.probe(probe, |id| store.get(id), &mut capped_stats);
         assert_eq!(hits.len(), 1, "cap 1 classifies exactly one candidate");
         assert_eq!(capped_stats.distance_computations, 1);
     }
@@ -327,13 +333,15 @@ mod tests {
         let rule = Rule::and([Rule::pred(0, 8), Rule::pred(1, 8)]);
         let mut rng = StdRng::seed_from_u64(46);
         let mut c = CompiledRule::compile(&s, rule, 0.05, 0, &mut rng).unwrap();
-        let e = s.embed(&Record::new(1, ["ANNA", "LEE", "X"])).unwrap();
-        c.index(&e);
-        let probe = s.embed(&Record::new(2, ["ANNA", "LEE", "X"])).unwrap();
+        let row = s
+            .embed(&Record::new(1, ["ANNA", "LEE", "X"]))
+            .unwrap()
+            .packed();
+        c.index(1, row.as_ref());
         let mut stats = MatchStats::default();
         // The store "lost" the record (evicted): the stale bucket entry
-        // must not match.
-        let hits = c.probe(&probe, |_| None, &mut stats);
+        // must not match its twin.
+        let hits = c.probe(row.as_ref(), |_| None, &mut stats);
         assert!(hits.is_empty());
         assert_eq!(stats.matched, 0);
     }

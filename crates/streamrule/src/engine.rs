@@ -1,7 +1,7 @@
 //! The windowed subscription engine.
 //!
 //! A [`WindowedEngine`] wraps a [`SharedStreamMatcher`]: one shared
-//! embedded-record store and base blocking plan, plus any number of live
+//! record slab and base blocking plan, plus any number of live
 //! subscriptions, each with its own compiled plan ([`CompiledRule`]) and
 //! window ([`WindowState`]). Observing a record:
 //!
@@ -216,7 +216,7 @@ impl WindowedEngine {
     pub fn observe(&self, record: &Record, event_ms: u64) -> Result<ObserveOutcome> {
         let mut subs = self.subs.lock();
         let subs = &mut *subs;
-        let embedded = self.matcher.embed(record)?;
+        let row = self.matcher.embed_row(record)?;
         let base_matches = self.matcher.observe_upsert(record)?;
         subs.stamp += 1;
         let stamp = subs.stamp;
@@ -240,7 +240,7 @@ impl WindowedEngine {
             let compiled = &entry.compiled;
             let matched = self.matcher.with_store(|store| {
                 compiled.probe(
-                    &embedded,
+                    &row,
                     |id| {
                         if id != record.id && window.contains(id) {
                             store.get(id)
@@ -259,7 +259,7 @@ impl WindowedEngine {
                 });
             }
             // Admit, then evict whatever the admission pushed out.
-            entry.compiled.index(&embedded);
+            entry.compiled.index(record.id, &row);
             if entry.window.push(record.id, stamp, event_ms) {
                 *subs.retain.entry(record.id).or_insert(0) += 1;
             }

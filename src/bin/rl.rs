@@ -950,6 +950,7 @@ fn client(flags: &HashMap<String, String>) -> Result<(), String> {
                     stats.shard_map_epoch, stats.shards, stats.shard_records
                 );
             }
+            eprintln!("records: heap_bytes={}", stats.record_heap_bytes);
             for s in &stats.blocking {
                 eprintln!(
                     "blocking: {} backend={} store={} L={} key_bits={} buckets={} \

@@ -2,10 +2,9 @@
 //!
 //! A `LinkagePipeline::link(&[one record])` against a built index may
 //! allocate for what it returns and for buffers whose size the data
-//! decides — the embedded record (one vector per attribute and the list of
-//! them), the batch of one, the key buffer, the candidate buffer as it
-//! grows, the match list — and for nothing per q-gram, per table or per
-//! candidate pair. This test counts, with its own counting allocator, the
+//! decides — the batch's buffer of packed rows (one row here), the key
+//! buffer, the candidate buffer as it grows, the match list — and for
+//! nothing per attribute, per q-gram, per table or per candidate pair. This test counts, with its own counting allocator, the
 //! heap allocations of each call over a few hundred probes on the three
 //! in-process benchmark configurations and holds the worst call to the
 //! committed count. A count that rises means something on the path began
@@ -88,11 +87,12 @@ fn a_single_record_link_stays_within_its_allocation_budget() {
     );
     // (configuration, committed worst-case allocations of one call).
     let budgets = [
-        // Six for the embedded batch of one, one for the keys, one for the
-        // matches, the rest the candidate buffer doubling to its size.
-        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 11u64),
-        ("batch_rule", LinkageConfig::rule_aware(c1()), 18),
-        ("batch_covering", LinkageConfig::covering(c1(), 4), 13),
+        // One for the rows of the batch of one, one for the keys, one for
+        // the matches, the rest the candidate buffer doubling to its size.
+        // (With an `EmbeddedRecord` per probe: 11 / 18 / 13.)
+        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 6u64),
+        ("batch_rule", LinkageConfig::rule_aware(c1()), 13),
+        ("batch_covering", LinkageConfig::covering(c1(), 4), 8),
     ];
     let probes = &pair.b[..300];
     // Worst and mean allocations of one call of `link`, which returns the
