@@ -74,7 +74,7 @@ impl BlockStorage for InMemoryStore {
     }
 
     fn evict(&mut self, table: usize, key: u128, id: u64) {
-        self.tables[table].retain(key, |x| x != id);
+        self.tables[table].evict(key, id);
     }
 
     fn probe_into(&self, table: usize, key: u128, out: &mut Vec<u64>) {

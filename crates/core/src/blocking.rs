@@ -638,6 +638,18 @@ impl BlockingStructure {
         self.keys.scratch = keys;
     }
 
+    /// Takes record `id`, inserted with row `row`, out of its bucket in
+    /// every table (`BlockStorage::evict`): no tombstone, so nothing of the
+    /// id stays behind and a later insert of it revives nothing.
+    pub fn evict_row(&mut self, id: u64, row: &[u64]) {
+        let mut keys = std::mem::take(&mut self.keys.scratch);
+        self.keys_into_row(row, &mut keys);
+        for (l, &key) in keys.iter().enumerate() {
+            self.store.evict(l, key, id);
+        }
+        self.keys.scratch = keys;
+    }
+
     /// Re-keys record `id` from row `old` to row `new`: in a table where
     /// the key changed the id leaves the old bucket itself
     /// (`BlockStorage::evict` — a tombstone is id-wide, and the new entry
@@ -1121,6 +1133,14 @@ impl BlockingPlan {
     pub fn remove_row(&mut self, id: u64, row: &[u64]) {
         for s in &mut self.structures {
             s.remove_row(id, row);
+        }
+    }
+
+    /// Takes record `id`, indexed with row `row`, out of every structure's
+    /// buckets without a tombstone ([`BlockingStructure::evict_row`]).
+    pub fn evict_row(&mut self, id: u64, row: &[u64]) {
+        for s in &mut self.structures {
+            s.evict_row(id, row);
         }
     }
 

@@ -57,4 +57,4 @@ pub use rule::Rule;
 pub use rule_parser::parse_rule;
 pub use schema::{AttributeSpec, EmbeddedRecord, RecordSchema};
 pub use sharded::{ShardState, ShardedPipeline, ShardedState};
-pub use stream::{SharedStreamMatcher, StreamMatcher};
+pub use stream::StreamMatcher;

@@ -9,7 +9,7 @@
 
 use crate::blocking::{BlockingPlan, ProbeScratch};
 use crate::error::{Error, Result};
-use crate::matcher::{index_row, match_record, Classifier, MatchStats, RecordSlab};
+use crate::matcher::{index_row, match_record, unindex, Classifier, MatchStats, RecordSlab};
 use crate::pipeline::{LinkageConfig, PipelineMetrics};
 use crate::record::Record;
 use crate::schema::RecordSchema;
@@ -81,14 +81,20 @@ impl StreamMatcher {
     }
 
     /// Observes one record, replacing any previously indexed record with
-    /// the same id (tombstone-remove, then observe). The replaced record
-    /// does not appear in the returned matches and can never match again.
+    /// the same id. The replaced record leaves the tables and the slab
+    /// before the probe, so it is never a candidate, not among the returned
+    /// matches, and can never match again.
     ///
     /// # Errors
     /// Returns [`crate::Error::FieldCountMismatch`] on malformed records.
     pub fn observe_upsert(&mut self, record: &Record) -> Result<Vec<u64>> {
         let row = self.embed_row(record)?;
-        self.store.remove(record.id);
+        if let Some(old) = self.store.get(record.id) {
+            // Per bucket, not a tombstone: the new row's insert would lift
+            // a tombstone and revive the old entries.
+            self.plan.evict_row(record.id, old);
+            self.store.remove(record.id);
+        }
         Ok(self.observe_row(record.id, &row))
     }
 
@@ -115,42 +121,20 @@ impl StreamMatcher {
         matches
     }
 
-    /// Embeds a record against this matcher's schema — its packed row —
-    /// without indexing it.
-    ///
-    /// # Errors
-    /// Returns [`crate::Error::FieldCountMismatch`] on malformed records.
-    pub fn embed_row(&self, record: &Record) -> Result<Vec<u64>> {
+    /// Embeds a record against this matcher's schema — its packed row.
+    fn embed_row(&self, record: &Record) -> Result<Vec<u64>> {
         let mut row = vec![0; self.schema.row_words()];
         self.schema.embed_row(record, &mut row)?;
         Ok(row)
     }
 
-    /// True when a record with this id is currently indexed.
-    pub fn contains(&self, id: u64) -> bool {
-        self.store.get(id).is_some()
-    }
-
-    /// The record slab backing this matcher. External plans
-    /// (e.g. per-subscription blocking plans in `rl-streamrule`) probe
-    /// their own candidate sets and resolve ids through this store, which
-    /// makes them tombstone-aware for free: a removed id no longer
-    /// resolves, so stale bucket entries are skipped.
-    pub fn store(&self) -> &RecordSlab {
-        &self.store
-    }
-
-    /// The schema records are embedded against.
-    pub fn schema(&self) -> &RecordSchema {
-        &self.schema
-    }
-
-    /// Removes a record from the index by id (tombstone delete),
-    /// returning whether it was present. The record can never match a
-    /// later observation; [`Self::len`] shrinks, while [`Self::observed`]
-    /// — a window counter over `observe` calls — is unaffected.
+    /// Removes a record from the index by id — slab and blocking tables
+    /// ([`unindex`]) — returning whether it was present. The record can
+    /// never match a later observation; [`Self::len`] shrinks, while
+    /// [`Self::observed`] — a window counter over `observe` calls — is
+    /// unaffected.
     pub fn remove(&mut self, id: u64) -> bool {
-        self.store.remove(id)
+        unindex(&mut self.plan, &mut self.store, id)
     }
 
     /// Records observed in the current measurement window: the number of
@@ -183,131 +167,9 @@ impl StreamMatcher {
     /// *and* [`Self::observed`] together, so per-window ratios (e.g.
     /// matches per observed record) stay coherent. The index itself —
     /// [`Self::len`] and everything matchable — is untouched.
-    /// [`SharedStreamMatcher::reset_stats`] has identical semantics.
     pub fn reset_stats(&mut self) {
         self.stats = MatchStats::default();
         self.observed = 0;
-    }
-}
-
-/// A thread-safe streaming matcher: multiple ingest threads can observe
-/// records concurrently against one shared index (e.g. one thread per
-/// hospital feed in the surveillance scenario).
-///
-/// Matching takes a read lock; indexing the new record takes a short write
-/// lock. Under heavy contention, batching observations per feed amortizes
-/// the write locks.
-#[derive(Debug)]
-pub struct SharedStreamMatcher {
-    inner: parking_lot::RwLock<StreamMatcher>,
-}
-
-impl SharedStreamMatcher {
-    /// Builds a shared streaming matcher.
-    ///
-    /// # Errors
-    /// Returns configuration errors from rule validation or plan
-    /// compilation.
-    pub fn new<R: Rng + ?Sized>(
-        schema: RecordSchema,
-        config: LinkageConfig,
-        rng: &mut R,
-    ) -> Result<Self> {
-        Ok(Self {
-            inner: parking_lot::RwLock::new(StreamMatcher::new(schema, config, rng)?),
-        })
-    }
-
-    /// Attaches phase-timing metrics (see [`StreamMatcher::attach_metrics`]).
-    pub fn attach_metrics(&self, metrics: Arc<PipelineMetrics>) {
-        self.inner.write().metrics = Some(metrics);
-    }
-
-    /// Observes one record (see [`StreamMatcher::observe`]).
-    ///
-    /// # Errors
-    /// Returns [`crate::Error::FieldCountMismatch`] on malformed records
-    /// and [`crate::Error::DuplicateId`] when the id is already indexed
-    /// (checked under the write lock, so concurrent feeds cannot race two
-    /// copies of the same id past the check).
-    pub fn observe(&self, record: &Record) -> Result<Vec<u64>> {
-        // Embed under the read path first, then upgrade to index. A record
-        // observed concurrently in the gap is simply not matched against —
-        // the same non-guarantee any per-arrival ordering has.
-        let row = self.embed_row(record)?;
-        let mut guard = self.inner.write();
-        if guard.store.get(record.id).is_some() {
-            return Err(Error::DuplicateId { id: record.id });
-        }
-        Ok(guard.observe_row(record.id, &row))
-    }
-
-    /// Observes one record with replace-on-duplicate semantics (see
-    /// [`StreamMatcher::observe_upsert`]).
-    ///
-    /// # Errors
-    /// Returns [`crate::Error::FieldCountMismatch`] on malformed records.
-    pub fn observe_upsert(&self, record: &Record) -> Result<Vec<u64>> {
-        let row = self.embed_row(record)?;
-        let mut guard = self.inner.write();
-        guard.store.remove(record.id);
-        Ok(guard.observe_row(record.id, &row))
-    }
-
-    /// Embeds a record against the matcher's schema without indexing it
-    /// (see [`StreamMatcher::embed_row`]). Takes the read lock.
-    ///
-    /// # Errors
-    /// Returns [`crate::Error::FieldCountMismatch`] on malformed records.
-    pub fn embed_row(&self, record: &Record) -> Result<Vec<u64>> {
-        self.inner.read().embed_row(record)
-    }
-
-    /// True when a record with this id is currently indexed.
-    pub fn contains(&self, id: u64) -> bool {
-        self.inner.read().contains(id)
-    }
-
-    /// Runs `f` against the record slab under the read lock.
-    /// This is how external per-subscription plans (`rl-streamrule`)
-    /// resolve candidate ids tombstone-aware — see
-    /// [`StreamMatcher::store`]. Keep `f` short: it holds the lock.
-    pub fn with_store<R>(&self, f: impl FnOnce(&RecordSlab) -> R) -> R {
-        f(self.inner.read().store())
-    }
-
-    /// Removes a record from the index by id (see
-    /// [`StreamMatcher::remove`]). Takes the write lock.
-    pub fn remove(&self, id: u64) -> bool {
-        self.inner.write().remove(id)
-    }
-
-    /// Records observed in the current measurement window (see
-    /// [`StreamMatcher::observed`]).
-    pub fn observed(&self) -> u64 {
-        self.inner.read().observed
-    }
-
-    /// Records currently held in the index (see [`StreamMatcher::len`]).
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// True when no records have been indexed.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
-    }
-
-    /// Accumulated matching counters for the current window.
-    pub fn stats(&self) -> MatchStats {
-        self.inner.read().stats
-    }
-
-    /// Starts a new measurement window — identical semantics to
-    /// [`StreamMatcher::reset_stats`]: counters *and* `observed` reset,
-    /// index untouched.
-    pub fn reset_stats(&self) {
-        self.inner.write().reset_stats();
     }
 }
 
@@ -398,33 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_and_unshared_reset_semantics_agree() {
-        // Regression (satellite): the two variants must implement the same
-        // window semantics — drive both through an identical sequence and
-        // compare every counter.
-        let mut plain = matcher(8);
-        let shared = shared_matcher(8);
-        let recs = [
-            Record::new(1, ["JOHN", "SMITH"]),
-            Record::new(2, ["JON", "SMITH"]),
-            Record::new(3, ["MARY", "JONES"]),
-        ];
-        for r in &recs[..2] {
-            plain.observe(r).unwrap();
-            shared.observe(r).unwrap();
-        }
-        plain.reset_stats();
-        shared.reset_stats();
-        plain.observe(&recs[2]).unwrap();
-        shared.observe(&recs[2]).unwrap();
-        assert_eq!(plain.observed(), shared.observed());
-        assert_eq!(plain.len(), shared.len());
-        assert_eq!(plain.stats(), shared.stats());
-        assert_eq!(plain.observed(), 1);
-        assert_eq!(plain.len(), 3);
-    }
-
-    #[test]
     fn remove_tombstones_record_out_of_matching() {
         let mut m = matcher(9);
         m.observe(&Record::new(1, ["JOHN", "SMITH"])).unwrap();
@@ -437,15 +272,6 @@ mod tests {
         // bucket entries linger as tombstones.
         let hits = m.observe(&Record::new(3, ["JON", "SMITH"])).unwrap();
         assert!(hits.is_empty(), "deleted record must not match: {hits:?}");
-        // The shared variant agrees.
-        let s = shared_matcher(9);
-        s.observe(&Record::new(1, ["JOHN", "SMITH"])).unwrap();
-        assert!(s.remove(1));
-        assert_eq!(s.len(), 0);
-        assert!(s
-            .observe(&Record::new(3, ["JON", "SMITH"]))
-            .unwrap()
-            .is_empty());
     }
 
     #[test]
@@ -462,12 +288,6 @@ mod tests {
         assert!(m.remove(1));
         m.observe(&Record::new(1, ["JOHN", "SMYTHE"])).unwrap();
         assert_eq!(m.len(), 1);
-        // The shared variant agrees, checking under the write lock.
-        let s = shared_matcher(10);
-        s.observe(&Record::new(7, ["ANNA", "LEE"])).unwrap();
-        let err = s.observe(&Record::new(7, ["ANNA", "LEIGH"])).unwrap_err();
-        assert_eq!(err, crate::Error::DuplicateId { id: 7 });
-        assert_eq!(s.observed(), 1);
     }
 
     #[test]
@@ -485,33 +305,23 @@ mod tests {
         assert_eq!(hits, vec![1]);
         let hits = m.observe(&Record::new(3, ["JOHN", "SMITH"])).unwrap();
         assert!(!hits.contains(&1), "old embedding must be gone: {hits:?}");
-        // The shared variant agrees.
-        let s = shared_matcher(11);
-        s.observe(&Record::new(1, ["JOHN", "SMITH"])).unwrap();
-        s.observe_upsert(&Record::new(1, ["MARY", "JONES"]))
+        // An unchanged upsert is its own twin, and still not a match.
+        let hits = m
+            .observe_upsert(&Record::new(3, ["JOHN", "SMITH"]))
             .unwrap();
-        assert_eq!(s.len(), 1);
-        assert_eq!(
-            s.observe(&Record::new(2, ["MARY", "JONES"])).unwrap(),
-            vec![1]
-        );
+        assert!(!hits.contains(&3), "an upsert matched itself: {hits:?}");
     }
 
     #[test]
     fn embed_contains_and_store_access() {
         let mut m = matcher(12);
         m.observe(&Record::new(5, ["JOHN", "SMITH"])).unwrap();
-        assert!(m.contains(5));
-        assert!(!m.contains(6));
+        assert!(m.store.get(5).is_some());
+        assert!(m.store.get(6).is_none());
         let probe = m.embed_row(&Record::new(6, ["JON", "SMITH"])).unwrap();
-        let (layout, stored) = (m.store().layout(), m.store().get(5).unwrap());
+        let (layout, stored) = (m.store.layout(), m.store.get(5).unwrap());
         assert_eq!(layout.arity(), 2);
         assert!(layout.total_distance(&probe, stored) <= 8);
-        let s = shared_matcher(12);
-        s.observe(&Record::new(5, ["JOHN", "SMITH"])).unwrap();
-        assert!(s.contains(5));
-        let len = s.with_store(|store| store.len());
-        assert_eq!(len, 1);
     }
 
     #[test]
@@ -521,62 +331,48 @@ mod tests {
         assert_eq!(m.observed(), 0);
     }
 
-    fn shared_matcher(seed: u64) -> SharedStreamMatcher {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let schema = RecordSchema::build(
-            Alphabet::linkage(),
-            vec![
-                AttributeSpec::new("FirstName", 2, 64, false, 5),
-                AttributeSpec::new("LastName", 2, 64, false, 5),
-            ],
-            &mut rng,
-        );
-        let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-        SharedStreamMatcher::new(schema, LinkageConfig::rule_aware(rule), &mut rng).unwrap()
+    /// Live entries across the plan's tables.
+    fn live_entries(m: &StreamMatcher) -> usize {
+        m.plan.stats().iter().map(|s| s.entries).sum()
     }
 
     #[test]
-    fn shared_matcher_basic_flow() {
-        let m = shared_matcher(4);
-        assert!(m
-            .observe(&Record::new(1, ["JOHN", "SMITH"]))
-            .unwrap()
-            .is_empty());
-        let hits = m.observe(&Record::new(2, ["JON", "SMITH"])).unwrap();
-        assert_eq!(hits, vec![1]);
-        assert_eq!(m.observed(), 2);
+    fn removed_records_leave_the_tables() {
+        // Regression: `remove` used to drop the row from the slab only,
+        // so every removed record kept its L entries.
+        let mut m = matcher(13);
+        let l = m.plan.total_tables();
+        let n = 40u64;
+        for id in 0..n {
+            m.observe(&Record::new(id, [format!("N{id}X"), format!("S{id}Y")]))
+                .unwrap();
+        }
+        assert_eq!(live_entries(&m), n as usize * l);
+        for id in 0..n {
+            assert!(m.remove(id));
+        }
+        assert!(m.is_empty());
+        assert_eq!(live_entries(&m), 0, "removed records left table entries");
     }
 
     #[test]
-    fn shared_matcher_concurrent_ingest() {
-        let m = shared_matcher(5);
-        // Seed one known record, then ingest concurrently from 4 feeds.
-        m.observe(&Record::new(0, ["MARTHA", "WASHINGTON"]))
-            .unwrap();
-        let found = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let m = &m;
-                let found = &found;
-                scope.spawn(move |_| {
-                    for i in 0..25u64 {
-                        let id = 1 + t * 100 + i;
-                        let rec = if i == 0 {
-                            // Each feed sees one dirty copy of the seed.
-                            Record::new(id, ["MARTHA", "WASHINGTAN"])
-                        } else {
-                            Record::new(id, [format!("N{t}X{i}"), format!("S{t}Y{i}")])
-                        };
-                        let hits = m.observe(&rec).unwrap();
-                        if hits.contains(&0) {
-                            found.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(m.observed(), 101);
-        assert_eq!(found.load(std::sync::atomic::Ordering::Relaxed), 4);
+    fn an_upserted_id_holds_one_entry_per_table() {
+        // Regression: each upsert used to insert the id again, so K
+        // upserts of one id held K·L entries, and a stale row of the id
+        // could be a candidate of its own upsert.
+        let mut m = matcher(14);
+        let l = m.plan.total_tables();
+        let names = ["JOHN", "JON", "JOHAN", "JONATHAN", "JOHNNY"];
+        for (k, first) in names.iter().cycle().take(12).enumerate() {
+            let hits = m
+                .observe_upsert(&Record::new(1, [*first, "SMITH"]))
+                .unwrap();
+            assert!(hits.is_empty(), "upsert {k} matched itself: {hits:?}");
+        }
+        assert_eq!(m.len(), 1);
+        assert_eq!(live_entries(&m), l);
+        // The replaced row is never even a candidate of its replacement.
+        assert_eq!(m.stats().candidates, 0);
+        assert_eq!(m.stats().distance_computations, 0);
     }
 }

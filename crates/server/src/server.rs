@@ -384,11 +384,7 @@ impl Server {
             store.as_ref().map(Store::op_seq).unwrap_or(0),
             store.as_ref().map(Store::epoch).unwrap_or(0),
         );
-        let subs = SubHub::new(
-            state.pipeline.schema().clone(),
-            state.pipeline.classifier(),
-            config.max_subscriptions,
-        );
+        let subs = SubHub::new(state.pipeline.schema().clone(), config.max_subscriptions);
         let inner = Arc::new(Inner {
             state: RwLock::new(state),
             config,

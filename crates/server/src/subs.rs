@@ -15,19 +15,17 @@
 //! replication's `ResyncRequired` contract: the server never buffers
 //! unboundedly on behalf of a consumer that cannot keep up.
 //!
-//! The engine is built lazily on the first subscription (a server nobody
-//! watches pays nothing) and is fed only while subscriptions are live, so
-//! a window only covers records ingested after some subscription existed.
-//! Window evictions flow through the engine's tombstone delete path;
-//! explicit `Delete` requests are forwarded so removed records stop
-//! matching immediately.
+//! The engine holds nothing while no subscription is live (a server
+//! nobody watches pays one uncontended lock per ingested record), so a
+//! window only covers records ingested after its subscription existed.
+//! Each subscription compiles its own rule; the server's classifier plays
+//! no part, so any pipeline serves subscriptions. Explicit `Delete`
+//! requests are forwarded so removed records stop matching immediately.
 
 use crate::conn::StreamWriter;
 use crate::protocol::{ErrorCode, Reply, RequestError, Response};
 use crate::repl::HEARTBEAT_EVERY;
 use crate::server::Inner;
-use cbv_hb::matcher::Classifier;
-use cbv_hb::pipeline::LinkageConfig;
 use cbv_hb::schema::RecordSchema;
 use cbv_hb::{parse_rule, Record};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
@@ -68,16 +66,8 @@ struct SubConn {
 
 /// Shared state for all live match subscriptions.
 pub(crate) struct SubHub {
-    /// Built on first subscribe; `None` until then and when the pipeline's
-    /// classifier is not a rule (the only classifier subscriptions can
-    /// compile plans from).
-    engine: Mutex<Option<Arc<WindowedEngine>>>,
+    engine: WindowedEngine,
     conns: Mutex<HashMap<u64, SubConn>>,
-    /// Schema snapshot for lazy engine construction.
-    schema: RecordSchema,
-    /// The server's base rule, recovered from the pipeline's classifier;
-    /// `None` for non-rule classifiers (subscriptions then unavailable).
-    base_rule: Option<cbv_hb::Rule>,
     max_subscriptions: usize,
     /// Monotone milliseconds since the hub was created — the event-time
     /// source for windows and lateness (server-assigned ingestion time).
@@ -87,20 +77,10 @@ pub(crate) struct SubHub {
 }
 
 impl SubHub {
-    pub(crate) fn new(
-        schema: RecordSchema,
-        classifier: &Classifier,
-        max_subscriptions: usize,
-    ) -> Self {
-        let base_rule = match classifier {
-            Classifier::Rule(rule) => Some(rule.clone()),
-            _ => None,
-        };
+    pub(crate) fn new(schema: RecordSchema, max_subscriptions: usize) -> Self {
         Self {
-            engine: Mutex::new(None),
+            engine: WindowedEngine::new(schema),
             conns: Mutex::new(HashMap::new()),
-            schema,
-            base_rule,
             max_subscriptions: max_subscriptions.max(1),
             started: Instant::now(),
             seed: AtomicU64::new(0x5eed_0006),
@@ -109,30 +89,6 @@ impl SubHub {
 
     fn now_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
-    }
-
-    fn engine(&self) -> Result<Arc<WindowedEngine>, RequestError> {
-        let mut slot = self.engine.lock();
-        if let Some(engine) = &*slot {
-            return Ok(Arc::clone(engine));
-        }
-        let Some(rule) = &self.base_rule else {
-            return Err(RequestError::new(
-                ErrorCode::Unavailable,
-                "match subscriptions require a rule classifier (threshold/weighted \
-                 classifiers have no blocking plan to compile)",
-            ));
-        };
-        let mut rng = StdRng::seed_from_u64(self.seed.fetch_add(1, Ordering::Relaxed));
-        let engine = WindowedEngine::new(
-            self.schema.clone(),
-            LinkageConfig::rule_aware(rule.clone()),
-            &mut rng,
-        )
-        .map_err(|e| RequestError::new(ErrorCode::Linkage, e.to_string()))?;
-        let engine = Arc::new(engine);
-        *slot = Some(Arc::clone(&engine));
-        Ok(engine)
     }
 
     /// Live subscriptions (for tests and the `Unavailable` cap check).
@@ -145,14 +101,7 @@ impl SubHub {
     /// matches mutation order. Never blocks: a full queue drops the event
     /// and marks the subscription lagged.
     pub(crate) fn observe(&self, metrics: &crate::metrics::ServerMetrics, record: &Record) {
-        let engine = {
-            let slot = self.engine.lock();
-            match &*slot {
-                Some(engine) if !self.conns.lock().is_empty() => Arc::clone(engine),
-                _ => return,
-            }
-        };
-        let outcome = match engine.observe(record, self.now_ms()) {
+        let outcome = match self.engine.observe(record, self.now_ms()) {
             Ok(outcome) => outcome,
             // The pipeline already validated the record; an error here is
             // a schema drift bug worth surfacing, not worth failing the
@@ -167,6 +116,9 @@ impl SubHub {
         };
         if outcome.evicted > 0 {
             metrics.window_evictions.add(outcome.evicted);
+        }
+        if outcome.events.is_empty() {
+            return;
         }
         let produced = Instant::now();
         let conns = self.conns.lock();
@@ -193,20 +145,14 @@ impl SubHub {
     /// Forwards an explicit delete so the record stops matching in every
     /// window immediately (not just at eviction).
     pub(crate) fn remove(&self, id: u64) {
-        let engine = self.engine.lock().as_ref().map(Arc::clone);
-        if let Some(engine) = engine {
-            engine.remove(id);
-        }
+        self.engine.remove(id);
     }
 
     /// Cancels a subscription by id from any connection. Dropping the
     /// sender ends the serving loop's stream cleanly.
     pub(crate) fn unsubscribe(&self, sub_id: u64) -> bool {
         let conn = self.conns.lock().remove(&sub_id);
-        let engine = self.engine.lock().as_ref().map(Arc::clone);
-        if let Some(engine) = &engine {
-            engine.unsubscribe(sub_id);
-        }
+        self.engine.unsubscribe(sub_id);
         conn.is_some()
     }
 }
@@ -265,10 +211,7 @@ pub(crate) fn serve_subscribe_matches(
             )
         }
     };
-    let engine = match inner.subs.engine() {
-        Ok(engine) => engine,
-        Err(err) => return refuse(writer, err),
-    };
+    let engine = &inner.subs.engine;
     // Register under the conns lock so two racing subscribes cannot both
     // squeeze past the limit.
     let (sub_id, rx, dropped) = {
@@ -314,7 +257,7 @@ pub(crate) fn serve_subscribe_matches(
         .write_response(&Response::Ok(Reply::Subscribed { sub_id, tables }))
         .is_ok()
     {
-        stream_events(inner, writer, &engine, &rx, &dropped);
+        stream_events(inner, writer, &rx, &dropped);
     }
     drop(guard);
 }
@@ -325,7 +268,6 @@ pub(crate) fn serve_subscribe_matches(
 fn stream_events(
     inner: &Arc<Inner>,
     writer: &mut StreamWriter,
-    engine: &Arc<WindowedEngine>,
     rx: &Receiver<Event>,
     dropped: &AtomicU64,
 ) {
@@ -371,7 +313,7 @@ fn stream_events(
                 }
                 // Idle streams still expire time windows.
                 if last_evict.elapsed() >= HEARTBEAT_EVERY {
-                    let evicted = engine.evict_due(inner.subs.now_ms());
+                    let evicted = inner.subs.engine.evict_due(inner.subs.now_ms());
                     if evicted > 0 {
                         inner.metrics.window_evictions.add(evicted);
                     }

@@ -121,18 +121,33 @@ impl CompiledRule {
         self.cap
     }
 
+    #[cfg(test)]
+    pub(crate) fn plan(&self) -> &BlockingPlan {
+        &self.plan
+    }
+
     /// Indexes record `id`, whose packed row is `row`, into the plan's
     /// tables so later probes can find it.
     pub fn index(&mut self, id: u64, row: &[u64]) {
         self.plan.insert_row(id, row);
     }
 
+    /// Re-keys record `id`, indexed with row `old`, to row `new`.
+    pub fn reindex(&mut self, id: u64, old: &[u64], new: &[u64]) {
+        self.plan.reindex_row(id, old, new);
+    }
+
+    /// Takes record `id`, indexed with row `row`, out of the plan's
+    /// buckets, leaving nothing of it behind.
+    pub fn evict(&mut self, id: u64, row: &[u64]) {
+        self.plan.evict_row(id, row);
+    }
+
     /// Probes the plan with a record's packed row: formulates the
     /// candidate set per the rule's blocking logic, caps it to the `cap`
     /// nearest by total distance, classifies each survivor with the rule,
     /// and returns matched ids in ascending order. Candidates whose row the
-    /// `lookup` cannot resolve (evicted or out-of-window records) are
-    /// skipped — the tombstone discipline.
+    /// `lookup` does not resolve (the probe's own id) are skipped.
     pub fn probe<'s, F>(&self, probe: &[u64], lookup: F, stats: &mut MatchStats) -> Vec<u64>
     where
         F: Fn(u64) -> Option<&'s [u64]>,

@@ -1,33 +1,27 @@
 //! The windowed subscription engine.
 //!
-//! A [`WindowedEngine`] wraps a [`SharedStreamMatcher`]: one shared
-//! record slab and base blocking plan, plus any number of live
-//! subscriptions, each with its own compiled plan ([`CompiledRule`]) and
-//! window ([`WindowState`]). Observing a record:
+//! A [`WindowedEngine`] keeps the rows of the records its live windows
+//! hold in one [`RecordSlab`] and, per subscription, a compiled plan
+//! ([`CompiledRule`]) and a window ([`WindowState`]). Observing a record
+//! embeds it once, then for every subscription applies the late-arrival
+//! policy, probes the subscription's plan, emits a [`SubMatch`] event,
+//! admits the record and evicts whatever the admission pushed out.
 //!
-//! 1. upserts it into the shared matcher (base matches come back, same
-//!    semantics as the plain streaming path);
-//! 2. for every subscription — advances the window (evictions flow through
-//!    the existing tombstone delete path, [`SharedStreamMatcher::remove`],
-//!    once **no** subscription retains the record), applies the
-//!    late-arrival policy, probes the subscription's plan against its
-//!    window, emits a [`SubMatch`] event, and admits the record.
-//!
-//! Retention is the union of the live windows: with zero subscriptions
-//! nothing is retained, so the engine's memory is bounded by the windows
-//! rather than the stream length.
-
-use cbv_hb::error::Result;
-use cbv_hb::matcher::MatchStats;
-use cbv_hb::pipeline::LinkageConfig;
-use cbv_hb::schema::RecordSchema;
-use cbv_hb::{Record, SharedStreamMatcher};
-use parking_lot::Mutex;
-use rand::Rng;
-use std::collections::HashMap;
+//! A subscription's plan holds exactly its window: an id enters it on
+//! admission, is re-keyed when re-admitted, and leaves its buckets
+//! ([`CompiledRule::evict`], no tombstone) when the window evicts or
+//! forgets it. The slab holds the union of the windows: a row leaves it
+//! with the last window holding it. With zero subscriptions nothing is
+//! retained, so memory is bounded by the windows, not the stream length.
 
 use crate::compiler::{CompiledRule, SubscriptionSpec};
 use crate::window::WindowState;
+use cbv_hb::error::Result;
+use cbv_hb::matcher::{MatchStats, RecordSlab};
+use cbv_hb::schema::RecordSchema;
+use cbv_hb::Record;
+use parking_lot::Mutex;
+use rand::Rng;
 
 /// One subscription's matches for one observed record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,13 +37,10 @@ pub struct SubMatch {
 /// What one `observe` call produced.
 #[derive(Debug, Clone, Default)]
 pub struct ObserveOutcome {
-    /// Matches against the engine's base rule (the wrapped matcher's
-    /// normal streaming semantics).
-    pub base_matches: Vec<u64>,
     /// Per-subscription match events (only subscriptions with at least one
     /// match appear).
     pub events: Vec<SubMatch>,
-    /// Records evicted from the shared store by window expiry during this
+    /// Records that left the engine by window expiry during this
     /// observation.
     pub evicted: u64,
     /// Subscriptions that refused the record under their late-arrival
@@ -64,53 +55,71 @@ struct SubEntry {
     stats: MatchStats,
 }
 
-struct Subs {
+impl SubEntry {
+    /// Takes what the window expired at `watermark` out of the plan and
+    /// appends the ids to `gone`.
+    fn expire(&mut self, watermark: u64, slab: &RecordSlab, gone: &mut Vec<u64>) {
+        for id in self.window.evict(watermark) {
+            let row = slab.get(id).expect("a windowed id has a row");
+            self.compiled.evict(id, row);
+            gone.push(id);
+        }
+    }
+}
+
+struct State {
+    /// The row of every id some live window holds.
+    slab: RecordSlab,
+    entries: Vec<SubEntry>,
     next_id: u64,
     /// Monotone admission stamp shared by all windows.
     stamp: u64,
     /// Highest event time observed (drives lateness and time eviction).
     watermark_ms: u64,
-    entries: Vec<SubEntry>,
-    /// How many live windows hold each record; at zero the record leaves
-    /// the shared store through the delete path.
-    retain: HashMap<u64, usize>,
 }
 
-/// The windowed subscription engine. All methods take `&self`; internal
-/// state is a single mutex (subscription bookkeeping) over the shared
-/// matcher's own lock, in that order.
+impl State {
+    fn held(&self, id: u64) -> bool {
+        self.entries.iter().any(|e| e.window.contains(id))
+    }
+
+    /// Takes the rows of the `gone` ids no window holds any more out of the
+    /// slab; returns how many left.
+    fn release(&mut self, gone: impl IntoIterator<Item = u64>) -> u64 {
+        let mut released = 0;
+        for id in gone {
+            if !self.held(id) {
+                released += u64::from(self.slab.remove(id));
+            }
+        }
+        released
+    }
+}
+
+/// The failure budget δ every subscription's plan is compiled for: the
+/// probability of missing a true match per probe.
+const DELTA: f64 = 0.1;
+
+/// The windowed subscription engine. All methods take `&self`; the state
+/// is behind one mutex.
 pub struct WindowedEngine {
-    matcher: SharedStreamMatcher,
-    subs: Mutex<Subs>,
-    delta: f64,
     schema: RecordSchema,
+    state: Mutex<State>,
 }
 
 impl WindowedEngine {
-    /// Builds an engine over a fresh shared matcher. `config.delta` also
-    /// becomes the failure budget for each subscription's compiled plan.
-    ///
-    /// # Errors
-    /// Propagates schema/rule validation and plan compilation errors.
-    pub fn new<R: Rng + ?Sized>(
-        schema: RecordSchema,
-        config: LinkageConfig,
-        rng: &mut R,
-    ) -> Result<Self> {
-        let delta = config.delta;
-        let matcher = SharedStreamMatcher::new(schema.clone(), config, rng)?;
-        Ok(Self {
-            matcher,
-            subs: Mutex::new(Subs {
+    /// An engine with no subscriptions over records of `schema`.
+    pub fn new(schema: RecordSchema) -> Self {
+        Self {
+            state: Mutex::new(State {
+                slab: RecordSlab::new(schema.layout()),
+                entries: Vec::new(),
                 next_id: 1,
                 stamp: 0,
                 watermark_ms: 0,
-                entries: Vec::new(),
-                retain: HashMap::new(),
             }),
-            delta,
             schema,
-        })
+        }
     }
 
     /// Registers a subscription: validates the window, compiles the rule
@@ -120,13 +129,13 @@ impl WindowedEngine {
     /// Propagates window validation and rule compilation errors.
     pub fn subscribe<R: Rng + ?Sized>(&self, spec: SubscriptionSpec, rng: &mut R) -> Result<u64> {
         spec.window.validate()?;
-        // Compile outside the subscription lock: plan construction is the
-        // expensive part and needs no engine state.
-        let compiled = CompiledRule::compile(&self.schema, spec.rule, self.delta, spec.cap, rng)?;
-        let mut subs = self.subs.lock();
-        let id = subs.next_id;
-        subs.next_id += 1;
-        subs.entries.push(SubEntry {
+        // Compile outside the lock: plan construction is the expensive
+        // part and needs no engine state.
+        let compiled = CompiledRule::compile(&self.schema, spec.rule, DELTA, spec.cap, rng)?;
+        let mut state = self.state.lock();
+        let id = state.next_id;
+        state.next_id += 1;
+        state.entries.push(SubEntry {
             id,
             compiled,
             window: WindowState::new(spec.window, spec.late),
@@ -135,178 +144,144 @@ impl WindowedEngine {
         Ok(id)
     }
 
-    /// The schema records are embedded against.
-    pub fn schema(&self) -> &RecordSchema {
-        &self.schema
-    }
-
-    /// Removes a subscription, releasing its window holds. Records no
-    /// other subscription retains are evicted through the delete path.
+    /// Removes a subscription and the records only its window held.
     /// Returns whether the subscription existed.
     pub fn unsubscribe(&self, sub: u64) -> bool {
-        let mut subs = self.subs.lock();
-        let Some(idx) = subs.entries.iter().position(|e| e.id == sub) else {
+        let mut state = self.state.lock();
+        let Some(idx) = state.entries.iter().position(|e| e.id == sub) else {
             return false;
         };
-        let entry = subs.entries.swap_remove(idx);
-        let ids: Vec<u64> = entry.window.live_ids().collect();
-        for id in ids {
-            Self::release(&mut subs.retain, &self.matcher, id);
-        }
+        let entry = state.entries.swap_remove(idx);
+        state.release(entry.window.live_ids());
         true
-    }
-
-    fn release(retain: &mut HashMap<u64, usize>, matcher: &SharedStreamMatcher, id: u64) -> bool {
-        match retain.get_mut(&id) {
-            Some(n) if *n > 1 => {
-                *n -= 1;
-                false
-            }
-            Some(_) => {
-                retain.remove(&id);
-                matcher.remove(id);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Number of live subscriptions.
     pub fn subscriptions(&self) -> usize {
-        self.subs.lock().entries.len()
+        self.state.lock().entries.len()
     }
 
-    /// Records currently retained in the shared store.
+    /// Records currently retained.
     pub fn len(&self) -> usize {
-        self.matcher.len()
+        self.state.lock().slab.len()
     }
 
-    /// True when the shared store holds no records.
+    /// True when no records are retained.
     pub fn is_empty(&self) -> bool {
-        self.matcher.is_empty()
+        self.len() == 0
     }
 
-    /// Accumulated matching counters for a subscription's probes.
-    pub fn sub_stats(&self, sub: u64) -> Option<MatchStats> {
-        self.subs
+    fn entry<T>(&self, sub: u64, f: impl FnOnce(&SubEntry) -> T) -> Option<T> {
+        self.state
             .lock()
             .entries
             .iter()
             .find(|e| e.id == sub)
-            .map(|e| e.stats)
+            .map(f)
+    }
+
+    /// Accumulated matching counters for a subscription's probes.
+    pub fn sub_stats(&self, sub: u64) -> Option<MatchStats> {
+        self.entry(sub, |e| e.stats)
     }
 
     /// Total LSH tables a subscription's compiled plan probes per record
     /// (`Σ L` over the structures its rule requires).
     pub fn sub_tables(&self, sub: u64) -> Option<usize> {
-        self.subs
-            .lock()
-            .entries
-            .iter()
-            .find(|e| e.id == sub)
-            .map(|e| e.compiled.tables())
+        self.entry(sub, |e| e.compiled.tables())
     }
 
-    /// Observes one record with event time `event_ms`: base-matches and
-    /// indexes it (upsert semantics — streams legitimately re-send ids),
-    /// then fans out to every subscription.
+    /// Observes one record with event time `event_ms` and fans it out to
+    /// every subscription. Streams legitimately re-send ids: a record
+    /// replaces the one with its id, which a window that refuses the new
+    /// version stops holding.
     ///
     /// # Errors
     /// Returns [`cbv_hb::Error::FieldCountMismatch`] on malformed records.
     pub fn observe(&self, record: &Record, event_ms: u64) -> Result<ObserveOutcome> {
-        let mut subs = self.subs.lock();
-        let subs = &mut *subs;
-        let row = self.matcher.embed_row(record)?;
-        let base_matches = self.matcher.observe_upsert(record)?;
-        subs.stamp += 1;
-        let stamp = subs.stamp;
-        let prior_watermark = subs.watermark_ms;
-        subs.watermark_ms = prior_watermark.max(event_ms);
-        let watermark = subs.watermark_ms;
-
-        let mut out = ObserveOutcome {
-            base_matches,
-            ..ObserveOutcome::default()
-        };
-        let mut admitted = false;
-        for entry in &mut subs.entries {
+        let mut state = self.state.lock();
+        let state = &mut *state;
+        let mut out = ObserveOutcome::default();
+        if state.entries.is_empty() {
+            return Ok(out);
+        }
+        let mut row = vec![0; self.schema.row_words()];
+        self.schema.embed_row(record, &mut row)?;
+        let id = record.id;
+        state.stamp += 1;
+        let prior_watermark = state.watermark_ms;
+        state.watermark_ms = prior_watermark.max(event_ms);
+        let (stamp, watermark) = (state.stamp, state.watermark_ms);
+        // The slab is read-only until every window has seen the record:
+        // rows leave it afterwards, once no window holds them.
+        let slab = &state.slab;
+        let mut gone = Vec::new();
+        for entry in &mut state.entries {
+            // The row this window indexed `id` with, if it holds `id`.
+            let held = slab.get(id).filter(|_| entry.window.contains(id));
             // Late-arrival policy first: a refused record must not evict.
             if !entry.window.admits(event_ms, prior_watermark) {
                 out.late_drops += 1;
+                if let Some(old) = held {
+                    // What the window held is replaced by what it refuses.
+                    entry.compiled.evict(id, old);
+                    entry.window.forget(id);
+                }
                 continue;
             }
-            // Probe this subscription's plan against its current window.
-            let window = &entry.window;
-            let compiled = &entry.compiled;
-            let matched = self.matcher.with_store(|store| {
-                compiled.probe(
-                    &row,
-                    |id| {
-                        if id != record.id && window.contains(id) {
-                            store.get(id)
-                        } else {
-                            None
-                        }
-                    },
-                    &mut entry.stats,
-                )
-            });
+            let lookup = |c: u64| if c == id { None } else { slab.get(c) };
+            let matched = entry.compiled.probe(&row, lookup, &mut entry.stats);
             if !matched.is_empty() {
                 out.events.push(SubMatch {
                     sub: entry.id,
-                    record_id: record.id,
+                    record_id: id,
                     matched,
                 });
             }
-            // Admit, then evict whatever the admission pushed out.
-            entry.compiled.index(record.id, &row);
-            if entry.window.push(record.id, stamp, event_ms) {
-                *subs.retain.entry(record.id).or_insert(0) += 1;
+            match held {
+                Some(old) => entry.compiled.reindex(id, old, &row),
+                None => entry.compiled.index(id, &row),
             }
-            admitted = true;
-            for id in entry.window.evict(watermark) {
-                if Self::release(&mut subs.retain, &self.matcher, id) {
-                    out.evicted += 1;
-                }
-            }
+            entry.window.push(id, stamp, event_ms);
+            entry.expire(watermark, slab, &mut gone);
         }
-        // Retained by nobody (zero subscriptions, or every policy refused
-        // it): take it straight back out of the shared store.
-        if !admitted && !subs.retain.contains_key(&record.id) {
-            self.matcher.remove(record.id);
+        if state.held(id) {
+            state.slab.insert(id, &row);
+        } else {
+            state.slab.remove(id);
         }
+        out.evicted = state.release(gone);
         Ok(out)
     }
 
     /// Time-based eviction tick: advances the watermark to `now_ms` and
     /// expires time windows, so an idle stream still sheds old records.
-    /// Returns how many records left the shared store.
+    /// Returns how many records left the engine.
     pub fn evict_due(&self, now_ms: u64) -> u64 {
-        let mut subs = self.subs.lock();
-        let subs = &mut *subs;
-        subs.watermark_ms = subs.watermark_ms.max(now_ms);
-        let watermark = subs.watermark_ms;
-        let mut evicted = 0;
-        for entry in &mut subs.entries {
-            for id in entry.window.evict(watermark) {
-                if Self::release(&mut subs.retain, &self.matcher, id) {
-                    evicted += 1;
-                }
-            }
+        let mut state = self.state.lock();
+        let state = &mut *state;
+        state.watermark_ms = state.watermark_ms.max(now_ms);
+        let mut gone = Vec::new();
+        for entry in &mut state.entries {
+            entry.expire(state.watermark_ms, &state.slab, &mut gone);
         }
-        evicted
+        state.release(gone)
     }
 
-    /// Deletes a record everywhere: shared store (tombstone) and every
-    /// subscription window. Returns whether any state changed.
+    /// Deletes a record from every window and plan. Returns whether any
+    /// window held it.
     pub fn remove(&self, id: u64) -> bool {
-        let mut subs = self.subs.lock();
-        let mut any = false;
-        for entry in &mut subs.entries {
-            any |= entry.window.forget(id);
+        let mut state = self.state.lock();
+        let state = &mut *state;
+        let Some(row) = state.slab.get(id) else {
+            return false;
+        };
+        for entry in &mut state.entries {
+            if entry.window.forget(id) {
+                entry.compiled.evict(id, row);
+            }
         }
-        subs.retain.remove(&id);
-        self.matcher.remove(id) || any
+        state.slab.remove(id)
     }
 }
 
@@ -318,6 +293,7 @@ mod tests {
     use cbv_hb::Rule;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::{BTreeSet, HashMap, HashSet};
     use textdist::Alphabet;
 
     fn engine(seed: u64) -> (WindowedEngine, StdRng) {
@@ -330,9 +306,7 @@ mod tests {
             ],
             &mut rng,
         );
-        let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-        let e = WindowedEngine::new(schema, LinkageConfig::rule_aware(rule), &mut rng).unwrap();
-        (e, rng)
+        (WindowedEngine::new(schema), rng)
     }
 
     fn spec(rule: Rule, window: WindowSpec) -> SubscriptionSpec {
@@ -428,6 +402,33 @@ mod tests {
     }
 
     #[test]
+    fn a_time_window_keeps_what_it_admits_at_event_time_zero() {
+        let (e, mut rng) = engine(7);
+        let sub = e
+            .subscribe(spec(Rule::pred(0, 4), WindowSpec::TimeMs(100)), &mut rng)
+            .unwrap();
+        // Admitted at watermark 0, so inside the window (0 - 100, 0].
+        e.observe(&Record::new(1, ["JOHN", "AAA"]), 0).unwrap();
+        assert_eq!(e.len(), 1);
+        // A re-send of the same id at 0 is re-keyed, not a second record.
+        e.observe(&Record::new(1, ["MARY", "AAA"]), 0).unwrap();
+        assert_eq!(e.len(), 1);
+        let out = e.observe(&Record::new(2, ["MARY", "BBB"]), 0).unwrap();
+        assert_eq!(out.events.len(), 1);
+        assert_eq!(
+            (out.events[0].sub, &out.events[0].matched[..]),
+            (sub, &[1][..])
+        );
+        let out = e.observe(&Record::new(3, ["JOHN", "CCC"]), 0).unwrap();
+        assert!(out.events.is_empty(), "the replaced row matched");
+        check_invariants(&e, 0);
+        // The window is (watermark - 100, watermark]: at 100 all of it goes.
+        assert_eq!(e.evict_due(99), 0);
+        assert_eq!(e.evict_due(100), 3);
+        check_invariants(&e, 1);
+    }
+
+    #[test]
     fn upsert_and_remove_flow_through_windows() {
         let (e, mut rng) = engine(5);
         e.subscribe(spec(Rule::pred(0, 4), WindowSpec::Count(10)), &mut rng)
@@ -463,21 +464,185 @@ mod tests {
         assert_eq!(e.subscriptions(), 0);
     }
 
+    /// The engine's invariants after any step: the slab holds exactly the
+    /// union of the live windows, and each subscription's plan holds each
+    /// live id of its window once per table, in the bucket its row keys
+    /// to, and nothing else.
+    fn check_invariants(e: &WindowedEngine, step: usize) {
+        let state = e.state.lock();
+        let slab_ids: BTreeSet<u64> = state.slab.iter().map(|(id, _)| id).collect();
+        let union: BTreeSet<u64> = state
+            .entries
+            .iter()
+            .flat_map(|entry| entry.window.live_ids())
+            .collect();
+        assert_eq!(slab_ids, union, "step {step}: slab ≠ ∪ windows");
+        let mut keys = Vec::new();
+        for entry in &state.entries {
+            let mut want = Vec::new();
+            let mut have = Vec::new();
+            for (s, structure) in entry.compiled.plan().structures().iter().enumerate() {
+                for id in entry.window.live_ids() {
+                    structure.keys_into_row(state.slab.get(id).unwrap(), &mut keys);
+                    want.extend(keys.iter().enumerate().map(|(l, &k)| (s, l, k, id)));
+                }
+                structure.for_each_entry(|l, k, ids| {
+                    have.extend(ids.iter().map(|&id| (s, l, k, id)));
+                });
+                assert_eq!(structure.stats().dead_entries, 0, "step {step}");
+            }
+            want.sort_unstable();
+            have.sort_unstable();
+            assert_eq!(have, want, "step {step}: sub {} plan ≠ window", entry.id);
+        }
+    }
+
+    /// A seeded schedule of observe / remove / evict_due / subscribe /
+    /// unsubscribe over count and time windows under both late-arrival
+    /// policies, with re-sent ids and exact twins, checked after every step.
     #[test]
-    fn base_matches_mirror_plain_streaming() {
-        let (e, mut rng) = engine(7);
-        e.subscribe(
-            spec(
-                Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]),
-                WindowSpec::Count(10),
-            ),
-            &mut rng,
-        )
-        .unwrap();
-        e.observe(&Record::new(1, ["JOHN", "SMITH"]), 0).unwrap();
-        let out = e.observe(&Record::new(2, ["JON", "SMITH"]), 1).unwrap();
-        assert_eq!(out.base_matches, vec![1], "engine base rule fires");
-        assert_eq!(out.events.len(), 1, "subscription fires too");
-        assert!(e.sub_stats(out.events[0].sub).unwrap().matched >= 1);
+    fn model_schedule_keeps_plans_equal_to_windows() {
+        use rand::RngExt;
+        let (e, mut rng) = engine(20);
+        let firsts = ["JOHN", "MARY", "PETER", "LUCY", "MARK", "SARAH"];
+        let lasts = ["SMITH", "JONES", "BROWN", "TAYLOR"];
+        let windows = [
+            WindowSpec::Count(3),
+            WindowSpec::Count(8),
+            WindowSpec::Count(20),
+            WindowSpec::TimeMs(5),
+            WindowSpec::TimeMs(30),
+        ];
+        let rules = [
+            Rule::pred(0, 4),
+            Rule::pred(1, 4),
+            Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]),
+            Rule::or([Rule::pred(0, 2), Rule::pred(1, 2)]),
+            Rule::and([Rule::pred(0, 4), Rule::not(Rule::pred(1, 4))]),
+        ];
+        let mut fields: HashMap<u64, [&str; 2]> = HashMap::new();
+        let mut deleted = HashSet::new();
+        // (id, rule holds at distance 0); one time window sees event time 0.
+        let first = spec(rules[0].clone(), WindowSpec::TimeMs(5));
+        let mut subs = vec![(e.subscribe(first, &mut rng).unwrap(), true)];
+        let mut clock = 0u64;
+        let (mut events, mut twins, mut late) = (0usize, 0usize, 0u64);
+        for step in 0..3000 {
+            match rng.random_range(0..100u32) {
+                0..=69 => {
+                    let id = rng.random_range(0..60u64);
+                    let rec = [
+                        firsts[rng.random_range(0..firsts.len())],
+                        lasts[rng.random_range(0..lasts.len())],
+                    ];
+                    clock += rng.random_range(0..3u64);
+                    let event_ms = if rng.random_range(0..10u32) == 0 {
+                        clock.saturating_sub(rng.random_range(0..40u64))
+                    } else {
+                        clock
+                    };
+                    // Each admitting subscription's window as the probe
+                    // sees it.
+                    let before: HashMap<u64, Vec<u64>> = {
+                        let state = e.state.lock();
+                        state
+                            .entries
+                            .iter()
+                            .filter(|s| s.window.admits(event_ms, state.watermark_ms))
+                            .map(|s| (s.id, s.window.live_ids().filter(|&x| x != id).collect()))
+                            .collect()
+                    };
+                    let out = e.observe(&Record::new(id, rec), event_ms).unwrap();
+                    late += out.late_drops;
+                    for ev in &out.events {
+                        let window = &before[&ev.sub];
+                        for m in &ev.matched {
+                            assert!(window.contains(m), "step {step}: {m} outside the window");
+                            assert!(!deleted.contains(m), "step {step}: deleted {m} matched");
+                        }
+                        assert!(!ev.matched.contains(&id), "step {step}: self-match");
+                    }
+                    for &(sub, zero_holds) in &subs {
+                        let Some(window) = before.get(&sub).filter(|_| zero_holds) else {
+                            continue;
+                        };
+                        let matched = out
+                            .events
+                            .iter()
+                            .find(|ev| ev.sub == sub)
+                            .map_or(&[][..], |ev| &ev.matched[..]);
+                        for x in window.iter().filter(|x| fields[x] == rec) {
+                            assert!(matched.contains(x), "step {step}: twin {x} of {id} missed");
+                            twins += 1;
+                        }
+                    }
+                    events += out.events.len();
+                    fields.insert(id, rec);
+                    deleted.remove(&id);
+                }
+                70..=77 => {
+                    let id = rng.random_range(0..60u64);
+                    e.remove(id);
+                    deleted.insert(id);
+                }
+                78..=84 => {
+                    clock += rng.random_range(0..20u64);
+                    e.evict_due(clock);
+                }
+                85..=92 if subs.len() < 6 => {
+                    let rule = rules[rng.random_range(0..rules.len())].clone();
+                    let zero_holds = rule.evaluate(&[0, 0]);
+                    let mut spec = spec(rule, windows[rng.random_range(0..windows.len())]);
+                    if rng.random_range(0..2u32) == 0 {
+                        spec.late = LateArrival::Drop;
+                    }
+                    subs.push((e.subscribe(spec, &mut rng).unwrap(), zero_holds));
+                }
+                _ if !subs.is_empty() => {
+                    let (sub, _) = subs.swap_remove(rng.random_range(0..subs.len()));
+                    assert!(e.unsubscribe(sub));
+                }
+                _ => {}
+            }
+            check_invariants(&e, step);
+        }
+        // The schedule reached the paths it is meant to cover.
+        assert!(
+            events > 100 && twins > 100 && late > 10,
+            "{events} {twins} {late}"
+        );
+    }
+
+    /// A count window's plan stays at the window's size however long the
+    /// stream runs: evicted ids leave their buckets, not just the slab.
+    #[test]
+    fn a_count_window_plan_does_not_grow_with_the_stream() {
+        let (e, mut rng) = engine(21);
+        let sub = e
+            .subscribe(spec(Rule::pred(0, 4), WindowSpec::Count(8)), &mut rng)
+            .unwrap();
+        let l = e.sub_tables(sub).unwrap();
+        let plan_stats = || {
+            let state = e.state.lock();
+            let stats = state.entries[0].compiled.plan().stats();
+            let entries: usize = stats.iter().map(|s| s.entries).sum();
+            let heap: u64 = stats.iter().map(|s| s.heap_bytes).sum();
+            (entries, heap)
+        };
+        let name = |i: u64| format!("N{:X}", i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40);
+        // Tables and arenas reach their working size a few windows in; from
+        // then on evictions free what admissions take.
+        let mut settled = 0;
+        for i in 0..20_000u64 {
+            e.observe(&Record::new(i, [name(i), name(i + 1)]), i)
+                .unwrap();
+            if i == 4_999 {
+                settled = plan_stats().1;
+            }
+        }
+        assert_eq!(e.len(), 8);
+        let (entries, heap) = plan_stats();
+        assert_eq!(entries, 8 * l);
+        assert_eq!(heap, settled, "plan heap grew with the stream");
     }
 }

@@ -6,9 +6,9 @@
 //! blocking plan that probes only the LSH tables its predicates require
 //! ([`compiler::CompiledRule`]), carries a count- or time-based window with
 //! eviction and a late-arrival policy ([`window`]), and is driven by a
-//! [`engine::WindowedEngine`] that wraps a shared streaming matcher: every
-//! observed record is matched against each live subscription's window and
-//! the matches are surfaced as per-subscription events.
+//! [`engine::WindowedEngine`]: every observed record is embedded once,
+//! matched against each live subscription's window, and the matches are
+//! surfaced as per-subscription events.
 //!
 //! Layering:
 //!
@@ -17,8 +17,8 @@
 //!   bookkeeping.
 //! * [`compiler`] — lowers a rule AST into an executable probing plan with
 //!   top-k candidate capping.
-//! * [`engine`] — fan-out: one shared embedded-record store (tombstone
-//!   eviction through the existing delete path), N subscription plans.
+//! * [`engine`] — fan-out: one record slab holding the union of the live
+//!   windows, N subscription plans each holding exactly its window.
 //!
 //! `rl-server` builds protocol v6 (`SubscribeMatches` / `MatchEvent` /
 //! `Unsubscribe`) on top of this crate; see `docs/STREAMING.md`.

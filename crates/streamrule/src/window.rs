@@ -4,8 +4,8 @@
 //! either the last `n` admitted records ([`WindowSpec::Count`]) or the
 //! records whose event time falls within the trailing `w` milliseconds of
 //! the subscription's watermark ([`WindowSpec::TimeMs`]). Records that
-//! leave the window are *evicted* — removed from the shared store through
-//! the existing tombstone delete path, so they can never match again.
+//! leave the window are *evicted*: the engine takes them out of the
+//! subscription's plan, so they can never match again.
 //!
 //! Late arrivals (event time behind the watermark) are handled per the
 //! subscription's [`LateArrival`] policy: `Drop` refuses them outright,
@@ -62,8 +62,7 @@ pub enum LateArrival {
 /// *live* (matchable) for this subscription, in admission order.
 ///
 /// Re-admitting an id refreshes its stamp; the superseded queue entry is
-/// skipped lazily at eviction time (same tombstone discipline the blocking
-/// buckets use).
+/// skipped lazily at eviction time.
 #[derive(Debug)]
 pub struct WindowState {
     spec: WindowSpec,
@@ -109,11 +108,9 @@ impl WindowState {
     }
 
     /// Admits a record, refreshing the stamp when the id is already live.
-    /// Returns `true` when the id is newly live (the caller owes a
-    /// retain-count increment).
-    pub fn push(&mut self, id: u64, stamp: u64, event_ms: u64) -> bool {
+    pub fn push(&mut self, id: u64, stamp: u64, event_ms: u64) {
         self.entries.push_back((id, stamp, event_ms));
-        self.live.insert(id, stamp).is_none()
+        self.live.insert(id, stamp);
     }
 
     /// True when the id is currently live in this window.
@@ -133,7 +130,8 @@ impl WindowState {
 
     /// Evicts records that have left the window given the current
     /// watermark, returning the ids that stopped being live. Superseded
-    /// entries (a re-admitted id's old stamp) are discarded silently.
+    /// entries (a re-admitted id's old stamp) are discarded silently. A
+    /// record just admitted is never among them.
     pub fn evict(&mut self, watermark_ms: u64) -> Vec<u64> {
         let mut out = Vec::new();
         while let Some(&(id, stamp, event_ms)) = self.entries.front() {
@@ -144,7 +142,11 @@ impl WindowState {
             }
             let expired = match self.spec {
                 WindowSpec::Count(n) => self.live.len() as u64 > n,
-                WindowSpec::TimeMs(w) => event_ms <= watermark_ms.saturating_sub(w),
+                // The window is (watermark - w, watermark]; below `w` it
+                // reaches back to 0, so nothing `admits` took expires here.
+                WindowSpec::TimeMs(w) => watermark_ms
+                    .checked_sub(w)
+                    .is_some_and(|edge| event_ms <= edge),
             };
             if !expired {
                 break;
@@ -202,6 +204,21 @@ mod tests {
     }
 
     #[test]
+    fn what_a_time_window_admits_it_does_not_expire_at_once() {
+        // Before the watermark reaches `w` the window reaches back to 0.
+        let mut w = WindowState::new(WindowSpec::TimeMs(100), LateArrival::ApplyIfInWindow);
+        assert!(w.admits(0, 0));
+        w.push(1, 0, 0);
+        assert_eq!(w.evict(0), Vec::<u64>::new());
+        assert_eq!(w.evict(99), Vec::<u64>::new());
+        assert_eq!(w.evict(100), vec![1]);
+        // A late record admitted inside the span survives the same watermark.
+        assert!(w.admits(101, 150));
+        w.push(2, 1, 101);
+        assert_eq!(w.evict(150), Vec::<u64>::new());
+    }
+
+    #[test]
     fn late_arrival_policies() {
         let drop = WindowState::new(WindowSpec::TimeMs(100), LateArrival::Drop);
         assert!(drop.admits(1000, 900), "in-order is always admitted");
@@ -217,9 +234,10 @@ mod tests {
     #[test]
     fn readmission_refreshes_stamp() {
         let mut w = WindowState::new(WindowSpec::Count(2), LateArrival::Drop);
-        assert!(w.push(1, 0, 0), "first admission is newly live");
-        assert!(w.push(2, 1, 0));
-        assert!(!w.push(1, 2, 0), "re-admission is not newly live");
+        w.push(1, 0, 0);
+        w.push(2, 1, 0);
+        w.push(1, 2, 0);
+        assert_eq!(w.len(), 2, "re-admission is not a second record");
         // id 1 was refreshed, so the count-2 window evicts id 2 first.
         w.push(3, 3, 0);
         assert_eq!(w.evict(0), vec![2]);

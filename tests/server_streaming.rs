@@ -6,11 +6,16 @@
 mod common;
 
 use common::{gauge, pipeline, stop, wait_for};
-use record_linkage::cbv_hb::Record;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use record_linkage::cbv_hb::blocking::BlockingPlan;
+use record_linkage::cbv_hb::matcher::Classifier;
+use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, ShardedPipeline};
 use record_linkage::obs::MetricsSnapshot;
 use record_linkage::server::{
     Client, ClientError, ErrorCode, LateArrival, Server, ServerConfig, WatchEvent, WindowSpec,
 };
+use record_linkage::textdist::Alphabet;
 use std::time::Duration;
 
 fn spawn(seed: u64) -> Server {
@@ -297,4 +302,51 @@ fn wait_returns_only_after_a_live_subscription_stream_has_ended() {
         Err(ClientError::Protocol(msg)) => assert!(msg.contains("closed"), "{msg}"),
         other => panic!("stream thread still alive after wait(): {other:?}"),
     }
+}
+
+/// A subscription compiles its own rule, so a server whose classifier is
+/// not a rule serves subscriptions too.
+#[test]
+fn a_threshold_classifier_server_serves_subscriptions() {
+    let mut rng = StdRng::seed_from_u64(68);
+    let schema = RecordSchema::build(
+        Alphabet::linkage(),
+        vec![
+            AttributeSpec::new("FirstName", 2, 64, false, 5),
+            AttributeSpec::new("LastName", 2, 64, false, 5),
+        ],
+        &mut rng,
+    );
+    let plan = BlockingPlan::record_level(&schema, 8, 10, 0.1, &mut rng).unwrap();
+    let pipeline =
+        ShardedPipeline::from_parts(schema, plan, Classifier::TotalThreshold(8), 2).unwrap();
+    let server = Server::spawn(pipeline, ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let mut sub = Client::connect(addr).unwrap();
+    sub.subscribe_matches(
+        "0<=2",
+        WindowSpec::Count(10),
+        LateArrival::ApplyIfInWindow,
+        0,
+    )
+    .unwrap();
+    let mut producer = Client::connect(addr).unwrap();
+    producer
+        .index(&[Record::new(1, ["JOHNATHAN", "SMITHSON"])])
+        .unwrap();
+    producer
+        .index(&[Record::new(2, ["JOHNATHAN", "SMITHSON"])])
+        .unwrap();
+    match sub.next_watch_event().unwrap() {
+        WatchEvent::Match {
+            record_id, matched, ..
+        } => {
+            assert_eq!(record_id, 2);
+            assert_eq!(matched, vec![1]);
+        }
+        other => panic!("expected a match event, got {other:?}"),
+    }
+
+    stop(server, [sub, producer]);
 }
