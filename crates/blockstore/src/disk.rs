@@ -31,10 +31,12 @@
 //! `needs_rebuild` instead of panicking, and the owner re-indexes from
 //! its record store.
 //!
-//! Mutations never touch the file: inserts land in the delta overlay,
-//! deletes in a tombstone set, and [`MmapStore::compact`] merges
-//! `base + delta − dead` into generation `N+1` (write to a temp file,
-//! fsync, rename), then prunes generations older than `N`.
+//! Mutations never touch the file: inserts land in the delta overlay, and
+//! the first eviction from a sealed bucket copies the bucket's other ids
+//! into the delta as an *override* that hides the sealed copy.
+//! [`MmapStore::compact`] merges `base + delta` into generation `N+1`
+//! (write to a temp file, fsync, rename), then prunes generations older
+//! than `N`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -543,12 +545,12 @@ fn write_generation(
 // ---------------------------------------------------------------------------
 
 /// LSM-lite disk-resident blocking store: an immutable mmap'd base
-/// generation plus an in-memory delta overlay and tombstone set.
+/// generation plus an in-memory delta overlay.
 ///
 /// *Reads* merge the two layers in deterministic order — base ids first
-/// (unless the bucket was scrubbed and rehomed into the delta), then
-/// delta ids — filtered through the tombstones, which is exactly the
-/// id order [`crate::InMemoryStore`] produces for the same history.
+/// (unless an eviction overrode the bucket into the delta), then delta
+/// ids — which is exactly the id order [`crate::InMemoryStore`] produces
+/// for the same history.
 ///
 /// *Serialization* stores the manifest (dir, generation) and the mutable
 /// overlay; the base layer is re-mapped from disk on deserialization.
@@ -561,10 +563,9 @@ pub struct MmapStore {
     num_tables: usize,
     base: Option<Arc<Base>>,
     delta: Vec<Table>,
-    /// Keys whose base bucket was scrubbed into the delta: probes must
+    /// Keys whose base bucket was overridden by the delta: probes must
     /// skip the base layer for these.
     overridden: Vec<WordSet<u128>>,
-    dead: WordSet<u64>,
     dropped: u64,
     needs_rebuild: bool,
 }
@@ -580,7 +581,6 @@ impl MmapStore {
             base: None,
             delta: (0..l).map(|_| Table::default()).collect(),
             overridden: (0..l).map(|_| WordSet::default()).collect(),
-            dead: WordSet::default(),
             dropped: 0,
             needs_rebuild: false,
         }
@@ -611,57 +611,25 @@ impl MmapStore {
         self.overridden[table].contains(&key)
     }
 
-    /// Raw (tombstones included) physical length of a bucket.
-    fn raw_len(&self, table: usize, key: u128) -> usize {
-        let mut n = 0usize;
-        if let Some(base) = &self.base {
-            if !self.base_skipped(table, key) {
-                base.with_bucket_ids(table, key, &mut |_| n += 1);
-            }
-        }
-        n + self.delta[table].get(key).map_or(0, |d| d.len())
+    /// The base layer, unless the delta overrode `key`'s bucket.
+    fn sealed(&self, table: usize, key: u128) -> Option<&Base> {
+        let base = self.base.as_deref()?;
+        (!self.base_skipped(table, key)).then_some(base)
     }
 
-    fn live_and_dead(&self, table: usize, key: u128) -> (usize, usize) {
-        let (mut live, mut dead) = (0usize, 0usize);
-        let mut count = |id: u64| {
-            if self.dead.contains(&id) {
-                dead += 1;
-            } else {
-                live += 1;
+    /// Rewrites `key`'s bucket as delta content, with only the ids `keep`
+    /// accepts, overriding the sealed copy. Left undone — the ids stay,
+    /// an evicted record a stale candidate that the caller's record store
+    /// no longer resolves — when the delta table's arena cannot take the
+    /// bucket.
+    fn override_bucket(&mut self, table: usize, key: u128, keep: impl Fn(u64) -> bool) {
+        let mut ids = Vec::new();
+        self.with_ids(table, key, &mut |id| {
+            if keep(id) {
+                ids.push(id);
             }
-        };
-        if let Some(base) = &self.base {
-            if !self.base_skipped(table, key) {
-                base.with_bucket_ids(table, key, &mut count);
-            }
-        }
-        if let Some(d) = self.delta[table].get(key) {
-            d.iter().for_each(count);
-        }
-        (live, dead)
-    }
-
-    /// Rewrites `key`'s bucket as live-only delta content, without
-    /// `evicted` (the in-place scrub of the disk store). Left undone — the
-    /// tombstones go on filtering, an evicted id stays a stale candidate —
-    /// when the delta table's arena cannot take the bucket.
-    fn scrub_bucket(&mut self, table: usize, key: u128, evicted: Option<u64>) {
-        let mut live = Vec::new();
-        let mut keep = |id: u64| {
-            if Some(id) != evicted && !self.dead.contains(&id) {
-                live.push(id);
-            }
-        };
-        if let Some(base) = &self.base {
-            if !self.base_skipped(table, key) {
-                base.with_bucket_ids(table, key, &mut keep);
-            }
-        }
-        if let Some(d) = self.delta[table].get(key) {
-            d.iter().for_each(keep);
-        }
-        if !self.delta[table].replace(key, &live) {
+        });
+        if !self.delta[table].replace(key, &ids) {
             return;
         }
         if self.base.as_ref().is_some_and(|b| b.has_key(table, key)) {
@@ -669,14 +637,21 @@ impl MmapStore {
         }
     }
 
-    fn live_count(&self, ids: &[u64]) -> usize {
-        ids.iter().filter(|id| !self.dead.contains(id)).count()
+    /// Folds the ids of `key`'s bucket into `f`: sealed ones first, then
+    /// the delta's.
+    fn with_ids(&self, table: usize, key: u128, f: &mut dyn FnMut(u64)) {
+        if let Some(base) = self.sealed(table, key) {
+            base.with_bucket_ids(table, key, f);
+        }
+        if let Some(d) = self.delta[table].get(key) {
+            d.iter().for_each(f);
+        }
     }
 
-    /// Folds every `(table, key, raw ids)` into `f`: a bucket's base ids
-    /// (unless it was scrubbed into the delta), then its delta ids,
-    /// tombstoned ones included. The slice is only valid during the call.
-    fn for_each_raw(&self, f: &mut dyn FnMut(usize, u128, &[u64])) {
+    /// Folds every `(table, key, ids)` into `f`: a bucket's base ids
+    /// (unless the delta overrode it), then its delta ids. The slice is only
+    /// valid during the call.
+    fn for_each_ids(&self, f: &mut dyn FnMut(usize, u128, &[u64])) {
         let mut merged = Vec::new();
         for (t, delta) in self.delta.iter().enumerate() {
             let in_base = |key| {
@@ -713,15 +688,12 @@ impl BlockStorage for MmapStore {
     }
 
     fn insert(&mut self, table: usize, key: u128, id: u64, policy: &BlockPolicy) -> bool {
-        if !self.dead.is_empty() {
-            self.dead.remove(&id);
-        }
-        if policy.max_block_size > 0 && policy.cap_mode == CapMode::Drop {
-            let (live, _) = self.live_and_dead(table, key);
-            if live >= policy.max_block_size {
-                self.dropped += 1;
-                return false;
-            }
+        if policy.max_block_size > 0
+            && policy.cap_mode == CapMode::Drop
+            && self.bucket_len(table, key) >= policy.max_block_size
+        {
+            self.dropped += 1;
+            return false;
         }
         // A delta table whose arena is at its limit refuses like a full
         // bucket.
@@ -732,70 +704,40 @@ impl BlockStorage for MmapStore {
         true
     }
 
-    fn remove(&mut self, table: usize, key: u128, id: u64, policy: &BlockPolicy) {
-        self.dead.insert(id);
-        if policy.compact_dead_ratio <= 0.0 {
-            return;
-        }
-        let raw = self.raw_len(table, key);
-        if raw == 0 {
-            return;
-        }
-        let (_, dead) = self.live_and_dead(table, key);
-        if dead > 0 && (dead as f64) >= policy.compact_dead_ratio * (raw as f64) {
-            self.scrub_bucket(table, key, None);
-        }
-    }
-
+    /// A bucket with no sealed copy leaves the delta in place; the first
+    /// eviction from a sealed one overrides it.
     fn evict(&mut self, table: usize, key: u128, id: u64) {
-        self.scrub_bucket(table, key, Some(id));
+        match self.sealed(table, key) {
+            Some(base) if base.has_key(table, key) => self.override_bucket(table, key, |x| x != id),
+            _ => self.delta[table].evict(key, id),
+        }
     }
 
     fn probe_into(&self, table: usize, key: u128, out: &mut Vec<u64>) {
-        if let Some(base) = &self.base {
-            if !self.base_skipped(table, key) {
-                base.with_bucket_ids(table, key, &mut |id| {
-                    if !self.dead.contains(&id) {
-                        out.push(id);
-                    }
-                });
-            }
+        if let Some(base) = self.sealed(table, key) {
+            base.with_bucket_ids(table, key, &mut |id| out.push(id));
         }
         if let Some(d) = self.delta[table].get(key) {
-            if self.dead.is_empty() {
-                d.extend_into(out);
-            } else {
-                out.extend(d.iter().filter(|id| !self.dead.contains(id)));
-            }
+            d.extend_into(out);
         }
     }
 
     fn bucket_len(&self, table: usize, key: u128) -> usize {
-        self.live_and_dead(table, key).0
+        let mut n = 0;
+        self.with_ids(table, key, &mut |_| n += 1);
+        n
     }
 
     fn for_each_bucket(&self, f: &mut dyn FnMut(usize, usize)) {
-        self.for_each_raw(&mut |t, _, ids| {
-            let live = self.live_count(ids);
-            if live > 0 {
-                f(t, live);
-            }
-        });
+        self.for_each_ids(&mut |t, _, ids| f(t, ids.len()));
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(usize, u128, &[u64])) {
-        let mut live = Vec::new();
-        self.for_each_raw(&mut |t, key, ids| {
-            live.clear();
-            live.extend(ids.iter().filter(|id| !self.dead.contains(id)));
-            if !live.is_empty() {
-                f(t, key, &live);
-            }
-        });
+        self.for_each_ids(f);
     }
 
     fn compact(&mut self, policy: &BlockPolicy) -> Result<(), StoreError> {
-        // Merge base + delta − dead into key-sorted tables.
+        // Merge base + delta into key-sorted tables.
         let mut merged: Vec<BTreeMap<u128, Vec<u64>>> =
             (0..self.num_tables).map(|_| BTreeMap::new()).collect();
         self.for_each_entry(&mut |t, key, live| {
@@ -819,7 +761,6 @@ impl BlockStorage for MmapStore {
         self.generation = next;
         self.delta.iter_mut().for_each(Table::clear);
         self.overridden.iter_mut().for_each(WordSet::clear);
-        self.dead.clear();
         self.needs_rebuild = false;
 
         // Prune generations older than the previous one (keep N and N−1
@@ -839,11 +780,7 @@ impl BlockStorage for MmapStore {
             on_disk_bytes: self.base.as_ref().map_or(0, |b| b.bytes_len),
             ..StoreStats::default()
         };
-        self.for_each_raw(&mut |_, _, ids| {
-            let live = self.live_count(ids);
-            stats.dead_entries += (ids.len() - live) as u64;
-            stats.record_bucket(live);
-        });
+        self.for_each_ids(&mut |_, _, ids| stats.record_bucket(ids.len()));
         stats
     }
 
@@ -853,7 +790,7 @@ impl BlockStorage for MmapStore {
             .iter()
             .map(|keys| hash_heap_bytes(keys.capacity(), 16))
             .sum();
-        tables_heap_bytes(&self.delta, &self.dead)
+        tables_heap_bytes(&self.delta)
             + (std::mem::size_of_val(&self.overridden[..]) + overridden) as u64
     }
 
@@ -862,7 +799,6 @@ impl BlockStorage for MmapStore {
         self.generation = 0;
         self.delta.iter_mut().for_each(Table::clear);
         self.overridden.iter_mut().for_each(WordSet::clear);
-        self.dead.clear();
         self.dropped = 0;
         self.needs_rebuild = false;
     }
@@ -872,13 +808,26 @@ impl BlockStorage for MmapStore {
 // Serde: manifest + overlay; the base is re-mapped on load
 // ---------------------------------------------------------------------------
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct MmapRepr {
     dir: String,
     generation: u64,
     num_tables: usize,
     delta: Vec<Table>,
     overridden: Vec<Vec<u128>>,
+    dropped: u64,
+}
+
+/// [`MmapRepr`] as builds with tombstone deletes also wrote it: its `dead`
+/// ids leave every bucket once, at load.
+#[derive(Deserialize)]
+struct MmapDoc {
+    dir: String,
+    generation: u64,
+    num_tables: usize,
+    delta: Vec<Table>,
+    overridden: Vec<Vec<u128>>,
+    #[serde(default)]
     dead: Vec<u64>,
     dropped: u64,
 }
@@ -893,15 +842,12 @@ impl Serialize for MmapStore {
         for v in &mut overridden {
             v.sort_unstable();
         }
-        let mut dead: Vec<u64> = self.dead.iter().copied().collect();
-        dead.sort_unstable();
         let repr = MmapRepr {
             dir: self.dir.to_string_lossy().into_owned(),
             generation: self.generation,
             num_tables: self.num_tables,
             delta: self.delta.clone(),
             overridden,
-            dead,
             dropped: self.dropped,
         };
         repr.serialize(serializer)
@@ -910,7 +856,7 @@ impl Serialize for MmapStore {
 
 impl<'de> Deserialize<'de> for MmapStore {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let repr = MmapRepr::deserialize(deserializer)?;
+        let repr = MmapDoc::deserialize(deserializer)?;
         let dir = PathBuf::from(repr.dir);
         let l = repr.num_tables;
         let mut store = MmapStore::new(dir, l);
@@ -923,7 +869,6 @@ impl<'de> Deserialize<'de> for MmapStore {
                 .map(|v| v.into_iter().collect())
                 .collect();
         }
-        store.dead = repr.dead.into_iter().collect();
         if repr.generation > 0 {
             match Base::open(&gen_path(&store.dir, repr.generation), l, repr.generation) {
                 Ok(base) => {
@@ -935,7 +880,20 @@ impl<'de> Deserialize<'de> for MmapStore {
                     // rebuild request instead of serving a partial index.
                     store.clear();
                     store.needs_rebuild = true;
+                    return Ok(store);
                 }
+            }
+        }
+        if !repr.dead.is_empty() {
+            let dead: WordSet<u64> = repr.dead.into_iter().collect();
+            let mut hit = Vec::new();
+            store.for_each_ids(&mut |t, key, ids| {
+                if ids.iter().any(|id| dead.contains(id)) {
+                    hit.push((t, key));
+                }
+            });
+            for (t, key) in hit {
+                store.override_bucket(t, key, |id| !dead.contains(&id));
             }
         }
         Ok(store)
@@ -999,8 +957,8 @@ mod tests {
         }
         s.compact(&p).unwrap();
         s.insert(0, 5, 64, &p);
-        // One id of 65 leaves table 0's bucket: far under the dead ratio
-        // that a tombstone's lazy scrub waits for, and no tombstone is set.
+        // Two of 65 ids leave table 0's bucket: the first overrides the
+        // sealed copy, the second leaves the override.
         s.evict(0, 5, 7);
         s.evict(0, 5, 64);
         let probe = |s: &MmapStore, table, key| {
@@ -1011,7 +969,6 @@ mod tests {
         let rest: Vec<u64> = (0..64).filter(|&id| id != 7).collect();
         assert_eq!(probe(&s, 0, 5), rest);
         assert_eq!(probe(&s, 1, 6), (0..64).collect::<Vec<u64>>());
-        assert!(s.dead.is_empty());
         assert_eq!(s.stats().entries, 63 + 64);
         // The id re-enters elsewhere in the same table and is found there.
         s.insert(0, 9, 7, &p);
@@ -1044,30 +1001,6 @@ mod tests {
         // The file holds ceil(50/8) = 7 chunks for the one key.
         let base = s.base.as_ref().unwrap();
         assert_eq!(base.dirs[0].1, 7);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tombstones_survive_compaction() {
-        let dir = tmp_dir("dead");
-        let p = BlockPolicy {
-            compact_dead_ratio: 0.0,
-            ..BlockPolicy::default()
-        };
-        let mut s = MmapStore::new(dir.clone(), 1);
-        for id in 0..10u64 {
-            s.insert(0, 1, id, &p);
-        }
-        s.compact(&p).unwrap();
-        s.remove(0, 1, 3, &p);
-        s.remove(0, 1, 7, &p);
-        assert_eq!(s.bucket_len(0, 1), 8);
-        s.compact(&p).unwrap();
-        assert_eq!(s.generation(), 2);
-        assert!(s.dead.is_empty());
-        let mut out = Vec::new();
-        s.probe_into(0, 1, &mut out);
-        assert_eq!(out, vec![0, 1, 2, 4, 5, 6, 8, 9]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1113,10 +1046,7 @@ mod tests {
     #[test]
     fn serde_roundtrip_preserves_overlay() {
         let dir = tmp_dir("overlay");
-        let p = BlockPolicy {
-            compact_dead_ratio: 0.0,
-            ..BlockPolicy::default()
-        };
+        let p = BlockPolicy::default();
         let mut s = MmapStore::new(dir.clone(), 2);
         for id in 0..20u64 {
             s.insert(0, 4, id, &p);
@@ -1124,7 +1054,7 @@ mod tests {
         s.compact(&p).unwrap();
         s.insert(0, 4, 100, &p);
         s.insert(1, 8, 101, &p);
-        s.remove(0, 4, 5, &p);
+        s.evict(0, 4, 5);
         let value = serde::to_value(&s).unwrap();
         let restored: MmapStore = serde::from_value(value).unwrap();
         assert!(!restored.needs_rebuild());

@@ -11,9 +11,13 @@
 //! * [`MmapStore`] — an LSM-lite, disk-resident store: an immutable,
 //!   memory-mapped *generation file* (CRC-framed via `rl-wire`, with a
 //!   binary-searched on-disk bucket directory per table) plus a small
-//!   in-memory delta overlay for appends and a tombstone set for deletes.
-//!   [`MmapStore::compact`] merges base + delta − dead into the next
-//!   generation file; until then probes read both layers.
+//!   in-memory delta overlay. [`MmapStore::compact`] merges base + delta
+//!   into the next generation file; until then probes read both layers.
+//!
+//! A bucket holds ids and nothing else. An id leaves a store one bucket at a
+//! time, through [`BlockStorage::evict`]: the caller recomputes the id's key
+//! in each table from the row it was indexed with, so a deleted id leaves
+//! nothing behind and a re-indexed one brings nothing back.
 //!
 //! Every mutable table — the memory store's `L` and the mmap store's
 //! delta — is one layout, `table::Table`: a hash directory of 32-byte
@@ -43,16 +47,11 @@
 //!   stops collecting candidates once `k` distinct ids are gathered, in
 //!   deterministic table/insertion order, so a hot key cannot blow up a
 //!   request. Callers surface the truncation as a typed note.
-//! * **Lazy tombstone compaction**
-//!   ([`BlockPolicy::compact_dead_ratio`]): deletes only tombstone the
-//!   id; a bucket is scrubbed in place when its dead fraction crosses the
-//!   threshold, so long-running mutable servers do not degrade.
 //!
-//! The directories and the tombstone sets hash under one process-keyed word
-//! hasher ([`hash`]).
+//! The directories hash under one process-keyed word hasher ([`hash`]).
 //!
 //! The two implementations are *candidate-set equivalent*: the same
-//! insert/remove/probe sequence yields byte-identical id streams (a
+//! insert/evict/probe sequence yields byte-identical id streams (a
 //! property-tested invariant), so a serving pipeline can switch stores
 //! without changing match results.
 
@@ -100,10 +99,6 @@ pub struct BlockPolicy {
     /// Distinct candidates a single probe may collect across all `L`
     /// tables (0 = unbounded).
     pub probe_top_k: usize,
-    /// Scrub a bucket when `dead_ids / bucket_len` reaches this ratio
-    /// (0.0 disables lazy compaction; dead ids then linger until a full
-    /// [`BlockStorage::compact`]).
-    pub compact_dead_ratio: f64,
 }
 
 impl Default for BlockPolicy {
@@ -112,7 +107,6 @@ impl Default for BlockPolicy {
             max_block_size: 0,
             cap_mode: CapMode::Chain,
             probe_top_k: 0,
-            compact_dead_ratio: 0.3,
         }
     }
 }
@@ -144,7 +138,7 @@ impl std::fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// Log₂-binned bucket-size histogram width: bin `i` counts buckets of
-/// `2^i ..= 2^(i+1) − 1` live ids. 32 bins cover any `u64` count.
+/// `2^i ..= 2^(i+1) − 1` ids. 32 bins cover any `u64` count.
 pub const HISTOGRAM_BINS: usize = 32;
 
 /// Which implementation backs a [`TableSet`].
@@ -168,16 +162,14 @@ impl std::fmt::Display for StoreKind {
 /// Occupancy diagnostics of one store (all `L` tables together).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
-    /// Buckets holding at least one live id.
+    /// Non-empty buckets.
     pub buckets: usize,
-    /// Live stored ids.
+    /// Stored ids.
     pub entries: u64,
-    /// Largest live bucket.
+    /// Largest bucket.
     pub max_bucket: usize,
-    /// Log₂-binned live bucket sizes (see [`HISTOGRAM_BINS`]).
+    /// Log₂-binned bucket sizes (see [`HISTOGRAM_BINS`]).
     pub size_histogram: Vec<u64>,
-    /// Stale slots: tombstoned ids still occupying bucket entries.
-    pub dead_entries: u64,
     /// Inserts discarded by [`CapMode::Drop`], or refused at a table's
     /// arena limit, since the store was built.
     pub dropped: u64,
@@ -186,25 +178,24 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    pub(crate) fn record_bucket(&mut self, live: usize) {
-        if live == 0 {
+    pub(crate) fn record_bucket(&mut self, len: usize) {
+        if len == 0 {
             return;
         }
         self.buckets += 1;
-        self.entries += live as u64;
-        self.max_bucket = self.max_bucket.max(live);
-        let bin = (usize::BITS - 1 - live.leading_zeros()) as usize;
+        self.entries += len as u64;
+        self.max_bucket = self.max_bucket.max(len);
+        let bin = (usize::BITS - 1 - len.leading_zeros()) as usize;
         self.size_histogram[bin.min(HISTOGRAM_BINS - 1)] += 1;
     }
 }
 
 /// `L` blocking tables addressable by `(table, key)`, with policy-driven
-/// capping, bounded probes, and tombstone deletes.
+/// capping and bounded probes.
 ///
 /// Implementations must produce **identical probe id sequences** for the
-/// same operation history — candidates stream in table-insertion order,
-/// dead ids filtered — so stores are interchangeable under a serving
-/// pipeline.
+/// same operation history — candidates stream in table-insertion order —
+/// so stores are interchangeable under a serving pipeline.
 pub trait BlockStorage {
     /// Number of tables `L`.
     fn num_tables(&self) -> usize;
@@ -212,46 +203,40 @@ pub trait BlockStorage {
     /// Inserts `id` into table `table`'s bucket for `key`. Returns
     /// `false` when the policy's [`CapMode::Drop`] discarded the insert, or
     /// the table is at its 2³²-id arena limit; both count in
-    /// [`StoreStats::dropped`]. Re-inserting a tombstoned id revives it.
+    /// [`StoreStats::dropped`].
     fn insert(&mut self, table: usize, key: u128, id: u64, policy: &BlockPolicy) -> bool;
 
-    /// Tombstones `id` (globally — a deleted record leaves every bucket
-    /// at once) and lazily scrubs the addressed bucket when its dead
-    /// ratio crosses `policy.compact_dead_ratio`.
-    fn remove(&mut self, table: usize, key: u128, id: u64, policy: &BlockPolicy);
-
-    /// Takes `id` out of the addressed bucket itself: no tombstone, no
-    /// other bucket touched. For a record that stays but whose key in this
-    /// table changed — a tombstone is id-wide and would hide the record's
-    /// new entry with the old one.
+    /// Takes `id` out of the addressed bucket; no other bucket is touched.
+    /// The only way an id leaves a store: a deleted record leaves each of
+    /// its `L` buckets, a re-keyed one the buckets whose key changed.
     fn evict(&mut self, table: usize, key: u128, id: u64);
 
-    /// Appends the live ids of the addressed bucket to `out`, in
-    /// insertion order.
+    /// Appends the ids of the addressed bucket to `out`, in insertion
+    /// order.
     fn probe_into(&self, table: usize, key: u128, out: &mut Vec<u64>);
 
-    /// Live ids in the addressed bucket.
+    /// Ids in the addressed bucket.
     fn bucket_len(&self, table: usize, key: u128) -> usize;
 
-    /// Folds every live `(table, bucket_len)` into `f` (diagnostics).
+    /// Folds every non-empty `(table, bucket_len)` into `f` (diagnostics).
     fn for_each_bucket(&self, f: &mut dyn FnMut(usize, usize));
 
-    /// Folds every live `(table, key, live_ids)` into `f`, ids in
-    /// insertion order (fingerprinting, exhaustive exports). Bucket
-    /// visit order within a table is unspecified.
+    /// Folds every non-empty `(table, key, ids)` into `f`, ids in insertion
+    /// order (fingerprinting, exhaustive exports). Bucket visit order
+    /// within a table is unspecified.
     fn for_each_entry(&self, f: &mut dyn FnMut(usize, u128, &[u64]));
 
-    /// Merges delta + base − dead into a fresh representation: memory
-    /// stores scrub in place; the mmap store writes the next generation
-    /// file and remaps.
+    /// Merges delta + base into a fresh representation: the mmap store
+    /// writes the next generation file and remaps; the memory store has
+    /// nothing to merge.
     fn compact(&mut self, policy: &BlockPolicy) -> Result<(), StoreError>;
 
-    /// Occupancy diagnostics over live entries.
+    /// Occupancy diagnostics.
     fn stats(&self) -> StoreStats;
 
-    /// Heap bytes the store holds — directories, arenas, free lists and
-    /// tombstones (for the mmap store: of its delta overlay) — computed
-    /// from capacities without walking the entries.
+    /// Heap bytes the store holds — directories, arenas and free lists
+    /// (for the mmap store: of its delta overlay) — computed from
+    /// capacities without walking the entries.
     fn heap_bytes(&self) -> u64;
 
     /// Drops all data (tables keep their count/location) — the first step
@@ -300,7 +285,7 @@ impl TableSet {
         &self.policy
     }
 
-    /// Replaces the policy (cap / top-k / compaction knobs).
+    /// Replaces the policy (cap / top-k knobs).
     pub fn set_policy(&mut self, policy: BlockPolicy) {
         self.policy = policy;
     }
@@ -400,40 +385,34 @@ impl TableSet {
         self.store_mut().insert(table, key, id, &policy)
     }
 
-    /// Tombstones `id` and lazily scrubs the addressed bucket.
-    pub fn remove(&mut self, table: usize, key: u128, id: u64) {
-        let policy = self.policy;
-        self.store_mut().remove(table, key, id, &policy);
-    }
-
     /// Takes `id` out of the addressed bucket. See
     /// [`BlockStorage::evict`].
     pub fn evict(&mut self, table: usize, key: u128, id: u64) {
         self.store_mut().evict(table, key, id);
     }
 
-    /// Appends the bucket's live ids to `out`, in insertion order.
+    /// Appends the bucket's ids to `out`, in insertion order.
     pub fn probe_into(&self, table: usize, key: u128, out: &mut Vec<u64>) {
         self.store().probe_into(table, key, out);
     }
 
-    /// Live ids in the addressed bucket.
+    /// Ids in the addressed bucket.
     pub fn bucket_len(&self, table: usize, key: u128) -> usize {
         self.store().bucket_len(table, key)
     }
 
-    /// Folds every live `(table, bucket_len)` into `f`.
+    /// Folds every non-empty `(table, bucket_len)` into `f`.
     pub fn for_each_bucket(&self, mut f: impl FnMut(usize, usize)) {
         self.store().for_each_bucket(&mut f);
     }
 
-    /// Folds every live `(table, key, live_ids)` into `f`, ids in
+    /// Folds every non-empty `(table, key, ids)` into `f`, ids in
     /// insertion order.
     pub fn for_each_entry(&self, mut f: impl FnMut(usize, u128, &[u64])) {
         self.store().for_each_entry(&mut f);
     }
 
-    /// Compacts (scrub / next generation file). See
+    /// Compacts (the next generation file of an mmap store). See
     /// [`BlockStorage::compact`].
     ///
     /// # Errors
@@ -469,7 +448,6 @@ mod tests {
         assert_eq!(p.max_block_size, 0);
         assert_eq!(p.cap_mode, CapMode::Chain);
         assert_eq!(p.probe_top_k, 0);
-        assert!(p.compact_dead_ratio > 0.0);
     }
 
     #[test]
@@ -482,8 +460,8 @@ mod tests {
         let mut out = Vec::new();
         t.probe_into(0, 7, &mut out);
         assert_eq!(out, vec![1, 2]);
-        t.remove(0, 7, 1);
-        t.remove(1, 9, 1);
+        t.evict(0, 7, 1);
+        t.evict(1, 9, 1);
         out.clear();
         t.probe_into(0, 7, &mut out);
         assert_eq!(out, vec![2]);

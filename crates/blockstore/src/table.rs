@@ -35,7 +35,7 @@ use std::hash::{Hash, Hasher};
 
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 
-use crate::hash::{hash_heap_bytes, WordMap, WordSet};
+use crate::hash::{hash_heap_bytes, WordMap};
 
 /// A blocking key as two words: 8-aligned, so `(Key, Slot)` packs into 32
 /// bytes where `(u128, _)` would round up to 48.
@@ -245,11 +245,9 @@ impl<'a> Bucket<'a> {
     }
 }
 
-/// Heap bytes of a store's `L` tables and its tombstone set.
-pub(crate) fn tables_heap_bytes(tables: &[Table], dead: &WordSet<u64>) -> u64 {
-    let tables =
-        std::mem::size_of_val(tables) + tables.iter().map(Table::heap_bytes).sum::<usize>();
-    (tables + hash_heap_bytes(dead.capacity(), 8)) as u64
+/// Heap bytes of a store's `L` tables.
+pub(crate) fn tables_heap_bytes(tables: &[Table]) -> u64 {
+    (std::mem::size_of_val(tables) + tables.iter().map(Table::heap_bytes).sum::<usize>()) as u64
 }
 
 /// One blocking table. See the module documentation.

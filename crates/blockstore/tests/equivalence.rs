@@ -1,10 +1,12 @@
 //! The load-bearing blockstore property: for any interleaving of
-//! inserts, tombstone deletes, compactions, and probes — under any
-//! cap/scrub policy — [`MmapStore`] and [`InMemoryStore`] produce
-//! **identical id sequences** for every probe. This is what lets a
-//! serving pipeline switch `--block-store` without changing match
-//! results.
+//! inserts, evictions, compactions, and probes — under any cap policy —
+//! [`MmapStore`] and [`InMemoryStore`] produce **identical id sequences**
+//! for every probe. This is what lets a serving pipeline switch
+//! `--block-store` without changing match results. After every step both
+//! stores hold exactly what a `(table, key) → ids` model holds, so an
+//! evicted id leaves nothing behind.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -24,14 +26,14 @@ fn tmp_dir() -> PathBuf {
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Insert { table: usize, key: u128, id: u64 },
-    Remove { table: usize, key: u128, id: u64 },
+    Evict { table: usize, key: u128, id: u64 },
     Probe { table: usize, key: u128 },
     Compact,
 }
 
 const TABLES: usize = 3;
 /// Small key/id spaces force collisions, shared buckets, and re-inserts
-/// of tombstoned ids — the interesting paths.
+/// of evicted ids — the interesting paths.
 const KEYS: u64 = 8;
 const IDS: u64 = 24;
 
@@ -41,16 +43,28 @@ fn decode(kind: u8, seed: u64) -> Op {
     let id = (seed / 3) % IDS;
     match kind % 10 {
         0..=4 => Op::Insert { table, key, id },
-        5..=6 => Op::Remove { table, key, id },
+        5..=6 => Op::Evict { table, key, id },
         7..=8 => Op::Probe { table, key },
         _ => Op::Compact,
     }
+}
+
+/// What the stores must hold: each bucket's ids in insertion order.
+type Model = BTreeMap<(usize, u128), Vec<u64>>;
+
+fn contents(store: &dyn BlockStorage) -> Model {
+    let mut held = Model::new();
+    store.for_each_entry(&mut |table, key, ids| {
+        held.insert((table, key), ids.to_vec());
+    });
+    held
 }
 
 fn run_equivalence(ops: &[(u8, u64)], policy: BlockPolicy) {
     let dir = tmp_dir();
     let mut mem = InMemoryStore::new(TABLES);
     let mut disk = MmapStore::new(dir.clone(), TABLES);
+    let mut model = Model::new();
 
     for (step, &(kind, seed)) in ops.iter().enumerate() {
         match decode(kind, seed) {
@@ -58,10 +72,21 @@ fn run_equivalence(ops: &[(u8, u64)], policy: BlockPolicy) {
                 let a = mem.insert(table, key, id, &policy);
                 let b = disk.insert(table, key, id, &policy);
                 assert_eq!(a, b, "insert outcome diverged at step {step}");
+                let bucket = model.entry((table, key)).or_default();
+                let full = policy.cap_mode == CapMode::Drop
+                    && policy.max_block_size > 0
+                    && bucket.len() >= policy.max_block_size;
+                assert_eq!(a, !full, "insert outcome at step {step}");
+                if a {
+                    bucket.push(id);
+                }
             }
-            Op::Remove { table, key, id } => {
-                mem.remove(table, key, id, &policy);
-                disk.remove(table, key, id, &policy);
+            Op::Evict { table, key, id } => {
+                mem.evict(table, key, id);
+                disk.evict(table, key, id);
+                if let Some(bucket) = model.get_mut(&(table, key)) {
+                    bucket.retain(|&x| x != id);
+                }
             }
             Op::Probe { table, key } => {
                 let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -79,6 +104,9 @@ fn run_equivalence(ops: &[(u8, u64)], policy: BlockPolicy) {
                 disk.compact(&policy).unwrap();
             }
         }
+        model.retain(|_, ids| !ids.is_empty());
+        assert_eq!(contents(&mem), model, "memory store at step {step}");
+        assert_eq!(contents(&disk), model, "mmap store at step {step}");
     }
 
     // Exhaustive final sweep: every (table, key) bucket, plus aggregate
@@ -125,7 +153,7 @@ proptest! {
     }
 
     #[test]
-    fn stores_agree_with_drop_cap_and_eager_scrub(
+    fn stores_agree_with_drop_cap(
         ops in proptest::collection::vec((0u8..=255, 0u64..u64::MAX), 1..200),
         cap in 1usize..6,
     ) {
@@ -133,12 +161,11 @@ proptest! {
             max_block_size: cap,
             cap_mode: CapMode::Drop,
             probe_top_k: 0,
-            compact_dead_ratio: 0.25,
         });
     }
 
     #[test]
-    fn stores_agree_with_chain_cap_no_scrub(
+    fn stores_agree_with_chain_cap(
         ops in proptest::collection::vec((0u8..=255, 0u64..u64::MAX), 1..200),
         cap in 1usize..6,
     ) {
@@ -146,7 +173,6 @@ proptest! {
             max_block_size: cap,
             cap_mode: CapMode::Chain,
             probe_top_k: 0,
-            compact_dead_ratio: 0.0,
         });
     }
 }

@@ -490,7 +490,6 @@ impl BlockingStructure {
             max_block_size: cfg.max_block_size,
             cap_mode: cfg.cap_mode.into(),
             probe_top_k: cfg.probe_top_k,
-            compact_dead_ratio: cfg.compact_dead_ratio,
         };
         if self.backend_kind() == BackendKind::Covering {
             policy.probe_top_k = 0;
@@ -535,8 +534,8 @@ impl BlockingStructure {
         self.store.clear();
     }
 
-    /// Compacts the underlying store: scrubs tombstones in memory, or
-    /// merges the delta overlay into the next on-disk generation.
+    /// Compacts the underlying store: merges a disk store's delta overlay
+    /// into the next on-disk generation (a memory store has nothing to do).
     pub fn compact_store(&mut self) -> Result<()> {
         self.store
             .compact()
@@ -626,21 +625,10 @@ impl BlockingStructure {
         self.keys.scratch = keys;
     }
 
-    /// Removes record `id` from every table (tombstone + lazy per-bucket
-    /// scrub): the keys are recomputed from `row`, the row it was inserted
-    /// with, so the exact buckets it occupies are the ones scrub-checked.
-    pub fn remove_row(&mut self, id: u64, row: &[u64]) {
-        let mut keys = std::mem::take(&mut self.keys.scratch);
-        self.keys_into_row(row, &mut keys);
-        for (l, &key) in keys.iter().enumerate() {
-            self.store.remove(l, key, id);
-        }
-        self.keys.scratch = keys;
-    }
-
     /// Takes record `id`, inserted with row `row`, out of its bucket in
-    /// every table (`BlockStorage::evict`): no tombstone, so nothing of the
-    /// id stays behind and a later insert of it revives nothing.
+    /// every table (`BlockStorage::evict`): the keys are recomputed from
+    /// `row`, so nothing of the id stays behind and a later insert of it
+    /// brings nothing back.
     pub fn evict_row(&mut self, id: u64, row: &[u64]) {
         let mut keys = std::mem::take(&mut self.keys.scratch);
         self.keys_into_row(row, &mut keys);
@@ -651,10 +639,9 @@ impl BlockingStructure {
     }
 
     /// Re-keys record `id` from row `old` to row `new`: in a table where
-    /// the key changed the id leaves the old bucket itself
-    /// (`BlockStorage::evict` — a tombstone is id-wide, and the new entry
-    /// would revive the old) and enters the new one; where it did not,
-    /// nothing is touched. Each table holds the id once afterwards.
+    /// the key changed the id leaves the old bucket (`BlockStorage::evict`)
+    /// and enters the new one; where it did not, nothing is touched. Each
+    /// table holds the id once afterwards.
     pub fn reindex_row(&mut self, id: u64, old: &[u64], new: &[u64]) {
         let mut keys = std::mem::take(&mut self.keys.scratch);
         let mut old_keys = Vec::new();
@@ -672,11 +659,6 @@ impl BlockingStructure {
     /// [`Self::insert_row`] for an unpacked record.
     pub fn insert(&mut self, rec: &EmbeddedRecord) {
         self.insert_row(rec.id, self.packed(rec).as_ref());
-    }
-
-    /// [`Self::remove_row`] for an unpacked record.
-    pub fn remove(&mut self, rec: &EmbeddedRecord) {
-        self.remove_row(rec.id, self.packed(rec).as_ref());
     }
 
     /// Ids co-blocked with `rec` in table `l` (the bucket `rec` maps to).
@@ -837,7 +819,6 @@ impl BlockingStructure {
             max_bucket: s.max_bucket,
             store: self.store.kind().to_string(),
             size_histogram: s.size_histogram,
-            dead_entries: s.dead_entries,
             dropped: s.dropped,
             on_disk_bytes: s.on_disk_bytes,
             heap_bytes: self.store.heap_bytes(),
@@ -871,18 +852,14 @@ pub struct StructureStats {
     /// `2^i ..= 2^(i+1) − 1` ids (see [`StructureStats::p99_bucket`]).
     #[serde(default)]
     pub size_histogram: Vec<u64>,
-    /// Tombstoned ids still occupying bucket slots (awaiting lazy scrub
-    /// or compaction).
-    #[serde(default)]
-    pub dead_entries: u64,
     /// Inserts discarded by a `drop`-mode block cap.
     #[serde(default)]
     pub dropped: u64,
     /// Bytes of the store's on-disk generation file (0 for memory).
     #[serde(default)]
     pub on_disk_bytes: u64,
-    /// Heap bytes the store's tables hold: directories, id arenas, free
-    /// lists and tombstones (for an mmap store, of its delta overlay).
+    /// Heap bytes the store's tables hold: directories, id arenas and free
+    /// lists (for an mmap store, of its delta overlay).
     #[serde(default)]
     pub heap_bytes: u64,
 }
@@ -902,7 +879,6 @@ impl StructureStats {
         for (i, c) in other.size_histogram.iter().enumerate() {
             self.size_histogram[i] += c;
         }
-        self.dead_entries += other.dead_entries;
         self.dropped += other.dropped;
         self.on_disk_bytes += other.on_disk_bytes;
         self.heap_bytes += other.heap_bytes;
@@ -1127,17 +1103,9 @@ impl BlockingPlan {
         }
     }
 
-    /// Removes record `id` from every structure's tables (tombstone + lazy
-    /// per-bucket scrub). Callers must pass the row that was inserted so
-    /// the keys resolve to the same buckets.
-    pub fn remove_row(&mut self, id: u64, row: &[u64]) {
-        for s in &mut self.structures {
-            s.remove_row(id, row);
-        }
-    }
-
     /// Takes record `id`, indexed with row `row`, out of every structure's
-    /// buckets without a tombstone ([`BlockingStructure::evict_row`]).
+    /// buckets ([`BlockingStructure::evict_row`]). Callers must pass the row
+    /// that was indexed so the keys resolve to the same buckets.
     pub fn evict_row(&mut self, id: u64, row: &[u64]) {
         for s in &mut self.structures {
             s.evict_row(id, row);
@@ -1155,11 +1123,6 @@ impl BlockingPlan {
     /// [`Self::insert_row`] for an unpacked record.
     pub fn insert(&mut self, rec: &EmbeddedRecord) {
         self.insert_row(rec.id, self.packed(rec).as_ref());
-    }
-
-    /// [`Self::remove_row`] for an unpacked record.
-    pub fn remove(&mut self, rec: &EmbeddedRecord) {
-        self.remove_row(rec.id, self.packed(rec).as_ref());
     }
 
     /// Packs `rec` for the row path, checked against the plan's schema.
@@ -1215,8 +1178,8 @@ impl BlockingPlan {
         }
     }
 
-    /// Compacts every structure's store (tombstone scrub / next on-disk
-    /// generation).
+    /// Compacts every structure's store (the next on-disk generation of a
+    /// disk store).
     pub fn compact(&mut self) -> Result<()> {
         for s in &mut self.structures {
             s.compact_store()?;

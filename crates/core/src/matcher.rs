@@ -317,11 +317,12 @@ pub fn index_row(plan: &mut BlockingPlan, store: &mut RecordSlab, id: u64, row: 
     store.insert(id, row)
 }
 
-/// Takes record `id` out of the tables (tombstone) and the slab. Returns
-/// whether it was present.
+/// Takes record `id` out of its bucket in every table
+/// ([`BlockingPlan::evict_row`], keyed from the row the slab still holds)
+/// and out of the slab. Returns whether it was present.
 pub fn unindex(plan: &mut BlockingPlan, store: &mut RecordSlab, id: u64) -> bool {
     if let Some(row) = store.get(id) {
-        plan.remove_row(id, row);
+        plan.evict_row(id, row);
     }
     store.remove(id)
 }

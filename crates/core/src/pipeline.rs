@@ -93,8 +93,9 @@ impl From<BlockCapMode> for rl_blockstore::CapMode {
 
 /// Blocking-table storage configuration: backend choice plus the
 /// robustness knobs of "Scalable Blocking for Very Large Databases"
-/// (block capping, bounded probes, tombstone scrub threshold).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// (block capping, bounded probes). Documents from builds that also wrote
+/// a `compact_dead_ratio` load; the key is ignored.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BlockStoreConfig {
     /// Storage backend for the blocking tables.
     #[serde(default)]
@@ -115,27 +116,6 @@ pub struct BlockStoreConfig {
     /// covering structures to preserve zero false negatives.
     #[serde(default)]
     pub probe_top_k: usize,
-    /// Scrub a bucket when its tombstoned fraction reaches this ratio
-    /// (0.0 disables lazy compaction).
-    #[serde(default = "default_compact_dead_ratio")]
-    pub compact_dead_ratio: f64,
-}
-
-fn default_compact_dead_ratio() -> f64 {
-    0.3
-}
-
-impl Default for BlockStoreConfig {
-    fn default() -> Self {
-        Self {
-            kind: BlockStoreKind::Memory,
-            dir: None,
-            max_block_size: 0,
-            cap_mode: BlockCapMode::Chain,
-            probe_top_k: 0,
-            compact_dead_ratio: default_compact_dead_ratio(),
-        }
-    }
 }
 
 /// Pipeline configuration.
@@ -232,12 +212,6 @@ impl LinkageConfig {
             return Err(crate::Error::InvalidParameter(
                 "block store kind \"mmap\" requires a directory (--block-dir)".into(),
             ));
-        }
-        if !(0.0..=1.0).contains(&self.block.compact_dead_ratio) {
-            return Err(crate::Error::InvalidParameter(format!(
-                "compact_dead_ratio = {} is outside 0.0..=1.0",
-                self.block.compact_dead_ratio
-            )));
         }
         Ok(())
     }
@@ -601,9 +575,9 @@ impl LinkagePipeline {
         self.plan.compact()
     }
 
-    /// Compacts every blocking structure's store: scrubs tombstones, and
-    /// for disk-resident stores merges the delta overlay into the next
-    /// on-disk generation (bounding resident memory).
+    /// Compacts every blocking structure's store: for disk-resident stores,
+    /// merges the delta overlay into the next on-disk generation (bounding
+    /// resident memory); a memory store has nothing to do.
     ///
     /// # Errors
     /// Returns [`crate::Error::Store`] on I/O failure.

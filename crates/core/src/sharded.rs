@@ -117,7 +117,7 @@ impl Shard {
         for (id, row) in batch {
             if let Some(mem) = self.migration_deletes.as_mut() {
                 // A re-insert after a delete is a fresh record; the id must
-                // not stay tombstoned in the delete memory.
+                // leave the delete memory.
                 mem.remove(&id);
             }
             added += usize::from(index_row(plan, store, id, row));
@@ -125,11 +125,9 @@ impl Shard {
         added
     }
 
-    /// Tombstone delete: the record leaves the store (so it can never be
-    /// retrieved as a candidate again) *and* its blocking bucket entries
-    /// are tombstoned, with the lazy per-bucket scrub reclaiming dead slots
-    /// once a bucket's dead ratio crosses the configured threshold. The ids
-    /// that were present are appended to `removed`.
+    /// Delete: the record leaves its bucket in every table and the slab
+    /// ([`unindex`]), so it can never be a candidate again. The ids that
+    /// were present are appended to `removed`.
     fn delete(&mut self, ids: &[u64], removed: &mut Vec<u64>) {
         let ShardState { plan, store } = &mut self.state;
         for &id in ids {
@@ -565,10 +563,10 @@ impl ShardedPipeline {
     }
 
     /// Deletes records by id across all shards. The record leaves the
-    /// shard's store and its blocking-bucket entries are tombstoned;
-    /// buckets are scrubbed lazily per the store's dead-ratio policy, and
-    /// fully on the next [`ShardedPipeline::compact_stores`]. Unknown ids
-    /// are ignored. Returns how many **distinct** records were removed —
+    /// shard's slab and each of its `L` buckets per structure, keyed from
+    /// the row it was indexed with: nothing of it is left for
+    /// [`ShardedPipeline::compact_stores`], and a later insert of the id
+    /// brings nothing back. Unknown ids are ignored. Returns how many **distinct** records were removed —
     /// during a migration the same id can transiently live on two shards,
     /// and the broadcast removes both copies but counts one record.
     ///
@@ -768,9 +766,10 @@ impl ShardedPipeline {
     }
 
     /// Compacts every shard's blocking stores, one shard at a time under
-    /// that shard's write lock: scrubs tombstones, and for disk-resident
-    /// stores merges the delta overlay into the next on-disk generation
-    /// (bounding each shard's resident memory). Takes `&self` so a
+    /// that shard's write lock: for disk-resident stores, merges the delta
+    /// overlay into the next on-disk generation (bounding each shard's
+    /// resident memory). A memory store has nothing to compact, but the
+    /// sweep still takes every shard's write lock. Takes `&self` so a
     /// background compaction thread can run it under a server's state read
     /// lock; probes wait only for the shard being compacted.
     ///
@@ -1030,7 +1029,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_tombstones_across_shards() {
+    fn deletes_leave_their_buckets_across_shards() {
         let mut rng = StdRng::seed_from_u64(11);
         let s = schema(&mut rng);
         let mut p =
@@ -1050,6 +1049,10 @@ mod tests {
         assert_eq!(removed, victims.len());
         assert_eq!(p.delete(&[9999, 10000]).unwrap(), 0, "unknown ids ignored");
         assert_eq!(p.indexed_len(), 30 - victims.len());
+        let stats = p.blocking_stats();
+        let entries: usize = stats.iter().map(|s| s.entries).sum();
+        let tables: usize = stats.iter().map(|s| s.l).sum();
+        assert_eq!(entries, tables * (30 - victims.len()));
 
         let (after, _) = p.link(&b).unwrap();
         for i in 0..30u64 {
@@ -1062,7 +1065,7 @@ mod tests {
         }
 
         // Export/restore after deletes rebuilds the plans without the
-        // tombstoned records and keeps answering correctly.
+        // deleted records and keeps answering correctly.
         let state = p.export_state().unwrap();
         let q = ShardedPipeline::from_state(state).unwrap();
         let (restored, _) = q.link(&b).unwrap();

@@ -89,12 +89,7 @@ impl StreamMatcher {
     /// Returns [`crate::Error::FieldCountMismatch`] on malformed records.
     pub fn observe_upsert(&mut self, record: &Record) -> Result<Vec<u64>> {
         let row = self.embed_row(record)?;
-        if let Some(old) = self.store.get(record.id) {
-            // Per bucket, not a tombstone: the new row's insert would lift
-            // a tombstone and revive the old entries.
-            self.plan.evict_row(record.id, old);
-            self.store.remove(record.id);
-        }
+        unindex(&mut self.plan, &mut self.store, record.id);
         Ok(self.observe_row(record.id, &row))
     }
 
@@ -260,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_tombstones_record_out_of_matching() {
+    fn remove_takes_the_record_out_of_matching() {
         let mut m = matcher(9);
         m.observe(&Record::new(1, ["JOHN", "SMITH"])).unwrap();
         m.observe(&Record::new(2, ["MARY", "JONES"])).unwrap();
@@ -268,8 +263,7 @@ mod tests {
         assert!(m.remove(1));
         assert!(!m.remove(1), "double delete is a no-op");
         assert_eq!(m.len(), 1);
-        // The deleted record no longer matches, even though its blocking
-        // bucket entries linger as tombstones.
+        // The deleted record no longer matches.
         let hits = m.observe(&Record::new(3, ["JON", "SMITH"])).unwrap();
         assert!(hits.is_empty(), "deleted record must not match: {hits:?}");
     }

@@ -140,8 +140,9 @@ fn abort_migration(inner: &Arc<Inner>, why: &str) {
 }
 
 /// Background blocking-store compactor: on the checkpoint cadence, merge
-/// each disk-resident structure's delta overlay into a fresh generation
-/// and scrub tombstones. Runs under a state *read* lock, one shard at a
+/// each disk-resident structure's delta overlay into a fresh generation.
+/// Started only for a pipeline with a disk store: a memory store has
+/// nothing to compact. Runs under a state *read* lock, one shard at a
 /// time under that shard's write lock: probes wait only for the shard
 /// being compacted (a single-record probe that would have run on the
 /// reactor goes to the pool to do its waiting), mutations for the sweep.

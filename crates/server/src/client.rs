@@ -513,8 +513,8 @@ impl Client {
         }
     }
 
-    /// Durable delete (protocol v4): tombstones records by id; unknown
-    /// ids are ignored. Returns `(removed, total_indexed)`.
+    /// Durable delete (protocol v4): removes records by id; unknown ids
+    /// are ignored. Returns `(removed, total_indexed)`.
     ///
     /// # Errors
     /// See [`Self::call`].

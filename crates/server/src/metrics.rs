@@ -35,7 +35,7 @@ pub enum ReqType {
     Snapshot,
     /// `Insert` requests (durable insert, protocol v4).
     Insert,
-    /// `Delete` requests (durable tombstone delete, protocol v4).
+    /// `Delete` requests (durable delete, protocol v4).
     Delete,
     /// `Shutdown` requests (handled inline, so they never acquire
     /// queue-wait samples; the counter still tracks them).
@@ -218,22 +218,19 @@ pub struct ServerMetrics {
     /// Observe-to-delivery latency for match events
     /// (`rl_sub_deliver_seconds`).
     pub sub_deliver: Arc<Histogram>,
-    /// Largest live blocking bucket across structures and shards
+    /// Largest blocking bucket across structures and shards
     /// (`rl_block_max_bucket`). Refreshed on every `Stats` request.
     pub block_max_bucket: Arc<Gauge>,
     /// p99 bucket occupancy across structures (`rl_block_p99_bucket`):
-    /// 99% of live buckets hold at most this many ids.
+    /// 99% of buckets hold at most this many ids.
     pub block_p99_bucket: Arc<Gauge>,
-    /// Tombstoned ids still occupying bucket slots
-    /// (`rl_block_dead_entries`); falls on lazy scrub / compaction.
-    pub block_dead_entries: Arc<Gauge>,
     /// Inserts discarded by a `drop` block cap (`rl_block_dropped`).
     pub block_dropped: Arc<Gauge>,
     /// Bytes of on-disk blocking generations (`rl_block_disk_bytes`);
     /// 0 for the in-memory store.
     pub block_disk_bytes: Arc<Gauge>,
-    /// Heap bytes held by the blocking tables — directories, id arenas,
-    /// tombstones (`rl_block_heap_bytes`); an mmap store's delta overlay.
+    /// Heap bytes held by the blocking tables — directories, id arenas
+    /// (`rl_block_heap_bytes`); an mmap store's delta overlay.
     pub block_heap_bytes: Arc<Gauge>,
     /// Heap bytes the shards' record slabs hold: rows, id → slot maps, free
     /// lists (`rl_record_heap_bytes`).
@@ -387,17 +384,12 @@ impl ServerMetrics {
         );
         let block_max_bucket = registry.gauge(
             "block_max_bucket",
-            "Largest live blocking bucket across structures and shards",
+            "Largest blocking bucket across structures and shards",
             &[],
         );
         let block_p99_bucket = registry.gauge(
             "block_p99_bucket",
-            "p99 blocking-bucket occupancy (99% of live buckets are at most this large)",
-            &[],
-        );
-        let block_dead_entries = registry.gauge(
-            "block_dead_entries",
-            "Tombstoned ids still occupying blocking-bucket slots",
+            "p99 blocking-bucket occupancy (99% of buckets are at most this large)",
             &[],
         );
         let block_dropped = registry.gauge(
@@ -412,7 +404,7 @@ impl ServerMetrics {
         );
         let block_heap_bytes = registry.gauge(
             "block_heap_bytes",
-            "Heap bytes held by the blocking tables (directories, id arenas, tombstones)",
+            "Heap bytes held by the blocking tables (directories, id arenas, free lists)",
             &[],
         );
         let record_heap_bytes = registry.gauge(
@@ -471,7 +463,6 @@ impl ServerMetrics {
             sub_deliver,
             block_max_bucket,
             block_p99_bucket,
-            block_dead_entries,
             block_dropped,
             block_disk_bytes,
             block_heap_bytes,
@@ -497,8 +488,6 @@ impl ServerMetrics {
             .set(blocking.iter().map(|s| s.max_bucket).max().unwrap_or(0) as i64);
         self.block_p99_bucket
             .set(blocking.iter().map(|s| s.p99_bucket()).max().unwrap_or(0) as i64);
-        self.block_dead_entries
-            .set(blocking.iter().map(|s| s.dead_entries).sum::<u64>() as i64);
         self.block_dropped
             .set(blocking.iter().map(|s| s.dropped).sum::<u64>() as i64);
         self.block_disk_bytes

@@ -53,14 +53,14 @@ use serde::{Deserialize, Serialize};
 /// it; absent means 0) and typed advisory `notes` on [`Reply::Matches`]
 /// ([`ReplyNote::CandidatesTruncated`] when the server's per-probe
 /// top-k bound cut candidate sets short), plus `store`, per-structure
-/// block-size histograms, and tombstone counters in the Stats blocking
-/// section. Version 10 added online resharding: the `GetShardMap`,
-/// `Reshard`, and `MigrationStatus` requests with their `ShardMap`,
-/// `ReshardStarted`, and `Migration` replies — a versioned, epoch-stamped
-/// shard map replaces fixed round-robin placement, and a background
-/// migrator splits or merges shards while the server keeps serving
-/// (double-probing source and target until an atomic epoch-bump
-/// cutover). The Stats reply gains `shard_map_epoch` and per-shard
+/// block-size histograms, and tombstone counters (since dropped with the
+/// tombstones; the field is optional) in the Stats blocking section.
+/// Version 10 added online resharding: the `GetShardMap`, `Reshard`, and
+/// `MigrationStatus` requests with their `ShardMap`, `ReshardStarted`,
+/// and `Migration` replies — a versioned, epoch-stamped shard map
+/// replaces fixed round-robin placement, and a background migrator
+/// splits or merges shards while the server keeps serving (double-probing
+/// source and target until an atomic epoch-bump cutover). The Stats reply gains `shard_map_epoch` and per-shard
 /// `shard_records` so clients can watch a rebalance converge. The new
 /// verbs ride the JSON body of the binary wire (no new binary bodies),
 /// so v7–v9 peers interoperate untouched. Version 11 removed the
@@ -104,9 +104,10 @@ pub enum Request {
     /// and `Stream` are logged too; `Insert` exists so clients can state
     /// the durability intent explicitly and older servers reject it.)
     Insert { records: Vec<Record> },
-    /// Durable delete (protocol v4): tombstone records by id. Deleted
-    /// records can never match again; unknown ids are ignored. WAL-logged
-    /// before the reply when the server has a data dir.
+    /// Durable delete (protocol v4): remove records by id — each leaves its
+    /// blocking buckets and the record store. Deleted records can never
+    /// match again; unknown ids are ignored. WAL-logged before the reply
+    /// when the server has a data dir.
     Delete { ids: Vec<u64> },
     /// Replication bootstrap (protocol v5): ask a primary for its latest
     /// checkpoint. Answered with a [`Reply::CheckpointMeta`] response

@@ -427,10 +427,15 @@ impl Server {
                 // the actual store mutation), so it does not stall
                 // mutations behind a write lock before every checkpoint.
                 // Same trigger as the checkpointer — compaction matters
-                // when checkpoints export the overlay it bounds.
-                threads.push(spawn_thread(&inner, "rl-compact", move |inner| {
-                    background::compact_loop(inner, every)
-                }));
+                // when checkpoints export the overlay it bounds. A memory
+                // store has none, and a sweep would only take every shard's
+                // write lock and turn lone probes away from the reactor.
+                let stats = inner.state.read().pipeline.blocking_stats();
+                if stats.iter().any(|s| s.store == "mmap") {
+                    threads.push(spawn_thread(&inner, "rl-compact", move |inner| {
+                        background::compact_loop(inner, every)
+                    }));
+                }
             }
             if let SyncPolicy::GroupCommit(interval) = durability.sync {
                 threads.push(spawn_thread(&inner, "rl-wal-sync", move |inner| {

@@ -3,11 +3,15 @@
 //! the builders below) against this build:
 //!
 //! * each loads, and answers the probes exactly as it did there;
-//! * the same index built here serializes to the same document, value for
-//!   value — so no key was added to or dropped from a plan, a pipeline or a
-//!   `ShardedState` (compiled kernels and scratch buffers stay out), the
-//!   snapshot version is still 3, and every blocking key in every table is
-//!   the key the reference functions gave.
+//! * it re-serialises, and the same index built here serializes, to the
+//!   same document, value for value, once the parent's tombstone keys are
+//!   taken out of it (`dead`, which this build applies at load, and
+//!   `compact_dead_ratio`, which it ignores) — so no other key was added to
+//!   or dropped from a plan, a pipeline or a `ShardedState` (compiled
+//!   kernels and scratch buffers stay out), the snapshot version is still
+//!   3, and every blocking key in every table is the key the reference
+//!   functions gave;
+//! * a tombstone list in such a document takes its ids out of every bucket.
 //!
 //! The three indexes cover the structure shapes the plan compilers emit:
 //! record-level sampling; a fused sampling conjunction with a NOT structure;
@@ -144,10 +148,27 @@ fn first_difference(ours: &Value, theirs: &Value, path: &str) -> Option<String> 
     }
 }
 
+/// The keys only a build with tombstone deletes wrote.
+const TOMBSTONE_KEYS: [&str; 2] = ["dead", "compact_dead_ratio"];
+
+/// `doc` without [`TOMBSTONE_KEYS`], at any depth.
+fn without_tombstones(doc: Value) -> Value {
+    match doc {
+        Value::Object(fields) => Value::Object(
+            (fields.into_iter())
+                .filter(|(k, _)| !TOMBSTONE_KEYS.contains(&k.as_str()))
+                .map(|(k, v)| (k, without_tombstones(v)))
+                .collect(),
+        ),
+        Value::Array(items) => Value::Array(items.into_iter().map(without_tombstones).collect()),
+        other => other,
+    }
+}
+
 fn assert_same_document(ours: &str, name: &str) {
     let theirs = std::fs::read_to_string(fixture(name)).unwrap();
     let ours: Value = serde_json::from_str(ours).unwrap();
-    let theirs: Value = serde_json::from_str(&theirs).unwrap();
+    let theirs = without_tombstones(serde_json::from_str(&theirs).unwrap());
     if let Some(at) = first_difference(&ours, &theirs, "$") {
         panic!("{name}: this build writes a different document — {at}");
     }
@@ -181,9 +202,11 @@ fn saved_pipeline_of_the_parent_loads_probes_and_rewrites_identically() {
     );
     let fresh = record_level();
     assert_eq!(sorted(fresh.link(&probes()).unwrap().matches), answered);
-    let mut ours = Vec::new();
-    fresh.save(&mut ours).unwrap();
-    assert_same_document(std::str::from_utf8(&ours).unwrap(), name);
+    for p in [&restored, &fresh] {
+        let mut ours = Vec::new();
+        p.save(&mut ours).unwrap();
+        assert_same_document(std::str::from_utf8(&ours).unwrap(), name);
+    }
     // A restored pipeline goes on indexing (its kernels were recompiled).
     let mut restored = restored;
     restored
@@ -233,6 +256,7 @@ fn snapshots_of_the_parent_load_probe_and_rewrite_identically() {
         assert_eq!(pairs, expected, "{name}");
         let fresh = build();
         assert_eq!(fresh.link(&probes()).unwrap().0, pairs, "{name}");
+        assert_same_document(&snapshot_of(&restored), name);
         assert_same_document(&snapshot_of(&fresh), name);
         // Restored shards go on indexing and deleting.
         let mut restored = restored;
@@ -241,6 +265,50 @@ fn snapshots_of_the_parent_load_probe_and_rewrite_identically() {
             .unwrap();
         assert_eq!(restored.delete(&[1, 999]).unwrap(), 2, "{name}");
     }
+}
+
+/// `ids` added to every `dead` list of `doc`.
+fn with_dead(doc: &mut Value, ids: &[u64]) {
+    match doc {
+        Value::Object(fields) => {
+            for (k, v) in fields {
+                match v {
+                    Value::Array(dead) if k == "dead" => {
+                        dead.extend(ids.iter().map(|&id| Value::U64(id)))
+                    }
+                    _ => with_dead(v, ids),
+                }
+            }
+        }
+        Value::Array(items) => items.iter_mut().for_each(|v| with_dead(v, ids)),
+        _ => {}
+    }
+}
+
+#[test]
+fn tombstones_in_a_parent_snapshot_leave_every_bucket_at_load() {
+    let name = "snapshot-v3-rule-aware.json";
+    let text = std::fs::read_to_string(fixture(name)).unwrap();
+    let mut doc: Value = serde_json::from_str(&text).unwrap();
+    let gone = [8, 36];
+    with_dead(&mut doc, &gone);
+    let snapshot: Snapshot = serde_json::from_value(doc).unwrap();
+    let restored = ShardedPipeline::from_state(snapshot.state).unwrap();
+    let (pairs, _) = restored.link(&probes()).unwrap();
+    assert_eq!(pairs, [(15, 1000), (50, 1003)]);
+    let state = restored.export_state().unwrap();
+    let mut entries = 0;
+    for structure in state.shards.iter().flat_map(|s| s.plan.structures()) {
+        structure.for_each_entry(|table, key, ids| {
+            entries += ids.len();
+            assert!(
+                !ids.iter().any(|id| gone.contains(id)),
+                "table {table} key {key} holds {ids:?}"
+            );
+        });
+    }
+    let tables: usize = restored.blocking_stats().iter().map(|s| s.l).sum();
+    assert_eq!(entries, tables * (indexed().len() - gone.len()));
 }
 
 #[test]

@@ -45,8 +45,7 @@ const USAGE: &str =
          [--lease-ms MS] [--sync-replicas N] [--quorum-timeout-ms MS] \
          [--auto-failover] [--peers HOST:PORT,...] \
          [--block-store memory|mmap] [--block-dir DIR] \
-         [--block-cap N] [--block-cap-mode chain|drop] [--block-top-k N] \
-         [--block-compact-ratio R]\n  \
+         [--block-cap N] [--block-cap-mode chain|drop] [--block-top-k N]\n  \
          rl promote [--addr HOST:PORT] [--timeout-ms MS]\n  \
          rl reshard --mode split|merge --source N [--target N] \
          [--addr HOST:PORT] [--timeout-ms MS]\n  \
@@ -169,8 +168,7 @@ fn parse_blocking_mode(flags: &HashMap<String, String>) -> Result<BlockingMode, 
 /// knobs bound skew and probe cost: `--block-cap` caps bucket size
 /// (`--block-cap-mode drop` makes the cap lossy), `--block-top-k` bounds
 /// distinct candidates per probe (truncated probes are flagged in reply
-/// notes), and `--block-compact-ratio` sets the lazy tombstone-scrub
-/// threshold.
+/// notes).
 fn parse_block_config(flags: &HashMap<String, String>) -> Result<BlockStoreConfig, String> {
     let kind = match flags.get("block-store").map(String::as_str) {
         None | Some("memory") => BlockStoreKind::Memory,
@@ -190,19 +188,12 @@ fn parse_block_config(flags: &HashMap<String, String>) -> Result<BlockStoreConfi
             .map_err(|_| format!("--{key} must be an integer"))
             .map(|v| v.unwrap_or(0))
     };
-    let default_ratio = BlockStoreConfig::default().compact_dead_ratio;
     Ok(BlockStoreConfig {
         kind,
         dir: flags.get("block-dir").cloned(),
         max_block_size: parse_usize("block-cap")?,
         cap_mode,
         probe_top_k: parse_usize("block-top-k")?,
-        compact_dead_ratio: flags
-            .get("block-compact-ratio")
-            .map(|s| s.parse())
-            .transpose()
-            .map_err(|_| "--block-compact-ratio must be a number".to_string())?
-            .unwrap_or(default_ratio),
     })
 }
 
@@ -686,7 +677,6 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
                 "block-cap",
                 "block-cap-mode",
                 "block-top-k",
-                "block-compact-ratio",
             ]
             .iter()
             .filter(|name| flags.contains_key(**name))
@@ -954,8 +944,7 @@ fn client(flags: &HashMap<String, String>) -> Result<(), String> {
             for s in &stats.blocking {
                 eprintln!(
                     "blocking: {} backend={} store={} L={} key_bits={} buckets={} \
-                     max_bucket={} p99_bucket={} dead={} dropped={} on_disk_bytes={} \
-                     heap_bytes={}",
+                     max_bucket={} p99_bucket={} dropped={} on_disk_bytes={} heap_bytes={}",
                     s.label,
                     s.backend,
                     s.store,
@@ -964,7 +953,6 @@ fn client(flags: &HashMap<String, String>) -> Result<(), String> {
                     s.buckets,
                     s.max_bucket,
                     s.p99_bucket(),
-                    s.dead_entries,
                     s.dropped,
                     s.on_disk_bytes,
                     s.heap_bytes

@@ -1,11 +1,11 @@
-//! Indexing an id that is already indexed replaces the record.
+//! Indexing an id that is already indexed replaces the record, and a
+//! deleted id indexed again is a new record.
 //!
 //! The blocking tables must then hold the id once per table, under the new
-//! record's keys: the old entries leave their buckets physically (a
-//! tombstone is id-wide — the re-insert would revive them), entries whose
-//! key did not change are not pushed twice, and `indexed_len` counts stored
-//! records. Held on the heap store and on the mmap store, whose old entries
-//! may sit in a sealed generation file and leave through a bucket override.
+//! record's keys: the old entries leave their buckets, entries whose key did
+//! not change are not pushed twice, and `indexed_len` counts stored records.
+//! Held on the heap store and on the mmap store, whose old entries may sit
+//! in a sealed generation file and leave through a bucket override.
 
 mod common;
 
@@ -97,9 +97,8 @@ fn reindexing_replaces(dir: Option<&Path>, seal: bool) {
         .unwrap();
     assert_eq!(by_new.matches, vec![(1, 9)]);
 
-    // One of 64 twins changes: 1/64 of its bucket is far under the dead
-    // ratio (0.3) at which a tombstoned bucket is scrubbed, so the id must
-    // leave by itself — and leave no tombstone behind.
+    // One of 64 twins changes: 1/64 of its bucket, and the id must leave
+    // it by itself.
     let twins: Vec<Record> = (100..164)
         .map(|id| Record::new(id, ["MARY", "JONES"]))
         .collect();
@@ -113,7 +112,6 @@ fn reindexing_replaces(dir: Option<&Path>, seal: bool) {
     let structure = &p.plan().structures()[0];
     let stats = structure.stats();
     assert_eq!(stats.entries, l * 65);
-    assert_eq!(stats.dead_entries, 0);
     assert_eq!(
         entries_of(structure, 100),
         keys_of(&schema, structure, &moved)
@@ -168,4 +166,69 @@ fn reindexing_replaces_across_shards_and_counts_stored_records() {
     assert_eq!(pairs, vec![(1, 9)]);
     assert_eq!(p.delete(&[1]).unwrap(), 1);
     assert_eq!(p.indexed_len(), 0);
+}
+
+/// Every `(table, key)` whose bucket holds `id`, over all shards.
+fn shard_entries_of(p: &ShardedPipeline, id: u64) -> Vec<(usize, u128)> {
+    let state = p.export_state().unwrap();
+    let shards = state.shards.iter();
+    let mut found: Vec<_> = shards
+        .flat_map(|s| entries_of(&s.plan.structures()[0], id))
+        .collect();
+    found.sort_unstable();
+    found
+}
+
+/// A deleted id indexed again under another record brings none of its old
+/// entries back. One of 64 twins is deleted: 1/64 of each of its buckets,
+/// far under the 0.3 dead ratio at which a tombstoned bucket used to be
+/// scrubbed. So a tombstone would still be hiding the old entries when the
+/// id returns, and the re-insert would lift it.
+fn deleted_then_indexed_again(dir: Option<&Path>, shards: usize, seal: bool) {
+    let mut rng = StdRng::seed_from_u64(26);
+    let schema = schema(&mut rng);
+    let mut p = ShardedPipeline::new(schema.clone(), config(dir), shards, &mut rng).unwrap();
+    let twins: Vec<Record> = (100..164)
+        .map(|id| Record::new(id, ["MARY", "JONES"]))
+        .collect();
+    p.index(&twins).unwrap();
+    if seal {
+        p.compact_stores().unwrap();
+    }
+    assert_eq!(p.delete(&[100]).unwrap(), 1);
+    let moved = Record::new(100, ["HORACE", "FITZWILLIAM"]);
+    p.index(std::slice::from_ref(&moved)).unwrap();
+    assert_eq!(p.indexed_len(), 64);
+
+    let stats = &p.blocking_stats()[0];
+    assert_eq!(stats.entries, stats.l * 64);
+    let state = p.export_state().unwrap();
+    let structure = &state.shards[0].plan.structures()[0];
+    assert_eq!(
+        shard_entries_of(&p, 100),
+        keys_of(&schema, structure, &moved)
+    );
+    let (pairs, by_twin) = p.link(&[Record::new(9, ["MARY", "JONES"])]).unwrap();
+    assert_eq!(by_twin.candidates, 63, "the deleted entries came back");
+    assert_eq!(pairs.len(), 63);
+}
+
+#[test]
+fn a_deleted_id_indexed_again_brings_nothing_back_on_the_memory_store() {
+    deleted_then_indexed_again(None, 1, false);
+}
+
+#[test]
+fn a_deleted_id_indexed_again_brings_nothing_back_on_the_mmap_store() {
+    let dir = fresh_dir("revive-delta");
+    deleted_then_indexed_again(Some(&dir), 1, false);
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir = fresh_dir("revive-sealed");
+    deleted_then_indexed_again(Some(&dir), 1, true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_deleted_id_indexed_again_brings_nothing_back_across_shards() {
+    deleted_then_indexed_again(None, 2, false);
 }

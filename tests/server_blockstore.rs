@@ -3,14 +3,19 @@
 //! in-memory store, report the storage backend through `Stats`, survive
 //! a snapshot → restart cycle even when the blockstore directory is
 //! destroyed (rebuild from the record store), and surface bounded-probe
-//! truncation in `MatchStats`.
+//! truncation in `MatchStats`. Only a durable server over the mmap store
+//! runs the background compactor.
 
 mod common;
 
-use common::{fresh_dir, mmap_pipeline, pipeline, pipeline_with, server_config};
+use common::{
+    durable_config, fresh_dir, mmap_pipeline, pipeline, pipeline_with, server_config, stop,
+    wait_for,
+};
 use record_linkage::cbv_hb::sharded::ShardedPipeline;
 use record_linkage::cbv_hb::Record;
-use record_linkage::server::{Client, Server, Snapshot};
+use record_linkage::server::{Client, ReplRole, Server, Snapshot};
+use std::time::Duration;
 
 fn records(base: u64) -> Vec<Record> {
     [
@@ -164,4 +169,43 @@ fn bounded_probe_reports_truncation_in_match_stats() {
     );
     client.shutdown().unwrap();
     server.wait();
+}
+
+/// Serves `p` durably with a 50 ms checkpoint cadence, indexes the corpus,
+/// and returns `rl_compactions_total` once `ready` holds of
+/// `(checkpoints, compactions)`.
+fn compactions_once(p: ShardedPipeline, ready: impl Fn(u64, u64) -> bool) -> u64 {
+    let data = fresh_dir(&format!(
+        "blockstore-compactor-{}",
+        p.blocking_stats()[0].store
+    ));
+    let mut config = durable_config(&data, ReplRole::Standalone);
+    if let Some(durability) = config.durability.as_mut() {
+        durability.checkpoint_every = Some(Duration::from_millis(50));
+    }
+    let server = Server::spawn_durable(move || Ok(p), config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.insert(&records(0)).unwrap();
+    let compactions = wait_for("the background loops", || {
+        let m = client.metrics().unwrap();
+        let count = |name| m.counter_value(name, None).unwrap_or(0);
+        let (checkpoints, compactions) =
+            (count("rl_checkpoints_total"), count("rl_compactions_total"));
+        ready(checkpoints, compactions).then_some(compactions)
+    });
+    stop(server, [client]);
+    let _ = std::fs::remove_dir_all(&data);
+    compactions
+}
+
+#[test]
+fn only_a_disk_store_is_compacted_in_the_background() {
+    let dir = fresh_dir("blockstore-compactor-tables");
+    let compacted = compactions_once(mmap_pipeline(74, 2, &dir), |_, compactions| compactions > 0);
+    assert!(compacted > 0);
+    // Three checkpoints span three cadences: a compactor on the same
+    // cadence would have swept at least twice.
+    let compacted = compactions_once(pipeline(74, 2), |checkpoints, _| checkpoints >= 3);
+    assert_eq!(compacted, 0, "a memory store was compacted");
+    let _ = std::fs::remove_dir_all(&dir);
 }

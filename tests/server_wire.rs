@@ -463,6 +463,15 @@ fn cli_rejects_the_retired_transport_flags() {
     for args in [
         &["serve", "--rule", "0<=4", "--fields", "1", "--no-reactor"][..],
         &["client", "--json", "--cmd", "stats"][..],
+        &[
+            "serve",
+            "--rule",
+            "0<=4",
+            "--fields",
+            "1",
+            "--block-compact-ratio",
+            "0.3",
+        ][..],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_rl"))
             .args(args)
