@@ -1247,8 +1247,8 @@ fn multiprobe(opts: &Opts) {
             let mut row = vec![0; schema.row_words()];
             for r in &pair.a {
                 schema.embed_row(r, &mut row).expect("ok");
-                structure.insert_row(r.id, &row);
-                store.insert(r.id, &row);
+                let slot = store.insert(r.id, &row);
+                structure.insert_row(u64::from(slot), &row);
             }
             let rule = Rule::and((0..4).map(|i| Rule::pred(i, 4)));
             let mut matches = Vec::new();
@@ -1258,10 +1258,10 @@ fn multiprobe(opts: &Opts) {
                 schema.embed_row(r, &mut row).expect("ok");
                 structure.candidates_into_row(&row, &mut scratch);
                 n_cands += scratch.candidates().len() as u64;
-                for &id in scratch.candidates() {
-                    if let Some(a) = store.get(id) {
+                for &slot in scratch.candidates() {
+                    if let Some(a) = store.row_at(slot) {
                         if rule.evaluate_with(&|attr| store.layout().distance(a, &row, attr)) {
-                            matches.push((id, r.id));
+                            matches.push((store.id_at(slot), r.id));
                         }
                     }
                 }

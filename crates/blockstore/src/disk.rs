@@ -49,7 +49,7 @@ use rl_wire::{encode_frame_into, peek_frame, WireError, DEFAULT_MAX_FRAME, HEADE
 use serde::{Deserialize, Serialize};
 
 use crate::hash::{hash_heap_bytes, WordSet};
-use crate::table::{tables_heap_bytes, Table};
+use crate::table::{tables_from_doc, tables_heap_bytes, value_of, Table, TableDoc};
 use crate::{BlockPolicy, BlockStorage, CapMode, StoreError, StoreStats, HISTOGRAM_BINS};
 
 /// Frame tags (namespaced away from the network protocol's tag space —
@@ -618,20 +618,24 @@ impl MmapStore {
     }
 
     /// Rewrites `key`'s bucket as delta content, with only the ids `keep`
-    /// accepts, overriding the sealed copy. Left undone — the ids stay,
-    /// an evicted record a stale candidate that the caller's record store
-    /// no longer resolves — when the delta table's arena cannot take the
-    /// bucket.
+    /// accepts, overriding the sealed copy. An id of 2³² or more (only a
+    /// generation file from before `u32` tables holds one) is dropped and
+    /// counted. Left undone — the ids stay, an evicted record a stale
+    /// candidate — when the delta table's arena cannot take the bucket.
     fn override_bucket(&mut self, table: usize, key: u128, keep: impl Fn(u64) -> bool) {
-        let mut ids = Vec::new();
+        let (mut values, mut past_u32) = (Vec::new(), 0);
         self.with_ids(table, key, &mut |id| {
             if keep(id) {
-                ids.push(id);
+                match value_of(id) {
+                    Some(v) => values.push(v),
+                    None => past_u32 += 1,
+                }
             }
         });
-        if !self.delta[table].replace(key, &ids) {
+        if !self.delta[table].replace(key, &values) {
             return;
         }
+        self.dropped += past_u32;
         if self.base.as_ref().is_some_and(|b| b.has_key(table, key)) {
             self.overridden[table].insert(key);
         }
@@ -695,9 +699,9 @@ impl BlockStorage for MmapStore {
             self.dropped += 1;
             return false;
         }
-        // A delta table whose arena is at its limit refuses like a full
-        // bucket.
-        if !self.delta[table].push(key, id) {
+        // An id past `u32`, or a delta table whose arena is at its limit,
+        // refuses like a full bucket.
+        if !value_of(id).is_some_and(|v| self.delta[table].push(key, v)) {
             self.dropped += 1;
             return false;
         }
@@ -709,7 +713,11 @@ impl BlockStorage for MmapStore {
     fn evict(&mut self, table: usize, key: u128, id: u64) {
         match self.sealed(table, key) {
             Some(base) if base.has_key(table, key) => self.override_bucket(table, key, |x| x != id),
-            _ => self.delta[table].evict(key, id),
+            _ => {
+                if let Some(v) = value_of(id) {
+                    self.delta[table].evict(key, v);
+                }
+            }
         }
     }
 
@@ -825,7 +833,7 @@ struct MmapDoc {
     dir: String,
     generation: u64,
     num_tables: usize,
-    delta: Vec<Table>,
+    delta: Vec<TableDoc>,
     overridden: Vec<Vec<u128>>,
     #[serde(default)]
     dead: Vec<u64>,
@@ -862,7 +870,7 @@ impl<'de> Deserialize<'de> for MmapStore {
         let mut store = MmapStore::new(dir, l);
         store.dropped = repr.dropped;
         if repr.delta.len() == l && repr.overridden.len() == l {
-            store.delta = repr.delta;
+            store.delta = tables_from_doc(repr.delta, &mut store.dropped)?;
             store.overridden = repr
                 .overridden
                 .into_iter()

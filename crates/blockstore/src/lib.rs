@@ -14,23 +14,29 @@
 //!   in-memory delta overlay. [`MmapStore::compact`] merges base + delta
 //!   into the next generation file; until then probes read both layers.
 //!
-//! A bucket holds ids and nothing else. An id leaves a store one bucket at a
-//! time, through [`BlockStorage::evict`]: the caller recomputes the id's key
-//! in each table from the row it was indexed with, so a deleted id leaves
-//! nothing behind and a re-indexed one brings nothing back.
+//! A bucket holds values and nothing else: the API speaks `u64`, and the
+//! engine's values are the slots of its record slab (`cbv_hb::matcher::
+//! RecordSlab`), each record's for as long as it is indexed. A store keeps
+//! a value as a `u32`; one of 2³² or more is refused and counted in
+//! [`StoreStats::dropped`]. A value leaves a store one bucket at a time,
+//! through [`BlockStorage::evict`]: the caller recomputes its key in each
+//! table from the row it was indexed with, so a deleted record leaves
+//! nothing behind and a re-indexed one brings nothing back. The generation
+//! file keeps `u64` postings.
 //!
 //! Every mutable table — the memory store's `L` and the mmap store's
-//! delta — is one layout, `table::Table`: a hash directory of 32-byte
-//! `(key, {first id, offset, length})` slots, the bucket's first id inline,
-//! and one `Vec<u64>` arena per table holding the ids after the first in
-//! power-of-two regions with per-class free lists. A singleton bucket —
-//! nearly all of them — costs its slot and control byte at the directory's
-//! load of 7/16 to 7/8 (38–75 B, against 88–144 B for a `u128` key, a
-//! `Vec` and its first four-id block) and nothing else; a further id costs
-//! 8 B times the slack of its region and of the arena's own growth. The
-//! offsets are 32-bit, which bounds one table's arena at 2³² − 1 ids beyond
-//! the first of each bucket (32 GiB, per table, per shard); the insert that
-//! would pass it is refused and counted in [`StoreStats::dropped`] like a
+//! delta — is one layout, `table::Table`: a hash directory of 24-byte
+//! `(key, {first value, offset})` entries, the bucket's first value inline,
+//! and one `Vec<u32>` arena per table holding the values after the first in
+//! power-of-two regions (a length word, then the values) with per-class
+//! free lists. A singleton bucket — nearly all of them — has no region: it
+//! costs its entry and control byte at the directory's load of 7/16 to 7/8
+//! (29–57 B, against 88–144 B for a `u128` key, a `Vec` and its first
+//! four-id block) and nothing else; a further value costs 4 B times the
+//! slack of its region and of the arena's own growth, plus the region's
+//! length word. The offsets are 32-bit, which bounds one table's arena at
+//! 2³² − 1 words (16 GiB, per table, per shard); the insert that would pass
+//! it is refused and counted in [`StoreStats::dropped`] like a
 //! [`CapMode::Drop`] insert. [`TableSet::heap_bytes`] reports what the
 //! tables hold.
 //!

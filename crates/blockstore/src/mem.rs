@@ -4,10 +4,11 @@
 use serde::{Deserialize, Deserializer, Serialize};
 
 use crate::hash::WordSet;
-use crate::table::{tables_heap_bytes, Table};
+use crate::table::{tables_from_doc, tables_heap_bytes, value_of, Table, TableDoc};
 use crate::{BlockPolicy, BlockStorage, CapMode, StoreError, StoreStats, HISTOGRAM_BINS};
 
-/// `L` in-memory tables. An id leaves a bucket through
+/// `L` in-memory tables of `u32` values (an id of 2³² or more is refused and
+/// counted in `dropped`). An id leaves a bucket through
 /// [`InMemoryStore::evict`] and leaves nothing behind, so there is nothing
 /// to compact.
 #[derive(Debug, Clone, Serialize)]
@@ -30,7 +31,7 @@ impl InMemoryStore {
 /// ids leave every bucket once, at load.
 #[derive(Deserialize)]
 struct MemDoc {
-    tables: Vec<Table>,
+    tables: Vec<TableDoc>,
     #[serde(default)]
     dead: Vec<u64>,
     dropped: u64,
@@ -39,14 +40,15 @@ struct MemDoc {
 impl<'de> Deserialize<'de> for InMemoryStore {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let MemDoc {
-            mut tables,
+            tables,
             dead,
-            dropped,
+            mut dropped,
         } = MemDoc::deserialize(deserializer)?;
+        let mut tables = tables_from_doc(tables, &mut dropped)?;
         if !dead.is_empty() {
             let dead: WordSet<u64> = dead.into_iter().collect();
             for table in &mut tables {
-                table.retain_all(|id| !dead.contains(&id));
+                table.retain_all(|v| !dead.contains(&u64::from(v)));
             }
         }
         Ok(Self { tables, dropped })
@@ -62,8 +64,10 @@ impl BlockStorage for InMemoryStore {
         let capped = policy.max_block_size > 0
             && policy.cap_mode == CapMode::Drop
             && self.bucket_len(table, key) >= policy.max_block_size;
-        // A table whose arena is at its limit refuses like a full bucket.
-        if capped || !self.tables[table].push(key, id) {
+        // An id past `u32`, or a table whose arena is at its limit, refuses
+        // like a full bucket.
+        let pushed = !capped && value_of(id).is_some_and(|v| self.tables[table].push(key, v));
+        if !pushed {
             self.dropped += 1;
             return false;
         }
@@ -71,7 +75,9 @@ impl BlockStorage for InMemoryStore {
     }
 
     fn evict(&mut self, table: usize, key: u128, id: u64) {
-        self.tables[table].evict(key, id);
+        if let Some(v) = value_of(id) {
+            self.tables[table].evict(key, v);
+        }
     }
 
     fn probe_into(&self, table: usize, key: u128, out: &mut Vec<u64>) {
@@ -186,10 +192,10 @@ mod tests {
     #[test]
     fn a_full_arena_refuses_the_insert_and_counts_it() {
         let mut s = InMemoryStore::new(1);
-        s.tables[0] = Table::with_arena_limit(1);
+        s.tables[0] = Table::with_arena_limit(2);
         let p = policy();
         assert!(s.insert(0, 1, 10, &p)); // inline
-        assert!(s.insert(0, 1, 11, &p)); // the arena's one word
+        assert!(s.insert(0, 1, 11, &p)); // the arena's two words: header and id
         assert!(!s.insert(0, 1, 12, &p));
         assert!(s.insert(0, 2, 13, &p), "a new bucket needs no arena");
         let mut out = Vec::new();
@@ -197,5 +203,20 @@ mod tests {
         assert_eq!(out, vec![10, 11]);
         assert_eq!(s.stats().dropped, 1);
         assert_eq!(s.stats().entries, 3);
+    }
+
+    #[test]
+    fn an_id_past_u32_is_refused_and_counted() {
+        let mut s = InMemoryStore::new(1);
+        let p = policy();
+        assert!(s.insert(0, 1, u64::from(u32::MAX), &p));
+        assert!(!s.insert(0, 1, 1 << 32, &p));
+        assert!(!s.insert(0, 2, u64::MAX, &p));
+        s.evict(0, 1, 1 << 32); // never held: nothing happens
+        let mut out = Vec::new();
+        s.probe_into(0, 1, &mut out);
+        assert_eq!(out, [u64::from(u32::MAX)]);
+        assert_eq!(s.stats().dropped, 2);
+        assert_eq!(s.stats().entries, 1);
     }
 }

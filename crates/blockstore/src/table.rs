@@ -1,44 +1,48 @@
 //! One blocking table: a hash directory whose slot holds the bucket's first
-//! id inline, and one arena per table for the ids after the first.
+//! value inline, and one arena per table for the values after the first.
 //!
-//! Nearly every bucket of a blocking table holds one id (Borthwick et al.:
-//! almost all blocks are tiny, the rare oversize one needs a policy). A
-//! `HashMap<u128, Vec<u64>>` pays for that id with a 48-byte slot plus a
-//! 32-byte heap block, because a `Vec`'s first `push` reserves four ids.
-//! Here `(Key, Slot)` is 32 bytes and a singleton bucket touches no second
-//! cache line on probe and no allocator on insert.
+//! A value is a `u32`: the slab slot of a record (`cbv_hb::matcher::
+//! RecordSlab`), not the client's `u64` id. Nearly every bucket of a blocking
+//! table holds one value (Borthwick et al.: almost all blocks are tiny, the
+//! rare oversize one needs a policy), so the directory entry is the table:
+//! `(Key, Slot)` is 24 bytes — a 16-byte key, the first value and a region
+//! offset — and a singleton bucket touches no second cache line on probe and
+//! no allocator on insert. A singleton's offset is [`NO_REGION`]; its length
+//! is stored nowhere.
 //!
-//! Ids after the first sit in [`Arena`], a single `Vec<u64>`, in regions of
-//! a power-of-two number of words. A region's capacity is not stored: it is
-//! `len.next_power_of_two()` of the slot's `len`, so a region is full exactly
-//! when `len` is a power of two. A full region moves to the next size class
-//! and the old one goes on that class's free list, which later growth takes
-//! from before the arena is extended. The free lists are threaded through
-//! the free regions themselves (word 0 holds the next free offset), so they
-//! cost one `u32` head per class that has ever been freed.
+//! Values after the first sit in [`Arena`], a single `Vec<u32>`, in regions
+//! of a power-of-two number of words. Word 0 of a region is its header, the
+//! number `n ≥ 1` of values after the first, which follow in words
+//! `1..=n`. A region's capacity is not stored: it is
+//! `(n + 1).next_power_of_two()`, so a region is full exactly when `n + 1` is
+//! a power of two. A full region moves to the next size class and the old
+//! one goes on that class's free list, which later growth takes from before
+//! the arena is extended. The free lists are threaded through the free
+//! regions themselves (word 0 holds the next free offset), so they cost one
+//! `u32` head per class that has ever been freed.
 //!
 //! Free regions never merge, and a shrinking bucket splits its region into
 //! smaller ones, so buckets that grow and shrink in turn — a sliding
-//! window's plan, whose ids leave one at a time through [`Table::evict`] —
-//! would extend the arena without bound. So `evict` packs the live regions
+//! window's plan, whose values leave one at a time through [`Table::evict`]
+//! — would extend the arena without bound. So `evict` packs the live regions
 //! to the front of the arena whenever it has grown by more than the
-//! directory's capacity past twice what the last pack left: a pass over
-//! the directory amortised over the words added since the last one, and an
+//! directory's capacity past twice what the last pack left: a pass over the
+//! directory amortised over the words added since the last one, and an
 //! arena bounded by what the table holds and has held. The other mutations
 //! never pack.
 //!
-//! Ids stream out in insertion order — the slot's `first`, then the region
-//! front to back — which is the order a `Vec<u64>` bucket gave.
+//! Values stream out in insertion order — the slot's `first`, then the
+//! region front to back — which is the order a `Vec` bucket gave.
 
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 
-use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Serialize, Serializer};
 
 use crate::hash::{hash_heap_bytes, WordMap};
 
-/// A blocking key as two words: 8-aligned, so `(Key, Slot)` packs into 32
-/// bytes where `(u128, _)` would round up to 48.
+/// A blocking key as two words: 8-aligned, so `(Key, Slot)` packs into 24
+/// bytes where `(u128, _)` would round up to 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key([u64; 2]);
 
@@ -65,38 +69,50 @@ impl Hash for Key {
     }
 }
 
-/// One bucket: `first` inline, `len` further ids at `arena[off..off + len]`.
+/// One bucket: `first` inline; unless `off` is [`NO_REGION`], the region at
+/// `arena[off..]` holds the number `n` of further values, then the values.
 ///
-/// **Limit.** `off` and `len` are `u32`, so one table's arena holds at most
-/// [`ARENA_LIMIT`] = 2³² − 1 words: ~4 × 10⁹ ids beyond each bucket's first,
-/// 32 GiB, for one table of one shard. [`Table::push`] refuses the id that
-/// would pass it (the stores count that refusal in `StoreStats::dropped`,
-/// like a `CapMode::Drop` insert); nothing wraps and nothing panics.
+/// **Limit.** `off` is a `u32`, so one table's arena holds at most
+/// [`ARENA_LIMIT`] = 2³² − 1 words: ~2 × 10⁹ values beyond each bucket's
+/// first, 16 GiB, for one table of one shard. [`Table::push`] refuses the
+/// value that would pass it (the stores count that refusal in
+/// `StoreStats::dropped`, like a `CapMode::Drop` insert); nothing wraps and
+/// nothing panics.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    first: u64,
+    first: u32,
     off: u32,
-    len: u32,
+}
+
+impl Slot {
+    fn singleton(first: u32) -> Self {
+        Slot {
+            first,
+            off: NO_REGION,
+        }
+    }
 }
 
 /// Most words one table's arena may hold; also keeps every region offset
 /// below [`NO_REGION`].
 const ARENA_LIMIT: usize = u32::MAX as usize;
 
-/// Free-list terminator.
+/// A singleton bucket's offset, and the free-list terminator.
 const NO_REGION: u32 = u32::MAX;
 
-/// Size class of a region holding `len ≥ 1` ids: capacity `1 << class`.
+/// Size class of a region of `words ≥ 2` (header included): capacity
+/// `1 << class`.
 #[inline]
-fn class_of(len: usize) -> u32 {
-    debug_assert!(len > 0);
-    len.next_power_of_two().trailing_zeros()
+fn class_of(words: usize) -> u32 {
+    debug_assert!(words > 1);
+    words.next_power_of_two().trailing_zeros()
 }
 
-/// The overflow ids of one table. See the module documentation.
+/// The values after the first of one table's buckets. See the module
+/// documentation.
 #[derive(Debug, Clone)]
 struct Arena {
-    words: Vec<u64>,
+    words: Vec<u32>,
     /// `free[class]`: offset of the first free region of `1 << class` words,
     /// whose word 0 holds the offset of the next, [`NO_REGION`] at the end.
     free: Vec<u32>,
@@ -119,13 +135,33 @@ impl Arena {
         }
     }
 
+    /// Values after the first in `slot`'s bucket.
+    #[inline]
+    fn rest_len(&self, slot: &Slot) -> usize {
+        if slot.off == NO_REGION {
+            0
+        } else {
+            self.words[slot.off as usize] as usize
+        }
+    }
+
+    /// The values after the first in `slot`'s bucket.
+    #[inline]
+    fn rest(&self, slot: &Slot) -> &[u32] {
+        if slot.off == NO_REGION {
+            return &[];
+        }
+        let off = slot.off as usize;
+        &self.words[off + 1..][..self.words[off] as usize]
+    }
+
     /// A region of `1 << class` words: the class's most recently freed one,
     /// else fresh words at the end. `None` at the arena's limit.
     fn alloc(&mut self, class: u32) -> Option<u32> {
         if let Some(head) = self.free.get_mut(class as usize) {
             if *head != NO_REGION {
                 let off = *head;
-                *head = self.words[off as usize] as u32;
+                *head = self.words[off as usize];
                 return Some(off);
             }
         }
@@ -143,111 +179,123 @@ impl Arena {
         if self.free.len() <= class {
             self.free.resize(class + 1, NO_REGION);
         }
-        self.words[off as usize] = u64::from(self.free[class]);
+        self.words[off as usize] = self.free[class];
         self.free[class] = off;
     }
 
     fn release_bucket(&mut self, slot: Slot) {
-        if slot.len > 0 {
-            self.release(slot.off, class_of(slot.len as usize));
+        let n = self.rest_len(&slot);
+        if n > 0 {
+            self.release(slot.off, class_of(n + 1));
         }
     }
 
-    /// Appends `id` to `slot`'s region, moving a full region up one class.
-    /// `false`, with nothing changed, at the arena's limit.
-    fn push(&mut self, slot: &mut Slot, id: u64) -> bool {
-        let len = slot.len as usize;
-        if len == 0 {
-            let Some(off) = self.alloc(0) else {
+    /// Appends `value` to `slot`'s region, moving a full region up one
+    /// class. `false`, with nothing changed, at the arena's limit.
+    fn push(&mut self, slot: &mut Slot, value: u32) -> bool {
+        let n = self.rest_len(slot);
+        if n == 0 {
+            let Some(off) = self.alloc(1) else {
                 return false;
             };
             slot.off = off;
-        } else if len.is_power_of_two() {
-            let class = len.trailing_zeros();
+        } else if (n + 1).is_power_of_two() {
+            let class = class_of(n + 1);
             let Some(new) = self.alloc(class + 1) else {
                 return false;
             };
             let old = slot.off as usize;
-            self.words.copy_within(old..old + len, new as usize);
+            self.words.copy_within(old..old + n + 1, new as usize);
             self.release(slot.off, class);
             slot.off = new;
         }
-        self.words[slot.off as usize + len] = id;
-        slot.len += 1;
+        let off = slot.off as usize;
+        self.words[off + 1 + n] = value;
+        self.words[off] = (n + 1) as u32; // ≤ the region, which the limit bounds
         true
     }
 
-    /// Keeps the ids `keep` accepts, in order, compacting the region in
+    /// Keeps the values `keep` accepts, in order, compacting the region in
     /// place and freeing the tail it no longer needs. `false` when none is
     /// left (the region is then free and the slot must leave the directory).
-    fn retain(&mut self, slot: &mut Slot, keep: &mut dyn FnMut(u64) -> bool) -> bool {
-        let (off, len) = (slot.off as usize, slot.len as usize);
+    fn retain(&mut self, slot: &mut Slot, keep: &mut dyn FnMut(u32) -> bool) -> bool {
+        let n = self.rest_len(slot);
+        let off = slot.off as usize;
         let mut has_first = keep(slot.first);
         let mut kept = 0usize;
-        for r in off..off + len {
-            let id = self.words[r];
-            if !keep(id) {
+        for r in off + 1..off + 1 + n {
+            let value = self.words[r];
+            if !keep(value) {
                 continue;
             }
             if has_first {
-                self.words[off + kept] = id;
+                self.words[off + 1 + kept] = value;
                 kept += 1;
             } else {
-                slot.first = id;
+                slot.first = value;
                 has_first = true;
             }
         }
-        if kept < len {
-            let was = class_of(len);
+        if kept < n {
+            let was = class_of(n + 1);
             if kept == 0 {
                 self.release(slot.off, was);
+                slot.off = NO_REGION;
             } else {
                 // [off, off + 2^was) keeps its first 2^now words; the rest
                 // splits into one region of each class in between.
-                for class in class_of(kept)..was {
+                for class in class_of(kept + 1)..was {
                     self.release(slot.off + (1u32 << class), class);
                 }
+                self.words[off] = kept as u32;
             }
-            slot.len = kept as u32;
         }
         has_first
     }
 
     fn heap_bytes(&self) -> usize {
-        self.words.capacity() * 8 + self.free.capacity() * 4
+        self.words.capacity() * 4 + self.free.capacity() * 4
     }
 }
 
-/// The ids of one bucket, in insertion order.
+/// The values of one bucket, in insertion order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Bucket<'a> {
-    first: u64,
-    rest: &'a [u64],
+    first: u32,
+    rest: &'a [u32],
 }
 
 impl<'a> Bucket<'a> {
-    /// Ids in the bucket (never 0: an emptied bucket leaves its table).
+    /// Values in the bucket (never 0: an emptied bucket leaves its table).
     pub(crate) fn len(&self) -> usize {
         1 + self.rest.len()
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + 'a {
-        std::iter::once(self.first).chain(self.rest.iter().copied())
+        std::iter::once(self.first)
+            .chain(self.rest.iter().copied())
+            .map(u64::from)
     }
 
-    /// Appends every id to `out`, growing it at most once — as one
-    /// `extend_from_slice` of the whole bucket would.
+    /// Appends every value to `out`, growing it at most once.
     #[inline]
     pub(crate) fn extend_into(&self, out: &mut Vec<u64>) {
         out.reserve(self.len());
-        out.push(self.first);
-        out.extend_from_slice(self.rest);
+        out.push(u64::from(self.first));
+        out.extend(self.rest.iter().map(|&v| u64::from(v)));
     }
 }
 
 /// Heap bytes of a store's `L` tables.
 pub(crate) fn tables_heap_bytes(tables: &[Table]) -> u64 {
     (std::mem::size_of_val(tables) + tables.iter().map(Table::heap_bytes).sum::<usize>()) as u64
+}
+
+/// The table value a store keeps for a `u64` id: `None` — refused, counted
+/// in `StoreStats::dropped` — for one of 2³² or more.
+#[inline]
+pub(crate) fn value_of(id: u64) -> Option<u32> {
+    u32::try_from(id).ok()
 }
 
 /// One blocking table. See the module documentation.
@@ -268,7 +316,7 @@ impl Default for Table {
 
 impl Table {
     /// A table whose arena stops at `limit` words, so that a test reaches
-    /// the refusal without 32 GiB.
+    /// the refusal without 16 GiB.
     #[cfg(test)]
     pub(crate) fn with_arena_limit(limit: usize) -> Self {
         Self {
@@ -284,10 +332,9 @@ impl Table {
     }
 
     fn bucket(&self, slot: &Slot) -> Bucket<'_> {
-        let off = slot.off as usize;
         Bucket {
             first: slot.first,
-            rest: &self.arena.words[off..off + slot.len as usize],
+            rest: self.arena.rest(slot),
         }
     }
 
@@ -303,26 +350,22 @@ impl Table {
             .map(|(key, slot)| (u128::from(*key), self.bucket(slot)))
     }
 
-    /// Appends `id` to `key`'s bucket. `false`, with nothing changed, when
-    /// the arena is at its limit (see [`Slot`]).
+    /// Appends `value` to `key`'s bucket. `false`, with nothing changed,
+    /// when the arena is at its limit (see [`Slot`]).
     #[inline]
-    pub(crate) fn push(&mut self, key: u128, id: u64) -> bool {
+    pub(crate) fn push(&mut self, key: u128, value: u32) -> bool {
         match self.dir.entry(Key::from(key)) {
             Entry::Vacant(e) => {
-                e.insert(Slot {
-                    first: id,
-                    off: 0,
-                    len: 0,
-                });
+                e.insert(Slot::singleton(value));
                 true
             }
-            Entry::Occupied(mut e) => self.arena.push(e.get_mut(), id),
+            Entry::Occupied(mut e) => self.arena.push(e.get_mut(), value),
         }
     }
 
-    /// Keeps the ids of `key`'s bucket that `keep` accepts; an emptied
+    /// Keeps the values of `key`'s bucket that `keep` accepts; an emptied
     /// bucket leaves the table.
-    pub(crate) fn retain(&mut self, key: u128, mut keep: impl FnMut(u64) -> bool) {
+    pub(crate) fn retain(&mut self, key: u128, mut keep: impl FnMut(u32) -> bool) {
         if let Entry::Occupied(mut e) = self.dir.entry(Key::from(key)) {
             if !self.arena.retain(e.get_mut(), &mut keep) {
                 e.remove();
@@ -330,17 +373,17 @@ impl Table {
         }
     }
 
-    /// Takes `id` out of `key`'s bucket, then packs the arena once it has
-    /// outgrown the last pack (see the module documentation).
-    pub(crate) fn evict(&mut self, key: u128, id: u64) {
-        self.retain(key, |x| x != id);
+    /// Takes `value` out of `key`'s bucket, then packs the arena once it
+    /// has outgrown the last pack (see the module documentation).
+    pub(crate) fn evict(&mut self, key: u128, value: u32) {
+        self.retain(key, |x| x != value);
         if self.arena.words.len() > 2 * self.arena.packed as usize + self.dir.capacity() {
             self.pack();
         }
     }
 
     /// [`Table::retain`] over every bucket.
-    pub(crate) fn retain_all(&mut self, mut keep: impl FnMut(u64) -> bool) {
+    pub(crate) fn retain_all(&mut self, mut keep: impl FnMut(u32) -> bool) {
         let arena = &mut self.arena;
         self.dir.retain(|_, slot| arena.retain(slot, &mut keep));
     }
@@ -355,49 +398,43 @@ impl Table {
     /// and empties the free lists. The arena keeps its capacity.
     fn pack(&mut self) {
         let arena = &mut self.arena;
-        let mut regions = Vec::new();
-        for slot in self.dir.values_mut() {
-            if slot.len == 0 {
-                // Sliced as `words[off..off]`: keep `off` inside the arena.
-                slot.off = 0;
-            } else {
-                regions.push(slot);
-            }
-        }
+        let mut regions: Vec<&mut Slot> = self
+            .dir
+            .values_mut()
+            .filter(|slot| slot.off != NO_REGION)
+            .collect();
         regions.sort_unstable_by_key(|s| s.off);
         let mut end = 0;
         for slot in regions {
             // Every region before this one fits below its offset.
-            let (off, len) = (slot.off as usize, slot.len as usize);
-            arena.words.copy_within(off..off + len, end);
+            let off = slot.off as usize;
+            let words = arena.words[off] as usize + 1;
+            arena.words.copy_within(off..off + words, end);
             slot.off = end as u32;
-            end += 1 << class_of(len);
+            end += 1 << class_of(words);
         }
         arena.words.truncate(end);
         arena.free.clear();
         arena.packed = end as u32; // ≤ the arena, which the limit bounds
     }
 
-    /// Makes `ids` the whole of `key`'s bucket (none: the bucket leaves).
-    /// `false`, with nothing changed, when the arena cannot hold them.
-    pub(crate) fn replace(&mut self, key: u128, ids: &[u64]) -> bool {
-        let Some((&first, rest)) = ids.split_first() else {
+    /// Makes `values` the whole of `key`'s bucket (none: the bucket
+    /// leaves). `false`, with nothing changed, when the arena cannot hold
+    /// them.
+    pub(crate) fn replace(&mut self, key: u128, values: &[u32]) -> bool {
+        let Some((&first, rest)) = values.split_first() else {
             self.remove(key);
             return true;
         };
-        let mut slot = Slot {
-            first,
-            off: 0,
-            len: 0,
-        };
+        let mut slot = Slot::singleton(first);
         if !rest.is_empty() {
-            let Some(off) = self.arena.alloc(class_of(rest.len())) else {
+            let Some(off) = self.arena.alloc(class_of(rest.len() + 1)) else {
                 return false;
             };
             let at = off as usize;
-            self.arena.words[at..at + rest.len()].copy_from_slice(rest);
+            self.arena.words[at] = rest.len() as u32; // ≤ the region, which the limit bounds
+            self.arena.words[at + 1..][..rest.len()].copy_from_slice(rest);
             slot.off = off;
-            slot.len = rest.len() as u32; // ≤ the region, which the limit bounds
         }
         if let Some(old) = self.dir.insert(Key::from(key), slot) {
             self.arena.release_bucket(old);
@@ -419,15 +456,37 @@ impl Table {
         hash_heap_bytes(self.dir.capacity(), std::mem::size_of::<(Key, Slot)>())
             + self.arena.heap_bytes()
     }
+
+    /// The table a document's `{key: [values]}` buckets describe. A value of
+    /// 2³² or more is left out and counted in `dropped`, as an insert of it
+    /// would be.
+    ///
+    /// # Errors
+    /// A bucket the arena cannot hold.
+    pub(crate) fn from_doc(doc: TableDoc, dropped: &mut u64) -> Result<Self, String> {
+        let mut table = Table::default();
+        table.dir.reserve(doc.len());
+        let mut values = Vec::new();
+        for (key, ids) in doc {
+            values.clear();
+            values.extend(ids.iter().filter_map(|&id| value_of(id)));
+            *dropped += (ids.len() - values.len()) as u64;
+            if !table.replace(key, &values) {
+                return Err(format!("bucket {key} exceeds the table's arena"));
+            }
+        }
+        Ok(table)
+    }
 }
 
-// The serialisation shim: the document is the one the `WordMap<u128, Vec<u64>>`
-// tables wrote (decimal keys sorted as strings, each bucket's ids in order),
-// so it goes through that type.
+/// A table as its document holds it: the one the `WordMap<u128, Vec<u64>>`
+/// tables wrote (decimal keys sorted as strings, each bucket's values in
+/// order).
+pub(crate) type TableDoc = WordMap<u128, Vec<u64>>;
 
 impl Serialize for Table {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let buckets: WordMap<u128, Vec<u64>> = self
+        let buckets: TableDoc = self
             .iter()
             .map(|(key, bucket)| (key, bucket.iter().collect()))
             .collect();
@@ -435,20 +494,14 @@ impl Serialize for Table {
     }
 }
 
-impl<'de> Deserialize<'de> for Table {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let buckets = WordMap::<u128, Vec<u64>>::deserialize(deserializer)?;
-        let mut table = Table::default();
-        table.dir.reserve(buckets.len());
-        for (key, ids) in buckets {
-            if !table.replace(key, &ids) {
-                return Err(de::Error::custom(format!(
-                    "bucket {key} exceeds the table's arena"
-                )));
-            }
-        }
-        Ok(table)
-    }
+/// [`Table::from_doc`] over a store's tables.
+pub(crate) fn tables_from_doc<E: serde::de::Error>(
+    docs: Vec<TableDoc>,
+    dropped: &mut u64,
+) -> Result<Vec<Table>, E> {
+    docs.into_iter()
+        .map(|doc| Table::from_doc(doc, dropped).map_err(E::custom))
+        .collect()
 }
 
 #[cfg(test)]
@@ -459,8 +512,8 @@ mod tests {
     use std::collections::HashMap;
 
     #[test]
-    fn a_directory_entry_is_four_words() {
-        assert_eq!(std::mem::size_of::<(Key, Slot)>(), 32);
+    fn a_directory_entry_is_three_words() {
+        assert_eq!(std::mem::size_of::<(Key, Slot)>(), 24);
         // And a table thirteen (see `Arena::limit`).
         assert_eq!(std::mem::size_of::<Table>(), 104);
     }
@@ -485,8 +538,10 @@ mod tests {
         table.iter().map(|(k, b)| (k, b.iter().collect())).collect()
     }
 
-    /// Live regions and free regions are disjoint and together cover the
-    /// arena exactly; no region is on a free list twice.
+    /// A singleton bucket has no region and a longer one a region whose
+    /// header is its length after the first; live regions and free regions
+    /// are disjoint and together cover the arena exactly; no region is on a
+    /// free list twice.
     fn check_arena(table: &Table) {
         let mut owner = vec![false; table.arena.words.len()];
         let mut claim = |off: usize, cap: usize, what: &str| {
@@ -496,8 +551,10 @@ mod tests {
             }
         };
         for slot in table.dir.values() {
-            if slot.len > 0 {
-                claim(slot.off as usize, 1 << class_of(slot.len as usize), "live");
+            if slot.off != NO_REGION {
+                let n = table.arena.words[slot.off as usize] as usize;
+                assert!(n > 0, "a region holds at least one value");
+                claim(slot.off as usize, 1 << class_of(n + 1), "live");
             }
         }
         for (class, &head) in table.arena.free.iter().enumerate() {
@@ -505,7 +562,7 @@ mod tests {
             while off != NO_REGION {
                 // A region listed twice would be claimed twice.
                 claim(off as usize, 1 << class, "free");
-                off = table.arena.words[off as usize] as u32;
+                off = table.arena.words[off as usize];
             }
         }
         assert!(owner.iter().all(|&w| w), "arena words owned by no region");
@@ -523,28 +580,28 @@ mod tests {
                 let key = u128::from(rng.random_range(0..24u64)) << 60;
                 match rng.random_range(0..100u32) {
                     0..=69 => {
-                        let id = rng.random_range(0..500u64);
-                        assert!(table.push(key, id));
-                        model.entry(key).or_default().push(id);
+                        let v = rng.random_range(0..500u32);
+                        assert!(table.push(key, v));
+                        model.entry(key).or_default().push(u64::from(v));
                     }
                     70..=77 => {
-                        let m = rng.random_range(2..6u64);
-                        table.retain(key, |id| id % m != 0);
+                        let m = rng.random_range(2..6u32);
+                        table.retain(key, |v| v % m != 0);
                         if let Some(b) = model.get_mut(&key) {
-                            b.retain(|id| id % m != 0);
+                            b.retain(|&v| v % u64::from(m) != 0);
                             if b.is_empty() {
                                 model.remove(&key);
                             }
                         }
                     }
                     78..=84 => {
-                        // An id the bucket holds, when it has one.
-                        let id = model.get(&key).map_or(0, |b| b[b.len() / 2]);
+                        // A value the bucket holds, when it has one.
+                        let v = model.get(&key).map_or(0, |b| b[b.len() / 2]);
                         let before = table.arena.packed;
-                        table.evict(key, id);
+                        table.evict(key, v as u32);
                         packs += u32::from(table.arena.packed != before);
                         if let Some(b) = model.get_mut(&key) {
-                            b.retain(|&x| x != id);
+                            b.retain(|&x| x != v);
                             if b.is_empty() {
                                 model.remove(&key);
                             }
@@ -552,18 +609,20 @@ mod tests {
                     }
                     85..=92 => {
                         let n = rng.random_range(0..20usize);
-                        let ids: Vec<u64> = (0..n).map(|_| rng.random_range(0..500u64)).collect();
-                        assert!(table.replace(key, &ids));
-                        if ids.is_empty() {
+                        let values: Vec<u32> =
+                            (0..n).map(|_| rng.random_range(0..500u32)).collect();
+                        assert!(table.replace(key, &values));
+                        if values.is_empty() {
                             model.remove(&key);
                         } else {
-                            model.insert(key, ids);
+                            model.insert(key, values.iter().map(|&v| u64::from(v)).collect());
                         }
                     }
                     93..=96 => {
-                        let m = rng.random_range(2..4u64);
-                        table.retain_all(|id| id % m != 1);
-                        model.values_mut().for_each(|b| b.retain(|id| id % m != 1));
+                        let m = rng.random_range(2..4u32);
+                        table.retain_all(|v| v % m != 1);
+                        let m = u64::from(m);
+                        model.values_mut().for_each(|b| b.retain(|v| v % m != 1));
                         model.retain(|_, b| !b.is_empty());
                     }
                     97..=98 => {
@@ -588,15 +647,29 @@ mod tests {
     }
 
     #[test]
+    fn a_singleton_takes_no_arena_and_a_pair_takes_two_words() {
+        let mut table = Table::default();
+        for key in 0..100u128 {
+            assert!(table.push(key, key as u32));
+        }
+        assert!(table.arena.words.is_empty());
+        assert!(table.push(7, 1000));
+        assert_eq!(table.arena.words, [1, 1000], "header, then the value");
+        table.evict(7, 7);
+        assert_eq!(contents(&table)[&7], [1000]);
+        check_arena(&table);
+    }
+
+    #[test]
     fn freed_regions_are_reused_before_the_arena_grows() {
         let mut table = Table::default();
-        for id in 0..5 {
-            table.push(1, id); // first + a region of 4
+        for v in 0..5 {
+            table.push(1, v); // first + a region of 8: header and 4 values
         }
         let grown = table.arena.words.len();
         table.remove(1);
-        for id in 0..5 {
-            table.push(2, id);
+        for v in 0..5 {
+            table.push(2, v);
         }
         assert_eq!(table.arena.words.len(), grown);
         check_arena(&table);
@@ -604,60 +677,75 @@ mod tests {
 
     #[test]
     fn buckets_that_grow_and_shrink_in_turn_keep_the_arena_bounded() {
-        // Eight live ids over four keys, the oldest evicted at each push: a
-        // bucket's region keeps splitting as it shrinks, and without
+        // Eight live values over four keys, the oldest evicted at each push:
+        // a bucket's region keeps splitting as it shrinks, and without
         // packing the arena grew by ~0.8 words a push.
         let mut rng = StdRng::seed_from_u64(5);
         let mut table = Table::default();
         let mut live = std::collections::VecDeque::new();
         let mut most = 0;
-        for id in 0..50_000u64 {
+        for v in 0..50_000u32 {
             let key = u128::from(rng.random_range(0..4u64));
-            assert!(table.push(key, id));
-            live.push_back((key, id));
+            assert!(table.push(key, v));
+            live.push_back((key, v));
             if live.len() > 8 {
                 let (key, old) = live.pop_front().unwrap();
                 table.evict(key, old);
             }
             most = most.max(table.arena.words.len());
-            if id % 1024 == 0 {
+            if v % 1024 == 0 {
                 check_arena(&table);
             }
         }
-        assert!(most <= 64, "the arena reached {most} words for 8 ids");
+        assert!(most <= 64, "the arena reached {most} words for 8 values");
     }
 
     #[test]
     fn the_arena_limit_refuses_and_changes_nothing() {
-        let mut table = Table::with_arena_limit(4);
-        for id in 0..3 {
-            assert!(table.push(9, id)); // inline, a region of 1, a region of 2
+        let mut table = Table::with_arena_limit(6);
+        for v in 0..4 {
+            // Inline, a region of 2, a region of 4 (which takes the fourth).
+            assert!(table.push(9, v));
         }
         let before = contents(&table);
         assert!(
-            !table.push(9, 3),
-            "a region of 4 does not fit in 4 − 3 words"
+            !table.push(9, 4),
+            "a region of 8 does not fit in an arena of 6 words"
         );
         assert!(!table.replace(8, &[1, 2, 3, 4]));
         assert_eq!(contents(&table), before);
-        assert!(table.push(8, 5), "a first id needs no arena");
-        assert!(table.push(8, 6), "the freed region of 1 is reused");
+        assert!(table.push(8, 5), "a first value needs no arena");
+        assert!(table.push(8, 6), "the freed region of 2 is reused");
         check_arena(&table);
     }
 
     #[test]
     fn serialises_as_the_map_of_lists() {
         let mut table = Table::default();
-        let mut map: WordMap<u128, Vec<u64>> = WordMap::default();
-        for (key, id) in [(10u128, 1u64), (2, 2), (10, 3), (7 << 70, 4), (10, 5)] {
-            table.push(key, id);
-            map.entry(key).or_default().push(id);
+        let mut map: TableDoc = WordMap::default();
+        for (key, v) in [(10u128, 1u32), (2, 2), (10, 3), (7 << 70, 4), (10, 5)] {
+            table.push(key, v);
+            map.entry(key).or_default().push(u64::from(v));
         }
         let doc = serde::to_value(&table).unwrap();
         assert_eq!(doc, serde::to_value(&map).unwrap());
-        let back: Table = serde::from_value(doc.clone()).unwrap();
+        let mut dropped = 0;
+        let back = Table::from_doc(map, &mut dropped).unwrap();
+        assert_eq!(dropped, 0);
         assert_eq!(contents(&back), contents(&table));
         assert_eq!(serde::to_value(&back).unwrap(), doc);
         check_arena(&back);
+    }
+
+    #[test]
+    fn a_document_value_past_u32_is_dropped_and_counted() {
+        let mut doc: TableDoc = WordMap::default();
+        doc.insert(1, vec![1 << 32, 5, u64::MAX, 6]);
+        doc.insert(2, vec![1 << 40]);
+        let mut dropped = 0;
+        let table = Table::from_doc(doc, &mut dropped).unwrap();
+        assert_eq!(dropped, 3);
+        assert_eq!(contents(&table), HashMap::from([(1, vec![5, 6])]));
+        check_arena(&table);
     }
 }

@@ -14,6 +14,17 @@
 //!   it was deleted from. So the delta is still the map of id lists it was,
 //!   whatever holds it in memory.
 //!
+//! A store holds `u64` values and does not know what they name. In the
+//! parent they were client ids; now the engine stores slab slots, and the
+//! generation file keeps its format (`u64` postings, which carry slots). A
+//! version 3 snapshot's store loads as it is, and its owner — whose slab
+//! has no slot order — re-keys it: the store is cleared, every record
+//! inserted under its slot, ascending, and the result sealed as the next
+//! generation (`cbv_hb::matcher::rekey`). The second test drives that path
+//! over this fixture: read back in id space the re-keyed store answers, and
+//! hashes, as the parent did, and its version 4 document keeps every
+//! slot.
+//!
 //! The history leaves every part of the manifest non-trivial: a sealed
 //! generation, delta buckets of one id and of several (on keys the base has
 //! and on new ones), a base bucket overridden by the delta (`overridden`),
@@ -178,5 +189,83 @@ fn mmap_manifest_of_the_parent_loads_probes_and_rewrites_identically() {
     let mut out = Vec::new();
     moved.probe_into(0, A, &mut out);
     assert_eq!(out, [0, 3, 6, 9, 12, 15, 200, 201, 202, 203, 204]);
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// The parent's answers as `(table, key, id)`, sorted, hashed as the
+/// benchmark hashes a match relation.
+fn answers_hash(entries: &[(usize, u128, u64)]) -> u64 {
+    entries
+        .iter()
+        .map(|&(t, key, id)| {
+            let mut z = id.rotate_left(32) ^ (key as u64) ^ ((key >> 64) as u64) ^ t as u64;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        })
+        .fold(0u64, u64::wrapping_add)
+}
+
+fn entries(store: &MmapStore) -> Vec<(usize, u128, u64)> {
+    let mut out = Vec::new();
+    store.for_each_entry(&mut |t, key, values| {
+        out.extend(values.iter().map(|&v| (t, key, v)));
+    });
+    out.sort_unstable();
+    out
+}
+
+#[test]
+fn a_parent_store_re_keyed_to_slots_answers_as_the_parent_did() {
+    let text = std::fs::read_to_string(fixtures().join("mmap-parent.json")).unwrap();
+    let scratch = std::env::temp_dir().join(format!("rl-bs-rekey-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).unwrap();
+    std::fs::copy(
+        fixtures().join("mmap-parent/gen-1.blk"),
+        scratch.join("gen-1.blk"),
+    )
+    .unwrap();
+    let doc = rehomed(serde_json::value_from_str(&text).unwrap(), &scratch);
+    let mut store: MmapStore = serde_json::from_value(doc).unwrap();
+    let parent = entries(&store);
+    let expected: usize = ANSWERS.iter().map(|(_, _, ids)| ids.len()).sum();
+    assert_eq!(parent.len(), expected);
+
+    // The slab's fresh slots: ascending by id, as a document without slot
+    // order restores them.
+    let mut ids: Vec<u64> = parent.iter().map(|&(_, _, id)| id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let slot = |id: u64| ids.binary_search(&id).unwrap() as u64;
+    let p = policy();
+    store.clear();
+    let mut by_slot: Vec<(u64, usize, u128)> = parent
+        .iter()
+        .map(|&(t, key, id)| (slot(id), t, key))
+        .collect();
+    by_slot.sort_unstable();
+    for (s, t, key) in by_slot {
+        assert!(store.insert(t, key, s, &p));
+    }
+    store.compact(&p).unwrap();
+    assert_eq!(store.generation(), 1, "a cleared store seals from 1 again");
+    let gen = std::fs::read(scratch.join("gen-1.blk")).unwrap();
+    assert_eq!(&gen[gen.len() - 8..], b"RLBSEND!", "the same file format");
+
+    let in_id_space = |store: &MmapStore| -> Vec<(usize, u128, u64)> {
+        let mut out: Vec<_> = (entries(store).into_iter())
+            .map(|(t, key, s)| (t, key, ids[s as usize]))
+            .collect();
+        out.sort_unstable();
+        out
+    };
+    assert_eq!(in_id_space(&store), parent);
+    assert_eq!(answers_hash(&in_id_space(&store)), answers_hash(&parent));
+
+    // The version 4 document keeps every slot.
+    let back: MmapStore = serde_json::from_str(&serde_json::to_string(&store).unwrap()).unwrap();
+    assert!(!back.needs_rebuild());
+    assert_eq!(entries(&back), entries(&store));
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -46,8 +46,14 @@
 //! ([`EmbeddedRecord::packed`]) and call their `_row` twin; they exist for
 //! callers that hold the unpacked reference (tests, the benchmark's replay).
 //!
-//! **Candidate sets** are sorted, de-duplicated `Vec<u64>`s. A
-//! single-structure plan gathers its bucket ids into the caller's
+//! **Table values.** A bucket holds `u64` values that the engines make the
+//! record's slot in its [`crate::matcher::RecordSlab`]
+//! ([`crate::matcher::index_row`]); the `&EmbeddedRecord` adapters insert
+//! the record's id, so there slot ≡ id. A store refuses a value of 2³² or
+//! more (counted in `StoreStats::dropped`).
+//!
+//! **Candidate sets** are sorted, de-duplicated `Vec<u64>`s of values. A
+//! single-structure plan gathers its bucket values into the caller's
 //! [`ProbeScratch`] and sorts them; compound plans intersect, unite and
 //! subtract by merging sorted vectors.
 
@@ -614,8 +620,9 @@ impl BlockingStructure {
         self.keys_into_row(self.packed(rec).as_ref(), out);
     }
 
-    /// Hashes record `id`, whose row is `row`, into all `L` tables (the
-    /// indexing pass for data set A).
+    /// Hashes value `id` — a record's slab slot, or its id under the
+    /// adapters — whose row is `row`, into all `L` tables (the indexing pass
+    /// for data set A).
     pub fn insert_row(&mut self, id: u64, row: &[u64]) {
         let mut keys = std::mem::take(&mut self.keys.scratch);
         self.keys_into_row(row, &mut keys);
@@ -1095,8 +1102,8 @@ impl BlockingPlan {
         self.structures.iter().map(BlockingStructure::l).sum()
     }
 
-    /// Indexes record `id` of data set A, whose row is `row`, into every
-    /// structure.
+    /// Indexes value `id` — a record's slab slot, or its id under the
+    /// adapters — whose row is `row`, into every structure.
     pub fn insert_row(&mut self, id: u64, row: &[u64]) {
         for s in &mut self.structures {
             s.insert_row(id, row);
@@ -1271,9 +1278,10 @@ impl BlockingPlan {
     /// The probe loop's candidate formulation: the verified candidates of
     /// the probe whose row is `row` are left in `scratch`
     /// ([`ProbeScratch::candidates`]), whose buffers a single-structure
-    /// plan reuses from probe to probe; `lookup` resolves an id to its row
-    /// (`&[u64]` from a slab, or anything that derefs to one). Returns
-    /// whether a top-k bound truncated the candidate stream.
+    /// plan reuses from probe to probe; `lookup` resolves a table value to
+    /// its row (a slot to `&[u64]` by direct index from a slab, or anything
+    /// that derefs to one). Returns whether a top-k bound truncated the
+    /// candidate stream.
     pub fn candidates_into_row<R, F>(
         &self,
         row: &[u64],
@@ -1364,18 +1372,15 @@ impl BlockingPlan {
 pub struct ProbeScratch {
     keys: Vec<u128>,
     bucket: Vec<u64>,
-    candidates: Vec<u64>,
+    pub(crate) candidates: Vec<u64>,
 }
 
 impl ProbeScratch {
-    /// The candidate ids the last probe left here: ascending, distinct.
+    /// The candidates the last probe left here — table values: slab slots
+    /// in the engines — ascending, distinct. (`matcher::match_record`
+    /// leaves its matched ids here instead.)
     pub fn candidates(&self) -> &[u64] {
         &self.candidates
-    }
-
-    /// [`Self::candidates`], owned, for a caller that probes once.
-    pub fn into_candidates(self) -> Vec<u64> {
-        self.candidates
     }
 }
 

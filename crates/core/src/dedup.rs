@@ -142,14 +142,18 @@ pub fn deduplicate<R: Rng + ?Sized>(
     let mut uf = UnionFind::new();
     let mut scratch = ProbeScratch::default();
     for (probe, row) in rows {
-        plan.candidates_into_row(row, |id| store.get(id), &mut scratch);
-        for &id in scratch.candidates() {
+        plan.candidates_into_row(row, |slot| store.row_at(slot), &mut scratch);
+        let first = result.pairs.len();
+        for &slot in scratch.candidates() {
+            let Some(a) = store.row_at(slot) else {
+                continue;
+            };
             // Each unordered pair once; skip self.
+            let id = store.id_at(slot);
             if id >= probe {
                 continue;
             }
             result.stats.candidates += 1;
-            let Some(a) = store.get(id) else { continue };
             result.stats.distance_computations += 1;
             if classifier.matches_rows(store.layout(), a, row) {
                 result.pairs.push((id, probe));
@@ -157,6 +161,8 @@ pub fn deduplicate<R: Rng + ?Sized>(
                 uf.union(id, probe);
             }
         }
+        // Candidates ascend by slot; a probe's pairs ascend by id.
+        result.pairs[first..].sort_unstable();
     }
     result.clusters = uf.clusters(2);
     Ok(result)

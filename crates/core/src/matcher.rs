@@ -9,14 +9,16 @@
 //! Algorithm 2 loop over a single structure, with a switch to disable the
 //! de-dup collection for the ablation bench.
 //!
-//! **Records are rows.** The paper's `retrieve(Id)` is [`RecordSlab::get`]:
-//! one dense `Vec<u64>` of packed record-level c-vectors (two words for the
-//! 120-bit NCVR record) behind an id → slot map, freed slots reused. A
-//! candidate is reached through one map probe and one row read, and
-//! classified by [`Classifier::matches_rows`] with the popcounts its rule
-//! reaches under the slab's [`RowLayout`]. [`index_row`] and [`unindex`] are
-//! the two mutations every engine applies — tables and slab together — and
-//! `index_row` is where a re-indexed id learns its old row, so its stale
+//! **Records are rows in slots.** The paper's `retrieve(Id)` is a
+//! [`RecordSlab`]: one dense `Vec<u64>` of packed record-level c-vectors (two
+//! words for the 120-bit NCVR record), one slot per record, freed slots
+//! reused. The blocking tables hold slots, so a candidate is one row read by
+//! direct index ([`RecordSlab::row_at`]) — no map probe — classified by
+//! [`Classifier::matches_rows`] with the popcounts its rule reaches under
+//! the slab's [`RowLayout`]; a match's id is read from the slab's slot → id
+//! column. [`index_row`] and [`unindex`] are the two mutations every engine
+//! applies — tables and slab together, the tables under the record's slot —
+//! and `index_row` is where a re-indexed id learns its old row, so its stale
 //! table entries leave instead of piling up.
 //!
 //! [`match_record`] is the probe loop's inner step and allocates nothing
@@ -156,25 +158,35 @@ impl RecordStore {
     }
 }
 
-/// The records of data set A, addressable by id — the paper's
-/// `retrieve(Id)` primitive (Table 2) — as one packed record-level c-vector
-/// each: row `s` is `rows[s · W..(s + 1) · W]`, `W = ⌈m̄/64⌉`, and
-/// `slots` maps an id to its `s`. A removed record's slot goes on `free`
-/// and is the next one an insert takes. Ids are the clients', so the map is
-/// keyed per process (`rl_blockstore::hash`).
+/// The records of data set A — the paper's `retrieve(Id)` primitive
+/// (Table 2) — as one packed record-level c-vector each, in *slots*: row `s`
+/// is `rows[s · W..(s + 1) · W]`, `W = ⌈m̄/64⌉`, and `ids[s]` is the client id
+/// of the record in slot `s`. A record keeps its slot until it is removed;
+/// the freed slot goes on `free` and is the next one an insert takes.
 ///
-/// Serialized as the [`RecordStore`] document, so saved pipelines,
-/// snapshots and checkpoints read and write what they always did. A
-/// deserialized slab knows its layout from its first record; an empty one
-/// does not, so whoever restores one calls [`RecordSlab::bind`] with the
-/// schema's layout before using it (as `BlockingPlan::compile_kernels`
-/// for the plan beside it).
+/// The blocking tables beside a slab hold slots, not ids ([`index_row`]), so
+/// a candidate is read by direct index — [`RecordSlab::row_at`],
+/// [`RecordSlab::id_at`] — and the id → slot map (`slots`, keyed per
+/// process: ids are the clients') serves only the by-id operations: index,
+/// delete and get.
+///
+/// Serialized as the [`RecordStore`] document plus the slot order, so a
+/// restored slab puts every id back in its slot and the tables saved beside
+/// it stay valid. A document without the slot order (written before tables
+/// held slots) restores with fresh slots and [`RecordSlab::needs_rekey`]
+/// set: its tables hold ids, and whoever restores it re-keys them
+/// ([`rekey`]). A deserialized slab knows its layout from its first record;
+/// an empty one does not, so whoever restores one calls
+/// [`RecordSlab::bind`] with the schema's layout before using it (as
+/// `BlockingPlan::compile_kernels` for the plan beside it).
 #[derive(Debug, Clone, Default)]
 pub struct RecordSlab {
     layout: RowLayout,
     rows: Vec<u64>,
+    ids: Vec<u64>,
     slots: WordMap<u64, u32>,
     free: Vec<u32>,
+    needs_rekey: bool,
 }
 
 impl RecordSlab {
@@ -200,6 +212,9 @@ impl RecordSlab {
             )));
         }
         self.layout = layout;
+        // An empty slab's document did not say how wide its free slots'
+        // rows are; now they are this wide.
+        self.rows.resize(self.ids.len() * self.layout.words(), 0);
         Ok(())
     }
 
@@ -213,38 +228,73 @@ impl RecordSlab {
         &self.rows[slot as usize * w..][..w]
     }
 
-    /// Stores `row` as record `id`'s, in place of any row it had. Returns
-    /// whether the id is new.
+    /// Stores `row` as record `id`'s, in place of any row it had, and
+    /// returns the record's slot: the one it had, else a freed one, else a
+    /// new one.
     ///
     /// # Panics
     /// Panics if `row` is not of this slab's layout, or at 2³² records.
-    pub fn insert(&mut self, id: u64, row: &[u64]) -> bool {
+    pub fn insert(&mut self, id: u64, row: &[u64]) -> u32 {
         let w = self.layout.words();
         assert_eq!(row.len(), w, "row of another layout");
-        let known = self.slots.get(&id).copied();
-        let slot = known.or_else(|| self.free.pop()).unwrap_or_else(|| {
-            let slot = u32::try_from(self.rows.len() / w).expect("a slab holds 2^32 records");
-            self.rows.resize(self.rows.len() + w, 0);
-            slot
-        });
+        let slot = match self.slots.get(&id) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    let slot = u32::try_from(self.ids.len()).expect("a slab holds 2^32 records");
+                    self.ids.push(id);
+                    self.rows.resize(self.rows.len() + w, 0);
+                    slot
+                });
+                self.ids[slot as usize] = id;
+                self.slots.insert(id, slot);
+                slot
+            }
+        };
         self.rows[slot as usize * w..][..w].copy_from_slice(row);
-        if known.is_none() {
-            self.slots.insert(id, slot);
-        }
-        known.is_none()
+        slot
+    }
+
+    /// Record `id`'s slot.
+    #[inline]
+    pub fn slot(&self, id: u64) -> Option<u32> {
+        self.slots.get(&id).copied()
     }
 
     /// Retrieves a record's row by id.
     #[inline]
     pub fn get(&self, id: u64) -> Option<&[u64]> {
-        self.slots.get(&id).map(|&slot| self.row(slot))
+        self.slot(id).map(|slot| self.row(slot))
+    }
+
+    /// Record `id`'s slot — as the table value it is indexed under — and
+    /// row.
+    #[inline]
+    pub fn find(&self, id: u64) -> Option<(u64, &[u64])> {
+        self.slot(id).map(|slot| (u64::from(slot), self.row(slot)))
+    }
+
+    /// The row in `slot` — a blocking table's value — read by direct index.
+    /// `None` past the slab's slots; a free slot still holds its last row,
+    /// which no table names ([`RecordSlab::remove`]).
+    #[inline]
+    pub fn row_at(&self, slot: u64) -> Option<&[u64]> {
+        let w = self.layout.words();
+        let at = usize::try_from(slot).ok()?.checked_mul(w)?;
+        self.rows.get(at..at.checked_add(w)?)
+    }
+
+    /// The id of the record in `slot`, one [`RecordSlab::row_at`] found.
+    #[inline]
+    pub fn id_at(&self, slot: u64) -> u64 {
+        self.ids[slot as usize]
     }
 
     /// Removes a record by id, returning whether it was present; its slot
     /// is free for the next insert. Blocking tables are not touched —
-    /// [`unindex`] does both — but a table entry whose id no longer
-    /// resolves here is skipped by [`match_record`], so a removed record
-    /// can never match again.
+    /// [`unindex`] does both. A caller that removes a record here must have
+    /// evicted its slot from every table keyed on this slab: once reused,
+    /// the slot answers for another record.
     pub fn remove(&mut self, id: u64) -> bool {
         let slot = self.slots.remove(&id);
         self.free.extend(slot);
@@ -254,6 +304,13 @@ impl RecordSlab {
     /// Iterates over all stored `(id, row)`s, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u64])> {
         self.slots.iter().map(|(&id, &slot)| (id, self.row(slot)))
+    }
+
+    /// Iterates over all stored `(slot, row)`s, slots ascending.
+    pub fn iter_slots(&self) -> impl Iterator<Item = (u32, &[u64])> {
+        let mut slots: Vec<u32> = self.slots.values().copied().collect();
+        slots.sort_unstable();
+        slots.into_iter().map(|slot| (slot, self.row(slot)))
     }
 
     /// Number of stored records.
@@ -266,12 +323,32 @@ impl RecordSlab {
         self.slots.is_empty()
     }
 
-    /// Heap bytes held — rows, the id → slot map, the free list — from
-    /// capacities.
+    /// True for a slab restored from a document without its slot order:
+    /// the tables saved beside it hold ids, not this slab's slots, and must
+    /// be re-keyed ([`rekey`]) before the pair serves a probe.
+    pub fn needs_rekey(&self) -> bool {
+        self.needs_rekey
+    }
+
+    /// Heap bytes held — rows, the slot → id column, the id → slot map,
+    /// the free list — from capacities.
     pub fn heap_bytes(&self) -> u64 {
         let slots = hash_heap_bytes(self.slots.capacity(), std::mem::size_of::<(u64, u32)>());
-        (self.rows.capacity() * 8 + slots + self.free.capacity() * 4) as u64
+        (self.rows.capacity() * 8 + self.ids.capacity() * 8 + slots + self.free.capacity() * 4)
+            as u64
     }
+}
+
+/// A slab's document: the [`RecordStore`] document, then the id in every
+/// slot (a free slot's last one) and the free slots, next-taken last.
+/// `order` is absent from documents written before tables held slots.
+#[derive(Serialize, Deserialize)]
+struct SlabDoc {
+    records: WordMap<u64, EmbeddedRecord>,
+    #[serde(default)]
+    order: Option<Vec<u64>>,
+    #[serde(default)]
+    free: Vec<u32>,
 }
 
 impl Serialize for RecordSlab {
@@ -280,13 +357,23 @@ impl Serialize for RecordSlab {
             .iter()
             .map(|(id, row)| (id, self.layout.unpack(id, row)))
             .collect();
-        RecordStore { records }.serialize(serializer)
+        SlabDoc {
+            records,
+            order: Some(self.ids.clone()),
+            free: self.free.clone(),
+        }
+        .serialize(serializer)
     }
 }
 
 impl<'de> Deserialize<'de> for RecordSlab {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
-        let records = RecordStore::deserialize(deserializer)?.records;
+        use serde::de::Error as _;
+        let SlabDoc {
+            records,
+            order,
+            free,
+        } = SlabDoc::deserialize(deserializer)?;
         fn widths(rec: &EmbeddedRecord) -> impl Iterator<Item = usize> + '_ {
             rec.attrs.iter().map(|v| v.len())
         }
@@ -295,42 +382,108 @@ impl<'de> Deserialize<'de> for RecordSlab {
         let mut slab = RecordSlab::new(layout.unwrap_or_default());
         for (id, rec) in &records {
             if *id != rec.id || !widths(rec).eq(slab.layout.widths().iter().copied()) {
-                return Err(serde::de::Error::custom(format!(
+                return Err(D::Error::custom(format!(
                     "record {id} does not have the id and attribute widths of its store"
                 )));
             }
-            slab.insert(*id, rec.packed().as_ref());
         }
+        let Some(order) = order else {
+            // Fresh slots, ascending by id, and tables still to re-key.
+            let mut ids: Vec<u64> = records.keys().copied().collect();
+            ids.sort_unstable();
+            for id in ids {
+                slab.insert(id, records[&id].packed().as_ref());
+            }
+            slab.needs_rekey = true;
+            return Ok(slab);
+        };
+        // Every slot is free or holds one record, and every record a slot.
+        let mut is_free = vec![false; order.len()];
+        for &slot in &free {
+            match is_free.get_mut(slot as usize) {
+                Some(f) if !*f => *f = true,
+                _ => return Err(D::Error::custom(format!("free slot {slot} is not a slot"))),
+            }
+        }
+        let w = slab.layout.words();
+        slab.rows = vec![0; order.len() * w];
+        for (slot, &id) in order.iter().enumerate() {
+            if is_free[slot] {
+                continue;
+            }
+            let rec = records
+                .get(&id)
+                .ok_or_else(|| D::Error::custom(format!("slot {slot} names no record ({id})")))?;
+            if slab.slots.insert(id, slot as u32).is_some() {
+                return Err(D::Error::custom(format!("record {id} holds two slots")));
+            }
+            slab.rows[slot * w..][..w].copy_from_slice(rec.packed().as_ref());
+        }
+        if slab.slots.len() != records.len() {
+            return Err(D::Error::custom("a record holds no slot"));
+        }
+        slab.ids = order;
+        slab.free = free;
         Ok(slab)
     }
 }
 
-/// Indexes record `id` with row `row` into the tables and the slab. An id
-/// the slab already holds is re-keyed from its old row
-/// ([`BlockingPlan::reindex_row`]) instead of inserted again. Returns
-/// whether the id is new.
+/// Indexes record `id` with row `row` into the slab and, under its slot,
+/// the tables. An id the slab already holds keeps its slot and is re-keyed
+/// from its old row ([`BlockingPlan::reindex_row`]) instead of inserted
+/// again. Returns whether the id is new.
 pub fn index_row(plan: &mut BlockingPlan, store: &mut RecordSlab, id: u64, row: &[u64]) -> bool {
-    match store.get(id) {
-        Some(old) => plan.reindex_row(id, old, row),
-        None => plan.insert_row(id, row),
+    match store.find(id) {
+        Some((slot, old)) => {
+            plan.reindex_row(slot, old, row);
+            store.insert(id, row);
+            false
+        }
+        None => {
+            let slot = store.insert(id, row);
+            plan.insert_row(u64::from(slot), row);
+            true
+        }
     }
-    store.insert(id, row)
 }
 
-/// Takes record `id` out of its bucket in every table
+/// Takes record `id`'s slot out of its bucket in every table
 /// ([`BlockingPlan::evict_row`], keyed from the row the slab still holds)
-/// and out of the slab. Returns whether it was present.
+/// and the record out of the slab. Returns whether it was present.
 pub fn unindex(plan: &mut BlockingPlan, store: &mut RecordSlab, id: u64) -> bool {
-    if let Some(row) = store.get(id) {
-        plan.evict_row(id, row);
-    }
+    let Some((slot, row)) = store.find(id) else {
+        return false;
+    };
+    plan.evict_row(slot, row);
     store.remove(id)
 }
 
+/// Re-keys `plan`'s tables from `store`'s rows: every bucket is emptied
+/// (hash draws are kept, so keys land in the same buckets), every record
+/// inserted under its slot, slots ascending, and a disk store's result
+/// written as its next generation. The one load path for tables that
+/// cannot be trusted — a disk store that lost its generation file
+/// ([`BlockingPlan::needs_rebuild`]), or tables saved beside a slab without
+/// its slot order ([`RecordSlab::needs_rekey`]).
+///
+/// # Errors
+/// Returns [`Error::Store`] when a disk store cannot be rewritten.
+pub fn rekey(plan: &mut BlockingPlan, store: &mut RecordSlab) -> Result<()> {
+    plan.clear_for_rebuild();
+    for (slot, row) in store.iter_slots() {
+        plan.insert_row(u64::from(slot), row);
+    }
+    store.needs_rekey = false;
+    // Persist the rebuilt tables so the next open maps a fresh generation
+    // instead of replaying the rebuild.
+    plan.compact()
+}
+
 /// Matches one probe row against an indexed plan: formulates the
-/// candidate set per the rule's blocking logic (in `scratch`), retrieves
-/// each candidate's row, classifies the pair, and hands every matched
-/// A-side id to `on_match`, ascending.
+/// candidate set per the rule's blocking logic (in `scratch`), reads each
+/// candidate slot's row, classifies the pair, and hands every matched
+/// A-side id to `on_match`, ascending. The matched ids take the candidates'
+/// place in `scratch`, so nothing is allocated for them.
 pub fn match_record(
     plan: &BlockingPlan,
     store: &RecordSlab,
@@ -340,17 +493,27 @@ pub fn match_record(
     stats: &mut MatchStats,
     mut on_match: impl FnMut(u64),
 ) {
-    let truncated = plan.candidates_into_row(probe, |id| store.get(id), scratch);
-    stats.candidates += scratch.candidates().len() as u64;
+    let truncated = plan.candidates_into_row(probe, |slot| store.row_at(slot), scratch);
+    let candidates = &mut scratch.candidates;
+    stats.candidates += candidates.len() as u64;
     stats.truncated += u64::from(truncated);
-    for &id in scratch.candidates() {
-        let Some(a) = store.get(id) else { continue };
+    let mut matched = 0;
+    for i in 0..candidates.len() {
+        let slot = candidates[i];
+        let Some(a) = store.row_at(slot) else {
+            continue;
+        };
         stats.distance_computations += 1;
         if classifier.matches_rows(store.layout(), a, probe) {
-            stats.matched += 1;
-            on_match(id);
+            candidates[matched] = store.id_at(slot);
+            matched += 1;
         }
     }
+    candidates.truncate(matched);
+    stats.matched += matched as u64;
+    // Candidates ascend by slot; a slot's id can be anything.
+    candidates.sort_unstable();
+    candidates.iter().for_each(|&id| on_match(id));
 }
 
 /// [`match_record`] over a batch of `(id_B, row)` probes, appending the
@@ -372,7 +535,8 @@ pub fn match_batch<'a>(
 }
 
 /// Verbatim Algorithm 2 over a single blocking structure: scans the buckets
-/// of each `T_l` in turn, de-duplicating via a unique-id collection when
+/// (slots of `store`) of each `T_l` in turn, returning matched ids in the
+/// order they were met, de-duplicating via a unique-id collection when
 /// `dedup` is true. With `dedup = false` every bucket occurrence triggers a
 /// distance computation (the redundancy the paper's de-dup mechanism
 /// removes) — kept for the `ablation_dedup` bench.
@@ -393,12 +557,15 @@ pub fn match_structure_literal(
     for (l, &key) in keys.iter().enumerate() {
         bucket.clear();
         structure.probe_key_into(l, key, &mut bucket);
-        for &id in &bucket {
-            if dedup && !seen.insert(id) {
+        for &slot in &bucket {
+            if dedup && !seen.insert(slot) {
                 continue;
             }
-            let Some(a) = store.get(id) else { continue };
+            let Some(a) = store.row_at(slot) else {
+                continue;
+            };
             computations += 1;
+            let id = store.id_at(slot);
             if classifier.matches_rows(store.layout(), a, probe) && (dedup || !out.contains(&id)) {
                 out.push(id);
             }
@@ -638,28 +805,101 @@ mod tests {
     }
 
     #[test]
-    fn a_slab_is_the_reference_stores_document() {
+    fn a_slab_document_is_the_reference_stores_with_the_slot_order() {
         let (schema, _, mut slab) = setup(11);
         let mut reference = RecordStore::new();
-        for (id, f) in [(42, ["ANNA", "LEE"]), (7, ["JOHN", "SMITH"])] {
+        for (id, f) in [
+            (42, ["ANNA", "LEE"]),
+            (9, ["MARY", "JONES"]),
+            (7, ["JOHN", "SMITH"]),
+        ] {
             slab.insert(id, &row(&schema, f));
-            reference.insert(embed(&schema, id, f));
+            if id != 9 {
+                reference.insert(embed(&schema, id, f));
+            }
         }
+        assert!(slab.remove(9), "slot 1 is free");
         let doc = serde::to_value(&slab).unwrap();
-        assert_eq!(doc, serde::to_value(&reference).unwrap());
+        let records: RecordStore = serde::from_value(doc.clone()).unwrap();
+        assert_eq!(
+            serde::to_value(&records).unwrap(),
+            serde::to_value(&reference).unwrap()
+        );
         let mut back: RecordSlab = serde::from_value(doc.clone()).unwrap();
         back.bind(schema.layout()).unwrap();
-        assert_eq!(back.get(42), slab.get(42));
+        assert!(!back.needs_rekey());
+        for id in [42, 7] {
+            assert_eq!(back.slot(id), slab.slot(id), "id {id} keeps its slot");
+            assert_eq!(back.get(id), slab.get(id));
+        }
+        assert_eq!(back.slot(9), None);
         assert_eq!(serde::to_value(&back).unwrap(), doc);
         let other = RowLayout::from_widths([15, 16]);
         assert!(
             back.bind(other.clone()).is_err(),
             "records of another schema"
         );
+        // The freed slot is the next one taken, as in the original.
+        assert_eq!(back.insert(5, slab.get(7).unwrap()), 1);
         // An empty document says nothing of its layout: the binder does.
         let mut empty: RecordSlab =
             serde::from_value(serde::to_value(&RecordStore::new()).unwrap()).unwrap();
         empty.bind(other).unwrap();
-        assert!(empty.insert(1, &[0]));
+        assert_eq!(empty.insert(1, &[0]), 0);
+    }
+
+    #[test]
+    fn an_emptied_slab_restores_its_free_slots_with_rows() {
+        let (schema, _, mut slab) = setup(14);
+        for (id, f) in [(42, ["ANNA", "LEE"]), (7, ["JOHN", "SMITH"])] {
+            slab.insert(id, &row(&schema, f));
+        }
+        assert!(slab.remove(42) && slab.remove(7));
+        let doc = serde::to_value(&slab).unwrap();
+        let mut back: RecordSlab = serde::from_value(doc).unwrap();
+        back.bind(schema.layout()).unwrap();
+        let anna = row(&schema, ["ANNA", "LEE"]);
+        assert_eq!(back.insert(5, &anna), 1, "42's slot, freed last");
+        assert_eq!(back.insert(6, &anna), 0);
+        assert_eq!(back.insert(8, &anna), 2, "a new slot");
+        assert_eq!(back.row_at(1), Some(&anna[..]));
+    }
+
+    #[test]
+    fn a_document_without_slots_takes_slots_by_id_and_asks_for_a_rekey() {
+        let (schema, _, _) = setup(12);
+        let mut reference = RecordStore::new();
+        for (id, f) in [(42, ["ANNA", "LEE"]), (7, ["JOHN", "SMITH"])] {
+            reference.insert(embed(&schema, id, f));
+        }
+        let slab: RecordSlab = serde::from_value(serde::to_value(&reference).unwrap()).unwrap();
+        assert!(slab.needs_rekey());
+        assert_eq!((slab.slot(7), slab.slot(42)), (Some(0), Some(1)));
+        assert_eq!(slab.id_at(1), 42);
+        assert_eq!(
+            slab.get(42),
+            Some(reference.get(42).unwrap().packed().as_ref())
+        );
+    }
+
+    #[test]
+    fn a_slot_order_that_does_not_fit_its_records_is_refused() {
+        let (schema, _, mut slab) = setup(13);
+        for (id, f) in [(42, ["ANNA", "LEE"]), (7, ["JOHN", "SMITH"])] {
+            slab.insert(id, &row(&schema, f));
+        }
+        let doc = serde::to_value(&slab).unwrap();
+        let text = serde_json::to_string(&doc).unwrap();
+        assert!(text.contains(r#""order":[42,7],"free":[]"#), "{text}");
+        for (bad, why) in [
+            (r#""order":[42,42],"free":[]"#, "two slots"),
+            (r#""order":[42],"free":[]"#, "no slot"),
+            (r#""order":[42,7],"free":[2]"#, "not a slot"),
+            (r#""order":[42,7,3],"free":[]"#, "names no record"),
+        ] {
+            let text = text.replace(r#""order":[42,7],"free":[]"#, bad);
+            let err = serde_json::from_str::<RecordSlab>(&text).unwrap_err();
+            assert!(err.to_string().contains(why), "{bad}: {err}");
+        }
     }
 }

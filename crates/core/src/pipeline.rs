@@ -11,7 +11,7 @@
 
 use crate::blocking::{BlockingPlan, ProbeScratch};
 use crate::error::Result;
-use crate::matcher::{index_row, match_batch, Classifier, MatchStats, RecordSlab};
+use crate::matcher::{index_row, match_batch, rekey, Classifier, MatchStats, RecordSlab};
 use crate::record::Record;
 use crate::rule::Rule;
 use crate::schema::RecordSchema;
@@ -371,6 +371,11 @@ impl LinkagePipeline {
         &self.plan
     }
 
+    /// The record slab (introspection: the slot a table value names).
+    pub fn store(&self) -> &RecordSlab {
+        &self.store
+    }
+
     /// Number of records the index holds (an id indexed twice is one).
     pub fn indexed_len(&self) -> usize {
         self.store.len()
@@ -550,29 +555,24 @@ impl LinkagePipeline {
             metrics: None,
         };
         // A disk-resident store whose generation file vanished (torn file,
-        // moved snapshot) deserializes as empty-with-flag: rebuild the
+        // moved snapshot) deserializes as empty-with-flag, and tables saved
+        // beside a slab without its slot order hold ids: rebuild the
         // blocking entries from the record store, which is authoritative.
-        if pipeline.plan.needs_rebuild() {
+        if pipeline.plan.needs_rebuild() || pipeline.store.needs_rekey() {
             pipeline.rebuild_blocking()?;
         }
         Ok(pipeline)
     }
 
-    /// Rebuilds every blocking structure from the record store: clears
-    /// the tables (hash draws are kept, so keys land in the same buckets)
-    /// and re-inserts every stored record.
+    /// Rebuilds every blocking structure from the record store
+    /// ([`rekey`]): clears the tables (hash draws are kept, so keys land in
+    /// the same buckets) and re-inserts every stored record under its slot.
     ///
     /// # Errors
     /// Returns [`crate::Error::Store`] when a disk store cannot be
     /// rewritten.
     pub fn rebuild_blocking(&mut self) -> Result<()> {
-        self.plan.clear_for_rebuild();
-        for (id, row) in self.store.iter() {
-            self.plan.insert_row(id, row);
-        }
-        // Persist the rebuilt tables so the next open maps a fresh
-        // generation instead of replaying the rebuild.
-        self.plan.compact()
+        rekey(&mut self.plan, &mut self.store)
     }
 
     /// Compacts every blocking structure's store: for disk-resident stores,

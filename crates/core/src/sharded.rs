@@ -37,7 +37,7 @@
 
 use crate::blocking::{BlockingPlan, ProbeScratch, StructureStats};
 use crate::error::{Error, Result};
-use crate::matcher::{index_row, match_batch, unindex, Classifier, MatchStats, RecordSlab};
+use crate::matcher::{index_row, match_batch, rekey, unindex, Classifier, MatchStats, RecordSlab};
 use crate::pipeline::{LinkageConfig, PipelineMetrics};
 use crate::record::Record;
 use crate::schema::RecordSchema;
@@ -419,15 +419,12 @@ impl ShardedPipeline {
             .enumerate()
             .map(|(i, mut s)| {
                 // A shard whose disk store lost its generation file comes
-                // back empty-with-flag: rebuild its blocking entries from
-                // the record store (authoritative) before serving probes.
-                if s.plan.needs_rebuild() {
-                    s.plan.clear_for_rebuild();
-                    for (id, row) in s.store.iter() {
-                        s.plan.insert_row(id, row);
-                    }
-                    s.plan
-                        .compact()
+                // back empty-with-flag, and one whose slab had no slot order
+                // (a version 3 snapshot) has tables of ids: rebuild its
+                // blocking entries from the record store (authoritative)
+                // before serving probes.
+                if s.plan.needs_rebuild() || s.store.needs_rekey() {
+                    rekey(&mut s.plan, &mut s.store)
                         .map_err(|e| Error::InvalidParameter(format!("shard {i} rebuild: {e}")))?;
                 }
                 Ok(Shard::shared(s.plan, s.store))

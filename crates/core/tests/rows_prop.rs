@@ -334,12 +334,17 @@ fn slab_behaves_as_a_map_of_rows_and_reuses_freed_slots() {
             match rng.random_range(0..10u32) {
                 0..=5 => {
                     let row: Vec<u64> = (0..w).map(|_| rng.random()).collect();
-                    let new = slab.insert(id, &row);
+                    let was = slab.slot(id);
+                    let slot = slab.insert(id, &row);
                     assert_eq!(
-                        new,
-                        model.insert(id, row).is_none(),
+                        was.is_none(),
+                        model.insert(id, row.clone()).is_none(),
                         "seed {seed} step {step}"
                     );
+                    // A known id keeps its slot; the slot reads back by index.
+                    assert!(was.is_none_or(|was| was == slot));
+                    assert_eq!(slab.id_at(u64::from(slot)), id);
+                    assert_eq!(slab.row_at(u64::from(slot)), Some(&row[..]));
                 }
                 6..=8 => assert_eq!(slab.remove(id), model.remove(&id).is_some()),
                 _ => assert_eq!(slab.get(id), model.get(&id).map(Vec::as_slice)),
@@ -368,9 +373,10 @@ fn a_freed_slot_is_the_next_one_taken() {
     let full = slab.heap_bytes();
     for round in 0..50u64 {
         for id in 0..100u64 {
+            let slot = slab.slot(id + 100 * round).unwrap();
             assert!(slab.remove(id + 100 * round));
             assert_eq!(slab.get(id + 100 * round), None);
-            assert!(slab.insert(id + 100 * (round + 1), &[round, id]));
+            assert_eq!(slab.insert(id + 100 * (round + 1), &[round, id]), slot);
         }
     }
     assert_eq!(slab.len(), 100);

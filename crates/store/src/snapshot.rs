@@ -24,13 +24,19 @@ use std::path::{Path, PathBuf};
 /// Format magic: identifies a file as an rl-server snapshot.
 pub const SNAPSHOT_MAGIC: &str = "RLSNAP1";
 
-/// Current snapshot format version. Version 3 serializes each blocking
-/// structure's tables as a pluggable block store (in-memory buckets or
-/// an mmap manifest + delta overlay); version 2 serialized raw
-/// `tables` arrays (readable only by pre-blockstore builds), and version
-/// 1 files predate pluggable backends. Neither older version can be
-/// read.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Current snapshot format version. Version 4 tables hold each record's
+/// slot in its shard's record slab, and the slab's document records its
+/// slot order; builds that read only version 3 refuse it by this number.
+/// Version 3 (tables of client ids, a slab without slot order) still loads:
+/// its records take fresh slots and its tables are re-keyed from their rows
+/// ([`cbv_hb::matcher::rekey`]). Version 3 also introduced the pluggable
+/// block store (in-memory buckets or an mmap manifest + delta overlay);
+/// version 2 serialized raw `tables` arrays, and version 1 files predate
+/// pluggable backends. Neither of those can be read.
+pub const SNAPSHOT_VERSION: u32 = 4;
+
+/// The oldest version this build reads (see [`SNAPSHOT_VERSION`]).
+const OLDEST_READABLE_VERSION: u32 = 3;
 
 /// Errors raised while saving or loading snapshots (and checkpoints,
 /// which embed them). Every variant's Display names the offending file,
@@ -211,14 +217,15 @@ impl Snapshot {
                 self.magic
             ));
         }
-        if self.version != SNAPSHOT_VERSION {
-            let hint = if self.version < SNAPSHOT_VERSION {
+        if !(OLDEST_READABLE_VERSION..=SNAPSHOT_VERSION).contains(&self.version) {
+            let hint = if self.version < OLDEST_READABLE_VERSION {
                 "; the file predates the pluggable block store — re-index and snapshot again"
             } else {
                 ""
             };
             return fail(format!(
-                "unsupported version {} (this build reads {SNAPSHOT_VERSION}){hint}",
+                "unsupported version {} (this build reads {OLDEST_READABLE_VERSION} to \
+                 {SNAPSHOT_VERSION}){hint}",
                 self.version
             ));
         }

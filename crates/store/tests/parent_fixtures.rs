@@ -1,17 +1,27 @@
 //! Documents written by the commit before the key kernels, the sorted-vector
 //! candidate sets and the word hasher (`tests/fixtures/`, made there with
-//! the builders below) against this build:
+//! the builders below; snapshot version 3, tables of client ids) against
+//! this build:
 //!
-//! * each loads, and answers the probes exactly as it did there;
-//! * it re-serialises, and the same index built here serializes, to the
-//!   same document, value for value, once the parent's tombstone keys are
-//!   taken out of it (`dead`, which this build applies at load, and
-//!   `compact_dead_ratio`, which it ignores) — so no other key was added to
-//!   or dropped from a plan, a pipeline or a `ShardedState` (compiled
-//!   kernels and scratch buffers stay out), the snapshot version is still
-//!   3, and every blocking key in every table is the key the reference
-//!   functions gave;
-//! * a tombstone list in such a document takes its ids out of every bucket.
+//! * each loads by the one load path for such documents: its slabs have no
+//!   slot order, so every record takes a fresh slot (ascending by id) and
+//!   the tables are re-keyed from the slab's rows (`matcher::rekey`) — the
+//!   stored tables are not translated;
+//! * it answers the probes exactly as it did there, with the same
+//!   `match_hash`;
+//! * it re-serialises, and the same index built here serializes, to a
+//!   version 4 document that is the parent's value for value once read in
+//!   id space — every table value replaced by the id its slot holds, the
+//!   slab's slot order dropped, the version put back to 3 — and the
+//!   parent's tombstone keys are taken out of it (`dead`, which this build
+//!   applies at load, and `compact_dead_ratio`, which it ignores): so no
+//!   other key was added to or dropped from a plan, a pipeline or a
+//!   `ShardedState` (compiled kernels and scratch buffers stay out), and
+//!   every blocking key in every table is the key the reference functions
+//!   gave;
+//! * a version 4 document restores every id into the slot it had;
+//! * a deleted record in such a document — out of the slab, its id on a
+//!   tombstone list — leaves nothing behind.
 //!
 //! The three indexes cover the structure shapes the plan compilers emit:
 //! record-level sampling; a fused sampling conjunction with a NOT structure;
@@ -25,6 +35,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_store::snapshot::{Snapshot, SNAPSHOT_VERSION};
 use serde_json::Value;
+use serde_json::Value::{Array, Object, U64};
 use std::path::PathBuf;
 use textdist::Alphabet;
 
@@ -165,9 +176,74 @@ fn without_tombstones(doc: Value) -> Value {
     }
 }
 
+/// `doc` read in id space: in every `{plan, store}` (a shard, a saved
+/// pipeline), each table value becomes the id in that slot of the store's
+/// slot order, which then leaves the store; a version 4 snapshot header
+/// becomes version 3 — the document a build with tables of ids wrote for
+/// the same index.
+fn in_id_space(doc: Value) -> Value {
+    fn translate(tables: &mut Value, order: &[Value]) {
+        match tables {
+            Array(items) => items.iter_mut().for_each(|v| translate(v, order)),
+            Object(fields) => fields.iter_mut().for_each(|(_, v)| translate(v, order)),
+            U64(slot) => *tables = order[*slot as usize].clone(),
+            _ => {}
+        }
+    }
+    /// The values of every `tables` (memory) or `delta` (mmap) list in `v`.
+    fn tables_in(v: &mut Value, order: &[Value]) {
+        match v {
+            Object(fields) => {
+                for (k, v) in fields {
+                    match k.as_str() {
+                        "tables" | "delta" => translate(v, order),
+                        _ => tables_in(v, order),
+                    }
+                }
+            }
+            Array(items) => items.iter_mut().for_each(|v| tables_in(v, order)),
+            _ => {}
+        }
+    }
+    match doc {
+        Object(mut fields) => {
+            let has = |k: &str, fields: &[(String, Value)]| fields.iter().any(|(f, _)| f == k);
+            if has("plan", &fields) && has("store", &fields) {
+                let mut order = Vec::new();
+                for (k, v) in &mut fields {
+                    if let (true, Object(store)) = (k == "store", v) {
+                        if let Some(at) = store.iter().position(|(f, _)| f == "order") {
+                            let Array(o) = store.remove(at).1 else {
+                                panic!("a slot order is a list")
+                            };
+                            order = o;
+                        }
+                        store.retain(|(f, _)| f != "free");
+                    }
+                }
+                for (k, v) in &mut fields {
+                    if k == "plan" {
+                        tables_in(v, &order);
+                    }
+                }
+            }
+            Object(
+                (fields.into_iter())
+                    .map(|(k, v)| match (k.as_str(), v) {
+                        ("version", U64(4)) => (k, U64(3)),
+                        (_, v) => (k, in_id_space(v)),
+                    })
+                    .collect(),
+            )
+        }
+        Array(items) => Array(items.into_iter().map(in_id_space).collect()),
+        other => other,
+    }
+}
+
 fn assert_same_document(ours: &str, name: &str) {
     let theirs = std::fs::read_to_string(fixture(name)).unwrap();
-    let ours: Value = serde_json::from_str(ours).unwrap();
+    let ours = in_id_space(serde_json::from_str(ours).unwrap());
     let theirs = without_tombstones(serde_json::from_str(&theirs).unwrap());
     if let Some(at) = first_difference(&ours, &theirs, "$") {
         panic!("{name}: this build writes a different document — {at}");
@@ -179,12 +255,27 @@ fn sorted(mut pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     pairs
 }
 
+/// The benchmark's order-independent hash of a match relation.
+fn match_hash(pairs: &[(u64, u64)]) -> u64 {
+    pairs
+        .iter()
+        .map(|&(a, b)| {
+            let mut z = a.rotate_left(32) ^ b ^ 0x9e37_79b9_7f4a_7c15;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        })
+        .fold(0u64, u64::wrapping_add)
+}
+
 #[test]
 fn saved_pipeline_of_the_parent_loads_probes_and_rewrites_identically() {
     let name = "pipeline-record-level.json";
     let file = std::fs::File::open(fixture(name)).unwrap();
     let restored = LinkagePipeline::load(std::io::BufReader::new(file)).unwrap();
     let answered = sorted(restored.link(&probes()).unwrap().matches);
+    // The parent's answer, as the benchmark hashes it.
+    assert_eq!(match_hash(&answered), 0xd321_dd0d_67e8_a92a);
     assert_eq!(
         answered,
         [
@@ -221,7 +312,7 @@ fn saved_pipeline_of_the_parent_loads_probes_and_rewrites_identically() {
 
 #[test]
 fn snapshots_of_the_parent_load_probe_and_rewrite_identically() {
-    assert_eq!(SNAPSHOT_VERSION, 3);
+    assert_eq!(SNAPSHOT_VERSION, 4);
     /// A fixture, how to build the same index here, and what it answered.
     type Case = (&'static str, fn() -> ShardedPipeline, &'static [(u64, u64)]);
     let cases: [Case; 2] = [
@@ -254,6 +345,7 @@ fn snapshots_of_the_parent_load_probe_and_rewrite_identically() {
         let restored = ShardedPipeline::from_state(snapshot.state).unwrap();
         let (pairs, _) = restored.link(&probes()).unwrap();
         assert_eq!(pairs, expected, "{name}");
+        assert_eq!(match_hash(&pairs), match_hash(expected), "{name}");
         let fresh = build();
         assert_eq!(fresh.link(&probes()).unwrap().0, pairs, "{name}");
         assert_same_document(&snapshot_of(&restored), name);
@@ -267,48 +359,94 @@ fn snapshots_of_the_parent_load_probe_and_rewrite_identically() {
     }
 }
 
-/// `ids` added to every `dead` list of `doc`.
-fn with_dead(doc: &mut Value, ids: &[u64]) {
+/// `doc` as the parent wrote it after deleting `ids`: out of every slab's
+/// records, onto every `dead` list.
+fn with_deleted(doc: &mut Value, ids: &[u64]) {
     match doc {
-        Value::Object(fields) => {
+        Object(fields) => {
             for (k, v) in fields {
                 match v {
-                    Value::Array(dead) if k == "dead" => {
-                        dead.extend(ids.iter().map(|&id| Value::U64(id)))
+                    Array(dead) if k == "dead" => dead.extend(ids.iter().map(|&id| U64(id))),
+                    Object(records) if k == "records" => {
+                        records.retain(|(id, _)| !ids.iter().any(|x| x.to_string() == *id))
                     }
-                    _ => with_dead(v, ids),
+                    _ => with_deleted(v, ids),
                 }
             }
         }
-        Value::Array(items) => items.iter_mut().for_each(|v| with_dead(v, ids)),
+        Array(items) => items.iter_mut().for_each(|v| with_deleted(v, ids)),
         _ => {}
     }
 }
 
 #[test]
-fn tombstones_in_a_parent_snapshot_leave_every_bucket_at_load() {
+fn records_the_parent_deleted_leave_nothing_behind_at_load() {
     let name = "snapshot-v3-rule-aware.json";
     let text = std::fs::read_to_string(fixture(name)).unwrap();
     let mut doc: Value = serde_json::from_str(&text).unwrap();
     let gone = [8, 36];
-    with_dead(&mut doc, &gone);
+    with_deleted(&mut doc, &gone);
     let snapshot: Snapshot = serde_json::from_value(doc).unwrap();
     let restored = ShardedPipeline::from_state(snapshot.state).unwrap();
     let (pairs, _) = restored.link(&probes()).unwrap();
     assert_eq!(pairs, [(15, 1000), (50, 1003)]);
     let state = restored.export_state().unwrap();
     let mut entries = 0;
-    for structure in state.shards.iter().flat_map(|s| s.plan.structures()) {
-        structure.for_each_entry(|table, key, ids| {
-            entries += ids.len();
-            assert!(
-                !ids.iter().any(|id| gone.contains(id)),
-                "table {table} key {key} holds {ids:?}"
-            );
-        });
+    for shard in &state.shards {
+        let live: Vec<u64> = shard
+            .store
+            .iter_slots()
+            .map(|(s, _)| u64::from(s))
+            .collect();
+        for structure in shard.plan.structures() {
+            structure.for_each_entry(|table, key, slots| {
+                entries += slots.len();
+                assert!(
+                    slots.iter().all(|slot| live.contains(slot)),
+                    "table {table} key {key} holds {slots:?}"
+                );
+            });
+        }
     }
     let tables: usize = restored.blocking_stats().iter().map(|s| s.l).sum();
     assert_eq!(entries, tables * (indexed().len() - gone.len()));
+}
+
+#[test]
+fn a_version_4_snapshot_keeps_every_ids_slot() {
+    // Churn first, so slots are out of id order and one is free.
+    let mut p = rule_aware();
+    p.delete(&[15, 50]).unwrap();
+    p.index(&[
+        Record::new(3, ["MARY", "JONES", "RALEIGH"]),
+        Record::new(15, ["JOHN", "SMITH", "DURHAM"]),
+    ])
+    .unwrap();
+    let text = snapshot_of(&p);
+    let snapshot: Snapshot = serde_json::from_str(&text).unwrap();
+    assert_eq!(snapshot.version, 4);
+    let slots = |state: &cbv_hb::sharded::ShardedState| -> Vec<Vec<(u64, u32)>> {
+        (state.shards.iter())
+            .map(|shard| {
+                let mut ids: Vec<(u64, u32)> = (shard.store.iter())
+                    .map(|(id, _)| (id, shard.store.slot(id).unwrap()))
+                    .collect();
+                ids.sort_unstable();
+                ids
+            })
+            .collect()
+    };
+    let restored = ShardedPipeline::from_state(snapshot.state.clone()).unwrap();
+    assert_eq!(
+        slots(&restored.export_state().unwrap()),
+        slots(&p.export_state().unwrap())
+    );
+    assert_eq!(slots(&snapshot.state), slots(&p.export_state().unwrap()));
+    let (ours, _) = p.link(&probes()).unwrap();
+    let (theirs, _) = restored.link(&probes()).unwrap();
+    assert_eq!(theirs, ours);
+    assert_eq!(match_hash(&theirs), match_hash(&ours));
+    assert_eq!(snapshot_of(&restored), text, "the document round-trips");
 }
 
 #[test]

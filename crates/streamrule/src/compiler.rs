@@ -126,47 +126,50 @@ impl CompiledRule {
         &self.plan
     }
 
-    /// Indexes record `id`, whose packed row is `row`, into the plan's
-    /// tables so later probes can find it.
-    pub fn index(&mut self, id: u64, row: &[u64]) {
-        self.plan.insert_row(id, row);
+    /// Indexes record slot `slot`, whose packed row is `row`, into the
+    /// plan's tables so later probes can find it.
+    pub fn index(&mut self, slot: u64, row: &[u64]) {
+        self.plan.insert_row(slot, row);
     }
 
-    /// Re-keys record `id`, indexed with row `old`, to row `new`.
-    pub fn reindex(&mut self, id: u64, old: &[u64], new: &[u64]) {
-        self.plan.reindex_row(id, old, new);
+    /// Re-keys record slot `slot`, indexed with row `old`, to row `new`.
+    pub fn reindex(&mut self, slot: u64, old: &[u64], new: &[u64]) {
+        self.plan.reindex_row(slot, old, new);
     }
 
-    /// Takes record `id`, indexed with row `row`, out of the plan's
+    /// Takes record slot `slot`, indexed with row `row`, out of the plan's
     /// buckets, leaving nothing of it behind.
-    pub fn evict(&mut self, id: u64, row: &[u64]) {
-        self.plan.evict_row(id, row);
+    pub fn evict(&mut self, slot: u64, row: &[u64]) {
+        self.plan.evict_row(slot, row);
     }
 
     /// Probes the plan with a record's packed row: formulates the
     /// candidate set per the rule's blocking logic, caps it to the `cap`
-    /// nearest by total distance, classifies each survivor with the rule,
-    /// and returns matched ids in ascending order. Candidates whose row the
-    /// `lookup` does not resolve (the probe's own id) are skipped.
+    /// nearest by total distance (ties to the lower id), classifies each
+    /// survivor with the rule, and returns matched ids in ascending order.
+    /// `lookup` resolves a candidate slot to its record's id and row;
+    /// candidates it does not resolve (the probe's own slot) are skipped.
     pub fn probe<'s, F>(&self, probe: &[u64], lookup: F, stats: &mut MatchStats) -> Vec<u64>
     where
-        F: Fn(u64) -> Option<&'s [u64]>,
+        F: Fn(u64) -> Option<(u64, &'s [u64])>,
     {
         let layout = &self.layout;
         let mut scratch = ProbeScratch::default();
-        self.plan.candidates_into_row(probe, &lookup, &mut scratch);
-        let mut cands = scratch.into_candidates();
-        stats.candidates += cands.len() as u64;
+        let row_of = |slot| lookup(slot).map(|(_, row)| row);
+        self.plan.candidates_into_row(probe, row_of, &mut scratch);
+        let mut cands: Vec<(u64, &[u64])> = scratch
+            .candidates()
+            .iter()
+            .filter_map(|&slot| lookup(slot))
+            .collect();
+        stats.candidates += scratch.candidates().len() as u64;
         if self.cap > 0 && cands.len() > self.cap {
-            // Keep the cap nearest; unresolvable ids sort last and fall off.
-            cands.sort_by_key(|&id| {
-                lookup(id).map_or(u32::MAX, |a| layout.total_distance(a, probe))
-            });
+            // Keep the cap nearest.
+            cands.sort_by_key(|&(id, a)| (layout.total_distance(a, probe), id));
             cands.truncate(self.cap);
         }
         let mut out = Vec::new();
-        for id in cands {
-            let Some(a) = lookup(id) else { continue };
+        for (id, a) in cands {
             stats.distance_computations += 1;
             if self
                 .rule
@@ -262,10 +265,12 @@ mod tests {
         let embedded: Vec<_> = recs.iter().map(|r| s.embed(r).unwrap()).collect();
         let mut store = RecordSlab::new(s.layout());
         for e in &embedded {
-            compiled.index(e.id, e.packed().as_ref());
-            unrestricted.insert(e);
-            store.insert(e.id, e.packed().as_ref());
+            let row = e.packed();
+            let slot = u64::from(store.insert(e.id, row.as_ref()));
+            compiled.index(slot, row.as_ref());
+            unrestricted.insert_row(slot, row.as_ref());
         }
+        let by_slot = |slot| Some((store.id_at(slot), store.row_at(slot)?));
 
         let mut compiled_stats = MatchStats::default();
         let mut unrestricted_stats = MatchStats::default();
@@ -274,7 +279,7 @@ mod tests {
             let row = probe.packed();
             let mine = compiled.probe(
                 row.as_ref(),
-                |id| if id == probe.id { None } else { store.get(id) },
+                |slot| by_slot(slot).filter(|&(id, _)| id != probe.id),
                 &mut compiled_stats,
             );
             // Ground truth: brute-force rule evaluation over the corpus.
@@ -326,19 +331,26 @@ mod tests {
         ];
         let row = |r: &Record| s.embed(r).unwrap().packed();
         let mut store = RecordSlab::new(s.layout());
-        for r in &recs {
-            capped.index(r.id, row(r).as_ref());
-            uncapped.index(r.id, row(r).as_ref());
-            store.insert(r.id, row(r).as_ref());
+        // Slots in descending id order: the cap's ties and the output go by
+        // id, not by slot.
+        for r in recs.iter().rev() {
+            let slot = u64::from(store.insert(r.id, row(r).as_ref()));
+            capped.index(slot, row(r).as_ref());
+            uncapped.index(slot, row(r).as_ref());
         }
+        let by_slot = |slot| Some((store.id_at(slot), store.row_at(slot)?));
         let probe = row(&Record::new(9, ["ANNA", "LEE", "X"]));
         let probe = probe.as_ref();
         let mut stats = MatchStats::default();
-        let hits = uncapped.probe(probe, |id| store.get(id), &mut stats);
+        let hits = uncapped.probe(probe, by_slot, &mut stats);
         assert_eq!(hits, vec![1, 2, 3], "uncapped finds every twin");
         let mut capped_stats = MatchStats::default();
-        let hits = capped.probe(probe, |id| store.get(id), &mut capped_stats);
-        assert_eq!(hits.len(), 1, "cap 1 classifies exactly one candidate");
+        let hits = capped.probe(probe, by_slot, &mut capped_stats);
+        assert_eq!(
+            hits,
+            [1],
+            "cap 1 classifies exactly one candidate, the lowest id"
+        );
         assert_eq!(capped_stats.distance_computations, 1);
     }
 

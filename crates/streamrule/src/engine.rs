@@ -60,8 +60,8 @@ impl SubEntry {
     /// appends the ids to `gone`.
     fn expire(&mut self, watermark: u64, slab: &RecordSlab, gone: &mut Vec<u64>) {
         for id in self.window.evict(watermark) {
-            let row = slab.get(id).expect("a windowed id has a row");
-            self.compiled.evict(id, row);
+            let (slot, row) = slab.find(id).expect("a windowed id has a row");
+            self.compiled.evict(slot, row);
             gone.push(id);
         }
     }
@@ -212,8 +212,14 @@ impl WindowedEngine {
         let prior_watermark = state.watermark_ms;
         state.watermark_ms = prior_watermark.max(event_ms);
         let (stamp, watermark) = (state.stamp, state.watermark_ms);
-        // The slab is read-only until every window has seen the record:
-        // rows leave it afterwards, once no window holds them.
+        // Every plan indexes the record under one slot: the one it holds,
+        // else a fresh one. A held row stays until every window has seen the
+        // record (re-keying needs it); rows leave afterwards, once no window
+        // holds them.
+        let slot = match state.slab.find(id) {
+            Some((slot, _)) => slot,
+            None => u64::from(state.slab.insert(id, &row)),
+        };
         let slab = &state.slab;
         let mut gone = Vec::new();
         for entry in &mut state.entries {
@@ -224,12 +230,17 @@ impl WindowedEngine {
                 out.late_drops += 1;
                 if let Some(old) = held {
                     // What the window held is replaced by what it refuses.
-                    entry.compiled.evict(id, old);
+                    entry.compiled.evict(slot, old);
                     entry.window.forget(id);
                 }
                 continue;
             }
-            let lookup = |c: u64| if c == id { None } else { slab.get(c) };
+            let lookup = |c: u64| {
+                if c == slot {
+                    return None; // the record's own (old) row
+                }
+                Some((slab.id_at(c), slab.row_at(c)?))
+            };
             let matched = entry.compiled.probe(&row, lookup, &mut entry.stats);
             if !matched.is_empty() {
                 out.events.push(SubMatch {
@@ -239,8 +250,8 @@ impl WindowedEngine {
                 });
             }
             match held {
-                Some(old) => entry.compiled.reindex(id, old, &row),
-                None => entry.compiled.index(id, &row),
+                Some(old) => entry.compiled.reindex(slot, old, &row),
+                None => entry.compiled.index(slot, &row),
             }
             entry.window.push(id, stamp, event_ms);
             entry.expire(watermark, slab, &mut gone);
@@ -273,12 +284,12 @@ impl WindowedEngine {
     pub fn remove(&self, id: u64) -> bool {
         let mut state = self.state.lock();
         let state = &mut *state;
-        let Some(row) = state.slab.get(id) else {
+        let Some((slot, row)) = state.slab.find(id) else {
             return false;
         };
         for entry in &mut state.entries {
             if entry.window.forget(id) {
-                entry.compiled.evict(id, row);
+                entry.compiled.evict(slot, row);
             }
         }
         state.slab.remove(id)
@@ -465,9 +476,9 @@ mod tests {
     }
 
     /// The engine's invariants after any step: the slab holds exactly the
-    /// union of the live windows, and each subscription's plan holds each
-    /// live id of its window once per table, in the bucket its row keys
-    /// to, and nothing else.
+    /// union of the live windows, and each subscription's plan holds the
+    /// slot of each live id of its window once per table, in the bucket its
+    /// row keys to, and nothing else.
     fn check_invariants(e: &WindowedEngine, step: usize) {
         let state = e.state.lock();
         let slab_ids: BTreeSet<u64> = state.slab.iter().map(|(id, _)| id).collect();
@@ -483,8 +494,9 @@ mod tests {
             let mut have = Vec::new();
             for (s, structure) in entry.compiled.plan().structures().iter().enumerate() {
                 for id in entry.window.live_ids() {
-                    structure.keys_into_row(state.slab.get(id).unwrap(), &mut keys);
-                    want.extend(keys.iter().enumerate().map(|(l, &k)| (s, l, k, id)));
+                    let (slot, row) = state.slab.find(id).unwrap();
+                    structure.keys_into_row(row, &mut keys);
+                    want.extend(keys.iter().enumerate().map(|(l, &k)| (s, l, k, slot)));
                 }
                 structure.for_each_entry(|l, k, ids| {
                     have.extend(ids.iter().map(|&id| (s, l, k, id)));
@@ -615,6 +627,83 @@ mod tests {
         assert!(
             events > 100 && twins > 100 && late > 10,
             "{events} {twins} {late}"
+        );
+    }
+
+    /// Both plans hold slots of the one slab, and a slot a record left —
+    /// deleted, or evicted by every window — is the next one a new record
+    /// takes. Seeded churn over two subscriptions whose count windows evict
+    /// at different rates: new records, re-sends with a new row, deletes
+    /// and re-sends of deleted ids. Every event must be what an oracle keyed
+    /// by id says: the window's other ids whose latest record the rule
+    /// accepts against the new one ([`Classifier::matches`]). The long names
+    /// are far apart, so the rule accepts twins only, which share every key.
+    #[test]
+    fn a_reused_slot_never_answers_for_its_last_record() {
+        use cbv_hb::matcher::Classifier;
+        use cbv_hb::EmbeddedRecord;
+        use rand::RngExt;
+        let (e, mut rng) = engine(22);
+        let firsts = ["JONATHAN", "MARGARET", "PERCIVAL", "LUCINDA", "OSWALDO"];
+        let lasts = ["SMITHERS", "JOHANSSON", "BROWNLOW", "KOWALCZYK"];
+        let rules = [Rule::pred(0, 4), Rule::pred(1, 4)];
+        let sizes = [5usize, 12];
+        let subs: Vec<u64> = (0..2)
+            .map(|i| {
+                let window = WindowSpec::Count(sizes[i] as u64);
+                e.subscribe(spec(rules[i].clone(), window), &mut rng)
+                    .unwrap()
+            })
+            .collect();
+        // Each window's ids, oldest first, and every id's latest record.
+        let mut windows: [Vec<u64>; 2] = Default::default();
+        let mut records: HashMap<u64, EmbeddedRecord> = HashMap::new();
+        let (mut resent, mut revived, mut matched) = (0, 0, 0);
+        let mut deleted = HashSet::new();
+        for step in 0..2000 {
+            let id = rng.random_range(0..30u64);
+            if rng.random_range(0..5u32) == 0 {
+                let held = windows.iter().any(|w| w.contains(&id));
+                assert_eq!(e.remove(id), held, "step {step}");
+                windows.iter_mut().for_each(|w| w.retain(|&x| x != id));
+                if held {
+                    deleted.insert(id);
+                }
+            } else {
+                let rec = Record::new(
+                    id,
+                    [
+                        firsts[rng.random_range(0..firsts.len())],
+                        lasts[rng.random_range(0..lasts.len())],
+                    ],
+                );
+                let b = e.schema.embed(&rec).unwrap();
+                resent += usize::from(windows.iter().any(|w| w.contains(&id)));
+                revived += usize::from(deleted.remove(&id));
+                let out = e.observe(&rec, step).unwrap();
+                for (i, window) in windows.iter_mut().enumerate() {
+                    let classifier = Classifier::Rule(rules[i].clone());
+                    let mut want: Vec<u64> = (window.iter().copied())
+                        .filter(|&x| x != id && classifier.matches(&records[&x], &b))
+                        .collect();
+                    want.sort_unstable();
+                    let got = (out.events.iter().find(|ev| ev.sub == subs[i]))
+                        .map_or(&[][..], |ev| &ev.matched[..]);
+                    assert_eq!(got, want, "step {step}, sub {i}");
+                    matched += want.len();
+                    window.retain(|&x| x != id);
+                    window.push(id);
+                    if window.len() > sizes[i] {
+                        window.remove(0);
+                    }
+                }
+                records.insert(id, b);
+            }
+            check_invariants(&e, step as usize);
+        }
+        assert!(
+            resent > 200 && revived > 100 && matched > 500,
+            "{resent} {revived} {matched}"
         );
     }
 

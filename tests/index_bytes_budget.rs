@@ -14,8 +14,9 @@
 //! It also holds `StructureStats::heap_bytes` (the `rl_block_heap_bytes`
 //! gauge) to within a tenth of what the allocator saw the tables take: the
 //! same records inserted into a copy of the empty plan, tables only. What
-//! `index` added beyond that is the record store — packed rows behind an
-//! id → slot map — which has a budget of its own and its own gauge
+//! `index` added beyond that is the record store — packed rows, a slot → id
+//! column and an id → slot map — which has a budget of its own and its own
+//! gauge
 //! (`LinkagePipeline::record_heap_bytes`, `rl_record_heap_bytes`), held to
 //! the same tenth.
 //!
@@ -97,18 +98,20 @@ fn indexing_a_record_stays_within_its_byte_budget() {
     );
     let records = pair.a.len() as i64;
     // (configuration, committed heap bytes per indexed record): one to
-    // three per cent above the 320 / 8 404 / 1 453 measured with records as
-    // packed rows (275 / 8 358 / 1 408 of it tables, 45 the record store),
-    // and below what an `EmbeddedRecord` per record in a map read: 499 /
-    // 8 582 / 1 632. The `HashMap<u128, Vec<u64>>` tables before that read
+    // three per cent above the 266 / 6 443 / 1 126 measured with tables of
+    // slab slots (210 / 6 387 / 1 070 of it tables, 56 the record store).
+    // Tables of client ids read 320 / 8 404 / 1 453 (275 / 8 358 / 1 408
+    // tables, 45 the store); an `EmbeddedRecord` per record in a map 499 /
+    // 8 582 / 1 632; the `HashMap<u128, Vec<u64>>` tables before that
     // 803 / 16 198 / 3 259.
     let budgets = [
-        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 330i64),
-        ("batch_rule", LinkageConfig::rule_aware(c1()), 8_500),
-        ("batch_covering", LinkageConfig::covering(c1(), 4), 1_500),
+        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 270i64),
+        ("batch_rule", LinkageConfig::rule_aware(c1()), 6_550),
+        ("batch_covering", LinkageConfig::covering(c1(), 4), 1_150),
     ];
-    // The record store's share, whatever the tables: a 16-byte row, a
-    // 17-byte map slot at a load of 7/16 to 7/8, and `Vec` doubling.
+    // The record store's share, whatever the tables: a 16-byte row, its
+    // 8-byte id in the slot → id column, a 17-byte map slot at a load of
+    // 7/16 to 7/8, and `Vec` doubling.
     const STORE_BUDGET: i64 = 64;
     for (name, config, budget) in budgets {
         let mut pipeline = LinkagePipeline::new(schema.clone(), config, &mut rng).unwrap();
