@@ -8,16 +8,23 @@
 //! thresholds). The per-field thresholds (45 per name field, 90 for the
 //! heavy-perturbed field) are applied **only during the matching step**, as
 //! the paper notes.
+//!
+//! The filters are fixed-width bit vectors, so a record is one row of the
+//! concatenated filter ([`RowLayout::push_row`]) and BfH blocks and matches
+//! through the engine: a record-level [`BlockingPlan`] over that
+//! [`RowLayout`] ([`BfhLinker::plan`]), a [`RecordSlab`] of A's rows
+//! ([`index_row`]), and [`match_batch`] classifying B's candidates by the
+//! per-field thresholds.
 
 use crate::bloom::BloomEncoder;
 use crate::common::{LinkOutcome, Linker};
-use cbv_hb::Record;
+use cbv_hb::blocking::{BlockingPlan, ProbeScratch, TableCount};
+use cbv_hb::matcher::{index_row, match_batch, Classifier, MatchStats, RecordSlab};
+use cbv_hb::schema::RowLayout;
+use cbv_hb::{Record, Rule};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rl_bitvec::BitVec;
-use rl_lsh::params::{base_success_probability, optimal_l};
-use rl_lsh::{BitSampler, BlockingTable};
-use std::collections::HashSet;
 use std::time::Instant;
 use textdist::Alphabet;
 
@@ -82,13 +89,25 @@ impl BfhLinker {
         }
     }
 
-    fn encode(&self, encoders: &[BloomEncoder], rec: &Record) -> (u64, Vec<BitVec>) {
-        let fields = encoders
-            .iter()
-            .zip(&rec.fields)
-            .map(|(e, v)| e.encode(v))
-            .collect();
-        (rec.id, fields)
+    /// One `field_bits`-bit filter per field, concatenated: the
+    /// record-level filter BfH blocks on.
+    fn layout(&self) -> RowLayout {
+        RowLayout::from_widths(vec![self.field_bits; self.thetas.len()])
+    }
+
+    /// The record-level plan BfH blocks with: keys of `K` bits sampled from
+    /// the concatenated filter, `L` from Equation 2 for `block_theta` and δ.
+    ///
+    /// # Panics
+    /// Panics if the configuration admits no plan (`block_theta` beyond the
+    /// concatenated width, `K` beyond 128).
+    pub fn plan<R: Rng + ?Sized>(&self, rng: &mut R) -> BlockingPlan {
+        let tables = TableCount::Equation2 {
+            delta: self.delta,
+            flips: 0,
+        };
+        BlockingPlan::record_level_over(&self.layout(), self.block_theta, self.k, tables, rng)
+            .expect("BfH presets admit a record-level plan")
     }
 }
 
@@ -117,60 +136,69 @@ impl Linker for BfhLinker {
             })
             .collect();
         let mut out = LinkOutcome::default();
+        let layout = self.layout();
+        let w = layout.words();
 
         let t0 = Instant::now();
-        let enc_a: Vec<(u64, Vec<BitVec>)> = a.iter().map(|r| self.encode(&encoders, r)).collect();
-        let enc_b: Vec<(u64, Vec<BitVec>)> = b.iter().map(|r| self.encode(&encoders, r)).collect();
+        let rows_a = rows(&encoders, &layout, a);
+        let rows_b = rows(&encoders, &layout, b);
         out.embed_nanos = t0.elapsed().as_nanos();
 
-        // Record-level HB: L from the blocking threshold over the
-        // concatenated filter.
-        let m_bar = self.field_bits * num_fields;
-        let p = base_success_probability(self.block_theta.min(m_bar as u32), m_bar);
-        let p_k = p.powi(self.k as i32);
-        let l = optimal_l(p_k.max(1e-12), self.delta);
-
+        // Record-level HB over the concatenated filter; A is indexed under
+        // record positions, so ids may repeat.
         let t1 = Instant::now();
-        let samplers: Vec<BitSampler> = (0..l)
-            .map(|_| {
-                BitSampler::random(m_bar, self.k as usize, &mut rng)
-                    .expect("BFH presets keep K within the key width")
-            })
-            .collect();
-        let mut tables: Vec<BlockingTable> = (0..l).map(|_| BlockingTable::new()).collect();
-        for (idx, (_, fields)) in enc_a.iter().enumerate() {
-            let refs: Vec<&BitVec> = fields.iter().collect();
-            for (s, t) in samplers.iter().zip(tables.iter_mut()) {
-                t.insert(s.key_concat(&refs), idx as u64);
-            }
+        let mut plan = self.plan(&mut rng);
+        let mut slab = RecordSlab::new(layout);
+        for (pos, row) in rows_a.chunks_exact(w).enumerate() {
+            index_row(&mut plan, &mut slab, pos as u64, row);
         }
         out.block_nanos = t1.elapsed().as_nanos();
 
+        // The per-field thresholds apply only here, in the matching step.
         let t2 = Instant::now();
-        for (id_b, fields_b) in &enc_b {
-            let refs: Vec<&BitVec> = fields_b.iter().collect();
-            let mut seen: HashSet<u64> = HashSet::new();
-            for (s, t) in samplers.iter().zip(tables.iter()) {
-                for &idx in t.get(s.key_concat(&refs)) {
-                    seen.insert(idx);
-                }
-            }
-            out.candidates += seen.len() as u64;
-            for idx in seen {
-                let (id_a, fields_a) = &enc_a[idx as usize];
-                let ok = fields_a
-                    .iter()
-                    .zip(fields_b)
-                    .zip(&self.thetas)
-                    .all(|((fa, fb), &theta)| fa.hamming(fb) <= theta);
-                if ok {
-                    out.matches.push((*id_a, *id_b));
-                }
-            }
-        }
+        let preds = self
+            .thetas
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| Rule::pred(i, t));
+        let probes = rows_b
+            .chunks_exact(w)
+            .enumerate()
+            .map(|(pos, row)| (pos as u64, row));
+        let (mut pairs, mut stats) = (Vec::new(), MatchStats::default());
+        match_batch(
+            &plan,
+            &slab,
+            probes,
+            &Classifier::Rule(Rule::and(preds)),
+            &mut ProbeScratch::default(),
+            &mut stats,
+            &mut pairs,
+        );
+        out.candidates = stats.candidates;
+        out.matches = pairs
+            .into_iter()
+            .map(|(pa, pb)| (a[pa as usize].id, b[pb as usize].id))
+            .collect();
         out.match_nanos = t2.elapsed().as_nanos();
         out
     }
+}
+
+/// The records' field filters, each record's concatenated into one row.
+fn rows(encoders: &[BloomEncoder], layout: &RowLayout, records: &[Record]) -> Vec<u64> {
+    let mut rows = Vec::with_capacity(records.len() * layout.words());
+    for rec in records {
+        let filters: Vec<BitVec> = encoders
+            .iter()
+            .zip(&rec.fields)
+            .map(|(e, v)| e.encode(v))
+            .collect();
+        layout
+            .push_row(&filters, &mut rows)
+            .expect("a filter has the field width");
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -182,12 +210,24 @@ mod tests {
     }
 
     #[test]
-    fn paper_pl_l_is_4() {
-        // §6.1: θ_PL = 45 per field... the L computation uses the summed
-        // record-level threshold 180 over 2000 bits.
-        let m_bar = 2000;
-        let p = base_success_probability(45, m_bar);
-        assert_eq!(optimal_l(p.powi(30), 0.1), 4);
+    fn each_preset_blocks_with_the_l_of_equation_2() {
+        use rl_lsh::params::{base_success_probability, optimal_l};
+        // The plan `link` builds, over 4 × 500 filter bits at K = 30, δ = 0.1.
+        for (preset, l) in [
+            (BfhLinker::paper_pl(4, 1), 5),
+            (BfhLinker::paper_ph(4, 1), 75),
+        ] {
+            let p = base_success_probability(preset.block_theta, 4 * preset.field_bits);
+            let equation_2 = optimal_l(p.powi(preset.k as i32), preset.delta);
+            let plan = preset.plan(&mut StdRng::seed_from_u64(0));
+            assert_eq!(
+                plan.total_tables(),
+                equation_2,
+                "θ = {}",
+                preset.block_theta
+            );
+            assert_eq!(equation_2, l);
+        }
     }
 
     #[test]

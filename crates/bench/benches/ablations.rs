@@ -7,16 +7,16 @@
 //!   q-gram vectors whose sparsity over-populates buckets (Section 5.2's
 //!   motivation).
 
-use cbv_hb::blocking::BlockingPlan;
+use cbv_hb::blocking::{BlockingPlan, TableCount};
 use cbv_hb::matcher::{index_row, match_structure_literal, Classifier, MatchStats, RecordSlab};
 use cbv_hb::qvector::QGramVectorEmbedder;
-use cbv_hb::{AttributeSpec, RecordSchema, Rule};
+use cbv_hb::schema::RowLayout;
+use cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_bitvec::{naive_hamming, BitVec};
 use rl_datagen::{DatasetPair, NcvrSource, PairConfig, PerturbationScheme};
-use rl_lsh::{BitSampler, BlockingTable};
 use std::hint::black_box;
 use textdist::Alphabet;
 
@@ -112,71 +112,81 @@ fn bench_popcount(c: &mut Criterion) {
 /// Sparsity ablation (Section 5.2): bit-sampling LSH over the full q-gram
 /// vector space concentrates keys on all-zero samples, over-populating a
 /// few buckets; compact c-vectors spread them. We measure the probe cost
-/// that over-population causes.
+/// that over-population causes, on one-table plans (`L = 1`, `K = 10`) over
+/// the last-name attribute alone.
 fn bench_sparsity(c: &mut Criterion) {
     let p = pair(2_000, 3);
     let alphabet = Alphabet::linkage();
-    let k = 10usize;
     let mut group = c.benchmark_group("sparsity");
     group.sample_size(10);
 
     // Full q-gram vectors for the last-name attribute.
     let full = QGramVectorEmbedder::new(alphabet.clone(), 2, false);
     let mut rng = StdRng::seed_from_u64(4);
-    let sampler_full = BitSampler::random(full.size(), k, &mut rng).unwrap();
-    let mut table_full = BlockingTable::new();
-    let full_a: Vec<BitVec> = p.a.iter().map(|r| full.embed(r.field(1))).collect();
-    for (i, v) in full_a.iter().enumerate() {
-        table_full.insert(sampler_full.key(v), i as u64);
-    }
-    let full_b: Vec<BitVec> =
-        p.b.iter()
-            .take(200)
-            .map(|r| full.embed(r.field(1)))
-            .collect();
+    let (plan_full, probes_full) = last_name_table(&p, full.size(), |v| full.embed(v), &mut rng);
     group.bench_function("probe_full_qgram_vector", |bench| {
-        bench.iter(|| {
-            let mut touched = 0usize;
-            for v in &full_b {
-                touched += table_full.get(sampler_full.key(v)).len();
-            }
-            black_box(touched)
-        })
+        bench.iter(|| black_box(touched(&plan_full, &probes_full)))
     });
 
     // Compact c-vectors for the same attribute.
     let mut rng = StdRng::seed_from_u64(5);
     let compact = cbv_hb::CVectorEmbedder::random(alphabet, 2, 15, false, &mut rng);
-    let sampler_compact = BitSampler::random(15, k, &mut rng).unwrap();
-    let mut table_compact = BlockingTable::new();
-    let compact_a: Vec<BitVec> = p.a.iter().map(|r| compact.embed(r.field(1))).collect();
-    for (i, v) in compact_a.iter().enumerate() {
-        table_compact.insert(sampler_compact.key(v), i as u64);
-    }
-    let compact_b: Vec<BitVec> =
-        p.b.iter()
-            .take(200)
-            .map(|r| compact.embed(r.field(1)))
-            .collect();
+    let (plan_compact, probes_compact) = last_name_table(&p, 15, |v| compact.embed(v), &mut rng);
     group.bench_function("probe_compact_cvector", |bench| {
-        bench.iter(|| {
-            let mut touched = 0usize;
-            for v in &compact_b {
-                touched += table_compact.get(sampler_compact.key(v)).len();
-            }
-            black_box(touched)
-        })
+        bench.iter(|| black_box(touched(&plan_compact, &probes_compact)))
     });
     group.finish();
 
     // Print the structural diagnostic once (bucket over-population).
+    let (full, compact) = (&plan_full.structures()[0], &plan_compact.structures()[0]);
     eprintln!(
         "sparsity diagnostic: full-vector table {} buckets (max {}), compact table {} buckets (max {})",
-        table_full.num_buckets(),
-        table_full.max_bucket(),
-        table_compact.num_buckets(),
-        table_compact.max_bucket(),
+        full.num_buckets(),
+        full.max_bucket(),
+        compact.num_buckets(),
+        compact.max_bucket(),
     );
+}
+
+/// A one-table plan over the last names of `p.a`, embedded by `embed` into
+/// `m` bits and indexed under their positions, and the rows of the first
+/// 200 last names of `p.b` to probe it with.
+fn last_name_table(
+    p: &DatasetPair,
+    m: usize,
+    embed: impl Fn(&str) -> BitVec,
+    rng: &mut StdRng,
+) -> (BlockingPlan, Vec<Vec<u64>>) {
+    let layout = RowLayout::from_widths([m]);
+    let mut plan = BlockingPlan::record_level_over(&layout, 0, 10, TableCount::Fixed(1), rng)
+        .expect("a one-table plan");
+    let rows = |records: &[Record]| {
+        let mut rows = Vec::new();
+        for r in records {
+            layout.push_row(&[embed(r.field(1))], &mut rows).unwrap();
+        }
+        rows
+    };
+    let w = layout.words();
+    for (pos, row) in rows(&p.a).chunks_exact(w).enumerate() {
+        plan.insert_row(pos as u64, row);
+    }
+    let probes = rows(&p.b[..200])
+        .chunks_exact(w)
+        .map(<[u64]>::to_vec)
+        .collect();
+    (plan, probes)
+}
+
+/// Bucket entries the probe rows meet in `plan`'s one table.
+fn touched(plan: &BlockingPlan, probes: &[Vec<u64>]) -> usize {
+    let structure = &plan.structures()[0];
+    let (mut keys, mut met) = (Vec::new(), Vec::new());
+    for row in probes {
+        structure.keys_into_row(row, &mut keys);
+        structure.probe_key_into(0, keys[0], &mut met);
+    }
+    met.len()
 }
 
 criterion_group!(benches, bench_dedup, bench_popcount, bench_sparsity);

@@ -1463,7 +1463,7 @@ fn nonstd(opts: &Opts) {
 /// within record-level distance θ each backend co-blocks, and at what
 /// candidate cost. Counts only — identical flags write identical JSON.
 fn covering(opts: &Opts) {
-    use cbv_hb::blocking::BlockingPlan;
+    use cbv_hb::blocking::{BlockingPlan, TableCount};
     println!("\n## Extension — CoveringLSH vs random sampling at matched L");
     let theta = 4u32;
     let pair = ncvr_pair(opts.records, PerturbationScheme::Light, opts.seed);
@@ -1496,7 +1496,13 @@ fn covering(opts: &Opts) {
         ),
         (
             "random",
-            BlockingPlan::record_level_with_l(&schema, theta, 30, matched_l, &mut plan_rng()),
+            BlockingPlan::record_level_over(
+                &schema.layout(),
+                theta,
+                30,
+                TableCount::Fixed(matched_l),
+                &mut plan_rng(),
+            ),
         ),
     ];
     let mut t = Table::new(

@@ -1,6 +1,6 @@
 //! The [`BitVec`] type: a fixed-length bit vector packed into `u64` words.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::fmt;
 
 /// A fixed-length bit vector.
@@ -9,6 +9,10 @@ use std::fmt;
 /// operations check length compatibility. Bit `i` lives in word `i / 64`,
 /// bit position `i % 64` (LSB-first), and padding bits beyond `len` are kept
 /// zero as an invariant so `count_ones` and `hamming` never see garbage.
+/// Serialized as `{len, words}`; deserialization refuses a document that
+/// breaks the invariant (a word count other than `⌈len/64⌉`, a padding bit
+/// set), so a vector read from a snapshot or the wire is as well-formed as
+/// one built here.
 ///
 /// ```
 /// use rl_bitvec::BitVec;
@@ -16,10 +20,37 @@ use std::fmt;
 /// let b = BitVec::from_positions(120, [3, 64, 100]);
 /// assert_eq!(a.hamming(&b), 2);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct BitVec {
     len: usize,
     words: Vec<u64>,
+}
+
+/// A serialized [`BitVec`] before its invariant is checked.
+#[derive(Deserialize)]
+struct Unchecked {
+    len: usize,
+    words: Vec<u64>,
+}
+
+impl<'de> Deserialize<'de> for BitVec {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error as _;
+        let Unchecked { len, words } = Unchecked::deserialize(deserializer)?;
+        if words.len() != len.div_ceil(64) {
+            return Err(D::Error::custom(format!(
+                "a {len}-bit vector needs {} words, not {}",
+                len.div_ceil(64),
+                words.len()
+            )));
+        }
+        if len % 64 != 0 && words.last().is_some_and(|&w| w >> (len % 64) != 0) {
+            return Err(D::Error::custom(format!(
+                "a {len}-bit vector has a bit set past its length"
+            )));
+        }
+        Ok(Self { len, words })
+    }
 }
 
 impl BitVec {
@@ -275,6 +306,39 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(v.count_ones(), 0);
         assert_eq!(v.hamming(&BitVec::zeros(0)), 0);
+    }
+
+    #[test]
+    fn deserialization_round_trips_well_formed_vectors() {
+        for v in [
+            BitVec::zeros(0),
+            BitVec::from_positions(15, [0, 14]),
+            BitVec::from_positions(64, [63]),
+            BitVec::from_positions(130, [0, 64, 129]),
+        ] {
+            let json = serde_json::to_string(&v).unwrap();
+            assert_eq!(serde_json::from_str::<BitVec>(&json).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn deserialization_refuses_a_broken_invariant() {
+        for (json, why) in [
+            (r#"{"len":15,"words":[]}"#, "needs 1 words, not 0"),
+            (r#"{"len":15,"words":[1,2]}"#, "needs 1 words, not 2"),
+            (r#"{"len":0,"words":[0]}"#, "needs 0 words, not 1"),
+            (r#"{"len":15,"words":[32768]}"#, "bit set past its length"),
+            (r#"{"len":65,"words":[0,2]}"#, "bit set past its length"),
+        ] {
+            let err = serde_json::from_str::<BitVec>(json)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(why), "{json}: {err}");
+        }
+        // A full last word has no padding to check.
+        let v: BitVec =
+            serde_json::from_str(r#"{"len":64,"words":[18446744073709551615]}"#).unwrap();
+        assert_eq!(v.count_ones(), 64);
     }
 
     proptest! {

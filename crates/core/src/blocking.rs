@@ -6,7 +6,10 @@
 //! * **Record-level HB** (Section 4.2): one [`BlockingStructure`] whose
 //!   composite hashes sample bits uniformly from the whole record-level
 //!   c-vector. This is the paper's baseline blocking mode ("standard
-//!   LSH-based approach").
+//!   LSH-based approach"). One constructor builds it over any
+//!   [`RowLayout`] ([`BlockingPlan::record_level_over`]), so records that
+//!   are fixed-width bit vectors without a schema — the keyed PPRL
+//!   encodings, BfH's Bloom filters — block through the same structure.
 //! * **Attribute-level, rule-aware blocking** (Section 5.4): a
 //!   classification [`Rule`] is compiled by [`BlockingPlan::compile`] into a
 //!   set of structures plus a set-algebra expression over their candidate
@@ -26,8 +29,8 @@
 //! **Keys.** A structure never asks its hash families for a key one table
 //! and one bit at a time. Its families are compiled once — when the
 //! structure is built, and again by [`BlockingPlan::compile_kernels`] after
-//! a plan was deserialized, never serialized — into a
-//! [`rl_lsh::KeyKernel`] over the *packed record-level c-vector*: the row
+//! a plan was deserialized, never serialized — against a [`RowLayout`] into
+//! a [`rl_lsh::KeyKernel`] over the *packed record-level c-vector*: the row
 //! of two to five `u64` words the engine keeps a record as
 //! ([`RecordSchema::embed_row`], [`crate::matcher::RecordSlab`]), read as it
 //! is. One call, [`BlockingStructure::keys_into_row`], yields all `L` keys
@@ -37,7 +40,7 @@
 //!
 //! **Rows and the `&EmbeddedRecord` adapters.** Keys, the candidate algebra
 //! and the verified-NOT check ([`BlockingStructure::conjuncts_hold_row`],
-//! per-attribute popcounts under the schema's
+//! per-attribute popcounts under the structure's
 //! [`RowLayout`]) have one implementation, over rows; a plan's candidate
 //! evaluation is generic in what its record lookup returns (`Option<R>`,
 //! `R: AsRef<[u64]>`: a slab hands out `&[u64]`). The methods that take an
@@ -95,30 +98,47 @@ impl SubFamily {
     }
 
     /// For each position of the vector this family hashes, its bit offset
-    /// in the packed record-level c-vector of `schema`.
-    fn position_map(&self, schema: &RecordSchema) -> Vec<u32> {
+    /// in a row laid out by `layout`.
+    fn position_map(&self, layout: &RowLayout) -> Vec<u32> {
+        let widths = layout.widths();
         let span = |attr: usize| {
-            let offset = schema.attr_offset(attr) as u32;
-            offset..offset + schema.specs()[attr].m as u32
+            let offset: usize = widths[..attr].iter().sum();
+            offset as u32..(offset + widths[attr]) as u32
         };
         match &self.source {
-            Source::Record => (0..schema.total_size() as u32).collect(),
+            Source::Record => (0..layout.bits() as u32).collect(),
             Source::Attr(attr) => span(*attr).collect(),
             Source::Attrs(attrs) => attrs.iter().flat_map(|&attr| span(attr)).collect(),
         }
     }
 }
 
-/// A structure's families compiled against one schema's record layout.
+/// A structure's families compiled against one row layout.
 /// Derived state: rebuilt from the families, never written to a snapshot.
 #[derive(Debug, Clone, Default)]
 struct CompiledKeys {
     kernel: KeyKernel,
-    /// The row layout of the schema the kernel was compiled for: every
-    /// record it keys must have that size.
+    /// The row layout the kernel was compiled for: every record it keys
+    /// must have that size.
     layout: RowLayout,
     /// The last insert's or remove's keys, kept for its buffer.
     scratch: Vec<u128>,
+}
+
+/// How a record-level structure sets its number of tables `L`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TableCount {
+    /// Equation 2 for the failure budget `delta`. With `flips > 0` a probe
+    /// also looks up every key up to `flips` bits away (multi-probe), which
+    /// raises the per-table collision probability and lowers `L`.
+    Equation2 {
+        /// Failure budget δ.
+        delta: f64,
+        /// Multi-probe flip budget (0 = exact probing).
+        flips: u32,
+    },
+    /// A fixed `L`.
+    Fixed(usize),
 }
 
 /// A blocking structure: `L` hash tables `T_l`, each keyed by a composite
@@ -151,9 +171,9 @@ pub struct BlockingStructure {
 
 impl BlockingStructure {
     /// Assembles a structure over empty in-memory tables and compiles its
-    /// key kernel against `schema`.
+    /// key kernel against `layout`.
     fn assemble(
-        schema: &RecordSchema,
+        layout: &RowLayout,
         label: String,
         families: Vec<SubFamily>,
         p_collide: f64,
@@ -170,17 +190,17 @@ impl BlockingStructure {
             probe_flips,
             keys: CompiledKeys::default(),
         };
-        structure.compile_kernel(schema);
+        structure.compile_kernel(layout);
         structure
     }
 
-    /// (Re)compiles the key kernel against `schema`'s record layout — the
-    /// schema the structure was built for.
-    fn compile_kernel(&mut self, schema: &RecordSchema) {
+    /// (Re)compiles the key kernel against `layout` — the row layout the
+    /// structure was built for.
+    fn compile_kernel(&mut self, layout: &RowLayout) {
         let maps: Vec<Vec<u32>> = self
             .families
             .iter()
-            .map(|f| f.position_map(schema))
+            .map(|f| f.position_map(layout))
             .collect();
         let families: Vec<(&Backend, &[u32])> = self
             .families
@@ -190,22 +210,26 @@ impl BlockingStructure {
             .collect();
         self.keys = CompiledKeys {
             kernel: KeyKernel::compile(&families),
-            layout: schema.layout(),
+            layout: layout.clone(),
             scratch: Vec::new(),
         };
     }
 
-    /// Builds the record-level HB structure: keys sample `k` bits uniformly
-    /// from the `m̄`-bit record-level c-vector; `theta` is the record-level
-    /// Hamming threshold used for the `L` computation.
-    pub fn record_level<R: Rng + ?Sized>(
-        schema: &RecordSchema,
+    /// The one record-level HB constructor: keys sample `k` bits uniformly
+    /// from rows laid out by `layout` (the `m̄`-bit record-level c-vector);
+    /// `theta` is the record-level Hamming threshold `L` is computed for.
+    /// The `L` samplers are drawn by [`BitSampleFamily::random`].
+    fn record_level_over<R: Rng + ?Sized>(
+        layout: &RowLayout,
         theta: u32,
         k: u32,
-        delta: f64,
+        tables: TableCount,
         rng: &mut R,
     ) -> Result<Self> {
-        let m = schema.total_size();
+        let m = layout.bits();
+        if m == 0 {
+            return Err(Error::InvalidParameter("a row of 0 bits".into()));
+        }
         if theta as usize > m {
             return Err(Error::ThresholdTooLarge {
                 attr: usize::MAX,
@@ -213,27 +237,57 @@ impl BlockingStructure {
                 m,
             });
         }
-        check_delta(delta)?;
         let p = base_success_probability(theta, m);
-        let p_collide = p.powi(k as i32);
-        if p_collide <= 0.0 {
-            return Err(Error::InvalidParameter(format!(
-                "record-level p^K underflowed to 0 (theta={theta}, m={m}, k={k})"
-            )));
-        }
-        let l = optimal_l(p_collide, delta);
+        let (l, p_collide, flips) = match tables {
+            TableCount::Fixed(l) => (l, p.powi(k as i32), 0),
+            TableCount::Equation2 { flips, .. } if flips > k => {
+                return Err(Error::InvalidParameter(format!(
+                    "cannot flip {flips} bits of a {k}-bit key"
+                )));
+            }
+            TableCount::Equation2 { delta, flips } => {
+                check_delta(delta)?;
+                // `p^K` at 0 flips.
+                let p_collide = rl_lsh::params::multiprobe_collision_probability(p, k, flips);
+                if p_collide <= 0.0 {
+                    return Err(Error::InvalidParameter(format!(
+                        "record-level collision probability underflowed to 0 \
+                         (theta={theta}, m={m}, k={k}, flips={flips})"
+                    )));
+                }
+                (optimal_l(p_collide, delta), p_collide, flips)
+            }
+        };
+        let label = match tables {
+            TableCount::Fixed(_) => format!("record-level(theta={theta},K={k},L={l},fixed)"),
+            _ if flips == 0 => format!("record-level(theta={theta},K={k},L={l})"),
+            _ => format!("record-level-mp(theta={theta},K={k},L={l},t={flips})"),
+        };
         let family = BitSampleFamily::random(m, k as usize, l, rng)?;
         Ok(Self::assemble(
-            schema,
-            format!("record-level(theta={theta},K={k},L={l})"),
+            layout,
+            label,
             vec![SubFamily {
                 source: Source::Record,
                 backend: Backend::RandomSampling(family),
             }],
             p_collide,
             Vec::new(),
-            0,
+            flips,
         ))
+    }
+
+    /// Builds the record-level HB structure over `schema`'s rows, `L` from
+    /// Equation 2.
+    pub fn record_level<R: Rng + ?Sized>(
+        schema: &RecordSchema,
+        theta: u32,
+        k: u32,
+        delta: f64,
+        rng: &mut R,
+    ) -> Result<Self> {
+        let tables = TableCount::Equation2 { delta, flips: 0 };
+        Self::record_level_over(&schema.layout(), theta, k, tables, rng)
     }
 
     /// As [`Self::record_level`], but with a fixed number of blocking
@@ -247,30 +301,7 @@ impl BlockingStructure {
         l: usize,
         rng: &mut R,
     ) -> Result<Self> {
-        let m = schema.total_size();
-        if theta as usize > m {
-            return Err(Error::ThresholdTooLarge {
-                attr: usize::MAX,
-                theta,
-                m,
-            });
-        }
-        if l == 0 {
-            return Err(Error::InvalidParameter("L must be positive".into()));
-        }
-        let p = base_success_probability(theta, m);
-        let family = BitSampleFamily::random(m, k as usize, l, rng)?;
-        Ok(Self::assemble(
-            schema,
-            format!("record-level(theta={theta},K={k},L={l},fixed)"),
-            vec![SubFamily {
-                source: Source::Record,
-                backend: Backend::RandomSampling(family),
-            }],
-            p.powi(k as i32),
-            Vec::new(),
-            0,
-        ))
+        Self::record_level_over(&schema.layout(), theta, k, TableCount::Fixed(l), rng)
     }
 
     /// Multi-probe record-level HB (Lv et al., adapted): each probe also
@@ -285,40 +316,8 @@ impl BlockingStructure {
         flips: u32,
         rng: &mut R,
     ) -> Result<Self> {
-        if flips > k {
-            return Err(Error::InvalidParameter(format!(
-                "cannot flip {flips} bits of a {k}-bit key"
-            )));
-        }
-        let m = schema.total_size();
-        if theta as usize > m {
-            return Err(Error::ThresholdTooLarge {
-                attr: usize::MAX,
-                theta,
-                m,
-            });
-        }
-        check_delta(delta)?;
-        let p = base_success_probability(theta, m);
-        let p_collide = rl_lsh::params::multiprobe_collision_probability(p, k, flips);
-        if p_collide <= 0.0 {
-            return Err(Error::InvalidParameter(
-                "multiprobe collision probability underflowed to 0".into(),
-            ));
-        }
-        let l = optimal_l(p_collide, delta);
-        let family = BitSampleFamily::random(m, k as usize, l, rng)?;
-        Ok(Self::assemble(
-            schema,
-            format!("record-level-mp(theta={theta},K={k},L={l},t={flips})"),
-            vec![SubFamily {
-                source: Source::Record,
-                backend: Backend::RandomSampling(family),
-            }],
-            p_collide,
-            Vec::new(),
-            flips,
-        ))
+        let tables = TableCount::Equation2 { delta, flips };
+        Self::record_level_over(&schema.layout(), theta, k, tables, rng)
     }
 
     /// Builds a fused conjunction structure over `(attr, θ)` conjuncts:
@@ -374,7 +373,7 @@ impl BlockingStructure {
             .collect::<Vec<_>>()
             .join("&");
         Ok(Self::assemble(
-            schema,
+            &schema.layout(),
             format!("attr-level({label},L={l})"),
             families,
             p_collide,
@@ -402,7 +401,7 @@ impl BlockingStructure {
         let family = CoveringFamily::random(m, theta, rng)?;
         let l = family.l();
         Ok(Self::assemble(
-            schema,
+            &schema.layout(),
             format!("covering-record(theta={theta},L={l})"),
             vec![SubFamily {
                 source: Source::Record,
@@ -462,7 +461,7 @@ impl BlockingStructure {
             .collect::<Vec<_>>()
             .join("&");
         Ok(Self::assemble(
-            schema,
+            &schema.layout(),
             format!("covering({label},theta={theta_total},L={l})"),
             vec![SubFamily {
                 source,
@@ -1018,18 +1017,21 @@ impl BlockingPlan {
         theta: u32,
         rng: &mut R,
     ) -> Result<Self> {
-        let s = BlockingStructure::covering_record_level(schema, theta, rng)?;
-        Ok(Self {
+        BlockingStructure::covering_record_level(schema, theta, rng).map(Self::single)
+    }
+
+    /// A plan of the one structure `s`.
+    fn single(s: BlockingStructure) -> Self {
+        Self {
             structures: vec![s],
             expr: PlanExpr::Leaf(0),
-        })
+        }
     }
 
     /// Builds the plan a [`crate::pipeline::LinkageConfig`] asks for — the
     /// single construction point shared by the pipeline, the sharded
-    /// service, deduplication, and the stream matcher, so a new blocking
-    /// mode lands everywhere at once. Validates the rule and the config
-    /// before compiling.
+    /// service and deduplication, so a new blocking mode lands everywhere
+    /// at once. Validates the rule and the config before compiling.
     pub fn from_config<R: Rng + ?Sized>(
         schema: &RecordSchema,
         config: &crate::pipeline::LinkageConfig,
@@ -1044,7 +1046,7 @@ impl BlockingPlan {
                 Self::record_level(schema, theta, k, config.delta, rng)
             }
             BlockingMode::RecordLevelFixedL { theta, k, l } => {
-                Self::record_level_with_l(schema, theta, k, l, rng)
+                Self::record_level_over(&schema.layout(), theta, k, TableCount::Fixed(l), rng)
             }
             BlockingMode::RuleAware => Self::compile(schema, &config.rule, config.delta, rng),
             BlockingMode::Covering { theta } => Self::covering_record_level(schema, theta, rng),
@@ -1062,26 +1064,21 @@ impl BlockingPlan {
         delta: f64,
         rng: &mut R,
     ) -> Result<Self> {
-        let s = BlockingStructure::record_level(schema, theta, k, delta, rng)?;
-        Ok(Self {
-            structures: vec![s],
-            expr: PlanExpr::Leaf(0),
-        })
+        BlockingStructure::record_level(schema, theta, k, delta, rng).map(Self::single)
     }
 
-    /// Record-level plan with a fixed `L` (parameter-sweep harnesses).
-    pub fn record_level_with_l<R: Rng + ?Sized>(
-        schema: &RecordSchema,
+    /// Record-level HB over rows laid out by `layout`, for records that are
+    /// fixed-width bit vectors without a [`RecordSchema`] (keyed PPRL
+    /// encodings, Bloom filters), or with a fixed `L` (parameter sweeps):
+    /// the constructor behind [`Self::record_level`].
+    pub fn record_level_over<R: Rng + ?Sized>(
+        layout: &RowLayout,
         theta: u32,
         k: u32,
-        l: usize,
+        tables: TableCount,
         rng: &mut R,
     ) -> Result<Self> {
-        let s = BlockingStructure::record_level_with_l(schema, theta, k, l, rng)?;
-        Ok(Self {
-            structures: vec![s],
-            expr: PlanExpr::Leaf(0),
-        })
+        BlockingStructure::record_level_over(layout, theta, k, tables, rng).map(Self::single)
     }
 
     /// The compiled structures.
@@ -1206,8 +1203,9 @@ impl BlockingPlan {
     /// serialized: call this once on a deserialized plan, before it keys a
     /// record. (Plans from the constructors arrive compiled.)
     pub fn compile_kernels(&mut self, schema: &RecordSchema) {
+        let layout = schema.layout();
         for s in &mut self.structures {
-            s.compile_kernel(schema);
+            s.compile_kernel(&layout);
         }
     }
 

@@ -45,15 +45,6 @@ pub enum Error {
     /// against the current [`rl_reshard::ShardMap`], driving a migration,
     /// or attempting to reshard a populated disk-resident plan in place.
     Reshard(rl_reshard::ReshardError),
-    /// A record id is already present in the index. Raised by
-    /// [`crate::stream::StreamMatcher::observe`], which refuses to
-    /// silently re-index an id; use
-    /// [`crate::stream::StreamMatcher::observe_upsert`] to replace the
-    /// stored record instead.
-    DuplicateId {
-        /// The id that is already indexed.
-        id: u64,
-    },
 }
 
 impl fmt::Display for Error {
@@ -77,10 +68,6 @@ impl fmt::Display for Error {
             Error::FieldCountMismatch { found, expected } => write!(
                 f,
                 "record has {found} fields but the schema defines {expected}"
-            ),
-            Error::DuplicateId { id } => write!(
-                f,
-                "record id {id} is already indexed; remove it first or observe_upsert"
             ),
         }
     }

@@ -25,8 +25,10 @@
 //! The one-stop entry point is [`pipeline::LinkagePipeline`]; see the crate
 //! examples for end-to-end usage. [`metrics`] computes the Pairs
 //! Completeness / Pairs Quality / Reduction Ratio measures used in the
-//! paper's evaluation, and [`stream`] provides the insert-and-query mode
-//! motivated by the paper's health-surveillance scenario.
+//! paper's evaluation. The insert-and-query mode motivated by the paper's
+//! health-surveillance scenario is [`pipeline::LinkagePipeline::link`] of an
+//! arriving record followed by [`pipeline::LinkagePipeline::index`] of it
+//! (what the server's stream handler does).
 
 pub mod analysis;
 pub mod blocking;
@@ -44,7 +46,6 @@ pub mod rule;
 pub mod rule_parser;
 pub mod schema;
 pub mod sharded;
-pub mod stream;
 
 pub use cvector::{optimal_m, CVectorEmbedder};
 pub use error::Error;
@@ -57,4 +58,3 @@ pub use rule::Rule;
 pub use rule_parser::parse_rule;
 pub use schema::{AttributeSpec, EmbeddedRecord, RecordSchema};
 pub use sharded::{ShardState, ShardedPipeline, ShardedState};
-pub use stream::StreamMatcher;

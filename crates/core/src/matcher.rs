@@ -902,4 +902,18 @@ mod tests {
             assert!(err.to_string().contains(why), "{bad}: {err}");
         }
     }
+
+    #[test]
+    fn a_record_vector_without_its_words_is_refused() {
+        // Regression: `{"len":15,"words":[]}` used to load and then panic
+        // when the slab packed the record.
+        let (schema, _, mut slab) = setup(15);
+        slab.insert(42, &row(&schema, ["ANNA", "LEE"]));
+        let text = serde_json::to_string(&slab).unwrap();
+        let words = text.find(r#""words":["#).unwrap() + r#""words":["#.len();
+        let end = words + text[words..].find(']').unwrap();
+        let text = format!("{}{}", &text[..words], &text[end..]);
+        let err = serde_json::from_str::<RecordSlab>(&text).unwrap_err();
+        assert!(err.to_string().contains("words, not 0"), "{err}");
+    }
 }

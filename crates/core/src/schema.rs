@@ -13,7 +13,9 @@
 //! every field straight into the row's bits — no vector per attribute, no
 //! allocation — and a [`RowLayout`], derived from the attribute widths, says
 //! which `(word, mask)` pieces of a row are attribute `i`, so a distance is
-//! `popcount((a ^ b) & mask)` over one or two words.
+//! `popcount((a ^ b) & mask)` over one or two words. A record that is bit
+//! vectors already — a keyed PPRL encoding, BfH's Bloom filters — becomes a
+//! row by [`RowLayout::push_row`], which checks every attribute's width.
 //!
 //! **The unpacked reference.** [`RecordSchema::embed`] and
 //! [`EmbeddedRecord`] — one [`BitVec`] per attribute — stay as the
@@ -161,11 +163,6 @@ impl RecordSchema {
     /// The record-level c-vector size `m̄_opt = Σ_i m_opt^(f_i)`.
     pub fn total_size(&self) -> usize {
         self.specs.iter().map(|s| s.m).sum()
-    }
-
-    /// Bit offset of attribute `i` within the record-level concatenation.
-    pub fn attr_offset(&self, i: usize) -> usize {
-        self.specs[..i].iter().map(|s| s.m).sum()
     }
 
     /// The alphabet shared by all attributes.
@@ -357,6 +354,32 @@ impl RowLayout {
         a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
     }
 
+    /// Appends to `rows` the row of a record given as attribute vectors
+    /// `attrs` of this layout's widths (a record that is bit vectors
+    /// already, with no schema to embed it).
+    ///
+    /// # Errors
+    /// [`Error::InvalidParameter`] naming both widths when `attrs` has
+    /// another arity or an attribute of another width; `rows` is then
+    /// unchanged.
+    pub fn push_row(&self, attrs: &[BitVec], rows: &mut Vec<u64>) -> Result<()> {
+        if !attrs
+            .iter()
+            .map(BitVec::len)
+            .eq(self.widths.iter().copied())
+        {
+            let found: Vec<usize> = attrs.iter().map(BitVec::len).collect();
+            return Err(Error::InvalidParameter(format!(
+                "attribute widths {found:?}, the layout's {:?}",
+                self.widths
+            )));
+        }
+        let start = rows.len();
+        rows.resize(start + self.words, 0);
+        pack(attrs, &mut rows[start..]);
+        Ok(())
+    }
+
     /// The row as the unpacked reference record (what documents hold).
     pub fn unpack(&self, id: u64, row: &[u64]) -> EmbeddedRecord {
         let mut offset = 0;
@@ -447,23 +470,7 @@ impl EmbeddedRecord {
     /// # Panics
     /// Panics if `words` is too short.
     pub fn pack_into(&self, words: &mut [u64]) {
-        let mut offset = 0usize;
-        for v in &self.attrs {
-            for (i, &w) in v.words()[..v.len().div_ceil(64)].iter().enumerate() {
-                // Only the bits of `w` that are `v`'s: a vector whose padding
-                // bits were not zero (it did not come from this crate) must
-                // not spill into its neighbour.
-                let own = v.len() - 64 * i;
-                let w = if own < 64 { w & ((1u64 << own) - 1) } else { w };
-                let at = offset + 64 * i;
-                let (word, shift) = (at / 64, at % 64);
-                words[word] |= w << shift;
-                if shift != 0 && w >> (64 - shift) != 0 {
-                    words[word + 1] |= w >> (64 - shift);
-                }
-            }
-            offset += v.len();
-        }
+        pack(&self.attrs, words);
     }
 
     /// The record-level c-vector as a row: [`Self::pack_into`] a buffer of
@@ -483,11 +490,24 @@ impl EmbeddedRecord {
         }
         row
     }
+}
 
-    /// Borrowed attribute vectors in concatenation order (for samplers that
-    /// address the conceptual record-level vector).
-    pub fn attr_refs(&self) -> Vec<&BitVec> {
-        self.attrs.iter().collect()
+/// Writes `attrs` concatenated bit-contiguously into the zeroed `words`:
+/// whole words are shifted into place. A [`BitVec`] holds `⌈len/64⌉` words
+/// with zero padding (its deserializer refuses anything else), so no bit
+/// spills into a neighbour.
+fn pack(attrs: &[BitVec], words: &mut [u64]) {
+    let mut offset = 0usize;
+    for v in attrs {
+        for (i, &w) in v.words().iter().enumerate() {
+            let at = offset + 64 * i;
+            let (word, shift) = (at / 64, at % 64);
+            words[word] |= w << shift;
+            if shift != 0 && w >> (64 - shift) != 0 {
+                words[word + 1] |= w >> (64 - shift);
+            }
+        }
+        offset += v.len();
     }
 }
 
@@ -516,9 +536,7 @@ mod tests {
         let s = ncvr_like_schema(1);
         assert_eq!(s.total_size(), 120);
         assert_eq!(s.num_attributes(), 4);
-        assert_eq!(s.attr_offset(0), 0);
-        assert_eq!(s.attr_offset(2), 30);
-        assert_eq!(s.attr_offset(3), 98);
+        assert_eq!(s.layout().widths(), [15, 15, 68, 22]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Locality-sensitive hashing families and blocking tables.
+//! Locality-sensitive hashing families.
 //!
 //! Implements every LSH mechanism the paper touches:
 //!
@@ -19,10 +19,15 @@
 //! * [`kernel`] — the families compiled against a packed record layout:
 //!   gather programs and `pext` extract steps that produce all `L` keys of
 //!   a record from its words, bit-identical to the reference functions.
-//! * [`table`] — key → id-list blocking tables (the `T_l` hash tables).
 //! * [`hashfn`] — pairwise-independent universal hashes
 //!   `g(x) = ((a·x + b) mod P) mod m`, shared with the c-vector embedder.
 //! * [`error`] — typed construction errors ([`error::FamilyError`]).
+//!
+//! The crate holds no tables. The buckets a key addresses are
+//! `rl-blockstore`'s, and every HB structure — the engine's, the PPRL
+//! linkage unit's and BfH's — is a `cbv_hb::blocking::BlockingStructure`
+//! keying rows through a compiled [`kernel::KeyKernel`]; the families' own
+//! `key`/`key_concat` are the definition that kernel is tested against.
 
 pub mod backend;
 pub mod covering;
@@ -33,7 +38,6 @@ pub mod hashfn;
 pub mod kernel;
 pub mod minhash;
 pub mod params;
-pub mod table;
 
 pub use backend::{Backend, BackendKind, BlockingBackend};
 pub use covering::{CoveringFamily, CoveringGroup, MAX_COVERING_THETA};
@@ -42,4 +46,3 @@ pub use hamming::{BitSampleFamily, BitSampler};
 pub use hashfn::UniversalHash;
 pub use kernel::KeyKernel;
 pub use params::{base_success_probability, optimal_l};
-pub use table::BlockingTable;

@@ -12,19 +12,24 @@
 //!
 //! The `EncodedDataset` wire format carries only record ids and keyed
 //! c-vectors (serialized to bytes); Charlie's entire computation is the
-//! Hamming-space machinery of the base crate.
+//! Hamming-space machinery of the base crate. The encodings are fixed-width
+//! bit vectors, so each record is packed into one row under a
+//! [`RowLayout`] of their widths ([`RowLayout::push_row`]), A's rows are
+//! indexed into a record-level [`BlockingPlan`] and a [`RecordSlab`]
+//! ([`index_row`]), and B's rows are probed and classified by
+//! [`match_batch`] under the rule `∧_i u^(f_i) ≤ θ_i` — the engine's own
+//! blocking and matching, not a copy of it.
 
 use crate::keyed::KeyedEmbedder;
 use bytes::Bytes;
-use cbv_hb::matcher::MatchStats;
-use cbv_hb::schema::EmbeddedRecord;
-use cbv_hb::Record;
+use cbv_hb::blocking::{BlockingPlan, ProbeScratch, TableCount};
+use cbv_hb::matcher::{index_row, match_batch, Classifier, MatchStats, RecordSlab};
+use cbv_hb::schema::RowLayout;
+use cbv_hb::{Record, Rule};
 use rand::Rng;
 use rl_bitvec::BitVec;
-use rl_lsh::params::{base_success_probability, optimal_l};
-use rl_lsh::{BitSampler, BlockingTable};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::iter;
 
 /// One encoded record on the wire: an id and per-attribute bit vectors.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,6 +65,21 @@ impl EncodedDataset {
     /// Returns a message describing the malformed payload.
     pub fn from_bytes(bytes: &Bytes) -> Result<Self, String> {
         serde_json::from_slice(bytes).map_err(|e| format!("malformed EncodedDataset: {e}"))
+    }
+
+    /// Every record packed into a row of `layout`, one after the other.
+    ///
+    /// # Errors
+    /// Names the party and the first record whose arity or attribute
+    /// widths are not the layout's.
+    fn rows(&self, layout: &RowLayout) -> Result<Vec<u64>, String> {
+        let mut rows = Vec::with_capacity(self.records.len() * layout.words());
+        for r in &self.records {
+            layout
+                .push_row(&r.attrs, &mut rows)
+                .map_err(|e| format!("{}: record {}: {e}", self.party, r.id))?;
+        }
+        Ok(rows)
     }
 }
 
@@ -127,77 +147,82 @@ impl LinkageUnit {
         }
     }
 
-    /// Links two encoded data sets, returning `(id_A, id_B)` pairs and
-    /// matching counters.
+    /// The record-level plan Charlie blocks rows of `layout` with: keys of
+    /// `K` bits sampled from the `m̄ = Σ m_i` concatenated bits, `L` from
+    /// Equation 2 for `block_theta` and δ.
     ///
     /// # Errors
-    /// Returns a message when the data sets have inconsistent arity.
+    /// Returns the plan's configuration error (e.g. `block_theta > m̄`).
+    pub fn plan<R: Rng + ?Sized>(
+        &self,
+        layout: &RowLayout,
+        rng: &mut R,
+    ) -> Result<BlockingPlan, String> {
+        let tables = TableCount::Equation2 {
+            delta: self.delta,
+            flips: 0,
+        };
+        BlockingPlan::record_level_over(layout, self.block_theta, self.k, tables, rng)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Links two encoded data sets, returning `(id_A, id_B)` pairs and
+    /// matching counters. The first record of A (else of B) fixes the
+    /// attribute widths; A is indexed, and B probed, under record
+    /// positions, so an id may repeat within a data set.
+    ///
+    /// # Errors
+    /// Returns a message naming the party and the record when a record's
+    /// arity is not that of the thresholds or an attribute's width differs
+    /// from the first record's, and the plan's error when it cannot be
+    /// built.
     pub fn link<R: Rng + ?Sized>(
         &self,
         a: &EncodedDataset,
         b: &EncodedDataset,
         rng: &mut R,
     ) -> Result<(Vec<(u64, u64)>, MatchStats), String> {
-        let arity = self.thetas.len();
-        let check = |d: &EncodedDataset| -> Result<(), String> {
-            if d.records.iter().any(|r| r.attrs.len() != arity) {
-                return Err(format!("{}: record arity != {arity}", d.party));
-            }
-            Ok(())
+        let (mut pairs, mut stats) = (Vec::new(), MatchStats::default());
+        let Some(first) = a.records.iter().chain(&b.records).next() else {
+            return Ok((pairs, stats));
         };
-        check(a)?;
-        check(b)?;
-        let to_embedded = |r: &EncodedRecord| EmbeddedRecord {
-            id: r.id,
-            attrs: r.attrs.clone(),
-        };
-        let enc_a: Vec<EmbeddedRecord> = a.records.iter().map(to_embedded).collect();
-        let enc_b: Vec<EmbeddedRecord> = b.records.iter().map(to_embedded).collect();
-        let m_bar: usize = enc_a
-            .first()
-            .or(enc_b.first())
-            .map(|r| r.attrs.iter().map(BitVec::len).sum())
-            .unwrap_or(0);
-        if m_bar == 0 {
-            return Ok((Vec::new(), MatchStats::default()));
+        // The first record's widths, one per threshold: a record of another
+        // arity, the first included, fails its packing.
+        let widths = first.attrs.iter().map(BitVec::len).chain(iter::repeat(0));
+        let layout = RowLayout::from_widths(widths.take(self.thetas.len()));
+        let (rows_a, rows_b) = (a.rows(&layout)?, b.rows(&layout)?);
+        if layout.bits() == 0 {
+            return Ok((pairs, stats));
         }
-        let p = base_success_probability(self.block_theta.min(m_bar as u32), m_bar);
-        let l = optimal_l(p.powi(self.k as i32).max(1e-12), self.delta);
-        let samplers: Vec<BitSampler> = (0..l)
-            .map(|_| BitSampler::random(m_bar, self.k as usize, rng))
-            .collect::<Result<_, _>>()
-            .map_err(|e| e.to_string())?;
-        let mut tables: Vec<BlockingTable> = (0..l).map(|_| BlockingTable::new()).collect();
-        for (idx, rec) in enc_a.iter().enumerate() {
-            let refs = rec.attr_refs();
-            for (s, t) in samplers.iter().zip(tables.iter_mut()) {
-                t.insert(s.key_concat(&refs), idx as u64);
-            }
+        let mut plan = self.plan(&layout, rng)?;
+        let w = layout.words();
+        let mut slab = RecordSlab::new(layout);
+        for (pos, row) in rows_a.chunks_exact(w).enumerate() {
+            index_row(&mut plan, &mut slab, pos as u64, row);
         }
-        let mut matches = Vec::new();
-        let mut stats = MatchStats::default();
-        for rec in &enc_b {
-            let refs = rec.attr_refs();
-            let mut seen: HashSet<u64> = HashSet::new();
-            for (s, t) in samplers.iter().zip(tables.iter()) {
-                seen.extend(t.get(s.key_concat(&refs)).iter().copied());
-            }
-            stats.candidates += seen.len() as u64;
-            for idx in seen {
-                let cand = &enc_a[idx as usize];
-                stats.distance_computations += 1;
-                let ok = cand
-                    .attrs
-                    .iter()
-                    .zip(&rec.attrs)
-                    .zip(&self.thetas)
-                    .all(|((x, y), &theta)| x.hamming(y) <= theta);
-                if ok {
-                    matches.push((cand.id, rec.id));
-                    stats.matched += 1;
-                }
-            }
-        }
+        let preds = self
+            .thetas
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| Rule::pred(i, t));
+        let probes = rows_b
+            .chunks_exact(w)
+            .enumerate()
+            .map(|(pos, row)| (pos as u64, row));
+        match_batch(
+            &plan,
+            &slab,
+            probes,
+            &Classifier::Rule(Rule::and(preds)),
+            &mut ProbeScratch::default(),
+            &mut stats,
+            &mut pairs,
+        );
+        let id = |d: &EncodedDataset, pos: u64| d.records[pos as usize].id;
+        let matches = pairs
+            .into_iter()
+            .map(|(pa, pb)| (id(a, pa), id(b, pb)))
+            .collect();
         Ok((matches, stats))
     }
 }
@@ -314,6 +339,87 @@ mod tests {
         let charlie = LinkageUnit::with_thetas(vec![4, 4]); // expects 2 attrs
         let mut rng = StdRng::seed_from_u64(11);
         assert!(charlie.link(&a, &a.clone(), &mut rng).is_err());
+    }
+
+    /// An attribute vector by its width and set bits.
+    type Attr<'a> = (usize, &'a [usize]);
+
+    /// A data set of records `(id, attrs)`.
+    fn dataset(party: &str, records: &[(u64, &[Attr])]) -> EncodedDataset {
+        let records = records
+            .iter()
+            .map(|&(id, attrs)| EncodedRecord {
+                id,
+                attrs: attrs
+                    .iter()
+                    .map(|&(m, ones)| BitVec::from_positions(m, ones.iter().copied()))
+                    .collect(),
+            })
+            .collect();
+        EncodedDataset {
+            party: party.into(),
+            records,
+        }
+    }
+
+    #[test]
+    fn a_record_of_other_widths_is_refused_by_party_and_id() {
+        // Regression: widths [15, 14] against A's [15, 15] used to panic in
+        // the sampler ("sampled position beyond concatenated length").
+        let a = dataset("alice", &[(1, &[(15, &[1, 2]), (15, &[3])])]);
+        let b = dataset(
+            "bob",
+            &[
+                (7, &[(15, &[1, 2]), (15, &[3])]),
+                (8, &[(15, &[1]), (14, &[3])]),
+            ],
+        );
+        let charlie = LinkageUnit::with_thetas(vec![4, 4]);
+        let err = charlie
+            .link(&a, &b, &mut StdRng::seed_from_u64(1))
+            .unwrap_err();
+        assert!(err.starts_with("bob: record 8:"), "{err}");
+        assert!(
+            err.contains("widths [15, 14], the layout's [15, 15]"),
+            "{err}"
+        );
+        // Either side: A's own second record is checked against its first.
+        let err = charlie
+            .link(&b, &a, &mut StdRng::seed_from_u64(1))
+            .unwrap_err();
+        assert!(err.starts_with("bob: record 8:"), "{err}");
+    }
+
+    #[test]
+    fn an_empty_attribute() {
+        // A small blocking threshold keeps L small over 15 bits.
+        let charlie = LinkageUnit {
+            block_theta: 2,
+            ..LinkageUnit::with_thetas(vec![4, 4])
+        };
+        let mut rng = StdRng::seed_from_u64(2);
+        // Empty where the first record's attribute has 15 bits: refused.
+        let a = dataset("alice", &[(1, &[(15, &[1]), (15, &[2])])]);
+        let b = dataset("bob", &[(9, &[(15, &[1]), (0, &[])])]);
+        let err = charlie.link(&a, &b, &mut rng).unwrap_err();
+        assert!(err.starts_with("bob: record 9:"), "{err}");
+        assert!(
+            err.contains("widths [15, 0], the layout's [15, 15]"),
+            "{err}"
+        );
+        // Empty in every record: the attribute is at distance 0 and the
+        // other one decides.
+        let a = dataset("alice", &[(1, &[(15, &[1, 5]), (0, &[])])]);
+        let b = dataset(
+            "bob",
+            &[
+                (9, &[(15, &[1, 5]), (0, &[])]),
+                (10, &[(15, &[0, 2, 3, 4, 6, 7]), (0, &[])]),
+            ],
+        );
+        let (matches, stats) = charlie.link(&a, &b, &mut rng).unwrap();
+        assert_eq!(matches, vec![(1, 9)]);
+        assert_eq!(stats.matched, 1);
     }
 
     #[test]

@@ -164,8 +164,7 @@ fn stream(inner: &Inner, record: &Record) -> Handled {
     }
     let t0 = Instant::now();
     let matches = observe(&mut state, record).map_err(linkage)?;
-    // Same histogram StreamMatcher::observe records into: one streaming
-    // round (match + index), whatever engine runs it.
+    // One streaming round (match + index).
     let metrics = &inner.metrics;
     metrics.pipeline.observe.observe_duration(t0.elapsed());
     metrics.streamed_records.set(state.streamed as i64);

@@ -70,7 +70,6 @@ pub use textdist;
 pub mod prelude {
     pub use cbv_hb::dedup::deduplicate;
     pub use cbv_hb::sharded::ShardedPipeline;
-    pub use cbv_hb::stream::StreamMatcher;
     pub use cbv_hb::{
         parse_rule, AttributeSpec, BlockCapMode, BlockStoreConfig, BlockStoreKind, LinkageConfig,
         LinkagePipeline, LinkageResult, Record, RecordSchema, Rule,
