@@ -865,18 +865,27 @@ impl Serialize for MmapStore {
 impl<'de> Deserialize<'de> for MmapStore {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let repr = MmapDoc::deserialize(deserializer)?;
-        let dir = PathBuf::from(repr.dir);
         let l = repr.num_tables;
-        let mut store = MmapStore::new(dir, l);
-        store.dropped = repr.dropped;
-        if repr.delta.len() == l && repr.overridden.len() == l {
-            store.delta = tables_from_doc(repr.delta, &mut store.dropped)?;
-            store.overridden = repr
-                .overridden
-                .into_iter()
-                .map(|v| v.into_iter().collect())
-                .collect();
+        // An overlay of another length would leave acknowledged inserts
+        // out of every probe.
+        for (what, len) in [
+            ("delta", repr.delta.len()),
+            ("overridden", repr.overridden.len()),
+        ] {
+            if len != l {
+                return Err(serde::de::Error::custom(format!(
+                    "mmap store of {l} tables has {len} {what} tables"
+                )));
+            }
         }
+        let mut store = MmapStore::new(PathBuf::from(repr.dir), l);
+        store.dropped = repr.dropped;
+        store.delta = tables_from_doc(repr.delta, &mut store.dropped)?;
+        store.overridden = repr
+            .overridden
+            .into_iter()
+            .map(|v| v.into_iter().collect())
+            .collect();
         if repr.generation > 0 {
             match Base::open(&gen_path(&store.dir, repr.generation), l, repr.generation) {
                 Ok(base) => {
@@ -1076,6 +1085,40 @@ mod tests {
         s.probe_into(1, 8, &mut a);
         restored.probe_into(1, 8, &mut b);
         assert_eq!(a, b);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_overlay_of_another_table_count_is_refused() {
+        let dir = tmp_dir("overlay-count");
+        let p = BlockPolicy::default();
+        let mut s = MmapStore::new(dir.clone(), 3);
+        s.insert(0, 1, 10, &p);
+        s.compact(&p).unwrap();
+        s.insert(2, 4, 11, &p);
+        s.evict(0, 1, 10);
+        let value = serde::to_value(&s).unwrap();
+        for (field, expect) in [
+            ("delta", "mmap store of 3 tables has 2 delta tables"),
+            (
+                "overridden",
+                "mmap store of 3 tables has 2 overridden tables",
+            ),
+        ] {
+            let mut doc = value.clone();
+            let serde::value::Value::Object(fields) = &mut doc else {
+                panic!("a store document is an object");
+            };
+            let Some((_, serde::value::Value::Array(tables))) =
+                fields.iter_mut().find(|(name, _)| name == field)
+            else {
+                panic!("{field} is an array");
+            };
+            tables.pop();
+            let err = serde::from_value::<MmapStore>(doc).unwrap_err().to_string();
+            assert!(err.contains(expect), "{field}: {err}");
+        }
+        assert!(serde::from_value::<MmapStore>(value).is_ok());
         let _ = fs::remove_dir_all(&dir);
     }
 

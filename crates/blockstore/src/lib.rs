@@ -25,14 +25,18 @@
 //! file keeps `u64` postings.
 //!
 //! Every mutable table — the memory store's `L` and the mmap store's
-//! delta — is one layout, `table::Table`: a hash directory of 24-byte
+//! delta — is one layout, `table::Table`: a hash directory of
 //! `(key, {first value, offset})` entries, the bucket's first value inline,
 //! and one `Vec<u32>` arena per table holding the values after the first in
 //! power-of-two regions (a length word, then the values) with per-class
-//! free lists. A singleton bucket — nearly all of them — has no region: it
-//! costs its entry and control byte at the directory's load of 7/16 to 7/8
-//! (29–57 B, against 88–144 B for a `u128` key, a `Vec` and its first
-//! four-id block) and nothing else; a further value costs 4 B times the
+//! free lists. An entry is 16 bytes while every key the table has held fits
+//! in 64 bits — the paper's K-bit keys do — and 24 from the first key that
+//! does not, which widens the directory once, in place; keys enter and
+//! leave a table as exact `u128`s either way. A singleton bucket — nearly
+//! all of them — has no region: it costs its entry and control byte at the
+//! directory's load of 7/16 to 7/8 (19–39 B narrow, 29–57 B wide, against
+//! 88–144 B for a `u128` key, a `Vec` and its first four-id block) and
+//! nothing else; a further value costs 4 B times the
 //! slack of its region and of the arena's own growth, plus the region's
 //! length word. The offsets are 32-bit, which bounds one table's arena at
 //! 2³² − 1 words (16 GiB, per table, per shard); the insert that would pass

@@ -4,11 +4,17 @@
 //! A value is a `u32`: the slab slot of a record (`cbv_hb::matcher::
 //! RecordSlab`), not the client's `u64` id. Nearly every bucket of a blocking
 //! table holds one value (Borthwick et al.: almost all blocks are tiny, the
-//! rare oversize one needs a policy), so the directory entry is the table:
-//! `(Key, Slot)` is 24 bytes — a 16-byte key, the first value and a region
-//! offset — and a singleton bucket touches no second cache line on probe and
-//! no allocator on insert. A singleton's offset is [`NO_REGION`]; its length
-//! is stored nowhere.
+//! rare oversize one needs a policy), so the directory entry is the table,
+//! and its key is most of the entry. The paper's keys are K sampled bits —
+//! 30 on the record-level setting, 20 fused per table under a conjunction —
+//! so a directory starts *narrow*: `(u64, Slot)` is 16 bytes, the key, the
+//! first value and a region offset. The first key that needs 65 bits or more
+//! widens it, once and in place ([`Directory::wide`]), to `(Key, Slot)`
+//! entries of 24 bytes (a 16-byte key); a table never narrows again. Only
+//! the heap layout has a width: every key in or out of a table — the store
+//! API, documents, generation files — is an exact `u128`. A singleton bucket
+//! touches no second cache line on probe and no allocator on insert. A
+//! singleton's offset is [`NO_REGION`]; its length is stored nowhere.
 //!
 //! Values after the first sit in [`Arena`], a single `Vec<u32>`, in regions
 //! of a power-of-two number of words. Word 0 of a region is its header, the
@@ -32,7 +38,9 @@
 //! never pack.
 //!
 //! Values stream out in insertion order — the slot's `first`, then the
-//! region front to back — which is the order a `Vec` bucket gave.
+//! region front to back — which is the order a `Vec` bucket gave. Widening
+//! moves slots, not regions, so it keeps that order and the arena as they
+//! were.
 
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
@@ -66,6 +74,26 @@ impl Hash for Key {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u128(u128::from(*self));
+    }
+}
+
+/// A directory's key type: `u64` (narrow) or [`Key`] (wide).
+trait DirKey: Copy + Eq + Hash + Into<u128> {
+    /// `key` at this width; `None` when it needs more bits.
+    fn fit(key: u128) -> Option<Self>;
+}
+
+impl DirKey for u64 {
+    #[inline]
+    fn fit(key: u128) -> Option<Self> {
+        u64::try_from(key).ok()
+    }
+}
+
+impl DirKey for Key {
+    #[inline]
+    fn fit(key: u128) -> Option<Self> {
+        Some(Key::from(key))
     }
 }
 
@@ -117,9 +145,10 @@ struct Arena {
     /// whose word 0 holds the offset of the next, [`NO_REGION`] at the end.
     free: Vec<u32>,
     /// `limit` and `packed` are at most [`ARENA_LIMIT`], so `u32`: they share
-    /// a word, and a [`Table`] stays 13 words wide. An insert walks L tables
-    /// per record; with one more word `batch_rule` (L = 244) indexed ~4 %
-    /// slower over six runs.
+    /// a word. An insert walks L tables per record; when one more word here
+    /// made a [`Table`] 14 words wide, `batch_rule` (L = 244) indexed ~4 %
+    /// slower over six runs. (The directory's width tag, a 14th word since,
+    /// did not measure: see `a_directory_entry_is_two_words_narrow_three_wide`.)
     limit: u32,
     /// Words the last pack left ([`Table::evict`]).
     packed: u32,
@@ -258,6 +287,148 @@ impl Arena {
     }
 }
 
+/// A directory of `K` keys: the table's operations, written once for both
+/// widths. A method that takes the key as a `u128` finds nothing for a key
+/// wider than `K`, which this directory cannot have held.
+#[derive(Debug, Clone)]
+struct Dir<K>(WordMap<K, Slot>);
+
+impl<K> Default for Dir<K> {
+    fn default() -> Self {
+        Dir(WordMap::default())
+    }
+}
+
+impl<K: DirKey> Dir<K> {
+    #[inline]
+    fn slot(&self, key: u128) -> Option<&Slot> {
+        self.0.get(&K::fit(key)?)
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (u128, &Slot)> + '_ {
+        self.0.iter().map(|(&key, slot)| (key.into(), slot))
+    }
+
+    #[inline]
+    fn push(&mut self, arena: &mut Arena, key: K, value: u32) -> bool {
+        match self.0.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(Slot::singleton(value));
+                true
+            }
+            Entry::Occupied(mut e) => arena.push(e.get_mut(), value),
+        }
+    }
+
+    fn insert(&mut self, arena: &mut Arena, key: K, slot: Slot) {
+        if let Some(old) = self.0.insert(key, slot) {
+            arena.release_bucket(old);
+        }
+    }
+
+    fn retain(&mut self, arena: &mut Arena, key: u128, keep: &mut dyn FnMut(u32) -> bool) {
+        let Some(key) = K::fit(key) else {
+            return;
+        };
+        if let Entry::Occupied(mut e) = self.0.entry(key) {
+            if !arena.retain(e.get_mut(), keep) {
+                e.remove();
+            }
+        }
+    }
+
+    fn retain_all(&mut self, arena: &mut Arena, keep: &mut dyn FnMut(u32) -> bool) {
+        self.0.retain(|_, slot| arena.retain(slot, keep));
+    }
+
+    fn remove(&mut self, arena: &mut Arena, key: u128) {
+        if let Some(slot) = K::fit(key).and_then(|key| self.0.remove(&key)) {
+            arena.release_bucket(slot);
+        }
+    }
+
+    /// Moves the live regions to the front of `arena`, in offset order, and
+    /// empties the free lists. The arena keeps its capacity.
+    fn pack(&mut self, arena: &mut Arena) {
+        let mut regions: Vec<&mut Slot> = self
+            .0
+            .values_mut()
+            .filter(|slot| slot.off != NO_REGION)
+            .collect();
+        regions.sort_unstable_by_key(|s| s.off);
+        let mut end = 0;
+        for slot in regions {
+            // Every region before this one fits below its offset.
+            let off = slot.off as usize;
+            let words = arena.words[off] as usize + 1;
+            arena.words.copy_within(off..off + words, end);
+            slot.off = end as u32;
+            end += 1 << class_of(words);
+        }
+        arena.words.truncate(end);
+        arena.free.clear();
+        arena.packed = end as u32; // ≤ the arena, which the limit bounds
+    }
+
+    fn heap_bytes(&self) -> usize {
+        hash_heap_bytes(self.0.capacity(), std::mem::size_of::<(K, Slot)>())
+    }
+}
+
+impl Dir<u64> {
+    /// These entries under [`Key`]s, in a map of this one's capacity; this
+    /// one is left empty. Out of line: inlined into [`Table::push`], it cost
+    /// `batch_covering` 9–33 % of its `index_rec_per_s` in 4 of 4 pairs.
+    #[cold]
+    #[inline(never)]
+    fn widened(&mut self) -> Dir<Key> {
+        let mut wide = WordMap::with_capacity_and_hasher(self.0.capacity(), *self.0.hasher());
+        wide.extend(
+            self.0
+                .drain()
+                .map(|(key, slot)| (Key::from(u128::from(key)), slot)),
+        );
+        Dir(wide)
+    }
+}
+
+/// A table's directory: narrow while every key it has held fits in 64 bits,
+/// wide from the first that does not. See the module documentation.
+#[derive(Debug, Clone)]
+enum Directory {
+    Narrow(Dir<u64>),
+    Wide(Dir<Key>),
+}
+
+/// `$body` with `$dir` bound to the directory's [`Dir`], whichever its
+/// width.
+macro_rules! at_width {
+    ($directory:expr, $dir:ident => $body:expr) => {
+        match $directory {
+            Directory::Narrow($dir) => $body,
+            Directory::Wide($dir) => $body,
+        }
+    };
+}
+
+impl Directory {
+    /// The directory at the wide width, widening it first if it is narrow.
+    #[inline]
+    fn wide(&mut self) -> &mut Dir<Key> {
+        if let Directory::Narrow(narrow) = self {
+            *self = Directory::Wide(narrow.widened());
+        }
+        match self {
+            Directory::Wide(wide) => wide,
+            Directory::Narrow(_) => unreachable!("widened above"),
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        at_width!(self, dir => dir.0.capacity())
+    }
+}
+
 /// The values of one bucket, in insertion order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Bucket<'a> {
@@ -301,14 +472,14 @@ pub(crate) fn value_of(id: u64) -> Option<u32> {
 /// One blocking table. See the module documentation.
 #[derive(Debug, Clone)]
 pub(crate) struct Table {
-    dir: WordMap<Key, Slot>,
+    dir: Directory,
     arena: Arena,
 }
 
 impl Default for Table {
     fn default() -> Self {
         Self {
-            dir: WordMap::default(),
+            dir: Directory::Narrow(Dir::default()),
             arena: Arena::new(ARENA_LIMIT),
         }
     }
@@ -320,15 +491,15 @@ impl Table {
     #[cfg(test)]
     pub(crate) fn with_arena_limit(limit: usize) -> Self {
         Self {
-            dir: WordMap::default(),
             arena: Arena::new(limit),
+            ..Self::default()
         }
     }
 
     /// Non-empty buckets.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.dir.len()
+        at_width!(&self.dir, dir => dir.0.len())
     }
 
     fn bucket(&self, slot: &Slot) -> Bucket<'_> {
@@ -340,37 +511,36 @@ impl Table {
 
     #[inline]
     pub(crate) fn get(&self, key: u128) -> Option<Bucket<'_>> {
-        self.dir.get(&Key::from(key)).map(|slot| self.bucket(slot))
+        let slot = at_width!(&self.dir, dir => dir.slot(key))?;
+        Some(self.bucket(slot))
     }
 
     /// Every `(key, bucket)`, in no particular order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u128, Bucket<'_>)> {
-        self.dir
-            .iter()
-            .map(|(key, slot)| (u128::from(*key), self.bucket(slot)))
+        // One side is empty: an iterator over either width, unboxed.
+        let (narrow, wide) = match &self.dir {
+            Directory::Narrow(dir) => (Some(dir), None),
+            Directory::Wide(dir) => (None, Some(dir)),
+        };
+        (narrow.into_iter().flat_map(Dir::entries))
+            .chain(wide.into_iter().flat_map(Dir::entries))
+            .map(|(key, slot)| (key, self.bucket(slot)))
     }
 
     /// Appends `value` to `key`'s bucket. `false`, with nothing changed,
     /// when the arena is at its limit (see [`Slot`]).
     #[inline]
     pub(crate) fn push(&mut self, key: u128, value: u32) -> bool {
-        match self.dir.entry(Key::from(key)) {
-            Entry::Vacant(e) => {
-                e.insert(Slot::singleton(value));
-                true
-            }
-            Entry::Occupied(mut e) => self.arena.push(e.get_mut(), value),
+        match (&mut self.dir, u64::fit(key)) {
+            (Directory::Narrow(dir), Some(key)) => dir.push(&mut self.arena, key, value),
+            (dir, _) => dir.wide().push(&mut self.arena, Key::from(key), value),
         }
     }
 
     /// Keeps the values of `key`'s bucket that `keep` accepts; an emptied
     /// bucket leaves the table.
     pub(crate) fn retain(&mut self, key: u128, mut keep: impl FnMut(u32) -> bool) {
-        if let Entry::Occupied(mut e) = self.dir.entry(Key::from(key)) {
-            if !self.arena.retain(e.get_mut(), &mut keep) {
-                e.remove();
-            }
-        }
+        at_width!(&mut self.dir, dir => dir.retain(&mut self.arena, key, &mut keep));
     }
 
     /// Takes `value` out of `key`'s bucket, then packs the arena once it
@@ -378,44 +548,17 @@ impl Table {
     pub(crate) fn evict(&mut self, key: u128, value: u32) {
         self.retain(key, |x| x != value);
         if self.arena.words.len() > 2 * self.arena.packed as usize + self.dir.capacity() {
-            self.pack();
+            at_width!(&mut self.dir, dir => dir.pack(&mut self.arena));
         }
     }
 
     /// [`Table::retain`] over every bucket.
     pub(crate) fn retain_all(&mut self, mut keep: impl FnMut(u32) -> bool) {
-        let arena = &mut self.arena;
-        self.dir.retain(|_, slot| arena.retain(slot, &mut keep));
+        at_width!(&mut self.dir, dir => dir.retain_all(&mut self.arena, &mut keep));
     }
 
     pub(crate) fn remove(&mut self, key: u128) {
-        if let Some(slot) = self.dir.remove(&Key::from(key)) {
-            self.arena.release_bucket(slot);
-        }
-    }
-
-    /// Moves the live regions to the front of the arena, in offset order,
-    /// and empties the free lists. The arena keeps its capacity.
-    fn pack(&mut self) {
-        let arena = &mut self.arena;
-        let mut regions: Vec<&mut Slot> = self
-            .dir
-            .values_mut()
-            .filter(|slot| slot.off != NO_REGION)
-            .collect();
-        regions.sort_unstable_by_key(|s| s.off);
-        let mut end = 0;
-        for slot in regions {
-            // Every region before this one fits below its offset.
-            let off = slot.off as usize;
-            let words = arena.words[off] as usize + 1;
-            arena.words.copy_within(off..off + words, end);
-            slot.off = end as u32;
-            end += 1 << class_of(words);
-        }
-        arena.words.truncate(end);
-        arena.free.clear();
-        arena.packed = end as u32; // ≤ the arena, which the limit bounds
+        at_width!(&mut self.dir, dir => dir.remove(&mut self.arena, key));
     }
 
     /// Makes `values` the whole of `key`'s bucket (none: the bucket
@@ -436,15 +579,16 @@ impl Table {
             self.arena.words[at + 1..][..rest.len()].copy_from_slice(rest);
             slot.off = off;
         }
-        if let Some(old) = self.dir.insert(Key::from(key), slot) {
-            self.arena.release_bucket(old);
+        match (&mut self.dir, u64::fit(key)) {
+            (Directory::Narrow(dir), Some(key)) => dir.insert(&mut self.arena, key, slot),
+            (dir, _) => dir.wide().insert(&mut self.arena, Key::from(key), slot),
         }
         true
     }
 
-    /// Drops every bucket; capacity stays.
+    /// Drops every bucket; capacity, and the directory's width, stay.
     pub(crate) fn clear(&mut self) {
-        self.dir.clear();
+        at_width!(&mut self.dir, dir => dir.0.clear());
         self.arena.words.clear();
         self.arena.free.clear();
         self.arena.packed = 0;
@@ -453,8 +597,7 @@ impl Table {
     /// Heap bytes held: directory, arena and free-list heads, from
     /// capacities.
     pub(crate) fn heap_bytes(&self) -> usize {
-        hash_heap_bytes(self.dir.capacity(), std::mem::size_of::<(Key, Slot)>())
-            + self.arena.heap_bytes()
+        at_width!(&self.dir, dir => dir.heap_bytes()) + self.arena.heap_bytes()
     }
 
     /// The table a document's `{key: [values]}` buckets describe. A value of
@@ -465,7 +608,7 @@ impl Table {
     /// A bucket the arena cannot hold.
     pub(crate) fn from_doc(doc: TableDoc, dropped: &mut u64) -> Result<Self, String> {
         let mut table = Table::default();
-        table.dir.reserve(doc.len());
+        at_width!(&mut table.dir, dir => dir.0.reserve(doc.len()));
         let mut values = Vec::new();
         for (key, ids) in doc {
             values.clear();
@@ -512,10 +655,14 @@ mod tests {
     use std::collections::HashMap;
 
     #[test]
-    fn a_directory_entry_is_three_words() {
+    fn a_directory_entry_is_two_words_narrow_three_wide() {
+        assert_eq!(std::mem::size_of::<(u64, Slot)>(), 16);
         assert_eq!(std::mem::size_of::<(Key, Slot)>(), 24);
-        // And a table thirteen (see `Arena::limit`).
-        assert_eq!(std::mem::size_of::<Table>(), 104);
+        // And a table fourteen words: the thirteen of `Arena::limit` and the
+        // directory's width tag. The tag's word did not measure: over ten
+        // alternating pairs per workload every timing stayed inside its
+        // bound, and `index_rec_per_s` rose at the medians on all four.
+        assert_eq!(std::mem::size_of::<Table>(), 112);
     }
 
     #[test]
@@ -538,6 +685,10 @@ mod tests {
         table.iter().map(|(k, b)| (k, b.iter().collect())).collect()
     }
 
+    fn is_wide(table: &Table) -> bool {
+        matches!(table.dir, Directory::Wide(_))
+    }
+
     /// A singleton bucket has no region and a longer one a region whose
     /// header is its length after the first; live regions and free regions
     /// are disjoint and together cover the arena exactly; no region is on a
@@ -550,7 +701,8 @@ mod tests {
                 *word = true;
             }
         };
-        for slot in table.dir.values() {
+        let slots: Vec<Slot> = at_width!(&table.dir, dir => dir.0.values().copied().collect());
+        for slot in slots {
             if slot.off != NO_REGION {
                 let n = table.arena.words[slot.off as usize] as usize;
                 assert!(n > 0, "a region holds at least one value");
@@ -568,6 +720,10 @@ mod tests {
         assert!(owner.iter().all(|&w| w), "arena words owned by no region");
     }
 
+    /// Every operation against a map of `Vec`s, the first half of each run
+    /// on keys below 2⁶⁴ and the second on keys of either width: the
+    /// directory widens exactly once, at the first push or non-empty
+    /// replace of a wide key, and holds every bucket in order across it.
     #[test]
     fn model_push_retain_replace_clear() {
         let mut packs = 0;
@@ -575,14 +731,20 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut table = Table::default();
             let mut model: HashMap<u128, Vec<u64>> = HashMap::new();
+            let mut widened = 0;
             for step in 0..4000u64 {
-                // Few keys, so buckets grow through several size classes.
-                let key = u128::from(rng.random_range(0..24u64)) << 60;
+                // Few keys, so buckets grow through several size classes;
+                // 16..24 << 60 needs 65 bits or more.
+                let keys: u64 = if step < 2000 { 16 } else { 24 };
+                let key = u128::from(rng.random_range(0..keys)) << 60;
+                let was_wide = is_wide(&table);
+                let mut adds = false;
                 match rng.random_range(0..100u32) {
                     0..=69 => {
                         let v = rng.random_range(0..500u32);
                         assert!(table.push(key, v));
                         model.entry(key).or_default().push(u64::from(v));
+                        adds = true;
                     }
                     70..=77 => {
                         let m = rng.random_range(2..6u32);
@@ -616,6 +778,7 @@ mod tests {
                             model.remove(&key);
                         } else {
                             model.insert(key, values.iter().map(|&v| u64::from(v)).collect());
+                            adds = true;
                         }
                     }
                     93..=96 => {
@@ -634,12 +797,27 @@ mod tests {
                         model.clear();
                     }
                 }
-                if step % 16 == 0 {
+                let widens = adds && key >> 64 != 0;
+                assert_eq!(
+                    is_wide(&table),
+                    was_wide || widens,
+                    "seed {seed} step {step}"
+                );
+                if is_wide(&table) != was_wide {
+                    widened += 1;
+                    assert!(step >= 2000);
+                }
+                if step % 16 == 0 || is_wide(&table) != was_wide {
                     assert_eq!(contents(&table), model, "seed {seed} step {step}");
                     assert_eq!(table.len(), model.len());
+                    for key in (0..24u64).map(|k| u128::from(k) << 60) {
+                        let bucket = table.get(key).map(|b| b.iter().collect::<Vec<_>>());
+                        assert_eq!(bucket.as_ref(), model.get(&key), "seed {seed} key {key}");
+                    }
                     check_arena(&table);
                 }
             }
+            assert_eq!(widened, 1, "seed {seed}");
             assert_eq!(contents(&table), model);
             check_arena(&table);
         }
@@ -735,6 +913,37 @@ mod tests {
         assert_eq!(contents(&back), contents(&table));
         assert_eq!(serde::to_value(&back).unwrap(), doc);
         check_arena(&back);
+    }
+
+    /// A document whose keys are mostly narrow loads into a directory that
+    /// widens at its first wide key, wherever the document's order puts it,
+    /// and holds every bucket in order; one of narrow keys only stays narrow.
+    #[test]
+    fn a_document_of_both_widths_loads_wide_and_round_trips() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut doc: TableDoc = WordMap::default();
+        for i in 0..200u64 {
+            let key = u128::from(i) << if i % 50 == 7 { 64 } else { 30 };
+            let n = rng.random_range(1..12usize);
+            doc.insert(key, (0..n).map(|_| rng.random_range(0..1000u64)).collect());
+        }
+        let narrow: TableDoc = (doc.iter())
+            .filter(|(&key, _)| key >> 64 == 0)
+            .map(|(&key, ids)| (key, ids.clone()))
+            .collect();
+        let mut dropped = 0;
+        for (doc, wide) in [(doc, true), (narrow, false)] {
+            let table = Table::from_doc(doc.clone(), &mut dropped).unwrap();
+            assert_eq!(is_wide(&table), wide);
+            assert_eq!(contents(&table), doc.into_iter().collect());
+            check_arena(&table);
+            let back: TableDoc = serde::from_value(serde::to_value(&table).unwrap()).unwrap();
+            assert_eq!(
+                contents(&Table::from_doc(back, &mut dropped).unwrap()),
+                contents(&table)
+            );
+        }
+        assert_eq!(dropped, 0);
     }
 
     #[test]

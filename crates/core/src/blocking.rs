@@ -1202,11 +1202,25 @@ impl BlockingPlan {
     /// schema the plan was built for. Kernels are derived state and are not
     /// serialized: call this once on a deserialized plan, before it keys a
     /// record. (Plans from the constructors arrive compiled.)
-    pub fn compile_kernels(&mut self, schema: &RecordSchema) {
+    ///
+    /// # Errors
+    /// [`Error::InvalidParameter`] naming the structure whose store holds
+    /// another number of tables than its kernel keys (an edited document):
+    /// every probe of it would otherwise panic.
+    pub fn compile_kernels(&mut self, schema: &RecordSchema) -> Result<()> {
         let layout = schema.layout();
         for s in &mut self.structures {
             s.compile_kernel(&layout);
+            if s.keys.kernel.tables() != s.l() {
+                return Err(Error::InvalidParameter(format!(
+                    "blocking structure {}: its store holds {} tables, its kernel keys {}",
+                    s.label,
+                    s.l(),
+                    s.keys.kernel.tables()
+                )));
+            }
         }
+        Ok(())
     }
 
     /// The candidate ids for a probe record, ascending, per the rule's
@@ -2107,7 +2121,7 @@ mod kernel_tests {
         let json = serde_json::to_string(&plan).unwrap();
         assert!(!json.contains("\"keys\""), "compiled state was serialized");
         let mut restored: BlockingPlan = serde_json::from_str(&json).unwrap();
-        restored.compile_kernels(&schema);
+        restored.compile_kernels(&schema).unwrap();
         let rec = random_record(&schema, &mut rng);
         let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
         plan.structures()[0].keys_into(&rec, &mut a);

@@ -543,7 +543,7 @@ impl LinkagePipeline {
         // Kernels and the slab's layout are derived from the schema, not
         // part of the document.
         let (mut plan, mut store) = (state.plan, state.store);
-        plan.compile_kernels(&state.schema);
+        plan.compile_kernels(&state.schema)?;
         store.bind(state.schema.layout())?;
         let mut pipeline = Self {
             schema: state.schema,

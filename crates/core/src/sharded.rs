@@ -374,8 +374,10 @@ impl ShardedPipeline {
     /// from.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidParameter`] when the state has no shards or
-    /// its shard map names more shards than the state carries.
+    /// Returns [`Error::InvalidParameter`] when the state has no shards, its
+    /// shard map names more shards than the state carries, or a blocking
+    /// structure's store holds another number of tables than its kernel keys
+    /// ([`BlockingPlan::compile_kernels`]).
     pub fn from_state(state: ShardedState) -> Result<Self> {
         if state.shards.is_empty() {
             return Err(Error::InvalidParameter(
@@ -405,7 +407,7 @@ impl ShardedPipeline {
         for s in &mut shard_states {
             // Key kernels and the slab's layout are derived from the schema,
             // absent from a snapshot.
-            s.plan.compile_kernels(&state.schema);
+            s.plan.compile_kernels(&state.schema)?;
             s.store.bind(state.schema.layout())?;
         }
         let mut template = shard_states[0].plan.clone();

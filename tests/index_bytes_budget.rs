@@ -97,17 +97,19 @@ fn indexing_a_record_stays_within_its_byte_budget() {
         &mut rng,
     );
     let records = pair.a.len() as i64;
-    // (configuration, committed heap bytes per indexed record): one to
-    // three per cent above the 266 / 6 443 / 1 126 measured with tables of
-    // slab slots (210 / 6 387 / 1 070 of it tables, 56 the record store).
-    // Tables of client ids read 320 / 8 404 / 1 453 (275 / 8 358 / 1 408
+    // (configuration, committed heap bytes per indexed record): two to
+    // three per cent above the 200 / 4 553 / 885 measured with directories
+    // of narrow keys (144 / 4 498 / 829 of it tables, 56 the record store;
+    // the covering plan widens 9 of its 31 tables). 16-byte keys in every
+    // directory read 266 / 6 443 / 1 126 (210 / 6 387 / 1 070 tables);
+    // tables of client ids 320 / 8 404 / 1 453 (275 / 8 358 / 1 408
     // tables, 45 the store); an `EmbeddedRecord` per record in a map 499 /
     // 8 582 / 1 632; the `HashMap<u128, Vec<u64>>` tables before that
     // 803 / 16 198 / 3 259.
     let budgets = [
-        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 270i64),
-        ("batch_rule", LinkageConfig::rule_aware(c1()), 6_550),
-        ("batch_covering", LinkageConfig::covering(c1(), 4), 1_150),
+        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 205i64),
+        ("batch_rule", LinkageConfig::rule_aware(c1()), 4_650),
+        ("batch_covering", LinkageConfig::covering(c1(), 4), 905),
     ];
     // The record store's share, whatever the tables: a 16-byte row, its
     // 8-byte id in the slot → id column, a 17-byte map slot at a load of

@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule};
+use record_linkage::cbv_hb::{AttributeSpec, Error, Record, RecordSchema, Rule};
 use record_linkage::prelude::*;
 
 fn schema(seed: u64) -> RecordSchema {
@@ -129,6 +129,92 @@ fn sharded_snapshot_roundtrip_probe_equivalence() {
     let (after, _) = restored.link(&b).unwrap();
     assert_eq!(before, after);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Takes one table out of the first `"tables"` array under `v`: a store
+/// holding one table fewer than its structure's kernel keys.
+fn drop_a_table(v: &mut serde_json::Value) -> bool {
+    use serde_json::Value;
+    match v {
+        Value::Object(fields) => fields.iter_mut().any(|(name, v)| match v {
+            Value::Array(tables) if name == "tables" => tables.pop().is_some(),
+            _ => drop_a_table(v),
+        }),
+        Value::Array(items) => items.iter_mut().any(drop_a_table),
+        _ => false,
+    }
+}
+
+fn field<'v>(v: &'v mut serde_json::Value, name: &str) -> &'v mut serde_json::Value {
+    let serde_json::Value::Object(fields) = v else {
+        panic!("no object around {name}");
+    };
+    let (_, v) = fields.iter_mut().find(|(n, _)| n == name).expect(name);
+    v
+}
+
+/// What `compile_kernels` says of the first structure of `plan` once its
+/// store has lost a table.
+fn missing_table_error(plan: &record_linkage::cbv_hb::blocking::BlockingPlan) -> String {
+    let s = &plan.structures()[0];
+    format!(
+        "blocking structure {}: its store holds {} tables, its kernel keys {}",
+        s.label(),
+        s.l() - 1,
+        s.l()
+    )
+}
+
+fn twin_records(base: u64) -> Vec<Record> {
+    (0..30)
+        .map(|i| Record::new(base + i, [format!("FIRST{i}Q"), format!("LAST{i}Z")]))
+        .collect()
+}
+
+#[test]
+fn a_pipeline_document_missing_a_table_is_refused_at_load() {
+    let mut rng = StdRng::seed_from_u64(12);
+    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
+    let mut pipeline =
+        LinkagePipeline::new(schema(12), LinkageConfig::rule_aware(rule), &mut rng).unwrap();
+    pipeline.index(&twin_records(0)).unwrap();
+    let mut saved = Vec::new();
+    pipeline.save(&mut saved).unwrap();
+    assert!(LinkagePipeline::load(saved.as_slice()).is_ok());
+
+    let mut doc = serde_json::value_from_str(std::str::from_utf8(&saved).unwrap()).unwrap();
+    assert!(drop_a_table(field(&mut doc, "plan")));
+    let edited = serde_json::to_string(&doc).unwrap();
+    let Err(err) = LinkagePipeline::load(edited.as_bytes()) else {
+        panic!("a plan short of a table loaded");
+    };
+    assert!(matches!(err, Error::InvalidParameter(_)), "{err}");
+    let expect = missing_table_error(pipeline.plan());
+    assert!(err.to_string().contains(&expect), "{err}");
+}
+
+#[test]
+fn a_sharded_state_missing_a_table_is_refused() {
+    use record_linkage::cbv_hb::sharded::{ShardedPipeline, ShardedState};
+    let mut rng = StdRng::seed_from_u64(13);
+    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
+    let mut pipeline =
+        ShardedPipeline::new(schema(13), LinkageConfig::rule_aware(rule), 2, &mut rng).unwrap();
+    pipeline.index(&twin_records(0)).unwrap();
+    let state = pipeline.export_state().unwrap();
+    let expect = missing_table_error(&state.shards[1].plan);
+
+    let mut doc = serde_json::to_value(&state).unwrap();
+    let serde_json::Value::Array(shards) = field(&mut doc, "shards") else {
+        panic!("shards is an array");
+    };
+    assert!(drop_a_table(field(&mut shards[1], "plan")));
+    let edited: ShardedState = serde_json::from_value(doc).unwrap();
+    let Err(err) = ShardedPipeline::from_state(edited) else {
+        panic!("a shard short of a table restored");
+    };
+    assert!(matches!(err, Error::InvalidParameter(_)), "{err}");
+    assert!(err.to_string().contains(&expect), "{err}");
 }
 
 #[test]
