@@ -150,7 +150,8 @@ impl Linker for BfhLinker {
         let mut plan = self.plan(&mut rng);
         let mut slab = RecordSlab::new(layout);
         for (pos, row) in rows_a.chunks_exact(w).enumerate() {
-            index_row(&mut plan, &mut slab, pos as u64, row);
+            index_row(&mut plan, &mut slab, pos as u64, row)
+                .expect("A fits a record store (2^32 - 1 records)");
         }
         out.block_nanos = t1.elapsed().as_nanos();
 

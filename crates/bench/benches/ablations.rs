@@ -53,7 +53,7 @@ fn bench_dedup(c: &mut Criterion) {
     let mut rows = Vec::new();
     s.embed_rows(&p.a, &mut rows).unwrap();
     for (id, row) in s.rows_of(&p.a, &rows) {
-        index_row(&mut plan, &mut store, id, row);
+        index_row(&mut plan, &mut store, id, row).unwrap();
     }
     s.embed_rows(&p.b[..200], &mut rows).unwrap();
     let probes: Vec<&[u64]> = rows.chunks_exact(s.row_words()).collect();

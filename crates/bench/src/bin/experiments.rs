@@ -1247,7 +1247,7 @@ fn multiprobe(opts: &Opts) {
             let mut row = vec![0; schema.row_words()];
             for r in &pair.a {
                 schema.embed_row(r, &mut row).expect("ok");
-                let slot = store.insert(r.id, &row);
+                let slot = store.insert(r.id, &row).expect("ok");
                 structure.insert_row(u64::from(slot), &row);
             }
             let rule = Rule::and((0..4).map(|i| Rule::pred(i, 4)));

@@ -122,7 +122,8 @@ pub struct DedupResult {
 /// Self-pairs are excluded; each unordered pair is compared once.
 ///
 /// # Errors
-/// Returns configuration or embedding errors.
+/// Returns configuration or embedding errors, and the refusal of a full
+/// record store ([`index_row`]).
 pub fn deduplicate<R: Rng + ?Sized>(
     schema: &RecordSchema,
     config: &LinkageConfig,
@@ -136,7 +137,7 @@ pub fn deduplicate<R: Rng + ?Sized>(
     let rows = schema.rows_of(records, &rows);
     let mut store = RecordSlab::new(schema.layout());
     for (id, row) in rows.clone() {
-        index_row(&mut plan, &mut store, id, row);
+        index_row(&mut plan, &mut store, id, row)?;
     }
     let mut result = DedupResult::default();
     let mut uf = UnionFind::new();

@@ -10,9 +10,9 @@
 //! de-dup collection for the ablation bench.
 //!
 //! **Records are rows in slots.** The paper's `retrieve(Id)` is a
-//! [`RecordSlab`]: one dense `Vec<u64>` of packed record-level c-vectors (two
-//! words for the 120-bit NCVR record), one slot per record, freed slots
-//! reused. The blocking tables hold slots, so a candidate is one row read by
+//! [`RecordSlab`]: fixed chunks of cells, a cell a slot's id beside its
+//! packed record-level c-vector (two words for the 120-bit NCVR record), one
+//! slot per record, freed slots reused. The blocking tables hold slots, so a candidate is one row read by
 //! direct index ([`RecordSlab::row_at`]) — no map probe — classified by
 //! [`Classifier::matches_rows`] with the popcounts its rule reaches under
 //! the slab's [`RowLayout`]; a match's id is read from the slab's slot → id
@@ -37,10 +37,11 @@ use crate::blocking::{BlockingPlan, BlockingStructure, ProbeScratch};
 use crate::error::{Error, Result};
 use crate::rule::Rule;
 use crate::schema::{EmbeddedRecord, RowLayout};
-use rl_blockstore::hash::hash_heap_bytes;
+use rl_blockstore::hash::WordState;
 use rl_blockstore::WordMap;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::HashSet;
+use std::hash::BuildHasher;
 
 /// How candidate pairs are classified after blocking.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -158,17 +159,243 @@ impl RecordStore {
     }
 }
 
+/// Slots to a chunk of a [`RecordSlab`], as a power of two.
+const CHUNK_BITS: u32 = 8;
+const CHUNK_SLOTS: usize = 1 << CHUNK_BITS;
+
+/// The slot a slab hands out after `handed_out` of them. Slot `u32::MAX`
+/// names no record (it marks a vacant bucket of the id index), so a slab
+/// holds at most 2³² − 1.
+fn fresh_slot(handed_out: u32) -> Result<u32> {
+    if handed_out == u32::MAX {
+        return Err(Error::InvalidParameter(format!(
+            "a record store holds at most {} records",
+            u32::MAX
+        )));
+    }
+    Ok(handed_out)
+}
+
+/// A slab's cells: slot `s`'s cell is its id word and then its row, `stride
+/// = W + 1` words, in chunk `s / CHUNK_SLOTS`. A chunk is one allocation
+/// that never moves: growth appends a chunk and copies nothing.
+#[derive(Debug, Clone)]
+struct Cells {
+    stride: usize,
+    chunks: Vec<Box<[u64]>>,
+    /// Slots handed out: `0..len` have cells.
+    len: u32,
+}
+
+impl Cells {
+    fn new(words: usize) -> Self {
+        Self {
+            stride: words + 1,
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn cell(&self, slot: u32) -> &[u64] {
+        let s = slot as usize;
+        &self.chunks[s >> CHUNK_BITS][(s & (CHUNK_SLOTS - 1)) * self.stride..][..self.stride]
+    }
+
+    #[inline]
+    fn cell_mut(&mut self, slot: u32) -> &mut [u64] {
+        let s = slot as usize;
+        &mut self.chunks[s >> CHUNK_BITS][(s & (CHUNK_SLOTS - 1)) * self.stride..][..self.stride]
+    }
+
+    #[inline]
+    fn id(&self, slot: u32) -> u64 {
+        self.cell(slot)[0]
+    }
+
+    #[inline]
+    fn row(&self, slot: u32) -> &[u64] {
+        &self.cell(slot)[1..]
+    }
+
+    /// Hands out the next slot, holding `id` and a zero row.
+    fn push(&mut self, id: u64) -> Result<u32> {
+        let slot = fresh_slot(self.len)?;
+        if slot as usize >> CHUNK_BITS == self.chunks.len() {
+            self.chunks
+                .push(vec![0; CHUNK_SLOTS * self.stride].into_boxed_slice());
+        }
+        self.len += 1;
+        self.cell_mut(slot)[0] = id;
+        Ok(slot)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.chunks.len() * CHUNK_SLOTS * self.stride * 8
+            + self.chunks.capacity() * std::mem::size_of::<Box<[u64]>>()
+    }
+}
+
+/// A vacant bucket of an [`IdIndex`]: its slot half is `u32::MAX`, which
+/// no record holds ([`fresh_slot`]).
+const VACANT: u64 = u64::MAX;
+
+/// A slab's id → slot index: a power-of-two number of `u64` buckets at a
+/// load of at most 7/8, each `tag << 32 | slot`, where `tag` is the top half
+/// of the id's hash under the process's key (ids are the clients':
+/// [`rl_blockstore::hash`]). An id's home bucket is its tag's low bits, and
+/// it sits in the first bucket from there that was vacant when it came
+/// (linear probing). A probe compares tags before it reads an id from its
+/// cell. A bucket's home follows from the bucket alone, so growth moves
+/// buckets without reading a cell, and a removal shifts the buckets after
+/// it back instead of leaving a tombstone.
+#[derive(Debug, Clone, Default)]
+struct IdIndex {
+    buckets: Vec<u64>,
+    len: usize,
+}
+
+/// Where [`IdIndex::entry`] found an id: in a slot, or not, with the vacant
+/// bucket it would take and its tag.
+enum Entry {
+    Occupied(u32),
+    Vacant(usize, u64),
+}
+
+impl IdIndex {
+    #[inline]
+    fn tag(&self, id: u64) -> u64 {
+        WordState::default().hash_one(id) >> 32
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.buckets.len() - 1
+    }
+
+    /// The bucket holding `id`, else the vacant bucket that ends its probe.
+    #[inline]
+    fn search(&self, id: u64, tag: u64, cells: &Cells) -> std::result::Result<usize, usize> {
+        let mask = self.mask();
+        let mut i = tag as usize & mask;
+        loop {
+            let bucket = self.buckets[i];
+            if bucket == VACANT {
+                return Err(i);
+            }
+            if bucket >> 32 == tag && cells.id(bucket as u32) == id {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    #[inline]
+    fn get(&self, id: u64, cells: &Cells) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let at = self.search(id, self.tag(id), cells).ok()?;
+        Some(self.buckets[at] as u32)
+    }
+
+    /// `id`'s slot, else where it would go — growing first if one more id
+    /// would pass the load.
+    fn entry(&mut self, id: u64, cells: &Cells) -> Entry {
+        let tag = self.tag(id);
+        if !self.buckets.is_empty() {
+            match self.search(id, tag, cells) {
+                Ok(at) => return Entry::Occupied(self.buckets[at] as u32),
+                Err(at) if (self.len + 1) * 8 <= self.buckets.len() * 7 => {
+                    return Entry::Vacant(at, tag)
+                }
+                Err(_) => {}
+            }
+        }
+        self.grow();
+        Entry::Vacant(self.vacancy(tag), tag)
+    }
+
+    /// Puts `slot` in the bucket [`IdIndex::entry`] found vacant.
+    fn fill(&mut self, at: usize, tag: u64, slot: u32) {
+        self.buckets[at] = tag << 32 | u64::from(slot);
+        self.len += 1;
+    }
+
+    /// The first vacant bucket from `tag`'s home.
+    fn vacancy(&self, tag: u64) -> usize {
+        let mask = self.mask();
+        let mut i = tag as usize & mask;
+        while self.buckets[i] != VACANT {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let capacity = (self.buckets.len() * 2).max(8);
+        let old = std::mem::replace(&mut self.buckets, vec![VACANT; capacity]);
+        for bucket in old.into_iter().filter(|&b| b != VACANT) {
+            let at = self.vacancy(bucket >> 32);
+            self.buckets[at] = bucket;
+        }
+    }
+
+    /// Takes `id` out, returning its slot: every bucket after it up to the
+    /// next vacant one moves back into the hole if its home does not lie
+    /// between the hole and itself.
+    fn remove(&mut self, id: u64, cells: &Cells) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let mut hole = self.search(id, self.tag(id), cells).ok()?;
+        let slot = self.buckets[hole] as u32;
+        let mask = self.mask();
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let bucket = self.buckets[i];
+            if bucket == VACANT {
+                break;
+            }
+            // How far `bucket` sits from its home, and from the hole.
+            let displaced = i.wrapping_sub((bucket >> 32) as usize) & mask;
+            if displaced >= (i.wrapping_sub(hole) & mask) {
+                self.buckets[hole] = bucket;
+                hole = i;
+            }
+        }
+        self.buckets[hole] = VACANT;
+        self.len -= 1;
+        Some(slot)
+    }
+
+    /// The slots of the indexed ids, in bucket order.
+    fn slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.buckets
+            .iter()
+            .filter(|&&b| b != VACANT)
+            .map(|&b| b as u32)
+    }
+}
+
 /// The records of data set A — the paper's `retrieve(Id)` primitive
-/// (Table 2) — as one packed record-level c-vector each, in *slots*: row `s`
-/// is `rows[s · W..(s + 1) · W]`, `W = ⌈m̄/64⌉`, and `ids[s]` is the client id
-/// of the record in slot `s`. A record keeps its slot until it is removed;
-/// the freed slot goes on `free` and is the next one an insert takes.
+/// (Table 2) — as one packed record-level c-vector each, in *slots*. Slot
+/// `s` is a cell of `W + 1` words, `W = ⌈m̄/64⌉`: the client id of its
+/// record, then the row. Cells sit in fixed chunks of 256 that never move,
+/// so growth appends a chunk and copies no row. A record keeps its slot
+/// until it is removed; the freed slot goes on `free` and is the next one
+/// an insert takes, and keeps its last id and row until then.
 ///
 /// The blocking tables beside a slab hold slots, not ids ([`index_row`]), so
 /// a candidate is read by direct index — [`RecordSlab::row_at`],
-/// [`RecordSlab::id_at`] — and the id → slot map (`slots`, keyed per
-/// process: ids are the clients') serves only the by-id operations: index,
-/// delete and get.
+/// [`RecordSlab::id_at`] — and the id → slot index serves only the by-id
+/// operations: index, delete and get. That index is one `u64` a bucket, a
+/// tag of the id's keyed hash beside the slot, linear probing with no
+/// tombstones (`IdIndex`): with the cells, ~35 B a two-word record, against
+/// a floor of 24.
 ///
 /// Serialized as the [`RecordStore`] document plus the slot order, so a
 /// restored slab puts every id back in its slot and the tables saved beside
@@ -179,22 +406,30 @@ impl RecordStore {
 /// an empty one does not, so whoever restores one calls
 /// [`RecordSlab::bind`] with the schema's layout before using it (as
 /// `BlockingPlan::compile_kernels` for the plan beside it).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RecordSlab {
     layout: RowLayout,
-    rows: Vec<u64>,
-    ids: Vec<u64>,
-    slots: WordMap<u64, u32>,
+    cells: Cells,
+    index: IdIndex,
     free: Vec<u32>,
     needs_rekey: bool,
+}
+
+impl Default for RecordSlab {
+    fn default() -> Self {
+        Self::new(RowLayout::default())
+    }
 }
 
 impl RecordSlab {
     /// An empty slab for rows laid out by `layout`.
     pub fn new(layout: RowLayout) -> Self {
         Self {
+            cells: Cells::new(layout.words()),
             layout,
-            ..Self::default()
+            index: IdIndex::default(),
+            free: Vec::new(),
+            needs_rekey: false,
         }
     }
 
@@ -211,10 +446,16 @@ impl RecordSlab {
                 layout.widths()
             )));
         }
+        if layout.words() != self.layout.words() {
+            // An empty slab's document did not say how wide its free slots'
+            // rows are; now they are this wide, and keep their ids.
+            let mut cells = Cells::new(layout.words());
+            for slot in 0..self.cells.len {
+                cells.push(self.cells.id(slot))?;
+            }
+            self.cells = cells;
+        }
         self.layout = layout;
-        // An empty slab's document did not say how wide its free slots'
-        // rows are; now they are this wide.
-        self.rows.resize(self.ids.len() * self.layout.words(), 0);
         Ok(())
     }
 
@@ -223,55 +464,61 @@ impl RecordSlab {
         &self.layout
     }
 
-    fn row(&self, slot: u32) -> &[u64] {
-        let w = self.layout.words();
-        &self.rows[slot as usize * w..][..w]
-    }
-
     /// Stores `row` as record `id`'s, in place of any row it had, and
     /// returns the record's slot: the one it had, else a freed one, else a
     /// new one.
     ///
+    /// # Errors
+    /// Returns [`Error::InvalidParameter`] when `id` is new, no slot is
+    /// free and the slab has handed out all 2³² − 1 of its slots; the slab
+    /// is unchanged.
+    ///
     /// # Panics
-    /// Panics if `row` is not of this slab's layout, or at 2³² records.
-    pub fn insert(&mut self, id: u64, row: &[u64]) -> u32 {
-        let w = self.layout.words();
-        assert_eq!(row.len(), w, "row of another layout");
-        let slot = match self.slots.get(&id) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.free.pop().unwrap_or_else(|| {
-                    let slot = u32::try_from(self.ids.len()).expect("a slab holds 2^32 records");
-                    self.ids.push(id);
-                    self.rows.resize(self.rows.len() + w, 0);
-                    slot
-                });
-                self.ids[slot as usize] = id;
-                self.slots.insert(id, slot);
-                slot
+    /// Panics if `row` is not of this slab's layout.
+    pub fn insert(&mut self, id: u64, row: &[u64]) -> Result<u32> {
+        assert_eq!(row.len(), self.layout.words(), "row of another layout");
+        let (slot, _) = self.claim(id)?;
+        self.cells.cell_mut(slot)[1..].copy_from_slice(row);
+        Ok(slot)
+    }
+
+    /// Record `id`'s slot and whether the id is new to it: the slot it had,
+    /// else a freed one, else a new one, holding `id` and the row it held.
+    fn claim(&mut self, id: u64) -> Result<(u32, bool)> {
+        match self.index.entry(id, &self.cells) {
+            Entry::Occupied(slot) => Ok((slot, false)),
+            Entry::Vacant(at, tag) => {
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.cells.cell_mut(slot)[0] = id;
+                        slot
+                    }
+                    None => self.cells.push(id)?,
+                };
+                self.index.fill(at, tag, slot);
+                Ok((slot, true))
             }
-        };
-        self.rows[slot as usize * w..][..w].copy_from_slice(row);
-        slot
+        }
     }
 
     /// Record `id`'s slot.
     #[inline]
     pub fn slot(&self, id: u64) -> Option<u32> {
-        self.slots.get(&id).copied()
+        self.index.get(id, &self.cells)
     }
 
     /// Retrieves a record's row by id.
     #[inline]
     pub fn get(&self, id: u64) -> Option<&[u64]> {
-        self.slot(id).map(|slot| self.row(slot))
+        self.slot(id).map(|slot| self.cells.row(slot))
     }
 
     /// Record `id`'s slot — as the table value it is indexed under — and
     /// row.
     #[inline]
     pub fn find(&self, id: u64) -> Option<(u64, &[u64])> {
-        self.slot(id).map(|slot| (u64::from(slot), self.row(slot)))
+        self.slot(id)
+            .map(|slot| (u64::from(slot), self.cells.row(slot)))
     }
 
     /// The row in `slot` — a blocking table's value — read by direct index.
@@ -279,15 +526,13 @@ impl RecordSlab {
     /// which no table names ([`RecordSlab::remove`]).
     #[inline]
     pub fn row_at(&self, slot: u64) -> Option<&[u64]> {
-        let w = self.layout.words();
-        let at = usize::try_from(slot).ok()?.checked_mul(w)?;
-        self.rows.get(at..at.checked_add(w)?)
+        (slot < u64::from(self.cells.len)).then(|| self.cells.row(slot as u32))
     }
 
     /// The id of the record in `slot`, one [`RecordSlab::row_at`] found.
     #[inline]
     pub fn id_at(&self, slot: u64) -> u64 {
-        self.ids[slot as usize]
+        self.cells.id(slot as u32)
     }
 
     /// Removes a record by id, returning whether it was present; its slot
@@ -296,31 +541,33 @@ impl RecordSlab {
     /// evicted its slot from every table keyed on this slab: once reused,
     /// the slot answers for another record.
     pub fn remove(&mut self, id: u64) -> bool {
-        let slot = self.slots.remove(&id);
+        let slot = self.index.remove(id, &self.cells);
         self.free.extend(slot);
         slot.is_some()
     }
 
     /// Iterates over all stored `(id, row)`s, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u64])> {
-        self.slots.iter().map(|(&id, &slot)| (id, self.row(slot)))
+        self.index
+            .slots()
+            .map(|slot| (self.cells.id(slot), self.cells.row(slot)))
     }
 
     /// Iterates over all stored `(slot, row)`s, slots ascending.
     pub fn iter_slots(&self) -> impl Iterator<Item = (u32, &[u64])> {
-        let mut slots: Vec<u32> = self.slots.values().copied().collect();
+        let mut slots: Vec<u32> = self.index.slots().collect();
         slots.sort_unstable();
-        slots.into_iter().map(|slot| (slot, self.row(slot)))
+        slots.into_iter().map(|slot| (slot, self.cells.row(slot)))
     }
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.index.len
     }
 
     /// True when no records are stored.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.index.len == 0
     }
 
     /// True for a slab restored from a document without its slot order:
@@ -330,11 +577,10 @@ impl RecordSlab {
         self.needs_rekey
     }
 
-    /// Heap bytes held — rows, the slot → id column, the id → slot map,
+    /// Heap bytes held — the chunks of cells, the chunk list, the id index,
     /// the free list — from capacities.
     pub fn heap_bytes(&self) -> u64 {
-        let slots = hash_heap_bytes(self.slots.capacity(), std::mem::size_of::<(u64, u32)>());
-        (self.rows.capacity() * 8 + self.ids.capacity() * 8 + slots + self.free.capacity() * 4)
+        (self.cells.heap_bytes() + self.index.buckets.capacity() * 8 + self.free.capacity() * 4)
             as u64
     }
 }
@@ -359,7 +605,11 @@ impl Serialize for RecordSlab {
             .collect();
         SlabDoc {
             records,
-            order: Some(self.ids.clone()),
+            order: Some(
+                (0..self.cells.len)
+                    .map(|slot| self.cells.id(slot))
+                    .collect(),
+            ),
             free: self.free.clone(),
         }
         .serialize(serializer)
@@ -392,7 +642,8 @@ impl<'de> Deserialize<'de> for RecordSlab {
             let mut ids: Vec<u64> = records.keys().copied().collect();
             ids.sort_unstable();
             for id in ids {
-                slab.insert(id, records[&id].packed().as_ref());
+                slab.insert(id, records[&id].packed().as_ref())
+                    .map_err(D::Error::custom)?;
             }
             slab.needs_rekey = true;
             return Ok(slab);
@@ -405,24 +656,23 @@ impl<'de> Deserialize<'de> for RecordSlab {
                 _ => return Err(D::Error::custom(format!("free slot {slot} is not a slot"))),
             }
         }
-        let w = slab.layout.words();
-        slab.rows = vec![0; order.len() * w];
-        for (slot, &id) in order.iter().enumerate() {
-            if is_free[slot] {
+        for (&id, is_free) in order.iter().zip(is_free) {
+            let slot = slab.cells.push(id).map_err(D::Error::custom)?;
+            if is_free {
                 continue;
             }
             let rec = records
                 .get(&id)
                 .ok_or_else(|| D::Error::custom(format!("slot {slot} names no record ({id})")))?;
-            if slab.slots.insert(id, slot as u32).is_some() {
+            let Entry::Vacant(at, tag) = slab.index.entry(id, &slab.cells) else {
                 return Err(D::Error::custom(format!("record {id} holds two slots")));
-            }
-            slab.rows[slot * w..][..w].copy_from_slice(rec.packed().as_ref());
+            };
+            slab.index.fill(at, tag, slot);
+            slab.cells.cell_mut(slot)[1..].copy_from_slice(rec.packed().as_ref());
         }
-        if slab.slots.len() != records.len() {
+        if slab.len() != records.len() {
             return Err(D::Error::custom("a record holds no slot"));
         }
-        slab.ids = order;
         slab.free = free;
         Ok(slab)
     }
@@ -432,19 +682,29 @@ impl<'de> Deserialize<'de> for RecordSlab {
 /// the tables. An id the slab already holds keeps its slot and is re-keyed
 /// from its old row ([`BlockingPlan::reindex_row`]) instead of inserted
 /// again. Returns whether the id is new.
-pub fn index_row(plan: &mut BlockingPlan, store: &mut RecordSlab, id: u64, row: &[u64]) -> bool {
-    match store.find(id) {
-        Some((slot, old)) => {
-            plan.reindex_row(slot, old, row);
-            store.insert(id, row);
-            false
-        }
-        None => {
-            let slot = store.insert(id, row);
-            plan.insert_row(u64::from(slot), row);
-            true
-        }
+///
+/// # Errors
+/// Returns [`Error::InvalidParameter`] when the id is new and the slab is
+/// full ([`RecordSlab::insert`]); nothing is indexed.
+///
+/// # Panics
+/// Panics if `row` is not of the slab's layout.
+pub fn index_row(
+    plan: &mut BlockingPlan,
+    store: &mut RecordSlab,
+    id: u64,
+    row: &[u64],
+) -> Result<bool> {
+    assert_eq!(row.len(), store.layout.words(), "row of another layout");
+    let (slot, new) = store.claim(id)?;
+    let held = &mut store.cells.cell_mut(slot)[1..];
+    if new {
+        plan.insert_row(u64::from(slot), row);
+    } else {
+        plan.reindex_row(u64::from(slot), held, row);
     }
+    held.copy_from_slice(row);
+    Ok(new)
 }
 
 /// Takes record `id`'s slot out of its bucket in every table
@@ -590,7 +850,7 @@ mod tests {
     use crate::schema::{AttributeSpec, RecordSchema};
     use crate::Record;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
     use textdist::Alphabet;
 
     fn setup(seed: u64) -> (RecordSchema, BlockingPlan, RecordSlab) {
@@ -637,7 +897,7 @@ mod tests {
     #[test]
     fn match_record_finds_perturbed_copy() {
         let (schema, mut plan, mut store) = setup(1);
-        index_row(&mut plan, &mut store, 1, &row(&schema, ["JONES", "MARTHA"]));
+        index_row(&mut plan, &mut store, 1, &row(&schema, ["JONES", "MARTHA"])).unwrap();
         let probe = row(&schema, ["JONAS", "MARTHA"]); // 1 substitute
         let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
         let mut stats = MatchStats::default();
@@ -651,7 +911,7 @@ mod tests {
     #[test]
     fn non_matching_candidates_are_rejected() {
         let (schema, mut plan, mut store) = setup(2);
-        index_row(&mut plan, &mut store, 1, &row(&schema, ["JONES", "MARTHA"]));
+        index_row(&mut plan, &mut store, 1, &row(&schema, ["JONES", "MARTHA"])).unwrap();
         let probe = row(&schema, ["WILLOUGHBY", "KATHERINE"]);
         let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
         let mut stats = MatchStats::default();
@@ -663,8 +923,11 @@ mod tests {
     fn an_unindexed_record_is_neither_retrieved_nor_matched() {
         let (schema, mut plan, mut store) = setup(10);
         let a = row(&schema, ["JONES", "MARTHA"]);
-        assert!(index_row(&mut plan, &mut store, 1, &a));
-        assert!(!index_row(&mut plan, &mut store, 1, &a), "the id is known");
+        assert!(index_row(&mut plan, &mut store, 1, &a).unwrap());
+        assert!(
+            !index_row(&mut plan, &mut store, 1, &a).unwrap(),
+            "the id is known"
+        );
         assert!(unindex(&mut plan, &mut store, 1));
         assert!(!unindex(&mut plan, &mut store, 1));
         assert_eq!(store.get(1), None);
@@ -730,7 +993,7 @@ mod tests {
         let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
         let mut plan = BlockingPlan::compile(&schema, &rule, 0.01, &mut rng).unwrap();
         let probe = row(&schema, ["JONES", "MARTHA"]); // identical → in every table
-        index_row(&mut plan, &mut store, 1, &probe);
+        index_row(&mut plan, &mut store, 1, &probe).unwrap();
         let structure = &plan.structures()[0];
         let classifier = Classifier::Rule(rule);
         let mut with = MatchStats::default();
@@ -753,7 +1016,7 @@ mod tests {
         let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
         let mut plan = BlockingPlan::compile(&schema, &rule, 0.01, &mut rng).unwrap();
         let probe = row(&schema, ["JONES", "MARTHA"]);
-        index_row(&mut plan, &mut store, 1, &probe);
+        index_row(&mut plan, &mut store, 1, &probe).unwrap();
         let structure = &plan.structures()[0];
         let l = structure.l() as u64;
         let classifier = Classifier::Rule(rule);
@@ -772,7 +1035,7 @@ mod tests {
     fn scratch_carries_nothing_from_probe_to_probe() {
         let (schema, mut plan, mut store) = setup(9);
         for (id, first) in [(1, "JONES"), (2, "WILLOUGHBY")] {
-            index_row(&mut plan, &mut store, id, &row(&schema, [first, "MARTHA"]));
+            index_row(&mut plan, &mut store, id, &row(&schema, [first, "MARTHA"])).unwrap();
         }
         let classifier = Classifier::Rule(Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]));
         let mut scratch = ProbeScratch::default();
@@ -813,7 +1076,7 @@ mod tests {
             (9, ["MARY", "JONES"]),
             (7, ["JOHN", "SMITH"]),
         ] {
-            slab.insert(id, &row(&schema, f));
+            slab.insert(id, &row(&schema, f)).unwrap();
             if id != 9 {
                 reference.insert(embed(&schema, id, f));
             }
@@ -840,28 +1103,28 @@ mod tests {
             "records of another schema"
         );
         // The freed slot is the next one taken, as in the original.
-        assert_eq!(back.insert(5, slab.get(7).unwrap()), 1);
+        assert_eq!(back.insert(5, slab.get(7).unwrap()).unwrap(), 1);
         // An empty document says nothing of its layout: the binder does.
         let mut empty: RecordSlab =
             serde::from_value(serde::to_value(&RecordStore::new()).unwrap()).unwrap();
         empty.bind(other).unwrap();
-        assert_eq!(empty.insert(1, &[0]), 0);
+        assert_eq!(empty.insert(1, &[0]).unwrap(), 0);
     }
 
     #[test]
     fn an_emptied_slab_restores_its_free_slots_with_rows() {
         let (schema, _, mut slab) = setup(14);
         for (id, f) in [(42, ["ANNA", "LEE"]), (7, ["JOHN", "SMITH"])] {
-            slab.insert(id, &row(&schema, f));
+            slab.insert(id, &row(&schema, f)).unwrap();
         }
         assert!(slab.remove(42) && slab.remove(7));
         let doc = serde::to_value(&slab).unwrap();
         let mut back: RecordSlab = serde::from_value(doc).unwrap();
         back.bind(schema.layout()).unwrap();
         let anna = row(&schema, ["ANNA", "LEE"]);
-        assert_eq!(back.insert(5, &anna), 1, "42's slot, freed last");
-        assert_eq!(back.insert(6, &anna), 0);
-        assert_eq!(back.insert(8, &anna), 2, "a new slot");
+        assert_eq!(back.insert(5, &anna).unwrap(), 1, "42's slot, freed last");
+        assert_eq!(back.insert(6, &anna).unwrap(), 0);
+        assert_eq!(back.insert(8, &anna).unwrap(), 2, "a new slot");
         assert_eq!(back.row_at(1), Some(&anna[..]));
     }
 
@@ -886,7 +1149,7 @@ mod tests {
     fn a_slot_order_that_does_not_fit_its_records_is_refused() {
         let (schema, _, mut slab) = setup(13);
         for (id, f) in [(42, ["ANNA", "LEE"]), (7, ["JOHN", "SMITH"])] {
-            slab.insert(id, &row(&schema, f));
+            slab.insert(id, &row(&schema, f)).unwrap();
         }
         let doc = serde::to_value(&slab).unwrap();
         let text = serde_json::to_string(&doc).unwrap();
@@ -908,12 +1171,240 @@ mod tests {
         // Regression: `{"len":15,"words":[]}` used to load and then panic
         // when the slab packed the record.
         let (schema, _, mut slab) = setup(15);
-        slab.insert(42, &row(&schema, ["ANNA", "LEE"]));
+        slab.insert(42, &row(&schema, ["ANNA", "LEE"])).unwrap();
         let text = serde_json::to_string(&slab).unwrap();
         let words = text.find(r#""words":["#).unwrap() + r#""words":["#.len();
         let end = words + text[words..].find(']').unwrap();
         let text = format!("{}{}", &text[..words], &text[end..]);
         let err = serde_json::from_str::<RecordSlab>(&text).unwrap_err();
         assert!(err.to_string().contains("words, not 0"), "{err}");
+    }
+
+    /// The slot policy in plain vectors: a known id keeps its slot, a new
+    /// one takes the last freed slot, else the next; a free slot keeps its
+    /// last id and row.
+    #[derive(Default)]
+    struct Model {
+        slots: std::collections::HashMap<u64, u32>,
+        cells: Vec<(u64, Vec<u64>)>,
+        free: Vec<u32>,
+    }
+
+    impl Model {
+        fn insert(&mut self, id: u64, row: &[u64]) -> u32 {
+            let slot = match self.slots.get(&id) {
+                Some(&slot) => slot,
+                None => {
+                    let slot = self.free.pop().unwrap_or_else(|| {
+                        self.cells.push((id, Vec::new()));
+                        self.cells.len() as u32 - 1
+                    });
+                    self.slots.insert(id, slot);
+                    slot
+                }
+            };
+            self.cells[slot as usize] = (id, row.to_vec());
+            slot
+        }
+
+        fn remove(&mut self, id: u64) -> bool {
+            let slot = self.slots.remove(&id);
+            self.free.extend(slot);
+            slot.is_some()
+        }
+    }
+
+    fn assert_agrees(slab: &RecordSlab, model: &Model) {
+        assert_eq!(slab.len(), model.slots.len());
+        assert_eq!(slab.is_empty(), model.slots.is_empty());
+        let row_of = |slot: u32| model.cells[slot as usize].1.clone();
+        let mut iter: Vec<(u64, Vec<u64>)> = slab.iter().map(|(id, r)| (id, r.to_vec())).collect();
+        iter.sort_unstable();
+        let mut want: Vec<(u64, Vec<u64>)> = model
+            .slots
+            .iter()
+            .map(|(&id, &slot)| (id, row_of(slot)))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(iter, want, "iter");
+        let slots: Vec<(u32, Vec<u64>)> = slab.iter_slots().map(|(s, r)| (s, r.to_vec())).collect();
+        let mut want: Vec<(u32, Vec<u64>)> = model
+            .slots
+            .values()
+            .map(|&slot| (slot, row_of(slot)))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(slots, want, "iter_slots");
+        for (&id, &slot) in &model.slots {
+            assert_eq!(slab.slot(id), Some(slot), "id {id}");
+            assert_eq!(slab.find(id), Some((u64::from(slot), &row_of(slot)[..])));
+        }
+        // Free slots too: every cell keeps its last id and row.
+        for (slot, (id, row)) in model.cells.iter().enumerate() {
+            assert_eq!(slab.row_at(slot as u64), Some(&row[..]), "slot {slot}");
+            assert_eq!(slab.id_at(slot as u64), *id, "slot {slot}");
+        }
+        assert_eq!(slab.row_at(model.cells.len() as u64), None);
+    }
+
+    #[test]
+    fn the_slab_follows_a_model_of_its_slot_policy_through_growth_and_churn() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let layout = RowLayout::from_widths([70, 50]);
+        let (mut slab, mut model) = (RecordSlab::new(layout), Model::default());
+        let mut capacities = std::collections::BTreeSet::new();
+        // Grow to ~1 500 live ids (past 8 index growths and 5 chunks), churn,
+        // drain to nothing, then fill freed slots again.
+        for (steps, insert_share, pool) in [
+            (3_000u32, 0.8, 2_000u64),
+            (3_000, 0.5, 2_000),
+            (4_000, 0.1, 2_000),
+            (1_000, 0.9, 4_000),
+        ] {
+            for step in 0..steps {
+                // Spread ids over the word: the pool's numbers, scrambled.
+                let id = rng
+                    .random_range(0..pool)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                if rng.random_bool(insert_share) {
+                    let row = [rng.random::<u64>(), rng.random::<u64>() >> 14];
+                    assert_eq!(slab.insert(id, &row).unwrap(), model.insert(id, &row));
+                } else {
+                    assert_eq!(slab.remove(id), model.remove(id), "remove {id}");
+                }
+                let other = rng
+                    .random_range(0..pool)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                assert_eq!(slab.slot(other), model.slots.get(&other).copied());
+                capacities.insert(slab.index.buckets.len());
+                if step % 250 == 0 {
+                    assert_agrees(&slab, &model);
+                }
+            }
+            assert_agrees(&slab, &model);
+        }
+        assert!(capacities.len() >= 9, "index capacities {capacities:?}");
+        assert!(slab.cells.chunks.len() >= 5);
+    }
+
+    /// Ids whose home bucket is `home` in an index of 8 buckets, under the
+    /// process's key.
+    fn homed_at(slab: &RecordSlab, home: usize, n: usize) -> Vec<u64> {
+        (1u64..)
+            .filter(|&id| slab.index.tag(id) as usize & 7 == home)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn a_removal_shifts_its_cluster_back_across_the_end_of_the_index() {
+        let layout = RowLayout::from_widths([64]);
+        let empty = RecordSlab::new(layout);
+        // Seven ids (the most 8 buckets hold) homed at 6, 7, 7, 7, 0, 0, 1:
+        // one cluster that wraps round the end, from bucket 6 to 4.
+        let ids: Vec<u64> = [(6, 1), (7, 3), (0, 2), (1, 1)]
+            .into_iter()
+            .flat_map(|(home, n)| homed_at(&empty, home, n))
+            .collect();
+        for order in [ids.clone(), ids.iter().rev().copied().collect()] {
+            for &first in &ids {
+                for &second in ids.iter().filter(|&&id| id != first) {
+                    let (mut slab, mut model) = (empty.clone(), Model::default());
+                    for &id in &order {
+                        assert_eq!(slab.insert(id, &[id]).unwrap(), model.insert(id, &[id]));
+                    }
+                    assert_eq!(slab.index.buckets.len(), 8);
+                    let wrapped = slab
+                        .index
+                        .buckets
+                        .iter()
+                        .enumerate()
+                        .filter(|&(at, &b)| b != VACANT && at < (b >> 32) as usize & 7);
+                    assert!(wrapped.count() >= 2, "the cluster wraps");
+                    for gone in [first, second] {
+                        assert!(slab.remove(gone) && model.remove(gone));
+                        assert_agrees(&slab, &model);
+                        assert_eq!(slab.get(gone), None);
+                    }
+                    // Back in, into the slots they left, last freed first.
+                    for id in [first, second] {
+                        assert_eq!(slab.insert(id, &[!id]).unwrap(), model.insert(id, &[!id]));
+                    }
+                    assert_agrees(&slab, &model);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_document_of_free_slots_takes_the_binders_stride() {
+        let layout = RowLayout::from_widths([70, 50]);
+        let mut slab = RecordSlab::new(layout.clone());
+        // Past one chunk, then every record gone, in an order of its own.
+        for id in 0..300u64 {
+            slab.insert(id * 7, &[id, !id >> 14]).unwrap();
+        }
+        for id in (0..300u64).rev().step_by(2).chain((0..300).step_by(2)) {
+            assert!(slab.remove(id * 7));
+        }
+        let doc = serde_json::to_string(&slab).unwrap();
+        let mut back: RecordSlab = serde_json::from_str(&doc).unwrap();
+        assert_eq!(back.cells.stride, 1, "the document names no widths");
+        back.bind(layout).unwrap();
+        assert_eq!(back.cells.stride, 3);
+        for slot in 0..300u64 {
+            assert_eq!(back.id_at(slot), slab.id_at(slot), "slot {slot}");
+            assert_eq!(back.row_at(slot), Some(&[0, 0][..]));
+        }
+        assert_eq!(back.row_at(300), None);
+        // The freed slots are taken in the original's order, then new ones.
+        for id in 1_000..1_301u64 {
+            let row = [id, id + 1];
+            assert_eq!(
+                back.insert(id, &row).unwrap(),
+                slab.insert(id, &row).unwrap()
+            );
+            assert_eq!(back.get(id), Some(&row[..]));
+        }
+        assert_eq!(back.slot(1_300), Some(300));
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            serde_json::to_string(&slab).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_full_slab_refuses_a_new_id_and_is_left_as_it_was() {
+        assert_eq!(fresh_slot(u32::MAX - 1).unwrap(), u32::MAX - 1);
+        assert!(matches!(
+            fresh_slot(u32::MAX),
+            Err(Error::InvalidParameter(_))
+        ));
+        let (schema, mut plan, mut slab) = setup(16);
+        let (jones, smith) = (
+            row(&schema, ["JONES", "MARTHA"]),
+            row(&schema, ["SMITH", "JOHN"]),
+        );
+        assert!(index_row(&mut plan, &mut slab, 1, &jones).unwrap());
+        let entries = |plan: &BlockingPlan| plan.stats().iter().map(|s| s.entries).sum::<usize>();
+        let before = entries(&plan);
+        // Every slot handed out (their cells need not exist to be refused).
+        slab.cells.len = u32::MAX;
+        let err = index_row(&mut plan, &mut slab, 2, &smith).unwrap_err();
+        assert!(matches!(err, Error::InvalidParameter(_)), "{err}");
+        assert!(
+            err.to_string().contains("at most 4294967295 records"),
+            "{err}"
+        );
+        assert_eq!(
+            (slab.len(), slab.slot(2), entries(&plan)),
+            (1, None, before)
+        );
+        // A known id keeps its slot, and a freed slot is still taken.
+        assert!(!index_row(&mut plan, &mut slab, 1, &smith).unwrap());
+        assert_eq!(slab.get(1), Some(&smith[..]));
+        assert!(unindex(&mut plan, &mut slab, 1));
+        assert!(index_row(&mut plan, &mut slab, 2, &jones).unwrap());
+        assert_eq!(slab.slot(2), Some(0));
     }
 }

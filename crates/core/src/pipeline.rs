@@ -395,7 +395,8 @@ impl LinkagePipeline {
     /// record whose id is already indexed replaces it.
     ///
     /// # Errors
-    /// Returns [`crate::Error::FieldCountMismatch`] on malformed records.
+    /// Returns [`crate::Error::FieldCountMismatch`] on malformed records,
+    /// and the refusal of a full record store ([`index_row`]).
     pub fn index(&mut self, records: &[Record]) -> Result<()> {
         let t0 = Instant::now();
         let mut rows = Vec::new();
@@ -404,7 +405,7 @@ impl LinkagePipeline {
         self.index_timings.embed_nanos += embed.as_nanos();
         let t1 = Instant::now();
         for (id, row) in self.schema.rows_of(records, &rows) {
-            index_row(&mut self.plan, &mut self.store, id, row);
+            index_row(&mut self.plan, &mut self.store, id, row)?;
         }
         let block = t1.elapsed();
         self.index_timings.block_nanos += block.as_nanos();

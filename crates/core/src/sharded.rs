@@ -109,20 +109,27 @@ impl Shard {
         }))
     }
 
-    /// Indexes `(id, row)`s, a known id replacing its record. Returns how
-    /// many ids were new to the shard.
-    fn insert_all<'a>(&mut self, batch: impl IntoIterator<Item = (u64, &'a [u64])>) -> usize {
+    /// Indexes `(id, row)`s, a known id replacing its record, and counts
+    /// the ids new to the shard in `added`.
+    ///
+    /// # Errors
+    /// Returns the refusal of a full slab ([`index_row`]); the records
+    /// before it stay indexed.
+    fn insert_all<'a>(
+        &mut self,
+        batch: impl IntoIterator<Item = (u64, &'a [u64])>,
+        added: &mut usize,
+    ) -> Result<()> {
         let ShardState { plan, store } = &mut self.state;
-        let mut added = 0;
         for (id, row) in batch {
             if let Some(mem) = self.migration_deletes.as_mut() {
                 // A re-insert after a delete is a fresh record; the id must
                 // leave the delete memory.
                 mem.remove(&id);
             }
-            added += usize::from(index_row(plan, store, id, row));
+            *added += usize::from(index_row(plan, store, id, row)?);
         }
-        added
+        Ok(())
     }
 
     /// Delete: the record leaves its bucket in every table and the slab
@@ -172,7 +179,7 @@ impl Shard {
     /// Migration target: adopt copied records, skipping ids the target
     /// already owns (a dual-applied write raced ahead of the copy and wrote
     /// the newer version) and ids deleted since the migration began.
-    fn migrate_in(&mut self, page: &Page) {
+    fn migrate_in(&mut self, page: &Page) -> Result<()> {
         let w = self.state.store.layout().words();
         let fresh: Vec<(u64, &[u64])> = (page.ids.iter().copied())
             .zip(page.rows.chunks_exact(w))
@@ -184,7 +191,7 @@ impl Shard {
                         .is_some_and(|d| d.contains(id))
             })
             .collect();
-        self.insert_all(fresh);
+        self.insert_all(fresh, &mut 0)
     }
 
     /// Drops every record whose key point falls in `ranges` (cutover purge
@@ -236,17 +243,17 @@ impl ReshardDriver {
     /// [`ShardedPipeline::finish_reshard`].
     ///
     /// # Errors
-    /// Infallible; the `Result` is kept for the callers that unwrap it
-    /// (`tests/reshard_prop.rs`, the server's migrator).
+    /// Returns the refusal of a full target slab ([`index_row`]); the
+    /// cursor stays, so the next call copies the page again.
     pub fn copy_batch(&mut self, limit: usize) -> Result<bool> {
         if !self.done {
             let source = self.source.read();
             let page = source.collect_migration(&self.moved, self.cursor, limit.max(1));
             drop(source);
+            self.target.write().migrate_in(&page)?;
             let copied = page.ids.len() as u64;
             self.done = copied == 0;
             self.cursor = page.ids.last().copied().or(self.cursor);
-            self.target.write().migrate_in(&page);
             self.migrated.fetch_add(copied, Ordering::Relaxed);
         }
         Ok(self.done)
@@ -524,7 +531,8 @@ impl ShardedPipeline {
     /// neither the copy stream nor the cutover can lose them.
     ///
     /// # Errors
-    /// Returns [`Error::FieldCountMismatch`] on malformed records.
+    /// Returns [`Error::FieldCountMismatch`] on malformed records, and the
+    /// refusal of a full slab ([`index_row`]).
     pub fn index(&mut self, records: &[Record]) -> Result<()> {
         let t0 = Instant::now();
         let mut rows = Vec::new();
@@ -548,11 +556,13 @@ impl ShardedPipeline {
         }
         for (shard, batch) in self.shards.iter().zip(owned) {
             if !batch.is_empty() {
-                self.indexed += shard.write().insert_all(batch);
+                shard.write().insert_all(batch, &mut self.indexed)?;
             }
         }
         if let Some((target, _)) = dual.filter(|_| !dual_applied.is_empty()) {
-            self.shards[target].write().insert_all(dual_applied);
+            self.shards[target]
+                .write()
+                .insert_all(dual_applied, &mut 0)?;
         }
         if let Some(m) = &self.metrics {
             m.embed.observe_duration(embed);

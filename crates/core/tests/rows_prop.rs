@@ -298,7 +298,7 @@ proptest! {
             // Every fifth record is in the tables but cannot be retrieved,
             // as after a delete: a NOT cannot verify against it.
             if rec.id % 5 != 0 {
-                store.insert(rec.id, row);
+                store.insert(rec.id, row).unwrap();
             }
         }
         let mut scratch = ProbeScratch::default();
@@ -335,7 +335,7 @@ fn slab_behaves_as_a_map_of_rows_and_reuses_freed_slots() {
                 0..=5 => {
                     let row: Vec<u64> = (0..w).map(|_| rng.random()).collect();
                     let was = slab.slot(id);
-                    let slot = slab.insert(id, &row);
+                    let slot = slab.insert(id, &row).unwrap();
                     assert_eq!(
                         was.is_none(),
                         model.insert(id, row.clone()).is_none(),
@@ -368,7 +368,7 @@ fn slab_behaves_as_a_map_of_rows_and_reuses_freed_slots() {
 fn a_freed_slot_is_the_next_one_taken() {
     let mut slab = RecordSlab::new(RowLayout::from_widths([120]));
     for id in 0..100u64 {
-        slab.insert(id, &[id, !id]);
+        slab.insert(id, &[id, !id]).unwrap();
     }
     let full = slab.heap_bytes();
     for round in 0..50u64 {
@@ -376,7 +376,10 @@ fn a_freed_slot_is_the_next_one_taken() {
             let slot = slab.slot(id + 100 * round).unwrap();
             assert!(slab.remove(id + 100 * round));
             assert_eq!(slab.get(id + 100 * round), None);
-            assert_eq!(slab.insert(id + 100 * (round + 1), &[round, id]), slot);
+            assert_eq!(
+                slab.insert(id + 100 * (round + 1), &[round, id]).unwrap(),
+                slot
+            );
         }
     }
     assert_eq!(slab.len(), 100);

@@ -174,8 +174,8 @@ impl LinkageUnit {
     /// # Errors
     /// Returns a message naming the party and the record when a record's
     /// arity is not that of the thresholds or an attribute's width differs
-    /// from the first record's, and the plan's error when it cannot be
-    /// built.
+    /// from the first record's, the plan's error when it cannot be built,
+    /// and the record store's refusal of A beyond 2³² − 1 records.
     pub fn link<R: Rng + ?Sized>(
         &self,
         a: &EncodedDataset,
@@ -198,7 +198,7 @@ impl LinkageUnit {
         let w = layout.words();
         let mut slab = RecordSlab::new(layout);
         for (pos, row) in rows_a.chunks_exact(w).enumerate() {
-            index_row(&mut plan, &mut slab, pos as u64, row);
+            index_row(&mut plan, &mut slab, pos as u64, row).map_err(|e| e.to_string())?;
         }
         let preds = self
             .thetas

@@ -232,8 +232,8 @@ pub struct ServerMetrics {
     /// Heap bytes held by the blocking tables — directories, id arenas
     /// (`rl_block_heap_bytes`); an mmap store's delta overlay.
     pub block_heap_bytes: Arc<Gauge>,
-    /// Heap bytes the shards' record slabs hold: rows, id → slot maps, free
-    /// lists (`rl_record_heap_bytes`).
+    /// Heap bytes the shards' record slabs hold: chunks of cells (ids and
+    /// packed rows), id → slot indexes, free lists (`rl_record_heap_bytes`).
     pub record_heap_bytes: Arc<Gauge>,
     /// Online-reshard phase (`rl_reshard_state`): 0 idle, 1 copying,
     /// 2 cutover.
@@ -409,7 +409,7 @@ impl ServerMetrics {
         );
         let record_heap_bytes = registry.gauge(
             "record_heap_bytes",
-            "Heap bytes held by the record slabs (packed rows, id-to-slot maps, free lists)",
+            "Heap bytes held by the record slabs (cells of ids and packed rows, id-to-slot indexes, free lists)",
             &[],
         );
         let reshard_state = registry.gauge(

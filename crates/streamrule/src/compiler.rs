@@ -266,7 +266,7 @@ mod tests {
         let mut store = RecordSlab::new(s.layout());
         for e in &embedded {
             let row = e.packed();
-            let slot = u64::from(store.insert(e.id, row.as_ref()));
+            let slot = u64::from(store.insert(e.id, row.as_ref()).unwrap());
             compiled.index(slot, row.as_ref());
             unrestricted.insert_row(slot, row.as_ref());
         }
@@ -334,7 +334,7 @@ mod tests {
         // Slots in descending id order: the cap's ties and the output go by
         // id, not by slot.
         for r in recs.iter().rev() {
-            let slot = u64::from(store.insert(r.id, row(r).as_ref()));
+            let slot = u64::from(store.insert(r.id, row(r).as_ref()).unwrap());
             capped.index(slot, row(r).as_ref());
             uncapped.index(slot, row(r).as_ref());
         }

@@ -197,7 +197,9 @@ impl WindowedEngine {
     /// version stops holding.
     ///
     /// # Errors
-    /// Returns [`cbv_hb::Error::FieldCountMismatch`] on malformed records.
+    /// Returns [`cbv_hb::Error::FieldCountMismatch`] on malformed records,
+    /// and the refusal of a full slab ([`RecordSlab::insert`]), which
+    /// leaves the engine as it was.
     pub fn observe(&self, record: &Record, event_ms: u64) -> Result<ObserveOutcome> {
         let mut state = self.state.lock();
         let state = &mut *state;
@@ -208,18 +210,18 @@ impl WindowedEngine {
         let mut row = vec![0; self.schema.row_words()];
         self.schema.embed_row(record, &mut row)?;
         let id = record.id;
-        state.stamp += 1;
-        let prior_watermark = state.watermark_ms;
-        state.watermark_ms = prior_watermark.max(event_ms);
-        let (stamp, watermark) = (state.stamp, state.watermark_ms);
         // Every plan indexes the record under one slot: the one it holds,
         // else a fresh one. A held row stays until every window has seen the
         // record (re-keying needs it); rows leave afterwards, once no window
         // holds them.
         let slot = match state.slab.find(id) {
             Some((slot, _)) => slot,
-            None => u64::from(state.slab.insert(id, &row)),
+            None => u64::from(state.slab.insert(id, &row)?),
         };
+        state.stamp += 1;
+        let prior_watermark = state.watermark_ms;
+        state.watermark_ms = prior_watermark.max(event_ms);
+        let (stamp, watermark) = (state.stamp, state.watermark_ms);
         let slab = &state.slab;
         let mut gone = Vec::new();
         for entry in &mut state.entries {
@@ -257,7 +259,8 @@ impl WindowedEngine {
             entry.expire(watermark, slab, &mut gone);
         }
         if state.held(id) {
-            state.slab.insert(id, &row);
+            // The id holds its slot: the insert replaces the row.
+            state.slab.insert(id, &row)?;
         } else {
             state.slab.remove(id);
         }

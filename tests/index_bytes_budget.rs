@@ -14,9 +14,9 @@
 //! It also holds `StructureStats::heap_bytes` (the `rl_block_heap_bytes`
 //! gauge) to within a tenth of what the allocator saw the tables take: the
 //! same records inserted into a copy of the empty plan, tables only. What
-//! `index` added beyond that is the record store — packed rows, a slot → id
-//! column and an id → slot map — which has a budget of its own and its own
-//! gauge
+//! `index` added beyond that is the record store — chunks of cells (a
+//! slot's id and packed row) and an id → slot index — which has a budget of
+//! its own and its own gauge
 //! (`LinkagePipeline::record_heap_bytes`, `rl_record_heap_bytes`), held to
 //! the same tenth.
 //!
@@ -98,23 +98,25 @@ fn indexing_a_record_stays_within_its_byte_budget() {
     );
     let records = pair.a.len() as i64;
     // (configuration, committed heap bytes per indexed record): two to
-    // three per cent above the 200 / 4 553 / 885 measured with directories
-    // of narrow keys (144 / 4 498 / 829 of it tables, 56 the record store;
-    // the covering plan widens 9 of its 31 tables). 16-byte keys in every
+    // three per cent above the 180 / 4 533 / 865 measured with a chunked
+    // record store (144 / 4 497 / 829 of it tables, 35.6 the store). The
+    // store of a row `Vec`, an id `Vec` and a hash map id → slot read 200 /
+    // 4 553 / 885 (56 the store), with the same directories of narrow keys
+    // (the covering plan widens 9 of its 31 tables). 16-byte keys in every
     // directory read 266 / 6 443 / 1 126 (210 / 6 387 / 1 070 tables);
     // tables of client ids 320 / 8 404 / 1 453 (275 / 8 358 / 1 408
     // tables, 45 the store); an `EmbeddedRecord` per record in a map 499 /
     // 8 582 / 1 632; the `HashMap<u128, Vec<u64>>` tables before that
     // 803 / 16 198 / 3 259.
     let budgets = [
-        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 205i64),
+        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 185i64),
         ("batch_rule", LinkageConfig::rule_aware(c1()), 4_650),
-        ("batch_covering", LinkageConfig::covering(c1(), 4), 905),
+        ("batch_covering", LinkageConfig::covering(c1(), 4), 890),
     ];
-    // The record store's share, whatever the tables: a 16-byte row, its
-    // 8-byte id in the slot → id column, a 17-byte map slot at a load of
-    // 7/16 to 7/8, and `Vec` doubling.
-    const STORE_BUDGET: i64 = 64;
+    // The record store's share, whatever the tables: a 24-byte cell (a
+    // 16-byte row and its 8-byte id), an 8-byte index bucket at a load of
+    // 7/16 to 7/8, and the unused cells of the last chunk of 256.
+    const STORE_BUDGET: i64 = 40;
     for (name, config, budget) in budgets {
         let mut pipeline = LinkagePipeline::new(schema.clone(), config, &mut rng).unwrap();
         let reported = |p: &LinkagePipeline| -> i64 {

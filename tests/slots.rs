@@ -208,7 +208,7 @@ fn matched_ids_ascend_whatever_the_slot_order() {
     let index = |plan: &mut BlockingPlan, slab: &mut RecordSlab, records: &[Record]| {
         for r in records {
             let row = schema.embed(r).unwrap().packed();
-            index_row(plan, slab, r.id, row.as_ref());
+            index_row(plan, slab, r.id, row.as_ref()).unwrap();
         }
     };
     let (mut scratch, mut stats) = (ProbeScratch::default(), MatchStats::default());
