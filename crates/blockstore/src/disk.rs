@@ -1,5 +1,5 @@
-//! Disk-resident [`BlockStorage`]: an immutable, memory-mapped
-//! *generation file* plus an in-memory delta overlay.
+//! The sealed generation of an mmap [`TableSet`]: an immutable,
+//! memory-mapped *generation file* beside the set's tables.
 //!
 //! # Generation file layout (`gen-<N>.blk`)
 //!
@@ -31,12 +31,12 @@
 //! `needs_rebuild` instead of panicking, and the owner re-indexes from
 //! its record store.
 //!
-//! Mutations never touch the file: inserts land in the delta overlay, and
+//! Mutations never touch the file: inserts land in the set's tables, and
 //! the first eviction from a sealed bucket copies the bucket's other ids
-//! into the delta as an *override* that hides the sealed copy.
-//! [`MmapStore::compact`] merges `base + delta` into generation `N+1`
-//! (write to a temp file, fsync, rename), then prunes generations older
-//! than `N`.
+//! into the tables as an *override* that hides the sealed copy.
+//! [`TableSet::compact`] merges the sealed buckets and the tables into
+//! generation `N+1` (write to a temp file, fsync, rename), then prunes every
+//! generation file in its directory but `N+1` and `N`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -46,11 +46,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rl_wire::{encode_frame_into, peek_frame, WireError, DEFAULT_MAX_FRAME, HEADER_LEN};
-use serde::{Deserialize, Serialize};
 
 use crate::hash::{hash_heap_bytes, WordSet};
-use crate::table::{tables_from_doc, tables_heap_bytes, value_of, Table, TableDoc};
-use crate::{BlockPolicy, BlockStorage, CapMode, StoreError, StoreStats, HISTOGRAM_BINS};
+use crate::table::value_of;
+use crate::{StoreError, TableSet};
 
 /// Frame tags (namespaced away from the network protocol's tag space —
 /// these only ever appear inside generation files).
@@ -541,222 +540,128 @@ fn write_generation(
 }
 
 // ---------------------------------------------------------------------------
-// The store
+// The sealed layer
 // ---------------------------------------------------------------------------
 
-/// LSM-lite disk-resident blocking store: an immutable mmap'd base
-/// generation plus an in-memory delta overlay.
-///
-/// *Reads* merge the two layers in deterministic order — base ids first
-/// (unless an eviction overrode the bucket into the delta), then delta
-/// ids — which is exactly the id order [`crate::InMemoryStore`] produces
-/// for the same history.
-///
-/// *Serialization* stores the manifest (dir, generation) and the mutable
-/// overlay; the base layer is re-mapped from disk on deserialization.
-/// If the generation file is missing or torn, the store comes back empty
-/// with [`MmapStore::needs_rebuild`] set rather than failing the load.
+/// The sealed generation of an mmap [`TableSet`]: the generation file it
+/// last wrote, mapped, and the keys whose sealed buckets its tables now hold
+/// instead.
 #[derive(Debug, Clone)]
-pub struct MmapStore {
-    dir: PathBuf,
-    generation: u64,
-    num_tables: usize,
+pub(crate) struct Sealed {
+    pub(crate) dir: PathBuf,
+    /// The generation last sealed (0 = none since the set was built or
+    /// cleared, no file).
+    pub(crate) generation: u64,
     base: Option<Arc<Base>>,
-    delta: Vec<Table>,
-    /// Keys whose base bucket was overridden by the delta: probes must
-    /// skip the base layer for these.
+    /// Per table, the keys whose sealed bucket an eviction moved into the
+    /// tables: probes must skip the sealed copy of these.
     overridden: Vec<WordSet<u128>>,
-    dropped: u64,
-    needs_rebuild: bool,
+    /// Set when a document's generation file was torn or missing: the set
+    /// must be cleared and re-inserted.
+    pub(crate) needs_rebuild: bool,
 }
 
-impl MmapStore {
-    /// An empty store with `l` tables rooted at `dir` (created lazily on
-    /// first compaction).
-    pub fn new(dir: PathBuf, l: usize) -> Self {
+impl Sealed {
+    /// Nothing sealed yet, for `l` tables rooted at `dir` (created lazily
+    /// on the first seal).
+    pub(crate) fn new(dir: PathBuf, l: usize) -> Self {
         Self {
             dir,
             generation: 0,
-            num_tables: l,
             base: None,
-            delta: (0..l).map(|_| Table::default()).collect(),
             overridden: (0..l).map(|_| WordSet::default()).collect(),
-            dropped: 0,
             needs_rebuild: false,
         }
     }
 
-    /// The directory holding generation files.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Re-roots the store (caller guarantees it is empty).
-    pub(crate) fn set_dir(&mut self, dir: PathBuf) {
-        self.dir = dir;
-    }
-
-    /// True when deserialization could not re-map the generation file:
-    /// the base layer is gone and the owner must clear + re-insert.
-    pub fn needs_rebuild(&self) -> bool {
-        self.needs_rebuild
-    }
-
-    /// Current compaction generation (0 = never compacted, no file).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    fn base_skipped(&self, table: usize, key: u128) -> bool {
-        self.overridden[table].contains(&key)
-    }
-
-    /// The base layer, unless the delta overrode `key`'s bucket.
-    fn sealed(&self, table: usize, key: u128) -> Option<&Base> {
-        let base = self.base.as_deref()?;
-        (!self.base_skipped(table, key)).then_some(base)
-    }
-
-    /// Rewrites `key`'s bucket as delta content, with only the ids `keep`
-    /// accepts, overriding the sealed copy. An id of 2³² or more (only a
-    /// generation file from before `u32` tables holds one) is dropped and
-    /// counted. Left undone — the ids stay, an evicted record a stale
-    /// candidate — when the delta table's arena cannot take the bucket.
-    fn override_bucket(&mut self, table: usize, key: u128, keep: impl Fn(u64) -> bool) {
-        let (mut values, mut past_u32) = (Vec::new(), 0);
-        self.with_ids(table, key, &mut |id| {
-            if keep(id) {
-                match value_of(id) {
-                    Some(v) => values.push(v),
-                    None => past_u32 += 1,
+    /// The layer a manifest names: its generation file mapped and verified,
+    /// its overrides restored. A torn or missing file leaves nothing sealed,
+    /// with `needs_rebuild` set.
+    pub(crate) fn open(
+        dir: PathBuf,
+        l: usize,
+        generation: u64,
+        overridden: Vec<Vec<u128>>,
+    ) -> Self {
+        let mut sealed = Self::new(dir, l);
+        if generation > 0 {
+            match Base::open(&gen_path(&sealed.dir, generation), l, generation) {
+                Ok(base) => {
+                    sealed.base = Some(Arc::new(base));
+                    sealed.generation = generation;
+                }
+                Err(_) => {
+                    sealed.needs_rebuild = true;
+                    return sealed;
                 }
             }
-        });
-        if !self.delta[table].replace(key, &values) {
-            return;
         }
-        self.dropped += past_u32;
-        if self.base.as_ref().is_some_and(|b| b.has_key(table, key)) {
-            self.overridden[table].insert(key);
-        }
+        sealed.overridden = overridden
+            .into_iter()
+            .map(|keys| keys.into_iter().collect())
+            .collect();
+        sealed
     }
 
-    /// Folds the ids of `key`'s bucket into `f`: sealed ones first, then
-    /// the delta's.
-    fn with_ids(&self, table: usize, key: u128, f: &mut dyn FnMut(u64)) {
-        if let Some(base) = self.sealed(table, key) {
+    /// The generation file, unless the tables overrode `key`'s bucket.
+    fn base_for(&self, table: usize, key: u128) -> Option<&Base> {
+        let base = self.base.as_deref()?;
+        (!self.overridden[table].contains(&key)).then_some(base)
+    }
+
+    /// True when `key`'s bucket has a sealed copy that probes read.
+    pub(crate) fn holds(&self, table: usize, key: u128) -> bool {
+        self.base_for(table, key)
+            .is_some_and(|b| b.has_key(table, key))
+    }
+
+    /// Folds the sealed ids of `key`'s bucket into `f`.
+    pub(crate) fn with_ids(&self, table: usize, key: u128, f: &mut dyn FnMut(u64)) {
+        if let Some(base) = self.base_for(table, key) {
             base.with_bucket_ids(table, key, f);
         }
-        if let Some(d) = self.delta[table].get(key) {
-            d.iter().for_each(f);
-        }
     }
 
-    /// Folds every `(table, key, ids)` into `f`: a bucket's base ids
-    /// (unless the delta overrode it), then its delta ids. The slice is only
-    /// valid during the call.
-    fn for_each_ids(&self, f: &mut dyn FnMut(usize, u128, &[u64])) {
-        let mut merged = Vec::new();
-        for (t, delta) in self.delta.iter().enumerate() {
-            let in_base = |key| {
-                let base = self.base.as_ref();
-                base.is_some_and(|b| b.has_key(t, key)) && !self.base_skipped(t, key)
-            };
-            if let Some(base) = &self.base {
-                base.for_each_key(t, &mut |key, raw_ids| {
-                    if self.base_skipped(t, key) {
-                        return;
-                    }
-                    let Some(d) = delta.get(key) else {
-                        return f(t, key, raw_ids);
-                    };
-                    merged.clear();
-                    merged.extend_from_slice(raw_ids);
-                    d.extend_into(&mut merged);
-                    f(t, key, &merged);
-                });
-            }
-            // Delta buckets the walk above has not already merged.
-            for (key, d) in delta.iter().filter(|(key, _)| !in_base(*key)) {
-                merged.clear();
-                d.extend_into(&mut merged);
-                f(t, key, &merged);
-            }
-        }
-    }
-}
-
-impl BlockStorage for MmapStore {
-    fn num_tables(&self) -> usize {
-        self.num_tables
-    }
-
-    fn insert(&mut self, table: usize, key: u128, id: u64, policy: &BlockPolicy) -> bool {
-        if policy.max_block_size > 0
-            && policy.cap_mode == CapMode::Drop
-            && self.bucket_len(table, key) >= policy.max_block_size
-        {
-            self.dropped += 1;
-            return false;
-        }
-        // An id past `u32`, or a delta table whose arena is at its limit,
-        // refuses like a full bucket.
-        if !value_of(id).is_some_and(|v| self.delta[table].push(key, v)) {
-            self.dropped += 1;
-            return false;
-        }
-        true
-    }
-
-    /// A bucket with no sealed copy leaves the delta in place; the first
-    /// eviction from a sealed one overrides it.
-    fn evict(&mut self, table: usize, key: u128, id: u64) {
-        match self.sealed(table, key) {
-            Some(base) if base.has_key(table, key) => self.override_bucket(table, key, |x| x != id),
-            _ => {
-                if let Some(v) = value_of(id) {
-                    self.delta[table].evict(key, v);
+    /// Folds every sealed `(key, ids)` of `table` that probes read into `f`.
+    pub(crate) fn for_each_bucket(&self, table: usize, f: &mut dyn FnMut(u128, &[u64])) {
+        if let Some(base) = &self.base {
+            base.for_each_key(table, &mut |key, ids| {
+                if !self.overridden[table].contains(&key) {
+                    f(key, ids);
                 }
-            }
+            });
         }
     }
 
-    fn probe_into(&self, table: usize, key: u128, out: &mut Vec<u64>) {
-        if let Some(base) = self.sealed(table, key) {
-            base.with_bucket_ids(table, key, &mut |id| out.push(id));
-        }
-        if let Some(d) = self.delta[table].get(key) {
-            d.extend_into(out);
-        }
+    /// Each table's override keys, sorted (the manifest's `overridden`).
+    pub(crate) fn overridden_keys(&self) -> Vec<Vec<u128>> {
+        let mut keys: Vec<Vec<u128>> = self
+            .overridden
+            .iter()
+            .map(|set| set.iter().copied().collect())
+            .collect();
+        keys.iter_mut().for_each(|k| k.sort_unstable());
+        keys
     }
 
-    fn bucket_len(&self, table: usize, key: u128) -> usize {
-        let mut n = 0;
-        self.with_ids(table, key, &mut |_| n += 1);
-        n
-    }
-
-    fn for_each_bucket(&self, f: &mut dyn FnMut(usize, usize)) {
-        self.for_each_ids(&mut |t, _, ids| f(t, ids.len()));
-    }
-
-    fn for_each_entry(&self, f: &mut dyn FnMut(usize, u128, &[u64])) {
-        self.for_each_ids(f);
-    }
-
-    fn compact(&mut self, policy: &BlockPolicy) -> Result<(), StoreError> {
-        // Merge base + delta into key-sorted tables.
-        let mut merged: Vec<BTreeMap<u128, Vec<u64>>> =
-            (0..self.num_tables).map(|_| BTreeMap::new()).collect();
-        self.for_each_entry(&mut |t, key, live| {
-            merged[t].insert(key, live.to_vec());
-        });
-
+    /// Writes `buckets` — every bucket of the set, key-sorted per table —
+    /// as the next generation (temp file, fsync, rename) with buckets
+    /// chained at `chunk` ids, and maps it in place of the last one. Then
+    /// prunes every other generation file in the directory but the one
+    /// before (so a crash mid-prune still leaves a valid file behind).
+    /// Listing the directory finds those a cleared set sealed before it
+    /// started again from 1.
+    pub(crate) fn seal(
+        &mut self,
+        buckets: Vec<BTreeMap<u128, Vec<u64>>>,
+        chunk: usize,
+    ) -> Result<(), StoreError> {
         fs::create_dir_all(&self.dir).map_err(|e| io_err("create block dir", e))?;
         let next = self.generation + 1;
         let tmp = self.dir.join(format!("gen-{next}.tmp"));
-        write_generation(&tmp, &merged, next, policy.max_block_size)?;
-        drop(merged);
+        write_generation(&tmp, &buckets, next, chunk)?;
+        let l = buckets.len();
+        drop(buckets);
         let final_path = gen_path(&self.dir, next);
         fs::rename(&tmp, &final_path).map_err(|e| io_err("publish generation", e))?;
         // Best-effort directory fsync so the rename survives power loss.
@@ -764,162 +669,80 @@ impl BlockStorage for MmapStore {
             let _ = d.sync_all();
         }
 
-        let base = Base::open(&final_path, self.num_tables, next)?;
+        let base = Base::open(&final_path, l, next)?;
         self.base = Some(Arc::new(base));
         self.generation = next;
-        self.delta.iter_mut().for_each(Table::clear);
         self.overridden.iter_mut().for_each(WordSet::clear);
         self.needs_rebuild = false;
 
-        // Prune generations older than the previous one (keep N and N−1
-        // so a crash mid-prune still leaves a valid file behind).
-        if next >= 2 {
-            for g in 1..next.saturating_sub(1) {
-                let _ = fs::remove_file(gen_path(&self.dir, g));
+        let Ok(files) = fs::read_dir(&self.dir) else {
+            return Ok(());
+        };
+        for file in files.flatten() {
+            let name = file.file_name();
+            let generation = name.to_str().and_then(|n| {
+                n.strip_prefix("gen-")?
+                    .strip_suffix(".blk")?
+                    .parse::<u64>()
+                    .ok()
+            });
+            if generation.is_some_and(|g| g != next && g + 1 != next) {
+                let _ = fs::remove_file(file.path());
             }
         }
         Ok(())
     }
 
-    fn stats(&self) -> StoreStats {
-        let mut stats = StoreStats {
-            size_histogram: vec![0; HISTOGRAM_BINS],
-            dropped: self.dropped,
-            on_disk_bytes: self.base.as_ref().map_or(0, |b| b.bytes_len),
-            ..StoreStats::default()
-        };
-        self.for_each_ids(&mut |_, _, ids| stats.record_bucket(ids.len()));
-        stats
+    /// Forgets the sealed generation (its files stay until the next seal
+    /// prunes them) and any rebuild request.
+    pub(crate) fn clear(&mut self) {
+        self.base = None;
+        self.generation = 0;
+        self.overridden.iter_mut().for_each(WordSet::clear);
+        self.needs_rebuild = false;
     }
 
-    fn heap_bytes(&self) -> u64 {
-        let overridden: usize = self
+    /// Bytes of the current generation file.
+    pub(crate) fn on_disk_bytes(&self) -> u64 {
+        self.base.as_ref().map_or(0, |b| b.bytes_len)
+    }
+
+    /// Heap bytes of the override keys, from capacities.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        let keys: usize = self
             .overridden
             .iter()
             .map(|keys| hash_heap_bytes(keys.capacity(), 16))
             .sum();
-        tables_heap_bytes(&self.delta)
-            + (std::mem::size_of_val(&self.overridden[..]) + overridden) as u64
-    }
-
-    fn clear(&mut self) {
-        self.base = None;
-        self.generation = 0;
-        self.delta.iter_mut().for_each(Table::clear);
-        self.overridden.iter_mut().for_each(WordSet::clear);
-        self.dropped = 0;
-        self.needs_rebuild = false;
+        (std::mem::size_of_val(&self.overridden[..]) + keys) as u64
     }
 }
 
-// ---------------------------------------------------------------------------
-// Serde: manifest + overlay; the base is re-mapped on load
-// ---------------------------------------------------------------------------
-
-#[derive(Serialize)]
-struct MmapRepr {
-    dir: String,
-    generation: u64,
-    num_tables: usize,
-    delta: Vec<Table>,
-    overridden: Vec<Vec<u128>>,
-    dropped: u64,
-}
-
-/// [`MmapRepr`] as builds with tombstone deletes also wrote it: its `dead`
-/// ids leave every bucket once, at load.
-#[derive(Deserialize)]
-struct MmapDoc {
-    dir: String,
-    generation: u64,
-    num_tables: usize,
-    delta: Vec<TableDoc>,
-    overridden: Vec<Vec<u128>>,
-    #[serde(default)]
-    dead: Vec<u64>,
-    dropped: u64,
-}
-
-impl Serialize for MmapStore {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut overridden: Vec<Vec<u128>> = self
-            .overridden
-            .iter()
-            .map(|s| s.iter().copied().collect())
-            .collect();
-        for v in &mut overridden {
-            v.sort_unstable();
+impl TableSet {
+    /// Rewrites `key`'s sealed bucket into the tables with only the ids
+    /// `keep` accepts, overriding the sealed copy. An id of 2³² or more
+    /// (only a generation file from before `u32` tables holds one) is
+    /// dropped and counted. Left undone — the ids stay, an evicted record a
+    /// stale candidate — when the table's arena cannot take the bucket.
+    pub(crate) fn override_bucket(&mut self, table: usize, key: u128, keep: impl Fn(u64) -> bool) {
+        let mut ids = Vec::new();
+        self.probe_into(table, key, &mut ids);
+        ids.retain(|&id| keep(id));
+        let values: Vec<u32> = ids.iter().filter_map(|&id| value_of(id)).collect();
+        if !self.tables[table].replace(key, &values) {
+            return;
         }
-        let repr = MmapRepr {
-            dir: self.dir.to_string_lossy().into_owned(),
-            generation: self.generation,
-            num_tables: self.num_tables,
-            delta: self.delta.clone(),
-            overridden,
-            dropped: self.dropped,
-        };
-        repr.serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for MmapStore {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let repr = MmapDoc::deserialize(deserializer)?;
-        let l = repr.num_tables;
-        // An overlay of another length would leave acknowledged inserts
-        // out of every probe.
-        for (what, len) in [
-            ("delta", repr.delta.len()),
-            ("overridden", repr.overridden.len()),
-        ] {
-            if len != l {
-                return Err(serde::de::Error::custom(format!(
-                    "mmap store of {l} tables has {len} {what} tables"
-                )));
-            }
+        self.dropped += (ids.len() - values.len()) as u64;
+        if let Some(sealed) = &mut self.sealed {
+            sealed.overridden[table].insert(key);
         }
-        let mut store = MmapStore::new(PathBuf::from(repr.dir), l);
-        store.dropped = repr.dropped;
-        store.delta = tables_from_doc(repr.delta, &mut store.dropped)?;
-        store.overridden = repr
-            .overridden
-            .into_iter()
-            .map(|v| v.into_iter().collect())
-            .collect();
-        if repr.generation > 0 {
-            match Base::open(&gen_path(&store.dir, repr.generation), l, repr.generation) {
-                Ok(base) => {
-                    store.base = Some(Arc::new(base));
-                    store.generation = repr.generation;
-                }
-                Err(_) => {
-                    // Torn or missing generation file: surface as a
-                    // rebuild request instead of serving a partial index.
-                    store.clear();
-                    store.needs_rebuild = true;
-                    return Ok(store);
-                }
-            }
-        }
-        if !repr.dead.is_empty() {
-            let dead: WordSet<u64> = repr.dead.into_iter().collect();
-            let mut hit = Vec::new();
-            store.for_each_ids(&mut |t, key, ids| {
-                if ids.iter().any(|id| dead.contains(id)) {
-                    hit.push((t, key));
-                }
-            });
-            for (t, key) in hit {
-                store.override_bucket(t, key, |id| !dead.contains(&id));
-            }
-        }
-        Ok(store)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockPolicy, CapMode};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -934,13 +757,12 @@ mod tests {
     #[test]
     fn compact_then_probe_from_disk() {
         let dir = tmp_dir("probe");
-        let p = BlockPolicy::default();
-        let mut s = MmapStore::new(dir.clone(), 2);
+        let mut s = TableSet::mmap(dir.clone(), 2);
         for id in 0..100u64 {
-            s.insert(0, id as u128 % 7, id, &p);
-            s.insert(1, 3, id, &p);
+            s.insert(0, id as u128 % 7, id);
+            s.insert(1, 3, id);
         }
-        s.compact(&p).unwrap();
+        s.compact().unwrap();
         assert_eq!(s.generation(), 1);
         assert!(gen_path(&dir, 1).exists());
         // Everything now streams from the mapped base.
@@ -956,7 +778,7 @@ mod tests {
             vec![2, 9, 16, 23, 30, 37, 44, 51, 58, 65, 72, 79, 86, 93]
         );
         // Delta on top of base keeps order: base first, then new ids.
-        s.insert(0, 2, 1000, &p);
+        s.insert(0, 2, 1000);
         out.clear();
         s.probe_into(0, 2, &mut out);
         assert_eq!(*out.last().unwrap(), 1000);
@@ -966,19 +788,18 @@ mod tests {
     #[test]
     fn evict_overrides_a_sealed_bucket_and_leaves_the_id_elsewhere() {
         let dir = tmp_dir("evict");
-        let p = BlockPolicy::default();
-        let mut s = MmapStore::new(dir.clone(), 2);
+        let mut s = TableSet::mmap(dir.clone(), 2);
         for id in 0..64u64 {
-            s.insert(0, 5, id, &p);
-            s.insert(1, 6, id, &p);
+            s.insert(0, 5, id);
+            s.insert(1, 6, id);
         }
-        s.compact(&p).unwrap();
-        s.insert(0, 5, 64, &p);
+        s.compact().unwrap();
+        s.insert(0, 5, 64);
         // Two of 65 ids leave table 0's bucket: the first overrides the
         // sealed copy, the second leaves the override.
         s.evict(0, 5, 7);
         s.evict(0, 5, 64);
-        let probe = |s: &MmapStore, table, key| {
+        let probe = |s: &TableSet, table, key| {
             let mut out = Vec::new();
             s.probe_into(table, key, &mut out);
             out
@@ -988,12 +809,12 @@ mod tests {
         assert_eq!(probe(&s, 1, 6), (0..64).collect::<Vec<u64>>());
         assert_eq!(s.stats().entries, 63 + 64);
         // The id re-enters elsewhere in the same table and is found there.
-        s.insert(0, 9, 7, &p);
+        s.insert(0, 9, 7);
         assert_eq!(probe(&s, 0, 9), vec![7]);
         // The override survives the document and the next generation.
-        let back: MmapStore = serde::from_value(serde::to_value(&s).unwrap()).unwrap();
+        let back: TableSet = serde::from_value(serde::to_value(&s).unwrap()).unwrap();
         assert_eq!(probe(&back, 0, 5), rest);
-        s.compact(&p).unwrap();
+        s.compact().unwrap();
         assert_eq!(probe(&s, 0, 5), rest);
         assert_eq!(probe(&s, 0, 9), vec![7]);
         let _ = fs::remove_dir_all(&dir);
@@ -1007,16 +828,17 @@ mod tests {
             cap_mode: CapMode::Chain,
             ..BlockPolicy::default()
         };
-        let mut s = MmapStore::new(dir.clone(), 1);
+        let mut s = TableSet::mmap(dir.clone(), 1);
+        s.set_policy(p);
         for id in 0..50u64 {
-            assert!(s.insert(0, 9, id, &p));
+            assert!(s.insert(0, 9, id));
         }
-        s.compact(&p).unwrap();
+        s.compact().unwrap();
         let mut out = Vec::new();
         s.probe_into(0, 9, &mut out);
         assert_eq!(out, (0..50).collect::<Vec<u64>>());
         // The file holds ceil(50/8) = 7 chunks for the one key.
-        let base = s.base.as_ref().unwrap();
+        let base = s.sealed.as_ref().unwrap().base.as_ref().unwrap();
         assert_eq!(base.dirs[0].1, 7);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1024,19 +846,18 @@ mod tests {
     #[test]
     fn torn_file_degrades_to_rebuild() {
         let dir = tmp_dir("torn");
-        let p = BlockPolicy::default();
-        let mut s = MmapStore::new(dir.clone(), 1);
+        let mut s = TableSet::mmap(dir.clone(), 1);
         for id in 0..64u64 {
-            s.insert(0, id as u128 % 5, id, &p);
+            s.insert(0, id as u128 % 5, id);
         }
-        s.compact(&p).unwrap();
+        s.compact().unwrap();
         let value = serde::to_value(&s).unwrap();
 
         // Truncate the postings mid-file (torn write).
         let path = gen_path(&dir, 1);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let restored: MmapStore = serde::from_value(value.clone()).unwrap();
+        let restored: TableSet = serde::from_value(value.clone()).unwrap();
         assert!(restored.needs_rebuild());
         assert_eq!(restored.stats().entries, 0);
 
@@ -1045,12 +866,12 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0xff;
         fs::write(&path, &flipped).unwrap();
-        let restored: MmapStore = serde::from_value(value.clone()).unwrap();
+        let restored: TableSet = serde::from_value(value.clone()).unwrap();
         assert!(restored.needs_rebuild());
 
         // Intact file round-trips cleanly.
         fs::write(&path, &bytes).unwrap();
-        let restored: MmapStore = serde::from_value(value).unwrap();
+        let restored: TableSet = serde::from_value(value).unwrap();
         assert!(!restored.needs_rebuild());
         let mut out = Vec::new();
         restored.probe_into(0, 2, &mut out);
@@ -1063,17 +884,16 @@ mod tests {
     #[test]
     fn serde_roundtrip_preserves_overlay() {
         let dir = tmp_dir("overlay");
-        let p = BlockPolicy::default();
-        let mut s = MmapStore::new(dir.clone(), 2);
+        let mut s = TableSet::mmap(dir.clone(), 2);
         for id in 0..20u64 {
-            s.insert(0, 4, id, &p);
+            s.insert(0, 4, id);
         }
-        s.compact(&p).unwrap();
-        s.insert(0, 4, 100, &p);
-        s.insert(1, 8, 101, &p);
+        s.compact().unwrap();
+        s.insert(0, 4, 100);
+        s.insert(1, 8, 101);
         s.evict(0, 4, 5);
         let value = serde::to_value(&s).unwrap();
-        let restored: MmapStore = serde::from_value(value).unwrap();
+        let restored: TableSet = serde::from_value(value).unwrap();
         assert!(!restored.needs_rebuild());
         let mut a = Vec::new();
         let mut b = Vec::new();
@@ -1088,14 +908,25 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The manifest inside a set's `{"policy", "inner": {"Mmap": …}}`.
+    fn mmap_manifest(doc: &mut serde::value::Value) -> Option<&mut serde::value::Value> {
+        let mut at = doc;
+        for name in ["inner", "Mmap"] {
+            let serde::value::Value::Object(fields) = at else {
+                return None;
+            };
+            at = &mut fields.iter_mut().find(|(k, _)| k == name)?.1;
+        }
+        Some(at)
+    }
+
     #[test]
     fn an_overlay_of_another_table_count_is_refused() {
         let dir = tmp_dir("overlay-count");
-        let p = BlockPolicy::default();
-        let mut s = MmapStore::new(dir.clone(), 3);
-        s.insert(0, 1, 10, &p);
-        s.compact(&p).unwrap();
-        s.insert(2, 4, 11, &p);
+        let mut s = TableSet::mmap(dir.clone(), 3);
+        s.insert(0, 1, 10);
+        s.compact().unwrap();
+        s.insert(2, 4, 11);
         s.evict(0, 1, 10);
         let value = serde::to_value(&s).unwrap();
         for (field, expect) in [
@@ -1106,7 +937,7 @@ mod tests {
             ),
         ] {
             let mut doc = value.clone();
-            let serde::value::Value::Object(fields) = &mut doc else {
+            let Some(serde::value::Value::Object(fields)) = mmap_manifest(&mut doc) else {
                 panic!("a store document is an object");
             };
             let Some((_, serde::value::Value::Array(tables))) =
@@ -1115,27 +946,49 @@ mod tests {
                 panic!("{field} is an array");
             };
             tables.pop();
-            let err = serde::from_value::<MmapStore>(doc).unwrap_err().to_string();
+            let err = serde::from_value::<TableSet>(doc).unwrap_err().to_string();
             assert!(err.contains(expect), "{field}: {err}");
         }
-        assert!(serde::from_value::<MmapStore>(value).is_ok());
+        assert!(serde::from_value::<TableSet>(value).is_ok());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn old_generations_are_pruned() {
         let dir = tmp_dir("prune");
-        let p = BlockPolicy::default();
-        let mut s = MmapStore::new(dir.clone(), 1);
+        let mut s = TableSet::mmap(dir.clone(), 1);
         for round in 0..4u64 {
-            s.insert(0, 1, round, &p);
-            s.compact(&p).unwrap();
+            s.insert(0, 1, round);
+            s.compact().unwrap();
         }
         assert_eq!(s.generation(), 4);
         assert!(!gen_path(&dir, 1).exists());
         assert!(!gen_path(&dir, 2).exists());
         assert!(gen_path(&dir, 3).exists());
         assert!(gen_path(&dir, 4).exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cleared_store_prunes_the_generations_it_sealed_before() {
+        let dir = tmp_dir("clear-prune");
+        let mut s = TableSet::mmap(dir.clone(), 1);
+        for round in 0..4u64 {
+            s.insert(0, 1, round);
+            s.compact().unwrap();
+        }
+        s.clear();
+        s.insert(0, 2, 9);
+        s.compact().unwrap();
+        assert_eq!(s.generation(), 1);
+        let mut files: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["gen-1.blk"], "only the generation just sealed");
+        let len = fs::metadata(gen_path(&dir, 1)).unwrap().len();
+        assert_eq!(s.stats().on_disk_bytes, len);
         let _ = fs::remove_dir_all(&dir);
     }
 }

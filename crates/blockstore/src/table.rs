@@ -457,11 +457,6 @@ impl<'a> Bucket<'a> {
     }
 }
 
-/// Heap bytes of a store's `L` tables.
-pub(crate) fn tables_heap_bytes(tables: &[Table]) -> u64 {
-    (std::mem::size_of_val(tables) + tables.iter().map(Table::heap_bytes).sum::<usize>()) as u64
-}
-
 /// The table value a store keeps for a `u64` id: `None` — refused, counted
 /// in `StoreStats::dropped` — for one of 2³² or more.
 #[inline]
@@ -635,16 +630,6 @@ impl Serialize for Table {
             .collect();
         buckets.serialize(serializer)
     }
-}
-
-/// [`Table::from_doc`] over a store's tables.
-pub(crate) fn tables_from_doc<E: serde::de::Error>(
-    docs: Vec<TableDoc>,
-    dropped: &mut u64,
-) -> Result<Vec<Table>, E> {
-    docs.into_iter()
-        .map(|doc| Table::from_doc(doc, dropped).map_err(E::custom))
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,17 +1,17 @@
 //! The load-bearing blockstore property: for any interleaving of
-//! inserts, evictions, compactions, and probes — under any cap policy —
-//! [`MmapStore`] and [`InMemoryStore`] produce **identical id sequences**
-//! for every probe. This is what lets a serving pipeline switch
-//! `--block-store` without changing match results. After every step both
-//! stores hold exactly what a `(table, key) → ids` model holds, so an
-//! evicted id leaves nothing behind.
+//! inserts, evictions, compactions, clears, document round trips and
+//! probes — under any cap policy — a memory and an mmap [`TableSet`]
+//! produce **identical id sequences** for every probe. This is what lets a
+//! serving pipeline switch `--block-store` without changing match results.
+//! After every step both stores hold exactly what a `(table, key) → ids`
+//! model holds, so an evicted id leaves nothing behind.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use rl_blockstore::{BlockPolicy, BlockStorage, CapMode, InMemoryStore, MmapStore};
+use rl_blockstore::{BlockPolicy, CapMode, TableSet};
 
 fn tmp_dir() -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -25,10 +25,25 @@ fn tmp_dir() -> PathBuf {
 /// generator stays a plain tuple vector.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Insert { table: usize, key: u128, id: u64 },
-    Evict { table: usize, key: u128, id: u64 },
-    Probe { table: usize, key: u128 },
+    Insert {
+        table: usize,
+        key: u128,
+        id: u64,
+    },
+    Evict {
+        table: usize,
+        key: u128,
+        id: u64,
+    },
+    Probe {
+        table: usize,
+        key: u128,
+    },
     Compact,
+    /// A document round trip through text, as a snapshot and its restore
+    /// do it.
+    Reload,
+    Clear,
 }
 
 const TABLES: usize = 3;
@@ -54,36 +69,51 @@ fn decode(kind: u8, seed: u64) -> Op {
     let table = (seed % TABLES as u64) as usize;
     let key = key_of((seed / 7) % KEYS);
     let id = (seed / 3) % IDS;
-    match kind % 10 {
-        0..=4 => Op::Insert { table, key, id },
-        5..=6 => Op::Evict { table, key, id },
-        7..=8 => Op::Probe { table, key },
-        _ => Op::Compact,
+    match kind {
+        0..=124 => Op::Insert { table, key, id },
+        125..=174 => Op::Evict { table, key, id },
+        175..=224 => Op::Probe { table, key },
+        225..=243 => Op::Compact,
+        244..=251 => Op::Reload,
+        252..=255 => Op::Clear,
     }
 }
 
 /// What the stores must hold: each bucket's ids in insertion order.
 type Model = BTreeMap<(usize, u128), Vec<u64>>;
 
-fn contents(store: &dyn BlockStorage) -> Model {
+fn contents(store: &TableSet) -> Model {
     let mut held = Model::new();
-    store.for_each_entry(&mut |table, key, ids| {
+    store.for_each_entry(|table, key, ids| {
         held.insert((table, key), ids.to_vec());
     });
     held
 }
 
+/// `store` written as a document and read back, as a snapshot and its
+/// restore do it.
+fn reloaded(store: &TableSet) -> TableSet {
+    let text = serde_json::to_string(store).unwrap();
+    let back: TableSet = serde_json::from_str(&text).unwrap();
+    assert!(!back.needs_rebuild());
+    assert_eq!(back.kind(), store.kind());
+    assert_eq!(serde_json::to_string(&back).unwrap(), text, "a second trip");
+    back
+}
+
 fn run_equivalence(ops: &[(u8, u64)], policy: BlockPolicy) {
     let dir = tmp_dir();
-    let mut mem = InMemoryStore::new(TABLES);
-    let mut disk = MmapStore::new(dir.clone(), TABLES);
+    let mut mem = TableSet::memory(TABLES);
+    let mut disk = TableSet::mmap(dir.clone(), TABLES);
+    mem.set_policy(policy);
+    disk.set_policy(policy);
     let mut model = Model::new();
 
     for (step, &(kind, seed)) in ops.iter().enumerate() {
         match decode(kind, seed) {
             Op::Insert { table, key, id } => {
-                let a = mem.insert(table, key, id, &policy);
-                let b = disk.insert(table, key, id, &policy);
+                let a = mem.insert(table, key, id);
+                let b = disk.insert(table, key, id);
                 assert_eq!(a, b, "insert outcome diverged at step {step}");
                 let bucket = model.entry((table, key)).or_default();
                 let full = policy.cap_mode == CapMode::Drop
@@ -113,8 +143,20 @@ fn run_equivalence(ops: &[(u8, u64)], policy: BlockPolicy) {
                 );
             }
             Op::Compact => {
-                mem.compact(&policy).unwrap();
-                disk.compact(&policy).unwrap();
+                mem.compact().unwrap();
+                disk.compact().unwrap();
+            }
+            Op::Reload => {
+                mem = reloaded(&mem);
+                disk = reloaded(&disk);
+                assert_eq!(mem.policy(), &policy, "policy at step {step}");
+                assert_eq!(disk.policy(), &policy, "policy at step {step}");
+            }
+            Op::Clear => {
+                mem.clear();
+                disk.clear();
+                model.clear();
+                assert_eq!(disk.generation(), 0, "a cleared store at step {step}");
             }
         }
         model.retain(|_, ids| !ids.is_empty());
@@ -141,7 +183,7 @@ fn run_equivalence(ops: &[(u8, u64)], policy: BlockPolicy) {
 
     // Serde round-trip of the disk store must preserve probe results.
     let value = serde::to_value(&disk).unwrap();
-    let restored: MmapStore = serde::from_value(value).unwrap();
+    let restored: TableSet = serde::from_value(value).unwrap();
     assert!(!restored.needs_rebuild());
     for table in 0..TABLES {
         for key in (0..KEYS).map(key_of) {
@@ -153,7 +195,7 @@ fn run_equivalence(ops: &[(u8, u64)], policy: BlockPolicy) {
     }
     assert_eq!(contents(&restored), model, "restored store");
     let value = serde::to_value(&mem).unwrap();
-    let restored: InMemoryStore = serde::from_value(value).unwrap();
+    let restored: TableSet = serde::from_value(value).unwrap();
     assert_eq!(contents(&restored), model, "restored memory store");
 
     let _ = std::fs::remove_dir_all(&dir);

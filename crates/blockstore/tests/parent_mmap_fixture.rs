@@ -1,4 +1,4 @@
-//! An [`MmapStore`] document written by the commit before the compact
+//! An mmap store document written by the commit before the compact
 //! tables (`tests/fixtures/mmap-parent.json` beside its sealed
 //! `mmap-parent/gen-1.blk`, made there with [`build`] below, when the delta
 //! overlay was a `HashMap<u128, Vec<u64>>` per table; only its `dir` was
@@ -32,7 +32,7 @@
 
 use std::path::{Path, PathBuf};
 
-use rl_blockstore::{BlockPolicy, BlockStorage, MmapStore};
+use rl_blockstore::{BlockPolicy, TableSet};
 use serde_json::Value;
 
 const A: u128 = 3;
@@ -46,30 +46,29 @@ fn policy() -> BlockPolicy {
     BlockPolicy::default()
 }
 
-fn build(dir: &Path) -> MmapStore {
-    let p = policy();
-    let mut s = MmapStore::new(dir.to_path_buf(), 2);
+fn build(dir: &Path) -> TableSet {
+    let mut s = TableSet::mmap(dir.to_path_buf(), 2);
     for id in 0..18u64 {
-        s.insert(0, [A, B, C][id as usize % 3], id, &p);
+        s.insert(0, [A, B, C][id as usize % 3], id);
     }
     for id in 100..106u64 {
-        s.insert(1, K, id, &p);
+        s.insert(1, K, id);
     }
-    s.compact(&p).unwrap();
+    s.compact().unwrap();
     // Delta: four more ids under a base key, new keys, one id and several.
     for id in 200..204u64 {
-        s.insert(0, A, id, &p);
+        s.insert(0, A, id);
     }
-    s.insert(0, D, 300, &p);
-    s.insert(1, K, 301, &p);
-    s.insert(1, K2, 302, &p);
-    s.insert(1, K2, 303, &p);
+    s.insert(0, D, 300);
+    s.insert(1, K, 301);
+    s.insert(1, K2, 302);
+    s.insert(1, K2, 303);
     // The parent tombstoned these under its scrub ratio (2 of 6)...
     s.evict(0, B, 1);
     s.evict(0, B, 4);
     // ...and revived one of them under another key, which brought it back
     // into B as well.
-    s.insert(0, D, 4, &p);
+    s.insert(0, D, 4);
     // There, 4 dead of 7 crossed the ratio: K was scrubbed into the delta.
     for id in 100..104u64 {
         s.evict(1, K, id);
@@ -92,7 +91,7 @@ const ANSWERS: [(usize, u128, &[u64]); 8] = [
 /// What the same history answers here: the revived id is not in `B`.
 const B_WITHOUT_THE_REVIVED_ID: &[u64] = &[7, 10, 13, 16];
 
-fn assert_answers(store: &MmapStore, who: &str, b: &[u64]) {
+fn assert_answers(store: &TableSet, who: &str, b: &[u64]) {
     for (table, key, ids) in ANSWERS {
         let ids = if (table, key) == (0, B) { b } else { ids };
         let mut out = Vec::new();
@@ -139,9 +138,26 @@ fn overridden_b(mut doc: Value, ids: &[u64]) -> Value {
     doc
 }
 
-/// Through text, as a snapshot goes, so that integer widths compare equal.
-fn document(store: &MmapStore) -> Value {
-    serde_json::value_from_str(&serde_json::to_string(store).unwrap()).unwrap()
+/// The manifest in the `TableSet` envelope a store document sits in, under
+/// the default policy.
+fn enveloped(manifest: Value) -> Value {
+    let policy = serde_json::value_from_str(&serde_json::to_string(&policy()).unwrap()).unwrap();
+    let inner = Value::Object(vec![("Mmap".to_string(), manifest)]);
+    Value::Object(vec![
+        ("policy".to_string(), policy),
+        ("inner".to_string(), inner),
+    ])
+}
+
+/// The store's manifest, through text, as a snapshot goes, so that integer
+/// widths compare equal.
+fn document(store: &TableSet) -> Value {
+    let doc: Value = serde_json::value_from_str(&serde_json::to_string(store).unwrap()).unwrap();
+    assert_eq!(doc.get("policy"), enveloped(Value::Null).get("policy"));
+    doc.get("inner")
+        .and_then(|inner| inner.get("Mmap"))
+        .unwrap()
+        .clone()
 }
 
 #[test]
@@ -159,7 +175,7 @@ fn mmap_manifest_of_the_parent_loads_probes_and_rewrites_identically() {
         assert!(filled.count() > 0, "the fixture's {part} is empty");
     }
 
-    let restored: MmapStore = serde_json::from_value(theirs.clone()).unwrap();
+    let restored: TableSet = serde_json::from_value(enveloped(theirs.clone())).unwrap();
     assert!(!restored.needs_rebuild());
     assert_eq!(restored.generation(), 1);
     let (_, _, parent_b) = ANSWERS[1];
@@ -182,10 +198,9 @@ fn mmap_manifest_of_the_parent_loads_probes_and_rewrites_identically() {
 
     // A restored store goes on: it takes an insert into a restored delta
     // bucket and seals (over the identical generation `fresh` just wrote).
-    let p = policy();
-    let mut moved: MmapStore = serde_json::from_value(rehomed(theirs, &scratch)).unwrap();
-    assert!(moved.insert(0, A, 204, &p));
-    moved.compact(&p).unwrap();
+    let mut moved: TableSet = serde_json::from_value(enveloped(rehomed(theirs, &scratch))).unwrap();
+    assert!(moved.insert(0, A, 204));
+    moved.compact().unwrap();
     let mut out = Vec::new();
     moved.probe_into(0, A, &mut out);
     assert_eq!(out, [0, 3, 6, 9, 12, 15, 200, 201, 202, 203, 204]);
@@ -206,9 +221,9 @@ fn answers_hash(entries: &[(usize, u128, u64)]) -> u64 {
         .fold(0u64, u64::wrapping_add)
 }
 
-fn entries(store: &MmapStore) -> Vec<(usize, u128, u64)> {
+fn entries(store: &TableSet) -> Vec<(usize, u128, u64)> {
     let mut out = Vec::new();
-    store.for_each_entry(&mut |t, key, values| {
+    store.for_each_entry(|t, key, values| {
         out.extend(values.iter().map(|&v| (t, key, v)));
     });
     out.sort_unstable();
@@ -227,7 +242,7 @@ fn a_parent_store_re_keyed_to_slots_answers_as_the_parent_did() {
     )
     .unwrap();
     let doc = rehomed(serde_json::value_from_str(&text).unwrap(), &scratch);
-    let mut store: MmapStore = serde_json::from_value(doc).unwrap();
+    let mut store: TableSet = serde_json::from_value(enveloped(doc)).unwrap();
     let parent = entries(&store);
     let expected: usize = ANSWERS.iter().map(|(_, _, ids)| ids.len()).sum();
     assert_eq!(parent.len(), expected);
@@ -238,7 +253,6 @@ fn a_parent_store_re_keyed_to_slots_answers_as_the_parent_did() {
     ids.sort_unstable();
     ids.dedup();
     let slot = |id: u64| ids.binary_search(&id).unwrap() as u64;
-    let p = policy();
     store.clear();
     let mut by_slot: Vec<(u64, usize, u128)> = parent
         .iter()
@@ -246,14 +260,14 @@ fn a_parent_store_re_keyed_to_slots_answers_as_the_parent_did() {
         .collect();
     by_slot.sort_unstable();
     for (s, t, key) in by_slot {
-        assert!(store.insert(t, key, s, &p));
+        assert!(store.insert(t, key, s));
     }
-    store.compact(&p).unwrap();
+    store.compact().unwrap();
     assert_eq!(store.generation(), 1, "a cleared store seals from 1 again");
     let gen = std::fs::read(scratch.join("gen-1.blk")).unwrap();
     assert_eq!(&gen[gen.len() - 8..], b"RLBSEND!", "the same file format");
 
-    let in_id_space = |store: &MmapStore| -> Vec<(usize, u128, u64)> {
+    let in_id_space = |store: &TableSet| -> Vec<(usize, u128, u64)> {
         let mut out: Vec<_> = (entries(store).into_iter())
             .map(|(t, key, s)| (t, key, ids[s as usize]))
             .collect();
@@ -264,7 +278,7 @@ fn a_parent_store_re_keyed_to_slots_answers_as_the_parent_did() {
     assert_eq!(answers_hash(&in_id_space(&store)), answers_hash(&parent));
 
     // The version 4 document keeps every slot.
-    let back: MmapStore = serde_json::from_str(&serde_json::to_string(&store).unwrap()).unwrap();
+    let back: TableSet = serde_json::from_str(&serde_json::to_string(&store).unwrap()).unwrap();
     assert!(!back.needs_rebuild());
     assert_eq!(entries(&back), entries(&store));
     let _ = std::fs::remove_dir_all(&scratch);

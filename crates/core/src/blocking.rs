@@ -64,7 +64,7 @@ use crate::error::{Error, Result};
 use crate::rule::{Pred, Rule};
 use crate::schema::{EmbeddedRecord, PackedRow, RecordSchema, RowLayout};
 use rand::Rng;
-use rl_blockstore::{BlockPolicy, StoreKind, TableSet};
+use rl_blockstore::{BlockPolicy, CapMode, TableSet};
 use rl_lsh::backend::{Backend, BackendKind, BlockingBackend};
 use rl_lsh::params::{and_probability, base_success_probability, optimal_l, or_probability};
 use rl_lsh::{BitSampleFamily, BitSampler, CoveringFamily, KeyKernel};
@@ -490,24 +490,17 @@ impl BlockingStructure {
         cfg: &crate::pipeline::BlockStoreConfig,
         dir: Option<&Path>,
     ) -> Result<()> {
-        use crate::pipeline::BlockStoreKind;
         let mut policy = BlockPolicy {
             max_block_size: cfg.max_block_size,
-            cap_mode: cfg.cap_mode.into(),
+            cap_mode: cfg.cap_mode,
             probe_top_k: cfg.probe_top_k,
         };
         if self.backend_kind() == BackendKind::Covering {
             policy.probe_top_k = 0;
-            if policy.cap_mode == rl_blockstore::CapMode::Drop {
-                policy.cap_mode = rl_blockstore::CapMode::Chain;
-            }
+            policy.cap_mode = CapMode::Chain;
         }
-        let kind = match cfg.kind {
-            BlockStoreKind::Memory => StoreKind::Memory,
-            BlockStoreKind::Mmap => StoreKind::Mmap,
-        };
         self.store
-            .convert(kind, dir)
+            .convert(cfg.kind, dir)
             .map_err(|e| Error::Store(e.to_string()))?;
         self.store.set_policy(policy);
         Ok(())
@@ -632,7 +625,7 @@ impl BlockingStructure {
     }
 
     /// Takes record `id`, inserted with row `row`, out of its bucket in
-    /// every table (`BlockStorage::evict`): the keys are recomputed from
+    /// every table (`TableSet::evict`): the keys are recomputed from
     /// `row`, so nothing of the id stays behind and a later insert of it
     /// brings nothing back.
     pub fn evict_row(&mut self, id: u64, row: &[u64]) {
@@ -645,7 +638,7 @@ impl BlockingStructure {
     }
 
     /// Re-keys record `id` from row `old` to row `new`: in a table where
-    /// the key changed the id leaves the old bucket (`BlockStorage::evict`)
+    /// the key changed the id leaves the old bucket (`TableSet::evict`)
     /// and enters the new one; where it did not, nothing is touched. Each
     /// table holds the id once afterwards.
     pub fn reindex_row(&mut self, id: u64, old: &[u64], new: &[u64]) {
@@ -790,8 +783,9 @@ impl BlockingStructure {
     /// Folds every live `(table, bucket_size)` pair into `f`
     /// (profiling/diagnostics — replaces direct table access, which the
     /// storage abstraction no longer exposes).
-    pub fn for_each_bucket(&self, f: impl FnMut(usize, usize)) {
-        self.store.for_each_bucket(f);
+    pub fn for_each_bucket(&self, mut f: impl FnMut(usize, usize)) {
+        self.store
+            .for_each_entry(|table, _, ids| f(table, ids.len()));
     }
 
     /// Folds every live `(table, key, live_ids)` entry into `f`, ids in

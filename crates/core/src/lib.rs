@@ -50,10 +50,9 @@ pub mod sharded;
 pub use cvector::{optimal_m, CVectorEmbedder};
 pub use error::Error;
 pub use metrics::LinkageQuality;
-pub use pipeline::{
-    BlockCapMode, BlockStoreConfig, BlockStoreKind, LinkageConfig, LinkagePipeline, LinkageResult,
-};
+pub use pipeline::{BlockStoreConfig, LinkageConfig, LinkagePipeline, LinkageResult};
 pub use record::Record;
+pub use rl_blockstore::{CapMode, StoreKind};
 pub use rule::Rule;
 pub use rule_parser::parse_rule;
 pub use schema::{AttributeSpec, EmbeddedRecord, RecordSchema};

@@ -16,6 +16,7 @@ use crate::record::Record;
 use crate::rule::Rule;
 use crate::schema::RecordSchema;
 use rand::Rng;
+use rl_blockstore::{CapMode, StoreKind};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,39 +59,6 @@ pub enum BlockingMode {
     CoveringRuleAware,
 }
 
-/// Which storage backend holds the blocking tables.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BlockStoreKind {
-    /// Heap-resident hash tables (the historical behaviour).
-    #[default]
-    Memory,
-    /// Disk-resident, memory-mapped generation files (`rl-blockstore`):
-    /// blocking tables can exceed RAM; requires a directory.
-    Mmap,
-}
-
-/// What happens to an insert into a bucket at the size cap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BlockCapMode {
-    /// Keep every id; the cap only chunks on-disk postings segments
-    /// (overflow-block chaining). Lossless — the default.
-    #[default]
-    Chain,
-    /// Discard inserts into a full bucket (a hard skew bound; lossy).
-    /// Ignored for covering structures, whose zero-false-negative
-    /// guarantee must hold.
-    Drop,
-}
-
-impl From<BlockCapMode> for rl_blockstore::CapMode {
-    fn from(m: BlockCapMode) -> Self {
-        match m {
-            BlockCapMode::Chain => rl_blockstore::CapMode::Chain,
-            BlockCapMode::Drop => rl_blockstore::CapMode::Drop,
-        }
-    }
-}
-
 /// Blocking-table storage configuration: backend choice plus the
 /// robustness knobs of "Scalable Blocking for Very Large Databases"
 /// (block capping, bounded probes). Documents from builds that also wrote
@@ -99,9 +67,9 @@ impl From<BlockCapMode> for rl_blockstore::CapMode {
 pub struct BlockStoreConfig {
     /// Storage backend for the blocking tables.
     #[serde(default)]
-    pub kind: BlockStoreKind,
+    pub kind: StoreKind,
     /// Directory for generation files (required for
-    /// [`BlockStoreKind::Mmap`]; each structure uses `<dir>/s<i>`, each
+    /// [`StoreKind::Mmap`]; each structure uses `<dir>/s<i>`, each
     /// shard `<dir>/shard-<j>/s<i>`).
     #[serde(default)]
     pub dir: Option<String>,
@@ -110,7 +78,7 @@ pub struct BlockStoreConfig {
     pub max_block_size: usize,
     /// Behaviour at the cap.
     #[serde(default)]
-    pub cap_mode: BlockCapMode,
+    pub cap_mode: CapMode,
     /// Per-probe distinct-candidate bound (0 = unbounded). Truncated
     /// probes are flagged in match stats and reply notes. Forced off for
     /// covering structures to preserve zero false negatives.
@@ -208,7 +176,7 @@ impl LinkageConfig {
             }
             BlockingMode::RuleAware | BlockingMode::CoveringRuleAware => {}
         }
-        if self.block.kind == BlockStoreKind::Mmap && self.block.dir.is_none() {
+        if self.block.kind == StoreKind::Mmap && self.block.dir.is_none() {
             return Err(crate::Error::InvalidParameter(
                 "block store kind \"mmap\" requires a directory (--block-dir)".into(),
             ));

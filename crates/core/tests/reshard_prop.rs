@@ -7,10 +7,10 @@
 //! double-reports) a pair.
 
 use cbv_hb::matcher::Classifier;
-use cbv_hb::pipeline::{BlockStoreConfig, BlockStoreKind, LinkageConfig, LinkagePipeline};
+use cbv_hb::pipeline::{BlockStoreConfig, LinkageConfig, LinkagePipeline};
 use cbv_hb::schema::{AttributeSpec, RecordSchema};
 use cbv_hb::sharded::ShardedPipeline;
-use cbv_hb::{Record, Rule};
+use cbv_hb::{Record, Rule, StoreKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,7 +68,7 @@ fn relation_hash(pairs: &[(u64, u64)]) -> u64 {
 
 fn mmap_cfg(dir: &std::path::Path) -> BlockStoreConfig {
     BlockStoreConfig {
-        kind: BlockStoreKind::Mmap,
+        kind: StoreKind::Mmap,
         dir: Some(dir.to_string_lossy().into_owned()),
         ..BlockStoreConfig::default()
     }

@@ -643,15 +643,16 @@ impl Response {
 /// handshake). Each `rl-wire` frame carries one of these payloads,
 /// discriminated by the frame tag:
 ///
-/// - [`TAG_REQUEST`] / [`TAG_RESPONSE`] — `request id: u64 LE` followed
-///   by the JSON-encoded [`Request`] / [`Response`]. The id correlates
-///   pipelined requests with their (possibly out-of-order) responses;
-///   id `0` marks unsolicited pushes (heartbeats, match events, stream
-///   lines), which never collide because clients allocate ids from 1.
-/// - [`TAG_WAL`] — `global op seq: u64 LE` followed by the binary
+/// - [`wire::TAG_REQUEST`] / [`wire::TAG_RESPONSE`] — `request id: u64
+///   LE` followed by the JSON-encoded [`Request`] / [`Response`]. The id
+///   correlates pipelined requests with their (possibly out-of-order)
+///   responses; id `0` marks unsolicited pushes (heartbeats, match events,
+///   stream lines), which never collide because clients allocate ids
+///   from 1.
+/// - [`wire::TAG_WAL`] — `global op seq: u64 LE` followed by the binary
 ///   [`rl_store::WalOp`] encoding (the same one v2 WAL segments store).
-/// - [`TAG_CHUNK`] — raw checkpoint bytes, no envelope: chunks arrive in
-///   order after a `CheckpointMeta` response.
+/// - [`wire::TAG_CHUNK`] — raw checkpoint bytes, no envelope: chunks
+///   arrive in order after a `CheckpointMeta` response.
 pub mod wire {
     use super::{Reply, Request, Response};
     use cbv_hb::matcher::MatchStats;

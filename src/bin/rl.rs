@@ -171,13 +171,13 @@ fn parse_blocking_mode(flags: &HashMap<String, String>) -> Result<BlockingMode, 
 /// notes).
 fn parse_block_config(flags: &HashMap<String, String>) -> Result<BlockStoreConfig, String> {
     let kind = match flags.get("block-store").map(String::as_str) {
-        None | Some("memory") => BlockStoreKind::Memory,
-        Some("mmap") => BlockStoreKind::Mmap,
+        None | Some("memory") => StoreKind::Memory,
+        Some("mmap") => StoreKind::Mmap,
         Some(other) => return Err(format!("unknown block store {other:?} (memory|mmap)")),
     };
     let cap_mode = match flags.get("block-cap-mode").map(String::as_str) {
-        None | Some("chain") => BlockCapMode::Chain,
-        Some("drop") => BlockCapMode::Drop,
+        None | Some("chain") => CapMode::Chain,
+        Some("drop") => CapMode::Drop,
         Some(other) => return Err(format!("unknown cap mode {other:?} (chain|drop)")),
     };
     let parse_usize = |key: &str| -> Result<usize, String> {

@@ -71,8 +71,8 @@ pub mod prelude {
     pub use cbv_hb::dedup::deduplicate;
     pub use cbv_hb::sharded::ShardedPipeline;
     pub use cbv_hb::{
-        parse_rule, AttributeSpec, BlockCapMode, BlockStoreConfig, BlockStoreKind, LinkageConfig,
-        LinkagePipeline, LinkageResult, Record, RecordSchema, Rule,
+        parse_rule, AttributeSpec, BlockStoreConfig, CapMode, LinkageConfig, LinkagePipeline,
+        LinkageResult, Record, RecordSchema, Rule, StoreKind,
     };
     pub use rl_baselines::{BfhLinker, CbvHbLinker, HarraLinker, LinkOutcome, Linker, SmEbLinker};
     pub use rl_datagen::{DatasetPair, PairConfig, PerturbationScheme};

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use record_linkage::cbv_hb::pipeline::LinkageConfig;
 use record_linkage::cbv_hb::sharded::ShardedPipeline;
-use record_linkage::cbv_hb::{AttributeSpec, BlockStoreKind, Record, RecordSchema, Rule};
+use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule, StoreKind};
 use record_linkage::obs::MetricsSnapshot;
 use record_linkage::server::{
     Client, DurabilityConfig, ReplRole, Server, ServerConfig, SyncPolicy,
@@ -51,7 +51,7 @@ pub fn pipeline(seed: u64, shards: usize) -> ShardedPipeline {
 /// [`pipeline`] with its blocking tables in an mmap store under `dir`.
 pub fn mmap_pipeline(seed: u64, shards: usize, dir: &Path) -> ShardedPipeline {
     pipeline_with(seed, shards, |config| {
-        config.block.kind = BlockStoreKind::Mmap;
+        config.block.kind = StoreKind::Mmap;
         config.block.dir = Some(dir.to_string_lossy().into_owned());
     })
 }

@@ -29,7 +29,7 @@ fn rule() -> Rule {
 fn config(dir: Option<&Path>) -> LinkageConfig {
     let mut config = LinkageConfig::record_level(rule(), 4, 30);
     if let Some(dir) = dir {
-        config.block.kind = BlockStoreKind::Mmap;
+        config.block.kind = StoreKind::Mmap;
         config.block.dir = Some(dir.to_string_lossy().into_owned());
     }
     config
