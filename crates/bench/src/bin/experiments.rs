@@ -4,17 +4,31 @@
 //! experiments <subcommand> [--records N] [--trials T] [--seed S] [--out DIR]
 //!
 //! subcommands:
-//!   table3    attribute statistics b, m_opt, K (Table 3)
-//!   fig6      rule-aware vs standard blocking: PC/PQ for C1, C2, C3
-//!   fig7      PC versus confidence ratio r (K = 35)
-//!   fig8a     running time versus K (PL and PH)
-//!   fig8b     embedding time per method
-//!   fig9      Pairs Completeness per method (also emits fig10/fig12 data)
-//!   fig11     PC per perturbation operation (PL and PH)
-//!   fig12     RR/PC and total running time per method
-//!   missing   extension: PC under missing values (rule-aware OR helps)
-//!   covering  extension: CoveringLSH vs random sampling at matched L
-//!   all       everything above
+//!   table3       attribute statistics b, m_opt, K (Table 3)
+//!   fig6         rule-aware vs standard blocking: PC/PQ for C1, C2, C3
+//!   fig7         PC versus confidence ratio r (K = 35)
+//!   fig8a        running time versus K (PL and PH)
+//!   fig8b        embedding time per method
+//!   fig9         Pairs Completeness per method (also emits fig10/fig12 data;
+//!                fig10 is an alias)
+//!   fig11        PC per perturbation operation (PL and PH)
+//!   fig12        RR/PC and total running time per method
+//!   missing      extension: PC under missing values (rule-aware OR helps)
+//!   guarantee    extension: measured PC against the 1 − δ guarantee
+//!   rho          extension: sensitivity to the collision tolerance ρ
+//!   jw           extension: compact Hamming vs Jaro–Winkler on names
+//!   privacy      extension: keyed embeddings and dictionary attacks
+//!   kopt         extension: predicted optimal K from a cost model
+//!   scale        extension: records sweep, sequential vs parallel
+//!   multiprobe   extension: flipped-key probing vs more tables
+//!   traditional  extension: sorted neighbourhood and canopy vs cBV-HB
+//!   qsweep       extension: bigrams vs trigrams
+//!   nonstd       extension: abbreviated addresses under two rules
+//!   covering     extension: CoveringLSH vs random sampling at matched L
+//!   ablations    design ablations: popcount vs per-bit vs edit distance,
+//!                Algorithm 2's unique collection on/off, q-gram sparsity
+//!                (exits non-zero unless its exact counts hold)
+//!   all          everything above
 //! ```
 
 use cbv_hb::{
@@ -46,7 +60,7 @@ struct Opts {
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
-        eprintln!("usage: experiments <table3|fig6|fig7|fig8a|fig8b|fig9|fig11|fig12|missing|guarantee|rho|jw|privacy|kopt|scale|multiprobe|traditional|qsweep|nonstd|covering|all> [--records N] [--trials T] [--seed S] [--out DIR]");
+        eprintln!("usage: experiments <table3|fig6|fig7|fig8a|fig8b|fig9|fig11|fig12|missing|guarantee|rho|jw|privacy|kopt|scale|multiprobe|traditional|qsweep|nonstd|covering|ablations|all> [--records N] [--trials T] [--seed S] [--out DIR]");
         std::process::exit(2);
     };
     let mut opts = Opts {
@@ -92,6 +106,7 @@ fn main() {
         "qsweep" => qsweep(&opts),
         "nonstd" => nonstd(&opts),
         "covering" => covering(&opts),
+        "ablations" => ablations(&opts),
         "all" => {
             table3(&opts);
             fig6(&opts);
@@ -112,6 +127,7 @@ fn main() {
             qsweep(&opts);
             nonstd(&opts);
             covering(&opts);
+            ablations(&opts);
         }
         other => {
             eprintln!("unknown subcommand {other}");
@@ -1551,4 +1567,293 @@ fn covering(opts: &Opts) {
     }
     t.print();
     write_json(&opts.out, "covering", &json);
+}
+
+// ------------------------------------------------- design ablations
+
+/// Timing rounds per measurement; a timing is the median round.
+const ROUNDS: usize = 11;
+
+/// Median over [`ROUNDS`] rounds of `round`'s wall time, in ns per `ops`
+/// (the operations one round performs).
+fn median_ns(ops: usize, mut round: impl FnMut()) -> f64 {
+    let mut ns: Vec<f64> = (0..ROUNDS)
+        .map(|_| {
+            let t0 = Instant::now();
+            round();
+            t0.elapsed().as_nanos() as f64 / ops as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[ROUNDS / 2]
+}
+
+/// The design choices behind the paper's claims that no figure isolates,
+/// each timed beside the exact counts that explain it: the 120-bit popcount
+/// distance against the per-bit loop and the edit distance it replaces
+/// (§1), Algorithm 2's unique-id collection on and off, and bit sampling
+/// over full q-gram vectors against c-vectors (§5.2). Exits non-zero
+/// unless the counts bear the claims out.
+fn ablations(opts: &Opts) {
+    use cbv_hb::blocking::{BlockingPlan, TableCount};
+    use cbv_hb::matcher::{index_row, match_structure_literal, Classifier, MatchStats, RecordSlab};
+    use cbv_hb::qvector::QGramVectorEmbedder;
+    use cbv_hb::schema::RowLayout;
+    use cbv_hb::CVectorEmbedder;
+    use rl_bitvec::{naive_hamming, BitVec};
+    use std::hint::black_box;
+    use textdist::levenshtein;
+    println!("\n## Design ablations — distance kernel, unique collection, sparsity");
+    let pair = ncvr_pair(opts.records, PerturbationScheme::Light, opts.seed);
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    // The paper's NCVR record: 15 + 15 + 68 + 22 = 120 bits.
+    let schema = RecordSchema::build(
+        Alphabet::linkage(),
+        vec![
+            AttributeSpec::new("FirstName", 2, 15, false, 5),
+            AttributeSpec::new("LastName", 2, 15, false, 5),
+            AttributeSpec::new("Address", 2, 68, false, 10),
+            AttributeSpec::new("Town", 2, 22, false, 10),
+        ],
+        &mut rng,
+    );
+    let (layout, w) = (schema.layout(), schema.row_words());
+    let (mut rows_a, mut rows_b) = (Vec::new(), Vec::new());
+    schema.embed_rows(&pair.a, &mut rows_a).expect("embed A");
+    schema.embed_rows(&pair.b, &mut rows_b).expect("embed B");
+    let mut failures = Vec::new();
+
+    // The distance kernels over the true-match pairs.
+    // Row `i` of `rows` as one 120-bit vector.
+    let bitvec = |rows: &[u64], i: usize| {
+        let bit = |b: &usize| rows[i * w + b / 64] >> (b % 64) & 1 == 1;
+        BitVec::from_positions(layout.bits(), (0..layout.bits()).filter(bit))
+    };
+    let pos_a: HashMap<u64, usize> = pair.a.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
+    let pos_b: HashMap<u64, usize> = pair.b.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
+    let mut truth: Vec<(u64, u64)> = pair.ground_truth.iter().copied().collect();
+    truth.sort_unstable();
+    let pairs: Vec<(usize, usize)> = truth.iter().map(|(a, b)| (pos_a[a], pos_b[b])).collect();
+    let records: Vec<(&Record, &Record)> = pairs
+        .iter()
+        .map(|&(a, b)| (&pair.a[a], &pair.b[b]))
+        .collect();
+    let vecs: Vec<(BitVec, BitVec)> = pairs
+        .iter()
+        .map(|&(a, b)| (bitvec(&rows_a, a), bitvec(&rows_b, b)))
+        .collect();
+    // Each round makes at least 50 000 distance computations.
+    let passes = 50_000usize.div_ceil(pairs.len().max(1));
+    let ops = passes * pairs.len();
+    /// `d`'s median ns a pair over `passes` passes of `pairs` a round, and
+    /// its sum over `pairs`.
+    fn kernel<T>(pairs: &[(T, T)], passes: usize, d: impl Fn(&T, &T) -> u64) -> (f64, u64) {
+        let sum = pairs.iter().map(|(a, b)| d(a, b)).sum();
+        let ns = median_ns(passes * pairs.len(), || {
+            for _ in 0..passes {
+                for (a, b) in pairs {
+                    black_box(d(black_box(a), black_box(b)));
+                }
+            }
+        });
+        (ns, sum)
+    }
+    let (packed_ns, packed_sum) = kernel(&vecs, passes, |a, b| u64::from(a.hamming(b)));
+    let (naive_ns, naive_sum) = kernel(&vecs, passes, |a, b| u64::from(naive_hamming(a, b)));
+    let (edit_ns, edit_sum) = kernel(&records, passes, |a, b| {
+        (0..4)
+            .map(|f| levenshtein(a.field(f), b.field(f)) as u64)
+            .sum()
+    });
+    if packed_sum != naive_sum {
+        failures.push(format!(
+            "packed and per-bit distances disagree: {packed_sum} vs {naive_sum}"
+        ));
+    }
+    let mut t = Table::new(
+        "Distance of a true-match pair (NCVR, PL, 120-bit record c-vector)",
+        ["kernel", "ns / pair", "× packed", "Σ distance"],
+    );
+    for (kernel, ns, sum) in [
+        ("packed popcount", packed_ns, packed_sum),
+        ("per-bit loop", naive_ns, naive_sum),
+        ("edit distance, 4 fields", edit_ns, edit_sum),
+    ] {
+        t.row([
+            kernel.to_string(),
+            format!("{ns:.1}"),
+            format!("{:.1}", ns / packed_ns),
+            sum.to_string(),
+        ]);
+    }
+    t.print();
+    let distance = serde_json::json!({
+        "pairs": pairs.len(), "bits": layout.bits(), "rounds": ROUNDS,
+        "computations_per_round": ops,
+        "packed_popcount_ns": packed_ns, "per_bit_ns": naive_ns,
+        "edit_distance_4_fields_ns": edit_ns,
+        "per_bit_over_packed": naive_ns / packed_ns,
+        "edit_over_packed": edit_ns / packed_ns,
+        "hamming_sum": packed_sum, "edit_sum": edit_sum,
+    });
+
+    // Algorithm 2 over one rule-aware structure, probed with every B record.
+    let rule = Rule::and((0..4).map(|i| Rule::pred(i, 4)));
+    let mut plan = BlockingPlan::compile(&schema, &rule, 0.1, &mut rng).expect("valid rule");
+    let mut store = RecordSlab::new(layout.clone());
+    for (id, row) in schema.rows_of(&pair.a, &rows_a) {
+        index_row(&mut plan, &mut store, id, row).expect("index A");
+    }
+    let classifier = Classifier::Rule(rule);
+    let structure = &plan.structures()[0];
+    let probe_all = |dedup: bool| {
+        let mut stats = MatchStats::default();
+        for probe in rows_b.chunks_exact(w) {
+            black_box(match_structure_literal(
+                structure,
+                &store,
+                probe,
+                &classifier,
+                dedup,
+                &mut stats,
+            ));
+        }
+        stats
+    };
+    let (with, without) = (probe_all(true), probe_all(false));
+    // With the collection, one computation per unique candidate, at most
+    // the computations without it.
+    if with.distance_computations != with.candidates
+        || with.candidates > without.distance_computations
+    {
+        failures.push(format!(
+            "{} distance computations with the collection for {} unique candidates, {} without",
+            with.distance_computations, with.candidates, without.distance_computations
+        ));
+    }
+    let probes = pair.b.len().max(1);
+    let mut t = Table::new(
+        &format!(
+            "Algorithm 2 with and without the unique collection (L = {})",
+            structure.l()
+        ),
+        [
+            "unique collection",
+            "ns / probe",
+            "distance computations / probe",
+            "matched",
+        ],
+    );
+    let mut algorithm2 = Vec::new();
+    for (collection, stats) in [(true, &with), (false, &without)] {
+        let ns = median_ns(probes, || {
+            black_box(probe_all(collection));
+        });
+        let per_probe = stats.distance_computations as f64 / probes as f64;
+        t.row([
+            if collection { "on" } else { "off" }.to_string(),
+            format!("{ns:.0}"),
+            format!("{per_probe:.2}"),
+            stats.matched.to_string(),
+        ]);
+        algorithm2.push(serde_json::json!({
+            "unique_collection": collection, "l": structure.l(), "probes": probes,
+            "ns_per_probe": ns, "distance_computations": stats.distance_computations,
+            "distance_computations_per_probe": per_probe,
+            "unique_candidates": with.candidates, "matched": stats.matched,
+        }));
+    }
+    t.print();
+
+    // One K = 10 table over the last names alone, as full q-gram vectors
+    // and as 15-bit c-vectors.
+    let full = QGramVectorEmbedder::new(Alphabet::linkage(), 2, false);
+    let compact = CVectorEmbedder::random(Alphabet::linkage(), 2, 15, false, &mut rng);
+    type Embed<'a> = &'a dyn Fn(&str) -> BitVec;
+    let vectors: [(&str, usize, Embed); 2] = [
+        ("full q-gram vector", full.size(), &|v| full.embed(v)),
+        ("c-vector", 15, &|v| compact.embed(v)),
+    ];
+    let mut t = Table::new(
+        "Bit sampling over last names (one table, K = 10)",
+        [
+            "vector",
+            "bits",
+            "buckets",
+            "largest bucket",
+            "entries touched / probe",
+            "ns / probe",
+        ],
+    );
+    let (mut sparsity, mut largest) = (Vec::new(), Vec::new());
+    for (vector, m, embed) in vectors {
+        let layout = RowLayout::from_widths([m]);
+        let mut plan =
+            BlockingPlan::record_level_over(&layout, 0, 10, TableCount::Fixed(1), &mut rng)
+                .expect("a one-table plan");
+        let rows = |records: &[Record]| {
+            let mut rows = Vec::new();
+            for r in records {
+                let v = embed(r.field(1));
+                layout.push_row(&[v], &mut rows).expect("one attribute");
+            }
+            rows
+        };
+        let w = layout.words();
+        for (pos, row) in rows(&pair.a).chunks_exact(w).enumerate() {
+            plan.insert_row(pos as u64, row);
+        }
+        let probe_rows = rows(&pair.b);
+        let structure = &plan.structures()[0];
+        let touch = || {
+            let (mut keys, mut met, mut touched) = (Vec::new(), Vec::new(), 0);
+            for row in probe_rows.chunks_exact(w) {
+                structure.keys_into_row(row, &mut keys);
+                met.clear();
+                structure.probe_key_into(0, keys[0], &mut met);
+                touched += met.len();
+            }
+            touched
+        };
+        let touched = touch() as f64 / probes as f64;
+        let ns = median_ns(probes, || {
+            black_box(touch());
+        });
+        t.row([
+            vector.to_string(),
+            m.to_string(),
+            structure.num_buckets().to_string(),
+            structure.max_bucket().to_string(),
+            format!("{touched:.1}"),
+            format!("{ns:.0}"),
+        ]);
+        sparsity.push(serde_json::json!({
+            "vector": vector, "bits": m, "k": 10, "records": pair.a.len(), "probes": probes,
+            "buckets": structure.num_buckets(), "max_bucket": structure.max_bucket(),
+            "entries_touched_per_probe": touched, "ns_per_probe": ns,
+        }));
+        largest.push(structure.max_bucket());
+    }
+    t.print();
+    if largest[0] <= largest[1] {
+        failures.push(format!(
+            "the full-vector table's largest bucket ({}) does not exceed the c-vector table's ({})",
+            largest[0], largest[1]
+        ));
+    }
+
+    write_json(
+        &opts.out,
+        "ablations",
+        &serde_json::json!({
+            "records": opts.records, "seed": opts.seed,
+            "distance": distance, "algorithm2": algorithm2, "sparsity": sparsity,
+        }),
+    );
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("ablations: {f}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -10,4 +10,4 @@ pub mod report;
 pub mod runner;
 
 pub use report::{write_json, Table};
-pub use runner::{average, run_linker, MethodResult, TrialRunner};
+pub use runner::{average, run_linker, MethodResult};

@@ -104,40 +104,6 @@ pub fn average(results: &[MethodResult]) -> MethodResult {
     }
 }
 
-/// Convenience: run `trials` seeded repetitions of a linker-factory over a
-/// pair-factory and average.
-pub struct TrialRunner {
-    /// Number of repetitions (the paper averages 50; defaults here are
-    /// smaller for laptop-scale runs).
-    pub trials: u64,
-    /// Base seed; trial `i` uses `base_seed + i`.
-    pub base_seed: u64,
-}
-
-impl TrialRunner {
-    /// Creates a runner.
-    pub fn new(trials: u64, base_seed: u64) -> Self {
-        assert!(trials > 0, "need at least one trial");
-        Self { trials, base_seed }
-    }
-
-    /// Runs and averages. `make` receives the trial seed and returns the
-    /// `(linker, pair)` for that trial.
-    pub fn run<L, F>(&self, mut make: F) -> MethodResult
-    where
-        L: Linker,
-        F: FnMut(u64) -> (L, DatasetPair),
-    {
-        let results: Vec<MethodResult> = (0..self.trials)
-            .map(|i| {
-                let (mut linker, pair) = make(self.base_seed + i);
-                run_linker(&mut linker, &pair)
-            })
-            .collect();
-        average(&results)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,9 @@
 //! Low-level word operations: the fast paths and their naive references.
 //!
 //! `hamming_words` is the production kernel (XOR + popcount per word). The
-//! `naive_hamming` per-bit loop exists only as the baseline for the
-//! `ablation_popcount` bench, demonstrating why packed words matter for the
-//! paper's "distances computed very fast" claim.
+//! `naive_hamming` per-bit loop exists only as the reference the tests and
+//! `experiments ablations` compare it with, demonstrating why packed words
+//! matter for the paper's "distances computed very fast" claim.
 
 use crate::BitVec;
 

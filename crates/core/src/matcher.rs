@@ -799,7 +799,8 @@ pub fn match_batch<'a>(
 /// order they were met, de-duplicating via a unique-id collection when
 /// `dedup` is true. With `dedup = false` every bucket occurrence triggers a
 /// distance computation (the redundancy the paper's de-dup mechanism
-/// removes) — kept for the `ablation_dedup` bench.
+/// removes) — kept for the tests and `experiments ablations`, which
+/// compare the two.
 pub fn match_structure_literal(
     structure: &BlockingStructure,
     store: &RecordSlab,

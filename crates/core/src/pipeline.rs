@@ -228,16 +228,6 @@ impl PipelineMetrics {
             ),
         })
     }
-
-    /// Standalone histograms outside any registry (tests, ad-hoc probes).
-    pub fn unregistered() -> Arc<Self> {
-        Arc::new(Self {
-            embed: Arc::new(rl_obs::Histogram::new()),
-            block: Arc::new(rl_obs::Histogram::new()),
-            matching: Arc::new(rl_obs::Histogram::new()),
-            observe: Arc::new(rl_obs::Histogram::new()),
-        })
-    }
 }
 
 /// Timings of the pipeline phases, in nanoseconds.
@@ -559,18 +549,38 @@ impl LinkagePipeline {
     /// be unique within each data set.
     ///
     /// # Errors
-    /// Returns embedding errors from malformed records.
+    /// Returns [`crate::Error::InvalidParameter`] for more than 2¹⁶ sets or
+    /// an id of 2⁴⁸ or more (an index id carries the set in its top 16
+    /// bits), and embedding errors from malformed records.
     pub fn link_many(
         schema: RecordSchema,
         config: LinkageConfig,
         sets: &[&[Record]],
         rng: &mut impl Rng,
     ) -> Result<Vec<(usize, u64, usize, u64)>> {
+        const ID_BITS: u32 = 48;
+        if sets.len() > 1 << (64 - ID_BITS) {
+            return Err(crate::Error::InvalidParameter(format!(
+                "link_many takes at most 2^{} data sets, got {}",
+                64 - ID_BITS,
+                sets.len()
+            )));
+        }
+        if let Some((si, r)) = sets
+            .iter()
+            .enumerate()
+            .find_map(|(si, set)| set.iter().find(|r| r.id >> ID_BITS != 0).map(|r| (si, r)))
+        {
+            return Err(crate::Error::InvalidParameter(format!(
+                "link_many ids must be below 2^{ID_BITS}: data set {si} has id {}",
+                r.id
+            )));
+        }
         let mut out = Vec::new();
         let mut pipeline = LinkagePipeline::new(schema, config, rng)?;
         // Tag ids with their data-set index to keep them globally unique.
-        let tag = |set: usize, id: u64| ((set as u64) << 48) | id;
-        let untag = |id: u64| ((id >> 48) as usize, id & ((1 << 48) - 1));
+        let tag = |set: usize, id: u64| ((set as u64) << ID_BITS) | id;
+        let untag = |id: u64| ((id >> ID_BITS) as usize, id & ((1 << ID_BITS) - 1));
         for (si, set) in sets.iter().enumerate() {
             // Probe against everything indexed so far (earlier sets only).
             let tagged: Vec<Record> = set
@@ -760,6 +770,33 @@ mod tests {
         for (sa, _, sb, _) in &matches {
             assert_ne!(sa, sb, "matches must span different data sets");
         }
+    }
+
+    #[test]
+    fn link_many_refuses_ids_and_set_counts_its_tags_cannot_hold() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let s = schema(&mut rng);
+        // Tagged as `(set << 48) | id`, set 0's id 2^48 would be set 1's
+        // id 0, and the twins below would be reported as set 1 matching
+        // itself.
+        let a = vec![Record::new(1 << 48, ["JOHN", "SMITH", "DURHAM"])];
+        let b = vec![Record::new(0, ["JOHN", "SMITH", "DURHAM"])];
+        let config = || LinkageConfig::rule_aware(rule());
+        let err = LinkagePipeline::link_many(s.clone(), config(), &[&a, &b], &mut rng);
+        assert!(
+            matches!(err, Err(crate::Error::InvalidParameter(_))),
+            "{err:?}"
+        );
+        let below = vec![Record::new((1 << 48) - 1, ["JOHN", "SMITH", "DURHAM"])];
+        let ok = LinkagePipeline::link_many(s.clone(), config(), &[&below, &b], &mut rng).unwrap();
+        assert_eq!(ok, vec![(0, (1 << 48) - 1, 1, 0)]);
+        let empty: &[Record] = &[];
+        let sets = vec![empty; (1 << 16) + 1];
+        let err = LinkagePipeline::link_many(s, config(), &sets, &mut rng);
+        assert!(
+            matches!(err, Err(crate::Error::InvalidParameter(_))),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! sets ~6 of 676+ positions), which cripples bit-sampling LSH: sampled
 //! positions are almost always 0, so blocking keys collapse into a few
 //! overpopulated buckets. The compact [`crate::cvector`] embedding exists to
-//! fix exactly this; the `ablation_sparsity` bench demonstrates the gap.
+//! fix exactly this; `experiments ablations` measures the gap.
 
 use rl_bitvec::BitVec;
 use textdist::{Alphabet, QGramSet};

@@ -263,11 +263,6 @@ impl ReshardDriver {
     pub fn migrated(&self) -> u64 {
         self.migrated.load(Ordering::Relaxed)
     }
-
-    /// True once the copy has drained the source.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
 }
 
 /// A sharded linkage index: partitioned data, probes that walk every shard

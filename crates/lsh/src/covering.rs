@@ -182,16 +182,6 @@ impl CoveringFamily {
     pub fn groups(&self) -> &[CoveringGroup] {
         &self.groups
     }
-
-    /// Mean kept-width across groups — each position lands in exactly
-    /// `2^{θ_H}` of the `2^{θ_H+1} − 1` groups, so this is ≈ `m/2`.
-    pub fn mean_width(&self) -> f64 {
-        if self.groups.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.groups.iter().map(CoveringGroup::width).sum();
-        total as f64 / self.groups.len() as f64
-    }
 }
 
 #[cfg(test)]

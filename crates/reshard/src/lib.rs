@@ -102,11 +102,6 @@ impl ShardMap {
         }
     }
 
-    /// The shard owning a record id (routes through [`key_point`]).
-    pub fn shard_of_id(&self, id: u64) -> usize {
-        self.shard_of(key_point(id))
-    }
-
     /// All inclusive ranges currently assigned to `shard`, in keyspace order.
     pub fn ranges_of(&self, shard: usize) -> Vec<KeyRange> {
         let mut out = Vec::new();

@@ -657,6 +657,7 @@ pub mod wire {
     use super::{Reply, Request, Response};
     use cbv_hb::matcher::MatchStats;
     use cbv_hb::Record;
+    use rl_store::wal::{encode_record, Cursor};
 
     /// Frame tag: an id-enveloped [`Request`].
     pub const TAG_REQUEST: u8 = 1;
@@ -847,7 +848,7 @@ pub mod wire {
         let resp = match format {
             BODY_JSON => serde_json::from_slice::<Response>(body).map_err(|e| e.to_string())?,
             BODY_MATCHES => {
-                let mut cur = Cursor(body);
+                let mut cur = Cursor::new("body", body);
                 let n = cur.u32()? as usize;
                 let mut pairs = Vec::with_capacity(n.min(1 << 20));
                 for _ in 0..n {
@@ -870,7 +871,7 @@ pub mod wire {
                 })
             }
             BODY_INDEXED => {
-                let mut cur = Cursor(body);
+                let mut cur = Cursor::new("body", body);
                 let accepted = cur.u64()? as usize;
                 let total_indexed = cur.u64()? as usize;
                 // v8 appended `applied_seq`; tolerate its absence so a v8
@@ -884,7 +885,7 @@ pub mod wire {
                 })
             }
             BODY_OBSERVED => {
-                let mut cur = Cursor(body);
+                let mut cur = Cursor::new("body", body);
                 let n = cur.u32()? as usize;
                 let mut matches = Vec::with_capacity(n.min(1 << 20));
                 for _ in 0..n {
@@ -902,81 +903,25 @@ pub mod wire {
         Ok((id, resp))
     }
 
-    /// `format byte | count u32 LE | records`, each record
-    /// `id u64 LE | nfields u16 LE | (len u32 LE | utf-8 bytes)*` —
-    /// the same record shape the binary WAL uses.
+    /// `format byte | count u32 LE | records`, each record a record body
+    /// ([`rl_store::wal::encode_record`]), the shape the binary WAL uses.
     fn encode_records(format: u8, records: &[Record], out: &mut Vec<u8>) {
         out.push(format);
         out.extend_from_slice(&(records.len() as u32).to_le_bytes());
         for rec in records {
-            out.extend_from_slice(&rec.id.to_le_bytes());
-            out.extend_from_slice(&(rec.fields.len() as u16).to_le_bytes());
-            for field in &rec.fields {
-                out.extend_from_slice(&(field.len() as u32).to_le_bytes());
-                out.extend_from_slice(field.as_bytes());
-            }
+            encode_record(rec, out);
         }
     }
 
     fn decode_records(body: &[u8]) -> Result<Vec<Record>, String> {
-        let mut cur = Cursor(body);
+        let mut cur = Cursor::new("body", body);
         let n = cur.u32()? as usize;
         let mut records = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            let id = cur.u64()?;
-            let nfields = cur.u16()? as usize;
-            let mut fields = Vec::with_capacity(nfields.min(1024));
-            for _ in 0..nfields {
-                let len = cur.u32()? as usize;
-                let raw = cur.take(len)?;
-                let s = std::str::from_utf8(raw).map_err(|e| format!("field not utf-8: {e}"))?;
-                fields.push(s.to_string());
-            }
-            records.push(Record { id, fields });
+            records.push(cur.record()?);
         }
         cur.finish()?;
         Ok(records)
-    }
-
-    /// A bounds-checked little-endian reader over a body slice.
-    struct Cursor<'a>(&'a [u8]);
-
-    impl<'a> Cursor<'a> {
-        fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-            if self.0.len() < n {
-                return Err(format!(
-                    "body truncated: need {n} bytes, have {}",
-                    self.0.len()
-                ));
-            }
-            let (head, rest) = self.0.split_at(n);
-            self.0 = rest;
-            Ok(head)
-        }
-        fn u16(&mut self) -> Result<u16, String> {
-            Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-        }
-        fn u32(&mut self) -> Result<u32, String> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-        }
-        fn u64(&mut self) -> Result<u64, String> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-        }
-        /// Reads a trailing `u64` that older peers do not send: returns 0
-        /// on an exhausted body, errors only on a *partial* field.
-        fn u64_or_zero(&mut self) -> Result<u64, String> {
-            if self.0.is_empty() {
-                return Ok(0);
-            }
-            self.u64()
-        }
-        fn finish(&self) -> Result<(), String> {
-            if self.0.is_empty() {
-                Ok(())
-            } else {
-                Err(format!("{} trailing bytes after body", self.0.len()))
-            }
-        }
     }
 
     /// Encodes a [`TAG_WAL`] payload into `payload` (cleared first).

@@ -149,12 +149,18 @@ const OP_RESHARD: u8 = 4;
 
 impl WalOp {
     /// Appends the compact binary encoding to `out`:
-    /// `op tag (1) | id u64 LE | nfields u16 LE | (len u32 LE | bytes)*`
-    /// for record ops, `op tag | id u64 LE` for deletes.
+    /// `op tag (1) |` a record body ([`encode_record`]) for record ops,
+    /// `op tag | id u64 LE` for deletes.
     pub fn encode_bin(&self, out: &mut Vec<u8>) {
         match self {
-            WalOp::Insert(rec) => encode_record(OP_INSERT, rec, out),
-            WalOp::Observe(rec) => encode_record(OP_OBSERVE, rec, out),
+            WalOp::Insert(rec) => {
+                out.push(OP_INSERT);
+                encode_record(rec, out);
+            }
+            WalOp::Observe(rec) => {
+                out.push(OP_OBSERVE);
+                encode_record(rec, out);
+            }
             WalOp::Delete(id) => {
                 out.push(OP_DELETE);
                 out.extend_from_slice(&id.to_le_bytes());
@@ -178,7 +184,7 @@ impl WalOp {
     /// A description of the malformation (callers map it onto their own
     /// corruption error).
     pub fn decode_bin(bytes: &[u8]) -> Result<WalOp, String> {
-        let mut cur = Cursor(bytes);
+        let mut cur = Cursor::new("op", bytes);
         let tag = cur.u8()?;
         let op = match tag {
             OP_DELETE => WalOp::Delete(cur.u64()?),
@@ -193,35 +199,19 @@ impl WalOp {
                     target: cur.u64()?,
                 }
             }
-            OP_INSERT | OP_OBSERVE => {
-                let id = cur.u64()?;
-                let nfields = cur.u16()? as usize;
-                let mut fields = Vec::with_capacity(nfields.min(1024));
-                for _ in 0..nfields {
-                    let len = cur.u32()? as usize;
-                    let raw = cur.take(len)?;
-                    let s =
-                        std::str::from_utf8(raw).map_err(|e| format!("field not utf-8: {e}"))?;
-                    fields.push(s.to_string());
-                }
-                let rec = Record { id, fields };
-                if tag == OP_INSERT {
-                    WalOp::Insert(rec)
-                } else {
-                    WalOp::Observe(rec)
-                }
-            }
+            OP_INSERT => WalOp::Insert(cur.record()?),
+            OP_OBSERVE => WalOp::Observe(cur.record()?),
             other => return Err(format!("unknown op tag {other}")),
         };
-        if !cur.0.is_empty() {
-            return Err(format!("{} trailing bytes after op", cur.0.len()));
-        }
+        cur.finish()?;
         Ok(op)
     }
 }
 
-fn encode_record(tag: u8, rec: &Record, out: &mut Vec<u8>) {
-    out.push(tag);
+/// Appends a record body, `id u64 LE | nfields u16 LE | (len u32 LE |
+/// utf-8 bytes)*`: the shape of a record in a binary [`WalOp`] and in the
+/// socket protocol's record-carrying requests. [`Cursor::record`] reads it.
+pub fn encode_record(rec: &Record, out: &mut Vec<u8>) {
     out.extend_from_slice(&rec.id.to_le_bytes());
     out.extend_from_slice(&(rec.fields.len() as u16).to_le_bytes());
     for field in &rec.fields {
@@ -230,32 +220,99 @@ fn encode_record(tag: u8, rec: &Record, out: &mut Vec<u8>) {
     }
 }
 
-/// A bounds-checked little-endian reader over a byte slice.
-struct Cursor<'a>(&'a [u8]);
+/// A bounds-checked little-endian reader over a byte slice. Its errors
+/// name what it reads (`"op"`, `"body"`): `"{what} truncated: …"`.
+pub struct Cursor<'a> {
+    what: &'static str,
+    rest: &'a [u8],
+}
 
 impl<'a> Cursor<'a> {
+    /// A reader over `bytes`, which hold one `what`.
+    pub fn new(what: &'static str, bytes: &'a [u8]) -> Self {
+        Self { what, rest: bytes }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.0.len() < n {
+        if self.rest.len() < n {
             return Err(format!(
-                "op truncated: need {n} bytes, have {}",
-                self.0.len()
+                "{} truncated: need {n} bytes, have {}",
+                self.what,
+                self.rest.len()
             ));
         }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
         Ok(head)
     }
+
     fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
+
     fn u16(&mut self) -> Result<u16, String> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
-    fn u32(&mut self) -> Result<u32, String> {
+
+    /// Reads a little-endian `u32`.
+    ///
+    /// # Errors
+    /// The bytes run out.
+    pub fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
-    fn u64(&mut self) -> Result<u64, String> {
+
+    /// Reads a little-endian `u64`.
+    ///
+    /// # Errors
+    /// The bytes run out.
+    pub fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// Reads a trailing `u64` that older peers do not send: 0 when the
+    /// bytes are exhausted.
+    ///
+    /// # Errors
+    /// A *partial* field.
+    pub fn u64_or_zero(&mut self) -> Result<u64, String> {
+        if self.rest.is_empty() {
+            return Ok(0);
+        }
+        self.u64()
+    }
+
+    /// Reads one record body, as [`encode_record`] writes it.
+    ///
+    /// # Errors
+    /// The bytes run out or a field is not UTF-8.
+    pub fn record(&mut self) -> Result<Record, String> {
+        let id = self.u64()?;
+        let nfields = self.u16()? as usize;
+        let mut fields = Vec::with_capacity(nfields.min(1024));
+        for _ in 0..nfields {
+            let len = self.u32()? as usize;
+            let raw = self.take(len)?;
+            let s = std::str::from_utf8(raw).map_err(|e| format!("field not utf-8: {e}"))?;
+            fields.push(s.to_string());
+        }
+        Ok(Record { id, fields })
+    }
+
+    /// Checks that every byte was read.
+    ///
+    /// # Errors
+    /// Bytes remain.
+    pub fn finish(&self) -> Result<(), String> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} trailing bytes after {}",
+                self.rest.len(),
+                self.what
+            ))
+        }
     }
 }
 
@@ -433,7 +490,8 @@ impl Wal {
     /// As [`Self::append_batch`].
     pub fn append_inserts(&mut self, records: &[Record]) -> Result<u64, StoreError> {
         self.append_frames(records.len(), |i, out| {
-            encode_record(OP_INSERT, &records[i], out)
+            out.push(OP_INSERT);
+            encode_record(&records[i], out);
         })
     }
 

@@ -180,11 +180,6 @@ impl WindowedEngine {
             .map(f)
     }
 
-    /// Accumulated matching counters for a subscription's probes.
-    pub fn sub_stats(&self, sub: u64) -> Option<MatchStats> {
-        self.entry(sub, |e| e.stats)
-    }
-
     /// Total LSH tables a subscription's compiled plan probes per record
     /// (`Σ L` over the structures its rule requires).
     pub fn sub_tables(&self, sub: u64) -> Option<usize> {
