@@ -25,9 +25,10 @@
 //!   qsweep       extension: bigrams vs trigrams
 //!   nonstd       extension: abbreviated addresses under two rules
 //!   covering     extension: CoveringLSH vs random sampling at matched L
-//!   ablations    design ablations: popcount vs per-bit vs edit distance,
-//!                Algorithm 2's unique collection on/off, q-gram sparsity
-//!                (exits non-zero unless its exact counts hold)
+//!   ablations    design ablations: position table vs g per q-gram,
+//!                popcount vs per-bit vs edit distance, Algorithm 2's
+//!                unique collection on/off, q-gram sparsity (exits non-zero
+//!                unless its exact counts hold and both embeds agree)
 //!   all          everything above
 //! ```
 
@@ -1589,11 +1590,13 @@ fn median_ns(ops: usize, mut round: impl FnMut()) -> f64 {
 }
 
 /// The design choices behind the paper's claims that no figure isolates,
-/// each timed beside the exact counts that explain it: the 120-bit popcount
-/// distance against the per-bit loop and the edit distance it replaces
-/// (§1), Algorithm 2's unique-id collection on and off, and bit sampling
-/// over full q-gram vectors against c-vectors (§5.2). Exits non-zero
-/// unless the counts bear the claims out.
+/// each timed beside the exact counts that explain it: the embedder's
+/// position table against `g` evaluated per q-gram (§5.2), the 120-bit
+/// popcount distance against the per-bit loop and the edit distance it
+/// replaces (§1), Algorithm 2's unique-id collection on and off, and bit
+/// sampling over full q-gram vectors against c-vectors (§5.2). Exits
+/// non-zero unless the counts bear the claims out and the two embed kernels
+/// write identical rows.
 fn ablations(opts: &Opts) {
     use cbv_hb::blocking::{BlockingPlan, TableCount};
     use cbv_hb::matcher::{index_row, match_structure_literal, Classifier, MatchStats, RecordSlab};
@@ -1602,8 +1605,8 @@ fn ablations(opts: &Opts) {
     use cbv_hb::CVectorEmbedder;
     use rl_bitvec::{naive_hamming, BitVec};
     use std::hint::black_box;
-    use textdist::levenshtein;
-    println!("\n## Design ablations — distance kernel, unique collection, sparsity");
+    use textdist::{for_each_qgram_index, levenshtein};
+    println!("\n## Design ablations — embed kernel, distance kernel, unique collection, sparsity");
     let pair = ncvr_pair(opts.records, PerturbationScheme::Light, opts.seed);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     // The paper's NCVR record: 15 + 15 + 68 + 22 = 120 bits.
@@ -1622,6 +1625,59 @@ fn ablations(opts: &Opts) {
     schema.embed_rows(&pair.a, &mut rows_a).expect("embed A");
     schema.embed_rows(&pair.b, &mut rows_b).expect("embed B");
     let mut failures = Vec::new();
+
+    // The embed kernels over every record of A and B: the embedders'
+    // position tables (`embed_rows`) against `g` evaluated per q-gram.
+    let records: Vec<Record> = pair.a.iter().chain(&pair.b).cloned().collect();
+    let embed_by_eval = |rows: &mut Vec<u64>| {
+        rows.clear();
+        rows.resize(records.len() * w, 0);
+        for (r, row) in records.iter().zip(rows.chunks_exact_mut(w)) {
+            let mut offset = 0;
+            for (f, e) in schema.embedders().iter().enumerate() {
+                for_each_qgram_index(r.field(f), e.q(), e.alphabet(), e.padded(), |x| {
+                    let at = offset + e.hash().eval(x) as usize;
+                    row[at / 64] |= 1 << (at % 64);
+                });
+                offset += e.size();
+            }
+        }
+    };
+    let (mut by_table, mut by_eval) = (Vec::new(), Vec::new());
+    schema.embed_rows(&records, &mut by_table).expect("embed");
+    embed_by_eval(&mut by_eval);
+    let identical = by_table == by_eval;
+    if !identical {
+        failures.push("the position table and g evaluated per q-gram embed differently".into());
+    }
+    let table_ns = median_ns(records.len(), || {
+        schema
+            .embed_rows(black_box(&records), &mut by_table)
+            .expect("embed");
+        black_box(&by_table);
+    });
+    let eval_ns = median_ns(records.len(), || {
+        embed_by_eval(&mut by_eval);
+        black_box(&by_eval);
+    });
+    let mut t = Table::new(
+        "Embedding a record (NCVR, PL, 120-bit row)",
+        ["kernel", "ns / record", "× table", "rows identical"],
+    );
+    for (kernel, ns) in [("position table", table_ns), ("g per q-gram", eval_ns)] {
+        t.row([
+            kernel.to_string(),
+            format!("{ns:.1}"),
+            format!("{:.2}", ns / table_ns),
+            identical.to_string(),
+        ]);
+    }
+    t.print();
+    let embed = serde_json::json!({
+        "records": records.len(), "rounds": ROUNDS,
+        "table_ns_per_record": table_ns, "eval_ns_per_record": eval_ns,
+        "eval_over_table": eval_ns / table_ns, "identical_rows": identical,
+    });
 
     // The distance kernels over the true-match pairs.
     // Row `i` of `rows` as one 120-bit vector.
@@ -1846,7 +1902,7 @@ fn ablations(opts: &Opts) {
         &opts.out,
         "ablations",
         &serde_json::json!({
-            "records": opts.records, "seed": opts.seed,
+            "records": opts.records, "seed": opts.seed, "embed": embed,
             "distance": distance, "algorithm2": algorithm2, "sparsity": sparsity,
         }),
     );

@@ -699,6 +699,7 @@ impl BlockingStructure {
             keys,
             bucket,
             candidates,
+            ..
         } = scratch;
         self.keys_into_row(row, keys);
         candidates.clear();
@@ -1371,20 +1372,24 @@ impl BlockingPlan {
 }
 
 /// The buffers a probing thread carries from probe to probe: the `L` keys
-/// of the record, one table's bucket (bounded probes only), and the
-/// candidate set. A steady-state probe of a single-structure plan through
-/// [`BlockingPlan::candidates_into`] allocates nothing.
+/// of the record, one table's bucket (bounded probes only), the candidate
+/// set, and the candidate sets of a probe group
+/// ([`crate::matcher::match_batch`]). A steady-state probe of a
+/// single-structure plan through [`BlockingPlan::candidates_into`] or a
+/// steady-state group allocates nothing.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     keys: Vec<u128>,
     bucket: Vec<u64>,
     pub(crate) candidates: Vec<u64>,
+    /// A probe group's candidate slots, probe after probe.
+    pub(crate) slots: Vec<u64>,
 }
 
 impl ProbeScratch {
-    /// The candidates the last probe left here — table values: slab slots
-    /// in the engines — ascending, distinct. (`matcher::match_record`
-    /// leaves its matched ids here instead.)
+    /// The candidates the last [`BlockingPlan::candidates_into_row`] left
+    /// here — table values: slab slots in the engines — ascending, distinct.
+    /// (`matcher::match_batch` moves them out.)
     pub fn candidates(&self) -> &[u64] {
         &self.candidates
     }

@@ -14,12 +14,21 @@
 //! with `b` the attribute's average q-gram count and `r = b/m < 1` the
 //! confidence ratio (the paper recommends `r = 1/3`; Figure 7 shows smaller
 //! values buy little accuracy).
+//!
+//! `g` depends on the q-gram index alone, so an embedder tabulates it once,
+//! when it is drawn or loaded: one `u16` position per index of the space
+//! `{0, …, |S|^q − 1}` (1 444 entries for bigrams over the 38 linkage
+//! symbols, 54 872 for trigrams), read in place of a 64-bit `mod m` per
+//! q-gram. [`UniversalHash::eval`] stays the definition the table is tested
+//! against, and evaluates `g` for a space or a width beyond 2¹⁶.
 
+use crate::error::SchemaError;
 use rand::Rng;
 use rl_bitvec::BitVec;
 use rl_lsh::hashfn::PRIME;
 use rl_lsh::UniversalHash;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
+use std::sync::Arc;
 use textdist::alphabet::PAD;
 use textdist::{for_each_qgram_index, Alphabet, QGramSet};
 
@@ -74,17 +83,75 @@ pub fn optimal_m(b: f64, rho: f64, r: f64) -> usize {
     (m as usize).max(1)
 }
 
+/// The largest q-gram space, and the largest width, a [`PositionTable`]
+/// serves: its entries are `u16`s.
+const TABLE_LIMIT: u64 = 1 << 16;
+
+/// `g` tabulated over a q-gram space: entry `x` is `g(x)`. Derived from the
+/// hash, never serialized; `None` for a space or a width beyond
+/// [`TABLE_LIMIT`]. Shared between clones of the embedder.
+#[derive(Clone)]
+struct PositionTable(Option<Arc<[u16]>>);
+
+impl PositionTable {
+    fn of(hash: &UniversalHash, alphabet: &Alphabet, q: usize) -> Self {
+        let space = u32::try_from(q)
+            .ok()
+            .and_then(|q| (alphabet.len() as u64).checked_pow(q))
+            .filter(|&space| space <= TABLE_LIMIT && hash.range() <= TABLE_LIMIT);
+        Self(space.map(|space| (0..space).map(|x| hash.eval(x) as u16).collect()))
+    }
+}
+
+impl std::fmt::Debug for PositionTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.0 {
+            Some(table) => write!(f, "PositionTable({} entries)", table.len()),
+            None => f.write_str("PositionTable(none)"),
+        }
+    }
+}
+
 /// Embeds the string values of *one attribute* into `m`-bit c-vectors.
 ///
 /// One hash function per attribute: the same q-gram always maps to the same
 /// position across all records, so distances in Ĥ track distances in ℋ up
 /// to the tolerated collisions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// A document loads only as an embedder that can embed: `q > 0`, the pad
+/// symbol in the alphabet of a padded `q > 1` embedder, and hash
+/// coefficients in the field (its [`SchemaError`]s and
+/// [`rl_lsh::FamilyError::InvalidHash`]).
+#[derive(Debug, Clone, Serialize)]
 pub struct CVectorEmbedder {
     alphabet: Alphabet,
     q: usize,
     padded: bool,
     hash: UniversalHash,
+    #[serde(skip)]
+    table: PositionTable,
+}
+
+/// A [`CVectorEmbedder`] document, before it is checked and tabulated.
+#[derive(Deserialize)]
+struct EmbedderDoc {
+    alphabet: Alphabet,
+    q: usize,
+    padded: bool,
+    hash: UniversalHash,
+}
+
+impl<'de> Deserialize<'de> for CVectorEmbedder {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error as _;
+        let EmbedderDoc {
+            alphabet,
+            q,
+            padded,
+            hash,
+        } = EmbedderDoc::deserialize(deserializer)?;
+        Self::with_hash(alphabet, q, padded, hash).map_err(D::Error::custom)
+    }
 }
 
 impl CVectorEmbedder {
@@ -104,16 +171,30 @@ impl CVectorEmbedder {
     ) -> Self {
         assert!(q > 0, "q must be positive");
         assert!(m > 0 && (m as u64) <= PRIME, "m out of range");
-        assert!(
-            !padded || q == 1 || alphabet.contains(PAD),
-            "a padded attribute needs the pad symbol {PAD:?} in its alphabet"
-        );
-        Self {
+        let hash = UniversalHash::random(m as u64, rng);
+        Self::with_hash(alphabet, q, padded, hash).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// An embedder with a given position hash, its table built.
+    fn with_hash(
+        alphabet: Alphabet,
+        q: usize,
+        padded: bool,
+        hash: UniversalHash,
+    ) -> Result<Self, SchemaError> {
+        if q == 0 {
+            return Err(SchemaError::ZeroQ);
+        }
+        if padded && q > 1 && !alphabet.contains(PAD) {
+            return Err(SchemaError::NoPadSymbol);
+        }
+        Ok(Self {
+            table: PositionTable::of(&hash, &alphabet, q),
             alphabet,
             q,
             padded,
-            hash: UniversalHash::random(m as u64, rng),
-        }
+            hash,
+        })
     }
 
     /// c-vector size `m` in bits.
@@ -129,6 +210,17 @@ impl CVectorEmbedder {
     /// Whether values are padded before q-gram extraction.
     pub fn padded(&self) -> bool {
         self.padded
+    }
+
+    /// The alphabet the q-grams are formed over.
+    pub fn alphabet(&self) -> &Alphabet {
+        &self.alphabet
+    }
+
+    /// The position hash `g`, which embedding reads from its table when
+    /// the q-gram space and the width fit in 2¹⁶.
+    pub fn hash(&self) -> &UniversalHash {
+        &self.hash
     }
 
     /// The q-gram set of `s` under this embedder's configuration.
@@ -150,9 +242,7 @@ impl CVectorEmbedder {
     /// the set, the normalized string or the q-grams ever existing.
     pub fn embed(&self, s: &str) -> BitVec {
         let mut v = BitVec::zeros(self.size());
-        for_each_qgram_index(s, self.q, &self.alphabet, self.padded, |x| {
-            v.set(self.hash.eval(x) as usize);
-        });
+        self.for_each_position(s, |at| v.set(at));
         v
     }
 
@@ -160,10 +250,25 @@ impl CVectorEmbedder {
     /// record-level row, which must hold them: the same positions set, no
     /// vector built.
     pub fn embed_at(&self, s: &str, offset: usize, row: &mut [u64]) {
-        for_each_qgram_index(s, self.q, &self.alphabet, self.padded, |x| {
-            let at = offset + self.hash.eval(x) as usize;
+        self.for_each_position(s, |at| {
+            let at = offset + at;
             row[at / 64] |= 1 << (at % 64);
         });
+    }
+
+    /// Calls `f` with `g(x)` for every q-gram index `x` of `s`, read from
+    /// the table when there is one.
+    #[inline]
+    fn for_each_position(&self, s: &str, mut f: impl FnMut(usize)) {
+        let (alphabet, q, padded) = (&self.alphabet, self.q, self.padded);
+        match &self.table.0 {
+            Some(table) => for_each_qgram_index(s, q, alphabet, padded, |x| {
+                f(usize::from(table[x as usize]));
+            }),
+            None => for_each_qgram_index(s, q, alphabet, padded, |x| {
+                f(self.hash.eval(x) as usize);
+            }),
+        }
     }
 }
 
@@ -309,6 +414,42 @@ mod tests {
         assert!(e.embed("1998").count_ones() > 0);
         let e = CVectorEmbedder::random(digits, 1, 8, true, &mut rng);
         assert!(e.embed("1998").count_ones() > 0);
+    }
+
+    #[test]
+    fn the_table_is_g_over_the_whole_space() {
+        for alphabet in [Alphabet::upper(), Alphabet::linkage()] {
+            for q in 1..=3 {
+                let space = alphabet.qgram_space(q).unwrap();
+                for (seed, m) in [(0, 1), (1, 15), (2, 68), (3, 1 << 16)] {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let e = CVectorEmbedder::random(alphabet.clone(), q, m, true, &mut rng);
+                    let table = e.table.0.as_deref().expect("a space under 2^16");
+                    assert_eq!(table.len() as u64, space, "q = {q}");
+                    for (x, &g) in (0..space).zip(table) {
+                        assert_eq!(u64::from(g), e.hash.eval(x), "q = {q}, m = {m}, x = {x}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn past_2_16_the_embedder_evaluates_g() {
+        let mut rng = StdRng::seed_from_u64(8);
+        // 38⁴ four-grams, and a width past a `u16`.
+        for (q, m) in [(4, 64), (2, (1 << 16) + 1)] {
+            let e = CVectorEmbedder::random(Alphabet::linkage(), q, m, true, &mut rng);
+            assert!(e.table.0.is_none(), "q = {q}, m = {m}");
+            let by_definition = BitVec::from_positions(
+                m,
+                e.qgram_set("WASHINGTON")
+                    .indexes()
+                    .iter()
+                    .map(|&x| e.hash.eval(x) as usize),
+            );
+            assert_eq!(e.embed("WASHINGTON"), by_definition);
+        }
     }
 
     proptest! {

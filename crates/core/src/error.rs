@@ -47,6 +47,73 @@ pub enum Error {
     Reshard(rl_reshard::ReshardError),
 }
 
+/// Why a schema, or one attribute's embedder, could not embed a record: a
+/// document that names one is refused at load, with this as its message,
+/// instead of panicking or writing rows of another layout at the first
+/// embed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SchemaError {
+    /// An embedder with `q = 0`.
+    ZeroQ,
+    /// A padded embedder with `q > 1` over an alphabet without the pad
+    /// symbol `_`.
+    NoPadSymbol,
+    /// Not one embedder per attribute spec.
+    EmbedderCount {
+        /// Embedders in the document.
+        embedders: usize,
+        /// Attribute specs in the document.
+        specs: usize,
+    },
+    /// Attribute `attr`'s embedder has another `q`, width `m` or padding
+    /// than its spec.
+    SpecMismatch {
+        /// The attribute.
+        attr: usize,
+        /// The spec's `(q, m, padded)`.
+        spec: (usize, usize, bool),
+        /// The embedder's `(q, m, padded)`.
+        embedder: (usize, usize, bool),
+    },
+    /// Attribute `attr`'s embedder forms q-grams over another alphabet than
+    /// the schema's.
+    AlphabetMismatch {
+        /// The attribute.
+        attr: usize,
+    },
+}
+
+impl fmt::Display for SchemaError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SchemaError::ZeroQ => f.write_str("an embedder's q-gram length must be positive"),
+            SchemaError::NoPadSymbol => write!(
+                f,
+                "a padded attribute needs the pad symbol {:?} in its alphabet",
+                textdist::alphabet::PAD
+            ),
+            SchemaError::EmbedderCount { embedders, specs } => write!(
+                f,
+                "{embedders} embedders for {specs} attribute specs; a schema has one per attribute"
+            ),
+            SchemaError::SpecMismatch {
+                attr,
+                spec,
+                embedder,
+            } => write!(
+                f,
+                "attribute {attr}'s embedder has (q, m, padded) = {embedder:?}, its spec {spec:?}"
+            ),
+            SchemaError::AlphabetMismatch { attr } => write!(
+                f,
+                "attribute {attr}'s embedder is over another alphabet than the schema's"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SchemaError {}
+
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -48,7 +48,7 @@ pub mod schema;
 pub mod sharded;
 
 pub use cvector::{optimal_m, CVectorEmbedder};
-pub use error::Error;
+pub use error::{Error, SchemaError};
 pub use metrics::LinkageQuality;
 pub use pipeline::{BlockStoreConfig, LinkageConfig, LinkagePipeline, LinkageResult};
 pub use record::Record;

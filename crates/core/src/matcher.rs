@@ -21,10 +21,12 @@
 //! and `index_row` is where a re-indexed id learns its old row, so its stale
 //! table entries leave instead of piling up.
 //!
-//! [`match_record`] is the probe loop's inner step and allocates nothing
-//! in steady state: candidates are formulated in the caller's
-//! [`ProbeScratch`], each is classified against its row, and matches go to
-//! the caller's closure.
+//! [`match_batch`] is the probe loop and allocates nothing in steady
+//! state: candidates are formulated in the caller's [`ProbeScratch`], each
+//! is classified against its row, and matches go to the caller. It works in
+//! groups of probes whose candidate rows it asks of the cache before it
+//! classifies them, so row reads overlap key and table work instead of
+//! stalling the probe; [`match_record`] is its one-probe case.
 //!
 //! **The unpacked reference.** [`Classifier::matches`] feeds the same
 //! decision the distances of two [`EmbeddedRecord`]s, and [`RecordStore`] is
@@ -535,6 +537,18 @@ impl RecordSlab {
         self.cells.id(slot as u32)
     }
 
+    /// Asks the cache for `slot`'s cell ahead of [`Self::row_at`] and
+    /// [`Self::id_at`]: its first and last word, since a cell of three
+    /// words can straddle a line. Nothing past the slab's slots.
+    #[inline]
+    fn prefetch(&self, slot: u64) {
+        if slot < u64::from(self.cells.len) {
+            let cell = self.cells.cell(slot as u32);
+            prefetch(&cell[0]);
+            prefetch(&cell[cell.len() - 1]);
+        }
+    }
+
     /// Removes a record by id, returning whether it was present; its slot
     /// is free for the next insert. Blocking tables are not touched —
     /// [`unindex`] does both. A caller that removes a record here must have
@@ -739,11 +753,23 @@ pub fn rekey(plan: &mut BlockingPlan, store: &mut RecordSlab) -> Result<()> {
     plan.compact()
 }
 
+/// Probes a [`match_batch`] group holds: their candidate sets are formed,
+/// and their rows asked of the cache, before the first of them is
+/// classified.
+pub const GROUP: usize = 16;
+
+/// Candidate rows asked of the cache ahead of the one being classified. A
+/// group closes once its candidates reach this many, so a probe of ~500
+/// candidates (`batch_rule`) is a group of one whose rows come in this far
+/// ahead instead of evicting one another.
+pub const ROWS_IN_FLIGHT: usize = 64;
+
 /// Matches one probe row against an indexed plan: formulates the
 /// candidate set per the rule's blocking logic (in `scratch`), reads each
 /// candidate slot's row, classifies the pair, and hands every matched
 /// A-side id to `on_match`, ascending. The matched ids take the candidates'
-/// place in `scratch`, so nothing is allocated for them.
+/// place in `scratch`, so nothing is allocated for them. The one-probe
+/// case of [`match_batch`].
 pub fn match_record(
     plan: &BlockingPlan,
     store: &RecordSlab,
@@ -753,31 +779,30 @@ pub fn match_record(
     stats: &mut MatchStats,
     mut on_match: impl FnMut(u64),
 ) {
-    let truncated = plan.candidates_into_row(probe, |slot| store.row_at(slot), scratch);
-    let candidates = &mut scratch.candidates;
-    stats.candidates += candidates.len() as u64;
-    stats.truncated += u64::from(truncated);
-    let mut matched = 0;
-    for i in 0..candidates.len() {
-        let slot = candidates[i];
-        let Some(a) = store.row_at(slot) else {
-            continue;
-        };
-        stats.distance_computations += 1;
-        if classifier.matches_rows(store.layout(), a, probe) {
-            candidates[matched] = store.id_at(slot);
-            matched += 1;
-        }
-    }
-    candidates.truncate(matched);
-    stats.matched += matched as u64;
-    // Candidates ascend by slot; a slot's id can be anything.
-    candidates.sort_unstable();
-    candidates.iter().for_each(|&id| on_match(id));
+    match_grouped(
+        plan,
+        store,
+        std::iter::once((0, probe)),
+        classifier,
+        scratch,
+        stats,
+        |a, _| on_match(a),
+    );
 }
 
 /// [`match_record`] over a batch of `(id_B, row)` probes, appending the
-/// matched `(id_A, id_B)` pairs to `matches`.
+/// matched `(id_A, id_B)` pairs to `matches`: probe after probe, each
+/// probe's A-side ids ascending, with the counts of one [`match_record`]
+/// a probe.
+///
+/// The batch is matched in groups of up to [`GROUP`] probes, closed early
+/// at [`ROWS_IN_FLIGHT`] candidates (group prefetching, Chen et al., ICDE
+/// 2004): the group's candidate sets are formed first and each candidate's
+/// cell is asked of the cache as it is met, then the group is classified
+/// in order, the cache asked for the row [`ROWS_IN_FLIGHT`] candidates
+/// ahead of each one read. The row reads of a probe thus overlap the key
+/// and table work of the probes after it instead of stalling on it. The
+/// group's buffers live in `scratch`.
 pub fn match_batch<'a>(
     plan: &BlockingPlan,
     store: &RecordSlab,
@@ -787,11 +812,98 @@ pub fn match_batch<'a>(
     stats: &mut MatchStats,
     matches: &mut Vec<(u64, u64)>,
 ) {
-    for (id, probe) in probes {
-        match_record(plan, store, probe, classifier, scratch, stats, |a| {
-            matches.push((a, id))
-        });
+    match_grouped(plan, store, probes, classifier, scratch, stats, |a, b| {
+        matches.push((a, b))
+    });
+}
+
+/// The probe loop of [`match_batch`], handing each matched `(id_A, id_B)`
+/// to `emit`.
+fn match_grouped<'a>(
+    plan: &BlockingPlan,
+    store: &RecordSlab,
+    probes: impl IntoIterator<Item = (u64, &'a [u64])>,
+    classifier: &Classifier,
+    scratch: &mut ProbeScratch,
+    stats: &mut MatchStats,
+    mut emit: impl FnMut(u64, u64),
+) {
+    let mut probes = probes.into_iter();
+    // A group's probes: id, row, and the end of its slots in `scratch.slots`.
+    let mut group: [(u64, &[u64], usize); GROUP] = [(0, &[], 0); GROUP];
+    let mut exhausted = false;
+    while !exhausted {
+        // Phase 1: the candidate sets, one after the other in `slots`. The
+        // first probe's candidate buffer becomes `slots`, and goes back at
+        // the end of the group: a group of one copies nothing and grows no
+        // buffer a lone probe would not.
+        scratch.slots.clear();
+        let mut n = 0;
+        while n < GROUP && scratch.slots.len() < ROWS_IN_FLIGHT {
+            let Some((id, probe)) = probes.next() else {
+                exhausted = true;
+                break;
+            };
+            let truncated = plan.candidates_into_row(probe, |slot| store.row_at(slot), scratch);
+            stats.candidates += scratch.candidates.len() as u64;
+            stats.truncated += u64::from(truncated);
+            let start = scratch.slots.len();
+            if n == 0 {
+                std::mem::swap(&mut scratch.slots, &mut scratch.candidates);
+            } else {
+                scratch.slots.extend_from_slice(&scratch.candidates);
+            }
+            for &slot in scratch.slots[start..].iter().take(ROWS_IN_FLIGHT - start) {
+                store.prefetch(slot);
+            }
+            group[n] = (id, probe, scratch.slots.len());
+            n += 1;
+        }
+        // Phase 2: classify in order. A probe's matched ids take its
+        // candidates' place (a slot is read before an id lands on it) and
+        // go out ascending: slots ascend, ids need not.
+        let slots = &mut scratch.slots;
+        let mut start = 0;
+        for &(id, probe, end) in &group[..n] {
+            let mut matched = start;
+            for at in start..end {
+                if let Some(&ahead) = slots.get(at + ROWS_IN_FLIGHT) {
+                    store.prefetch(ahead);
+                }
+                let slot = slots[at];
+                let Some(a) = store.row_at(slot) else {
+                    continue;
+                };
+                stats.distance_computations += 1;
+                if classifier.matches_rows(store.layout(), a, probe) {
+                    slots[matched] = store.id_at(slot);
+                    matched += 1;
+                }
+            }
+            let matched = &mut slots[start..matched];
+            stats.matched += matched.len() as u64;
+            matched.sort_unstable();
+            matched.iter().for_each(|&a| emit(a, id));
+            start = end;
+        }
+        if n > 0 {
+            std::mem::swap(&mut scratch.slots, &mut scratch.candidates);
+        }
     }
+}
+
+/// Asks the cache for the line holding `word`, ahead of a read:
+/// `_mm_prefetch` on x86_64, nothing elsewhere.
+#[inline(always)]
+fn prefetch(word: &u64) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch reads nothing and cannot fault; `word` is live.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(word).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = word;
 }
 
 /// Verbatim Algorithm 2 over a single blocking structure: scans the buckets

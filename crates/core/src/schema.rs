@@ -27,11 +27,11 @@
 //! the stack up to 512 bits) and call the row path.
 
 use crate::cvector::{optimal_m, CVectorEmbedder};
-use crate::error::{Error, Result};
+use crate::error::{Error, Result, SchemaError};
 use crate::record::Record;
 use rand::Rng;
 use rl_bitvec::BitVec;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use textdist::{qgram_count, Alphabet};
 
 /// Configuration of one linkage attribute `f_i`.
@@ -121,11 +121,43 @@ where
 
 /// A complete schema: the alphabet, the attribute specs, and the drawn
 /// per-attribute embedders.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// A document loads only as a schema whose embedders are its specs': one
+/// per spec, each of the spec's `q`, `m` and padding and over the schema's
+/// alphabet ([`SchemaError`]), so a loaded schema embeds every record into
+/// rows of its own layout. An embedder builds its position table as it
+/// loads ([`CVectorEmbedder`]).
+#[derive(Debug, Clone, Serialize)]
 pub struct RecordSchema {
     alphabet: Alphabet,
     specs: Vec<AttributeSpec>,
     embedders: Vec<CVectorEmbedder>,
+}
+
+/// A [`RecordSchema`] document, before it is checked.
+#[derive(Deserialize)]
+struct SchemaDoc {
+    alphabet: Alphabet,
+    specs: Vec<AttributeSpec>,
+    embedders: Vec<CVectorEmbedder>,
+}
+
+impl<'de> Deserialize<'de> for RecordSchema {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
+        use serde::de::Error as _;
+        let SchemaDoc {
+            alphabet,
+            specs,
+            embedders,
+        } = SchemaDoc::deserialize(deserializer)?;
+        let schema = Self {
+            alphabet,
+            specs,
+            embedders,
+        };
+        schema.check_embedders().map_err(D::Error::custom)?;
+        Ok(schema)
+    }
 }
 
 impl RecordSchema {
@@ -148,6 +180,31 @@ impl RecordSchema {
             specs,
             embedders,
         }
+    }
+
+    /// That the embedders are the specs': one per spec, each of its spec's
+    /// `q`, `m` and padding, over the schema's alphabet.
+    fn check_embedders(&self) -> std::result::Result<(), SchemaError> {
+        if self.embedders.len() != self.specs.len() {
+            return Err(SchemaError::EmbedderCount {
+                embedders: self.embedders.len(),
+                specs: self.specs.len(),
+            });
+        }
+        for (attr, (spec, e)) in self.specs.iter().zip(&self.embedders).enumerate() {
+            let (spec, embedder) = ((spec.q, spec.m, spec.padded), (e.q(), e.size(), e.padded()));
+            if spec != embedder {
+                return Err(SchemaError::SpecMismatch {
+                    attr,
+                    spec,
+                    embedder,
+                });
+            }
+            if *e.alphabet() != self.alphabet {
+                return Err(SchemaError::AlphabetMismatch { attr });
+            }
+        }
+        Ok(())
     }
 
     /// The attribute specs.

@@ -37,6 +37,17 @@ pub enum FamilyError {
     },
     /// A family needs at least one blocking group.
     EmptyFamily,
+    /// Universal-hash coefficients outside `0 < a, b < P`, `0 < m ≤ P`
+    /// ([`crate::hashfn::PRIME`]): a document that names them could not
+    /// hash.
+    InvalidHash {
+        /// The multiplier.
+        a: u64,
+        /// The offset.
+        b: u64,
+        /// The range.
+        m: u64,
+    },
 }
 
 impl fmt::Display for FamilyError {
@@ -59,6 +70,11 @@ impl fmt::Display for FamilyError {
                 theta + 1
             ),
             FamilyError::EmptyFamily => write!(f, "a family needs at least one blocking group"),
+            FamilyError::InvalidHash { a, b, m } => write!(
+                f,
+                "hash coefficients a = {a}, b = {b}, m = {m} are outside 0 < a, b < P and \
+                 0 < m ≤ P (P = 2^61 − 1)"
+            ),
         }
     }
 }

@@ -5,8 +5,9 @@
 //! large prime (`2^31 − 1`) and `a, b` are random in `(0, P)`. The same
 //! family drives the MinHash permutations of the HARRA baseline.
 
+use crate::error::FamilyError;
 use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 
 /// The Mersenne prime `2^61 − 1`.
 ///
@@ -17,11 +18,31 @@ use serde::{Deserialize, Serialize};
 pub const PRIME: u64 = (1 << 61) - 1;
 
 /// A pairwise-independent hash `x ↦ ((a·x + b) mod P) mod m`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A document is refused at load unless `0 < a, b < P` and `0 < m ≤ P`
+/// ([`FamilyError::InvalidHash`]): a zero `m` would divide by zero at the
+/// first [`UniversalHash::eval`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct UniversalHash {
     a: u64,
     b: u64,
     m: u64,
+}
+
+/// A [`UniversalHash`] document, before its coefficients are checked.
+#[derive(Deserialize)]
+struct HashDoc {
+    a: u64,
+    b: u64,
+    m: u64,
+}
+
+impl<'de> Deserialize<'de> for UniversalHash {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error as _;
+        let HashDoc { a, b, m } = HashDoc::deserialize(deserializer)?;
+        Self::try_with_coefficients(a, b, m).map_err(D::Error::custom)
+    }
 }
 
 impl UniversalHash {
@@ -44,10 +65,21 @@ impl UniversalHash {
     /// # Panics
     /// Panics unless `0 < a < P`, `0 < b < P`, and `0 < m ≤ P`.
     pub fn with_coefficients(a: u64, b: u64, m: u64) -> Self {
-        assert!(a > 0 && a < PRIME, "a must lie in (0, P)");
-        assert!(b > 0 && b < PRIME, "b must lie in (0, P)");
-        assert!(m > 0 && m <= PRIME, "m must lie in (0, P]");
-        Self { a, b, m }
+        Self::try_with_coefficients(a, b, m).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::with_coefficients`] for coefficients read from outside.
+    ///
+    /// # Errors
+    /// [`FamilyError::InvalidHash`] unless `0 < a < P`, `0 < b < P`, and
+    /// `0 < m ≤ P`.
+    fn try_with_coefficients(a: u64, b: u64, m: u64) -> Result<Self, FamilyError> {
+        let field = 1..PRIME;
+        if field.contains(&a) && field.contains(&b) && (1..=PRIME).contains(&m) {
+            Ok(Self { a, b, m })
+        } else {
+            Err(FamilyError::InvalidHash { a, b, m })
+        }
     }
 
     /// Evaluates the hash.
@@ -204,6 +236,40 @@ mod tests {
     fn zero_range_panics() {
         let mut rng = StdRng::seed_from_u64(0);
         let _ = UniversalHash::random(0, &mut rng);
+    }
+
+    #[test]
+    fn a_document_loads_only_with_coefficients_in_the_field() {
+        use serde::value::Value;
+        let doc = |a: u64, b: u64, m: u64| {
+            let field = |name: &str, v: u64| (name.to_string(), Value::U64(v));
+            Value::Object(vec![field("a", a), field("b", b), field("m", m)])
+        };
+        let h = UniversalHash::with_coefficients(12345, 678, 68);
+        assert_eq!(serde::to_value(&h).unwrap(), doc(12345, 678, 68));
+        assert_eq!(
+            serde::from_value::<UniversalHash>(doc(12345, 678, 68)).unwrap(),
+            h
+        );
+        let p = PRIME;
+        for (a, b, m) in [
+            (1, 1, 0),
+            (0, 1, 5),
+            (1, 0, 5),
+            (p, 1, 5),
+            (1, p, 5),
+            (1, 1, p + 1),
+        ] {
+            let err = serde::from_value::<UniversalHash>(doc(a, b, m)).unwrap_err();
+            assert!(err.to_string().contains("outside"), "{a} {b} {m}: {err}");
+            assert_eq!(
+                UniversalHash::try_with_coefficients(a, b, m),
+                Err(FamilyError::InvalidHash { a, b, m })
+            );
+        }
+        for (a, b, m) in [(1, 1, 1), (p - 1, p - 1, p)] {
+            assert!(serde::from_value::<UniversalHash>(doc(a, b, m)).is_ok());
+        }
     }
 
     #[test]

@@ -40,6 +40,12 @@ impl<'de> Deserialize<'de> for Alphabet {
         if s.is_empty() || !s.is_ascii() {
             return Err(D::Error::custom("alphabet must be non-empty ASCII"));
         }
+        let mut seen = [false; 128];
+        if s.bytes()
+            .any(|b| std::mem::replace(&mut seen[usize::from(b)], true))
+        {
+            return Err(D::Error::custom("alphabet symbols must be distinct"));
+        }
         Ok(Alphabet::new(&s))
     }
 }
@@ -222,6 +228,14 @@ mod tests {
     #[should_panic(expected = "duplicate")]
     fn duplicate_symbols_panic() {
         let _ = Alphabet::new("AAB");
+    }
+
+    #[test]
+    fn a_document_with_a_repeated_symbol_is_refused() {
+        let doc = |s: &str| serde::from_value::<Alphabet>(serde::value::Value::String(s.into()));
+        assert!(doc("_AB").is_ok());
+        let err = doc("_ABA").unwrap_err();
+        assert!(err.to_string().contains("distinct"), "{err}");
     }
 
     #[test]

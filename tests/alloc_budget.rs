@@ -16,8 +16,13 @@
 //! the key buffer and the candidate buffer of the first shard serve the
 //! second.
 //!
-//! One test function: the counter is per thread, and nothing else runs on
-//! this one.
+//! A `link` of a 250-record slice — the benchmark's link slice — may
+//! allocate for the same buffers, grown to the slice, and for nothing per
+//! probe or per probe group: the grouped probe loop keeps its buffers in
+//! the call's scratch, so its pin holds only if a group's buffers are
+//! reused from group to group.
+//!
+//! The counter is per thread, and each test runs on a thread of its own.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,8 +75,8 @@ fn c1() -> Rule {
     Rule::and([Rule::pred(0, 4), Rule::pred(1, 4), Rule::pred(2, 8)])
 }
 
-#[test]
-fn a_single_record_link_stays_within_its_allocation_budget() {
+/// The test data, the paper's 120-bit NCVR schema, and the generator.
+fn setup() -> (DatasetPair, RecordSchema, StdRng) {
     let mut rng = StdRng::seed_from_u64(42);
     let cfg = PairConfig::new(1_500, PerturbationScheme::Light).with_duplicates(0.1);
     let pair = DatasetPair::generate(&NcvrSource, cfg, &mut rng);
@@ -85,6 +90,12 @@ fn a_single_record_link_stays_within_its_allocation_budget() {
         ],
         &mut rng,
     );
+    (pair, schema, rng)
+}
+
+#[test]
+fn a_single_record_link_stays_within_its_allocation_budget() {
+    let (pair, schema, mut rng) = setup();
     // (configuration, committed worst-case allocations of one call).
     let budgets = [
         // One for the rows of the batch of one, one for the keys, one for
@@ -133,6 +144,41 @@ fn a_single_record_link_stays_within_its_allocation_budget() {
         assert!(
             worst <= budget,
             "{name}: a single-record link over two shards allocated {worst} times (mean {mean:.1}); the budget is {budget}",
+        );
+    }
+}
+
+/// Probes in a link slice: the benchmark's `link_slice`.
+const SLICE: usize = 250;
+
+#[test]
+fn a_link_slice_stays_within_its_allocation_budget() {
+    let (pair, schema, mut rng) = setup();
+    // (configuration, committed worst-case allocations of one slice). The
+    // single-record buffers grown to the slice, the match list, and the two
+    // buffers a group's candidate sets pass between, each doubling to its
+    // size once: 13 / 269 / 15 before probes were grouped. `batch_rule`
+    // spends one a probe on the list of its plan's conjunct candidate sets,
+    // grouped or not. A buffer each group grew afresh would cost 15 or
+    // more on each configuration (a slice is 16 to 250 groups).
+    let budgets = [
+        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 17u64),
+        ("batch_rule", LinkageConfig::rule_aware(c1()), 278),
+        ("batch_covering", LinkageConfig::covering(c1(), 4), 20),
+    ];
+    for (name, config, budget) in budgets {
+        let mut pipeline = LinkagePipeline::new(schema.clone(), config, &mut rng).unwrap();
+        pipeline.index(&pair.a).unwrap();
+        let (mut worst, mut matched) = (0u64, 0usize);
+        for slice in pair.b.chunks_exact(SLICE) {
+            let before = ALLOCATIONS.with(Cell::get);
+            matched += pipeline.link(slice).unwrap().matches.len();
+            worst = worst.max(ALLOCATIONS.with(Cell::get) - before);
+        }
+        assert!(matched > 500, "{name}: only {matched} pairs matched");
+        assert!(
+            worst <= budget,
+            "{name}: a {SLICE}-record link allocated {worst} times; the budget is {budget}",
         );
     }
 }

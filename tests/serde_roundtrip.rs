@@ -38,6 +38,131 @@ fn schema_roundtrip_preserves_embeddings() {
     assert_eq!(back.specs(), s.specs());
 }
 
+/// A schema of every q the embedders tabulate and one they do not (a
+/// 4-gram space over the linkage alphabet is 38⁴ > 2¹⁶), padded and not.
+fn mixed_schema(seed: u64) -> RecordSchema {
+    let mut rng = StdRng::seed_from_u64(seed);
+    RecordSchema::build(
+        Alphabet::linkage(),
+        vec![
+            AttributeSpec::new("Initial", 1, 12, false, 5),
+            AttributeSpec::new("FirstName", 2, 15, false, 5),
+            AttributeSpec::new("LastName", 2, 20, true, 5),
+            AttributeSpec::new("Address", 3, 90, true, 10),
+            AttributeSpec::new("Town", 4, 40, false, 10),
+        ],
+        &mut rng,
+    )
+}
+
+#[test]
+fn a_loaded_schema_embeds_every_record_to_the_same_row() {
+    let s = mixed_schema(3);
+    let json = serde_json::to_string(&s).unwrap();
+    let back: RecordSchema = serde_json::from_str(&json).unwrap();
+    // Documents stay byte-identical: the position tables are not written.
+    assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    let words = [
+        "",
+        "J",
+        "JO",
+        "JONES",
+        "MARY ANN",
+        "12 OAK ST",
+        "o'neill",
+        "Zürich 9",
+    ];
+    let records: Vec<Record> = (0..words.len().pow(2))
+        .map(|i| {
+            let (x, y) = (words[i % words.len()], words[i / words.len()]);
+            Record::new(i as u64, [x, y, x, y, &format!("{x}{y}")])
+        })
+        .collect();
+    let (mut rows, mut rows_back) = (Vec::new(), Vec::new());
+    s.embed_rows(&records, &mut rows).unwrap();
+    back.embed_rows(&records, &mut rows_back).unwrap();
+    assert_eq!(rows, rows_back);
+    for r in &records {
+        assert_eq!(s.embed(r).unwrap(), back.embed(r).unwrap());
+    }
+}
+
+/// The document of `mixed_schema(4)` with `edit` applied, loaded.
+fn load_edited(edit: impl FnOnce(&mut serde_json::Value)) -> Result<RecordSchema, String> {
+    let mut doc = serde_json::to_value(&mixed_schema(4)).unwrap();
+    edit(&mut doc);
+    serde_json::from_value(doc).map_err(|e| e.to_string())
+}
+
+/// The embedders of a schema document.
+fn embedders(doc: &mut serde_json::Value) -> &mut Vec<serde_json::Value> {
+    let serde_json::Value::Array(embedders) = field(doc, "embedders") else {
+        panic!("embedders are an array");
+    };
+    embedders
+}
+
+/// Sets `path` under embedder `i` of a schema document to `to`.
+fn set(doc: &mut serde_json::Value, i: usize, path: &[&str], to: serde_json::Value) {
+    *path
+        .iter()
+        .fold(&mut embedders(doc)[i], |v, name| field(v, name)) = to;
+}
+
+#[test]
+fn a_schema_document_that_could_not_embed_is_refused_at_load() {
+    use serde_json::Value::{Bool, String as Str, U64};
+    assert!(load_edited(|_| {}).is_ok());
+    let p = (1u64 << 61) - 1;
+    let cases = [
+        // Wider than its spec: the first embed would index past the row.
+        (
+            "m past the spec",
+            1,
+            &["hash", "m"][..],
+            U64(200),
+            "(q, m, padded)",
+        ),
+        // Narrower: rows of another layout, silently.
+        ("narrower m", 1, &["hash", "m"], U64(10), "(q, m, padded)"),
+        // A zero range would divide by zero at the first embed.
+        ("m = 0", 1, &["hash", "m"], U64(0), "outside"),
+        ("a = 0", 2, &["hash", "a"], U64(0), "outside"),
+        ("b = P", 2, &["hash", "b"], U64(p), "outside"),
+        ("another q", 1, &["q"], U64(3), "(q, m, padded)"),
+        (
+            "another padding",
+            2,
+            &["padded"],
+            Bool(false),
+            "(q, m, padded)",
+        ),
+        (
+            "another alphabet",
+            0,
+            &["alphabet"],
+            Str("ABC".into()),
+            "alphabet",
+        ),
+        ("q = 0", 0, &["q"], U64(0), "positive"),
+    ];
+    for (what, i, path, to, says) in cases {
+        let err = load_edited(|d| set(d, i, path, to)).expect_err(what);
+        assert!(err.contains(says), "{what}: {err}");
+    }
+    let err = load_edited(|d| drop(embedders(d).pop())).expect_err("an embedder short");
+    assert!(err.contains("4 embedders for 5"), "{err}");
+    // A padded bigram embedder needs the pad symbol in its alphabet.
+    let err = load_edited(|d| {
+        *field(d, "alphabet") = Str("ABC".into());
+        for e in embedders(d) {
+            *field(e, "alphabet") = Str("ABC".into());
+        }
+    })
+    .expect_err("no pad symbol");
+    assert!(err.contains("pad symbol"), "{err}");
+}
+
 #[test]
 fn rule_roundtrip() {
     let rule = Rule::or([

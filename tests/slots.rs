@@ -13,17 +13,25 @@
 //! ascending: `match_record`, `match_batch`, `LinkagePipeline::link` and
 //! `ShardedPipeline::link`, over ids indexed in descending order and then
 //! into reused slots.
+//!
+//! `match_batch` works in groups of probes whose candidate rows it asks of
+//! the cache before it classifies them. Grouping must change nothing: on
+//! every kind of plan, over both stores, and for batches on either side of
+//! a group's size, it returns the pairs, the pair order and the counts of
+//! `match_record` called probe by probe, and both equal an oracle that
+//! forms each candidate set and classifies it by hand.
 
 mod common;
 
 use common::fresh_dir;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use record_linkage::cbv_hb::blocking::{BlockingPlan, ProbeScratch};
+use record_linkage::cbv_hb::blocking::{BlockingPlan, ProbeScratch, TableCount};
 use record_linkage::cbv_hb::matcher::{
-    index_row, match_batch, match_record, unindex, Classifier, MatchStats, RecordSlab,
+    index_row, match_batch, match_record, unindex, Classifier, MatchStats, RecordSlab, GROUP,
 };
 use record_linkage::cbv_hb::EmbeddedRecord;
+use record_linkage::datagen::NcvrSource;
 use record_linkage::prelude::*;
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
@@ -265,4 +273,209 @@ fn matched_ids_ascend_whatever_the_slot_order() {
     sharded.index(&into_freed_slots()).unwrap();
     let (pairs, _) = sharded.link(&[twin(99)]).unwrap();
     assert_eq!(pairs, with(after_reuse()), "ShardedPipeline");
+}
+
+/// The NCVR record of the benchmark: 15 + 15 + 68 + 22 bits.
+fn ncvr_schema(rng: &mut StdRng) -> RecordSchema {
+    RecordSchema::build(
+        Alphabet::linkage(),
+        vec![
+            AttributeSpec::new("FirstName", 2, 15, false, 5),
+            AttributeSpec::new("LastName", 2, 15, false, 5),
+            AttributeSpec::new("Address", 2, 68, false, 10),
+            AttributeSpec::new("Town", 2, 22, false, 10),
+        ],
+        rng,
+    )
+}
+
+/// C1, C2 and C3 of the paper's Section 6.2.
+fn c1() -> Rule {
+    Rule::and([Rule::pred(0, 4), Rule::pred(1, 4), Rule::pred(2, 8)])
+}
+
+fn c2() -> Rule {
+    Rule::or([
+        Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]),
+        Rule::pred(2, 8),
+    ])
+}
+
+fn c3() -> Rule {
+    Rule::and([Rule::pred(0, 4), Rule::not(Rule::pred(1, 4))])
+}
+
+/// `match_batch` over the first `n` probes, for every `n` around a group,
+/// against `match_record` probe by probe and against the oracle; returns
+/// the counts of the whole batch.
+fn grouped_equals_one_at_a_time(
+    name: &str,
+    plan: &BlockingPlan,
+    slab: &RecordSlab,
+    classifier: &Classifier,
+    probes: &[(u64, Vec<u64>)],
+) -> MatchStats {
+    let mut whole = MatchStats::default();
+    for n in [0, 1, GROUP - 1, GROUP, GROUP + 1, probes.len()] {
+        let batch = &probes[..n];
+        let (mut one, mut one_stats) = (Vec::new(), MatchStats::default());
+        let mut scratch = ProbeScratch::default();
+        for (id, row) in batch {
+            match_record(
+                plan,
+                slab,
+                row,
+                classifier,
+                &mut scratch,
+                &mut one_stats,
+                |a| one.push((a, *id)),
+            );
+        }
+        let (mut grouped, mut stats) = (Vec::new(), MatchStats::default());
+        let rows = batch.iter().map(|(id, row)| (*id, &row[..]));
+        match_batch(
+            plan,
+            slab,
+            rows,
+            classifier,
+            &mut scratch,
+            &mut stats,
+            &mut grouped,
+        );
+        assert_eq!(grouped, one, "{name}: pairs of {n} probes");
+        assert_eq!(stats, one_stats, "{name}: counts of {n} probes");
+
+        // The oracle: each probe's candidate set, classified by hand, its
+        // matched ids ascending.
+        let mut oracle = Vec::new();
+        for (id, row) in batch {
+            plan.candidates_into_row(row, |s| slab.row_at(s), &mut scratch);
+            let mut matched: Vec<u64> = scratch
+                .candidates()
+                .iter()
+                .filter(|&&s| classifier.matches_rows(slab.layout(), slab.row_at(s).unwrap(), row))
+                .map(|&s| slab.id_at(s))
+                .collect();
+            matched.sort_unstable();
+            oracle.extend(matched.into_iter().map(|a| (a, *id)));
+        }
+        assert_eq!(
+            grouped, oracle,
+            "{name}: pairs of {n} probes against the oracle"
+        );
+        whole = stats;
+    }
+    whole
+}
+
+#[test]
+fn a_grouped_batch_matches_as_one_probe_at_a_time() {
+    let mut rng = StdRng::seed_from_u64(34);
+    let cfg = PairConfig::new(600, PerturbationScheme::Light).with_duplicates(0.1);
+    let pair = DatasetPair::generate(&NcvrSource, cfg, &mut rng);
+    let schema = ncvr_schema(&mut rng);
+    let row = |r: &Record| schema.embed(r).unwrap().packed().as_ref().to_vec();
+    let probes: Vec<(u64, Vec<u64>)> = pair.b[..250].iter().map(|r| (r.id, row(r))).collect();
+    let mut shuffled = pair.a.clone();
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, rng.random_range(0..=i));
+    }
+    let top_k = |mut config: LinkageConfig, k| {
+        config.block.probe_top_k = k;
+        config
+    };
+    // (name, configuration; `None` for a multi-probe record-level plan).
+    let plans = [
+        (
+            "record-level",
+            Some(LinkageConfig::record_level(c1(), 4, 30)),
+        ),
+        ("rule-aware C1", Some(LinkageConfig::rule_aware(c1()))),
+        ("rule-aware C2 (OR)", Some(LinkageConfig::rule_aware(c2()))),
+        (
+            "rule-aware C3 (verified NOT)",
+            Some(LinkageConfig::rule_aware(c3())),
+        ),
+        ("covering", Some(LinkageConfig::covering(c1(), 4))),
+        ("top-k", Some(top_k(LinkageConfig::rule_aware(c1()), 3))),
+        ("multi-probe", None),
+    ];
+    for (i, (name, config)) in plans.into_iter().enumerate() {
+        for mmap in [false, true] {
+            let dir = mmap.then(|| fresh_dir(&format!("grouped-{i}")));
+            let block = BlockStoreConfig {
+                kind: if mmap {
+                    StoreKind::Mmap
+                } else {
+                    StoreKind::Memory
+                },
+                dir: dir.as_ref().map(|d| d.to_string_lossy().into_owned()),
+                ..config.as_ref().map(|c| c.block.clone()).unwrap_or_default()
+            };
+            let (mut plan, rule) = match &config {
+                Some(config) => {
+                    let config = LinkageConfig {
+                        block: block.clone(),
+                        ..config.clone()
+                    };
+                    let plan = BlockingPlan::from_config(&schema, &config, &mut rng).unwrap();
+                    (plan, config.rule)
+                }
+                None => {
+                    let tables = TableCount::Equation2 {
+                        delta: 0.1,
+                        flips: 1,
+                    };
+                    let mut plan =
+                        BlockingPlan::record_level_over(&schema.layout(), 4, 24, tables, &mut rng)
+                            .unwrap();
+                    plan.configure_stores(&block).unwrap();
+                    (plan, c1())
+                }
+            };
+            let mut slab = RecordSlab::new(schema.layout());
+            // On the mmap store, half of A in a sealed generation and half
+            // above it; slot order is not id order.
+            let (sealed, above) = shuffled.split_at(shuffled.len() / 2);
+            for r in sealed {
+                index_row(&mut plan, &mut slab, r.id, &row(r)).unwrap();
+            }
+            if mmap {
+                plan.compact().unwrap();
+            }
+            for r in above {
+                index_row(&mut plan, &mut slab, r.id, &row(r)).unwrap();
+            }
+            let label = format!("{name}, {}", if mmap { "mmap" } else { "memory" });
+            let classifier = Classifier::Rule(rule);
+            let stats = grouped_equals_one_at_a_time(&label, &plan, &slab, &classifier, &probes);
+            assert!(stats.matched > 0, "{label}: nothing matched");
+            if name == "top-k" {
+                assert!(stats.truncated > 0, "{label}: no probe truncated");
+            }
+            if let Some(dir) = dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    // A two-shard engine links a batch as it links its records one by one.
+    let config = LinkageConfig::record_level(c1(), 4, 30);
+    let mut sharded = ShardedPipeline::new(schema.clone(), config, 2, &mut rng).unwrap();
+    sharded.index(&pair.a).unwrap();
+    let probes = &pair.b[..250];
+    let (pairs, stats) = sharded.link(probes).unwrap();
+    let (mut one, mut one_stats) = (Vec::new(), MatchStats::default());
+    for probe in probes {
+        let (pairs, stats) = sharded.link(std::slice::from_ref(probe)).unwrap();
+        one.extend(pairs);
+        one_stats.candidates += stats.candidates;
+        one_stats.distance_computations += stats.distance_computations;
+        one_stats.matched += stats.matched;
+        one_stats.truncated += stats.truncated;
+    }
+    one.sort_unstable();
+    assert!(!pairs.is_empty());
+    assert_eq!(pairs, one, "two shards");
+    assert_eq!(stats, one_stats, "two shards");
 }
