@@ -26,9 +26,10 @@
 //!   nonstd       extension: abbreviated addresses under two rules
 //!   covering     extension: CoveringLSH vs random sampling at matched L
 //!   ablations    design ablations: position table vs g per q-gram,
-//!                popcount vs per-bit vs edit distance, Algorithm 2's
-//!                unique collection on/off, q-gram sparsity (exits non-zero
-//!                unless its exact counts hold and both embeds agree)
+//!                allocation order vs a shuffled batch, popcount vs per-bit
+//!                vs edit distance, Algorithm 2's unique collection on/off,
+//!                q-gram sparsity (exits non-zero unless its exact counts
+//!                hold and every embed agrees)
 //!   all          everything above
 //! ```
 
@@ -1594,9 +1595,11 @@ fn median_ns(ops: usize, mut round: impl FnMut()) -> f64 {
 /// position table against `g` evaluated per q-gram (§5.2), the 120-bit
 /// popcount distance against the per-bit loop and the edit distance it
 /// replaces (§1), Algorithm 2's unique-id collection on and off, and bit
-/// sampling over full q-gram vectors against c-vectors (§5.2). Exits
-/// non-zero unless the counts bear the claims out and the two embed kernels
-/// write identical rows.
+/// sampling over full q-gram vectors against c-vectors (§5.2). The
+/// position-table kernel is timed twice: over records in allocation order,
+/// and over the same records moved into a seeded shuffle. Exits non-zero
+/// unless the counts bear the claims out, the two embed kernels write
+/// identical rows, and each record gets the same row in both orders.
 fn ablations(opts: &Opts) {
     use cbv_hb::blocking::{BlockingPlan, TableCount};
     use cbv_hb::matcher::{index_row, match_structure_literal, Classifier, MatchStats, RecordSlab};
@@ -1660,23 +1663,65 @@ fn ablations(opts: &Opts) {
         embed_by_eval(&mut by_eval);
         black_box(&by_eval);
     });
+    // The same records moved into a seeded shuffle: each keeps the strings
+    // it was allocated with, so `embed_rows` meets them out of memory
+    // order, as a probe batch does. Batch position `j` holds record
+    // `order[j]` and must get its row.
+    let mut order: Vec<usize> = (0..records.len()).collect();
+    let mut shuffle = StdRng::seed_from_u64(opts.seed);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rand::RngExt::random_range(&mut shuffle, 0..=i));
+    }
+    let mut moved: Vec<Option<Record>> = records.into_iter().map(Some).collect();
+    let scattered: Vec<Record> = order
+        .iter()
+        .map(|&i| moved[i].take().expect("a permutation"))
+        .collect();
+    let mut by_scattered = Vec::new();
+    schema
+        .embed_rows(&scattered, &mut by_scattered)
+        .expect("embed");
+    let same_in_both_orders = order
+        .iter()
+        .zip(by_scattered.chunks_exact(w))
+        .all(|(&i, row)| row == &by_table[i * w..(i + 1) * w]);
+    if !same_in_both_orders {
+        failures.push("embed_rows gives a record another row in a shuffled batch".into());
+    }
+    let scattered_ns = median_ns(scattered.len(), || {
+        schema
+            .embed_rows(black_box(&scattered), &mut by_scattered)
+            .expect("embed");
+        black_box(&by_scattered);
+    });
     let mut t = Table::new(
         "Embedding a record (NCVR, PL, 120-bit row)",
         ["kernel", "ns / record", "× table", "rows identical"],
     );
-    for (kernel, ns) in [("position table", table_ns), ("g per q-gram", eval_ns)] {
+    for (kernel, ns, same) in [
+        ("position table", table_ns, identical),
+        ("g per q-gram", eval_ns, identical),
+        (
+            "position table, shuffled batch",
+            scattered_ns,
+            same_in_both_orders,
+        ),
+    ] {
         t.row([
             kernel.to_string(),
             format!("{ns:.1}"),
             format!("{:.2}", ns / table_ns),
-            identical.to_string(),
+            same.to_string(),
         ]);
     }
     t.print();
     let embed = serde_json::json!({
-        "records": records.len(), "rounds": ROUNDS,
+        "records": scattered.len(), "rounds": ROUNDS,
         "table_ns_per_record": table_ns, "eval_ns_per_record": eval_ns,
         "eval_over_table": eval_ns / table_ns, "identical_rows": identical,
+        "shuffled_ns_per_record": scattered_ns,
+        "shuffled_over_table": scattered_ns / table_ns,
+        "identical_rows_shuffled": same_in_both_orders,
     });
 
     // The distance kernels over the true-match pairs.

@@ -544,8 +544,8 @@ impl RecordSlab {
     fn prefetch(&self, slot: u64) {
         if slot < u64::from(self.cells.len) {
             let cell = self.cells.cell(slot as u32);
-            prefetch(&cell[0]);
-            prefetch(&cell[cell.len() - 1]);
+            prefetch(cell.as_ptr());
+            prefetch(std::ptr::from_ref(&cell[cell.len() - 1]));
         }
     }
 
@@ -892,18 +892,20 @@ fn match_grouped<'a>(
     }
 }
 
-/// Asks the cache for the line holding `word`, ahead of a read:
-/// `_mm_prefetch` on x86_64, nothing elsewhere.
+/// Asks the cache for the line holding `at`, ahead of a read:
+/// `_mm_prefetch` on x86_64, nothing elsewhere. Any pointer will do, the
+/// dangling one of an empty `Vec` or `String` too.
 #[inline(always)]
-fn prefetch(word: &u64) {
+pub(crate) fn prefetch<T>(at: *const T) {
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch reads nothing and cannot fault; `word` is live.
+    // SAFETY: a prefetch is a hint; it reads nothing and cannot fault,
+    // whatever the address.
     unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(word).cast());
+        _mm_prefetch::<_MM_HINT_T0>(at.cast());
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = word;
+    let _ = at;
 }
 
 /// Verbatim Algorithm 2 over a single blocking structure: scans the buckets

@@ -28,6 +28,7 @@
 
 use crate::cvector::{optimal_m, CVectorEmbedder};
 use crate::error::{Error, Result, SchemaError};
+use crate::matcher::prefetch;
 use crate::record::Record;
 use rand::Rng;
 use rl_bitvec::BitVec;
@@ -309,13 +310,32 @@ impl RecordSchema {
     /// `rows[i * w..(i + 1) * w]`, `w` = [`Self::row_words`]): one buffer
     /// for the batch, reusable from batch to batch.
     ///
+    /// A record's strings are two dependent heap reads away (its `fields`
+    /// buffer, then each value's bytes), and a batch's strings need not lie
+    /// in batch order. So before it embeds record `i`, the loop asks the
+    /// cache for record `i + EMBED_AHEAD`'s `fields` buffer and for the
+    /// value bytes of record `i + EMBED_AHEAD / 2`, whose `fields` it asked
+    /// for half a lead ago (group prefetching, as in
+    /// [`crate::matcher::match_batch`]).
+    ///
     /// # Errors
     /// As [`Self::embed_row`], for the first malformed record.
     pub fn embed_rows(&self, records: &[Record], rows: &mut Vec<u64>) -> Result<()> {
         let w = self.row_words();
         rows.resize(records.len() * w, 0);
-        for (record, row) in records.iter().zip(rows.chunks_exact_mut(w)) {
-            self.embed_row(record, row)?;
+        for (i, row) in rows.chunks_exact_mut(w).enumerate() {
+            if let Some(ahead) = records.get(i + EMBED_AHEAD) {
+                // Its first and last byte: the buffer can straddle a line.
+                let fields = ahead.fields.as_ptr_range();
+                prefetch(fields.start);
+                prefetch(fields.end.cast::<u8>().wrapping_sub(1));
+            }
+            if let Some(ahead) = records.get(i + EMBED_AHEAD / 2) {
+                for v in ahead.fields.iter().take(self.specs.len()) {
+                    prefetch(v.as_ptr());
+                }
+            }
+            self.embed_row(&records[i], row)?;
         }
         Ok(())
     }
@@ -330,6 +350,11 @@ impl RecordSchema {
         ids.zip(rows.chunks_exact(self.row_words()))
     }
 }
+
+/// How many records ahead [`RecordSchema::embed_rows`] asks the cache for a
+/// record's `fields` buffer; its value bytes are asked for half as far
+/// ahead.
+pub const EMBED_AHEAD: usize = 8;
 
 /// Where each attribute's bits sit in a packed record-level c-vector, as
 /// `(word, mask)` pieces: an attribute that fits one word is one piece, one

@@ -25,6 +25,9 @@ pub struct Alphabet {
     symbols: Vec<char>,
     /// `ord[byte]` for ASCII symbols; `u8::MAX` marks "not in alphabet".
     ord_table: Vec<u8>,
+    /// [`Alphabet::fold`]: a byte's ord after upper-casing, built with the
+    /// alphabet and never serialized.
+    fold: [u8; 256],
 }
 
 impl Serialize for Alphabet {
@@ -67,7 +70,17 @@ impl Alphabet {
             assert!(*slot == u8::MAX, "duplicate alphabet symbol {ch:?}");
             *slot = i as u8;
         }
-        Self { symbols, ord_table }
+        let fold = std::array::from_fn(|b| {
+            let upper = usize::from((b as u8).to_ascii_uppercase());
+            // Bytes of 0x80 and above (every byte of a multi-byte char)
+            // fall outside the 128-entry table, so they fold to u8::MAX.
+            ord_table.get(upper).copied().unwrap_or(u8::MAX)
+        });
+        Self {
+            symbols,
+            ord_table,
+            fold,
+        }
     }
 
     /// The paper's illustrative alphabet: upper-case letters plus the pad
@@ -111,6 +124,17 @@ impl Alphabet {
         }
     }
 
+    /// The fold table of [`Alphabet::normalize`], by byte: `fold()[b]` is the
+    /// ord of `b` upper-cased, or `u8::MAX` when that is not a symbol. Every
+    /// byte of 0x80 and above maps to `u8::MAX`: symbols are ASCII, and the
+    /// bytes of a multi-byte UTF-8 char all lie at or above 0x80. So skipping
+    /// the `u8::MAX` bytes of a string drops exactly the chars `normalize`
+    /// drops, and the rest are the normalized string's ords in order.
+    #[inline]
+    pub(crate) fn fold(&self) -> &[u8; 256] {
+        &self.fold
+    }
+
     /// True if `ch` is a member of the alphabet.
     #[inline]
     pub fn contains(&self, ch: char) -> bool {
@@ -136,12 +160,17 @@ impl Alphabet {
 
     /// Algorithm 1: maps a q-gram to its index in the q-gram vector.
     ///
+    /// The numeral wraps modulo 2⁶⁴ once `|S|^q` exceeds it, in every build,
+    /// as the streaming kernel [`crate::for_each_qgram_index`] does.
+    ///
     /// Returns `None` when any character falls outside the alphabet.
     pub fn qgram_index(&self, gram: &[char]) -> Option<u64> {
         let base = self.symbols.len() as u64;
         let mut ind: u64 = 0;
         for &ch in gram {
-            ind = ind * base + u64::from(self.ord(ch)?);
+            ind = ind
+                .wrapping_mul(base)
+                .wrapping_add(u64::from(self.ord(ch)?));
         }
         Some(ind)
     }
@@ -216,6 +245,39 @@ mod tests {
         for ch in "ABC XYZ 0189_".chars() {
             assert!(a.contains(ch), "missing {ch:?}");
         }
+    }
+
+    #[test]
+    fn qgram_index_wraps_past_u64_in_every_build() {
+        // 38^13 > 2^64: the 13-gram of Z (ord 26) wraps, in a debug build
+        // too, to the numeral computed modulo 2^64.
+        let a = Alphabet::linkage();
+        assert!(a.qgram_space(13).is_none());
+        let wrapped = (0..13).fold(0u64, |i, _| i.wrapping_mul(38).wrapping_add(26));
+        assert_eq!(a.qgram_index(&['Z'; 13]), Some(wrapped));
+    }
+
+    #[test]
+    fn fold_is_ord_after_upper_casing_and_drops_non_ascii() {
+        for a in [Alphabet::upper(), Alphabet::linkage(), Alphabet::new("_ab")] {
+            for b in 0..=255u8 {
+                let folded = a.fold()[usize::from(b)];
+                let want = if b.is_ascii() {
+                    a.ord(char::from(b.to_ascii_uppercase()))
+                } else {
+                    None
+                };
+                assert_eq!(
+                    (folded != u8::MAX).then_some(u32::from(folded)),
+                    want,
+                    "byte {b:#x}"
+                );
+            }
+        }
+        // Lower-case symbols are unreachable after folding.
+        let lower = Alphabet::new("_ab");
+        assert_eq!(lower.fold()[usize::from(b'a')], u8::MAX);
+        assert_eq!(lower.fold()[usize::from(b'_')], 0);
     }
 
     #[test]

@@ -69,13 +69,16 @@ pub fn qgram_count(s: &str, q: usize, padded: bool) -> usize {
 
 /// Streams the Algorithm-1 index of every q-gram of `s` to `f`, in string
 /// order and with repeats, without building the normalized string or the
-/// q-grams: `s` is folded into `alphabet` character by character (as
-/// [`Alphabet::normalize`] does) and the base-`|S|` numeral of the current
-/// window is rolled forward one symbol at a time.
+/// q-grams: one pass over the bytes of `s` folds each into `alphabet`
+/// through the alphabet's 256-entry fold table (as [`Alphabet::normalize`]
+/// does, a byte at a time) and rolls the base-`|S|` numeral of the current
+/// window forward one symbol at a time. The symbol leaving the window is
+/// named by a second cursor `q` symbols behind, so nothing is allocated for
+/// any `q`.
 ///
 /// The indexes are exactly `alphabet.qgram_index(g)` for `g` in
 /// `qgrams(&alphabet.normalize(s), q)` (or `qgrams_unpadded`). The window
-/// arithmetic wraps, as `qgram_index` does in a release build.
+/// arithmetic wraps, as `qgram_index` does.
 ///
 /// # Panics
 /// Panics if `q == 0`, or if `padded`, `q > 1` and the alphabet lacks
@@ -88,13 +91,17 @@ pub fn for_each_qgram_index(
     mut f: impl FnMut(u64),
 ) {
     assert!(q > 0, "q must be positive");
-    let ords = s
-        .chars()
-        .filter_map(|c| alphabet.ord(c.to_ascii_uppercase()).map(u64::from));
-    if padded && ords.clone().next().is_none() {
-        // An empty value has no q-grams, not q-grams of pads.
+    let fold = alphabet.fold();
+    let symbol = |b: &u8| {
+        let o = fold[usize::from(*b)];
+        (o != u8::MAX).then_some(u64::from(o))
+    };
+    let bytes = s.as_bytes();
+    // An empty value has no q-grams, not q-grams of pads.
+    let Some(first) = bytes.iter().position(|b| symbol(b).is_some()) else {
         return;
-    }
+    };
+    let bytes = &bytes[first..];
     let pads = if padded { q - 1 } else { 0 };
     let pad = if pads > 0 {
         u64::from(
@@ -105,20 +112,24 @@ pub fn for_each_qgram_index(
     } else {
         0
     };
-    let symbols = std::iter::repeat_n(pad, pads)
-        .chain(ords)
-        .chain(std::iter::repeat_n(pad, pads));
-    // A second pass over the same symbols, q behind the first, names the
-    // symbol that leaves the window.
-    let mut leaving = symbols.clone();
     let base = alphabet.len() as u64;
     let top = (1..q).fold(1u64, |t, _| t.wrapping_mul(base));
-    let (mut ind, mut filled) = (0u64, 0usize);
-    for o in symbols {
+    // The window opens holding the leading pads; they are the first to
+    // leave it, then the symbols behind the lagging cursor.
+    let mut ind = (0..pads).fold(0u64, |i, _| i.wrapping_mul(base).wrapping_add(pad));
+    let (mut filled, mut pads_to_leave) = (pads, pads);
+    let mut lagging = bytes.iter();
+    let trailing = std::iter::repeat_n(pad, pads);
+    for o in bytes.iter().filter_map(symbol).chain(trailing) {
         if filled == q {
-            let old = leaving
-                .next()
-                .expect("the lagging pass is q symbols behind");
+            let old = if pads_to_leave > 0 {
+                pads_to_leave -= 1;
+                pad
+            } else {
+                lagging
+                    .find_map(symbol)
+                    .expect("the lagging cursor is q symbols behind")
+            };
             ind = ind.wrapping_sub(old.wrapping_mul(top));
         } else {
             filled += 1;
@@ -361,27 +372,58 @@ mod tests {
         grams.iter().map(|g| a.qgram_index(g).unwrap()).collect()
     }
 
+    /// A string of arbitrary chars: one in four any Unicode scalar value
+    /// (multi-byte chars mostly), the rest drawn from ASCII letters of both
+    /// cases, digits, space, pad and punctuation.
+    fn unicode_string() -> impl Strategy<Value = String> {
+        prop::collection::vec((0u8..4, any::<u32>()), 0..=20).prop_map(|cs| {
+            const ASCII: &[u8] = b"ABCZabcz019 _.-#'";
+            cs.into_iter()
+                .map(|(kind, x)| match kind {
+                    0 => char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}'),
+                    _ => char::from(ASCII[x as usize % ASCII.len()]),
+                })
+                .collect()
+        })
+    }
+
+    /// The streamed indexes of `s` against [`reference_indexes`], and the
+    /// set built from them.
+    fn check_stream(s: &str, q: usize, a: &Alphabet, padded: bool) {
+        let mut streamed = Vec::new();
+        for_each_qgram_index(s, q, a, padded, |x| streamed.push(x));
+        prop_assert_eq!(&streamed, &reference_indexes(s, q, a, padded));
+        let set = if padded {
+            QGramSet::build(s, q, a)
+        } else {
+            QGramSet::build_unpadded(s, q, a)
+        };
+        prop_assert_eq!(set.raw_count(), streamed.len());
+        prop_assert_eq!(set, QGramSet::from_indexes(streamed));
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The kernel against its definition, over arbitrary Unicode, every
+        /// `q` up to 13 (`38^12 < 2^64 < 38^13`, so the wrapping range is
+        /// reached), both windows, an alphabet with lower-case symbols (which
+        /// folding never reaches) and, unpadded, one without the pad.
         #[test]
         fn streamed_indexes_equal_materialized_qgrams(
-            s in "[A-Ca-c0-2 _.éß#-]{0,14}",
-            q in 1usize..=4,
+            s in unicode_string(),
+            q in 1usize..=13,
             padded in any::<bool>(),
         ) {
-            for a in [Alphabet::upper(), Alphabet::linkage()] {
-                let mut streamed = Vec::new();
-                for_each_qgram_index(&s, q, &a, padded, |x| streamed.push(x));
-                prop_assert_eq!(&streamed, &reference_indexes(&s, q, &a, padded));
-                let set = if padded {
-                    QGramSet::build(&s, q, &a)
-                } else {
-                    QGramSet::build_unpadded(&s, q, &a)
-                };
-                prop_assert_eq!(set.raw_count(), streamed.len());
-                prop_assert_eq!(set, QGramSet::from_indexes(streamed));
+            let lower = Alphabet::new("_ABCabc019 ");
+            for a in [Alphabet::upper(), Alphabet::linkage(), lower] {
+                check_stream(&s, q, &a, padded);
             }
+            check_stream(&s, q, &Alphabet::new("ABCZ0123456789 "), false);
         }
+    }
 
+    proptest! {
         #[test]
         fn qgram_count_equals_materialized_len(s in "[A-Ca-c éß]{0,9}", q in 1usize..=4) {
             prop_assert_eq!(qgram_count(&s, q, true), qgrams(&s, q).len());
