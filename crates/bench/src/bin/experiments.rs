@@ -1238,7 +1238,7 @@ fn scale(opts: &Opts) {
 /// Multi-probe ablation: probing flipped keys trades per-probe lookups for
 /// far fewer hash tables at the same recall guarantee.
 fn multiprobe(opts: &Opts) {
-    use cbv_hb::blocking::{BlockingStructure, ProbeScratch};
+    use cbv_hb::blocking::{BlockingPlan, ProbeScratch, TableCount};
     use cbv_hb::matcher::RecordSlab;
     println!("\n## Extension — multi-probe LSH (flip budget t)");
     let mut t = Table::new(
@@ -1257,16 +1257,17 @@ fn multiprobe(opts: &Opts) {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x3117);
             let schema = fitted_schema(&pair, &paper_ks(), 1.0 / 3.0, &mut rng);
             let t0 = Instant::now();
-            let mut structure =
-                BlockingStructure::record_level_multiprobe(&schema, 4, 30, 0.1, flips, &mut rng)
+            let tables = TableCount::Equation2 { delta: 0.1, flips };
+            let mut plan =
+                BlockingPlan::record_level_over(&schema.layout(), 4, 30, tables, &mut rng)
                     .expect("valid");
-            l_used = structure.l();
+            l_used = plan.total_tables();
             let mut store = RecordSlab::new(schema.layout());
             let mut row = vec![0; schema.row_words()];
             for r in &pair.a {
                 schema.embed_row(r, &mut row).expect("ok");
                 let slot = store.insert(r.id, &row).expect("ok");
-                structure.insert_row(u64::from(slot), &row);
+                plan.insert_row(u64::from(slot), &row);
             }
             let rule = Rule::and((0..4).map(|i| Rule::pred(i, 4)));
             let mut matches = Vec::new();
@@ -1274,7 +1275,7 @@ fn multiprobe(opts: &Opts) {
             let mut scratch = ProbeScratch::default();
             for r in &pair.b {
                 schema.embed_row(r, &mut row).expect("ok");
-                structure.candidates_into_row(&row, &mut scratch);
+                plan.candidates_into_row(&row, |slot| store.row_at(slot), &mut scratch);
                 n_cands += scratch.candidates().len() as u64;
                 for &slot in scratch.candidates() {
                     if let Some(a) = store.row_at(slot) {
@@ -1480,6 +1481,8 @@ fn nonstd(opts: &Opts) {
 /// `L = 2^{θ+1} − 1` (docs/THEORY.md §9): how many of the cross pairs
 /// within record-level distance θ each backend co-blocks, and at what
 /// candidate cost. Counts only — identical flags write identical JSON.
+/// Exits non-zero unless the covering plan co-blocks every pair within θ
+/// (recall 1, its zero-false-negative guarantee).
 fn covering(opts: &Opts) {
     use cbv_hb::blocking::{BlockingPlan, TableCount};
     println!("\n## Extension — CoveringLSH vs random sampling at matched L");
@@ -1507,10 +1510,11 @@ fn covering(opts: &Opts) {
 
     let matched_l = (1usize << (theta + 1)) - 1;
     let plan_rng = || StdRng::seed_from_u64(opts.seed ^ 0xC0FE);
+    let config = LinkageConfig::covering(Rule::and((0..4).map(|f| Rule::pred(f, theta))), theta);
     let plans = [
         (
             "covering",
-            BlockingPlan::covering_record_level(&schema, theta, &mut plan_rng()),
+            BlockingPlan::from_config(&schema, &config, &mut plan_rng()),
         ),
         (
             "random",
@@ -1536,6 +1540,7 @@ fn covering(opts: &Opts) {
         ],
     );
     let mut json = Vec::new();
+    let mut missed = 0;
     for (backend, plan) in plans {
         let mut plan = plan.expect("valid plan");
         let stats = plan.stats();
@@ -1552,6 +1557,9 @@ fn covering(opts: &Opts) {
         } else {
             co_blocked as f64 / within_pairs as f64
         };
+        if backend == "covering" {
+            missed = within_pairs - co_blocked;
+        }
         t.row([
             backend.to_string(),
             l.to_string(),
@@ -1569,6 +1577,10 @@ fn covering(opts: &Opts) {
     }
     t.print();
     write_json(&opts.out, "covering", &json);
+    if missed > 0 {
+        eprintln!("covering: {missed} of {within_pairs} pairs within θ = {theta} not co-blocked");
+        std::process::exit(1);
+    }
 }
 
 // ------------------------------------------------- design ablations
@@ -1800,7 +1812,8 @@ fn ablations(opts: &Opts) {
 
     // Algorithm 2 over one rule-aware structure, probed with every B record.
     let rule = Rule::and((0..4).map(|i| Rule::pred(i, 4)));
-    let mut plan = BlockingPlan::compile(&schema, &rule, 0.1, &mut rng).expect("valid rule");
+    let config = LinkageConfig::rule_aware(rule.clone());
+    let mut plan = BlockingPlan::from_config(&schema, &config, &mut rng).expect("valid rule");
     let mut store = RecordSlab::new(layout.clone());
     for (id, row) in schema.rows_of(&pair.a, &rows_a) {
         index_row(&mut plan, &mut store, id, row).expect("index A");

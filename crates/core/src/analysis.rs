@@ -75,7 +75,7 @@ mod tests {
     use super::*;
     use crate::blocking::BlockingPlan;
     use crate::schema::{AttributeSpec, RecordSchema};
-    use crate::Rule;
+    use crate::{LinkageConfig, Rule};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use textdist::Alphabet;
@@ -96,7 +96,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let s = schema(&mut rng);
         let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-        let plan = BlockingPlan::compile(&s, &rule, 0.1, &mut rng).unwrap();
+        let plan =
+            BlockingPlan::from_config(&s, &LinkageConfig::rule_aware(rule), &mut rng).unwrap();
         let report = analyze(&plan);
         assert_eq!(report.structures.len(), 1);
         assert!(report.combined_recall_bound >= 0.9);
@@ -108,7 +109,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let s = schema(&mut rng);
         let rule = Rule::or([Rule::pred(0, 4), Rule::pred(1, 4)]);
-        let plan = BlockingPlan::compile(&s, &rule, 0.1, &mut rng).unwrap();
+        let plan =
+            BlockingPlan::from_config(&s, &LinkageConfig::rule_aware(rule), &mut rng).unwrap();
         let report = analyze(&plan);
         assert_eq!(report.structures.len(), 2);
         assert!(report.structures.iter().all(|r| r.recall_bound > 0.0));
@@ -118,7 +120,8 @@ mod tests {
     fn covering_plan_reports_full_recall_and_backend() {
         let mut rng = StdRng::seed_from_u64(4);
         let s = schema(&mut rng);
-        let plan = BlockingPlan::covering_record_level(&s, 4, &mut rng).unwrap();
+        let config = LinkageConfig::covering(Rule::pred(0, 4), 4);
+        let plan = BlockingPlan::from_config(&s, &config, &mut rng).unwrap();
         let report = analyze(&plan);
         assert_eq!(report.structures[0].backend, "covering");
         assert_eq!(report.structures[0].l, 31); // 2^{4+1} − 1
@@ -130,7 +133,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let s = schema(&mut rng);
         let rule = Rule::pred(0, 4);
-        let mut plan = BlockingPlan::compile(&s, &rule, 0.1, &mut rng).unwrap();
+        let mut plan =
+            BlockingPlan::from_config(&s, &LinkageConfig::rule_aware(rule), &mut rng).unwrap();
         let rec = s.embed(&crate::Record::new(1, ["JOHN", "SMITH"])).unwrap();
         plan.insert(&rec);
         let report = analyze(&plan);

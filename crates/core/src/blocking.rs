@@ -1,24 +1,34 @@
 //! Blocking structures and the rule-aware blocking plan compiler
 //! (Sections 4.2, 5.3, 5.4).
 //!
-//! Two blocking modes are provided:
+//! A plan is built in one of two ways:
+//!
+//! * [`BlockingPlan::from_config`] builds every plan over a schema — the
+//!   pipelines, the sharded server, deduplication and the streaming
+//!   subscriptions all call it — in the [`crate::pipeline::BlockingMode`]
+//!   the config names;
+//! * [`BlockingPlan::record_level_over`] builds record-level HB over any
+//!   [`RowLayout`], for records that are fixed-width bit vectors without a
+//!   schema — the keyed PPRL encodings, BfH's Bloom filters — and for a
+//!   fixed `L` or multi-probe ([`TableCount`]).
+//!
+//! The modes:
 //!
 //! * **Record-level HB** (Section 4.2): one [`BlockingStructure`] whose
 //!   composite hashes sample bits uniformly from the whole record-level
-//!   c-vector. This is the paper's baseline blocking mode ("standard
-//!   LSH-based approach"). One constructor builds it over any
-//!   [`RowLayout`] ([`BlockingPlan::record_level_over`]), so records that
-//!   are fixed-width bit vectors without a schema — the keyed PPRL
-//!   encodings, BfH's Bloom filters — block through the same structure.
-//! * **Attribute-level, rule-aware blocking** (Section 5.4): a
-//!   classification [`Rule`] is compiled by [`BlockingPlan::compile`] into a
-//!   set of structures plus a set-algebra expression over their candidate
-//!   sets:
-//!   - a conjunction of predicates fuses into **one** structure whose keys
-//!     concatenate per-attribute samples (`p_∧ = Π p_i^{K_i}`, Definition 4);
-//!   - a disjunction of predicates builds one structure per attribute, all
-//!     sharing `L = ⌈ln δ / ln(1 − p_∨)⌉` with `p_∨` from
-//!     inclusion–exclusion (Definition 5);
+//!   c-vector — the paper's baseline ("standard LSH-based approach") — or,
+//!   under CoveringLSH, one covering family over it.
+//! * **Attribute-level, rule-aware blocking** (Section 5.4): one recursive
+//!   compiler turns a classification [`Rule`] into a set of structures plus
+//!   a set-algebra expression over their candidate sets, on either backend:
+//!   - a conjunction of predicates fuses into **one** structure: under bit
+//!     sampling its keys concatenate per-attribute samples
+//!     (`p_∧ = Π p_i^{K_i}`, Definition 4), under covering one family of
+//!     the summed radius covers the concatenated attributes;
+//!   - a disjunction of predicates builds one structure per attribute;
+//!     under bit sampling they share `L = ⌈ln δ / ln(1 − p_∨)⌉` with `p_∨`
+//!     from inclusion–exclusion (Definition 5), under covering each already
+//!     has recall 1 and the OR is a plain union;
 //!   - a negated conjunct builds its own structure whose co-blocked set is
 //!     *subtracted* from the candidates (Definition 6 / rule C3) — such
 //!     pairs "are not formulated at all and are never brought for
@@ -215,139 +225,17 @@ impl BlockingStructure {
         };
     }
 
-    /// The one record-level HB constructor: keys sample `k` bits uniformly
-    /// from rows laid out by `layout` (the `m̄`-bit record-level c-vector);
-    /// `theta` is the record-level Hamming threshold `L` is computed for.
-    /// The `L` samplers are drawn by [`BitSampleFamily::random`].
-    fn record_level_over<R: Rng + ?Sized>(
-        layout: &RowLayout,
-        theta: u32,
-        k: u32,
-        tables: TableCount,
-        rng: &mut R,
-    ) -> Result<Self> {
-        let m = layout.bits();
-        if m == 0 {
-            return Err(Error::InvalidParameter("a row of 0 bits".into()));
-        }
-        if theta as usize > m {
-            return Err(Error::ThresholdTooLarge {
-                attr: usize::MAX,
-                theta,
-                m,
-            });
-        }
-        let p = base_success_probability(theta, m);
-        let (l, p_collide, flips) = match tables {
-            TableCount::Fixed(l) => (l, p.powi(k as i32), 0),
-            TableCount::Equation2 { flips, .. } if flips > k => {
-                return Err(Error::InvalidParameter(format!(
-                    "cannot flip {flips} bits of a {k}-bit key"
-                )));
-            }
-            TableCount::Equation2 { delta, flips } => {
-                check_delta(delta)?;
-                // `p^K` at 0 flips.
-                let p_collide = rl_lsh::params::multiprobe_collision_probability(p, k, flips);
-                if p_collide <= 0.0 {
-                    return Err(Error::InvalidParameter(format!(
-                        "record-level collision probability underflowed to 0 \
-                         (theta={theta}, m={m}, k={k}, flips={flips})"
-                    )));
-                }
-                (optimal_l(p_collide, delta), p_collide, flips)
-            }
-        };
-        let label = match tables {
-            TableCount::Fixed(_) => format!("record-level(theta={theta},K={k},L={l},fixed)"),
-            _ if flips == 0 => format!("record-level(theta={theta},K={k},L={l})"),
-            _ => format!("record-level-mp(theta={theta},K={k},L={l},t={flips})"),
-        };
-        let family = BitSampleFamily::random(m, k as usize, l, rng)?;
-        Ok(Self::assemble(
-            layout,
-            label,
-            vec![SubFamily {
-                source: Source::Record,
-                backend: Backend::RandomSampling(family),
-            }],
-            p_collide,
-            Vec::new(),
-            flips,
-        ))
-    }
-
-    /// Builds the record-level HB structure over `schema`'s rows, `L` from
-    /// Equation 2.
-    pub fn record_level<R: Rng + ?Sized>(
-        schema: &RecordSchema,
-        theta: u32,
-        k: u32,
-        delta: f64,
-        rng: &mut R,
-    ) -> Result<Self> {
-        let tables = TableCount::Equation2 { delta, flips: 0 };
-        Self::record_level_over(&schema.layout(), theta, k, tables, rng)
-    }
-
-    /// As [`Self::record_level`], but with a fixed number of blocking
-    /// groups instead of deriving `L` from Equation 2 — used by parameter
-    /// sweeps (Figure 7) where `L` must stay constant while the embedding
-    /// geometry changes.
-    pub fn record_level_with_l<R: Rng + ?Sized>(
-        schema: &RecordSchema,
-        theta: u32,
-        k: u32,
-        l: usize,
-        rng: &mut R,
-    ) -> Result<Self> {
-        Self::record_level_over(&schema.layout(), theta, k, TableCount::Fixed(l), rng)
-    }
-
-    /// Multi-probe record-level HB (Lv et al., adapted): each probe also
-    /// looks up the buckets of keys with up to `flips` bits toggled, which
-    /// boosts the per-table success probability and shrinks `L`
-    /// (`rl_lsh::params::multiprobe_collision_probability`).
-    pub fn record_level_multiprobe<R: Rng + ?Sized>(
-        schema: &RecordSchema,
-        theta: u32,
-        k: u32,
-        delta: f64,
-        flips: u32,
-        rng: &mut R,
-    ) -> Result<Self> {
-        let tables = TableCount::Equation2 { delta, flips };
-        Self::record_level_over(&schema.layout(), theta, k, tables, rng)
-    }
-
-    /// Builds a fused conjunction structure over `(attr, θ)` conjuncts:
-    /// per-attribute samplers of `K^(f_i)` bits (taken from the schema
-    /// spec), keys concatenated, `L` from `p_∧` (Definition 4).
-    pub fn conjunction<R: Rng + ?Sized>(
-        schema: &RecordSchema,
-        conjuncts: &[Pred],
-        delta: f64,
-        rng: &mut R,
-    ) -> Result<Self> {
-        check_delta(delta)?;
-        let p_collide = conjunction_probability(schema, conjuncts)?;
-        let l = optimal_l(p_collide, delta);
-        Self::conjunction_with_l(schema, conjuncts, l, p_collide, rng)
-    }
-
-    /// As [`Self::conjunction`], but with an externally fixed `L` — used by
-    /// the OR compiler, which shares one `L` across the disjunct structures
-    /// (Definition 5).
-    fn conjunction_with_l<R: Rng + ?Sized>(
+    /// Definition 4's fused conjunction under bit sampling: in each of the
+    /// `L` tables one sampler of `K^(f_i)` bits (the schema spec's) per
+    /// conjunct, keys concatenated; a pair within the thresholds collides
+    /// in a table with probability `p_collide`.
+    fn sampled_conjunction<R: Rng + ?Sized>(
         schema: &RecordSchema,
         conjuncts: &[Pred],
         l: usize,
         p_collide: f64,
         rng: &mut R,
     ) -> Result<Self> {
-        if conjuncts.is_empty() {
-            return Err(Error::InvalidRule("empty conjunction".into()));
-        }
         // Draw samplers table-major (table 0's samplers for every conjunct,
         // then table 1's, …): the exact RNG order of the pre-backend
         // implementation, so seeded runs keep their blocking keys. The
@@ -367,14 +255,9 @@ impl BlockingStructure {
                 backend: Backend::RandomSampling(BitSampleFamily::from_samplers(samplers)?),
             });
         }
-        let label = conjuncts
-            .iter()
-            .map(|c| format!("f{}<={}", c.attr, c.theta))
-            .collect::<Vec<_>>()
-            .join("&");
         Ok(Self::assemble(
             &schema.layout(),
-            format!("attr-level({label},L={l})"),
+            format!("attr-level({},L={l})", conjunct_label(conjuncts)),
             families,
             p_collide,
             conjuncts.to_vec(),
@@ -382,95 +265,25 @@ impl BlockingStructure {
         ))
     }
 
-    /// Builds a record-level covering structure: `L = 2^{theta+1} − 1`
-    /// groups over the record-level c-vector, with **zero false negatives**
-    /// for pairs at record-level Hamming distance ≤ `theta`.
-    pub fn covering_record_level<R: Rng + ?Sized>(
-        schema: &RecordSchema,
+    /// A CoveringLSH structure of radius `theta` over the `m` bits of
+    /// `source`: `L = 2^{θ+1} − 1` groups and **zero false negatives** for
+    /// pairs within `theta` there. `label` names the structure given `L`.
+    fn covering<R: Rng + ?Sized>(
+        layout: &RowLayout,
+        source: Source,
+        m: usize,
         theta: u32,
+        conjuncts: Vec<Pred>,
+        label: impl FnOnce(usize) -> String,
         rng: &mut R,
     ) -> Result<Self> {
-        let m = schema.total_size();
-        if theta as usize > m {
-            return Err(Error::ThresholdTooLarge {
-                attr: usize::MAX,
-                theta,
-                m,
-            });
-        }
         let family = CoveringFamily::random(m, theta, rng)?;
-        let l = family.l();
-        Ok(Self::assemble(
-            &schema.layout(),
-            format!("covering-record(theta={theta},L={l})"),
-            vec![SubFamily {
-                source: Source::Record,
-                backend: Backend::Covering(family),
-            }],
-            1.0,
-            Vec::new(),
-            0,
-        ))
-    }
-
-    /// Builds a covering structure for a conjunction of `(attr, θ)`
-    /// predicates. The conjunct attributes are fused into **one** covering
-    /// family over their concatenation with radius `θ_∧ = Σ θ_i`: a pair
-    /// satisfying every conjunct differs in at most `θ_∧` bits of the
-    /// concatenation, so the single family's guarantee covers the whole
-    /// conjunction with `2^{θ_∧+1} − 1` groups instead of the cross-product
-    /// of per-attribute group counts.
-    pub fn covering_conjunction<R: Rng + ?Sized>(
-        schema: &RecordSchema,
-        conjuncts: &[Pred],
-        rng: &mut R,
-    ) -> Result<Self> {
-        if conjuncts.is_empty() {
-            return Err(Error::InvalidRule("empty conjunction".into()));
-        }
-        let mut theta_total = 0u32;
-        let mut m_total = 0usize;
-        for c in conjuncts {
-            let spec = schema
-                .specs()
-                .get(c.attr)
-                .ok_or(Error::AttributeOutOfRange {
-                    attr: c.attr,
-                    num_attributes: schema.num_attributes(),
-                })?;
-            if c.theta as usize > spec.m {
-                return Err(Error::ThresholdTooLarge {
-                    attr: c.attr,
-                    theta: c.theta,
-                    m: spec.m,
-                });
-            }
-            theta_total += c.theta;
-            m_total += spec.m;
-        }
-        let family = CoveringFamily::random(m_total, theta_total, rng)?;
-        let l = family.l();
-        let source = if conjuncts.len() == 1 {
-            Source::Attr(conjuncts[0].attr)
-        } else {
-            Source::Attrs(conjuncts.iter().map(|c| c.attr).collect())
-        };
-        let label = conjuncts
-            .iter()
-            .map(|c| format!("f{}<={}", c.attr, c.theta))
-            .collect::<Vec<_>>()
-            .join("&");
-        Ok(Self::assemble(
-            &schema.layout(),
-            format!("covering({label},theta={theta_total},L={l})"),
-            vec![SubFamily {
-                source,
-                backend: Backend::Covering(family),
-            }],
-            1.0,
-            conjuncts.to_vec(),
-            0,
-        ))
+        let label = label(family.l());
+        let families = vec![SubFamily {
+            source,
+            backend: Backend::Covering(family),
+        }];
+        Ok(Self::assemble(layout, label, families, 1.0, conjuncts, 0))
     }
 
     /// Number of blocking groups `L`.
@@ -915,33 +728,36 @@ fn check_delta(delta: f64) -> Result<()> {
     Ok(())
 }
 
-/// `p_∧` for a set of conjuncts, validating thresholds against the schema.
-fn conjunction_probability(schema: &RecordSchema, conjuncts: &[Pred]) -> Result<f64> {
-    let mut terms = Vec::with_capacity(conjuncts.len());
-    for c in conjuncts {
-        let spec = schema
-            .specs()
-            .get(c.attr)
-            .ok_or(Error::AttributeOutOfRange {
-                attr: c.attr,
-                num_attributes: schema.num_attributes(),
-            })?;
-        if c.theta as usize > spec.m {
-            return Err(Error::ThresholdTooLarge {
-                attr: c.attr,
-                theta: c.theta,
-                m: spec.m,
-            });
-        }
-        terms.push((base_success_probability(c.theta, spec.m), spec.k));
+/// Refuses a record-level threshold wider than the row's `m` bits.
+fn check_record_theta(theta: u32, m: usize) -> Result<()> {
+    if theta as usize > m {
+        return Err(Error::ThresholdTooLarge {
+            attr: usize::MAX,
+            theta,
+            m,
+        });
     }
-    let p = and_probability(terms);
+    Ok(())
+}
+
+/// Refuses a collision probability that underflowed to 0: no `L` reaches
+/// the failure budget with it.
+fn check_collision(p: f64, what: &str) -> Result<f64> {
     if p <= 0.0 {
-        return Err(Error::InvalidParameter(
-            "conjunction collision probability underflowed to 0".into(),
-        ));
+        return Err(Error::InvalidParameter(format!(
+            "{what} collision probability underflowed to 0"
+        )));
     }
     Ok(p)
+}
+
+/// `f0<=4&f1<=4`: the conjuncts as a structure's label names them.
+fn conjunct_label(conjuncts: &[Pred]) -> String {
+    let names: Vec<String> = conjuncts
+        .iter()
+        .map(|c| format!("f{}<={}", c.attr, c.theta))
+        .collect();
+    names.join("&")
 }
 
 /// Set-algebra expression over structure candidate sets.
@@ -967,54 +783,6 @@ pub struct BlockingPlan {
 }
 
 impl BlockingPlan {
-    /// Compiles a validated classification rule into blocking structures
-    /// (Section 5.4). `delta` is the per-rule failure budget δ.
-    ///
-    /// Following the paper's compound-rule treatment, each subrule's
-    /// structure receives the full δ budget; nested disjunctions of
-    /// predicates share one `L` per Definition 5.
-    pub fn compile<R: Rng + ?Sized>(
-        schema: &RecordSchema,
-        rule: &Rule,
-        delta: f64,
-        rng: &mut R,
-    ) -> Result<Self> {
-        let sizes: Vec<usize> = schema.specs().iter().map(|s| s.m).collect();
-        rule.validate(&sizes)?;
-        check_delta(delta)?;
-        let mut structures = Vec::new();
-        let expr = compile_node(schema, rule, delta, &mut structures, rng)?;
-        Ok(Self { structures, expr })
-    }
-
-    /// Compiles a classification rule into **covering** blocking structures:
-    /// the same set algebra as [`Self::compile`], but every structure uses
-    /// the CoveringLSH backend, so each positive structure finds *all*
-    /// pairs within its thresholds (no δ budget — recall is 1 by
-    /// construction). Conjunctions fuse into one summed-radius family;
-    /// disjunctions simply union per-disjunct structures (no shared-`L`
-    /// machinery is needed when every structure already has full recall).
-    pub fn compile_covering<R: Rng + ?Sized>(
-        schema: &RecordSchema,
-        rule: &Rule,
-        rng: &mut R,
-    ) -> Result<Self> {
-        let sizes: Vec<usize> = schema.specs().iter().map(|s| s.m).collect();
-        rule.validate(&sizes)?;
-        let mut structures = Vec::new();
-        let expr = compile_covering_node(schema, rule, &mut structures, rng)?;
-        Ok(Self { structures, expr })
-    }
-
-    /// Wraps a single record-level covering structure as a plan.
-    pub fn covering_record_level<R: Rng + ?Sized>(
-        schema: &RecordSchema,
-        theta: u32,
-        rng: &mut R,
-    ) -> Result<Self> {
-        BlockingStructure::covering_record_level(schema, theta, rng).map(Self::single)
-    }
-
     /// A plan of the one structure `s`.
     fn single(s: BlockingStructure) -> Self {
         Self {
@@ -1024,9 +792,10 @@ impl BlockingPlan {
     }
 
     /// Builds the plan a [`crate::pipeline::LinkageConfig`] asks for — the
-    /// single construction point shared by the pipeline, the sharded
-    /// service and deduplication, so a new blocking mode lands everywhere
-    /// at once. Validates the rule and the config before compiling.
+    /// construction point of every plan over a schema, shared by the
+    /// pipeline, the sharded service, deduplication and the streaming
+    /// subscriptions, so a new blocking mode lands everywhere at once.
+    /// Validates the rule and the config before anything is drawn.
     pub fn from_config<R: Rng + ?Sized>(
         schema: &RecordSchema,
         config: &crate::pipeline::LinkageConfig,
@@ -1036,36 +805,51 @@ impl BlockingPlan {
         let sizes: Vec<usize> = schema.specs().iter().map(|s| s.m).collect();
         config.rule.validate(&sizes)?;
         config.validate()?;
+        let record_level = |theta, k, tables, rng: &mut R| {
+            Self::record_level_over(&schema.layout(), theta, k, tables, rng)
+        };
         let mut plan = match config.mode {
             BlockingMode::RecordLevel { theta, k } => {
-                Self::record_level(schema, theta, k, config.delta, rng)
+                let tables = TableCount::Equation2 {
+                    delta: config.delta,
+                    flips: 0,
+                };
+                record_level(theta, k, tables, rng)
             }
             BlockingMode::RecordLevelFixedL { theta, k, l } => {
-                Self::record_level_over(&schema.layout(), theta, k, TableCount::Fixed(l), rng)
+                record_level(theta, k, TableCount::Fixed(l), rng)
             }
-            BlockingMode::RuleAware => Self::compile(schema, &config.rule, config.delta, rng),
-            BlockingMode::Covering { theta } => Self::covering_record_level(schema, theta, rng),
-            BlockingMode::CoveringRuleAware => Self::compile_covering(schema, &config.rule, rng),
+            BlockingMode::RuleAware => {
+                check_delta(config.delta)?;
+                let leaves = Leaves::Sampling {
+                    delta: config.delta,
+                };
+                RuleCompiler::compile(schema, &config.rule, leaves, rng)
+            }
+            BlockingMode::Covering { theta } => {
+                let m = schema.total_size();
+                check_record_theta(theta, m)?;
+                let label = |l| format!("covering-record(theta={theta},L={l})");
+                let layout = schema.layout();
+                BlockingStructure::covering(&layout, Source::Record, m, theta, vec![], label, rng)
+                    .map(Self::single)
+            }
+            BlockingMode::CoveringRuleAware => {
+                RuleCompiler::compile(schema, &config.rule, Leaves::Covering, rng)
+            }
         }?;
         plan.configure_stores(&config.block)?;
         Ok(plan)
     }
 
-    /// Wraps a single record-level structure as a plan (standard HB mode).
-    pub fn record_level<R: Rng + ?Sized>(
-        schema: &RecordSchema,
-        theta: u32,
-        k: u32,
-        delta: f64,
-        rng: &mut R,
-    ) -> Result<Self> {
-        BlockingStructure::record_level(schema, theta, k, delta, rng).map(Self::single)
-    }
-
-    /// Record-level HB over rows laid out by `layout`, for records that are
-    /// fixed-width bit vectors without a [`RecordSchema`] (keyed PPRL
-    /// encodings, Bloom filters), or with a fixed `L` (parameter sweeps):
-    /// the constructor behind [`Self::record_level`].
+    /// Record-level HB over rows laid out by `layout`: keys sample `k` bits
+    /// uniformly from the `m̄`-bit row, `theta` is the record-level Hamming
+    /// threshold `L` is computed for, and `tables` sets `L` — from Equation 2,
+    /// optionally with multi-probe, or fixed. The one plan constructor for
+    /// records that are fixed-width bit vectors without a [`RecordSchema`]
+    /// (keyed PPRL encodings, Bloom filters), and the one behind
+    /// [`Self::from_config`]'s record-level modes. The `L` samplers are
+    /// drawn by [`BitSampleFamily::random`].
     pub fn record_level_over<R: Rng + ?Sized>(
         layout: &RowLayout,
         theta: u32,
@@ -1073,7 +857,45 @@ impl BlockingPlan {
         tables: TableCount,
         rng: &mut R,
     ) -> Result<Self> {
-        BlockingStructure::record_level_over(layout, theta, k, tables, rng).map(Self::single)
+        let m = layout.bits();
+        if m == 0 {
+            return Err(Error::InvalidParameter("a row of 0 bits".into()));
+        }
+        check_record_theta(theta, m)?;
+        let p = base_success_probability(theta, m);
+        let (l, p_collide, flips) = match tables {
+            TableCount::Fixed(l) => (l, p.powi(k as i32), 0),
+            TableCount::Equation2 { flips, .. } if flips > k => {
+                return Err(Error::InvalidParameter(format!(
+                    "cannot flip {flips} bits of a {k}-bit key"
+                )));
+            }
+            TableCount::Equation2 { delta, flips } => {
+                check_delta(delta)?;
+                // `p^K` at 0 flips.
+                let p_collide = rl_lsh::params::multiprobe_collision_probability(p, k, flips);
+                if p_collide <= 0.0 {
+                    return Err(Error::InvalidParameter(format!(
+                        "record-level collision probability underflowed to 0 \
+                         (theta={theta}, m={m}, k={k}, flips={flips})"
+                    )));
+                }
+                (optimal_l(p_collide, delta), p_collide, flips)
+            }
+        };
+        let label = match tables {
+            TableCount::Fixed(_) => format!("record-level(theta={theta},K={k},L={l},fixed)"),
+            _ if flips == 0 => format!("record-level(theta={theta},K={k},L={l})"),
+            _ => format!("record-level-mp(theta={theta},K={k},L={l},t={flips})"),
+        };
+        let family = BitSampleFamily::random(m, k as usize, l, rng)?;
+        let families = vec![SubFamily {
+            source: Source::Record,
+            backend: Backend::RandomSampling(family),
+        }];
+        let structure =
+            BlockingStructure::assemble(layout, label, families, p_collide, Vec::new(), flips);
+        Ok(Self::single(structure))
     }
 
     /// The compiled structures.
@@ -1421,231 +1243,205 @@ fn union_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Recursive compiler: returns the expression for `rule`, appending any new
-/// structures to `structures`.
-fn compile_node<R: Rng + ?Sized>(
-    schema: &RecordSchema,
-    rule: &Rule,
-    delta: f64,
-    structures: &mut Vec<BlockingStructure>,
-    rng: &mut R,
-) -> Result<PlanExpr> {
-    match rule {
-        Rule::Pred(p) => {
-            let s = BlockingStructure::conjunction(schema, &[*p], delta, rng)?;
-            structures.push(s);
-            Ok(PlanExpr::Leaf(structures.len() - 1))
-        }
-        Rule::And(children) => {
-            // Partition: fuse predicate conjuncts into one structure; compile
-            // compound conjuncts recursively; negations become exclusions.
-            let mut preds: Vec<Pred> = Vec::new();
-            let mut compound: Vec<&Rule> = Vec::new();
-            let mut negations: Vec<&Rule> = Vec::new();
-            for c in children {
-                match c {
-                    Rule::Pred(p) => preds.push(*p),
-                    Rule::Not(inner) => negations.push(inner),
-                    other => compound.push(other),
+/// The backend a rule compiles onto. The two differ only in the structure
+/// a conjunction of predicates becomes and in an OR of plain predicates.
+#[derive(Debug, Clone, Copy)]
+enum Leaves {
+    /// Bit sampling with failure budget δ: a conjunction is per-attribute
+    /// samplers with `L` from `p_∧` (Definition 4), an OR of predicates
+    /// shares the `L` of `p_∨` (Definition 5).
+    Sampling { delta: f64 },
+    /// CoveringLSH: a conjunction is one family of the summed radius over
+    /// its attributes, recall 1 within the thresholds, so an OR is a union.
+    Covering,
+}
+
+/// The §5.4 rule compiler, for both backends: walks a validated rule,
+/// appending a structure per leaf to `structures` in the order the
+/// expression names them, and drawing every hash family from `rng` in that
+/// order.
+struct RuleCompiler<'a, R: ?Sized> {
+    schema: &'a RecordSchema,
+    layout: RowLayout,
+    leaves: Leaves,
+    structures: Vec<BlockingStructure>,
+    rng: &'a mut R,
+}
+
+impl<'a, R: Rng + ?Sized> RuleCompiler<'a, R> {
+    /// Compiles `rule`, validated against `schema` (and δ checked) by the
+    /// caller, into a plan.
+    fn compile(
+        schema: &'a RecordSchema,
+        rule: &Rule,
+        leaves: Leaves,
+        rng: &'a mut R,
+    ) -> Result<BlockingPlan> {
+        let mut compiler = Self {
+            schema,
+            layout: schema.layout(),
+            leaves,
+            structures: Vec::new(),
+            rng,
+        };
+        let expr = compiler.node(rule)?;
+        Ok(BlockingPlan {
+            structures: compiler.structures,
+            expr,
+        })
+    }
+
+    fn node(&mut self, rule: &Rule) -> Result<PlanExpr> {
+        match rule {
+            Rule::Pred(p) => self.leaf(&[*p]).map(PlanExpr::Leaf),
+            Rule::And(children) => {
+                // Predicate conjuncts fuse into one structure, compound ones
+                // compile recursively, and each negated one builds a
+                // structure exactly like a positive one (Definition 6 "does
+                // not include any modifications") whose set role flips: its
+                // co-blocked set is subtracted.
+                let preds: Vec<Pred> = children.iter().filter_map(as_pred).collect();
+                let mut positive = Vec::new();
+                if !preds.is_empty() {
+                    positive.push(PlanExpr::Leaf(self.leaf(&preds)?));
                 }
-            }
-            let mut sub_exprs = Vec::new();
-            if !preds.is_empty() {
-                let s = BlockingStructure::conjunction(schema, &preds, delta, rng)?;
-                structures.push(s);
-                sub_exprs.push(PlanExpr::Leaf(structures.len() - 1));
-            }
-            for c in compound {
-                sub_exprs.push(compile_node(schema, c, delta, structures, rng)?);
-            }
-            let mut negated = Vec::new();
-            for n in negations {
-                // The negated subrule's structure is built exactly like a
-                // positive one (Definition 6 "does not include any
-                // modifications"); only its set role flips.
-                let preds =
-                    match n {
-                        Rule::Pred(p) => vec![*p],
-                        Rule::And(inner) => {
-                            let mut ps = Vec::new();
-                            for r in inner {
-                                match r {
-                                    Rule::Pred(p) => ps.push(*p),
-                                    _ => return Err(Error::InvalidRule(
-                                        "NOT supports a predicate or a conjunction of predicates"
-                                            .into(),
-                                    )),
-                                }
-                            }
-                            ps
-                        }
-                        _ => {
-                            return Err(Error::InvalidRule(
-                                "NOT supports a predicate or a conjunction of predicates".into(),
-                            ))
-                        }
-                    };
-                let s = BlockingStructure::conjunction(schema, &preds, delta, rng)?;
-                structures.push(s);
-                negated.push(structures.len() - 1);
-            }
-            if sub_exprs.is_empty() {
-                return Err(Error::InvalidRule(
-                    "AND must contain at least one non-negated conjunct".into(),
-                ));
-            }
-            Ok(PlanExpr::And {
-                children: sub_exprs,
-                negated,
-            })
-        }
-        Rule::Or(children) => {
-            let all_preds: Option<Vec<Pred>> = children
-                .iter()
-                .map(|c| match c {
-                    Rule::Pred(p) => Some(*p),
-                    _ => None,
-                })
-                .collect();
-            if let Some(preds) = all_preds {
-                // Definition 5: one structure per disjunct attribute, all
-                // sharing L computed from p_∨.
-                let mut terms = Vec::new();
-                for p in &preds {
-                    let spec = schema
-                        .specs()
-                        .get(p.attr)
-                        .ok_or(Error::AttributeOutOfRange {
-                            attr: p.attr,
-                            num_attributes: schema.num_attributes(),
-                        })?;
-                    terms.push((base_success_probability(p.theta, spec.m), spec.k));
-                }
-                let p_or = or_probability(terms.iter().copied());
-                if p_or <= 0.0 {
-                    return Err(Error::InvalidParameter(
-                        "disjunction collision probability underflowed to 0".into(),
-                    ));
-                }
-                let l = optimal_l(p_or, delta);
-                let mut leaves = Vec::new();
-                for (p, term) in preds.iter().zip(terms) {
-                    let s = BlockingStructure::conjunction_with_l(
-                        schema,
-                        &[*p],
-                        l,
-                        term.0.powi(term.1 as i32),
-                        rng,
-                    )?;
-                    structures.push(s);
-                    leaves.push(PlanExpr::Leaf(structures.len() - 1));
-                }
-                Ok(PlanExpr::Or(leaves))
-            } else {
-                // Compound OR (the paper's C1): each subrule keeps its own
-                // structures with the full δ budget; a pair is returned if it
-                // is formulated in either blocking structure.
-                let mut exprs = Vec::new();
                 for c in children {
-                    exprs.push(compile_node(schema, c, delta, structures, rng)?);
+                    if !matches!(c, Rule::Pred(_) | Rule::Not(_)) {
+                        positive.push(self.node(c)?);
+                    }
                 }
-                Ok(PlanExpr::Or(exprs))
+                let mut negated = Vec::new();
+                for c in children {
+                    if let Rule::Not(inner) = c {
+                        negated.push(self.leaf(&negated_conjuncts(inner)?)?);
+                    }
+                }
+                Ok(PlanExpr::And {
+                    children: positive,
+                    negated,
+                })
             }
+            Rule::Or(children) => {
+                let preds: Option<Vec<Pred>> = children.iter().map(as_pred).collect();
+                match (self.leaves, preds) {
+                    (Leaves::Sampling { delta }, Some(preds)) => {
+                        // Definition 5: one structure per disjunct attribute,
+                        // all sharing the `L` of `p_∨`.
+                        let terms = self.terms(&preds);
+                        let p_or =
+                            check_collision(or_probability(terms.iter().copied()), "disjunction")?;
+                        let l = optimal_l(p_or, delta);
+                        let mut leaves = Vec::with_capacity(preds.len());
+                        for (p, (p1, k)) in preds.iter().zip(terms) {
+                            let s = BlockingStructure::sampled_conjunction(
+                                self.schema,
+                                &[*p],
+                                l,
+                                p1.powi(k as i32),
+                                self.rng,
+                            )?;
+                            leaves.push(PlanExpr::Leaf(self.push(s)));
+                        }
+                        Ok(PlanExpr::Or(leaves))
+                    }
+                    // A compound OR (the paper's C1), or any OR under
+                    // covering, whose structures already have recall 1: each
+                    // child keeps its own structures (and the full δ), and a
+                    // pair is a candidate of either.
+                    _ => children
+                        .iter()
+                        .map(|c| self.node(c))
+                        .collect::<Result<_>>()
+                        .map(PlanExpr::Or),
+                }
+            }
+            Rule::Not(_) => Err(Error::InvalidRule(
+                "NOT is only valid as a direct conjunct of an AND".into(),
+            )),
         }
-        Rule::Not(_) => Err(Error::InvalidRule(
-            "NOT is only valid as a direct conjunct of an AND".into(),
-        )),
+    }
+
+    /// Builds the one structure of the conjunction `preds` on the backend
+    /// and returns its index.
+    fn leaf(&mut self, preds: &[Pred]) -> Result<usize> {
+        let s = match self.leaves {
+            Leaves::Sampling { delta } => {
+                let p = check_collision(and_probability(self.terms(preds)), "conjunction")?;
+                BlockingStructure::sampled_conjunction(
+                    self.schema,
+                    preds,
+                    optimal_l(p, delta),
+                    p,
+                    self.rng,
+                )?
+            }
+            Leaves::Covering => {
+                // A pair satisfying every conjunct differs in at most
+                // `θ_∧ = Σ θ_i` bits of the conjunct attributes'
+                // concatenation, so one family of that radius covers the
+                // conjunction with `2^{θ_∧+1} − 1` groups instead of the
+                // cross-product of per-attribute group counts.
+                let m = preds.iter().map(|p| self.schema.specs()[p.attr].m).sum();
+                let theta: u32 = preds.iter().map(|p| p.theta).sum();
+                let source = match preds {
+                    [p] => Source::Attr(p.attr),
+                    _ => Source::Attrs(preds.iter().map(|p| p.attr).collect()),
+                };
+                let label = conjunct_label(preds);
+                let label = |l| format!("covering({label},theta={theta},L={l})");
+                BlockingStructure::covering(
+                    &self.layout,
+                    source,
+                    m,
+                    theta,
+                    preds.to_vec(),
+                    label,
+                    self.rng,
+                )?
+            }
+        };
+        Ok(self.push(s))
+    }
+
+    fn push(&mut self, s: BlockingStructure) -> usize {
+        self.structures.push(s);
+        self.structures.len() - 1
+    }
+
+    /// Each predicate's `(p_i, K_i)`: its per-bit collision probability
+    /// within `θ_i` and its attribute's `K`.
+    fn terms(&self, preds: &[Pred]) -> Vec<(f64, u32)> {
+        let specs = self.schema.specs();
+        preds
+            .iter()
+            .map(|p| {
+                (
+                    base_success_probability(p.theta, specs[p.attr].m),
+                    specs[p.attr].k,
+                )
+            })
+            .collect()
     }
 }
 
-/// Recursive covering compiler: same rule algebra as [`compile_node`], all
-/// structures built on the covering backend.
-fn compile_covering_node<R: Rng + ?Sized>(
-    schema: &RecordSchema,
-    rule: &Rule,
-    structures: &mut Vec<BlockingStructure>,
-    rng: &mut R,
-) -> Result<PlanExpr> {
+fn as_pred(rule: &Rule) -> Option<Pred> {
     match rule {
-        Rule::Pred(p) => {
-            let s = BlockingStructure::covering_conjunction(schema, &[*p], rng)?;
-            structures.push(s);
-            Ok(PlanExpr::Leaf(structures.len() - 1))
-        }
-        Rule::And(children) => {
-            let mut preds: Vec<Pred> = Vec::new();
-            let mut compound: Vec<&Rule> = Vec::new();
-            let mut negations: Vec<&Rule> = Vec::new();
-            for c in children {
-                match c {
-                    Rule::Pred(p) => preds.push(*p),
-                    Rule::Not(inner) => negations.push(inner),
-                    other => compound.push(other),
-                }
-            }
-            let mut sub_exprs = Vec::new();
-            if !preds.is_empty() {
-                let s = BlockingStructure::covering_conjunction(schema, &preds, rng)?;
-                structures.push(s);
-                sub_exprs.push(PlanExpr::Leaf(structures.len() - 1));
-            }
-            for c in compound {
-                sub_exprs.push(compile_covering_node(schema, c, structures, rng)?);
-            }
-            let mut negated = Vec::new();
-            for n in negations {
-                let preds =
-                    match n {
-                        Rule::Pred(p) => vec![*p],
-                        Rule::And(inner) => {
-                            let mut ps = Vec::new();
-                            for r in inner {
-                                match r {
-                                    Rule::Pred(p) => ps.push(*p),
-                                    _ => return Err(Error::InvalidRule(
-                                        "NOT supports a predicate or a conjunction of predicates"
-                                            .into(),
-                                    )),
-                                }
-                            }
-                            ps
-                        }
-                        _ => {
-                            return Err(Error::InvalidRule(
-                                "NOT supports a predicate or a conjunction of predicates".into(),
-                            ))
-                        }
-                    };
-                // A covering exclusion structure co-blocks *every* pair
-                // within the negated thresholds — the exhaustive form of
-                // Definition 6's "never brought for comparison".
-                let s = BlockingStructure::covering_conjunction(schema, &preds, rng)?;
-                structures.push(s);
-                negated.push(structures.len() - 1);
-            }
-            if sub_exprs.is_empty() {
-                return Err(Error::InvalidRule(
-                    "AND must contain at least one non-negated conjunct".into(),
-                ));
-            }
-            Ok(PlanExpr::And {
-                children: sub_exprs,
-                negated,
-            })
-        }
-        Rule::Or(children) => {
-            // Every covering structure already has recall 1 within its
-            // thresholds, so an OR is a plain union of per-child plans —
-            // Definition 5's shared-L trade-off does not arise.
-            let mut exprs = Vec::new();
-            for c in children {
-                exprs.push(compile_covering_node(schema, c, structures, rng)?);
-            }
-            Ok(PlanExpr::Or(exprs))
-        }
-        Rule::Not(_) => Err(Error::InvalidRule(
-            "NOT is only valid as a direct conjunct of an AND".into(),
-        )),
+        Rule::Pred(p) => Some(*p),
+        _ => None,
+    }
+}
+
+/// The predicates a NOT negates: one, or a conjunction of them.
+fn negated_conjuncts(rule: &Rule) -> Result<Vec<Pred>> {
+    let refuse =
+        || Error::InvalidRule("NOT supports a predicate or a conjunction of predicates".into());
+    match rule {
+        Rule::Pred(p) => Ok(vec![*p]),
+        Rule::And(inner) => inner
+            .iter()
+            .map(|r| as_pred(r).ok_or_else(refuse))
+            .collect(),
+        _ => Err(refuse()),
     }
 }
 
@@ -1653,6 +1449,7 @@ fn compile_covering_node<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::schema::AttributeSpec;
+    use crate::LinkageConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use textdist::Alphabet;
@@ -1675,19 +1472,55 @@ mod tests {
         s.embed(&crate::Record::new(id, f)).unwrap()
     }
 
+    /// The rule-aware bit-sampling plan of `rule` at failure budget `delta`.
+    pub(super) fn compile(
+        s: &RecordSchema,
+        rule: &Rule,
+        delta: f64,
+        rng: &mut StdRng,
+    ) -> Result<BlockingPlan> {
+        let config = LinkageConfig {
+            delta,
+            ..LinkageConfig::rule_aware(rule.clone())
+        };
+        BlockingPlan::from_config(s, &config, rng)
+    }
+
+    /// The rule-aware covering plan of `rule`.
+    pub(super) fn compile_covering(
+        s: &RecordSchema,
+        rule: Rule,
+        rng: &mut StdRng,
+    ) -> Result<BlockingPlan> {
+        BlockingPlan::from_config(s, &LinkageConfig::covering_rule_aware(rule), rng)
+    }
+
+    /// Record-level HB over `s`'s rows, `L` from Equation 2 at δ = 0.1 with
+    /// `flips`-bit multi-probe.
+    pub(super) fn record_level(
+        s: &RecordSchema,
+        theta: u32,
+        k: u32,
+        flips: u32,
+        rng: &mut StdRng,
+    ) -> Result<BlockingPlan> {
+        let tables = TableCount::Equation2 { delta: 0.1, flips };
+        BlockingPlan::record_level_over(&s.layout(), theta, k, tables, rng)
+    }
+
     #[test]
     fn record_level_l_matches_equation_2() {
         let s = schema(1);
         let mut rng = StdRng::seed_from_u64(9);
-        let b = BlockingStructure::record_level(&s, 4, 30, 0.1, &mut rng).unwrap();
-        assert_eq!(b.l(), 6); // §6.2: NCVR PL parameters give L = 6
+        let b = record_level(&s, 4, 30, 0, &mut rng).unwrap();
+        assert_eq!(b.total_tables(), 6); // §6.2: NCVR PL parameters give L = 6
     }
 
     #[test]
     fn identical_records_are_always_candidates() {
         let s = schema(2);
         let mut rng = StdRng::seed_from_u64(10);
-        let mut b = BlockingStructure::record_level(&s, 4, 30, 0.1, &mut rng).unwrap();
+        let mut b = record_level(&s, 4, 30, 0, &mut rng).unwrap();
         let e1 = embed(&s, 1, ["JOHN", "SMITH", "12 OAK ST", "DURHAM"]);
         let e2 = embed(&s, 2, ["JOHN", "SMITH", "12 OAK ST", "DURHAM"]);
         b.insert(&e1);
@@ -1699,7 +1532,7 @@ mod tests {
         let s = schema(3);
         let mut rng = StdRng::seed_from_u64(11);
         let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-        let mut plan = BlockingPlan::compile(&s, &rule, 0.1, &mut rng).unwrap();
+        let mut plan = compile(&s, &rule, 0.1, &mut rng).unwrap();
         assert_eq!(plan.structures().len(), 1); // fused conjunction
         let a = embed(&s, 1, ["JOHN", "SMITH", "X", "Y"]);
         let probe = embed(&s, 2, ["JOHN", "SMITH", "COMPLETELY", "DIFFERENT"]);
@@ -1713,7 +1546,7 @@ mod tests {
         let s = schema(4);
         let mut rng = StdRng::seed_from_u64(12);
         let rule = Rule::or([Rule::pred(0, 4), Rule::pred(2, 8)]);
-        let mut plan = BlockingPlan::compile(&s, &rule, 0.1, &mut rng).unwrap();
+        let mut plan = compile(&s, &rule, 0.1, &mut rng).unwrap();
         assert_eq!(plan.structures().len(), 2);
         // Shared L per Definition 5.
         assert_eq!(plan.structures()[0].l(), plan.structures()[1].l());
@@ -1730,7 +1563,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         // C3: first name close AND last name NOT close.
         let rule = Rule::and([Rule::pred(0, 4), Rule::not(Rule::pred(1, 4))]);
-        let mut plan = BlockingPlan::compile(&s, &rule, 0.1, &mut rng).unwrap();
+        let mut plan = compile(&s, &rule, 0.1, &mut rng).unwrap();
         assert_eq!(plan.structures().len(), 2);
         let same_both = embed(&s, 1, ["JOHN", "SMITH", "A", "B"]);
         let same_first = embed(&s, 2, ["JOHN", "WINTERBOTTOM", "A", "B"]);
@@ -1752,7 +1585,7 @@ mod tests {
             Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]),
             Rule::and([Rule::pred(2, 8), Rule::pred(3, 4)]),
         ]);
-        let plan = BlockingPlan::compile(&s, &rule, 0.1, &mut rng).unwrap();
+        let plan = compile(&s, &rule, 0.1, &mut rng).unwrap();
         assert_eq!(plan.structures().len(), 2);
     }
 
@@ -1764,7 +1597,7 @@ mod tests {
             Rule::or([Rule::pred(0, 4), Rule::pred(1, 4)]),
             Rule::or([Rule::pred(2, 8), Rule::pred(3, 4)]),
         ]);
-        let mut plan = BlockingPlan::compile(&s, &rule, 0.1, &mut rng).unwrap();
+        let mut plan = compile(&s, &rule, 0.1, &mut rng).unwrap();
         // Four structures: one per OR disjunct (paper: "four separate
         // blocking structures").
         assert_eq!(plan.structures().len(), 4);
@@ -1781,21 +1614,11 @@ mod tests {
         // using an OR rule".
         let s = schema(8);
         let mut rng = StdRng::seed_from_u64(16);
-        let and_plan = BlockingPlan::compile(
-            &s,
-            &Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]),
-            0.1,
-            &mut rng,
-        )
-        .unwrap();
-        let or_plan = BlockingPlan::compile(
-            &s,
-            &Rule::or([Rule::pred(0, 4), Rule::pred(1, 4)]),
-            0.1,
-            &mut rng,
-        )
-        .unwrap();
-        let single = BlockingPlan::compile(&s, &Rule::pred(0, 4), 0.1, &mut rng).unwrap();
+        let and_rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
+        let and_plan = compile(&s, &and_rule, 0.1, &mut rng).unwrap();
+        let or_rule = Rule::or([Rule::pred(0, 4), Rule::pred(1, 4)]);
+        let or_plan = compile(&s, &or_rule, 0.1, &mut rng).unwrap();
+        let single = compile(&s, &Rule::pred(0, 4), 0.1, &mut rng).unwrap();
         assert!(and_plan.structures()[0].l() > single.structures()[0].l());
         assert!(or_plan.structures()[0].l() < single.structures()[0].l());
     }
@@ -1805,18 +1628,18 @@ mod tests {
         let s = schema(9);
         let mut rng = StdRng::seed_from_u64(17);
         let bare_not = Rule::not(Rule::pred(0, 4));
-        assert!(BlockingPlan::compile(&s, &bare_not, 0.1, &mut rng).is_err());
+        assert!(compile(&s, &bare_not, 0.1, &mut rng).is_err());
         let bad_attr = Rule::pred(7, 4);
-        assert!(BlockingPlan::compile(&s, &bad_attr, 0.1, &mut rng).is_err());
+        assert!(compile(&s, &bad_attr, 0.1, &mut rng).is_err());
         let bad_delta = Rule::pred(0, 4);
-        assert!(BlockingPlan::compile(&s, &bad_delta, 0.0, &mut rng).is_err());
+        assert!(compile(&s, &bad_delta, 0.0, &mut rng).is_err());
     }
 
     #[test]
     fn candidates_empty_when_nothing_indexed() {
         let s = schema(10);
         let mut rng = StdRng::seed_from_u64(18);
-        let plan = BlockingPlan::compile(&s, &Rule::pred(0, 4), 0.1, &mut rng).unwrap();
+        let plan = compile(&s, &Rule::pred(0, 4), 0.1, &mut rng).unwrap();
         let probe = embed(&s, 1, ["A", "B", "C", "D"]);
         assert!(plan.candidates(&probe).is_empty());
     }
@@ -1826,7 +1649,7 @@ mod tests {
         let s = schema(11);
         let mut rng = StdRng::seed_from_u64(19);
         let rule = Rule::or([Rule::pred(0, 4), Rule::pred(1, 4)]);
-        let plan = BlockingPlan::compile(&s, &rule, 0.1, &mut rng).unwrap();
+        let plan = compile(&s, &rule, 0.1, &mut rng).unwrap();
         let per = plan.structures()[0].l();
         assert_eq!(plan.total_tables(), per * 2);
     }
@@ -1834,6 +1657,7 @@ mod tests {
 
 #[cfg(test)]
 mod multiprobe_tests {
+    use super::tests::record_level;
     use super::*;
     use crate::schema::AttributeSpec;
     use crate::Record;
@@ -1859,19 +1683,20 @@ mod multiprobe_tests {
     fn multiprobe_uses_fewer_tables() {
         let s = schema(1);
         let mut rng = StdRng::seed_from_u64(2);
-        let exact = BlockingStructure::record_level(&s, 4, 30, 0.1, &mut rng).unwrap();
-        let mp1 = BlockingStructure::record_level_multiprobe(&s, 4, 30, 0.1, 1, &mut rng).unwrap();
-        let mp2 = BlockingStructure::record_level_multiprobe(&s, 4, 30, 0.1, 2, &mut rng).unwrap();
-        assert!(mp1.l() < exact.l(), "t=1: {} vs {}", mp1.l(), exact.l());
-        assert!(mp2.l() <= mp1.l());
+        let [exact, mp1, mp2] = [0, 1, 2].map(|flips| {
+            record_level(&s, 4, 30, flips, &mut rng)
+                .unwrap()
+                .total_tables()
+        });
+        assert!(mp1 < exact, "t=1: {mp1} vs {exact}");
+        assert!(mp2 <= mp1);
     }
 
     #[test]
     fn multiprobe_finds_identical_records() {
         let s = schema(3);
         let mut rng = StdRng::seed_from_u64(4);
-        let mut mp =
-            BlockingStructure::record_level_multiprobe(&s, 4, 30, 0.1, 1, &mut rng).unwrap();
+        let mut mp = record_level(&s, 4, 30, 1, &mut rng).unwrap();
         let rec = |id| {
             s.embed(&Record::new(
                 id,
@@ -1899,8 +1724,7 @@ mod multiprobe_tests {
             let ea = s.embed(&a).unwrap();
             let eb = s.embed(&b).unwrap();
             // Re-randomize the structure per trial for independence.
-            let mut mp =
-                BlockingStructure::record_level_multiprobe(&s, 4, 30, 0.1, 1, &mut rng).unwrap();
+            let mut mp = record_level(&s, 4, 30, 1, &mut rng).unwrap();
             mp.insert(&ea);
             pairs.push((ea, eb.clone()));
             if mp.candidates(&eb).contains(&i) {
@@ -1915,7 +1739,7 @@ mod multiprobe_tests {
     fn excess_flip_budget_rejected() {
         let s = schema(7);
         let mut rng = StdRng::seed_from_u64(8);
-        assert!(BlockingStructure::record_level_multiprobe(&s, 4, 10, 0.1, 11, &mut rng).is_err());
+        assert!(record_level(&s, 4, 10, 11, &mut rng).is_err());
     }
 }
 
@@ -1925,6 +1749,7 @@ mod multiprobe_tests {
 /// the families' reference functions give one table and one bit at a time.
 #[cfg(test)]
 mod kernel_tests {
+    use super::tests::{compile, compile_covering};
     use super::*;
     use crate::schema::AttributeSpec;
     use proptest::prelude::*;
@@ -1980,6 +1805,12 @@ mod kernel_tests {
         RecordSchema::build(Alphabet::linkage(), specs, rng)
     }
 
+    /// Record-level covering of radius `theta` over `schema`'s rows.
+    fn record_covering(schema: &RecordSchema, theta: u32, rng: &mut StdRng) -> BlockingPlan {
+        let config = crate::LinkageConfig::covering(Rule::pred(0, 0), theta);
+        BlockingPlan::from_config(schema, &config, rng).unwrap()
+    }
+
     /// A record of the schema's shape with every bit drawn at random.
     fn random_record(schema: &RecordSchema, rng: &mut StdRng) -> EmbeddedRecord {
         let attrs = schema
@@ -2021,8 +1852,10 @@ mod kernel_tests {
         fn record_level_sampling(widths in widths(), k in 1u32..=128, seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
             let schema = schema_of(&widths, &[1, 1, 1, 1], &mut rng);
-            let s = BlockingStructure::record_level_with_l(&schema, 0, k, 4, &mut rng).unwrap();
-            assert_kernel_is_reference(&s, &schema, &mut rng);
+            let plan = BlockingPlan::record_level_over(
+                &schema.layout(), 0, k, TableCount::Fixed(4), &mut rng,
+            ).unwrap();
+            assert_kernel_is_reference(&plan.structures()[0], &schema, &mut rng);
         }
 
         #[test]
@@ -2039,7 +1872,7 @@ mod kernel_tests {
             for take in 1..=attrs.len() {
                 let conjuncts: Vec<Pred> =
                     attrs[..take].iter().map(|&attr| Pred { attr, theta: 0 }).collect();
-                let s = BlockingStructure::conjunction_with_l(&schema, &conjuncts, 3, 0.5, &mut rng)
+                let s = BlockingStructure::sampled_conjunction(&schema, &conjuncts, 3, 0.5, &mut rng)
                     .unwrap();
                 assert_kernel_is_reference(&s, &schema, &mut rng);
             }
@@ -2056,17 +1889,15 @@ mod kernel_tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let schema = schema_of(&widths, &[1, 1, 1, 1], &mut rng);
             let theta = theta.min(widths.iter().sum::<usize>() as u32);
-            let s = BlockingStructure::covering_record_level(&schema, theta, &mut rng).unwrap();
-            assert_kernel_is_reference(&s, &schema, &mut rng);
+            let plan = record_covering(&schema, theta, &mut rng);
+            assert_kernel_is_reference(&plan.structures()[0], &schema, &mut rng);
             let attrs = shuffled_attrs(widths.len(), &mut rng);
             for take in 1..=attrs.len() {
-                let conjuncts: Vec<Pred> = attrs[..take]
+                let conjuncts = attrs[..take]
                     .iter()
-                    .map(|&attr| Pred { attr, theta: u32::from(take == 1) })
-                    .collect();
-                let s = BlockingStructure::covering_conjunction(&schema, &conjuncts, &mut rng)
-                    .unwrap();
-                assert_kernel_is_reference(&s, &schema, &mut rng);
+                    .map(|&attr| Rule::pred(attr, u32::from(take == 1)));
+                let plan = compile_covering(&schema, Rule::and(conjuncts), &mut rng).unwrap();
+                assert_kernel_is_reference(&plan.structures()[0], &schema, &mut rng);
             }
         }
 
@@ -2087,8 +1918,8 @@ mod kernel_tests {
                 ]),
             ]);
             for plan in [
-                BlockingPlan::compile(&schema, &rule, 0.3, &mut rng).unwrap(),
-                BlockingPlan::compile_covering(&schema, &Rule::or([
+                compile(&schema, &rule, 0.3, &mut rng).unwrap(),
+                compile_covering(&schema, Rule::or([
                     Rule::and([Rule::pred(3, 1), Rule::pred(0, 1), Rule::not(Rule::pred(1, 1))]),
                     Rule::pred(2, 2),
                 ]), &mut rng).unwrap(),
@@ -2105,10 +1936,10 @@ mod kernel_tests {
         let mut rng = StdRng::seed_from_u64(3);
         let schema = schema_of(&[300, 7, 290], &[40, 5, 40], &mut rng);
         assert!(schema.total_size().div_ceil(64) > crate::schema::STACK_WORDS);
-        let s = BlockingStructure::covering_record_level(&schema, 1, &mut rng).unwrap();
-        assert_kernel_is_reference(&s, &schema, &mut rng);
+        let plan = record_covering(&schema, 1, &mut rng);
+        assert_kernel_is_reference(&plan.structures()[0], &schema, &mut rng);
         let all = [0, 1, 2].map(|attr| Pred { attr, theta: 0 });
-        let s = BlockingStructure::conjunction_with_l(&schema, &all, 2, 0.5, &mut rng).unwrap();
+        let s = BlockingStructure::sampled_conjunction(&schema, &all, 2, 0.5, &mut rng).unwrap();
         assert_kernel_is_reference(&s, &schema, &mut rng);
     }
 
@@ -2116,7 +1947,7 @@ mod kernel_tests {
     fn a_clone_and_a_recompiled_copy_key_alike() {
         let mut rng = StdRng::seed_from_u64(4);
         let schema = schema_of(&[15, 15, 68, 22], &[5, 5, 10, 10], &mut rng);
-        let plan = BlockingPlan::record_level(&schema, 4, 30, 0.1, &mut rng).unwrap();
+        let plan = super::tests::record_level(&schema, 4, 30, 0, &mut rng).unwrap();
         let json = serde_json::to_string(&plan).unwrap();
         assert!(!json.contains("\"keys\""), "compiled state was serialized");
         let mut restored: BlockingPlan = serde_json::from_str(&json).unwrap();
@@ -2136,7 +1967,7 @@ mod kernel_tests {
         let mut rng = StdRng::seed_from_u64(5);
         let schema = schema_of(&[15, 15, 68, 22], &[5, 5, 10, 10], &mut rng);
         let other = schema_of(&[15, 15, 68, 23], &[5, 5, 10, 10], &mut rng);
-        let mut plan = BlockingPlan::record_level(&schema, 4, 30, 0.1, &mut rng).unwrap();
+        let mut plan = super::tests::record_level(&schema, 4, 30, 0, &mut rng).unwrap();
         plan.insert(&random_record(&other, &mut rng));
     }
 

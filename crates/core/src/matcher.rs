@@ -979,7 +979,8 @@ mod tests {
             &mut rng,
         );
         let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-        let plan = BlockingPlan::compile(&schema, &rule, 0.1, &mut rng).unwrap();
+        let config = crate::LinkageConfig::rule_aware(rule);
+        let plan = BlockingPlan::from_config(&schema, &config, &mut rng).unwrap();
         let store = RecordSlab::new(schema.layout());
         (schema, plan, store)
     }
@@ -1106,7 +1107,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         // Single-structure plan via a conjunction rule.
         let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-        let mut plan = BlockingPlan::compile(&schema, &rule, 0.01, &mut rng).unwrap();
+        let config = crate::LinkageConfig {
+            delta: 0.01,
+            ..crate::LinkageConfig::rule_aware(rule.clone())
+        };
+        let mut plan = BlockingPlan::from_config(&schema, &config, &mut rng).unwrap();
         let probe = row(&schema, ["JONES", "MARTHA"]); // identical → in every table
         index_row(&mut plan, &mut store, 1, &probe).unwrap();
         let structure = &plan.structures()[0];
@@ -1129,7 +1134,11 @@ mod tests {
         let (schema, _, mut store) = setup(8);
         let mut rng = StdRng::seed_from_u64(98);
         let rule = Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]);
-        let mut plan = BlockingPlan::compile(&schema, &rule, 0.01, &mut rng).unwrap();
+        let config = crate::LinkageConfig {
+            delta: 0.01,
+            ..crate::LinkageConfig::rule_aware(rule.clone())
+        };
+        let mut plan = BlockingPlan::from_config(&schema, &config, &mut rng).unwrap();
         let probe = row(&schema, ["JONES", "MARTHA"]);
         index_row(&mut plan, &mut store, 1, &probe).unwrap();
         let structure = &plan.structures()[0];

@@ -100,8 +100,8 @@ mod tests {
             &mut rng,
         );
         let theta = (m as u32 / 4).clamp(1, 4);
-        let mut plan =
-            BlockingPlan::compile(&schema, &Rule::pred(0, theta), 0.1, &mut rng).unwrap();
+        let config = crate::LinkageConfig::rule_aware(Rule::pred(0, theta));
+        let mut plan = BlockingPlan::from_config(&schema, &config, &mut rng).unwrap();
         for i in 0..n as u64 {
             // Spread names via a multiplicative hash.
             let x = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -14,9 +14,17 @@
 //! * C1: `0<=4 & 1<=4 & 2<=8`
 //! * C2: `(0<=4 & 1<=4) | 2<=8`
 //! * C3: `0<=4 & !(1<=4)`
+//!
+//! Nesting is bounded: at most [`MAX_RULE_DEPTH`] `(` and `!` may enclose
+//! one another, so text read off a socket cannot recurse the parser off
+//! its stack.
 
 use crate::error::{Error, Result};
 use crate::rule::Rule;
+
+/// The deepest nesting of `(` and `!` a rule may have. Deeper text is an
+/// [`Error::InvalidRule`].
+pub const MAX_RULE_DEPTH: usize = 128;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Token {
@@ -89,6 +97,8 @@ fn tokenize(input: &str) -> Result<Vec<Token>> {
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// The `(` and `!` enclosing the token at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -132,14 +142,14 @@ impl Parser<'_> {
 
     fn factor(&mut self) -> Result<Rule> {
         match self.next() {
-            Some(Token::Not) => Ok(Rule::not(self.factor()?)),
-            Some(Token::LParen) => {
-                let inner = self.expr()?;
-                if self.next() != Some(Token::RParen) {
+            Some(Token::Not) => self.nested(|p| p.factor().map(Rule::not)),
+            Some(Token::LParen) => self.nested(|p| {
+                let inner = p.expr()?;
+                if p.next() != Some(Token::RParen) {
                     return Err(Error::InvalidRule("missing ')'".into()));
                 }
                 Ok(inner)
-            }
+            }),
             Some(Token::Number(attr)) => {
                 if self.next() != Some(Token::Le) {
                     return Err(Error::InvalidRule("expected '<=' after attribute".into()));
@@ -158,6 +168,20 @@ impl Parser<'_> {
             ))),
         }
     }
+
+    /// Parses what one more `(` or `!` encloses, refusing to go deeper
+    /// than [`MAX_RULE_DEPTH`].
+    fn nested(&mut self, parse: impl FnOnce(&mut Self) -> Result<Rule>) -> Result<Rule> {
+        if self.depth == MAX_RULE_DEPTH {
+            return Err(Error::InvalidRule(format!(
+                "rule nests '(' and '!' deeper than {MAX_RULE_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let rule = parse(self);
+        self.depth -= 1;
+        rule
+    }
 }
 
 /// Parses a rule expression such as `"0<=4 & !(1<=4)"`.
@@ -174,7 +198,8 @@ impl Parser<'_> {
 /// ```
 ///
 /// # Errors
-/// Returns [`Error::InvalidRule`] on malformed input.
+/// Returns [`Error::InvalidRule`] on malformed input, and on input that
+/// nests deeper than [`MAX_RULE_DEPTH`].
 pub fn parse_rule(input: &str) -> Result<Rule> {
     let tokens = tokenize(input)?;
     if tokens.is_empty() {
@@ -183,6 +208,7 @@ pub fn parse_rule(input: &str) -> Result<Rule> {
     let mut p = Parser {
         tokens: &tokens,
         pos: 0,
+        depth: 0,
     };
     let rule = p.expr()?;
     if p.pos != tokens.len() {
@@ -306,6 +332,36 @@ mod tests {
         assert!(msg("| 1<=4").contains("unexpected token"));
         assert!(msg("0<=4 | | 1<=4").contains("unexpected token"));
         assert!(msg("()").contains("unexpected token"));
+    }
+
+    /// Nesting past [`MAX_RULE_DEPTH`] is a typed error, not a stack
+    /// overflow: a megabyte of `(` and a megabyte of `!`, which the
+    /// unbounded parser recursed through until a 2 MiB thread overflowed,
+    /// are refused on such a thread, and the deepest rule allowed parses.
+    #[test]
+    fn nesting_deeper_than_the_bound_is_refused() {
+        let on_small_stack = std::thread::Builder::new().stack_size(2 << 20);
+        on_small_stack
+            .spawn(|| {
+                let depth_error = |text: &str| match parse_rule(text) {
+                    Err(Error::InvalidRule(m)) => assert!(m.contains("deeper than 128"), "{m}"),
+                    other => panic!("expected the nesting bound, got {other:?}"),
+                };
+                depth_error(&"(".repeat(1 << 20));
+                depth_error(&"!".repeat(1 << 20));
+                let half = MAX_RULE_DEPTH / 2;
+                let deepest = format!("{}0<=1{}", "!(".repeat(half), ")".repeat(half));
+                let mut expected = Rule::pred(0, 1);
+                for _ in 0..half {
+                    expected = Rule::not(expected);
+                }
+                assert_eq!(parse_rule(&deepest).unwrap(), expected);
+                depth_error(&format!("!{deepest}"));
+                depth_error(&format!("({deepest})"));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     /// Satellite: a threshold above the attribute's c-vector size parses

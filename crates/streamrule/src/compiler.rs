@@ -20,7 +20,7 @@ use cbv_hb::blocking::{BlockingPlan, ProbeScratch};
 use cbv_hb::error::Result;
 use cbv_hb::matcher::MatchStats;
 use cbv_hb::schema::{RecordSchema, RowLayout};
-use cbv_hb::Rule;
+use cbv_hb::{LinkageConfig, Rule};
 use rand::Rng;
 use std::collections::BTreeSet;
 
@@ -78,7 +78,11 @@ impl CompiledRule {
         cap: usize,
         rng: &mut R,
     ) -> Result<Self> {
-        let plan = BlockingPlan::compile(schema, &rule, delta, rng)?;
+        let config = LinkageConfig {
+            delta,
+            ..LinkageConfig::rule_aware(rule.clone())
+        };
+        let plan = BlockingPlan::from_config(schema, &config, rng)?;
         let attrs = rule.predicates().iter().map(|p| p.attr).collect();
         Ok(Self {
             rule,
@@ -187,6 +191,7 @@ impl CompiledRule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbv_hb::blocking::TableCount;
     use cbv_hb::matcher::{match_record, Classifier, RecordSlab};
     use cbv_hb::schema::AttributeSpec;
     use cbv_hb::Record;
@@ -259,7 +264,12 @@ mod tests {
         // concatenated vector, classifying with the same rule. Threshold =
         // the rule's total budget (attr 2 is identical, distance 0).
         let mut rng2 = StdRng::seed_from_u64(42);
-        let mut unrestricted = BlockingPlan::record_level(&s, 16, 5, 0.02, &mut rng2).unwrap();
+        let tables = TableCount::Equation2 {
+            delta: 0.02,
+            flips: 0,
+        };
+        let mut unrestricted =
+            BlockingPlan::record_level_over(&s.layout(), 16, 5, tables, &mut rng2).unwrap();
 
         let recs = corpus();
         let embedded: Vec<_> = recs.iter().map(|r| s.embed(r).unwrap()).collect();

@@ -44,8 +44,9 @@ fn main() {
     ];
 
     for (label, rule) in &rules {
+        let config = LinkageConfig::rule_aware(rule.clone());
         let plan =
-            BlockingPlan::compile(&schema, rule, 0.1, &mut rng).expect("paper rules compile");
+            BlockingPlan::from_config(&schema, &config, &mut rng).expect("paper rules compile");
         println!("\n{label}");
         for s in plan.structures() {
             println!(

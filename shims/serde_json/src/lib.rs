@@ -182,9 +182,15 @@ pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(mut writer: W, value:
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Arrays and objects may nest 127 deep, as in the real crate: text nested
+/// deeper is a "recursion limit exceeded" error, not a stack overflow.
+const RECURSION_LIMIT: u8 = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Counts down from [`RECURSION_LIMIT`] as arrays and objects open.
+    remaining_depth: u8,
 }
 
 impl<'a> Parser<'a> {
@@ -192,6 +198,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            remaining_depth: RECURSION_LIMIT,
         }
     }
 
@@ -257,11 +264,22 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
         }
+    }
+
+    /// Parses an array or object one level deeper, if the limit allows.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        self.remaining_depth -= 1;
+        if self.remaining_depth == 0 {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        let value = parse(self);
+        self.remaining_depth += 1;
+        value
     }
 
     fn parse_string(&mut self) -> Result<String> {
@@ -626,6 +644,36 @@ mod tests {
             to_string_pretty(&v).unwrap(),
             "{\n  \"a\": 1,\n  \"b\": [\n    true\n  ]\n}"
         );
+    }
+
+    /// Nesting deeper than the real crate's limit is an error even on a
+    /// 2 MiB thread, where 20 000 levels of `[` overflowed the stack of the
+    /// unlimited parser; 127 levels still parse.
+    #[test]
+    fn nesting_past_the_recursion_limit_is_an_error() {
+        let on_small_stack = std::thread::Builder::new().stack_size(2 << 20);
+        on_small_stack
+            .spawn(|| {
+                let nest = |open: &str, close: &str, n: usize| {
+                    format!("{}0{}", open.repeat(n), close.repeat(n))
+                };
+                for text in [
+                    nest("[", "]", 20_000),
+                    nest("{\"a\":", "}", 20_000),
+                    nest("[", "]", 128),
+                ] {
+                    let err = value_from_str(&text).unwrap_err().to_string();
+                    assert!(err.contains("recursion limit exceeded"), "{err}");
+                }
+                assert!(value_from_str(&nest("[", "]", 127)).is_ok());
+                assert!(value_from_str(&nest("{\"a\":", "}", 127)).is_ok());
+                // The limit counts depth, not containers: siblings are free.
+                let wide = format!("[{}0]", "[[1]],".repeat(1000));
+                assert!(value_from_str(&wide).is_ok());
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

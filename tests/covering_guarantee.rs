@@ -122,7 +122,8 @@ fn covering_plan_co_blocks_all_embedded_pairs_within_theta() {
         &mut rng,
     );
     let theta = 4u32;
-    let mut plan = BlockingPlan::covering_record_level(&schema, theta, &mut rng).unwrap();
+    let config = LinkageConfig::covering(Rule::pred(0, theta), theta);
+    let mut plan = BlockingPlan::from_config(&schema, &config, &mut rng).unwrap();
     let names = [
         ("JOHN", "SMITH"),
         ("JON", "SMITH"),

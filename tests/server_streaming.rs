@@ -10,7 +10,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use record_linkage::cbv_hb::blocking::BlockingPlan;
 use record_linkage::cbv_hb::matcher::Classifier;
-use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, ShardedPipeline};
+use record_linkage::cbv_hb::{
+    AttributeSpec, LinkageConfig, Record, RecordSchema, Rule, ShardedPipeline,
+};
 use record_linkage::obs::MetricsSnapshot;
 use record_linkage::server::{
     Client, ClientError, ErrorCode, LateArrival, Server, ServerConfig, WatchEvent, WindowSpec,
@@ -279,6 +281,30 @@ fn refused_subscription_is_a_typed_error_then_close() {
     server.wait();
 }
 
+/// A rule nested past the parser's bound of 128 — 20 000 `(` in a 40 KB
+/// frame, which overflowed the connection thread's stack and aborted the
+/// server before the bound — is refused with a typed `Parse` error, and
+/// the server still answers a new connection.
+#[test]
+fn a_deeply_nested_rule_is_a_typed_parse_error() {
+    let server = spawn(67);
+    let addr = server.local_addr();
+
+    let mut sub = Client::connect(addr).unwrap();
+    let rule = format!("{}0<=2{}", "(".repeat(20_000), ")".repeat(20_000));
+    match sub.subscribe_matches(&rule, WindowSpec::Count(10), LateArrival::Drop, 0) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::Parse, "{}", e.message);
+            assert!(e.message.contains("deeper than 128"), "{}", e.message);
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    let mut fresh = Client::connect(addr).unwrap();
+    assert_eq!(fresh.stats().unwrap().indexed, 0);
+
+    stop(server, [sub, fresh]);
+}
+
 /// `wait()` joins the streaming threads the reactor detached: once it
 /// returns, a live subscription's connection has already been closed —
 /// nothing is still writing to a socket behind the final WAL sync and
@@ -317,7 +343,8 @@ fn a_threshold_classifier_server_serves_subscriptions() {
         ],
         &mut rng,
     );
-    let plan = BlockingPlan::record_level(&schema, 8, 10, 0.1, &mut rng).unwrap();
+    let config = LinkageConfig::record_level(Rule::pred(0, 8), 8, 10);
+    let plan = BlockingPlan::from_config(&schema, &config, &mut rng).unwrap();
     let pipeline =
         ShardedPipeline::from_parts(schema, plan, Classifier::TotalThreshold(8), 2).unwrap();
     let server = Server::spawn(pipeline, ServerConfig::default()).unwrap();

@@ -198,6 +198,43 @@ fn malformed_frame_body_gets_typed_parse_and_the_connection_survives() {
     server.wait();
 }
 
+/// A JSON body nested past the parser's recursion limit of 128 — a 40 KB
+/// `[[[…]]]` 20 000 deep, which overflowed the reactor thread's stack and
+/// aborted the server before the limit — is refused with a typed `Parse`
+/// error, and the connection and the server keep serving.
+#[test]
+fn a_deeply_nested_json_body_is_a_typed_parse_error() {
+    let server = Server::spawn(pipeline(68, 1), ServerConfig::default()).unwrap();
+    let (mut stream, mut frames) = raw_connect(server.local_addr());
+    let mut payload = 8u64.to_le_bytes().to_vec();
+    payload.push(0);
+    payload.extend_from_slice("[".repeat(20_000).as_bytes());
+    payload.extend_from_slice("]".repeat(20_000).as_bytes());
+    let mut frame = Vec::new();
+    rl_wire::encode_frame_into(wire::TAG_REQUEST, &payload, &mut frame);
+    stream.write_all(&frame).unwrap();
+    match read_response(&mut frames) {
+        (_, Response::Err(e)) => {
+            assert_eq!(e.code, ErrorCode::Parse, "{}", e.message);
+            assert!(e.message.contains("recursion limit"), "{}", e.message);
+        }
+        other => panic!("expected a typed Parse error, got {other:?}"),
+    }
+    stream
+        .write_all(&request_frame(9, &Request::Stats))
+        .unwrap();
+    assert!(matches!(
+        read_response(&mut frames),
+        (9, Response::Ok(Reply::Stats(_)))
+    ));
+    drop((stream, frames));
+    Client::connect(server.local_addr())
+        .unwrap()
+        .shutdown()
+        .unwrap();
+    server.wait();
+}
+
 #[test]
 fn binary_session_serves_the_full_typed_api() {
     let server = Server::spawn(pipeline(62, 2), ServerConfig::default()).unwrap();
