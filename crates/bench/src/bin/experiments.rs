@@ -1485,6 +1485,7 @@ fn nonstd(opts: &Opts) {
 /// (recall 1, its zero-false-negative guarantee).
 fn covering(opts: &Opts) {
     use cbv_hb::blocking::{BlockingPlan, TableCount};
+    use cbv_hb::matcher::RecordStore;
     println!("\n## Extension — CoveringLSH vs random sampling at matched L");
     let theta = 4u32;
     let pair = ncvr_pair(opts.records, PerturbationScheme::Light, opts.seed);
@@ -1507,6 +1508,8 @@ fn covering(opts: &Opts) {
         })
         .collect();
     let within_pairs: usize = within.iter().map(Vec::len).sum();
+    let mut store = RecordStore::new();
+    enc_a.iter().for_each(|rec| store.insert(rec.clone()));
 
     let matched_l = (1usize << (theta + 1)) - 1;
     let plan_rng = || StdRng::seed_from_u64(opts.seed ^ 0xC0FE);
@@ -1545,10 +1548,10 @@ fn covering(opts: &Opts) {
         let mut plan = plan.expect("valid plan");
         let stats = plan.stats();
         let (l, key_bits) = (stats[0].l, stats[0].key_bits);
-        plan.insert_all(&enc_a);
+        enc_a.iter().for_each(|rec| plan.insert(rec));
         let (mut co_blocked, mut candidate_pairs) = (0usize, 0usize);
         for (rec, near) in enc_b.iter().zip(&within) {
-            let cands = plan.candidates(rec);
+            let (cands, _) = plan.candidates_verified_counted(rec, |id| store.get(id));
             candidate_pairs += cands.len();
             co_blocked += near.iter().filter(|a| cands.contains(a)).count();
         }

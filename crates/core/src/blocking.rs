@@ -32,7 +32,14 @@
 //!   - a negated conjunct builds its own structure whose co-blocked set is
 //!     *subtracted* from the candidates (Definition 6 / rule C3) — such
 //!     pairs "are not formulated at all and are never brought for
-//!     comparison";
+//!     comparison". The subtraction is **verified**: a co-blocked candidate
+//!     leaves only when the negated conjuncts hold for the pair
+//!     ([`BlockingStructure::conjuncts_hold_row`], one popcount per
+//!     conjunct). This is the one NOT semantics. The paper's literal reading
+//!     — any co-block in any table of the negated structure excludes — is
+//!     not offered: with a small `K` the negated tables have few buckets,
+//!     unrelated records co-block by chance, and on C3 it drops about half
+//!     of the true pairs (DESIGN.md §8);
 //!   - compound rules (the paper's C1/C2/C3) compose recursively: union for
 //!     OR of subrules, intersection for AND of subrules.
 //!
@@ -49,20 +56,20 @@
 //! tested bit-identical against.
 //!
 //! **Rows and the `&EmbeddedRecord` adapters.** Keys, the candidate algebra
-//! and the verified-NOT check ([`BlockingStructure::conjuncts_hold_row`],
-//! per-attribute popcounts under the structure's
-//! [`RowLayout`]) have one implementation, over rows; a plan's candidate
-//! evaluation is generic in what its record lookup returns (`Option<R>`,
-//! `R: AsRef<[u64]>`: a slab hands out `&[u64]`). The methods that take an
-//! [`EmbeddedRecord`] — `insert`, `remove`, `keys_into`, `bucket`,
-//! `candidates*`, `conjuncts_hold` — pack it
-//! ([`EmbeddedRecord::packed`]) and call their `_row` twin; they exist for
-//! callers that hold the unpacked reference (tests, the benchmark's replay).
+//! and the verified-NOT check (per-attribute popcounts under the
+//! structure's [`RowLayout`]) have one implementation, over rows; a plan's
+//! candidate evaluation is generic in what its record lookup returns
+//! (`Option<R>`, `R: AsRef<[u64]>`: a slab hands out `&[u64]`). Three
+//! methods take an [`EmbeddedRecord`] — [`BlockingPlan::insert`],
+//! [`BlockingPlan::candidates_verified_counted`] and
+//! [`BlockingStructure::keys_into`] — pack it ([`EmbeddedRecord::packed`])
+//! and call their `_row` twin; they are kept for the benchmark's replay,
+//! which names them.
 //!
 //! **Table values.** A bucket holds `u64` values that the engines make the
 //! record's slot in its [`crate::matcher::RecordSlab`]
-//! ([`crate::matcher::index_row`]); the `&EmbeddedRecord` adapters insert
-//! the record's id, so there slot ≡ id. A store refuses a value of 2³² or
+//! ([`crate::matcher::index_row`]); [`BlockingPlan::insert`] inserts the
+//! record's id, so there slot ≡ id. A store refuses a value of 2³² or
 //! more (counted in `StoreStats::dropped`).
 //!
 //! **Candidate sets** are sorted, de-duplicated `Vec<u64>`s of values. A
@@ -75,7 +82,7 @@ use crate::rule::{Pred, Rule};
 use crate::schema::{EmbeddedRecord, PackedRow, RecordSchema, RowLayout};
 use rand::Rng;
 use rl_blockstore::{BlockPolicy, CapMode, TableSet};
-use rl_lsh::backend::{Backend, BackendKind, BlockingBackend};
+use rl_lsh::backend::{Backend, BackendKind};
 use rl_lsh::params::{and_probability, base_success_probability, optimal_l, or_probability};
 use rl_lsh::{BitSampleFamily, BitSampler, CoveringFamily, KeyKernel};
 use serde::{Deserialize, Serialize};
@@ -379,11 +386,6 @@ impl BlockingStructure {
             .all(|c| layout.distance(a, b, c.attr) <= c.theta)
     }
 
-    /// [`Self::conjuncts_hold_row`] for unpacked records.
-    pub fn conjuncts_hold(&self, a: &EmbeddedRecord, b: &EmbeddedRecord) -> bool {
-        self.conjuncts_hold_row(self.packed(a).as_ref(), self.packed(b).as_ref())
-    }
-
     /// Packs `rec` for the row path.
     ///
     /// # Panics
@@ -408,6 +410,61 @@ impl BlockingStructure {
         );
     }
 
+    /// What keeps this structure, read from a document, from keying rows
+    /// laid out by `layout`: no family, a family over an attribute beyond
+    /// the layout or addressing a position beyond its source, families that
+    /// disagree on `L`, a conjunct over an attribute beyond the layout, or a
+    /// multi-probe budget wider than a key (the bound
+    /// [`BlockingPlan::record_level_over`] sets). The constructors build
+    /// none of these.
+    fn fault(&self, layout: &RowLayout) -> Option<String> {
+        let arity = layout.arity();
+        let Some(first) = self.families.first() else {
+            return Some("it has no hash family".into());
+        };
+        let l = first.backend.l();
+        for f in &self.families {
+            let attrs = match &f.source {
+                Source::Record => &[][..],
+                Source::Attr(attr) => std::slice::from_ref(attr),
+                Source::Attrs(attrs) => attrs,
+            };
+            if let Some(attr) = attrs.iter().find(|&&a| a >= arity) {
+                return Some(format!(
+                    "a family hashes attribute {attr} of a {arity}-attribute schema"
+                ));
+            }
+            if f.backend.l() != l {
+                return Some(format!("its families key {l} and {} tables", f.backend.l()));
+            }
+            let span = f.position_map(layout).len();
+            let last = match &f.backend {
+                Backend::RandomSampling(b) => b.samplers().iter().flat_map(|s| s.positions()).max(),
+                Backend::Covering(c) => c.groups().iter().flat_map(|g| g.kept()).max(),
+            };
+            if let Some(p) = last.filter(|&&p| p as usize >= span) {
+                return Some(format!(
+                    "a family addresses position {p} of a {span}-bit source"
+                ));
+            }
+        }
+        if let Some(c) = self.conjuncts.iter().find(|c| c.attr >= arity) {
+            return Some(format!(
+                "a conjunct names attribute {} of a {arity}-attribute schema",
+                c.attr
+            ));
+        }
+        let key_bits = |t| self.families.iter().map(|f| f.key_bits(t)).sum::<usize>();
+        let narrowest = (0..l).map(key_bits).min().unwrap_or(0);
+        if self.probe_flips as usize > narrowest {
+            return Some(format!(
+                "cannot flip {} bits of a {narrowest}-bit key",
+                self.probe_flips
+            ));
+        }
+        None
+    }
+
     /// Replaces `out` by the composite keys of `row` for tables `0..L`: the
     /// compiled kernel run over the row's words.
     ///
@@ -425,9 +482,9 @@ impl BlockingStructure {
         self.keys_into_row(self.packed(rec).as_ref(), out);
     }
 
-    /// Hashes value `id` — a record's slab slot, or its id under the
-    /// adapters — whose row is `row`, into all `L` tables (the indexing pass
-    /// for data set A).
+    /// Hashes value `id` — a record's slab slot, or its id under
+    /// [`BlockingPlan::insert`] — whose row is `row`, into all `L` tables
+    /// (the indexing pass for data set A).
     pub fn insert_row(&mut self, id: u64, row: &[u64]) {
         let mut keys = std::mem::take(&mut self.keys.scratch);
         self.keys_into_row(row, &mut keys);
@@ -468,41 +525,15 @@ impl BlockingStructure {
         self.keys.scratch = keys;
     }
 
-    /// [`Self::insert_row`] for an unpacked record.
-    pub fn insert(&mut self, rec: &EmbeddedRecord) {
-        self.insert_row(rec.id, self.packed(rec).as_ref());
-    }
-
-    /// Ids co-blocked with `rec` in table `l` (the bucket `rec` maps to).
-    pub fn bucket(&self, rec: &EmbeddedRecord, l: usize) -> Vec<u64> {
-        let mut keys = Vec::new();
-        self.keys_into(rec, &mut keys);
-        let mut out = Vec::new();
-        self.probe_key_into(l, keys[l], &mut out);
-        out
-    }
-
     /// Appends the live ids of table `l`'s bucket for `key` to `out`, in
     /// insertion order — for callers that walk the tables themselves with
-    /// the keys of [`Self::keys_into`].
+    /// the keys of [`Self::keys_into_row`].
     pub fn probe_key_into(&self, l: usize, key: u128, out: &mut Vec<u64>) {
         self.store.probe_into(l, key, out);
     }
 
-    /// The de-duplicated union of co-blocked ids across all tables
-    /// (including multi-probe neighbours when configured), ascending.
-    pub fn candidates(&self, rec: &EmbeddedRecord) -> Vec<u64> {
-        let mut scratch = ProbeScratch::default();
-        self.candidates_into(rec, &mut scratch);
-        scratch.candidates
-    }
-
-    /// [`Self::candidates_into_row`] for an unpacked record.
-    pub fn candidates_into(&self, rec: &EmbeddedRecord, scratch: &mut ProbeScratch) -> bool {
-        self.candidates_into_row(self.packed(rec).as_ref(), scratch)
-    }
-
-    /// Leaves the ascending, de-duplicated ids co-blocked with `row` in
+    /// Leaves the ascending, de-duplicated ids co-blocked with `row` — the
+    /// union across all tables, multi-probe neighbours included — in
     /// `scratch.candidates`, allocating nothing once the scratch has grown
     /// to the workload. Returns `true` when the store's per-probe top-k
     /// bound cut the candidate set short (callers surface this as a typed
@@ -775,6 +806,19 @@ enum PlanExpr {
     Or(Vec<PlanExpr>),
 }
 
+impl PlanExpr {
+    /// True when every structure the expression names is one of `0..n`.
+    fn names_only_below(&self, n: usize) -> bool {
+        match self {
+            PlanExpr::Leaf(i) => *i < n,
+            PlanExpr::And { children, negated } => {
+                children.iter().all(|c| c.names_only_below(n)) && negated.iter().all(|&i| i < n)
+            }
+            PlanExpr::Or(children) => children.iter().all(|c| c.names_only_below(n)),
+        }
+    }
+}
+
 /// A compiled blocking plan: structures plus the candidate-set expression.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BlockingPlan {
@@ -916,8 +960,8 @@ impl BlockingPlan {
         self.structures.iter().map(BlockingStructure::l).sum()
     }
 
-    /// Indexes value `id` — a record's slab slot, or its id under the
-    /// adapters — whose row is `row`, into every structure.
+    /// Indexes value `id` — a record's slab slot, or its id under
+    /// [`Self::insert`] — whose row is `row`, into every structure.
     pub fn insert_row(&mut self, id: u64, row: &[u64]) {
         for s in &mut self.structures {
             s.insert_row(id, row);
@@ -1008,74 +1052,48 @@ impl BlockingPlan {
         Ok(())
     }
 
-    /// Indexes a batch.
-    pub fn insert_all(&mut self, recs: &[EmbeddedRecord]) {
-        for r in recs {
-            self.insert(r);
-        }
-    }
-
     /// Recompiles every structure's key kernel against `schema` — the
     /// schema the plan was built for. Kernels are derived state and are not
     /// serialized: call this once on a deserialized plan, before it keys a
     /// record. (Plans from the constructors arrive compiled.)
     ///
     /// # Errors
-    /// [`Error::InvalidParameter`] naming the structure whose store holds
-    /// another number of tables than its kernel keys (an edited document):
-    /// every probe of it would otherwise panic.
+    /// [`Error::InvalidParameter`] for a document no constructor writes —
+    /// a structure whose families, conjuncts or multi-probe budget do not
+    /// fit `schema`, whose store holds another number of tables than its
+    /// kernel keys, or a candidate expression naming a structure the plan
+    /// lacks — naming what is at fault: a kernel or a probe of it would
+    /// otherwise panic.
     pub fn compile_kernels(&mut self, schema: &RecordSchema) -> Result<()> {
         let layout = schema.layout();
         for s in &mut self.structures {
-            s.compile_kernel(&layout);
-            if s.keys.kernel.tables() != s.l() {
+            let fault = s.fault(&layout).or_else(|| {
+                s.compile_kernel(&layout);
+                let tables = s.keys.kernel.tables();
+                (tables != s.l())
+                    .then(|| format!("its store holds {} tables, its kernel keys {tables}", s.l()))
+            });
+            if let Some(why) = fault {
                 return Err(Error::InvalidParameter(format!(
-                    "blocking structure {}: its store holds {} tables, its kernel keys {}",
-                    s.label,
-                    s.l(),
-                    s.keys.kernel.tables()
+                    "blocking structure {}: {why}",
+                    s.label
                 )));
             }
+        }
+        if !self.expr.names_only_below(self.structures.len()) {
+            return Err(Error::InvalidParameter(format!(
+                "the candidate expression names a structure beyond the plan's {}",
+                self.structures.len()
+            )));
         }
         Ok(())
     }
 
-    /// The candidate ids for a probe record, ascending, per the rule's
-    /// logic, using the paper's literal NOT semantics: a candidate is
-    /// excluded when it is co-blocked with the probe in *any* table of a
-    /// negated structure.
-    ///
-    /// Caveat: with small `K` the negated structure's tables have few
-    /// buckets, so unrelated records co-block by chance and true matches
-    /// are over-excluded. Prefer [`Self::candidates_verified`], which
-    /// confirms each exclusion hint with a cheap single-attribute distance.
-    pub fn candidates(&self, rec: &EmbeddedRecord) -> Vec<u64> {
-        let mut scratch = ProbeScratch::default();
-        self.eval(
-            &self.expr,
-            self.packed(rec).as_ref(),
-            None::<&fn(u64) -> Option<&'static [u64]>>,
-            &mut scratch,
-            &mut false,
-        );
-        scratch.candidates
-    }
-
-    /// As [`Self::candidates`], but each NOT-exclusion hint is verified: a
-    /// co-blocked candidate is only excluded when the negated structure's
-    /// conjuncts actually hold for the pair (one popcount per conjunct).
-    /// This keeps the paper's "never brought for comparison" pruning while
-    /// avoiding chance-collision over-exclusion.
-    pub fn candidates_verified<'s, F>(&self, rec: &EmbeddedRecord, lookup: F) -> Vec<u64>
-    where
-        F: Fn(u64) -> Option<&'s EmbeddedRecord>,
-    {
-        self.candidates_verified_counted(rec, lookup).0
-    }
-
-    /// As [`Self::candidates_verified`], also reporting whether any
-    /// structure's per-probe top-k bound truncated its candidate stream
-    /// (surfaced to clients as a `CandidatesTruncated` note).
+    /// The candidate ids for an unpacked probe, ascending, per the rule's
+    /// logic ([`Self::candidates_into_row`]), with `lookup` resolving a
+    /// table value to its unpacked record, and whether any structure's
+    /// per-probe top-k bound truncated the candidate stream (surfaced to
+    /// clients as a `CandidatesTruncated` note).
     pub fn candidates_verified_counted<'s, F>(
         &self,
         rec: &EmbeddedRecord,
@@ -1085,32 +1103,20 @@ impl BlockingPlan {
         F: Fn(u64) -> Option<&'s EmbeddedRecord>,
     {
         let mut scratch = ProbeScratch::default();
-        let truncated = self.candidates_into(rec, lookup, &mut scratch);
+        let lookup = |id| lookup(id).map(EmbeddedRecord::packed);
+        let truncated = self.candidates_into_row(self.packed(rec).as_ref(), lookup, &mut scratch);
         (scratch.candidates, truncated)
     }
 
-    /// [`Self::candidates_into_row`] for an unpacked probe and a lookup of
-    /// unpacked records.
-    pub fn candidates_into<'s, F>(
-        &self,
-        rec: &EmbeddedRecord,
-        lookup: F,
-        scratch: &mut ProbeScratch,
-    ) -> bool
-    where
-        F: Fn(u64) -> Option<&'s EmbeddedRecord>,
-    {
-        let lookup = |id| lookup(id).map(EmbeddedRecord::packed);
-        self.candidates_into_row(self.packed(rec).as_ref(), lookup, scratch)
-    }
-
-    /// The probe loop's candidate formulation: the verified candidates of
-    /// the probe whose row is `row` are left in `scratch`
+    /// The probe loop's candidate formulation: the candidates of the probe
+    /// whose row is `row` are left in `scratch`
     /// ([`ProbeScratch::candidates`]), whose buffers a single-structure
     /// plan reuses from probe to probe; `lookup` resolves a table value to
     /// its row (a slot to `&[u64]` by direct index from a slab, or anything
-    /// that derefs to one). Returns whether a top-k bound truncated the
-    /// candidate stream.
+    /// that derefs to one), for the verified NOT: a candidate co-blocked in
+    /// a negated structure leaves only if the negated conjuncts hold for the
+    /// pair, and a value `lookup` cannot resolve stays. Returns whether a
+    /// top-k bound truncated the candidate stream.
     pub fn candidates_into_row<R, F>(
         &self,
         row: &[u64],
@@ -1122,7 +1128,7 @@ impl BlockingPlan {
         R: AsRef<[u64]>,
     {
         let mut truncated = false;
-        self.eval(&self.expr, row, Some(&lookup), scratch, &mut truncated);
+        self.eval(&self.expr, row, &lookup, scratch, &mut truncated);
         truncated
     }
 
@@ -1132,7 +1138,7 @@ impl BlockingPlan {
         &self,
         expr: &PlanExpr,
         row: &[u64],
-        lookup: Option<&F>,
+        lookup: &F,
         scratch: &mut ProbeScratch,
         truncated: &mut bool,
     ) where
@@ -1173,18 +1179,9 @@ impl BlockingPlan {
                     let structure = &self.structures[n];
                     structure.candidates_into_row(row, scratch);
                     retain_merged(&mut acc, &scratch.candidates, |id, co_blocked| {
-                        if !co_blocked {
-                            return true;
-                        }
-                        match lookup {
-                            // Verified mode: only exclude when the
-                            // negated conjuncts truly hold.
-                            Some(f) => {
-                                f(id).is_none_or(|a| !structure.conjuncts_hold_row(a.as_ref(), row))
-                            }
-                            // Literal mode: any co-block excludes.
-                            None => false,
-                        }
+                        !co_blocked
+                            || lookup(id)
+                                .is_none_or(|a| !structure.conjuncts_hold_row(a.as_ref(), row))
                     });
                 }
                 scratch.candidates = acc;
@@ -1197,7 +1194,7 @@ impl BlockingPlan {
 /// of the record, one table's bucket (bounded probes only), the candidate
 /// set, and the candidate sets of a probe group
 /// ([`crate::matcher::match_batch`]). A steady-state probe of a
-/// single-structure plan through [`BlockingPlan::candidates_into`] or a
+/// single-structure plan through [`BlockingPlan::candidates_into_row`] or a
 /// steady-state group allocates nothing.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
@@ -1472,6 +1469,16 @@ mod tests {
         s.embed(&crate::Record::new(id, f)).unwrap()
     }
 
+    /// `probe`'s candidates in `plan`, into which `indexed` were inserted.
+    pub(super) fn candidates(
+        plan: &BlockingPlan,
+        indexed: &[&EmbeddedRecord],
+        probe: &EmbeddedRecord,
+    ) -> Vec<u64> {
+        let lookup = |id| indexed.iter().copied().find(|r| r.id == id);
+        plan.candidates_verified_counted(probe, lookup).0
+    }
+
     /// The rule-aware bit-sampling plan of `rule` at failure budget `delta`.
     pub(super) fn compile(
         s: &RecordSchema,
@@ -1524,7 +1531,7 @@ mod tests {
         let e1 = embed(&s, 1, ["JOHN", "SMITH", "12 OAK ST", "DURHAM"]);
         let e2 = embed(&s, 2, ["JOHN", "SMITH", "12 OAK ST", "DURHAM"]);
         b.insert(&e1);
-        assert!(b.candidates(&e2).contains(&1));
+        assert!(candidates(&b, &[&e1], &e2).contains(&1));
     }
 
     #[test]
@@ -1538,7 +1545,7 @@ mod tests {
         let probe = embed(&s, 2, ["JOHN", "SMITH", "COMPLETELY", "DIFFERENT"]);
         plan.insert(&a);
         // Names match exactly → must be co-blocked regardless of address.
-        assert!(plan.candidates(&probe).contains(&1));
+        assert!(candidates(&plan, &[&a], &probe).contains(&1));
     }
 
     #[test]
@@ -1554,7 +1561,7 @@ mod tests {
         plan.insert(&a);
         // Probe matches only on the address attribute.
         let probe = embed(&s, 2, ["WILHELMINA", "Z", "12 OAK STREET", "W"]);
-        assert!(plan.candidates(&probe).contains(&1));
+        assert!(candidates(&plan, &[&a], &probe).contains(&1));
     }
 
     #[test]
@@ -1570,7 +1577,7 @@ mod tests {
         plan.insert(&same_both);
         plan.insert(&same_first);
         let probe = embed(&s, 3, ["JOHN", "SMITH", "A", "B"]);
-        let cands = plan.candidates(&probe);
+        let cands = candidates(&plan, &[&same_both, &same_first], &probe);
         // Record 1 shares both names with the probe → excluded by the NOT.
         assert!(!cands.contains(&1));
         // Record 2 shares only the first name → kept.
@@ -1605,7 +1612,7 @@ mod tests {
         plan.insert(&a);
         // Matches first name (subrule 1) and address (subrule 2) → candidate.
         let both = embed(&s, 2, ["JOHN", "Q", "12 OAK STREET", "Z"]);
-        assert!(plan.candidates(&both).contains(&1));
+        assert!(candidates(&plan, &[&a], &both).contains(&1));
     }
 
     #[test]
@@ -1641,7 +1648,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(18);
         let plan = compile(&s, &Rule::pred(0, 4), 0.1, &mut rng).unwrap();
         let probe = embed(&s, 1, ["A", "B", "C", "D"]);
-        assert!(plan.candidates(&probe).is_empty());
+        assert!(candidates(&plan, &[], &probe).is_empty());
     }
 
     #[test]
@@ -1657,7 +1664,7 @@ mod tests {
 
 #[cfg(test)]
 mod multiprobe_tests {
-    use super::tests::record_level;
+    use super::tests::{candidates, record_level};
     use super::*;
     use crate::schema::AttributeSpec;
     use crate::Record;
@@ -1705,7 +1712,7 @@ mod multiprobe_tests {
             .unwrap()
         };
         mp.insert(&rec(1));
-        assert!(mp.candidates(&rec(2)).contains(&1));
+        assert!(candidates(&mp, &[&rec(1)], &rec(2)).contains(&1));
     }
 
     #[test]
@@ -1716,7 +1723,6 @@ mod multiprobe_tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut found = 0u32;
         let trials = 200u64;
-        let mut pairs = Vec::new();
         for i in 0..trials {
             let a = Record::new(i, ["JOHN", "SMITH", "12 OAK STREET", "DURHAM"]);
             // One substitute in the town (≤ 4 differing bits).
@@ -1726,8 +1732,7 @@ mod multiprobe_tests {
             // Re-randomize the structure per trial for independence.
             let mut mp = record_level(&s, 4, 30, 1, &mut rng).unwrap();
             mp.insert(&ea);
-            pairs.push((ea, eb.clone()));
-            if mp.candidates(&eb).contains(&i) {
+            if candidates(&mp, &[&ea], &eb).contains(&i) {
                 found += 1;
             }
         }
@@ -1746,7 +1751,8 @@ mod multiprobe_tests {
 /// The compiled kernels against the definition they replace: for every
 /// structure shape the constructors and the plan compilers emit, the keys
 /// of [`BlockingStructure::keys_into`] must equal, bit for bit, the keys
-/// the families' reference functions give one table and one bit at a time.
+/// the samplers' and groups' reference functions give one table and one
+/// bit at a time.
 #[cfg(test)]
 mod kernel_tests {
     use super::tests::{compile, compile_covering};
@@ -1760,17 +1766,20 @@ mod kernel_tests {
     use textdist::Alphabet;
 
     /// Table `l`'s key the way it was computed before the kernels: each
-    /// family's `key`/`key_concat` over borrowed attribute vectors,
-    /// concatenated up to 128 bits and folded beyond.
+    /// family's sampler or group `key`/`key_concat` over borrowed attribute
+    /// vectors, concatenated up to 128 bits and folded beyond.
     fn reference_key(s: &BlockingStructure, rec: &EmbeddedRecord, l: usize) -> u128 {
-        let sub = |f: &SubFamily| match &f.source {
-            Source::Record => f
-                .backend
-                .key_concat(l, &rec.attrs.iter().collect::<Vec<_>>()),
-            Source::Attr(i) => f.backend.key(l, &rec.attrs[*i]),
-            Source::Attrs(attrs) => {
-                let refs: Vec<&BitVec> = attrs.iter().map(|&i| &rec.attrs[i]).collect();
-                f.backend.key_concat(l, &refs)
+        let sub = |f: &SubFamily| {
+            let refs: Vec<&BitVec> = match &f.source {
+                Source::Record => rec.attrs.iter().collect(),
+                Source::Attr(i) => vec![&rec.attrs[*i]],
+                Source::Attrs(attrs) => attrs.iter().map(|&i| &rec.attrs[i]).collect(),
+            };
+            match (&f.backend, refs.as_slice()) {
+                (Backend::RandomSampling(b), [v]) => b.samplers()[l].key(v),
+                (Backend::RandomSampling(b), refs) => b.samplers()[l].key_concat(refs),
+                (Backend::Covering(c), [v]) => c.groups()[l].key(v),
+                (Backend::Covering(c), refs) => c.groups()[l].key_concat(refs),
             }
         };
         if s.families.len() == 1 {
@@ -1969,6 +1978,62 @@ mod kernel_tests {
         let other = schema_of(&[15, 15, 68, 23], &[5, 5, 10, 10], &mut rng);
         let mut plan = super::tests::record_level(&schema, 4, 30, 0, &mut rng).unwrap();
         plan.insert(&random_record(&other, &mut rng));
+    }
+
+    #[test]
+    fn a_plan_no_constructor_writes_is_refused_before_it_compiles() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let schema = schema_of(&[15, 15, 68, 22], &[5, 5, 10, 10], &mut rng);
+        let rule = Rule::and([
+            Rule::pred(0, 4),
+            Rule::pred(1, 4),
+            Rule::not(Rule::pred(2, 8)),
+        ]);
+        let plan = compile(&schema, &rule, 0.1, &mut rng).unwrap();
+        let l = plan.structures[0].l();
+        let samplers = |n: usize, position: u32| {
+            let samplers = (0..n)
+                .map(|_| BitSampler::from_positions(vec![position; 5]).unwrap())
+                .collect();
+            Backend::RandomSampling(BitSampleFamily::from_samplers(samplers).unwrap())
+        };
+        type Edit = Box<dyn Fn(&mut BlockingPlan)>;
+        let edits: [(&str, Edit); 6] = [
+            (
+                "a family hashes attribute 9 of a 4-attribute schema",
+                Box::new(|p| p.structures[0].families[0].source = Source::Attr(9)),
+            ),
+            (
+                "a family addresses position 15 of a 15-bit source",
+                Box::new(move |p| p.structures[0].families[1].backend = samplers(l, 15)),
+            ),
+            (
+                &*format!("its families key {l} and {} tables", l - 1),
+                Box::new(move |p| p.structures[0].families[1].backend = samplers(l - 1, 0)),
+            ),
+            (
+                "a conjunct names attribute 4 of a 4-attribute schema",
+                Box::new(|p| p.structures[1].conjuncts[0].attr = 4),
+            ),
+            (
+                "cannot flip 11 bits of a 10-bit key",
+                Box::new(|p| p.structures[0].probe_flips = 11),
+            ),
+            (
+                "the candidate expression names a structure beyond the plan's 2",
+                Box::new(|p| p.expr = PlanExpr::Leaf(2)),
+            ),
+        ];
+        for (expected, edit) in edits {
+            let mut edited = plan.clone();
+            edit(&mut edited);
+            let err = edited.compile_kernels(&schema).unwrap_err();
+            assert!(matches!(err, Error::InvalidParameter(_)), "{err}");
+            assert!(err.to_string().contains(expected), "{err}");
+        }
+        let mut flips = plan.clone();
+        flips.structures[0].probe_flips = 10;
+        flips.compile_kernels(&schema).unwrap();
     }
 
     #[test]

@@ -38,82 +38,34 @@
 use crate::blocking::{BlockingPlan, BlockingStructure, ProbeScratch};
 use crate::error::{Error, Result};
 use crate::rule::Rule;
-use crate::schema::{EmbeddedRecord, RowLayout};
+use crate::schema::{EmbeddedRecord, RecordSchema, RowLayout};
 use rl_blockstore::hash::WordState;
 use rl_blockstore::WordMap;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::HashSet;
 use std::hash::BuildHasher;
 
-/// How candidate pairs are classified after blocking.
+/// How candidate pairs are classified after blocking: a classification
+/// rule over the per-attribute distances.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Classifier {
     /// Apply a classification rule to the per-attribute distances.
     Rule(Rule),
-    /// Record-level threshold on the total Hamming distance.
-    TotalThreshold(u32),
-    /// Weighted-sum decision model (a Fellegi–Sunter-style score):
-    /// match when `Σ_i weights[i] · u^(f_i) ≤ threshold`. Weights let
-    /// discriminating attributes (rare surnames) count more than noisy
-    /// ones (addresses).
-    Weighted {
-        /// Per-attribute weights (same arity as the schema).
-        weights: Vec<f64>,
-        /// Score threshold.
-        threshold: f64,
-    },
 }
 
 impl Classifier {
     /// Classifies a candidate pair of rows laid out by `layout`.
-    ///
-    /// # Panics
-    /// Panics when a `Weighted` classifier's arity differs from the
-    /// layout's attribute count.
     #[inline]
     pub fn matches_rows(&self, layout: &RowLayout, a: &[u64], b: &[u64]) -> bool {
-        self.decide(
-            layout.arity(),
-            |attr| layout.distance(a, b, attr),
-            || layout.total_distance(a, b),
-        )
+        let Classifier::Rule(rule) = self;
+        rule.evaluate_with(&|attr| layout.distance(a, b, attr))
     }
 
     /// Classifies a candidate pair of unpacked records (the reference:
     /// [`EmbeddedRecord::attr_distance`] per attribute).
-    ///
-    /// # Panics
-    /// Panics when a `Weighted` classifier's arity differs from the
-    /// records' attribute count.
     pub fn matches(&self, a: &EmbeddedRecord, b: &EmbeddedRecord) -> bool {
-        self.decide(
-            a.attrs.len(),
-            |attr| a.attr_distance(b, attr),
-            || a.total_distance(b),
-        )
-    }
-
-    /// The decision, over a pair's per-attribute and total distances.
-    #[inline]
-    fn decide(
-        &self,
-        arity: usize,
-        distance: impl Fn(usize) -> u32,
-        total: impl FnOnce() -> u32,
-    ) -> bool {
-        match self {
-            Classifier::Rule(rule) => rule.evaluate_with(&distance),
-            Classifier::TotalThreshold(theta) => total() <= *theta,
-            Classifier::Weighted { weights, threshold } => {
-                assert_eq!(weights.len(), arity, "weight arity must match the schema");
-                let score: f64 = weights
-                    .iter()
-                    .enumerate()
-                    .map(|(i, w)| w * f64::from(distance(i)))
-                    .sum();
-                score <= *threshold
-            }
-        }
+        let Classifier::Rule(rule) = self;
+        rule.evaluate_with(&|attr| a.attr_distance(b, attr))
     }
 }
 
@@ -753,6 +705,35 @@ pub fn rekey(plan: &mut BlockingPlan, store: &mut RecordSlab) -> Result<()> {
     plan.compact()
 }
 
+/// Readies a deserialized plan and slab to serve records of `schema` under
+/// the classifier `rule`: the one restore routine of
+/// [`crate::pipeline::LinkagePipeline::load`] and
+/// [`crate::sharded::ShardedPipeline::from_state`]. The rule is validated
+/// against the schema's attribute sizes, the plan's kernels compiled
+/// ([`BlockingPlan::compile_kernels`], which refuses a plan no constructor
+/// writes), the slab bound to the schema's layout, and the tables re-keyed
+/// from the slab ([`rekey`]) when they cannot be trusted.
+///
+/// # Errors
+/// The rule's validation error, and the refusals of `compile_kernels`,
+/// [`RecordSlab::bind`] and `rekey`: a document whose probes would panic
+/// is refused here.
+pub(crate) fn restore(
+    schema: &RecordSchema,
+    rule: &Rule,
+    plan: &mut BlockingPlan,
+    store: &mut RecordSlab,
+) -> Result<()> {
+    let layout = schema.layout();
+    rule.validate(layout.widths())?;
+    plan.compile_kernels(schema)?;
+    store.bind(layout)?;
+    if plan.needs_rebuild() || store.needs_rekey() {
+        rekey(plan, store)?;
+    }
+    Ok(())
+}
+
 /// Probes a [`match_batch`] group holds: their candidate sets are formed,
 /// and their rows asked of the cache, before the first of them is
 /// classified.
@@ -1050,55 +1031,6 @@ mod tests {
         let classifier = Classifier::Rule(Rule::and([Rule::pred(0, 4), Rule::pred(1, 4)]));
         let mut stats = MatchStats::default();
         assert!(matched(&plan, &store, &a, &classifier, &mut stats).is_empty());
-    }
-
-    #[test]
-    fn total_threshold_classifier() {
-        let (schema, _, store) = setup(3);
-        let a = embed(&schema, 1, ["JONES", "MARTHA"]);
-        let b = embed(&schema, 2, ["JONAS", "MARTHA"]);
-        assert!(Classifier::TotalThreshold(4).matches(&a, &b));
-        assert!(!Classifier::TotalThreshold(0).matches(&a, &b));
-        let (a, b) = (a.packed(), b.packed());
-        assert!(Classifier::TotalThreshold(4).matches_rows(store.layout(), a.as_ref(), b.as_ref()));
-        assert!(!Classifier::TotalThreshold(0).matches_rows(
-            store.layout(),
-            a.as_ref(),
-            b.as_ref()
-        ));
-    }
-
-    #[test]
-    fn weighted_classifier_scores_attributes() {
-        let (schema, _, _) = setup(6);
-        let a = embed(&schema, 1, ["JONES", "MARTHA"]);
-        let b = embed(&schema, 2, ["JONAS", "MARTHA"]); // error only on f0
-        let d0 = f64::from(a.attr_distance(&b, 0));
-        assert!(d0 >= 1.0);
-        // Down-weighting the noisy attribute admits the pair...
-        let lenient = Classifier::Weighted {
-            weights: vec![0.1, 1.0],
-            threshold: 0.1 * d0,
-        };
-        assert!(lenient.matches(&a, &b));
-        // ...while weighting it fully rejects under a tight threshold.
-        let strict = Classifier::Weighted {
-            weights: vec![1.0, 1.0],
-            threshold: d0 - 0.5,
-        };
-        assert!(!strict.matches(&a, &b));
-    }
-
-    #[test]
-    #[should_panic(expected = "weight arity")]
-    fn weighted_classifier_arity_checked() {
-        let (schema, _, _) = setup(7);
-        let a = embed(&schema, 1, ["A", "B"]);
-        let c = Classifier::Weighted {
-            weights: vec![1.0],
-            threshold: 1.0,
-        };
-        let _ = c.matches(&a, &a.clone());
     }
 
     #[test]

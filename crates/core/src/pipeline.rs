@@ -11,7 +11,7 @@
 
 use crate::blocking::{BlockingPlan, ProbeScratch};
 use crate::error::Result;
-use crate::matcher::{index_row, match_batch, rekey, Classifier, MatchStats, RecordSlab};
+use crate::matcher::{index_row, match_batch, rekey, restore, Classifier, MatchStats, RecordSlab};
 use crate::record::Record;
 use crate::rule::Rule;
 use crate::schema::RecordSchema;
@@ -491,36 +491,28 @@ impl LinkagePipeline {
             .map_err(|e| crate::Error::InvalidParameter(format!("serialize pipeline: {e}")))
     }
 
-    /// Restores a pipeline saved by [`Self::save`].
+    /// Restores a pipeline saved by [`Self::save`]. The document's record
+    /// count is not read: the slab counts its records.
     ///
     /// # Errors
-    /// Returns [`crate::Error::InvalidParameter`] on malformed input.
+    /// Returns [`crate::Error::InvalidParameter`] on malformed input, and
+    /// the refusals of [`crate::matcher::restore`] — the one restore
+    /// routine, shared with `ShardedPipeline::from_state` — for a document
+    /// whose probes would panic.
     pub fn load<Rd: std::io::Read>(reader: Rd) -> Result<Self> {
         let state: PersistedPipeline = serde_json::from_reader(reader)
             .map_err(|e| crate::Error::InvalidParameter(format!("deserialize pipeline: {e}")))?;
-        let classifier = Classifier::Rule(state.config.rule.clone());
-        // Kernels and the slab's layout are derived from the schema, not
-        // part of the document.
         let (mut plan, mut store) = (state.plan, state.store);
-        plan.compile_kernels(&state.schema)?;
-        store.bind(state.schema.layout())?;
-        let mut pipeline = Self {
+        restore(&state.schema, &state.config.rule, &mut plan, &mut store)?;
+        Ok(Self {
+            classifier: Classifier::Rule(state.config.rule.clone()),
             schema: state.schema,
             config: state.config,
             plan,
             store,
-            classifier,
             index_timings: PhaseTimings::default(),
             metrics: None,
-        };
-        // A disk-resident store whose generation file vanished (torn file,
-        // moved snapshot) deserializes as empty-with-flag, and tables saved
-        // beside a slab without its slot order hold ids: rebuild the
-        // blocking entries from the record store, which is authoritative.
-        if pipeline.plan.needs_rebuild() || pipeline.store.needs_rekey() {
-            pipeline.rebuild_blocking()?;
-        }
-        Ok(pipeline)
+        })
     }
 
     /// Rebuilds every blocking structure from the record store
@@ -744,6 +736,33 @@ mod tests {
         let after = restored.link(&probe).unwrap();
         assert_eq!(before.matches, after.matches);
         assert_eq!(before.stats.candidates, after.stats.candidates);
+    }
+
+    #[test]
+    fn a_saved_rule_beyond_the_schema_is_refused_at_load() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let s = schema(&mut rng);
+        let mut p = LinkagePipeline::new(s, LinkageConfig::rule_aware(rule()), &mut rng).unwrap();
+        p.index(&[Record::new(1, ["JOHN", "SMITH", "DURHAM"])])
+            .unwrap();
+        let mut buf = Vec::new();
+        p.save(&mut buf).unwrap();
+        let doc = String::from_utf8(buf).unwrap();
+        // The classifier's rule names attribute 9 of three; each probe of
+        // an exact copy would reach it.
+        let edited = doc.replacen(r#"{"Pred":{"attr":2,"#, r#"{"Pred":{"attr":9,"#, 1);
+        assert_ne!(edited, doc);
+        let err = LinkagePipeline::load(edited.as_bytes()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::Error::AttributeOutOfRange {
+                    attr: 9,
+                    num_attributes: 3
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -37,7 +37,9 @@
 
 use crate::blocking::{BlockingPlan, ProbeScratch, StructureStats};
 use crate::error::{Error, Result};
-use crate::matcher::{index_row, match_batch, rekey, unindex, Classifier, MatchStats, RecordSlab};
+use crate::matcher::{
+    index_row, match_batch, restore, unindex, Classifier, MatchStats, RecordSlab,
+};
 use crate::pipeline::{LinkageConfig, PipelineMetrics};
 use crate::record::Record;
 use crate::schema::RecordSchema;
@@ -75,7 +77,8 @@ pub struct ShardedState {
     pub classifier: Classifier,
     /// Per-shard indexed state, in shard order.
     pub shards: Vec<ShardState>,
-    /// Records indexed so far (across shards).
+    /// Records indexed so far (across shards). Written for readers of the
+    /// document; [`ShardedPipeline::from_state`] counts the slabs instead.
     pub indexed: usize,
     /// The versioned shard map. Absent in snapshots from before online
     /// resharding: those restored pipelines get a fresh uniform map, which
@@ -373,13 +376,15 @@ impl ShardedPipeline {
     /// Restores an index from a previously exported [`ShardedState`] —
     /// each shard starts preloaded with its snapshotted plan and store, so
     /// probe results are identical to the pipeline the state was exported
-    /// from.
+    /// from. The state's `indexed` is not read: the slabs count their
+    /// records.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidParameter`] when the state has no shards, its
-    /// shard map names more shards than the state carries, or a blocking
-    /// structure's store holds another number of tables than its kernel keys
-    /// ([`BlockingPlan::compile_kernels`]).
+    /// Returns [`Error::InvalidParameter`] when the state has no shards or
+    /// its shard map names more shards than the state carries, and the
+    /// refusals of [`crate::matcher::restore`] — the one restore routine,
+    /// shared with `LinkagePipeline::load` — for a classifier or a shard
+    /// whose probes would panic.
     pub fn from_state(state: ShardedState) -> Result<Self> {
         if state.shards.is_empty() {
             return Err(Error::InvalidParameter(
@@ -405,13 +410,15 @@ impl ShardedPipeline {
             // deletes broadcast, so the map only governs new placements.
             None => ShardMap::uniform(num_shards),
         };
+        let Classifier::Rule(rule) = &state.classifier;
         let mut shard_states = state.shards;
         for s in &mut shard_states {
-            // Key kernels and the slab's layout are derived from the schema,
-            // absent from a snapshot.
-            s.plan.compile_kernels(&state.schema)?;
-            s.store.bind(state.schema.layout())?;
+            restore(&state.schema, rule, &mut s.plan, &mut s.store)?;
         }
+        // Shards are disjoint at export (`export_state` refuses
+        // mid-migration), so the slabs count the records; the document's
+        // own count is not trusted.
+        let indexed = shard_states.iter().map(|s| s.store.len()).sum();
         let mut template = shard_states[0].plan.clone();
         template.clear_for_rebuild();
         let store_root = shard_states[0]
@@ -420,20 +427,8 @@ impl ShardedPipeline {
             .and_then(|p| p.parent().map(|p| p.to_path_buf()));
         let shards = shard_states
             .into_iter()
-            .enumerate()
-            .map(|(i, mut s)| {
-                // A shard whose disk store lost its generation file comes
-                // back empty-with-flag, and one whose slab had no slot order
-                // (a version 3 snapshot) has tables of ids: rebuild its
-                // blocking entries from the record store (authoritative)
-                // before serving probes.
-                if s.plan.needs_rebuild() || s.store.needs_rekey() {
-                    rekey(&mut s.plan, &mut s.store)
-                        .map_err(|e| Error::InvalidParameter(format!("shard {i} rebuild: {e}")))?;
-                }
-                Ok(Shard::shared(s.plan, s.store))
-            })
-            .collect::<Result<Vec<_>>>()?;
+            .map(|s| Shard::shared(s.plan, s.store))
+            .collect();
         Ok(Self {
             schema: state.schema,
             classifier: state.classifier,
@@ -442,7 +437,7 @@ impl ShardedPipeline {
             migration: None,
             template,
             store_root,
-            indexed: state.indexed,
+            indexed,
             metrics: None,
         })
     }
@@ -987,6 +982,68 @@ mod tests {
         assert_eq!(q.shard_map().num_shards(), 2);
         let (after, _) = q.link(&b).unwrap();
         assert_eq!(before, after);
+    }
+
+    /// `p`'s exported state with the first `from` in its document made `to`.
+    fn edited_state(p: &ShardedPipeline, from: &str, to: &str) -> ShardedState {
+        let json = serde_json::to_string(&p.export_state().unwrap()).unwrap();
+        assert!(json.contains(from), "{from}");
+        serde_json::from_str(&json.replacen(from, to, 1)).unwrap()
+    }
+
+    #[test]
+    fn a_classifier_beyond_the_schema_is_refused_at_restore() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let s = schema(&mut rng);
+        let mut p =
+            ShardedPipeline::new(s, LinkageConfig::rule_aware(rule()), 2, &mut rng).unwrap();
+        p.index(&records(9, 0, 10)).unwrap();
+        // Attribute 9 of two: each probe of an exact copy would reach it.
+        let mut state = p.export_state().unwrap();
+        state.classifier = Classifier::Rule(Rule::and([Rule::pred(0, 4), Rule::pred(9, 4)]));
+        let err = ShardedPipeline::from_state(state).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::AttributeOutOfRange {
+                    attr: 9,
+                    num_attributes: 2
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_plan_source_beyond_the_schema_is_refused_at_restore() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let s = schema(&mut rng);
+        let mut p =
+            ShardedPipeline::new(s, LinkageConfig::rule_aware(rule()), 2, &mut rng).unwrap();
+        p.index(&records(10, 0, 10)).unwrap();
+        let state = edited_state(&p, r#"{"Attr":0}"#, r#"{"Attr":9}"#);
+        let err = ShardedPipeline::from_state(state).unwrap_err();
+        assert!(matches!(err, Error::InvalidParameter(_)), "{err}");
+        let label = &p.blocking_stats()[0].label;
+        let expected = format!(
+            "blocking structure {label}: a family hashes attribute 9 of a 2-attribute schema"
+        );
+        assert!(err.to_string().contains(&expected), "{err}");
+    }
+
+    #[test]
+    fn a_restored_index_counts_its_records_not_the_document() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let s = schema(&mut rng);
+        let mut p =
+            ShardedPipeline::new(s, LinkageConfig::rule_aware(rule()), 2, &mut rng).unwrap();
+        p.index(&records(11, 0, 2)).unwrap();
+        let state = edited_state(&p, r#""indexed":2,"#, r#""indexed":999,"#);
+        let mut q = ShardedPipeline::from_state(state).unwrap();
+        assert_eq!(q.indexed_len(), 2);
+        assert_eq!(q.export_state().unwrap().indexed, 2);
+        assert_eq!(q.delete(&[0]).unwrap(), 1);
+        assert_eq!(q.indexed_len(), 1);
     }
 
     #[test]

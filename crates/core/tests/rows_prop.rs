@@ -114,38 +114,20 @@ proptest! {
     fn classifier_over_rows_is_classifier_over_records(
         widths in proptest::collection::vec(1usize..=90, 3),
         thetas in proptest::collection::vec(0u32..=40, 4),
-        weights in proptest::collection::vec(0.0f64..2.0, 3),
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let layout = RowLayout::from_widths(widths.iter().copied());
-        let classifiers = [
-            Classifier::Rule(Rule::and([
-                Rule::pred(0, thetas[0]),
-                Rule::or([Rule::pred(1, thetas[1]), Rule::pred(2, thetas[2])]),
-                Rule::not(Rule::pred(2, thetas[3] / 4)),
-            ])),
-            Classifier::TotalThreshold(thetas[0] + thetas[1] + thetas[2]),
-            Classifier::Weighted { weights, threshold: f64::from(thetas[3]) },
-        ];
+        let c = Classifier::Rule(Rule::and([
+            Rule::pred(0, thetas[0]),
+            Rule::or([Rule::pred(1, thetas[1]), Rule::pred(2, thetas[2])]),
+            Rule::not(Rule::pred(2, thetas[3] / 4)),
+        ]));
         for _ in 0..8 {
             let (a, b) = (random_record(1, &widths, &mut rng), random_record(2, &widths, &mut rng));
-            for c in &classifiers {
-                prop_assert_eq!(c.matches_rows(&layout, &packed(&a), &packed(&b)), c.matches(&a, &b));
-            }
+            prop_assert_eq!(c.matches_rows(&layout, &packed(&a), &packed(&b)), c.matches(&a, &b));
         }
     }
-}
-
-#[test]
-#[should_panic(expected = "weight arity")]
-fn weighted_classifier_arity_is_checked_over_rows_too() {
-    let layout = RowLayout::from_widths([15, 15]);
-    let c = Classifier::Weighted {
-        weights: vec![1.0],
-        threshold: 1.0,
-    };
-    let _ = c.matches_rows(&layout, &[0], &[0]);
 }
 
 // ---- (d) the row evaluation against hash sets ------------------------------

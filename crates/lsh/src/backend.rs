@@ -10,11 +10,13 @@
 //!
 //! The [`Backend`] enum is the serializable closed set of backends; the
 //! blocking layer stores it inside each structure so snapshots carry the
-//! backend tag and its parameters.
+//! backend tag and its parameters. A key is defined by the families' own
+//! [`crate::BitSampler::key`] / [`crate::CoveringGroup::key`] (and their
+//! `key_concat`), and computed by the [`crate::KeyKernel`] compiled from
+//! them.
 
 use crate::covering::CoveringFamily;
 use crate::hamming::BitSampleFamily;
-use rl_bitvec::BitVec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -37,71 +39,6 @@ impl fmt::Display for BackendKind {
     }
 }
 
-/// Key generation for `L` blocking tables over one bit-vector source.
-pub trait BlockingBackend {
-    /// The backend tag.
-    fn kind(&self) -> BackendKind;
-
-    /// Number of blocking tables `L` this backend keys.
-    fn l(&self) -> usize;
-
-    /// Width in bits of table `l`'s key, capped at the 128 bits a key can
-    /// physically hold (multi-probe neighbour enumeration flips key bits,
-    /// so it needs the populated width).
-    fn key_bits(&self, l: usize) -> usize;
-
-    /// Composite key of `v` for table `l`.
-    fn key(&self, l: usize, v: &BitVec) -> u128;
-
-    /// Composite key for table `l` over a conceptual concatenation of
-    /// attribute vectors (not materialized).
-    fn key_concat(&self, l: usize, attrs: &[&BitVec]) -> u128;
-}
-
-impl BlockingBackend for BitSampleFamily {
-    fn kind(&self) -> BackendKind {
-        BackendKind::RandomSampling
-    }
-
-    fn l(&self) -> usize {
-        self.l()
-    }
-
-    fn key_bits(&self, l: usize) -> usize {
-        self.samplers()[l].k()
-    }
-
-    fn key(&self, l: usize, v: &BitVec) -> u128 {
-        self.samplers()[l].key(v)
-    }
-
-    fn key_concat(&self, l: usize, attrs: &[&BitVec]) -> u128 {
-        self.samplers()[l].key_concat(attrs)
-    }
-}
-
-impl BlockingBackend for CoveringFamily {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Covering
-    }
-
-    fn l(&self) -> usize {
-        self.l()
-    }
-
-    fn key_bits(&self, l: usize) -> usize {
-        self.groups()[l].width().min(128)
-    }
-
-    fn key(&self, l: usize, v: &BitVec) -> u128 {
-        self.groups()[l].key(v)
-    }
-
-    fn key_concat(&self, l: usize, attrs: &[&BitVec]) -> u128 {
-        self.groups()[l].key_concat(attrs)
-    }
-}
-
 /// The closed, serializable set of backends a blocking structure can hold.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Backend {
@@ -111,39 +48,30 @@ pub enum Backend {
     Covering(CoveringFamily),
 }
 
-impl BlockingBackend for Backend {
-    fn kind(&self) -> BackendKind {
+impl Backend {
+    /// The backend tag.
+    pub fn kind(&self) -> BackendKind {
         match self {
-            Backend::RandomSampling(f) => f.kind(),
-            Backend::Covering(f) => f.kind(),
+            Backend::RandomSampling(_) => BackendKind::RandomSampling,
+            Backend::Covering(_) => BackendKind::Covering,
         }
     }
 
-    fn l(&self) -> usize {
+    /// Number of blocking tables `L` this backend keys.
+    pub fn l(&self) -> usize {
         match self {
-            Backend::RandomSampling(f) => BlockingBackend::l(f),
-            Backend::Covering(f) => BlockingBackend::l(f),
+            Backend::RandomSampling(f) => f.l(),
+            Backend::Covering(f) => f.l(),
         }
     }
 
-    fn key_bits(&self, l: usize) -> usize {
+    /// Width in bits of table `l`'s key, capped at the 128 bits a key can
+    /// physically hold (multi-probe neighbour enumeration flips key bits,
+    /// so it needs the populated width).
+    pub fn key_bits(&self, l: usize) -> usize {
         match self {
-            Backend::RandomSampling(f) => f.key_bits(l),
-            Backend::Covering(f) => f.key_bits(l),
-        }
-    }
-
-    fn key(&self, l: usize, v: &BitVec) -> u128 {
-        match self {
-            Backend::RandomSampling(f) => f.key(l, v),
-            Backend::Covering(f) => f.key(l, v),
-        }
-    }
-
-    fn key_concat(&self, l: usize, attrs: &[&BitVec]) -> u128 {
-        match self {
-            Backend::RandomSampling(f) => f.key_concat(l, attrs),
-            Backend::Covering(f) => f.key_concat(l, attrs),
+            Backend::RandomSampling(f) => f.samplers()[l].k(),
+            Backend::Covering(f) => f.groups()[l].width().min(128),
         }
     }
 }
@@ -155,35 +83,24 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn random_sampling_backend_matches_direct_sampler_keys() {
+    fn random_sampling_backend_reports_its_family() {
         let mut rng = StdRng::seed_from_u64(1);
         let f = BitSampleFamily::random(120, 30, 4, &mut rng).unwrap();
-        let v = BitVec::from_positions(120, [3, 40, 80, 119]);
-        for l in 0..4 {
-            assert_eq!(
-                BlockingBackend::key(&f, l, &v),
-                f.samplers()[l].key(&v),
-                "trait dispatch must not change keys"
-            );
-        }
-        let b = Backend::RandomSampling(f.clone());
+        let b = Backend::RandomSampling(f);
         assert_eq!(b.kind(), BackendKind::RandomSampling);
-        assert_eq!(BlockingBackend::l(&b), 4);
-        for l in 0..4 {
-            assert_eq!(b.key(l, &v), f.samplers()[l].key(&v));
-        }
+        assert_eq!(b.l(), 4);
+        assert!((0..4).all(|l| b.key_bits(l) == 30));
     }
 
     #[test]
-    fn covering_backend_dispatches() {
+    fn covering_backend_reports_its_family() {
         let mut rng = StdRng::seed_from_u64(2);
         let f = CoveringFamily::random(60, 2, &mut rng).unwrap();
-        let v = BitVec::from_positions(60, [1, 30, 59]);
         let b = Backend::Covering(f.clone());
         assert_eq!(b.kind(), BackendKind::Covering);
-        assert_eq!(BlockingBackend::l(&b), 7);
+        assert_eq!(b.l(), 7);
         for l in 0..7 {
-            assert_eq!(b.key(l, &v), f.groups()[l].key(&v));
+            assert_eq!(b.key_bits(l), f.groups()[l].width());
         }
     }
 

@@ -120,15 +120,19 @@ impl KeyKernel {
     /// # Panics
     /// Panics if the families disagree on `L`, or a family addresses a
     /// position beyond its map — neither can come out of the constructors
-    /// of the families and the blocking structures.
+    /// of the families and the blocking structures, and
+    /// `cbv_hb::blocking::BlockingPlan::compile_kernels` refuses a document
+    /// with either before it compiles.
     pub fn compile(families: &[(&Backend, &[u32])]) -> Self {
-        use crate::backend::BlockingBackend;
         let mut k = KeyKernel {
             #[cfg(target_arch = "x86_64")]
             bmi2: std::arch::is_x86_feature_detected!("bmi2"),
             ..KeyKernel::default()
         };
         let l = families.first().map_or(0, |(b, _)| b.l());
+        // Cannot fire: a structure's constructor draws all its families
+        // with one `L`, and a deserialized structure whose families disagree
+        // is refused by `BlockingPlan::compile_kernels` before this runs.
         assert!(
             families.iter().all(|(b, _)| b.l() == l),
             "fused families must key the same number of tables"
@@ -307,7 +311,6 @@ impl KeyKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BlockingBackend;
     use crate::{BitSampleFamily, CoveringFamily};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -320,7 +323,10 @@ mod tests {
     }
 
     fn reference(backend: &Backend, v: &BitVec) -> Vec<u128> {
-        (0..backend.l()).map(|l| backend.key(l, v)).collect()
+        match backend {
+            Backend::RandomSampling(f) => f.samplers().iter().map(|s| s.key(v)).collect(),
+            Backend::Covering(f) => f.groups().iter().map(|g| g.key(v)).collect(),
+        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   rule-operator bounds of Definitions 4–6.
 //! * [`covering`] — Pagh's CoveringLSH: a Hamming family with zero false
 //!   negatives inside the covering radius (`L = 2^{θ_H+1} − 1` groups).
-//! * [`backend`] — the [`backend::BlockingBackend`] trait and serializable
-//!   [`backend::Backend`] enum that let the blocking layer swap the
-//!   bit-sampling family for the covering family.
+//! * [`backend`] — the serializable [`backend::Backend`] enum that lets
+//!   the blocking layer swap the bit-sampling family for the covering
+//!   family.
 //! * [`kernel`] — the families compiled against a packed record layout:
 //!   gather programs and `pext` extract steps that produce all `L` keys of
 //!   a record from its words, bit-identical to the reference functions.
@@ -39,7 +39,7 @@ pub mod kernel;
 pub mod minhash;
 pub mod params;
 
-pub use backend::{Backend, BackendKind, BlockingBackend};
+pub use backend::{Backend, BackendKind};
 pub use covering::{CoveringFamily, CoveringGroup, MAX_COVERING_THETA};
 pub use error::FamilyError;
 pub use hamming::{BitSampleFamily, BitSampler};

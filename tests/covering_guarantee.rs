@@ -13,7 +13,6 @@ use rand::{RngExt, SeedableRng};
 use record_linkage::bitvec::BitVec;
 use record_linkage::cbv_hb::blocking::BlockingPlan;
 use record_linkage::cbv_hb::AttributeSpec;
-use record_linkage::lsh::backend::BlockingBackend;
 use record_linkage::lsh::params::{base_success_probability, optimal_l};
 use record_linkage::lsh::{BitSampleFamily, CoveringFamily};
 use record_linkage::prelude::*;
@@ -62,7 +61,7 @@ proptest! {
         let family = CoveringFamily::random(m, theta, &mut rng).unwrap();
         let (x, y) = pair_within(m, theta, &mut rng);
         prop_assert!(x.hamming(&y) <= theta);
-        let shared = (0..family.l()).any(|g| family.key(g, &x) == family.key(g, &y));
+        let shared = family.groups().iter().any(|g| g.key(&x) == g.key(&y));
         prop_assert!(
             shared,
             "pair at distance {} ≤ θ = {theta} shares no key (m = {m}, seed {seed})",
@@ -94,7 +93,7 @@ proptest! {
                     flip(&mut y, i);
                 }
             }
-            if (0..family.l()).any(|g| family.key(g, &x) == family.key(g, &y)) {
+            if family.samplers().iter().any(|s| s.key(&x) == s.key(&y)) {
                 hit += 1;
             }
         }
@@ -140,8 +139,9 @@ fn covering_plan_co_blocks_all_embedded_pairs_within_theta() {
     for rec in &embedded {
         plan.insert(rec);
     }
+    let lookup = |id| embedded.iter().find(|r| r.id == id);
     for probe in &embedded {
-        let cands = plan.candidates(probe);
+        let (cands, _) = plan.candidates_verified_counted(probe, lookup);
         for other in &embedded {
             if probe.total_distance(other) <= theta {
                 assert!(

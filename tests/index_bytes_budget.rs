@@ -125,7 +125,7 @@ fn indexing_a_record_stays_within_its_byte_budget() {
         // The tables alone: the same inserts into a copy of the empty plan.
         let mut tables = pipeline.plan().clone();
         let embedded = pipeline.schema().embed_all(&pair.a).unwrap();
-        let table_bytes = gained(|| tables.insert_all(&embedded));
+        let table_bytes = gained(|| embedded.iter().for_each(|rec| tables.insert(rec)));
         drop((tables, embedded));
 
         let empty = reported(&pipeline);

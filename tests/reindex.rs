@@ -121,9 +121,13 @@ fn reindexing_replaces(dir: Option<&Path>, seal: bool) {
         entries_of(structure, p.store(), 100),
         keys_of(&schema, structure, &moved)
     );
-    let twin = schema.embed(&twins[1]).unwrap();
-    for table in 0..l {
-        let bucket: Vec<u64> = (structure.bucket(&twin, table).into_iter())
+    let mut twin_keys = Vec::new();
+    structure.keys_into(&schema.embed(&twins[1]).unwrap(), &mut twin_keys);
+    assert_eq!(twin_keys.len(), l);
+    for (table, &key) in twin_keys.iter().enumerate() {
+        let mut slots = Vec::new();
+        structure.probe_key_into(table, key, &mut slots);
+        let bucket: Vec<u64> = (slots.into_iter())
             .map(|slot| p.store().id_at(slot))
             .collect();
         assert_eq!(bucket, (101..164).collect::<Vec<u64>>(), "table {table}");

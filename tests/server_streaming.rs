@@ -330,8 +330,9 @@ fn wait_returns_only_after_a_live_subscription_stream_has_ended() {
     }
 }
 
-/// A subscription compiles its own rule, so a server whose classifier is
-/// not a rule serves subscriptions too.
+/// A subscription compiles its own rule: a server whose classifier is a
+/// threshold on another attribute than the subscription's rule serves it
+/// by the subscription's rule.
 #[test]
 fn a_threshold_classifier_server_serves_subscriptions() {
     let mut rng = StdRng::seed_from_u64(68);
@@ -345,8 +346,8 @@ fn a_threshold_classifier_server_serves_subscriptions() {
     );
     let config = LinkageConfig::record_level(Rule::pred(0, 8), 8, 10);
     let plan = BlockingPlan::from_config(&schema, &config, &mut rng).unwrap();
-    let pipeline =
-        ShardedPipeline::from_parts(schema, plan, Classifier::TotalThreshold(8), 2).unwrap();
+    let classifier = Classifier::Rule(Rule::pred(1, 8));
+    let pipeline = ShardedPipeline::from_parts(schema, plan, classifier, 2).unwrap();
     let server = Server::spawn(pipeline, ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
