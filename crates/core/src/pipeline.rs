@@ -496,7 +496,7 @@ impl LinkagePipeline {
     ///
     /// # Errors
     /// Returns [`crate::Error::InvalidParameter`] on malformed input, and
-    /// the refusals of [`crate::matcher::restore`] — the one restore
+    /// the refusals of `matcher::restore` — the one restore
     /// routine, shared with `ShardedPipeline::from_state` — for a document
     /// whose probes would panic.
     pub fn load<Rd: std::io::Read>(reader: Rd) -> Result<Self> {

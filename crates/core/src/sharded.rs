@@ -382,7 +382,7 @@ impl ShardedPipeline {
     /// # Errors
     /// Returns [`Error::InvalidParameter`] when the state has no shards or
     /// its shard map names more shards than the state carries, and the
-    /// refusals of [`crate::matcher::restore`] — the one restore routine,
+    /// refusals of `matcher::restore` — the one restore routine,
     /// shared with `LinkagePipeline::load` — for a classifier or a shard
     /// whose probes would panic.
     pub fn from_state(state: ShardedState) -> Result<Self> {
