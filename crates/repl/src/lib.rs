@@ -32,6 +32,7 @@ use rl_server::{
     ApplyError, Client, ClientError, DurabilityConfig, ReplHandle, ReplRole, Reply, Request,
     Server, ServerConfig,
 };
+use rl_store::atomic::write_atomic;
 use rl_store::{scan_segments, Checkpoint, CHECKPOINT_FILE};
 use std::io::ErrorKind;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -201,9 +202,13 @@ fn bootstrap(config: &FollowerConfig, durability: &DurabilityConfig) -> std::io:
         // means the lease gets seeded on the first subscription instead.
         let grant = client.repl_status().map(|s| s.lease_ms).unwrap_or(0);
         match fetch_checkpoint(&mut client) {
-            Ok(ckpt) => {
+            Ok((bytes, ckpt)) => {
+                // The primary's file, validated, is written as received
+                // rather than re-serialized from the parsed document.
+                // `write_atomic` ends it with the newline it arrived with.
+                let doc = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
                 std::fs::create_dir_all(&durability.data_dir)?;
-                ckpt.save(&durability.data_dir.join(CHECKPOINT_FILE))
+                write_atomic(&durability.data_dir.join(CHECKPOINT_FILE), doc)
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
                 eprintln!(
                     "rl-repl: bootstrapped from {} (checkpoint at op seq {})",
@@ -222,17 +227,15 @@ fn bootstrap(config: &FollowerConfig, durability: &DurabilityConfig) -> std::io:
 
 /// Downloads the primary's checkpoint over an open connection (which
 /// the primary closes afterwards). The client handles the transfer
-/// framing; this crate parses and validates the document.
-fn fetch_checkpoint(client: &mut Client) -> Result<Checkpoint, String> {
+/// framing; [`Checkpoint::from_bytes`] parses and validates the document.
+/// Returns the bytes as received with the document they hold.
+fn fetch_checkpoint(client: &mut Client) -> Result<(Vec<u8>, Checkpoint), String> {
     let bytes = client
         .fetch_checkpoint_raw()
         .map_err(|e| format!("checkpoint transfer: {e}"))?;
-    let text = std::str::from_utf8(&bytes).map_err(|e| format!("checkpoint not UTF-8: {e}"))?;
-    let ckpt: Checkpoint =
-        serde_json::from_str(text).map_err(|e| format!("checkpoint parse: {e}"))?;
-    ckpt.validate(None)
-        .map_err(|e| format!("checkpoint invalid: {e}"))?;
-    Ok(ckpt)
+    let ckpt =
+        Checkpoint::from_bytes(&bytes, None).map_err(|e| format!("checkpoint invalid: {e}"))?;
+    Ok((bytes, ckpt))
 }
 
 /// The primary's lease, as granted on its stream heartbeats. Any applied
@@ -411,7 +414,7 @@ fn resync_from_primary(handle: &ReplHandle, client: &mut Client) -> Result<(), S
     handle.set_resyncing(true);
     let result = reconnect(client)
         .and_then(|()| fetch_checkpoint(client))
-        .and_then(|ckpt| handle.resync(ckpt));
+        .and_then(|(_, ckpt)| handle.resync(ckpt));
     handle.set_resyncing(false);
     result.and_then(|()| reconnect(client))
 }

@@ -130,11 +130,9 @@ struct Conn {
 
 /// One decoded frame, owned (detached from the reader's buffer).
 enum BinMsg {
-    /// An id-enveloped [`Response`].
+    /// An id-enveloped [`Response`], or a replicated WAL frame from a
+    /// `Subscribe` stream as a pushed [`Reply::WalFrame`].
     Response(u64, Response),
-    /// A replicated WAL frame from a `Subscribe` stream: `(seq, epoch,
-    /// op)`. `TAG_WAL` frames carry epoch 0 implicitly.
-    Wal(u64, u64, rl_store::WalOp),
     /// Raw checkpoint bytes from a `FetchCheckpoint` transfer.
     Chunk(Vec<u8>),
 }
@@ -367,7 +365,6 @@ impl Client {
     pub fn recv(&mut self) -> Result<Reply, ClientError> {
         match read_bin_msg(&mut self.conn.frames)? {
             BinMsg::Response(_, response) => response.into_result().map_err(ClientError::Server),
-            BinMsg::Wal(seq, epoch, op) => Ok(Reply::WalFrame { seq, op, epoch }),
             BinMsg::Chunk(_) => Err(ClientError::Protocol(
                 "unexpected checkpoint chunk frame outside a transfer".into(),
             )),
@@ -423,7 +420,7 @@ impl Client {
                         }
                     }
                 }
-                BinMsg::Wal(..) | BinMsg::Chunk(..) => {
+                BinMsg::Chunk(..) => {
                     return Err(ClientError::Protocol(
                         "unexpected stream frame during pipelined probes".into(),
                     ));
@@ -463,11 +460,6 @@ impl Client {
                     let reply = response.into_result().map_err(ClientError::Server)?;
                     return Err(ClientError::Protocol(format!(
                         "expected chunk frame {expected}, got {reply:?}"
-                    )));
-                }
-                BinMsg::Wal(..) => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected chunk frame {expected}, got a WAL frame"
                     )));
                 }
             }
@@ -872,15 +864,11 @@ fn read_bin_msg(frames: &mut FrameReader<TcpStream>) -> Result<BinMsg, ClientErr
                 .map_err(|e| ClientError::Protocol(format!("decode response: {e}")))?;
             Ok(BinMsg::Response(id, response))
         }
-        Ok(Some((wire::TAG_WAL, payload))) => {
-            let (seq, op) = wire::decode_wal(payload)
+        Ok(Some((tag @ (wire::TAG_WAL | wire::TAG_WAL_E), payload))) => {
+            let (seq, epoch, op) = wire::decode_wal(tag, payload)
                 .map_err(|e| ClientError::Protocol(format!("decode wal frame: {e}")))?;
-            Ok(BinMsg::Wal(seq, 0, op))
-        }
-        Ok(Some((wire::TAG_WAL_E, payload))) => {
-            let (seq, epoch, op) = wire::decode_wal_epoch(payload)
-                .map_err(|e| ClientError::Protocol(format!("decode wal frame: {e}")))?;
-            Ok(BinMsg::Wal(seq, epoch, op))
+            let reply = Reply::WalFrame { seq, op, epoch };
+            Ok(BinMsg::Response(wire::PUSH_ID, Response::Ok(reply)))
         }
         Ok(Some((wire::TAG_CHUNK, payload))) => Ok(BinMsg::Chunk(payload.to_vec())),
         Ok(Some((tag, _))) => Err(ClientError::Protocol(format!("unexpected frame tag {tag}"))),

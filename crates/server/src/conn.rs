@@ -6,7 +6,7 @@ use crate::metrics::ReqType;
 use crate::protocol::{wire, ErrorCode, Request, RequestError, Response};
 use crate::server::Inner;
 use parking_lot::Mutex;
-use rl_store::WalOp;
+use rl_store::ReadFrame;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -110,17 +110,11 @@ impl StreamWriter {
         self.write_frame()
     }
 
-    /// Ships one replicated WAL op as a [`wire::TAG_WAL`] /
-    /// [`wire::TAG_WAL_E`] frame carrying the binary op encoding. Epoch-0
-    /// frames keep the un-stamped tag, as the WAL itself does.
-    pub(crate) fn write_wal(&mut self, seq: u64, op: &WalOp, epoch: u64) -> std::io::Result<()> {
-        let tag = if epoch == 0 {
-            wire::encode_wal(seq, op, &mut self.payload);
-            wire::TAG_WAL
-        } else {
-            wire::encode_wal_epoch(seq, epoch, op, &mut self.payload);
-            wire::TAG_WAL_E
-        };
+    /// Ships one WAL op frame as the segment holds it: a
+    /// [`wire::TAG_WAL`] / [`wire::TAG_WAL_E`] frame whose payload is `seq
+    /// ‖` the frame's payload.
+    pub(crate) fn write_wal(&mut self, seq: u64, frame: &ReadFrame<'_>) -> std::io::Result<()> {
+        let tag = wire::encode_wal(seq, frame.tag, frame.payload, &mut self.payload);
         self.frame.clear();
         rl_wire::encode_frame_into(tag, &self.payload, &mut self.frame);
         self.write_frame()

@@ -649,29 +649,32 @@ impl Response {
 ///   responses; id `0` marks unsolicited pushes (heartbeats, match events,
 ///   stream lines), which never collide because clients allocate ids
 ///   from 1.
-/// - [`wire::TAG_WAL`] — `global op seq: u64 LE` followed by the binary
-///   [`rl_store::WalOp`] encoding (the same one v2 WAL segments store).
+/// - [`wire::TAG_WAL`] / [`wire::TAG_WAL_E`] — `global op seq: u64 LE`
+///   followed by the payload of one WAL op frame, byte for byte as the
+///   segment holds it; [`rl_store::WalFrame`] encodes and decodes it.
 /// - [`wire::TAG_CHUNK`] — raw checkpoint bytes, no envelope: chunks
 ///   arrive in order after a `CheckpointMeta` response.
 pub mod wire {
     use super::{Reply, Request, Response};
     use cbv_hb::matcher::MatchStats;
     use cbv_hb::Record;
-    use rl_store::wal::{encode_record, Cursor};
+    use rl_store::wal::{encode_record, Cursor, WalFrame, WAL_FRAME_EPOCH_TAG, WAL_FRAME_TAG};
+    use rl_store::WalOp;
 
     /// Frame tag: an id-enveloped [`Request`].
     pub const TAG_REQUEST: u8 = 1;
     /// Frame tag: an id-enveloped [`Response`].
     pub const TAG_RESPONSE: u8 = 2;
-    /// Frame tag: a replicated WAL frame (`seq` + binary op), implicitly
-    /// epoch 0. Kept for pre-epoch history so v7 followers keep decoding.
+    /// Frame tag: a replicated un-stamped WAL frame ([`WAL_FRAME_TAG`]),
+    /// implicitly epoch 0. Kept for pre-epoch history so v7 followers keep
+    /// decoding.
     pub const TAG_WAL: u8 = 3;
     /// Frame tag: raw checkpoint bytes.
     pub const TAG_CHUNK: u8 = 4;
-    /// Frame tag: an epoch-stamped replicated WAL frame (protocol v8) —
-    /// `seq u64 LE | epoch u64 LE | binary op`. Used whenever the frame's
-    /// epoch is non-zero; a separate tag keeps the encoding unconditional
-    /// instead of versioned.
+    /// Frame tag: a replicated epoch-stamped WAL frame
+    /// ([`WAL_FRAME_EPOCH_TAG`], protocol v8) — `seq u64 LE | epoch u64 LE |
+    /// binary op`. A separate tag keeps the encoding unconditional instead
+    /// of versioned.
     pub const TAG_WAL_E: u8 = 5;
     /// Frame tag: a follower durability ack (protocol v8) — `seq u64 LE`,
     /// sent *upstream* on the subscription connection after the follower
@@ -826,13 +829,9 @@ pub mod wire {
                 records: decode_records(body)?,
             },
             BODY_STREAM => {
-                let mut records = decode_records(body)?;
-                if records.len() != 1 {
-                    return Err(format!("stream body has {} records", records.len()));
-                }
-                Request::Stream {
-                    record: records.pop().expect("checked length"),
-                }
+                let [record] = <[Record; 1]>::try_from(decode_records(body)?)
+                    .map_err(|records| format!("stream body has {} records", records.len()))?;
+                Request::Stream { record }
             }
             other => return Err(format!("unknown request body format {other}")),
         };
@@ -924,41 +923,37 @@ pub mod wire {
         Ok(records)
     }
 
-    /// Encodes a [`TAG_WAL`] payload into `payload` (cleared first).
-    pub fn encode_wal(seq: u64, op: &rl_store::WalOp, payload: &mut Vec<u8>) {
+    /// Encodes a replicated WAL frame into `payload` (cleared first):
+    /// `seq u64 LE ‖` the payload of the op frame `wal_tag` heads on disk.
+    /// Returns the frame tag: [`TAG_WAL`] for an un-stamped frame,
+    /// [`TAG_WAL_E`] for a stamped one.
+    pub fn encode_wal(seq: u64, wal_tag: u8, wal_payload: &[u8], payload: &mut Vec<u8>) -> u8 {
         payload.clear();
         payload.extend_from_slice(&seq.to_le_bytes());
-        op.encode_bin(payload);
+        payload.extend_from_slice(wal_payload);
+        if wal_tag == WAL_FRAME_TAG {
+            TAG_WAL
+        } else {
+            TAG_WAL_E
+        }
     }
 
-    /// Decodes a [`TAG_WAL`] payload.
+    /// Decodes a [`TAG_WAL`] or [`TAG_WAL_E`] payload into `(seq, epoch,
+    /// op)` with [`WalFrame::decode`].
     ///
     /// # Errors
     /// A description of the malformation.
-    pub fn decode_wal(payload: &[u8]) -> Result<(u64, rl_store::WalOp), String> {
-        let (seq, body) = split_id(payload)?;
-        let op = rl_store::WalOp::decode_bin(body)?;
-        Ok((seq, op))
-    }
-
-    /// Encodes a [`TAG_WAL_E`] payload into `payload` (cleared first):
-    /// `seq u64 LE | epoch u64 LE | binary op`.
-    pub fn encode_wal_epoch(seq: u64, epoch: u64, op: &rl_store::WalOp, payload: &mut Vec<u8>) {
-        payload.clear();
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.extend_from_slice(&epoch.to_le_bytes());
-        op.encode_bin(payload);
-    }
-
-    /// Decodes a [`TAG_WAL_E`] payload into `(seq, epoch, op)`.
-    ///
-    /// # Errors
-    /// A description of the malformation.
-    pub fn decode_wal_epoch(payload: &[u8]) -> Result<(u64, u64, rl_store::WalOp), String> {
-        let (seq, rest) = split_id(payload)?;
-        let (epoch, body) = split_id(rest)?;
-        let op = rl_store::WalOp::decode_bin(body)?;
-        Ok((seq, epoch, op))
+    pub fn decode_wal(tag: u8, payload: &[u8]) -> Result<(u64, u64, WalOp), String> {
+        let (seq, frame) = split_id(payload)?;
+        let wal_tag = if tag == TAG_WAL {
+            WAL_FRAME_TAG
+        } else {
+            WAL_FRAME_EPOCH_TAG
+        };
+        match WalFrame::decode(wal_tag, frame, 0)? {
+            WalFrame::Op { epoch, op } => Ok((seq, epoch, op)),
+            WalFrame::Marker(_) => Err("an epoch marker is not an op".into()),
+        }
     }
 
     /// Encodes a [`TAG_ACK`] payload into `payload` (cleared first): the
@@ -981,11 +976,10 @@ pub mod wire {
     }
 
     fn split_id(payload: &[u8]) -> Result<(u64, &[u8]), String> {
-        if payload.len() < 8 {
+        let Some((id, rest)) = payload.split_first_chunk() else {
             return Err(format!("envelope too short: {} bytes", payload.len()));
-        }
-        let id = u64::from_le_bytes(payload[..8].try_into().unwrap());
-        Ok((id, &payload[8..]))
+        };
+        Ok((u64::from_le_bytes(*id), rest))
     }
 
     /// Splits `id | format byte | body` for request/response payloads.
@@ -1166,11 +1160,18 @@ mod tests {
         assert_eq!(wire::decode_response(&payload).unwrap(), (0, resp));
 
         let op = rl_store::WalOp::Insert(Record::new(9, ["X", "Y"]));
-        wire::encode_wal(1234, &op, &mut payload);
-        assert_eq!(wire::decode_wal(&payload).unwrap(), (1234, op.clone()));
-
-        wire::encode_wal_epoch(1234, 5, &op, &mut payload);
-        assert_eq!(wire::decode_wal_epoch(&payload).unwrap(), (1234, 5, op));
+        for (epoch, wire_tag) in [(0, wire::TAG_WAL), (5, wire::TAG_WAL_E)] {
+            let mut frame = Vec::new();
+            let wal_tag =
+                rl_store::WalFrame::encode_op(epoch, &mut frame, |out| op.encode_bin(out));
+            assert_eq!(
+                wire::encode_wal(1234, wal_tag, &frame, &mut payload),
+                wire_tag
+            );
+            assert_eq!(&payload[8..], &frame[..], "seq, then the WAL frame payload");
+            let decoded = wire::decode_wal(wire_tag, &payload).unwrap();
+            assert_eq!(decoded, (1234, epoch, op.clone()));
+        }
 
         wire::encode_ack(777, &mut payload);
         assert_eq!(wire::decode_ack(&payload).unwrap(), 777);

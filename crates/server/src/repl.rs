@@ -417,7 +417,7 @@ fn stream_frames(
             Ok(Some(frame)) => {
                 last_seq += 1;
                 if last_seq >= next {
-                    if writer.write_wal(last_seq, &frame.op, frame.epoch).is_err() {
+                    if writer.write_wal(last_seq, &frame).is_err() {
                         return StreamEnd::Gone;
                     }
                     next = last_seq + 1;

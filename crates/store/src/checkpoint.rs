@@ -84,21 +84,32 @@ impl Checkpoint {
         write_atomic(path, json.as_bytes())
     }
 
-    /// Loads and validates a checkpoint: its own magic/version plus the
-    /// embedded snapshot's magic, version, and schema hash.
+    /// Loads and validates a checkpoint file with [`Self::from_bytes`].
     ///
     /// # Errors
-    /// Returns [`SnapshotError::Io`] when the file cannot be read,
-    /// [`SnapshotError::Serde`] when it is not a checkpoint document, and
-    /// [`SnapshotError::Format`] when validation fails — all naming the
+    /// Returns [`SnapshotError::Io`] when the file cannot be read, and
+    /// otherwise what [`Self::from_bytes`] returns — all naming the
     /// offending path.
     pub fn load(path: &Path) -> Result<Self, SnapshotError> {
-        let json = std::fs::read_to_string(path).map_err(|e| SnapshotError::io("read", path, e))?;
-        let ckpt: Checkpoint = serde_json::from_str(&json).map_err(|e| SnapshotError::Serde {
-            path: Some(path.to_path_buf()),
+        let bytes = std::fs::read(path).map_err(|e| SnapshotError::io("read", path, e))?;
+        Self::from_bytes(&bytes, Some(path))
+    }
+
+    /// The one checkpoint decoder: parses a checkpoint document and
+    /// validates its own magic/version plus the embedded snapshot's magic,
+    /// version, and schema hash. `path` names the file the bytes came from
+    /// in errors; a checkpoint received over the wire passes `None`.
+    ///
+    /// # Errors
+    /// Returns [`SnapshotError::Serde`] when the bytes are not a
+    /// checkpoint document and [`SnapshotError::Format`] when validation
+    /// fails.
+    pub fn from_bytes(bytes: &[u8], path: Option<&Path>) -> Result<Self, SnapshotError> {
+        let ckpt: Checkpoint = serde_json::from_slice(bytes).map_err(|e| SnapshotError::Serde {
+            path: path.map(Path::to_path_buf),
             msg: e.to_string(),
         })?;
-        ckpt.validate(Some(path))?;
+        ckpt.validate(path)?;
         Ok(ckpt)
     }
 

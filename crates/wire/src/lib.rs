@@ -412,8 +412,9 @@ impl ReadState {
         }
     }
 
-    /// Validates the completed header, recording the expected length.
-    fn commit_header(&mut self) -> Result<(), WireError> {
+    /// Validates the completed header, recording and returning the
+    /// expected payload length.
+    fn commit_header(&mut self) -> Result<usize, WireError> {
         if self.hdr[0..2] != MAGIC {
             return Err(WireError::BadMagic([self.hdr[0], self.hdr[1]]));
         }
@@ -433,24 +434,20 @@ impl ReadState {
         }
         self.payload_filled = 0;
         self.expect = Some(len);
-        Ok(())
+        Ok(len)
     }
 
-    /// Verifies the CRC of a completed payload and resets for the next
-    /// frame. Returns (tag, len).
-    fn commit_payload(&mut self) -> Result<(u8, usize), WireError> {
-        let len = self
-            .expect
-            .take()
-            .expect("payload committed without header");
+    /// Verifies the CRC of a completed `len`-byte payload and resets for
+    /// the next frame. Returns the tag.
+    fn commit_payload(&mut self, len: usize) -> Result<u8, WireError> {
+        self.expect = None;
         let expected = u32::from_le_bytes([self.hdr[8], self.hdr[9], self.hdr[10], self.hdr[11]]);
         let found = frame_crc(self.hdr[2], self.hdr[3], len as u32, &self.payload[..len]);
         if found != expected {
             return Err(WireError::Corrupt { expected, found });
         }
-        let tag = self.hdr[3];
         self.hdr_filled = 0;
-        Ok((tag, len))
+        Ok(self.hdr[3])
     }
 }
 
@@ -487,10 +484,12 @@ impl<R: Read> FrameReader<R> {
     /// [`WireError::Truncated`] when the stream ends mid-frame, plus the
     /// header/CRC errors from [`peek_frame`]'s contract.
     pub fn read_frame(&mut self) -> Result<Option<(u8, &[u8])>, WireError> {
-        while self.state.expect.is_none() {
+        let len = loop {
+            if let Some(len) = self.state.expect {
+                break len;
+            }
             if self.state.hdr_filled == HEADER_LEN {
-                self.state.commit_header()?;
-                break;
+                break self.state.commit_header()?;
             }
             let filled = self.state.hdr_filled;
             let n = self.inner.read(&mut self.state.hdr[filled..])?;
@@ -501,8 +500,7 @@ impl<R: Read> FrameReader<R> {
                 return Err(WireError::Truncated);
             }
             self.state.hdr_filled += n;
-        }
-        let len = self.state.expect.expect("header committed");
+        };
         while self.state.payload_filled < len {
             let filled = self.state.payload_filled;
             let n = self.inner.read(&mut self.state.payload[filled..len])?;
@@ -511,7 +509,7 @@ impl<R: Read> FrameReader<R> {
             }
             self.state.payload_filled += n;
         }
-        let (tag, len) = self.state.commit_payload()?;
+        let tag = self.state.commit_payload(len)?;
         Ok(Some((tag, &self.state.payload[..len])))
     }
 

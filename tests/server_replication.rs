@@ -122,6 +122,37 @@ fn follower_bootstraps_tails_and_redirects() {
     std::fs::remove_dir_all(&fdir).unwrap();
 }
 
+/// A bootstrapped follower installs the primary's checkpoint as the bytes
+/// the primary sent, not a re-serialization of the parsed document.
+#[test]
+fn bootstrap_writes_the_primary_checkpoint_byte_for_byte() {
+    let pdir = fresh_dir("ckpt-bytes-primary");
+    let fdir = fresh_dir("ckpt-bytes-follower");
+    let primary = Server::spawn_durable(
+        || Ok(pipeline(13, 2)),
+        durable_config(&pdir, ReplRole::Primary),
+    )
+    .unwrap();
+    let primary_addr = primary.local_addr().to_string();
+    let mut pc = Client::connect(&*primary_addr).unwrap();
+    assert_eq!(pc.insert(&records(6, 0, 12)).unwrap(), (12, 12));
+
+    let follower = Follower::spawn(FollowerConfig::new(
+        primary_addr,
+        durable_config(&fdir, ReplRole::Standalone),
+    ))
+    .unwrap();
+    let theirs = std::fs::read(pdir.join(rl_store::CHECKPOINT_FILE)).unwrap();
+    let ours = std::fs::read(fdir.join(rl_store::CHECKPOINT_FILE)).unwrap();
+    assert!(theirs == ours, "the follower re-serialized the checkpoint");
+
+    follower.shutdown();
+    follower.wait();
+    stop(primary, [pc]);
+    std::fs::remove_dir_all(&pdir).unwrap();
+    std::fs::remove_dir_all(&fdir).unwrap();
+}
+
 /// Quorum acks (protocol v8) are what make a failover lossless without a
 /// drained lag: every insert below returns only once the follower has
 /// confirmed the frame durable, so the node that wins the election holds
