@@ -32,8 +32,7 @@ use rl_server::{
     ApplyError, Client, ClientError, DurabilityConfig, ReplHandle, ReplRole, Reply, Request,
     Server, ServerConfig,
 };
-use rl_store::atomic::write_atomic;
-use rl_store::{scan_segments, Checkpoint, CHECKPOINT_FILE};
+use rl_store::{install_checkpoint, scan_segments, Checkpoint, CHECKPOINT_FILE};
 use std::io::ErrorKind;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -132,10 +131,12 @@ impl Follower {
         )?;
         let handle = server.repl_handle();
         let self_addr = server.local_addr().to_string();
+        // Without its apply loop the server stops; its threads see the
+        // flag and exit.
         let apply = std::thread::Builder::new()
             .name("rl-repl-apply".into())
             .spawn(move || apply_loop(&handle, &config, &self_addr, seed_lease_ms))
-            .expect("spawn apply loop");
+            .inspect_err(|_| server.shutdown())?;
         Ok(Self {
             server,
             apply: Some(apply),
@@ -203,12 +204,7 @@ fn bootstrap(config: &FollowerConfig, durability: &DurabilityConfig) -> std::io:
         let grant = client.repl_status().map(|s| s.lease_ms).unwrap_or(0);
         match fetch_checkpoint(&mut client) {
             Ok((bytes, ckpt)) => {
-                // The primary's file, validated, is written as received
-                // rather than re-serialized from the parsed document.
-                // `write_atomic` ends it with the newline it arrived with.
-                let doc = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
-                std::fs::create_dir_all(&durability.data_dir)?;
-                write_atomic(&durability.data_dir.join(CHECKPOINT_FILE), doc)
+                install_checkpoint(&durability.data_dir, &bytes)
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
                 eprintln!(
                     "rl-repl: bootstrapped from {} (checkpoint at op seq {})",
@@ -414,7 +410,7 @@ fn resync_from_primary(handle: &ReplHandle, client: &mut Client) -> Result<(), S
     handle.set_resyncing(true);
     let result = reconnect(client)
         .and_then(|()| fetch_checkpoint(client))
-        .and_then(|(_, ckpt)| handle.resync(ckpt));
+        .and_then(|(bytes, ckpt)| handle.resync(&bytes, ckpt));
     handle.set_resyncing(false);
     result.and_then(|()| reconnect(client))
 }

@@ -2,12 +2,11 @@
 //! checkpointer, the blocking-store compactor, and the online-reshard
 //! migrator. Each watches the shutdown flag and exits on its own.
 
-use crate::handlers::log_mutation;
+use crate::commit::append;
 use crate::repl::await_quorum;
 use crate::server::Inner;
-use crate::snapshot::{Snapshot, SnapshotError};
 use cbv_hb::sharded::ReshardDriver;
-use rl_store::WalOp;
+use rl_store::{Mutation, StoreError};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,26 +75,20 @@ pub(crate) fn reshard_migrate_loop(inner: &Arc<Inner>, mut driver: ReshardDriver
     inner.metrics.reshard_state.set(2);
     let mut state = inner.state.write();
     let status = state.pipeline.migration_status();
-    let mut applied_seq = 0;
-    if inner.store.is_some() {
-        let commit = WalOp::Reshard {
-            merge: status.kind == "merge",
-            source: status.source as u64,
-            target: status.target as u64,
-        };
-        match log_mutation(inner, &[commit]) {
-            Ok(seq) => applied_seq = seq,
-            Err(e) => {
-                drop(state);
-                eprintln!(
-                    "rl-server: reshard cutover not durable ({}); aborting the migration",
-                    e.message
-                );
-                abort_migration(inner, "cutover append failed");
-                return;
-            }
+    let cutover = Mutation::Reshard {
+        merge: status.kind == "merge",
+        source: status.source as u64,
+        target: status.target as u64,
+    };
+    let applied_seq = match append(inner, cutover) {
+        Ok(seq) => seq,
+        Err(e) => {
+            drop(state);
+            eprintln!("rl-server: reshard cutover not durable ({e}); aborting the migration");
+            abort_migration(inner, "cutover append failed");
+            return;
         }
-    }
+    };
     match state.pipeline.finish_reshard(&driver) {
         Ok(epoch) => {
             inner.metrics.reshard_migrated.set(driver.migrated() as i64);
@@ -128,7 +121,7 @@ pub(crate) fn reshard_migrate_loop(inner: &Arc<Inner>, mut driver: ReshardDriver
 
 /// Rolls the in-flight migration back (purges the target's partial copy,
 /// keeps the current map) and clears the reshard gauges.
-fn abort_migration(inner: &Arc<Inner>, why: &str) {
+pub(crate) fn abort_migration(inner: &Inner, why: &str) {
     let mut state = inner.state.write();
     match state.pipeline.abort_reshard() {
         Ok(()) => eprintln!("rl-server: migration aborted ({why})"),
@@ -181,7 +174,7 @@ pub(crate) fn checkpoint_loop(inner: &Arc<Inner>, every: Duration) {
     }
 }
 
-pub(crate) fn run_checkpoint(inner: &Inner) -> Result<(), rl_store::StoreError> {
+pub(crate) fn run_checkpoint(inner: &Inner) -> Result<(), StoreError> {
     let Some(store) = &inner.store else {
         return Ok(());
     };
@@ -198,14 +191,7 @@ pub(crate) fn run_checkpoint(inner: &Inner) -> Result<(), rl_store::StoreError> 
         return Ok(());
     }
     let covered = store.lock().begin_checkpoint()?;
-    let exported = state.pipeline.export_state().map_err(|e| {
-        rl_store::StoreError::Snapshot(SnapshotError::Format {
-            path: None,
-            msg: e.to_string(),
-        })
-    })?;
-    let snapshot = Snapshot::new(exported, state.stream_pairs.clone(), state.streamed)
-        .map_err(rl_store::StoreError::Snapshot)?;
+    let snapshot = state.export()?;
     drop(state);
     let mut store = store.lock();
     store.commit_checkpoint(snapshot, covered)?;

@@ -4,22 +4,22 @@
 //! lock free ([`try_probe`]), on the reactor itself. Socket I/O never
 //! happens here.
 
-use crate::background::reshard_migrate_loop;
+use crate::background::{abort_migration, reshard_migrate_loop};
+use crate::commit::{commit, CommitError, Committed};
 use crate::protocol::{
     ErrorCode, ReplStatusReply, Reply, Request, RequestError, Response, ShardMapReply, StatsReply,
     PROTOCOL_VERSION,
 };
 use crate::repl::{await_quorum, ReplRole};
 use crate::server::{Inner, ServerState};
-use crate::snapshot::{Snapshot, SnapshotError};
+use crate::snapshot::SnapshotError;
 use cbv_hb::sharded::Linked;
 use cbv_hb::Record;
 use rl_reshard::ReshardOp;
-use rl_store::{Store, StoreError, WalOp};
+use rl_store::Mutation;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 type Handled = Result<Reply, RequestError>;
 
@@ -67,60 +67,41 @@ fn linkage(e: cbv_hb::error::Error) -> RequestError {
     RequestError::new(ErrorCode::Linkage, e.to_string())
 }
 
-fn insert(inner: &Inner, records: &[Record]) -> Handled {
+/// Commits a request's mutation ([`commit`]) on a primary or standalone
+/// node, then waits for the replica quorum.
+fn commit_request(inner: &Inner, mutation: Mutation<'_>) -> Result<Committed, RequestError> {
     let mut state = inner.state.write();
     reject_if_follower(inner)?;
-    let mut applied_seq = 0;
-    if inner.store.is_some() {
-        // Validate before logging so the WAL never holds an op that will
-        // fail again at replay — without embedding: `index` below embeds,
-        // once, and this lock is held exclusively.
-        let schema = state.pipeline.schema();
-        for record in records {
-            schema.check(record).map_err(linkage)?;
-        }
-        applied_seq = log_with(inner, records.len(), |store| store.append_inserts(records))?;
-    }
-    state.pipeline.index(records).map_err(linkage)?;
-    let total_indexed = state.pipeline.indexed_len();
-    inner.metrics.indexed_records.set(total_indexed as i64);
-    // Fan out to match subscriptions while still holding the state write
-    // lock, so event order across connections matches mutation order.
-    for record in records {
-        inner.subs.observe(&inner.metrics, record);
-    }
+    let committed = commit(inner, &mut state, mutation).map_err(|e| match e {
+        CommitError::Refused(e) | CommitError::Apply(e) => linkage(e),
+        CommitError::Append(e) => RequestError::new(
+            ErrorCode::Storage,
+            format!("wal append failed; mutation not applied: {e}"),
+        ),
+    })?;
     // Quorum waits happen after the lock is released: acks arrive
     // independently, and other requests must not stall behind the
     // bounded wait.
     drop(state);
-    await_quorum(inner, applied_seq)?;
+    await_quorum(inner, committed.seq)?;
+    Ok(committed)
+}
+
+fn insert(inner: &Inner, records: &[Record]) -> Handled {
+    let committed = commit_request(inner, Mutation::Insert(records))?;
     Ok(Reply::Indexed {
         accepted: records.len(),
-        total_indexed,
-        applied_seq,
+        total_indexed: committed.indexed,
+        applied_seq: committed.seq,
     })
 }
 
 fn delete(inner: &Inner, ids: &[u64]) -> Handled {
-    let mut state = inner.state.write();
-    reject_if_follower(inner)?;
-    let mut applied_seq = 0;
-    if inner.store.is_some() {
-        let ops: Vec<WalOp> = ids.iter().map(|&id| WalOp::Delete(id)).collect();
-        applied_seq = log_mutation(inner, &ops)?;
-    }
-    let removed = state.pipeline.delete(ids).map_err(linkage)?;
-    let total_indexed = state.pipeline.indexed_len();
-    inner.metrics.indexed_records.set(total_indexed as i64);
-    for &id in ids {
-        inner.subs.remove(id);
-    }
-    drop(state);
-    await_quorum(inner, applied_seq)?;
+    let committed = commit_request(inner, Mutation::Delete(ids))?;
     Ok(Reply::Deleted {
-        removed,
-        total_indexed,
-        applied_seq,
+        removed: committed.removed,
+        total_indexed: committed.indexed,
+        applied_seq: committed.seq,
     })
 }
 
@@ -152,31 +133,13 @@ fn matches_reply((pairs, stats): Linked) -> Reply {
 }
 
 fn stream(inner: &Inner, record: &Record) -> Handled {
-    let mut state = inner.state.write();
-    reject_if_follower(inner)?;
-    let mut applied_seq = 0;
-    if inner.store.is_some() {
-        state.pipeline.schema().check(record).map_err(linkage)?;
-        // Logged as `Observe` (not `Insert`): replay re-runs the
-        // match-then-index round, rebuilding the stream pairs and the
-        // dedup forest deterministically.
-        applied_seq = log_mutation(inner, &[WalOp::Observe(record.clone())])?;
-    }
-    let t0 = Instant::now();
-    let matches = observe(&mut state, record).map_err(linkage)?;
-    // One streaming round (match + index).
-    let metrics = &inner.metrics;
-    metrics.pipeline.observe.observe_duration(t0.elapsed());
-    metrics.streamed_records.set(state.streamed as i64);
-    metrics
-        .indexed_records
-        .set(state.pipeline.indexed_len() as i64);
-    inner.subs.observe(metrics, record);
-    drop(state);
-    await_quorum(inner, applied_seq)?;
+    // Logged as `Observe` (not `Insert`): replay re-runs the
+    // match-then-index round, rebuilding the stream pairs and the dedup
+    // forest deterministically.
+    let committed = commit_request(inner, Mutation::Observe(record))?;
     Ok(Reply::Observed {
-        matches,
-        applied_seq,
+        matches: committed.matches,
+        applied_seq: committed.seq,
     })
 }
 
@@ -353,12 +316,18 @@ fn reshard(inner: &Arc<Inner>, op: ReshardOp) -> Handled {
         let _ = handle.join();
     }
     let migrator = Arc::clone(inner);
-    *slot = Some(
-        std::thread::Builder::new()
-            .name("rl-reshard-migrate".into())
-            .spawn(move || reshard_migrate_loop(&migrator, driver))
-            .expect("spawn reshard migrator"),
-    );
+    let spawned = std::thread::Builder::new()
+        .name("rl-reshard-migrate".into())
+        .spawn(move || reshard_migrate_loop(&migrator, driver));
+    // A migration with no driver would refuse every later reshard and
+    // skip every checkpoint: roll it back.
+    *slot = Some(spawned.map_err(|e| {
+        abort_migration(inner, "its migrator could not start");
+        RequestError::new(
+            ErrorCode::Unavailable,
+            format!("reshard not started: cannot spawn its migrator: {e}"),
+        )
+    })?);
     Ok(Reply::ReshardStarted {
         kind: op.kind().to_string(),
         source: status.source,
@@ -381,95 +350,8 @@ fn reject_if_follower(inner: &Inner) -> Result<(), RequestError> {
     }
 }
 
-/// Streaming observe against the sharded index: probe the single record,
-/// record matched pairs in the dedup forest, then index it.
-fn observe(state: &mut ServerState, record: &Record) -> cbv_hb::error::Result<Vec<u64>> {
-    let batch = std::slice::from_ref(record);
-    let (pairs, _) = state.pipeline.link(batch)?;
-    let matches: Vec<u64> = pairs.into_iter().map(|(a, _)| a).collect();
-    state.pipeline.index(batch)?;
-    for &a in &matches {
-        state.dedup.union(a, record.id);
-        state.stream_pairs.push((a, record.id));
-    }
-    state.streamed += 1;
-    Ok(matches)
-}
-
-/// Appends mutation ops to the WAL ahead of applying them. Called under
-/// the state write lock; on failure the mutation must be rejected, not
-/// applied (acknowledge-after-durable). The batch is logged
-/// all-or-nothing, so a Storage error means NO record of a multi-record
-/// request is durable — never a silent prefix that resurfaces at replay.
-/// Returns the op sequence of the batch's last frame (the reply's
-/// `applied_seq`), 0 without a store.
-pub(crate) fn log_mutation(inner: &Inner, ops: &[WalOp]) -> Result<u64, RequestError> {
-    log_with(inner, ops.len(), |store| store.append_batch(ops))
-}
-
-/// [`log_mutation`] over whatever `append` writes as its `frames` frames —
-/// an insert logs its records as they are, without wrapping a copy of each
-/// in a [`WalOp`] first.
-fn log_with(
-    inner: &Inner,
-    frames: usize,
-    append: impl FnOnce(&mut Store) -> Result<(), StoreError>,
-) -> Result<u64, RequestError> {
-    let Some(store) = &inner.store else {
-        return Ok(0);
-    };
-    let mut store = store.lock();
-    append(&mut store).map_err(|e| {
-        RequestError::new(
-            ErrorCode::Storage,
-            format!("wal append failed; mutation not applied: {e}"),
-        )
-    })?;
-    inner.metrics.wal_appends.add(frames as u64);
-    inner.metrics.wal_bytes.set(store.wal_bytes() as i64);
-    Ok(store.op_seq())
-}
-
-/// Applies one recovered or replicated WAL op to the state, with the
-/// same semantics the original request had.
-pub(crate) fn apply_op(state: &mut ServerState, op: &WalOp) -> cbv_hb::error::Result<()> {
-    match op {
-        WalOp::Insert(record) => state.pipeline.index(std::slice::from_ref(record)),
-        WalOp::Observe(record) => observe(state, record).map(|_| ()),
-        WalOp::Delete(id) => state.pipeline.delete(&[*id]).map(|_| ()),
-        // A cutover commit replays as a synchronous reshard at the same
-        // position in the op stream it was logged at: planning is
-        // deterministic, so the recomputed plan (and a split's recomputed
-        // target id) matches what the primary executed.
-        WalOp::Reshard {
-            merge,
-            source,
-            target,
-        } => {
-            let op = if *merge {
-                ReshardOp::Merge {
-                    source: *source as usize,
-                    target: *target as usize,
-                }
-            } else {
-                ReshardOp::Split {
-                    source: *source as usize,
-                }
-            };
-            state.pipeline.reshard_sync(op).map(|_| ())
-        }
-    }
-}
-
 pub(crate) fn write_snapshot(state: &ServerState, path: &Path) -> Result<usize, SnapshotError> {
-    let exported = state
-        .pipeline
-        .export_state()
-        .map_err(|e| SnapshotError::Format {
-            path: Some(path.to_path_buf()),
-            msg: e.to_string(),
-        })?;
-    let indexed = exported.indexed;
-    Snapshot::new(exported, state.stream_pairs.clone(), state.streamed)?.save(path)?;
-    Ok(indexed)
+    let snapshot = state.export()?;
+    snapshot.save(path)?;
+    Ok(snapshot.state.indexed)
 }

@@ -16,8 +16,9 @@
 //!   pool with typed backpressure, graceful drain on shutdown. Around it
 //!   (crate-private): `reactor` (the `poll(2)` loop owning every
 //!   request/reply connection), `conn` (outbox and stream writer),
-//!   `handlers` (one function per verb), `background` (checkpointer,
-//!   WAL flusher, compactor, reshard migrator).
+//!   `handlers` (one function per verb), `commit` (the one write path
+//!   every mutation takes), `background` (checkpointer, WAL flusher,
+//!   compactor, reshard migrator).
 //! - [`metrics`] — [`ServerMetrics`]: per-request-type counters and
 //!   queue-wait / execution latency histograms, Prometheus-exposable.
 //! - [`snapshot`] — [`Snapshot`]: atomic (temp + rename), versioned
@@ -75,6 +76,7 @@
 
 pub(crate) mod background;
 pub mod client;
+pub(crate) mod commit;
 pub(crate) mod conn;
 pub(crate) mod handlers;
 pub mod metrics;

@@ -19,7 +19,7 @@ use crate::conn::StreamWriter;
 use crate::protocol::{wire, ErrorCode, Reply, RequestError, Response};
 use crate::server::Inner;
 use parking_lot::Mutex;
-use rl_store::{scan_segments, segment_path, StoreError, WalReader, CHECKPOINT_FILE};
+use rl_store::{scan_segments, segment_path, Store, StoreError, WalReader, CHECKPOINT_FILE};
 use rl_wire::FrameReader;
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -328,18 +328,18 @@ pub(crate) fn serve_subscribe(
         )));
         return;
     }
-    if inner.store.is_none() {
+    let Some(store) = &inner.store else {
         let _ = writer.write_response(&Response::Err(RequestError::new(
             ErrorCode::Unavailable,
             "subscription requires a data directory",
         )));
         return;
-    }
+    };
     let _ = writer
         .stream()
         .set_write_timeout(Some(SUBSCRIBE_WRITE_TIMEOUT));
     let guard = FollowerGuard::new(inner);
-    match stream_frames(inner, writer, from_seq, guard.id) {
+    match stream_frames(inner, store, writer, from_seq, guard.id) {
         StreamEnd::Resync(base_ops) => {
             let _ = writer.write_response(&Response::Ok(Reply::ResyncRequired { base_ops }));
         }
@@ -357,12 +357,13 @@ pub(crate) fn serve_subscribe(
 /// advancing across rotations and polling the active segment's tail.
 fn stream_frames(
     inner: &Arc<Inner>,
+    store: &Mutex<Store>,
     writer: &mut StreamWriter,
     from_seq: u64,
     follower_id: u64,
 ) -> StreamEnd {
     let (dir, base, head) = {
-        let store = inner.store.as_ref().expect("checked by caller").lock();
+        let store = store.lock();
         (store.dir().to_path_buf(), store.base_ops(), store.op_seq())
     };
     if from_seq < base || from_seq > head {

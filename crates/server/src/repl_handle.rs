@@ -2,10 +2,9 @@
 //! server through — apply streamed ops, reset to a checkpoint, publish
 //! replication lag — without seeing its internals.
 
-use crate::handlers::apply_op;
+use crate::commit::{commit, CommitError};
 use crate::repl::{ApplyError, ReplRole};
 use crate::server::{Inner, ServerState};
-use cbv_hb::sharded::ShardedPipeline;
 use rl_store::{Checkpoint, WalOp};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -37,11 +36,7 @@ impl ReplHandle {
     /// The global op sequence applied locally — what to resume a
     /// subscription from (`Subscribe { from_seq: op_seq() }`).
     pub fn op_seq(&self) -> u64 {
-        self.inner
-            .store
-            .as_ref()
-            .map(|s| s.lock().op_seq())
-            .unwrap_or(0)
+        self.inner.store.as_ref().map_or(0, |s| s.lock().op_seq())
     }
 
     /// Applies one streamed WAL frame: validated, sequence-checked,
@@ -79,73 +74,45 @@ impl ReplHandle {
                  observed epoch {known}; the sender is a fenced ex-primary"
             )));
         }
-        if epoch > known {
-            store.lock().observe_epoch(epoch);
-            inner.repl.epoch.store(epoch, Ordering::SeqCst);
+        self.observe_epoch(epoch).map_err(ApplyError::Retry)?;
+        let expected = store.lock().op_seq() + 1;
+        if seq != expected {
+            return Err(ApplyError::Retry(format!(
+                "sequence gap: expected op {expected}, got {seq}"
+            )));
         }
-        // Validate before logging (the primary's own pattern): a record
-        // the local schema cannot embed must never enter the local WAL,
-        // where it would fail again at every replay.
-        if let WalOp::Insert(record) | WalOp::Observe(record) = op {
-            if let Err(e) = state.pipeline.schema().check(record) {
-                return Err(ApplyError::Resync(format!(
-                    "frame {seq} rejected by the local schema: {e}"
-                )));
-            }
-        }
-        {
-            let mut store = store.lock();
-            let expected = store.op_seq() + 1;
-            if seq != expected {
-                return Err(ApplyError::Retry(format!(
-                    "sequence gap: expected op {expected}, got {seq}"
-                )));
-            }
-            store
-                .append(op)
-                .map_err(|e| ApplyError::Retry(format!("wal append failed: {e}")))?;
-            inner.metrics.wal_appends.add(1);
-            inner.metrics.wal_bytes.set(store.wal_bytes() as i64);
-        }
-        // The op is durable locally from here on: resubscribing from
-        // `op_seq` would skip it in memory forever (it only resurfaces at
-        // a restart replay), so a failure now is not reconnectable.
-        apply_op(&mut state, op)
-            .map_err(|e| ApplyError::Resync(format!("apply of durable op {seq} failed: {e}")))?;
         // Followers serve match subscriptions off the replicated stream.
-        match op {
-            WalOp::Insert(record) | WalOp::Observe(record) => {
-                inner.subs.observe(&inner.metrics, record);
+        commit(inner, &mut state, op.into()).map_err(|e| match e {
+            // The primary's own rule: a record the local schema refuses
+            // never enters the local WAL, where it would fail again at
+            // every replay.
+            CommitError::Refused(e) => {
+                ApplyError::Resync(format!("frame {seq} rejected by the local schema: {e}"))
             }
-            WalOp::Delete(id) => inner.subs.remove(*id),
-            // A reshard moves records between shards without changing the
-            // record set, so subscriptions see nothing.
-            WalOp::Reshard { .. } => {}
-        }
-        inner
-            .metrics
-            .indexed_records
-            .set(state.pipeline.indexed_len() as i64);
-        inner.metrics.streamed_records.set(state.streamed as i64);
+            CommitError::Append(e) => ApplyError::Retry(format!("wal append failed: {e}")),
+            // The op is durable locally: resubscribing from `op_seq` would
+            // skip it in memory forever (it only resurfaces at a restart
+            // replay), so the failure is not reconnectable.
+            CommitError::Apply(e) => {
+                ApplyError::Resync(format!("apply of durable op {seq} failed: {e}"))
+            }
+        })?;
         drop(state);
-        inner.repl.applied_seq.store(seq, Ordering::SeqCst);
-        let head = inner.repl.head_seq.load(Ordering::SeqCst).max(seq);
-        inner
-            .metrics
-            .repl_lag_frames
-            .set(head.saturating_sub(seq) as i64);
+        self.applied_through(seq);
         Ok(())
     }
 
     /// Replaces the follower's entire state with a primary checkpoint
-    /// (bootstrap, or a `ResyncRequired` answer): validates it, rebuilds
-    /// the in-memory index from its snapshot, and resets the local data
-    /// directory so the WAL resumes at the checkpoint's op watermark.
+    /// (bootstrap, or a `ResyncRequired` answer): `ckpt` is the document
+    /// `bytes` hold, as [`Checkpoint::from_bytes`] decoded them. Validates
+    /// it, rebuilds the in-memory index from its snapshot, and resets the
+    /// local data directory to the received bytes so the WAL resumes at
+    /// the checkpoint's op watermark.
     ///
     /// # Errors
     /// An invalid checkpoint, a snapshot the pipeline cannot load, or a
     /// storage failure while resetting the data directory.
-    pub fn resync(&self, ckpt: Checkpoint) -> Result<(), String> {
+    pub fn resync(&self, bytes: &[u8], ckpt: Checkpoint) -> Result<(), String> {
         ckpt.validate(None).map_err(|e| e.to_string())?;
         let inner = &self.inner;
         let mut state = inner.state.write();
@@ -155,40 +122,38 @@ impl ReplHandle {
         let Some(store) = &inner.store else {
             return Err("no data directory".into());
         };
-        // Build the replacement pipeline before touching anything, so a
-        // bad snapshot leaves both memory and disk untouched.
-        let mut pipeline = ShardedPipeline::from_state(ckpt.snapshot.state.clone())
+        // Build the replacement state before touching anything, so a bad
+        // snapshot leaves both memory and disk untouched.
+        let mut restored = ServerState::restore(ckpt.snapshot)
             .map_err(|e| format!("checkpoint snapshot rejected: {e}"))?;
-        pipeline.attach_metrics(Arc::clone(&inner.metrics.pipeline));
+        restored
+            .pipeline
+            .attach_metrics(Arc::clone(&inner.metrics.pipeline));
         {
             let mut store = store.lock();
             store
-                .reset_to_checkpoint(&ckpt)
+                .reset_to_checkpoint(bytes, ckpt.wal_seq, ckpt.ops, ckpt.epoch)
                 .map_err(|e| format!("data directory reset failed: {e}"))?;
             // The checkpoint may come from a newer era than any frame we
             // saw; mirror whatever the store adopted so epoch fencing
             // judges future frames against the freshest known era.
             inner.repl.epoch.store(store.epoch(), Ordering::SeqCst);
         }
-        *state = ServerState::new(
-            pipeline,
-            ckpt.snapshot.stream_pairs.clone(),
-            ckpt.snapshot.streamed,
-        );
-        inner
-            .metrics
-            .indexed_records
-            .set(state.pipeline.indexed_len() as i64);
-        inner.metrics.streamed_records.set(state.streamed as i64);
+        restored.publish(&inner.metrics);
+        *state = restored;
         drop(state);
-        inner.repl.applied_seq.store(ckpt.ops, Ordering::SeqCst);
-        let head = inner.repl.head_seq.load(Ordering::SeqCst).max(ckpt.ops);
-        inner.repl.head_seq.store(head, Ordering::SeqCst);
-        inner
-            .metrics
-            .repl_lag_frames
-            .set(head.saturating_sub(ckpt.ops) as i64);
+        self.applied_through(ckpt.ops);
         Ok(())
+    }
+
+    /// Records every op through `seq` applied, and the lag behind the
+    /// primary's head that leaves.
+    fn applied_through(&self, seq: u64) {
+        let repl = &self.inner.repl;
+        repl.applied_seq.store(seq, Ordering::SeqCst);
+        let head = repl.head_seq.fetch_max(seq, Ordering::SeqCst).max(seq);
+        let lag = head.saturating_sub(seq) as i64;
+        self.inner.metrics.repl_lag_frames.set(lag);
     }
 
     /// Records the primary's head position from a stream heartbeat and

@@ -56,12 +56,14 @@
 //! every thread the server started.
 
 use crate::background;
+use crate::commit::apply;
 use crate::conn::ConnShared;
-use crate::handlers::{apply_op, execute, write_snapshot};
+use crate::handlers::{execute, write_snapshot};
 use crate::metrics::{ReqType, ServerMetrics};
 use crate::protocol::{ErrorCode, Request, RequestError, Response};
 use crate::repl::{ReplRole, ReplState};
 use crate::repl_handle::ReplHandle;
+use crate::snapshot::{Snapshot, SnapshotError};
 use crate::subs::SubHub;
 use cbv_hb::dedup::UnionFind;
 use cbv_hb::sharded::ShardedPipeline;
@@ -176,23 +178,49 @@ pub(crate) struct ServerState {
 }
 
 impl ServerState {
-    /// State over `pipeline` with the dedup forest rebuilt from
-    /// `stream_pairs`.
-    pub(crate) fn new(
-        pipeline: ShardedPipeline,
-        stream_pairs: Vec<(u64, u64)>,
-        streamed: u64,
-    ) -> Self {
-        let mut dedup = UnionFind::new();
-        for &(a, b) in &stream_pairs {
-            dedup.union(a, b);
-        }
+    /// State over a freshly built `pipeline`, with no stream history.
+    pub(crate) fn new(pipeline: ShardedPipeline) -> Self {
         Self {
             pipeline,
-            dedup,
-            stream_pairs,
-            streamed,
+            dedup: UnionFind::new(),
+            stream_pairs: Vec::new(),
+            streamed: 0,
         }
+    }
+
+    /// The one restore: a snapshot's pipeline, with the dedup forest
+    /// rebuilt from its stream pairs.
+    pub(crate) fn restore(snapshot: Snapshot) -> cbv_hb::error::Result<Self> {
+        let mut dedup = UnionFind::new();
+        for &(a, b) in &snapshot.stream_pairs {
+            dedup.union(a, b);
+        }
+        Ok(Self {
+            pipeline: ShardedPipeline::from_state(snapshot.state)?,
+            dedup,
+            stream_pairs: snapshot.stream_pairs,
+            streamed: snapshot.streamed,
+        })
+    }
+
+    /// The one export: the snapshot [`Self::restore`] reads back.
+    pub(crate) fn export(&self) -> Result<Snapshot, SnapshotError> {
+        let exported = self
+            .pipeline
+            .export_state()
+            .map_err(|e| SnapshotError::Format {
+                path: None,
+                msg: e.to_string(),
+            })?;
+        Snapshot::new(exported, self.stream_pairs.clone(), self.streamed)
+    }
+
+    /// Publishes the record gauges.
+    pub(crate) fn publish(&self, metrics: &ServerMetrics) {
+        metrics
+            .indexed_records
+            .set(self.pipeline.indexed_len() as i64);
+        metrics.streamed_records.set(self.streamed as i64);
     }
 }
 
@@ -248,38 +276,32 @@ fn spawn_thread(
     inner: &Arc<Inner>,
     name: impl Into<String>,
     body: impl FnOnce(&Arc<Inner>) + Send + 'static,
-) -> std::thread::JoinHandle<()> {
+) -> std::io::Result<std::thread::JoinHandle<()>> {
     let inner = Arc::clone(inner);
     std::thread::Builder::new()
         .name(name.into())
         .spawn(move || body(&inner))
-        .expect("spawn server thread")
 }
 
 impl Server {
     /// Binds the listener, spawns the worker pool and the reactor, and
-    /// returns immediately. `pipeline` may be freshly built or restored
-    /// from a snapshot ([`crate::snapshot::Snapshot`]).
+    /// returns immediately, serving a freshly built `pipeline`.
     ///
     /// # Errors
-    /// Returns I/O errors from binding the address or setting up the
-    /// reactor's sockets.
+    /// Returns I/O errors from binding the address, setting up the
+    /// reactor's sockets, or starting a thread.
     pub fn spawn(pipeline: ShardedPipeline, config: ServerConfig) -> std::io::Result<Self> {
-        Self::spawn_with_history(pipeline, Vec::new(), 0, config)
+        Self::spawn_core(ServerState::new(pipeline), config, None)
     }
 
-    /// Like [`Self::spawn`], but seeds the dedup union-find and stream
-    /// counter from a restored snapshot.
+    /// Like [`Self::spawn`], serving the index, dedup history and stream
+    /// counter of a saved snapshot.
     ///
     /// # Errors
-    /// Same as [`Self::spawn`].
-    pub fn spawn_with_history(
-        pipeline: ShardedPipeline,
-        stream_pairs: Vec<(u64, u64)>,
-        streamed: u64,
-        config: ServerConfig,
-    ) -> std::io::Result<Self> {
-        let state = ServerState::new(pipeline, stream_pairs, streamed);
+    /// A snapshot the pipeline cannot load, and the errors of
+    /// [`Self::spawn`].
+    pub fn spawn_restored(snapshot: Snapshot, config: ServerConfig) -> std::io::Result<Self> {
+        let state = ServerState::restore(snapshot).map_err(std::io::Error::other)?;
         Self::spawn_core(state, config, None)
     }
 
@@ -313,15 +335,11 @@ impl Server {
         .map_err(|e| std::io::Error::other(e.to_string()))?;
 
         let mut state = match recovery.snapshot {
-            Some(snap) => {
-                let pipeline = ShardedPipeline::from_state(snap.state)
-                    .map_err(|e| std::io::Error::other(e.to_string()))?;
-                ServerState::new(pipeline, snap.stream_pairs, snap.streamed)
-            }
-            None => ServerState::new(fresh()?, Vec::new(), 0),
+            Some(snap) => ServerState::restore(snap).map_err(std::io::Error::other)?,
+            None => ServerState::new(fresh()?),
         };
         for op in &recovery.ops {
-            apply_op(&mut state, op).map_err(|e| std::io::Error::other(e.to_string()))?;
+            apply(&mut state, op.into()).map_err(std::io::Error::other)?;
         }
         let report = recovery.report;
         if report.checkpoint_seq.is_some() || report.replayed_ops > 0 {
@@ -372,10 +390,7 @@ impl Server {
 
         let metrics = ServerMetrics::new();
         state.pipeline.attach_metrics(Arc::clone(&metrics.pipeline));
-        metrics
-            .indexed_records
-            .set(state.pipeline.indexed_len() as i64);
-        metrics.streamed_records.set(state.streamed as i64);
+        state.publish(&metrics);
         if let Some(store) = &store {
             metrics.wal_bytes.set(store.wal_bytes() as i64);
         }
@@ -400,50 +415,9 @@ impl Server {
         });
 
         let (job_tx, job_rx) = bounded::<Job>(inner.config.queue_capacity.max(1));
-        let reactor = {
-            let job_tx = job_tx.clone();
-            spawn_thread(&inner, "rl-reactor", move |inner| {
-                reactor.run(inner, &job_tx)
-            })
-        };
-        let mut threads: Vec<_> = (0..inner.config.workers.max(1))
-            .map(|i| {
-                let rx: Receiver<Job> = job_rx.clone();
-                spawn_thread(&inner, format!("rl-worker-{i}"), move |inner| {
-                    worker_loop(inner, &rx)
-                })
-            })
-            .collect();
-        drop(job_rx);
-
-        if let (Some(_), Some(durability)) = (&inner.store, &inner.config.durability) {
-            if let Some(every) = durability.checkpoint_every {
-                threads.push(spawn_thread(&inner, "rl-checkpoint", move |inner| {
-                    background::checkpoint_loop(inner, every)
-                }));
-                // Blocking-store compaction runs on its own thread, off
-                // the checkpoint path: merging delta overlays only needs a
-                // state read lock (each shard's own write lock serializes
-                // the actual store mutation), so it does not stall
-                // mutations behind a write lock before every checkpoint.
-                // Same trigger as the checkpointer — compaction matters
-                // when checkpoints export the overlay it bounds. A memory
-                // store has none, and a sweep would only take every shard's
-                // write lock and turn lone probes away from the reactor.
-                let stats = inner.state.read().pipeline.blocking_stats();
-                if stats.iter().any(|s| s.store == "mmap") {
-                    threads.push(spawn_thread(&inner, "rl-compact", move |inner| {
-                        background::compact_loop(inner, every)
-                    }));
-                }
-            }
-            if let SyncPolicy::GroupCommit(interval) = durability.sync {
-                threads.push(spawn_thread(&inner, "rl-wal-sync", move |inner| {
-                    background::wal_sync_loop(inner, interval)
-                }));
-            }
-        }
-
+        // On an error, the threads that did start see the flag and exit.
+        let (reactor, threads) = start_threads(&inner, reactor, &job_tx, job_rx)
+            .inspect_err(|_| begin_shutdown(&inner))?;
         Ok(Self {
             inner,
             jobs: job_tx,
@@ -501,6 +475,65 @@ impl Server {
             }
         }
     }
+}
+
+/// Starts the reactor, the worker pool and a durable server's background
+/// loops; returns the reactor's handle and the others'.
+#[cfg(unix)]
+fn start_threads(
+    inner: &Arc<Inner>,
+    reactor: crate::reactor::Reactor,
+    job_tx: &Sender<Job>,
+    job_rx: Receiver<Job>,
+) -> std::io::Result<(
+    std::thread::JoinHandle<()>,
+    Vec<std::thread::JoinHandle<()>>,
+)> {
+    let reactor = {
+        let job_tx = job_tx.clone();
+        spawn_thread(inner, "rl-reactor", move |inner| {
+            reactor.run(inner, &job_tx)
+        })?
+    };
+    let mut threads: Vec<_> = (0..inner.config.workers.max(1))
+        .map(|i| {
+            let rx: Receiver<Job> = job_rx.clone();
+            spawn_thread(inner, format!("rl-worker-{i}"), move |inner| {
+                worker_loop(inner, &rx)
+            })
+        })
+        .collect::<std::io::Result<_>>()?;
+    drop(job_rx);
+
+    if let (Some(_), Some(durability)) = (&inner.store, &inner.config.durability) {
+        if let Some(every) = durability.checkpoint_every {
+            threads.push(spawn_thread(inner, "rl-checkpoint", move |inner| {
+                background::checkpoint_loop(inner, every)
+            })?);
+            // Blocking-store compaction runs on its own thread, off
+            // the checkpoint path: merging delta overlays only needs a
+            // state read lock (each shard's own write lock serializes
+            // the actual store mutation), so it does not stall
+            // mutations behind a write lock before every checkpoint.
+            // Same trigger as the checkpointer — compaction matters
+            // when checkpoints export the overlay it bounds. A memory
+            // store has none, and a sweep would only take every shard's
+            // write lock and turn lone probes away from the reactor.
+            let stats = inner.state.read().pipeline.blocking_stats();
+            if stats.iter().any(|s| s.store == "mmap") {
+                threads.push(spawn_thread(inner, "rl-compact", move |inner| {
+                    background::compact_loop(inner, every)
+                })?);
+            }
+        }
+        if let SyncPolicy::GroupCommit(interval) = durability.sync {
+            threads.push(spawn_thread(inner, "rl-wal-sync", move |inner| {
+                background::wal_sync_loop(inner, interval)
+            })?);
+        }
+    }
+
+    Ok((reactor, threads))
 }
 
 pub(crate) fn begin_shutdown(inner: &Inner) {

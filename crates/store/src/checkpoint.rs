@@ -9,6 +9,7 @@
 
 use crate::atomic::write_atomic;
 use crate::snapshot::{Snapshot, SnapshotError};
+use crate::store::CHECKPOINT_FILE;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -17,6 +18,21 @@ pub const CHECKPOINT_MAGIC: &str = "RLCKPT1";
 
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
+
+/// Installs checkpoint bytes received from a primary as `dir`'s committed
+/// checkpoint (creating `dir` if missing), byte for byte: the primary's
+/// file is written as it arrived rather than re-serialized from the parsed
+/// document. The caller has decoded and validated `bytes` with
+/// [`Checkpoint::from_bytes`].
+///
+/// # Errors
+/// Returns [`SnapshotError::Io`] naming the offending path.
+pub fn install_checkpoint(dir: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+    std::fs::create_dir_all(dir).map_err(|e| SnapshotError::io("create", dir, e))?;
+    // `write_atomic` ends the document with the newline it arrived with.
+    let doc = bytes.strip_suffix(b"\n").unwrap_or(bytes);
+    write_atomic(&dir.join(CHECKPOINT_FILE), doc)
+}
 
 /// The on-disk checkpoint document.
 #[derive(Debug, Clone, Serialize, Deserialize)]

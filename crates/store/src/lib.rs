@@ -31,13 +31,13 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
-pub use checkpoint::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+pub use checkpoint::{install_checkpoint, Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use error::StoreError;
 pub use snapshot::{schema_hash, Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use store::{
     scan_segments, segment_path, Recovery, RecoveryReport, Store, StoreOptions, CHECKPOINT_FILE,
 };
 pub use wal::{
-    crc32, replay_from_epoch, ReadFrame, SyncPolicy, Wal, WalFrame, WalOp, WalReader,
+    crc32, replay_from_epoch, Mutation, ReadFrame, SyncPolicy, Wal, WalFrame, WalOp, WalReader,
     WAL_EPOCH_MARK_TAG, WAL_FRAME_EPOCH_TAG, WAL_FRAME_TAG, WAL_MAGIC,
 };

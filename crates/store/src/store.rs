@@ -27,10 +27,10 @@
 //! op the checkpoint already contains would also be harmless — inserts
 //! replace by id, deletes of absent ids are no-ops.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{install_checkpoint, Checkpoint};
 use crate::error::StoreError;
 use crate::snapshot::{Snapshot, SnapshotError};
-use crate::wal::{replay_from_epoch, SyncPolicy, Wal, WalOp};
+use crate::wal::{replay_from_epoch, Mutation, SyncPolicy, Wal, WalOp};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -340,35 +340,20 @@ impl Store {
     /// # Errors
     /// Returns [`StoreError::Io`] naming the segment on failure.
     pub fn append(&mut self, op: &WalOp) -> Result<(), StoreError> {
-        self.wal.append(op)?;
-        self.appends += 1;
-        self.op_seq += 1;
-        Ok(())
+        self.append_mutation(op.into())
     }
 
-    /// Appends a batch of mutations all-or-nothing (one write; see
-    /// [`Wal::append_batch`]): on failure none of the batch is durable, so
-    /// a rejected multi-record request never leaves a prefix in the WAL to
-    /// resurface at replay.
+    /// Appends every op of `mutation` all-or-nothing (one write; see
+    /// [`Wal::append_mutation`]): on failure none of the batch is durable,
+    /// so a rejected multi-record request never leaves a prefix in the WAL
+    /// to resurface at replay.
     ///
     /// # Errors
     /// Returns [`StoreError::Io`] naming the segment on failure.
-    pub fn append_batch(&mut self, ops: &[WalOp]) -> Result<(), StoreError> {
-        self.wal.append_batch(ops)?;
-        self.appends += ops.len() as u64;
-        self.op_seq += ops.len() as u64;
-        Ok(())
-    }
-
-    /// [`Self::append_batch`] of one [`WalOp::Insert`] per record, from
-    /// the borrowed records (see [`Wal::append_inserts`]).
-    ///
-    /// # Errors
-    /// Returns [`StoreError::Io`] naming the segment on failure.
-    pub fn append_inserts(&mut self, records: &[cbv_hb::Record]) -> Result<(), StoreError> {
-        self.wal.append_inserts(records)?;
-        self.appends += records.len() as u64;
-        self.op_seq += records.len() as u64;
+    pub fn append_mutation(&mut self, mutation: Mutation<'_>) -> Result<(), StoreError> {
+        self.wal.append_mutation(mutation)?;
+        self.appends += mutation.ops() as u64;
+        self.op_seq += mutation.ops() as u64;
         Ok(())
     }
 
@@ -526,20 +511,29 @@ impl Store {
         self.base_ops
     }
 
-    /// Replaces the directory's entire contents with `ckpt`: writes it as
-    /// the committed checkpoint, deletes every WAL segment, and opens a
-    /// fresh active segment past both the checkpoint's watermark and the
-    /// previous active sequence. A follower too far behind the primary's
-    /// retained log calls this to restart from a shipped checkpoint; the
-    /// caller must rebuild its in-memory state from `ckpt.snapshot`.
+    /// Replaces the directory's entire contents with a checkpoint received
+    /// from a primary: installs `bytes` as the committed checkpoint
+    /// ([`install_checkpoint`]), deletes every WAL segment, and opens a
+    /// fresh active segment past both the checkpoint's `wal_seq` and the
+    /// previous active sequence, resuming at its `ops` watermark under its
+    /// `epoch` (the three fields of the document `bytes` hold). A follower
+    /// too far behind the primary's retained log calls this to restart from
+    /// a shipped checkpoint; the caller rebuilds its in-memory state from
+    /// the checkpoint's snapshot.
     ///
     /// # Errors
     /// Returns [`StoreError`] on filesystem failure; on error the store
     /// may be left with no active segment frames but the checkpoint and
     /// recovery path remain consistent (the checkpoint lands atomically
     /// before any segment is deleted).
-    pub fn reset_to_checkpoint(&mut self, ckpt: &Checkpoint) -> Result<(), StoreError> {
-        ckpt.save(&self.dir.join(CHECKPOINT_FILE))?;
+    pub fn reset_to_checkpoint(
+        &mut self,
+        bytes: &[u8],
+        wal_seq: u64,
+        ops: u64,
+        epoch: u64,
+    ) -> Result<(), StoreError> {
+        install_checkpoint(&self.dir, bytes)?;
         let mut removed = false;
         for seq in scan_segments(&self.dir)? {
             removed |= std::fs::remove_file(segment_path(&self.dir, seq)).is_ok();
@@ -547,15 +541,15 @@ impl Store {
         if removed {
             let _ = crate::atomic::fsync_dir(&self.dir);
         }
-        self.seq = self.seq.max(ckpt.wal_seq) + 1;
+        self.seq = self.seq.max(wal_seq) + 1;
         self.wal = Wal::create(&segment_path(&self.dir, self.seq), self.opts.sync)?;
         self.prior_bytes = 0;
-        self.base_ops = ckpt.ops;
-        self.op_seq = ckpt.ops;
+        self.base_ops = ops;
+        self.op_seq = ops;
         self.pending_ckpt_ops = None;
-        // The shipped checkpoint carries the primary's epoch; the save
-        // above already made it durable here.
-        self.epoch = self.epoch.max(ckpt.epoch);
+        // The shipped checkpoint carries the primary's epoch; installing
+        // it above already made it durable here.
+        self.epoch = self.epoch.max(epoch);
         self.wal.set_epoch(self.epoch);
         Ok(())
     }
@@ -761,18 +755,20 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_counts_and_replays_like_singles() {
+    fn a_mutation_counts_and_replays_like_singles() {
         let dir = fresh_dir("batch");
         let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+        let records = [rec(1), rec(2)];
+        store.append_mutation(Mutation::Insert(&records)).unwrap();
+        store.append_mutation(Mutation::Delete(&[1])).unwrap();
+        assert_eq!((store.appends(), store.op_seq()), (3, 3));
+        drop(store);
+        let (_, recov) = Store::open(&dir, StoreOptions::default()).unwrap();
         let ops = vec![
             WalOp::Insert(rec(1)),
             WalOp::Insert(rec(2)),
             WalOp::Delete(1),
         ];
-        store.append_batch(&ops).unwrap();
-        assert_eq!(store.appends(), 3);
-        drop(store);
-        let (_, recov) = Store::open(&dir, StoreOptions::default()).unwrap();
         assert_eq!(recov.ops, ops);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -843,9 +839,7 @@ mod tests {
         assert_eq!(store.op_seq(), 0);
         assert_eq!(store.base_ops(), 0);
         store.append(&WalOp::Insert(rec(1))).unwrap();
-        store
-            .append_batch(&[WalOp::Insert(rec(2)), WalOp::Delete(1)])
-            .unwrap();
+        store.append_mutation(Mutation::Delete(&[1, 2])).unwrap();
         assert_eq!(store.op_seq(), 3);
 
         let covered = store.begin_checkpoint().unwrap();
@@ -874,7 +868,12 @@ mod tests {
             store.append(&WalOp::Insert(rec(i))).unwrap();
         }
         let ckpt = Checkpoint::new(9, sample_snapshot(&[1, 2])).with_ops(42);
-        store.reset_to_checkpoint(&ckpt).unwrap();
+        // Received bytes end in the newline the primary's file ends with.
+        let mut bytes = serde_json::to_vec(&ckpt).unwrap();
+        bytes.push(b'\n');
+        store.reset_to_checkpoint(&bytes, 9, 42, 0).unwrap();
+        let installed = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+        assert!(installed == bytes, "installed as received, one newline");
         assert_eq!(store.op_seq(), 42);
         assert_eq!(store.base_ops(), 42);
         assert!(store.active_seq() > 9);
@@ -988,7 +987,10 @@ mod tests {
         // A follower resetting to a shipped checkpoint adopts its epoch.
         let dir2 = fresh_dir("epoch-reset");
         let (mut follower, _) = Store::open(&dir2, StoreOptions::default()).unwrap();
-        follower.reset_to_checkpoint(&ckpt).unwrap();
+        let bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+        follower
+            .reset_to_checkpoint(&bytes, ckpt.wal_seq, ckpt.ops, ckpt.epoch)
+            .unwrap();
         assert_eq!(follower.epoch(), 1);
         follower.append(&WalOp::Insert(rec(2))).unwrap();
         drop(follower);

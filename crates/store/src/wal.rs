@@ -168,35 +168,94 @@ const OP_OBSERVE: u8 = 2;
 const OP_DELETE: u8 = 3;
 const OP_RESHARD: u8 = 4;
 
-impl WalOp {
-    /// Appends the compact binary encoding to `out`:
+/// Mutations of one kind as their caller borrows them: an insert batch, a
+/// streamed record, a delete batch or a reshard cutover. Logged as one
+/// frame per op, byte for byte the frames of the [`WalOp`]s it stands for,
+/// without copying a record into an op first. A [`WalOp`] converts into
+/// the mutation of its one op.
+#[derive(Debug, Clone, Copy)]
+pub enum Mutation<'a> {
+    /// [`WalOp::Insert`] of each record.
+    Insert(&'a [Record]),
+    /// [`WalOp::Observe`] of the record.
+    Observe(&'a Record),
+    /// [`WalOp::Delete`] of each id.
+    Delete(&'a [u64]),
+    /// [`WalOp::Reshard`].
+    Reshard {
+        /// `false` = split, `true` = merge.
+        merge: bool,
+        /// Source shard index.
+        source: u64,
+        /// Target shard index.
+        target: u64,
+    },
+}
+
+impl<'a> From<&'a WalOp> for Mutation<'a> {
+    fn from(op: &'a WalOp) -> Self {
+        match op {
+            WalOp::Insert(rec) => Mutation::Insert(std::slice::from_ref(rec)),
+            WalOp::Observe(rec) => Mutation::Observe(rec),
+            WalOp::Delete(id) => Mutation::Delete(std::slice::from_ref(id)),
+            &WalOp::Reshard {
+                merge,
+                source,
+                target,
+            } => Mutation::Reshard {
+                merge,
+                source,
+                target,
+            },
+        }
+    }
+}
+
+impl Mutation<'_> {
+    /// The ops (WAL frames) it stands for.
+    pub fn ops(&self) -> usize {
+        match self {
+            Mutation::Insert(records) => records.len(),
+            Mutation::Delete(ids) => ids.len(),
+            Mutation::Observe(_) | Mutation::Reshard { .. } => 1,
+        }
+    }
+
+    /// Appends the compact binary encoding of the `i`-th op to `out`:
     /// `op tag (1) |` a record body ([`encode_record`]) for record ops,
     /// `op tag | id u64 LE` for deletes.
-    pub fn encode_bin(&self, out: &mut Vec<u8>) {
-        match self {
-            WalOp::Insert(rec) => {
+    fn encode_op(&self, i: usize, out: &mut Vec<u8>) {
+        match *self {
+            Mutation::Insert(records) => {
                 out.push(OP_INSERT);
-                encode_record(rec, out);
+                encode_record(&records[i], out);
             }
-            WalOp::Observe(rec) => {
+            Mutation::Observe(rec) => {
                 out.push(OP_OBSERVE);
                 encode_record(rec, out);
             }
-            WalOp::Delete(id) => {
+            Mutation::Delete(ids) => {
                 out.push(OP_DELETE);
-                out.extend_from_slice(&id.to_le_bytes());
+                out.extend_from_slice(&ids[i].to_le_bytes());
             }
-            WalOp::Reshard {
+            Mutation::Reshard {
                 merge,
                 source,
                 target,
             } => {
                 out.push(OP_RESHARD);
-                out.push(u8::from(*merge));
+                out.push(u8::from(merge));
                 out.extend_from_slice(&source.to_le_bytes());
                 out.extend_from_slice(&target.to_le_bytes());
             }
         }
+    }
+}
+
+impl WalOp {
+    /// Appends the compact binary encoding to `out` (see [`Mutation`]).
+    pub fn encode_bin(&self, out: &mut Vec<u8>) {
+        Mutation::from(self).encode_op(0, out);
     }
 
     /// Decodes one binary op, requiring the buffer to contain exactly it.
@@ -537,13 +596,13 @@ impl Wal {
     /// Returns [`StoreError::Io`] naming the path on failure; the caller
     /// must not acknowledge the mutation in that case.
     pub fn append(&mut self, op: &WalOp) -> Result<u64, StoreError> {
-        self.append_batch(std::slice::from_ref(op))
+        self.append_mutation(op.into())
     }
 
-    /// Appends several ops as **one write**: either every frame lands in
-    /// the file or (after rollback) none does, so a mid-batch failure can
-    /// never leave a durable prefix of a rejected batch. Returns the
-    /// segment length after the append.
+    /// Appends every op of `mutation` as **one write**: either every frame
+    /// lands in the file or (after rollback) none does, so a mid-batch
+    /// failure can never leave a durable prefix of a rejected batch.
+    /// Returns the segment length after the append.
     ///
     /// On a failed write (e.g. `ENOSPC` mid-frame) the file is truncated
     /// back to the last good frame boundary; if even that fails, the
@@ -554,21 +613,8 @@ impl Wal {
     /// # Errors
     /// Returns [`StoreError::Io`] naming the path on failure; the caller
     /// must not acknowledge the mutations in that case.
-    pub fn append_batch(&mut self, ops: &[WalOp]) -> Result<u64, StoreError> {
-        self.append_frames(ops.len(), |i, out| ops[i].encode_bin(out))
-    }
-
-    /// [`Self::append_batch`] of one [`WalOp::Insert`] per record, encoded
-    /// from the borrowed records: byte for byte the same frames, without
-    /// the caller cloning each record into an op first.
-    ///
-    /// # Errors
-    /// As [`Self::append_batch`].
-    pub fn append_inserts(&mut self, records: &[Record]) -> Result<u64, StoreError> {
-        self.append_frames(records.len(), |i, out| {
-            out.push(OP_INSERT);
-            encode_record(&records[i], out);
-        })
+    pub fn append_mutation(&mut self, mutation: Mutation<'_>) -> Result<u64, StoreError> {
+        self.append_frames(mutation.ops(), |i, out| mutation.encode_op(i, out))
     }
 
     /// Appends `count` frames as one write; `encode_op(i, out)` appends the
@@ -1059,48 +1105,66 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_is_one_frame_per_op() {
+    fn a_mutation_is_one_frame_per_op() {
         let path = tmp("batch.log");
-        let ops = vec![
-            WalOp::Insert(rec(1)),
-            WalOp::Delete(1),
-            WalOp::Observe(rec(2)),
-        ];
+        let records = [rec(1), rec(2)];
         let mut wal = Wal::create(&path, SyncPolicy::Always).unwrap();
-        let len = wal.append_batch(&ops).unwrap();
-        assert_eq!(wal.appends(), 3);
+        wal.append_mutation(Mutation::Insert(&records)).unwrap();
+        let len = wal.append_mutation(Mutation::Delete(&[1, 7])).unwrap();
+        assert_eq!(wal.appends(), 4);
         assert_eq!(len, wal.len());
         let seg = replay(&path).unwrap();
+        let ops = vec![
+            WalOp::Insert(rec(1)),
+            WalOp::Insert(rec(2)),
+            WalOp::Delete(1),
+            WalOp::Delete(7),
+        ];
         assert_eq!(seg.ops, ops);
         assert_eq!(seg.torn_bytes, 0);
         // An empty batch is a no-op, not an error.
-        assert_eq!(wal.append_batch(&[]).unwrap(), len);
-        assert_eq!(wal.appends(), 3);
+        assert_eq!(wal.append_mutation(Mutation::Insert(&[])).unwrap(), len);
+        assert_eq!(wal.appends(), 4);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn borrowed_inserts_write_the_bytes_owned_insert_ops_write() {
+    fn a_borrowed_mutation_writes_the_bytes_its_owned_ops_write() {
         let records = vec![rec(1), rec(2), rec(3)];
-        let ops: Vec<WalOp> = records.iter().cloned().map(WalOp::Insert).collect();
+        let inserts: Vec<WalOp> = records.iter().cloned().map(WalOp::Insert).collect();
+        let deletes = vec![WalOp::Delete(1), WalOp::Delete(9)];
+        let observe = vec![WalOp::Observe(rec(4))];
+        let reshard = WalOp::Reshard {
+            merge: true,
+            source: 2,
+            target: 1,
+        };
+        let cases: [(Mutation, &[WalOp]); 4] = [
+            (Mutation::Insert(&records), &inserts),
+            (Mutation::Delete(&[1, 9]), &deletes),
+            ((&observe[0]).into(), &observe),
+            ((&reshard).into(), std::slice::from_ref(&reshard)),
+        ];
         let (owned, borrowed) = (tmp("owned.log"), tmp("borrowed.log"));
         // Epoch 0 and a stamped epoch frame the payload differently.
         for epoch in [0, 3] {
-            let mut a = Wal::create(&owned, SyncPolicy::Never).unwrap();
-            let mut b = Wal::create(&borrowed, SyncPolicy::Never).unwrap();
-            a.set_epoch(epoch);
-            b.set_epoch(epoch);
-            assert_eq!(
-                a.append_batch(&ops).unwrap(),
-                b.append_inserts(&records).unwrap()
-            );
-            assert_eq!(a.appends(), b.appends());
-            assert_eq!(
-                std::fs::read(&owned).unwrap(),
-                std::fs::read(&borrowed).unwrap()
-            );
+            for (mutation, ops) in &cases {
+                let mut a = Wal::create(&owned, SyncPolicy::Never).unwrap();
+                let mut b = Wal::create(&borrowed, SyncPolicy::Never).unwrap();
+                a.set_epoch(epoch);
+                b.set_epoch(epoch);
+                for op in *ops {
+                    a.append(op).unwrap();
+                }
+                assert_eq!(a.len(), b.append_mutation(*mutation).unwrap());
+                assert_eq!(a.appends(), b.appends());
+                assert_eq!(
+                    std::fs::read(&owned).unwrap(),
+                    std::fs::read(&borrowed).unwrap()
+                );
+                assert_eq!(replay_from_epoch(&borrowed, 0).unwrap().ops, *ops);
+            }
         }
-        assert_eq!(replay(&borrowed).unwrap().ops, ops);
         std::fs::remove_file(&owned).unwrap();
         std::fs::remove_file(&borrowed).unwrap();
     }

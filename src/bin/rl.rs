@@ -484,7 +484,6 @@ fn dedup(flags: &HashMap<String, String>) -> Result<(), String> {
 /// follower of that primary instead (bootstrapping from its checkpoint
 /// when the data dir is empty). See `docs/REPLICATION.md`.
 fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    use record_linkage::cbv_hb::sharded::ShardedPipeline;
     use record_linkage::repl::{Follower, FollowerConfig};
     use record_linkage::server::{
         DurabilityConfig, ReplRole, Server, ServerConfig, Snapshot, SyncPolicy,
@@ -658,7 +657,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     // Restore when a snapshot exists; otherwise build from flags.
-    let restored = match &snapshot_path {
+    let (server, shard_count) = match &snapshot_path {
         Some(path) if path.exists() => {
             // The restored state carries the full topology and embedding
             // config, so index-shape flags are ignored — say so instead of
@@ -691,26 +690,15 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
                 );
             }
             let snap = Snapshot::load(path).map_err(|e| e.to_string())?;
+            let shard_count = snap.state.shards.len();
             eprintln!(
-                "restored snapshot {} ({} records, {} shards)",
+                "restored snapshot {} ({} records, {shard_count} shards)",
                 path.display(),
                 snap.state.indexed,
-                snap.state.shards.len()
             );
-            Some(snap)
+            (Server::spawn_restored(snap, config), shard_count)
         }
-        _ => None,
-    };
-    let (server, shard_count) = match restored {
-        Some(snap) => {
-            let shard_count = snap.state.shards.len();
-            let pipeline = ShardedPipeline::from_state(snap.state).map_err(|e| e.to_string())?;
-            (
-                Server::spawn_with_history(pipeline, snap.stream_pairs, snap.streamed, config),
-                shard_count,
-            )
-        }
-        None => (
+        _ => (
             Server::spawn(build_serve_pipeline(flags, shards, seed)?, config),
             shards,
         ),

@@ -74,11 +74,8 @@ fn covering_server_snapshot_roundtrip_answers_identically() {
     // Restore: the covering families (labels and groups) travel through
     // the snapshot, so the restarted server must answer identically.
     let snap = Snapshot::load(&snap_path).unwrap();
-    let restored = ShardedPipeline::from_state(snap.state).unwrap();
-    let server2 = Server::spawn_with_history(
-        restored,
-        snap.stream_pairs,
-        snap.streamed,
+    let server2 = Server::spawn_restored(
+        snap,
         ServerConfig {
             snapshot_path: None,
             ..config

@@ -122,14 +122,7 @@ fn snapshot_restore_rebuilds_destroyed_blockstore() {
     // table from the embedded record store (same hash draws → same keys).
     std::fs::remove_dir_all(&dir).unwrap();
     let snap = Snapshot::load(&snap_path).unwrap();
-    let restored = ShardedPipeline::from_state(snap.state).unwrap();
-    let server2 = Server::spawn_with_history(
-        restored,
-        snap.stream_pairs,
-        snap.streamed,
-        server_config(2, 16),
-    )
-    .unwrap();
+    let server2 = Server::spawn_restored(snap, server_config(2, 16)).unwrap();
     let mut client2 = Client::connect(server2.local_addr()).unwrap();
     let (pairs_after, _) = client2.probe(&probes()).unwrap();
     assert_eq!(

@@ -7,7 +7,6 @@
 mod common;
 
 use common::{pipeline, records, server_config};
-use record_linkage::cbv_hb::sharded::ShardedPipeline;
 use record_linkage::cbv_hb::Record;
 use record_linkage::server::{Client, ClientError, ErrorCode, Server, ServerConfig, Snapshot};
 
@@ -63,11 +62,8 @@ fn full_lifecycle_with_snapshot_restart() {
     // Restart from the snapshot; probes must answer identically and the
     // dedup history must survive.
     let snap = Snapshot::load(&snap_path).unwrap();
-    let restored = ShardedPipeline::from_state(snap.state).unwrap();
-    let server2 = Server::spawn_with_history(
-        restored,
-        snap.stream_pairs,
-        snap.streamed,
+    let server2 = Server::spawn_restored(
+        snap,
         ServerConfig {
             snapshot_path: None,
             ..config

@@ -153,6 +153,79 @@ fn bootstrap_writes_the_primary_checkpoint_byte_for_byte() {
     std::fs::remove_dir_all(&fdir).unwrap();
 }
 
+/// A follower that was down while the primary checkpointed past its
+/// position resyncs on restart: it ends with the primary's checkpoint file
+/// byte for byte and answers like the primary.
+#[test]
+fn a_follower_behind_a_checkpoint_resyncs_to_the_primary_checkpoint_bytes() {
+    let pdir = fresh_dir("resync-primary");
+    let fdir = fresh_dir("resync-follower");
+    let primary_at = |checkpoint_every| {
+        let mut config = durable_config(&pdir, ReplRole::Primary);
+        config.durability.as_mut().unwrap().checkpoint_every = checkpoint_every;
+        Server::spawn_durable(|| Ok(pipeline(17, 2)), config).unwrap()
+    };
+    let follow = |primary: &Server| {
+        let addr = primary.local_addr().to_string();
+        Follower::spawn(FollowerConfig::new(
+            addr,
+            durable_config(&fdir, ReplRole::Standalone),
+        ))
+        .unwrap()
+    };
+
+    // The follower applies a first batch, then goes down.
+    let primary = primary_at(None);
+    let mut pc = Client::connect(primary.local_addr()).unwrap();
+    let follower = follow(&primary);
+    let mut fc = Client::connect(follower.local_addr()).unwrap();
+    let a = records(8, 0, 10);
+    pc.insert(&a).unwrap();
+    wait_caught_up(&mut fc, pc.repl_status().unwrap().applied_seq);
+    drop(fc);
+    follower.shutdown();
+    follower.wait();
+    let b = records(9, 100, 10);
+    pc.insert(&b).unwrap();
+    stop(primary, [pc]);
+
+    // The primary checkpoints past the follower's position, pruning the
+    // ops it never saw; a third start serves that checkpoint unchanged.
+    let primary = primary_at(Some(Duration::from_millis(20)));
+    let mut pc = Client::connect(primary.local_addr()).unwrap();
+    wait_for("a checkpoint", || {
+        let m = pc.metrics().unwrap();
+        (m.counter_value("rl_checkpoints_total", None) >= Some(1)).then_some(())
+    });
+    stop(primary, [pc]);
+    let primary = primary_at(None);
+    let mut pc = Client::connect(primary.local_addr()).unwrap();
+
+    let follower = follow(&primary);
+    let mut fc = Client::connect(follower.local_addr()).unwrap();
+    let head = pc.repl_status().unwrap().applied_seq;
+    assert_eq!(head, 20);
+    wait_caught_up(&mut fc, head);
+    let theirs = std::fs::read(pdir.join(rl_store::CHECKPOINT_FILE)).unwrap();
+    let ours = std::fs::read(fdir.join(rl_store::CHECKPOINT_FILE)).unwrap();
+    assert!(theirs == ours, "the follower re-serialized the checkpoint");
+    assert_eq!(fc.stats().unwrap().indexed, 20);
+    for (i, record) in a.iter().chain(&b).enumerate() {
+        let probe_id = 1_000 + i as u64;
+        assert_eq!(
+            probe_one(&mut fc, record, probe_id),
+            probe_one(&mut pc, record, probe_id)
+        );
+    }
+
+    drop(fc);
+    follower.shutdown();
+    follower.wait();
+    stop(primary, [pc]);
+    std::fs::remove_dir_all(&pdir).unwrap();
+    std::fs::remove_dir_all(&fdir).unwrap();
+}
+
 /// Quorum acks (protocol v8) are what make a failover lossless without a
 /// drained lag: every insert below returns only once the follower has
 /// confirmed the frame durable, so the node that wins the election holds
