@@ -74,8 +74,9 @@
 //!
 //! **Candidate sets** are sorted, de-duplicated `Vec<u64>`s of values. A
 //! single-structure plan gathers its bucket values into the caller's
-//! [`ProbeScratch`] and sorts them; compound plans intersect, unite and
-//! subtract by merging sorted vectors.
+//! [`ProbeScratch`] and removes the duplicates there, with a bitmap over
+//! their range when it is dense and by sorting otherwise; compound plans
+//! intersect, unite and subtract by merging sorted vectors.
 
 use crate::error::{Error, Result};
 use crate::rule::{Pred, Rule};
@@ -140,6 +141,8 @@ struct CompiledKeys {
     layout: RowLayout,
     /// The last insert's or remove's keys, kept for its buffer.
     scratch: Vec<u128>,
+    /// The old keys of the last re-key, kept for its buffer.
+    old: Vec<u128>,
 }
 
 /// How a record-level structure sets its number of tables `L`.
@@ -229,6 +232,7 @@ impl BlockingStructure {
             kernel: KeyKernel::compile(&families),
             layout: layout.clone(),
             scratch: Vec::new(),
+            old: Vec::new(),
         };
     }
 
@@ -513,7 +517,7 @@ impl BlockingStructure {
     /// table holds the id once afterwards.
     pub fn reindex_row(&mut self, id: u64, old: &[u64], new: &[u64]) {
         let mut keys = std::mem::take(&mut self.keys.scratch);
-        let mut old_keys = Vec::new();
+        let mut old_keys = std::mem::take(&mut self.keys.old);
         self.keys_into_row(old, &mut old_keys);
         self.keys_into_row(new, &mut keys);
         for (l, (&was, &now)) in old_keys.iter().zip(&keys).enumerate() {
@@ -523,6 +527,7 @@ impl BlockingStructure {
             }
         }
         self.keys.scratch = keys;
+        self.keys.old = old_keys;
     }
 
     /// Appends the live ids of table `l`'s bucket for `key` to `out`, in
@@ -543,6 +548,7 @@ impl BlockingStructure {
             keys,
             bucket,
             candidates,
+            seen,
             ..
         } = scratch;
         self.keys_into_row(row, keys);
@@ -577,8 +583,7 @@ impl BlockingStructure {
             }
         }
         if top_k == 0 {
-            candidates.sort_unstable();
-            candidates.dedup();
+            distinct_ascending(candidates, seen);
         }
         false
     }
@@ -1157,6 +1162,11 @@ impl BlockingPlan {
                 }
                 scratch.candidates = union;
             }
+            PlanExpr::And { children, negated } if negated.is_empty() && children.len() == 1 => {
+                // C1 compiles to this: the one child's set is the result,
+                // with no list of sets to build.
+                self.eval(&children[0], row, lookup, scratch, truncated);
+            }
             PlanExpr::And { children, negated } => {
                 let mut sets: Vec<Vec<u64>> = children
                     .iter()
@@ -1191,15 +1201,18 @@ impl BlockingPlan {
 }
 
 /// The buffers a probing thread carries from probe to probe: the `L` keys
-/// of the record, one table's bucket (bounded probes only), the candidate
-/// set, and the candidate sets of a probe group
-/// ([`crate::matcher::match_batch`]). A steady-state probe of a
+/// of the record, one table's bucket (bounded probes only), the unique
+/// collection's bitmap, the candidate set, and the candidate sets of a
+/// probe group ([`crate::matcher::match_batch`]). A steady-state probe of a
 /// single-structure plan through [`BlockingPlan::candidates_into_row`] or a
 /// steady-state group allocates nothing.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     keys: Vec<u128>,
     bucket: Vec<u64>,
+    /// One bit per value of a dense candidate multiset's range, all zero
+    /// between probes ([`distinct_ascending`]).
+    seen: Vec<u64>,
     pub(crate) candidates: Vec<u64>,
     /// A probe group's candidate slots, probe after probe.
     pub(crate) slots: Vec<u64>,
@@ -1211,6 +1224,48 @@ impl ProbeScratch {
     /// (`matcher::match_batch` moves them out.)
     pub fn candidates(&self) -> &[u64] {
         &self.candidates
+    }
+}
+
+/// The fewest values [`distinct_ascending`] collects in a bitmap.
+const DENSE_MIN: usize = 64;
+
+/// Algorithm 2's unique collection: leaves the distinct values of the
+/// multiset `ids` in it, ascending. A multiset of at least [`DENSE_MIN`]
+/// values whose range spans no more 64-value words than it has values is
+/// dense: each value sets its bit in `seen` and the words are read back low
+/// to high, zeroed as they are read, two passes over at most as many words
+/// as values. Any other is sorted: a sparse one, where a bitmap would be
+/// mostly words to clear, and a small one, whose sort is a few compares
+/// (and whose bitmap would be one more buffer for a probe to grow).
+fn distinct_ascending(ids: &mut Vec<u64>, seen: &mut Vec<u64>) {
+    if ids.len() < DENSE_MIN {
+        ids.sort_unstable();
+        ids.dedup();
+        return;
+    }
+    let (min, max) = (ids.iter()).fold((u64::MAX, 0), |(lo, hi), &id| (lo.min(id), hi.max(id)));
+    let words = (max - min) / 64 + 1;
+    if words > ids.len() as u64 {
+        ids.sort_unstable();
+        ids.dedup();
+        return;
+    }
+    let words = words as usize;
+    if seen.len() < words {
+        seen.resize(words, 0);
+    }
+    for &id in ids.iter() {
+        let at = id - min;
+        seen[(at / 64) as usize] |= 1 << (at % 64);
+    }
+    ids.clear();
+    for (i, word) in seen[..words].iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            ids.push(min + i as u64 * 64 + u64::from(bits.trailing_zeros()));
+            bits &= bits - 1;
+        }
     }
 }
 
@@ -2056,6 +2111,66 @@ mod kernel_tests {
             let mut only_a = va.clone();
             retain_merged(&mut only_a, &vb, |_, in_b| !in_b);
             assert!(only_a.into_iter().eq(a.difference(&b).copied()));
+        }
+    }
+
+    /// `distinct_ascending` on `ids` with the bitmap `seen`: the sorted,
+    /// de-duplicated multiset, and whether the bitmap was used (it grows
+    /// only then). The bitmap is all zero again afterwards.
+    fn distinct(ids: &[u64], seen: &mut Vec<u64>) -> (Vec<u64>, bool) {
+        let before = seen.len();
+        let mut out = ids.to_vec();
+        distinct_ascending(&mut out, seen);
+        assert!(seen.iter().all(|&w| w == 0), "the bitmap was left dirty");
+        (out, seen.len() > before)
+    }
+
+    fn sorted_distinct(ids: &[u64]) -> Vec<u64> {
+        let mut out = ids.to_vec();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    proptest! {
+        /// Multisets of at least `DENSE_MIN` values over a range of at most
+        /// one 64-value word per value go through the bitmap; sparse ones,
+        /// small ones and the empty one are sorted; a one-value range takes
+        /// either side by its size. Each gives what sorting and
+        /// de-duplicating does, ids up to 2³² − 1, one bitmap reused
+        /// throughout.
+        #[test]
+        fn the_bitmap_unique_collection_is_sort_and_dedup(
+            n in 1usize..400,
+            span_words in 1u64..400,
+            base in 0u64..1 << 32,
+            picks in proptest::collection::vec(any::<u64>(), 400),
+            sparse in proptest::collection::vec(0u64..1 << 32, 0..60),
+        ) {
+            let mut seen = Vec::new();
+            // Dense: `n` values within `min(span_words, n)` words of `base`.
+            let span = span_words.min(n as u64) * 64;
+            let base = base.min((1 << 32) - span);
+            let dense: Vec<u64> = picks[..n].iter().map(|p| base + p % span).collect();
+            let (got, bitmap) = distinct(&dense, &mut seen);
+            prop_assert_eq!(bitmap, n >= DENSE_MIN);
+            prop_assert_eq!(got, sorted_distinct(&dense));
+            // Sparse: the ends of the 32-bit range and what lies between.
+            let mut sparse: Vec<u64> = [0, u64::from(u32::MAX)].into_iter().chain(sparse).collect();
+            sparse.extend(picks.iter().take(n).map(|p| p % (1 << 32)));
+            let (got, bitmap) = distinct(&sparse, &mut seen);
+            prop_assert!(!bitmap);
+            prop_assert_eq!(got, sorted_distinct(&sparse));
+            // One value, `n` and `DENSE_MIN` times, at the top of the range
+            // and at `base`.
+            for v in [u64::from(u32::MAX), base] {
+                for copies in [n, DENSE_MIN] {
+                    let (got, _) = distinct(&vec![v; copies], &mut seen);
+                    prop_assert_eq!(got, vec![v]);
+                }
+            }
+            let (got, _) = distinct(&[], &mut seen);
+            prop_assert!(got.is_empty());
         }
     }
 }

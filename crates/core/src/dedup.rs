@@ -131,7 +131,7 @@ pub fn deduplicate<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<DedupResult> {
     let mut plan = BlockingPlan::from_config(schema, config, rng)?;
-    let classifier = Classifier::Rule(config.rule.clone());
+    let classifier = Classifier::Rule(config.rule.clone()).compile(&schema.layout())?;
     let mut rows = Vec::new();
     schema.embed_rows(records, &mut rows)?;
     let rows = schema.rows_of(records, &rows);
@@ -156,7 +156,7 @@ pub fn deduplicate<R: Rng + ?Sized>(
             }
             result.stats.candidates += 1;
             result.stats.distance_computations += 1;
-            if classifier.matches_rows(store.layout(), a, row) {
+            if classifier.matches(a, row) {
                 result.pairs.push((id, probe));
                 result.stats.matched += 1;
                 uf.union(id, probe);

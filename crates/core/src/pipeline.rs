@@ -11,7 +11,9 @@
 
 use crate::blocking::{BlockingPlan, ProbeScratch};
 use crate::error::Result;
-use crate::matcher::{index_row, match_batch, rekey, restore, Classifier, MatchStats, RecordSlab};
+use crate::matcher::{
+    index_row, match_batch, rekey, restore, Classifier, MatchStats, RecordSlab, RowClassifier,
+};
 use crate::record::Record;
 use crate::rule::Rule;
 use crate::schema::RecordSchema;
@@ -279,7 +281,7 @@ pub struct LinkagePipeline {
     config: LinkageConfig,
     plan: BlockingPlan,
     store: RecordSlab,
-    classifier: Classifier,
+    classifier: RowClassifier,
     index_timings: PhaseTimings,
     metrics: Option<Arc<PipelineMetrics>>,
 }
@@ -296,7 +298,7 @@ impl LinkagePipeline {
         rng: &mut R,
     ) -> Result<Self> {
         let plan = BlockingPlan::from_config(&schema, &config, rng)?;
-        let classifier = Classifier::Rule(config.rule.clone());
+        let classifier = Classifier::Rule(config.rule.clone()).compile(&schema.layout())?;
         Ok(Self {
             store: RecordSlab::new(schema.layout()),
             schema,
@@ -505,7 +507,7 @@ impl LinkagePipeline {
         let (mut plan, mut store) = (state.plan, state.store);
         restore(&state.schema, &state.config.rule, &mut plan, &mut store)?;
         Ok(Self {
-            classifier: Classifier::Rule(state.config.rule.clone()),
+            classifier: Classifier::Rule(state.config.rule.clone()).compile(store.layout())?,
             schema: state.schema,
             config: state.config,
             plan,

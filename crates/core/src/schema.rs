@@ -422,11 +422,15 @@ impl RowLayout {
     /// Hamming distance of rows `a` and `b` on attribute `i`: `u_Ĥ^(f_i)`.
     #[inline]
     pub fn distance(&self, a: &[u64], b: &[u64], i: usize) -> u32 {
-        let pieces = &self.pieces[self.starts[i] as usize..self.starts[i + 1] as usize];
-        pieces
+        self.pieces(i)
             .iter()
             .map(|&(word, mask)| ((a[word as usize] ^ b[word as usize]) & mask).count_ones())
             .sum()
+    }
+
+    /// Attribute `i`'s bits as `(word, mask)` pieces, low word first.
+    pub(crate) fn pieces(&self, i: usize) -> &[(u32, u64)] {
+        &self.pieces[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 
     /// Record-level Hamming distance of two rows (their bits past `m̄` are

@@ -38,7 +38,7 @@
 use crate::blocking::{BlockingPlan, ProbeScratch, StructureStats};
 use crate::error::{Error, Result};
 use crate::matcher::{
-    index_row, match_batch, restore, unindex, Classifier, MatchStats, RecordSlab,
+    index_row, match_batch, restore, unindex, Classifier, MatchStats, RecordSlab, RowClassifier,
 };
 use crate::pipeline::{LinkageConfig, PipelineMetrics};
 use crate::record::Record;
@@ -274,6 +274,8 @@ impl ReshardDriver {
 pub struct ShardedPipeline {
     schema: RecordSchema,
     classifier: Classifier,
+    /// `classifier` compiled against the schema's row layout.
+    program: RowClassifier,
     shards: Vec<SharedShard>,
     /// Versioned keyspace → shard assignment; governs new placements.
     map: ShardMap,
@@ -324,7 +326,9 @@ impl ShardedPipeline {
     /// # Errors
     /// Returns [`Error::Reshard`] with [`ReshardError::RequiresMigration`]
     /// when the plan is disk-resident and already populated — its on-disk
-    /// generations cannot be re-rooted in place; migrate online instead.
+    /// generations cannot be re-rooted in place; migrate online instead,
+    /// and [`Error::AttributeOutOfRange`] for a classifier on an attribute
+    /// the schema does not have.
     pub fn from_parts(
         schema: RecordSchema,
         plan: BlockingPlan,
@@ -334,6 +338,7 @@ impl ShardedPipeline {
         if num_shards == 0 {
             return Err(Error::InvalidParameter("need at least one shard".into()));
         }
+        let program = classifier.compile(&schema.layout())?;
         // Disk-resident plans re-root each shard's clone under its own
         // `shard-<i>/` subtree so generation files never collide.
         let store_root = plan.store_root();
@@ -351,6 +356,7 @@ impl ShardedPipeline {
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(Self {
+            program,
             schema,
             classifier,
             shards,
@@ -430,6 +436,7 @@ impl ShardedPipeline {
             .map(|s| Shard::shared(s.plan, s.store))
             .collect();
         Ok(Self {
+            program: state.classifier.compile(&state.schema.layout())?,
             schema: state.schema,
             classifier: state.classifier,
             shards,
@@ -621,7 +628,7 @@ impl ShardedPipeline {
                 &shard.state.plan,
                 &shard.state.store,
                 self.schema.rows_of(records, &rows),
-                &self.classifier,
+                &self.program,
                 &mut scratch,
                 &mut stats,
                 &mut matches,

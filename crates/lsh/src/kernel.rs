@@ -151,6 +151,7 @@ impl KeyKernel {
             let assembly = if families.len() > 1 && total_bits > 128 {
                 Assembly::Fold
             } else {
+                k.fuse_gathers(first);
                 Assembly::Concat
             };
             k.tables.push(TableKey {
@@ -168,6 +169,27 @@ impl KeyKernel {
         let taps = first..self.taps.len();
         let bits = taps.len() as u32;
         (SubKey::Gather { taps }, bits)
+    }
+
+    /// Merges each `Gather` sub-key from `first` on into the one before it
+    /// when that is a `Gather` too. A table's taps are pushed back to back,
+    /// so the two ranges meet, and `Concat` shifts a sub-key by the widths
+    /// before it: bit `i` of the merged gather is the bit it was. A table of
+    /// fused conjuncts then gathers once.
+    fn fuse_gathers(&mut self, first: usize) {
+        for (sub, bits) in self.subs.split_off(first) {
+            let previous = self.subs[first..].last_mut();
+            if let (Some((SubKey::Gather { taps: into }, width)), SubKey::Gather { taps }) =
+                (previous, &sub)
+            {
+                if into.end == taps.start {
+                    into.end = taps.end;
+                    *width += bits;
+                    continue;
+                }
+            }
+            self.subs.push((sub, bits));
+        }
     }
 
     fn extract(&mut self, group: &CoveringGroup, map: &[u32]) -> (SubKey, u32) {
@@ -274,7 +296,10 @@ impl KeyKernel {
         match sub {
             SubKey::Gather { taps } => {
                 let taps = &self.taps[taps.clone()];
-                let (low, high) = taps.split_at(taps.len().min(64));
+                if taps.len() <= 64 {
+                    return u128::from(gather64(words, taps));
+                }
+                let (low, high) = taps.split_at(64);
                 u128::from(gather64(words, low)) | u128::from(gather64(words, high)) << 64
             }
             SubKey::Extract { steps, fold: false } => {

@@ -6,7 +6,7 @@ use crate::commit::append;
 use crate::repl::await_quorum;
 use crate::server::Inner;
 use cbv_hb::sharded::ReshardDriver;
-use rl_store::{Mutation, StoreError};
+use rl_store::{Mutation, StoreError, CHECKPOINT_FILE};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -157,7 +157,8 @@ pub(crate) fn compact_loop(inner: &Arc<Inner>, every: Duration) {
 }
 
 /// The background checkpointer: every `every`, rotate the WAL, export the
-/// index, and commit a checkpoint that lets recovery skip the pruned log.
+/// index, and commit a checkpoint that lets recovery skip the pruned log —
+/// unless nothing was logged since the last one ([`run_checkpoint`]).
 pub(crate) fn checkpoint_loop(inner: &Arc<Inner>, every: Duration) {
     let mut last = Instant::now();
     while !inner.shutdown.load(Ordering::SeqCst) {
@@ -174,6 +175,11 @@ pub(crate) fn checkpoint_loop(inner: &Arc<Inner>, every: Duration) {
     }
 }
 
+/// Commits a checkpoint of the index as it stands. With a checkpoint file
+/// on disk and no op logged since it was committed (`op_seq` is the
+/// checkpoint's `base_ops`), there is nothing to cover: the WAL is not
+/// rotated and the index not exported again. The replication bootstrap
+/// calls this when there is no file yet, and so always gets one.
 pub(crate) fn run_checkpoint(inner: &Inner) -> Result<(), StoreError> {
     let Some(store) = &inner.store else {
         return Ok(());
@@ -182,6 +188,12 @@ pub(crate) fn run_checkpoint(inner: &Inner) -> Result<(), StoreError> {
     // rotate + export window, so the exported snapshot covers exactly the
     // segments up to the rotation watermark.
     let state = inner.state.read();
+    {
+        let store = store.lock();
+        if store.op_seq() == store.base_ops() && store.dir().join(CHECKPOINT_FILE).exists() {
+            return Ok(());
+        }
+    }
     // Mid-migration, moved records transiently live on two shards; an
     // exported snapshot would duplicate them forever. The lock ordering
     // makes this check stable: cutover needs the state write lock, which

@@ -18,8 +18,8 @@
 
 use cbv_hb::blocking::{BlockingPlan, ProbeScratch};
 use cbv_hb::error::Result;
-use cbv_hb::matcher::MatchStats;
-use cbv_hb::schema::{RecordSchema, RowLayout};
+use cbv_hb::matcher::{Classifier, MatchStats, RowClassifier};
+use cbv_hb::schema::RecordSchema;
 use cbv_hb::{LinkageConfig, Rule};
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -58,8 +58,8 @@ impl SubscriptionSpec {
 pub struct CompiledRule {
     rule: Rule,
     plan: BlockingPlan,
-    /// Where the schema's attributes sit in a record's row.
-    layout: RowLayout,
+    /// The rule compiled against the schema's row layout.
+    classifier: RowClassifier,
     attrs: BTreeSet<usize>,
     cap: usize,
 }
@@ -84,10 +84,11 @@ impl CompiledRule {
         };
         let plan = BlockingPlan::from_config(schema, &config, rng)?;
         let attrs = rule.predicates().iter().map(|p| p.attr).collect();
+        let classifier = Classifier::Rule(rule.clone()).compile(&schema.layout())?;
         Ok(Self {
             rule,
             plan,
-            layout: schema.layout(),
+            classifier,
             attrs,
             cap,
         })
@@ -157,7 +158,7 @@ impl CompiledRule {
     where
         F: Fn(u64) -> Option<(u64, &'s [u64])>,
     {
-        let layout = &self.layout;
+        let layout = self.classifier.layout();
         let mut scratch = ProbeScratch::default();
         let row_of = |slot| lookup(slot).map(|(_, row)| row);
         self.plan.candidates_into_row(probe, row_of, &mut scratch);
@@ -175,10 +176,7 @@ impl CompiledRule {
         let mut out = Vec::new();
         for (id, a) in cands {
             stats.distance_computations += 1;
-            if self
-                .rule
-                .evaluate_with(&|attr| layout.distance(a, probe, attr))
-            {
+            if self.classifier.matches(a, probe) {
                 out.push(id);
             }
         }

@@ -66,7 +66,7 @@ static ALLOCATOR: Counting = Counting;
 /// `LinkagePipeline` budget of the same configuration (same hash draws,
 /// same records): the vector holding the shards' read guards, and one more
 /// step of the candidate buffer's growth — a shard's buckets are half the
-/// single index's, so on `batch_rule` (244 tables gathered before the
+/// single index's, so on `batch_rule` (178 tables of this schema before the
 /// de-duplication) the buffer reaches its size in smaller appends.
 const SHARDED_EXTRA: u64 = 2;
 
@@ -158,12 +158,13 @@ fn a_link_slice_stays_within_its_allocation_budget() {
     // single-record buffers grown to the slice, the match list, and the two
     // buffers a group's candidate sets pass between, each doubling to its
     // size once: 13 / 269 / 15 before probes were grouped. `batch_rule`
-    // spends one a probe on the list of its plan's conjunct candidate sets,
-    // grouped or not. A buffer each group grew afresh would cost 15 or
-    // more on each configuration (a slice is 16 to 250 groups).
+    // also grows the unique collection's bitmap as its candidates' range
+    // widens; it spent 278 while its plan's AND of one child built a list
+    // of candidate sets each probe. A buffer each group grew afresh would
+    // cost 15 or more on each configuration (a slice is 16 to 250 groups).
     let budgets = [
         ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 17u64),
-        ("batch_rule", LinkageConfig::rule_aware(c1()), 278),
+        ("batch_rule", LinkageConfig::rule_aware(c1()), 29),
         ("batch_covering", LinkageConfig::covering(c1(), 4), 20),
     ];
     for (name, config, budget) in budgets {

@@ -164,9 +164,10 @@ fn bounded_probe_reports_truncation_in_match_stats() {
     server.wait();
 }
 
-/// Serves `p` durably with a 50 ms checkpoint cadence, indexes the corpus,
-/// and returns `rl_compactions_total` once `ready` holds of
-/// `(checkpoints, compactions)`.
+/// Serves `p` durably with a 50 ms checkpoint cadence, indexes the corpus
+/// again at every poll (the checkpointer skips a cadence with nothing
+/// logged since its last checkpoint), and returns `rl_compactions_total`
+/// once `ready` holds of `(checkpoints, compactions)`.
 fn compactions_once(p: ShardedPipeline, ready: impl Fn(u64, u64) -> bool) -> u64 {
     let data = fresh_dir(&format!(
         "blockstore-compactor-{}",
@@ -178,8 +179,10 @@ fn compactions_once(p: ShardedPipeline, ready: impl Fn(u64, u64) -> bool) -> u64
     }
     let server = Server::spawn_durable(move || Ok(p), config).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    client.insert(&records(0)).unwrap();
+    let mut base = 0;
     let compactions = wait_for("the background loops", || {
+        client.insert(&records(base)).unwrap();
+        base += 100;
         let m = client.metrics().unwrap();
         let count = |name| m.counter_value(name, None).unwrap_or(0);
         let (checkpoints, compactions) =

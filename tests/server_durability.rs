@@ -5,7 +5,9 @@
 
 mod common;
 
-use common::{durable_config, fresh_dir, gauge, pipeline, probe_one, records, spawn_rl_serve};
+use common::{
+    durable_config, fresh_dir, gauge, pipeline, probe_one, records, spawn_rl_serve, stop, wait_for,
+};
 use record_linkage::cbv_hb::Record;
 use record_linkage::server::{Client, ReplRole, Server, ServerConfig};
 use std::io::Write;
@@ -72,6 +74,42 @@ fn acked_mutations_survive_clean_restart() {
 
     client2.shutdown().unwrap();
     server2.wait();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The background checkpointer leaves an idle server alone: with nothing
+/// logged since its last checkpoint, a tick neither commits a checkpoint
+/// nor rotates the WAL to a new segment. The tick after an insert
+/// checkpoints again.
+#[test]
+fn an_idle_server_is_not_checkpointed_again() {
+    let dir = fresh_dir("idle-checkpoint");
+    let mut config = durable_config(&dir, ReplRole::Standalone);
+    config.durability.as_mut().unwrap().checkpoint_every = Some(Duration::from_secs(1));
+    let server = Server::spawn_durable(|| Ok(pipeline(43, 2)), config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let checkpoints = |client: &mut Client| {
+        let m = client.metrics().unwrap();
+        m.counter_value("rl_checkpoints_total", None).unwrap_or(0)
+    };
+    let segments = || rl_store::scan_segments(&dir).unwrap();
+
+    client.insert(&records(5, 0, 8)).unwrap();
+    wait_for("the first checkpoint", || {
+        (checkpoints(&mut client) == 1).then_some(())
+    });
+    let checkpointed = segments();
+    // Two ticks with nothing logged.
+    std::thread::sleep(Duration::from_millis(2_500));
+    assert_eq!(checkpoints(&mut client), 1, "an idle tick checkpointed");
+    assert_eq!(segments(), checkpointed, "an idle tick rotated the WAL");
+
+    client.insert(&records(6, 100, 1)).unwrap();
+    wait_for("the checkpoint after an insert", || {
+        (checkpoints(&mut client) == 2).then_some(())
+    });
+    assert!(segments().last() > checkpointed.last(), "{:?}", segments());
+    stop(server, [client]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
