@@ -1206,6 +1206,12 @@ impl BlockingPlan {
 /// probe group ([`crate::matcher::match_batch`]). A steady-state probe of a
 /// single-structure plan through [`BlockingPlan::candidates_into_row`] or a
 /// steady-state group allocates nothing.
+///
+/// The engines do not make one per call: each probing thread owns one, in
+/// its [`crate::buffers::ProbeBuffers`], grown by its first probes and
+/// reused by every later call on the thread; a buffer past
+/// [`crate::buffers::RETAIN_BYTES`] is dropped when the call returns. A
+/// caller outside the engines may keep its own.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     keys: Vec<u128>,
@@ -1219,6 +1225,27 @@ pub struct ProbeScratch {
 }
 
 impl ProbeScratch {
+    /// Drops every buffer above [`crate::buffers::RETAIN_BYTES`]. The
+    /// bitmap is all zero between probes, so what is kept stays valid.
+    pub(crate) fn trim(&mut self) {
+        use crate::buffers::retain_at_most;
+        retain_at_most(&mut self.keys);
+        retain_at_most(&mut self.bucket);
+        retain_at_most(&mut self.seen);
+        retain_at_most(&mut self.candidates);
+        retain_at_most(&mut self.slots);
+    }
+
+    /// The capacity, in bytes, of the largest buffer.
+    pub(crate) fn largest_bytes(&self) -> usize {
+        use crate::buffers::bytes;
+        (bytes(&self.keys))
+            .max(bytes(&self.bucket))
+            .max(bytes(&self.seen))
+            .max(bytes(&self.candidates))
+            .max(bytes(&self.slots))
+    }
+
     /// The candidates the last [`BlockingPlan::candidates_into_row`] left
     /// here — table values: slab slots in the engines — ascending, distinct.
     /// (`matcher::match_batch` moves them out.)

@@ -7,8 +7,9 @@
 //! rule, and merge matched pairs into clusters with a union–find.
 
 use crate::blocking::{BlockingPlan, ProbeScratch};
+use crate::buffers::with_probe_buffers;
 use crate::error::Result;
-use crate::matcher::{index_row, Classifier, MatchStats, RecordSlab};
+use crate::matcher::{index_row, Classifier, MatchStats, RecordSlab, RowClassifier};
 use crate::pipeline::LinkageConfig;
 use crate::record::Record;
 use crate::schema::RecordSchema;
@@ -132,18 +133,36 @@ pub fn deduplicate<R: Rng + ?Sized>(
 ) -> Result<DedupResult> {
     let mut plan = BlockingPlan::from_config(schema, config, rng)?;
     let classifier = Classifier::Rule(config.rule.clone()).compile(&schema.layout())?;
-    let mut rows = Vec::new();
-    schema.embed_rows(records, &mut rows)?;
-    let rows = schema.rows_of(records, &rows);
-    let mut store = RecordSlab::new(schema.layout());
-    for (id, row) in rows.clone() {
-        index_row(&mut plan, &mut store, id, row)?;
-    }
+    with_probe_buffers(|buffers| {
+        schema.embed_rows(records, &mut buffers.rows)?;
+        let rows = schema.rows_of(records, &buffers.rows);
+        let mut store = RecordSlab::new(schema.layout());
+        for (id, row) in rows.clone() {
+            index_row(&mut plan, &mut store, id, row)?;
+        }
+        Ok(self_join(
+            &plan,
+            &store,
+            rows,
+            &classifier,
+            &mut buffers.scratch,
+        ))
+    })
+}
+
+/// Probes every record of `rows`, indexed in `plan` and `store`, against
+/// the others.
+fn self_join<'a>(
+    plan: &BlockingPlan,
+    store: &RecordSlab,
+    rows: impl Iterator<Item = (u64, &'a [u64])>,
+    classifier: &RowClassifier,
+    scratch: &mut ProbeScratch,
+) -> DedupResult {
     let mut result = DedupResult::default();
     let mut uf = UnionFind::new();
-    let mut scratch = ProbeScratch::default();
     for (probe, row) in rows {
-        plan.candidates_into_row(row, |slot| store.row_at(slot), &mut scratch);
+        plan.candidates_into_row(row, |slot| store.row_at(slot), scratch);
         let first = result.pairs.len();
         for &slot in scratch.candidates() {
             let Some(a) = store.row_at(slot) else {
@@ -166,7 +185,7 @@ pub fn deduplicate<R: Rng + ?Sized>(
         result.pairs[first..].sort_unstable();
     }
     result.clusters = uf.clusters(2);
-    Ok(result)
+    result
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@
 
 pub mod analysis;
 pub mod blocking;
+pub mod buffers;
 pub mod cvector;
 pub mod dedup;
 pub mod error;
@@ -51,7 +52,7 @@ pub use cvector::{optimal_m, CVectorEmbedder};
 pub use error::{Error, SchemaError};
 pub use metrics::LinkageQuality;
 pub use pipeline::{BlockStoreConfig, LinkageConfig, LinkagePipeline, LinkageResult};
-pub use record::Record;
+pub use record::{Record, RecordView};
 pub use rl_blockstore::{CapMode, StoreKind};
 pub use rule::Rule;
 pub use rule_parser::parse_rule;

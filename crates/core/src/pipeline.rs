@@ -9,7 +9,8 @@
 //! linkage (Section 5.3 notes the method handles an arbitrary number of
 //! data sets).
 
-use crate::blocking::{BlockingPlan, ProbeScratch};
+use crate::blocking::BlockingPlan;
+use crate::buffers::{with_probe_buffers, ProbeBuffers};
 use crate::error::Result;
 use crate::matcher::{
     index_row, match_batch, rekey, restore, Classifier, MatchStats, RecordSlab, RowClassifier,
@@ -383,13 +384,15 @@ impl LinkagePipeline {
     pub fn link(&self, records: &[Record]) -> Result<LinkageResult> {
         let mut result = LinkageResult::default();
         let t0 = Instant::now();
-        let mut rows = Vec::new();
-        self.schema.embed_rows(records, &mut rows)?;
-        let embed = t0.elapsed();
+        let (embed, matching) = with_probe_buffers(|buffers| {
+            self.schema.embed_rows(records, &mut buffers.rows)?;
+            let t1 = Instant::now();
+            let embed = t1 - t0;
+            self.match_all(records, buffers, &mut result.stats);
+            result.matches = buffers.matches.to_vec();
+            Ok::<_, crate::Error>((embed, t1.elapsed()))
+        })?;
         result.timings.embed_nanos = embed.as_nanos();
-        let t1 = Instant::now();
-        self.match_all(records, &rows, &mut result.stats, &mut result.matches);
-        let matching = t1.elapsed();
         result.timings.match_nanos = matching.as_nanos();
         if let Some(m) = &self.metrics {
             m.embed.observe_duration(embed);
@@ -398,21 +401,21 @@ impl LinkagePipeline {
         Ok(result)
     }
 
-    /// Matches every probe against the index, one [`ProbeScratch`] for the
-    /// whole batch, appending `(id_A, id_B)` pairs to `matches`.
-    fn match_all(
-        &self,
-        probes: &[Record],
-        rows: &[u64],
-        stats: &mut MatchStats,
-        matches: &mut Vec<(u64, u64)>,
-    ) {
+    /// Matches every probe, embedded in `buffers.rows`, against the index
+    /// with the thread's [`crate::blocking::ProbeScratch`], appending
+    /// `(id_A, id_B)` pairs to `buffers.matches`.
+    fn match_all(&self, probes: &[Record], buffers: &mut ProbeBuffers, stats: &mut MatchStats) {
+        let ProbeBuffers {
+            rows,
+            scratch,
+            matches,
+        } = buffers;
         match_batch(
             &self.plan,
             &self.store,
             self.schema.rows_of(probes, rows),
             &self.classifier,
-            &mut ProbeScratch::default(),
+            scratch,
             stats,
             matches,
         );
@@ -441,12 +444,12 @@ impl LinkagePipeline {
                 .iter()
                 .map(|chunk| {
                     scope.spawn(move |_| {
-                        let mut rows = Vec::new();
-                        self.schema.embed_rows(chunk, &mut rows)?;
-                        let mut stats = MatchStats::default();
-                        let mut matches = Vec::new();
-                        self.match_all(chunk, &rows, &mut stats, &mut matches);
-                        Ok((matches, stats))
+                        with_probe_buffers(|buffers| {
+                            self.schema.embed_rows(chunk, &mut buffers.rows)?;
+                            let mut stats = MatchStats::default();
+                            self.match_all(chunk, buffers, &mut stats);
+                            Ok((std::mem::take(&mut buffers.matches), stats))
+                        })
                     })
                 })
                 .collect();

@@ -31,6 +31,47 @@ impl Record {
     }
 }
 
+/// A record read where it lies: its id and its field values, borrowed. A
+/// [`Record`] is one; so is a record body read in place from a request
+/// frame, which embeds without a `String` per field
+/// ([`crate::RecordSchema::embed_views`]).
+pub trait RecordView {
+    /// The record's identifier.
+    fn id(&self) -> u64;
+    /// How many field values it has.
+    fn field_count(&self) -> usize;
+    /// Its field values, in schema order.
+    fn fields(&self) -> impl Iterator<Item = &str>;
+}
+
+impl RecordView for Record {
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn field_count(&self) -> usize {
+        self.fields.len()
+    }
+
+    fn fields(&self) -> impl Iterator<Item = &str> {
+        self.fields.iter().map(String::as_str)
+    }
+}
+
+impl<V: RecordView> RecordView for &V {
+    fn id(&self) -> u64 {
+        (**self).id()
+    }
+
+    fn field_count(&self) -> usize {
+        (**self).field_count()
+    }
+
+    fn fields(&self) -> impl Iterator<Item = &str> {
+        (**self).fields()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

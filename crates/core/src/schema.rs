@@ -29,7 +29,7 @@
 use crate::cvector::{optimal_m, CVectorEmbedder};
 use crate::error::{Error, Result, SchemaError};
 use crate::matcher::prefetch;
-use crate::record::Record;
+use crate::record::{Record, RecordView};
 use rand::Rng;
 use rl_bitvec::BitVec;
 use serde::{Deserialize, Deserializer, Serialize};
@@ -240,10 +240,10 @@ impl RecordSchema {
     /// # Errors
     /// Returns [`Error::FieldCountMismatch`] when the record's field count
     /// differs from the schema's attribute count.
-    pub fn check(&self, record: &Record) -> Result<()> {
-        if record.fields.len() != self.specs.len() {
+    pub fn check(&self, record: &impl RecordView) -> Result<()> {
+        if record.field_count() != self.specs.len() {
             return Err(Error::FieldCountMismatch {
-                found: record.fields.len(),
+                found: record.field_count(),
                 expected: self.specs.len(),
             });
         }
@@ -294,12 +294,12 @@ impl RecordSchema {
     ///
     /// # Panics
     /// Panics if `row` is not [`Self::row_words`] long.
-    pub fn embed_row(&self, record: &Record, row: &mut [u64]) -> Result<()> {
+    pub fn embed_row(&self, record: &impl RecordView, row: &mut [u64]) -> Result<()> {
         self.check(record)?;
         assert_eq!(row.len(), self.row_words(), "row of another schema");
         row.fill(0);
         let mut offset = 0;
-        for (e, v) in self.embedders.iter().zip(&record.fields) {
+        for (e, v) in self.embedders.iter().zip(record.fields()) {
             e.embed_at(v, offset, row);
             offset += e.size();
         }
@@ -336,6 +336,27 @@ impl RecordSchema {
                 }
             }
             self.embed_row(&records[i], row)?;
+        }
+        Ok(())
+    }
+
+    /// [`Self::embed_rows`] of records read in place, without the
+    /// look-ahead: their bytes lie in the buffer they were read from, in
+    /// batch order.
+    ///
+    /// # Errors
+    /// As [`Self::embed_row`], for the first malformed record.
+    pub fn embed_views<V: RecordView>(
+        &self,
+        records: impl IntoIterator<Item = V>,
+        rows: &mut Vec<u64>,
+    ) -> Result<()> {
+        let w = self.row_words();
+        rows.clear();
+        for record in records {
+            let at = rows.len();
+            rows.resize(at + w, 0);
+            self.embed_row(&record, &mut rows[at..])?;
         }
         Ok(())
     }

@@ -12,11 +12,12 @@
 //! A shard is `{plan, store}` — blocking tables and a [`RecordSlab`] of
 //! packed rows — behind its own `RwLock`; nothing here owns a thread.
 //! [`ShardedPipeline::link`] takes `&self` and runs to completion on the
-//! calling thread — the batch embedded once into one buffer of rows, then
-//! every shard under its read lock with one [`ProbeScratch`] — so any number
-//! of threads probe one pipeline at once. Mutations take `&mut self` and each shard's write
-//! lock in turn, and have landed when they return: an indexed record is
-//! searchable.
+//! calling thread — the batch embedded once into the thread's buffer of
+//! rows, then every shard under its read lock with the thread's
+//! [`crate::blocking::ProbeScratch`] ([`crate::buffers`]) — so any number
+//! of threads probe one pipeline at once. Mutations take `&mut self` and
+//! each shard's write lock in turn, and have landed when they return: an
+//! indexed record is searchable.
 //!
 //! Lock order: shards ascending, and only `link` holds more than one. The
 //! [`ReshardDriver`] (which shares the two shards' `Arc`s, not the
@@ -35,13 +36,14 @@
 //! while a record transiently exists on two shards (duplicate pairs are
 //! deduped at the gather step).
 
-use crate::blocking::{BlockingPlan, ProbeScratch, StructureStats};
+use crate::blocking::{BlockingPlan, StructureStats};
+use crate::buffers::{with_probe_buffers, ProbeBuffers};
 use crate::error::{Error, Result};
 use crate::matcher::{
     index_row, match_batch, restore, unindex, Classifier, MatchStats, RecordSlab, RowClassifier,
 };
 use crate::pipeline::{LinkageConfig, PipelineMetrics};
-use crate::record::Record;
+use crate::record::{Record, RecordView};
 use crate::schema::RecordSchema;
 use parking_lot::{RwLock, RwLockReadGuard};
 use rand::Rng;
@@ -99,6 +101,52 @@ struct Shard {
 }
 
 type SharedShard = Arc<RwLock<Shard>>;
+
+/// Shards whose read guards a probe holds on the stack; more take a `Vec`.
+const STACK_SHARDS: usize = 8;
+
+/// Every shard's read guard, taken in ascending order (the lock order).
+enum ShardGuards<'a> {
+    Stack([Option<RwLockReadGuard<'a, Shard>>; STACK_SHARDS]),
+    Heap(Vec<RwLockReadGuard<'a, Shard>>),
+}
+
+impl<'a> ShardGuards<'a> {
+    /// Waits for each lock in turn.
+    fn read(shards: &'a [SharedShard]) -> Self {
+        if shards.len() > STACK_SHARDS {
+            return Self::Heap(shards.iter().map(|s| s.read()).collect());
+        }
+        let mut guards: [Option<_>; STACK_SHARDS] = Default::default();
+        for (guard, shard) in guards.iter_mut().zip(shards) {
+            *guard = Some(shard.read());
+        }
+        Self::Stack(guards)
+    }
+
+    /// Waits for none: `None`, with every guard taken so far released,
+    /// when a lock is held exclusively.
+    fn try_read(shards: &'a [SharedShard]) -> Option<Self> {
+        if shards.len() > STACK_SHARDS {
+            let guards: Option<Vec<_>> = shards.iter().map(|s| s.try_read()).collect();
+            return guards.map(Self::Heap);
+        }
+        let mut guards: [Option<_>; STACK_SHARDS] = Default::default();
+        for (guard, shard) in guards.iter_mut().zip(shards) {
+            *guard = Some(shard.try_read()?);
+        }
+        Some(Self::Stack(guards))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Shard> {
+        let (stack, heap) = match self {
+            Self::Stack(guards) => (&guards[..], &[][..]),
+            Self::Heap(guards) => (&[][..], &guards[..]),
+        };
+        let stack = stack.iter().flatten().map(|g| &**g);
+        stack.chain(heap.iter().map(|g| &**g))
+    }
+}
 
 /// What a probe returns: the matched `(id_A, id_B)` pairs, ascending and
 /// distinct, and the matching counters summed over the shards.
@@ -599,48 +647,98 @@ impl ShardedPipeline {
     /// # Errors
     /// Returns [`Error::FieldCountMismatch`] on malformed records.
     pub fn link(&self, records: &[Record]) -> Result<Linked> {
-        let shards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        self.link_locked(&shards, records)
+        let shards = ShardGuards::read(&self.shards);
+        let ids = records.iter().map(|r| r.id);
+        self.link_locked(
+            &shards,
+            |rows| self.schema.embed_rows(records, rows),
+            ids,
+            |pairs, stats| (pairs.to_vec(), *stats),
+        )
     }
 
-    /// [`Self::link`] for a thread that must not wait: `None`, with nothing
-    /// done, when any shard's lock is held exclusively right now.
-    pub fn try_link(&self, records: &[Record]) -> Option<Result<Linked>> {
-        let shards: Option<Vec<_>> = self.shards.iter().map(|s| s.try_read()).collect();
-        Some(self.link_locked(&shards?, records))
-    }
-
-    fn link_locked(
+    /// [`Self::link`] of records read in place ([`RecordView`]: a
+    /// [`Record`] is one). The matched pairs, ascending and distinct, and
+    /// the counts go to `emit` while the shards are still read-locked, not
+    /// into a returned `Vec`: a steady-state call allocates nothing.
+    ///
+    /// # Errors
+    /// Returns [`Error::FieldCountMismatch`] on malformed records.
+    pub fn link_with<R, T>(
         &self,
-        shards: &[RwLockReadGuard<'_, Shard>],
-        records: &[Record],
-    ) -> Result<Linked> {
-        let t0 = Instant::now();
-        let mut rows = Vec::new();
-        self.schema.embed_rows(records, &mut rows)?;
-        let embed = t0.elapsed();
-        let t1 = Instant::now();
-        let mut matches = Vec::new();
-        let mut stats = MatchStats::default();
-        let mut scratch = ProbeScratch::default();
-        for shard in shards {
-            match_batch(
-                &shard.state.plan,
-                &shard.state.store,
-                self.schema.rows_of(records, &rows),
-                &self.program,
-                &mut scratch,
-                &mut stats,
-                &mut matches,
-            );
-        }
-        matches.sort_unstable();
-        matches.dedup();
-        if let Some(m) = &self.metrics {
-            m.embed.observe_duration(embed);
-            m.matching.observe_duration(t1.elapsed());
-        }
-        Ok((matches, stats))
+        records: R,
+        emit: impl FnOnce(&[(u64, u64)], &MatchStats) -> T,
+    ) -> Result<T>
+    where
+        R: IntoIterator,
+        R::IntoIter: Clone,
+        R::Item: RecordView,
+    {
+        let records = records.into_iter();
+        let ids = records.clone().map(|r| r.id());
+        let embed = |rows: &mut Vec<u64>| self.schema.embed_views(records, rows);
+        self.link_locked(&ShardGuards::read(&self.shards), embed, ids, emit)
+    }
+
+    /// [`Self::link_with`] for a thread that must not wait: `None`, with
+    /// nothing done, when any shard's lock is held exclusively right now.
+    pub fn try_link_with<R, T>(
+        &self,
+        records: R,
+        emit: impl FnOnce(&[(u64, u64)], &MatchStats) -> T,
+    ) -> Option<Result<T>>
+    where
+        R: IntoIterator,
+        R::IntoIter: Clone,
+        R::Item: RecordView,
+    {
+        let shards = ShardGuards::try_read(&self.shards)?;
+        let records = records.into_iter();
+        let ids = records.clone().map(|r| r.id());
+        let embed = |rows: &mut Vec<u64>| self.schema.embed_views(records, rows);
+        Some(self.link_locked(&shards, embed, ids, emit))
+    }
+
+    /// The probe of [`Self::link`] over read-locked `shards`, with the
+    /// calling thread's [`ProbeBuffers`]: `embed` fills the rows of the
+    /// records `ids` names, in order.
+    fn link_locked<T>(
+        &self,
+        shards: &ShardGuards<'_>,
+        embed: impl FnOnce(&mut Vec<u64>) -> Result<()>,
+        ids: impl Iterator<Item = u64> + Clone,
+        emit: impl FnOnce(&[(u64, u64)], &MatchStats) -> T,
+    ) -> Result<T> {
+        with_probe_buffers(|buffers| {
+            let ProbeBuffers {
+                rows,
+                scratch,
+                matches,
+            } = buffers;
+            let t0 = Instant::now();
+            embed(rows)?;
+            let t1 = Instant::now();
+            let embed = t1 - t0;
+            let mut stats = MatchStats::default();
+            for shard in shards.iter() {
+                match_batch(
+                    &shard.state.plan,
+                    &shard.state.store,
+                    ids.clone().zip(rows.chunks_exact(self.schema.row_words())),
+                    &self.program,
+                    scratch,
+                    &mut stats,
+                    matches,
+                );
+            }
+            matches.sort_unstable();
+            matches.dedup();
+            if let Some(m) = &self.metrics {
+                m.embed.observe_duration(embed);
+                m.matching.observe_duration(t1.elapsed());
+            }
+            Ok(emit(matches, &stats))
+        })
     }
 
     /// Starts an online reshard: plans the split/merge against the current
@@ -1424,11 +1522,37 @@ mod tests {
         p.index(&records(17, 0, 20)).unwrap();
         let b = records(17, 800, 20);
         let linked = p.link(&b).unwrap();
-        assert_eq!(p.try_link(&b).unwrap().unwrap(), linked);
+        let try_link = |p: &ShardedPipeline| p.try_link_with(&b, |m, s| (m.to_vec(), *s));
+        assert_eq!(try_link(&p).unwrap().unwrap(), linked);
         {
             let _copying_into = p.shards[1].write();
-            assert!(p.try_link(&b).is_none());
+            assert!(try_link(&p).is_none());
         }
-        assert_eq!(p.try_link(&b).unwrap().unwrap(), linked);
+        assert_eq!(try_link(&p).unwrap().unwrap(), linked);
+    }
+
+    #[test]
+    fn more_shards_than_the_stack_holds_link_alike() {
+        let mut rng = StdRng::seed_from_u64(33);
+        let s = schema(&mut rng);
+        let mut one =
+            ShardedPipeline::new(s, LinkageConfig::rule_aware(rule()), 1, &mut rng).unwrap();
+        let (a, b) = (records(17, 0, 40), records(17, 800, 40));
+        one.index(&a).unwrap();
+        let linked = one.link(&b).unwrap().0;
+        assert!(!linked.is_empty());
+        for n in [STACK_SHARDS, STACK_SHARDS + 1] {
+            // The same hash draws over `n` shards.
+            let plan = one.template.clone();
+            let classifier = one.classifier.clone();
+            let mut p =
+                ShardedPipeline::from_parts(one.schema.clone(), plan, classifier, n).unwrap();
+            p.index(&a).unwrap();
+            assert_eq!(p.link(&b).unwrap().0, linked, "{n} shards");
+            let tried = p.try_link_with(&b, |m, _| m.to_vec()).unwrap().unwrap();
+            assert_eq!(tried, linked, "{n} shards");
+            let _written = p.shards[n - 1].write();
+            assert!(p.try_link_with(&b, |m, _| m.len()).is_none());
+        }
     }
 }

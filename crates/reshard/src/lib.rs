@@ -167,17 +167,13 @@ impl ShardMap {
         if source >= self.num_shards {
             return Err(ReshardError::UnknownShard(source));
         }
-        let owned = self.ranges_of(source);
-        if owned.is_empty() {
-            return Err(ReshardError::EmptySource(source));
-        }
         // Widest range, ties broken by lowest start: deterministic, so WAL
         // replay and followers recompute the identical plan.
-        let widest = owned
-            .iter()
-            .copied()
-            .max_by(|a, b| a.width().cmp(&b.width()).then(b.start.cmp(&a.start)))
-            .unwrap();
+        let widest = (self.ranges_of(source).into_iter())
+            .max_by(|a, b| a.width().cmp(&b.width()).then(b.start.cmp(&a.start)));
+        let Some(widest) = widest else {
+            return Err(ReshardError::EmptySource(source));
+        };
         if widest.width() < 2 {
             return Err(ReshardError::Unsplittable(source));
         }

@@ -430,10 +430,11 @@ impl Client {
         if let Some(e) = first_err {
             return Err(e);
         }
-        Ok(results
-            .into_iter()
-            .map(|slot| slot.expect("all ids drained"))
-            .collect())
+        // Without an error every batch was sent and its reply filled its
+        // slot; an empty one would be a reply the loop lost.
+        results.into_iter().collect::<Option<_>>().ok_or_else(|| {
+            ClientError::Protocol("a pipelined probe was left without its reply".into())
+        })
     }
 
     /// Downloads the primary's checkpoint document as raw bytes:
@@ -914,13 +915,7 @@ impl Conn {
 
 /// Dials the first reachable address and performs the handshake.
 fn open_connection(addrs: &[SocketAddr], timeout: Option<Duration>) -> Result<Conn, ClientError> {
-    if addrs.is_empty() {
-        return Err(ClientError::Io(std::io::Error::new(
-            ErrorKind::InvalidInput,
-            "address resolved to nothing",
-        )));
-    }
-    let mut last_err: Option<std::io::Error> = None;
+    let mut last_err = std::io::Error::new(ErrorKind::InvalidInput, "address resolved to nothing");
     for addr in addrs {
         match TcpStream::connect(addr) {
             Ok(stream) => {
@@ -929,10 +924,10 @@ fn open_connection(addrs: &[SocketAddr], timeout: Option<Duration>) -> Result<Co
                 stream.set_write_timeout(timeout)?;
                 return handshake(stream);
             }
-            Err(e) => last_err = Some(e),
+            Err(e) => last_err = e,
         }
     }
-    Err(ClientError::Io(last_err.expect("addrs is non-empty")))
+    Err(ClientError::Io(last_err))
 }
 
 /// The one JSON exchange a connection carries: the `Upgrade` line out,

@@ -5,8 +5,10 @@
 use crate::metrics::ReqType;
 use crate::protocol::{wire, ErrorCode, Request, RequestError, Response};
 use crate::server::Inner;
+use cbv_hb::buffers::RETAIN_BYTES;
 use parking_lot::Mutex;
 use rl_store::ReadFrame;
+use std::cell::Cell;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,38 +40,65 @@ impl ConnShared {
         self.outbox.lock().extend_from_slice(bytes);
     }
 
-    /// Reactor thread: appends one response frame to the outbox.
+    /// Appends one response frame to the outbox.
     pub(crate) fn push_response(&self, id: u64, response: &Response) {
-        self.push_bytes(&response_frame(id, response));
+        self.push_with(|payload| encode_reply(id, response, payload));
     }
 
-    /// Worker thread: [`Self::push_response`], the in-flight decrement and
-    /// the wake, in that order: the reactor only closes a drained
-    /// connection once `in_flight` is zero AND the outbox is empty, so the
-    /// response bytes must be visible before the counter drops.
-    pub(crate) fn complete(&self, id: u64, response: &Response) {
-        let frame = response_frame(id, response);
-        self.outbox.lock().extend_from_slice(&frame);
+    /// Appends the response payload `encode` writes as one frame to the
+    /// outbox ([`push_reply`]).
+    pub(crate) fn push_with(&self, encode: impl FnOnce(&mut Vec<u8>)) {
+        push_reply(&self.outbox, |payload| {
+            encode(payload);
+            Some(())
+        });
+    }
+
+    /// Worker thread, after it pushed a job's response: the in-flight
+    /// decrement and the wake, in that order. The reactor only closes a
+    /// drained connection once `in_flight` is zero AND the outbox is empty,
+    /// so the response bytes must be visible before the counter drops.
+    pub(crate) fn complete(&self) {
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
         (self.wake)();
     }
 }
 
-/// One response as an id-enveloped `rl-wire` frame.
-fn response_frame(id: u64, response: &Response) -> Vec<u8> {
-    let mut payload = Vec::new();
-    let mut frame = Vec::new();
-    encode_response_frame(id, response, &mut payload, &mut frame);
-    frame
+thread_local! {
+    /// The calling thread's response payload buffer ([`push_reply`]).
+    static PAYLOAD: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
-fn encode_response_frame(id: u64, response: &Response, payload: &mut Vec<u8>, frame: &mut Vec<u8>) {
+/// Runs `encode` with the thread's response payload buffer, empty, and —
+/// if it returns `Some` — appends the payload it left there to `outbox` as
+/// one response frame. The buffer is kept for the thread's next reply
+/// unless it grew past [`RETAIN_BYTES`], as the engine keeps its probe
+/// buffers: a steady-state reply allocates nothing, and the frame lands in
+/// the outbox without a buffer of its own.
+pub(crate) fn push_reply<T>(
+    outbox: &Mutex<Vec<u8>>,
+    encode: impl FnOnce(&mut Vec<u8>) -> Option<T>,
+) -> Option<T> {
+    let mut payload = PAYLOAD.try_with(Cell::take).unwrap_or_default();
+    payload.clear();
+    let encoded = encode(&mut payload);
+    if encoded.is_some() {
+        rl_wire::encode_frame_into(wire::TAG_RESPONSE, &payload, &mut outbox.lock());
+    }
+    if payload.capacity() > RETAIN_BYTES {
+        payload = Vec::new();
+    }
+    let _ = PAYLOAD.try_with(move |slot| slot.set(payload));
+    encoded
+}
+
+/// Encodes `response` under `id` into `payload` (cleared first); a
+/// response that does not encode becomes a typed `Parse` error.
+pub(crate) fn encode_reply(id: u64, response: &Response, payload: &mut Vec<u8>) {
     if wire::encode_response(id, response, payload).is_err() {
         let fallback = Response::Err(RequestError::new(ErrorCode::Parse, "encode"));
         let _ = wire::encode_response(id, &fallback, payload);
     }
-    frame.clear();
-    rl_wire::encode_frame_into(wire::TAG_RESPONSE, payload, frame);
 }
 
 /// The write half of a connection a streaming verb owns. `id` is the
@@ -106,7 +135,9 @@ impl StreamWriter {
 
     /// Writes one response frame.
     pub(crate) fn write_response(&mut self, response: &Response) -> std::io::Result<()> {
-        encode_response_frame(self.id, response, &mut self.payload, &mut self.frame);
+        encode_reply(self.id, response, &mut self.payload);
+        self.frame.clear();
+        rl_wire::encode_frame_into(wire::TAG_RESPONSE, &self.payload, &mut self.frame);
         self.write_frame()
     }
 

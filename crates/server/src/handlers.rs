@@ -6,6 +6,8 @@
 
 use crate::background::{abort_migration, reshard_migrate_loop};
 use crate::commit::{commit, CommitError, Committed};
+use crate::conn::encode_reply;
+use crate::protocol::wire::{self, RequestRef};
 use crate::protocol::{
     ErrorCode, ReplStatusReply, Reply, Request, RequestError, Response, ShardMapReply, StatsReply,
     PROTOCOL_VERSION,
@@ -14,7 +16,7 @@ use crate::repl::{await_quorum, ReplRole};
 use crate::server::{Inner, ServerState};
 use crate::snapshot::SnapshotError;
 use cbv_hb::sharded::Linked;
-use cbv_hb::Record;
+use cbv_hb::{Record, RecordView};
 use rl_reshard::ReshardOp;
 use rl_store::Mutation;
 use std::path::{Path, PathBuf};
@@ -111,16 +113,57 @@ fn probe(inner: &Inner, records: &[Record]) -> Handled {
     linked.map(matches_reply).map_err(linkage)
 }
 
-/// [`probe`] for the reactor thread, which must never wait: `None`, with
-/// nothing done, unless the state lock and every shard lock can be shared
-/// right now — a probe that meets a mutation, a compaction or a migration
-/// copy is a job for the pool.
-pub(crate) fn try_probe(inner: &Inner, records: &[Record]) -> Option<Response> {
+/// [`probe`] for the reactor thread, which must never wait, of records
+/// read in place: encodes the response under `id` into `payload` and says
+/// whether it is a success — or `None`, with nothing done, unless the
+/// state lock and every shard lock can be shared right now (a probe that
+/// meets a mutation, a compaction or a migration copy is a job for the
+/// pool). The matched pairs go from the engine's buffers straight into
+/// `payload`, with no reply built.
+pub(crate) fn try_probe<R>(
+    inner: &Inner,
+    records: R,
+    id: u64,
+    payload: &mut Vec<u8>,
+) -> Option<bool>
+where
+    R: IntoIterator,
+    R::IntoIter: Clone,
+    R::Item: RecordView,
+{
     let state = inner.state.try_read()?;
-    Some(match state.pipeline.try_link(records)? {
-        Ok(linked) => Response::Ok(matches_reply(linked)),
-        Err(e) => Response::Err(linkage(e)),
-    })
+    let encode = |pairs: &[(u64, u64)], stats: &_| wire::encode_matches(id, pairs, stats, payload);
+    match state.pipeline.try_link_with(records, encode)? {
+        Ok(()) => Some(true),
+        Err(e) => {
+            encode_reply(id, &Response::Err(linkage(e)), payload);
+            Some(false)
+        }
+    }
+}
+
+/// [`probe`] on a worker of a binary probe's request payload
+/// ([`crate::server::Work::Probe`]), its records read in place: encodes
+/// the response under `id` into `out` and says whether it is a success.
+/// The matched pairs go from the engine's buffers straight into `out`.
+pub(crate) fn probe_payload(inner: &Inner, payload: &[u8], id: u64, out: &mut Vec<u8>) -> bool {
+    let linked = match wire::decode_request_ref(payload) {
+        Ok((_, RequestRef::Probe(records))) => {
+            let state = inner.state.read();
+            let encode =
+                |pairs: &[(u64, u64)], stats: &_| wire::encode_matches(id, pairs, stats, out);
+            state.pipeline.link_with(records, encode).map_err(linkage)
+        }
+        // The reactor decoded it as a binary probe before it copied it.
+        _ => Err(RequestError::new(ErrorCode::Parse, "not a binary probe")),
+    };
+    match linked {
+        Ok(()) => true,
+        Err(e) => {
+            encode_reply(id, &Response::Err(e), out);
+            false
+        }
+    }
 }
 
 fn matches_reply((pairs, stats): Linked) -> Reply {

@@ -143,11 +143,11 @@ impl ReqType {
         }
     }
 
+    /// The type's position in [`REQ_TYPES`], which lists the variants in
+    /// declaration order (`req_type_labels_are_unique_and_ordered` holds
+    /// it): its discriminant.
     fn idx(self) -> usize {
-        REQ_TYPES
-            .iter()
-            .position(|t| *t == self)
-            .expect("every ReqType is in REQ_TYPES")
+        self as usize
     }
 }
 

@@ -658,7 +658,9 @@ pub mod wire {
     use super::{Reply, Request, Response};
     use cbv_hb::matcher::MatchStats;
     use cbv_hb::Record;
-    use rl_store::wal::{encode_record, Cursor, WalFrame, WAL_FRAME_EPOCH_TAG, WAL_FRAME_TAG};
+    use rl_store::wal::{
+        encode_record, Cursor, RecordRef, WalFrame, WAL_FRAME_EPOCH_TAG, WAL_FRAME_TAG,
+    };
     use rl_store::WalOp;
 
     /// Frame tag: an id-enveloped [`Request`].
@@ -768,18 +770,7 @@ pub mod wire {
         payload.extend_from_slice(&id.to_le_bytes());
         match resp {
             Response::Ok(Reply::Matches { pairs, stats, .. }) => {
-                payload.push(BODY_MATCHES);
-                payload.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-                for (a, b) in pairs {
-                    payload.extend_from_slice(&a.to_le_bytes());
-                    payload.extend_from_slice(&b.to_le_bytes());
-                }
-                payload.extend_from_slice(&stats.candidates.to_le_bytes());
-                payload.extend_from_slice(&stats.distance_computations.to_le_bytes());
-                payload.extend_from_slice(&stats.matched.to_le_bytes());
-                // v9 appended the truncated-probe counter; notes are
-                // re-derived from it on decode.
-                payload.extend_from_slice(&stats.truncated.to_le_bytes());
+                encode_matches(id, pairs, stats, payload);
             }
             Response::Ok(Reply::Indexed {
                 accepted,
@@ -809,6 +800,127 @@ pub mod wire {
             }
         }
         Ok(())
+    }
+
+    /// Encodes the payload of a [`Reply::Matches`] response into `payload`
+    /// (cleared first) straight from the matched pairs and the counts: the
+    /// bytes [`encode_response`] writes for it, with no `Reply` built.
+    pub fn encode_matches(
+        id: u64,
+        pairs: &[(u64, u64)],
+        stats: &MatchStats,
+        payload: &mut Vec<u8>,
+    ) {
+        payload.clear();
+        payload.extend_from_slice(&id.to_le_bytes());
+        payload.push(BODY_MATCHES);
+        payload.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+        for (a, b) in pairs {
+            payload.extend_from_slice(&a.to_le_bytes());
+            payload.extend_from_slice(&b.to_le_bytes());
+        }
+        payload.extend_from_slice(&stats.candidates.to_le_bytes());
+        payload.extend_from_slice(&stats.distance_computations.to_le_bytes());
+        payload.extend_from_slice(&stats.matched.to_le_bytes());
+        // v9 appended the truncated-probe counter; notes are re-derived
+        // from it on decode.
+        payload.extend_from_slice(&stats.truncated.to_le_bytes());
+    }
+
+    /// A request as the server's read path holds it: a binary `Probe`
+    /// body's records stay in the frame, read in place; any other request
+    /// is decoded as [`decode_request`] decodes it.
+    #[derive(Debug)]
+    pub enum RequestRef<'a> {
+        /// A `Probe` with a binary body.
+        Probe(FrameRecords<'a>),
+        /// Every other request, a JSON-bodied `Probe` included.
+        Other(Request),
+    }
+
+    /// The records of a binary body as its frame holds them: checked whole
+    /// when decoded — every length, and every field as UTF-8, what
+    /// [`decode_request`] checks — and then read in place, a [`RecordRef`]
+    /// each, without a `String` per field.
+    #[derive(Debug, Clone, Copy)]
+    pub struct FrameRecords<'a> {
+        count: usize,
+        /// The record bodies, after the count.
+        bodies: &'a [u8],
+    }
+
+    impl<'a> FrameRecords<'a> {
+        /// Checks `count u32 LE | records` whole.
+        fn decode(body: &'a [u8]) -> Result<Self, String> {
+            let mut cur = Cursor::new("body", body);
+            let count = cur.u32()? as usize;
+            let bodies = cur.rest();
+            for _ in 0..count {
+                cur.record_ref()?.check_utf8()?;
+            }
+            cur.finish()?;
+            Ok(Self { count, bodies })
+        }
+
+        /// How many records the body holds.
+        pub fn len(&self) -> usize {
+            self.count
+        }
+
+        /// Whether it holds none.
+        pub fn is_empty(&self) -> bool {
+            self.count == 0
+        }
+    }
+
+    impl<'a> IntoIterator for FrameRecords<'a> {
+        type Item = RecordRef<'a>;
+        type IntoIter = FrameRecordsIter<'a>;
+
+        fn into_iter(self) -> FrameRecordsIter<'a> {
+            FrameRecordsIter {
+                cur: Cursor::new("body", self.bodies),
+                left: self.count,
+            }
+        }
+    }
+
+    /// The records of a [`FrameRecords`], in order.
+    #[derive(Debug, Clone)]
+    pub struct FrameRecordsIter<'a> {
+        cur: Cursor<'a>,
+        left: usize,
+    }
+
+    impl<'a> Iterator for FrameRecordsIter<'a> {
+        type Item = RecordRef<'a>;
+
+        fn next(&mut self) -> Option<RecordRef<'a>> {
+            self.left = self.left.checked_sub(1)?;
+            // Checked by `FrameRecords::decode`: it cannot fail here.
+            self.cur.record_ref().ok()
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            (self.left, Some(self.left))
+        }
+    }
+
+    impl ExactSizeIterator for FrameRecordsIter<'_> {}
+
+    /// Decodes a [`TAG_REQUEST`] payload as the server's read path does,
+    /// a binary `Probe` body's records in place. Accepts exactly what
+    /// [`decode_request`] accepts, with the same id and the same request.
+    ///
+    /// # Errors
+    /// A description of the malformation.
+    pub fn decode_request_ref(payload: &[u8]) -> Result<(u64, RequestRef<'_>), String> {
+        let (id, format, body) = split_envelope(payload)?;
+        if format == BODY_PROBE {
+            return Ok((id, RequestRef::Probe(FrameRecords::decode(body)?)));
+        }
+        let (id, request) = decode_request(payload)?;
+        Ok((id, RequestRef::Other(request)))
     }
 
     /// Decodes a [`TAG_REQUEST`] payload.

@@ -34,15 +34,17 @@
 //! the replies stops being read once [`MAX_BUFFERED`] bytes are waiting
 //! in either direction.
 
-use crate::conn::{is_streaming, serve_stream, ConnShared};
+use crate::conn::{encode_reply, is_streaming, push_reply, serve_stream, ConnShared};
 use crate::handlers::try_probe;
 use crate::metrics::ReqType;
+use crate::protocol::wire::{self, RequestRef};
 use crate::protocol::{
-    wire, ErrorCode, Reply, Request, RequestError, Response, FIRST_BINARY_VERSION, PROTOCOL_VERSION,
+    ErrorCode, Reply, Request, RequestError, Response, FIRST_BINARY_VERSION, PROTOCOL_VERSION,
 };
-use crate::server::{account, begin_shutdown, guarded, Inner, Job};
-use cbv_hb::Record;
+use crate::server::{account, begin_shutdown, guarded, Inner, Job, Work};
+use cbv_hb::RecordView;
 use crossbeam::channel::{Sender, TrySendError};
+use parking_lot::Mutex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::raw::{c_int, c_short, c_ulong};
@@ -492,7 +494,7 @@ fn parse_frame(
     // Alone in the turn: the first request parsed in it, no other
     // connection has one, and nothing is behind it in this one's buffer.
     let alone = std::mem::take(lone) && consumed == buf.len();
-    let decoded = wire::decode_request(payload);
+    let decoded = wire::decode_request_ref(payload);
     let (id, request) = match decoded {
         Ok(pair) => pair,
         Err(e) => {
@@ -507,41 +509,46 @@ fn parse_frame(
             return Ok(None);
         }
     };
-    if is_streaming(&request) && conn.in_flight() > 0 {
+    if matches!(&request, RequestRef::Other(r) if is_streaming(r)) && conn.in_flight() > 0 {
         // Detaching moves the socket to a blocking thread; in-flight
         // responses must land in the outbox first. Leave the frame
         // unconsumed and retry once the pipeline drains.
         return Err(());
     }
+    let inline = probe_inline(inner, &conn.shared.outbox, id, &request, alone);
+    let work = match request {
+        _ if inline => None,
+        RequestRef::Probe(_) => Some(Work::Probe(payload.to_vec())),
+        RequestRef::Other(request) => Some(Work::Request(request)),
+    };
     conn.rpos += consumed;
-    handle_request(inner, job_tx, conn, request, id, alone)
+    match work {
+        Some(work) => handle_request(inner, job_tx, conn, work, id),
+        None => Ok(None),
+    }
 }
 
-/// Routes one parsed request: inline (Shutdown; a single-record probe
-/// `alone` in its turn, locks permitting), detach (streaming verbs), or
-/// worker dispatch.
+/// Routes one parsed request that [`probe_inline`] did not answer: inline
+/// (Shutdown), detach (streaming verbs), or worker dispatch.
 fn handle_request(
     inner: &Arc<Inner>,
     job_tx: &Sender<Job>,
     conn: &mut Conn,
-    request: Request,
+    work: Work,
     id: u64,
-    alone: bool,
 ) -> Result<Option<Parsed>, ()> {
-    if is_streaming(&request) {
+    match work {
         // (`parse_frame` checked in_flight == 0 before consuming it.)
-        return Ok(Some(Parsed::Detach(request, id)));
-    }
-    match request {
+        Work::Request(request) if is_streaming(&request) => Ok(Some(Parsed::Detach(request, id))),
         // Shutdown only flips an atomic — answered here so a saturated
         // job queue can never reject it with Backpressure.
-        Request::Shutdown => {
+        Work::Request(Request::Shutdown) => {
             begin_shutdown(inner);
             conn.push(id, &Response::Ok(Reply::ShuttingDown));
             conn.closing = true;
             Ok(Some(Parsed::Keep))
         }
-        request => {
+        work => {
             if inner.shutdown.load(Ordering::SeqCst) {
                 conn.push(
                     id,
@@ -552,15 +559,9 @@ fn handle_request(
                 );
                 return Ok(None);
             }
-            if let Request::Probe { records } = &request {
-                if let Some(response) = probe_inline(inner, records, alone) {
-                    conn.push(id, &response);
-                    return Ok(None);
-                }
-            }
             conn.shared.in_flight.fetch_add(1, Ordering::SeqCst);
             let job = Job {
-                request,
+                work,
                 conn: Arc::clone(&conn.shared),
                 id,
                 enqueued: Instant::now(),
@@ -598,32 +599,79 @@ fn handle_request(
 }
 
 /// Executes a probe on the reactor thread if the inline rule allows it:
-/// one record, `alone` in its turn, and every lock free without waiting.
-/// `None` sends it to the pool (counted by reason when it was one record).
-/// An inline probe is booked like any other — one queue-wait sample (zero:
-/// it never queued) and one exec sample.
-fn probe_inline(inner: &Inner, records: &[Record], alone: bool) -> Option<Response> {
-    if records.len() != 1 {
-        return None;
+/// one record, `alone` in its turn, the server not shutting down, and every
+/// lock free without waiting. The reply goes straight into `outbox`; a
+/// binary probe's record is embedded from the frame ([`RequestRef`]).
+/// `false`, with nothing answered, sends it to the pool (counted by reason
+/// when it was one record). An inline probe is booked like any other — one
+/// queue-wait sample (zero: it never queued) and one exec sample.
+fn probe_inline(
+    inner: &Inner,
+    outbox: &Mutex<Vec<u8>>,
+    id: u64,
+    request: &RequestRef<'_>,
+    alone: bool,
+) -> bool {
+    match request {
+        RequestRef::Probe(records) => probe_inline_records(inner, outbox, id, *records, alone),
+        RequestRef::Other(Request::Probe { records }) => {
+            probe_inline_records(inner, outbox, id, records, alone)
+        }
+        RequestRef::Other(_) => false,
+    }
+}
+
+fn probe_inline_records<R>(
+    inner: &Inner,
+    outbox: &Mutex<Vec<u8>>,
+    id: u64,
+    records: R,
+    alone: bool,
+) -> bool
+where
+    R: IntoIterator,
+    R::IntoIter: Clone + ExactSizeIterator,
+    R::Item: RecordView,
+{
+    let records = records.into_iter();
+    if records.len() != 1 || inner.shutdown.load(Ordering::SeqCst) {
+        return false;
     }
     let metrics = &inner.metrics;
     if !alone {
         metrics.probes_declined_not_alone.inc();
-        return None;
+        return false;
     }
     let t0 = Instant::now();
-    let response = match guarded(metrics, || try_probe(inner, records)) {
-        Ok(Some(response)) => response,
-        Ok(None) => {
-            metrics.probes_declined_busy.inc();
-            return None;
+    let answered = push_reply(outbox, |payload| {
+        match guarded(metrics, || try_probe(inner, records, id, payload)) {
+            Ok(ok) => ok,
+            Err(panicked) => {
+                encode_reply(id, &Response::Err(panicked), payload);
+                Some(false)
+            }
         }
-        Err(panicked) => Response::Err(panicked),
+    });
+    let Some(ok) = answered else {
+        metrics.probes_declined_busy.inc();
+        return false;
     };
-    let exec = t0.elapsed();
     metrics.probes_inline.inc();
-    account(inner, ReqType::Probe, Duration::ZERO, exec, &response);
-    Some(response)
+    account(inner, ReqType::Probe, Duration::ZERO, t0.elapsed(), ok);
+    true
+}
+
+/// Runs one request payload through the reactor's inline probe path —
+/// decode in place, [`try_probe`], encode into `outbox` — on the calling
+/// thread, as for a lone request ([`crate::Server::probe_inline`]).
+pub(crate) fn probe_inline_payload(inner: &Inner, payload: &[u8], outbox: &mut Vec<u8>) -> bool {
+    let Ok((id, request)) = wire::decode_request_ref(payload) else {
+        return false;
+    };
+    let shared = Mutex::new(std::mem::take(outbox));
+    let inline = probe_inline(inner, &shared, id, &request, true);
+    *outbox = shared.into_inner();
+    inline
 }
 
 /// Writes as much of the outbox as the socket accepts right now.

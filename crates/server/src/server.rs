@@ -57,8 +57,8 @@
 
 use crate::background;
 use crate::commit::apply;
-use crate::conn::ConnShared;
-use crate::handlers::{execute, write_snapshot};
+use crate::conn::{encode_reply, ConnShared};
+use crate::handlers::{execute, probe_payload, write_snapshot};
 use crate::metrics::{ReqType, ServerMetrics};
 use crate::protocol::{ErrorCode, Request, RequestError, Response};
 use crate::repl::{ReplRole, ReplState};
@@ -224,10 +224,21 @@ impl ServerState {
     }
 }
 
-/// A unit of work: the parsed request plus the connection and request id
-/// its response goes back to.
+/// What a worker is handed to execute.
+pub(crate) enum Work {
+    /// A decoded request.
+    Request(Request),
+    /// A binary `Probe`'s request payload, checked by
+    /// [`crate::protocol::wire::decode_request_ref`] and copied out of the
+    /// reactor's read buffer whole: one allocation, where decoding its
+    /// records would make a `String` for every field.
+    Probe(Vec<u8>),
+}
+
+/// A unit of work plus the connection and request id its response goes
+/// back to.
 pub(crate) struct Job {
-    pub(crate) request: Request,
+    pub(crate) work: Work,
     pub(crate) conn: Arc<ConnShared>,
     pub(crate) id: u64,
     /// When the reactor enqueued the job; the gap to worker pickup is the
@@ -270,6 +281,20 @@ pub struct Server {
     reactor: std::thread::JoinHandle<()>,
     /// Workers and background loops.
     threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Server {
+    /// Runs one request payload (a [`crate::protocol::wire::TAG_REQUEST`]
+    /// frame's) through the path the reactor serves a lone single-record
+    /// probe on — decode in place, probe, encode — on the calling thread,
+    /// appending the response frame to `outbox`. `false`, with nothing
+    /// appended, where the reactor would hand the request to the pool: it
+    /// is not a single-record probe, or a lock is held. What the path
+    /// allocates can be counted this way.
+    #[doc(hidden)]
+    pub fn probe_inline(&self, payload: &[u8], outbox: &mut Vec<u8>) -> bool {
+        crate::reactor::probe_inline_payload(&self.inner, payload, outbox)
+    }
 }
 
 fn spawn_thread(
@@ -557,12 +582,28 @@ pub(crate) fn begin_shutdown(inner: &Inner) {
 fn worker_loop(inner: &Arc<Inner>, rx: &Receiver<Job>) {
     while let Ok(job) = rx.recv() {
         let queue_wait = job.enqueued.elapsed();
-        let rtype = ReqType::of(&job.request);
         let t0 = Instant::now();
-        let response =
-            guarded(&inner.metrics, || execute(inner, job.request)).unwrap_or_else(Response::Err);
-        account(inner, rtype, queue_wait, t0.elapsed(), &response);
-        job.conn.complete(job.id, &response);
+        let (id, metrics) = (job.id, &inner.metrics);
+        match job.work {
+            Work::Request(request) => {
+                let rtype = ReqType::of(&request);
+                let response =
+                    guarded(metrics, || execute(inner, request)).unwrap_or_else(Response::Err);
+                let ok = matches!(response, Response::Ok(_));
+                account(inner, rtype, queue_wait, t0.elapsed(), ok);
+                job.conn.push_response(id, &response);
+            }
+            // Booked before the reply is framed into the outbox, as above.
+            Work::Probe(payload) => job.conn.push_with(|out| {
+                let probed = guarded(metrics, || probe_payload(inner, &payload, id, out));
+                let ok = probed.unwrap_or_else(|panicked| {
+                    encode_reply(id, &Response::Err(panicked), out);
+                    false
+                });
+                account(inner, ReqType::Probe, queue_wait, t0.elapsed(), ok);
+            }),
+        }
+        job.conn.complete();
     }
 }
 
@@ -590,19 +631,17 @@ pub(crate) fn guarded<T>(
     })
 }
 
-/// Books one executed request, on whichever thread executed it: the served
-/// counter, the per-type counter and latency split, the slow-request log.
+/// Books one executed request, on whichever thread executed it, by
+/// whether it succeeded (`ok`): the served counter, the per-type counter and latency split, the slow-request log.
 pub(crate) fn account(
     inner: &Inner,
     rtype: ReqType,
     queue_wait: Duration,
     exec: Duration,
-    response: &Response,
+    ok: bool,
 ) {
     inner.requests_served.fetch_add(1, Ordering::Relaxed);
-    inner
-        .metrics
-        .record_request(rtype, queue_wait, exec, matches!(response, Response::Ok(_)));
+    inner.metrics.record_request(rtype, queue_wait, exec, ok);
     if let Some(threshold) = inner.config.slow_request_threshold {
         let total = queue_wait + exec;
         if total >= threshold {

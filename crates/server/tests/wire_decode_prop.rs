@@ -4,14 +4,21 @@
 //! byte flipped, and has its body-format byte set to every value; the
 //! binary decoders and the `Upgrade` line's JSON parse must answer each
 //! variant with `Ok` or `Err`. A seeded round of random overwrites follows.
+//!
+//! On every one of those byte strings, and on every single-byte rewrite of
+//! a multi-record probe, the server's borrowed decoder
+//! (`decode_request_ref`, a binary probe's records read in place) agrees
+//! with `decode_request`: it accepts exactly what that accepts, with the
+//! same id, and reads the same records — ids and field bytes — where it
+//! does not copy them.
 
 use cbv_hb::matcher::MatchStats;
-use cbv_hb::Record;
+use cbv_hb::{Record, RecordView};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rl_server::protocol::wire::{
-    decode_ack, decode_request, decode_response, decode_wal, encode_ack, encode_request,
-    encode_response, encode_wal, TAG_WAL, TAG_WAL_E,
+    decode_ack, decode_request, decode_request_ref, decode_response, decode_wal, encode_ack,
+    encode_request, encode_response, encode_wal, RequestRef, TAG_WAL, TAG_WAL_E,
 };
 use rl_server::protocol::PROTOCOL_VERSION;
 use rl_server::{
@@ -154,8 +161,69 @@ fn decode_all(bytes: &[u8]) {
         let _ = decode_wal(TAG_WAL_E, bytes);
         let _ = decode_ack(bytes);
         let _ = serde_json::from_slice::<Request>(bytes);
+        borrowed_decoder_agrees(bytes);
     }));
     assert!(outcome.is_ok(), "a decoder panicked on {bytes:02x?}");
+}
+
+/// `decode_request_ref` accepts `bytes` iff `decode_request` does, with the
+/// same id and request; a probe's records, read in place, have the same
+/// ids and field bytes. Returns whether `bytes` decoded as a binary probe.
+fn borrowed_decoder_agrees(bytes: &[u8]) -> bool {
+    let (owned, borrowed) = (decode_request(bytes), decode_request_ref(bytes));
+    let verdicts = (owned.is_ok(), borrowed.is_ok());
+    assert_eq!(verdicts.0, verdicts.1, "verdicts differ on {bytes:02x?}");
+    let (Ok((id, request)), Ok((borrowed_id, borrowed))) = (owned, borrowed) else {
+        return false;
+    };
+    assert_eq!(id, borrowed_id, "{bytes:02x?}");
+    let records = match borrowed {
+        RequestRef::Probe(records) => records,
+        RequestRef::Other(borrowed) => {
+            assert_eq!(borrowed, request, "{bytes:02x?}");
+            return false;
+        }
+    };
+    let Request::Probe { records: expected } = request else {
+        panic!("a binary probe body decoded as {request:?}");
+    };
+    assert_eq!(records.len(), expected.len());
+    for (read, want) in records.into_iter().zip(&expected) {
+        assert_eq!(read.id(), want.id);
+        let fields: Vec<&[u8]> = read.fields().map(str::as_bytes).collect();
+        let want_fields: Vec<&[u8]> = want.fields.iter().map(String::as_bytes).collect();
+        assert_eq!(fields, want_fields, "{bytes:02x?}");
+    }
+    true
+}
+
+#[test]
+fn every_byte_rewrite_of_a_probe_decodes_alike_borrowed_and_owned() {
+    let probe = Request::Probe {
+        records: vec![
+            record(),
+            Record::new(2, ["BO", "LÉE", ""]),
+            Record::new(3, ["Ω"; 3]),
+        ],
+    };
+    let mut payload = Vec::new();
+    encode_request(5, &probe, &mut payload).unwrap();
+    assert!(borrowed_decoder_agrees(&payload));
+    let (mut accepted, mut variants) = (0, 0);
+    for i in 0..payload.len() {
+        for value in 0..=u8::MAX {
+            let mut rewritten = payload.clone();
+            rewritten[i] = value;
+            accepted += usize::from(borrowed_decoder_agrees(&rewritten));
+            variants += 1;
+        }
+    }
+    // Field bytes may take many values and still be UTF-8; lengths, counts
+    // and continuation bytes mostly may not.
+    assert!(
+        accepted > 1_000 && accepted < variants / 2,
+        "{accepted} of {variants}"
+    );
 }
 
 #[test]

@@ -42,7 +42,7 @@
 //! background flusher on the group-commit cadence for exactly this.
 
 use crate::error::StoreError;
-use cbv_hb::Record;
+use cbv_hb::{Record, RecordView};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -302,6 +302,7 @@ pub fn encode_record(rec: &Record, out: &mut Vec<u8>) {
 
 /// A bounds-checked little-endian reader over a byte slice. Its errors
 /// name what it reads (`"op"`, `"body"`): `"{what} truncated: …"`.
+#[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     what: &'static str,
     rest: &'a [u8],
@@ -384,6 +385,29 @@ impl<'a> Cursor<'a> {
         Ok(Record { id, fields })
     }
 
+    /// Reads one record body in place: its id, field count and field
+    /// lengths checked, nothing copied, and the field bytes not yet
+    /// checked as UTF-8 ([`RecordRef::check_utf8`]).
+    ///
+    /// # Errors
+    /// The bytes run out.
+    pub fn record_ref(&mut self) -> Result<RecordRef<'a>, String> {
+        let id = self.u64()?;
+        let count = self.u16()? as usize;
+        let start = self.rest;
+        for _ in 0..count {
+            let len = self.u32()? as usize;
+            self.take(len)?;
+        }
+        let fields = &start[..start.len() - self.rest.len()];
+        Ok(RecordRef { id, count, fields })
+    }
+
+    /// The bytes not read yet.
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
     /// Checks that every byte was read.
     ///
     /// # Errors
@@ -398,6 +422,56 @@ impl<'a> Cursor<'a> {
                 self.what
             ))
         }
+    }
+}
+
+/// One record body read in place ([`Cursor::record_ref`]): the id, and
+/// the length-prefixed field values where the buffer holds them. Embedding
+/// one ([`RecordView`]) allocates nothing; [`Cursor::record`] is the
+/// owned reading of the same bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordRef<'a> {
+    id: u64,
+    count: usize,
+    /// `count` × (`len u32 LE` ‖ `len` bytes), lengths checked.
+    fields: &'a [u8],
+}
+
+impl<'a> RecordRef<'a> {
+    /// The raw bytes of each field value, in order.
+    fn raw_fields(&self) -> impl Iterator<Item = &'a [u8]> {
+        let mut rest = self.fields;
+        std::iter::from_fn(move || {
+            let (len, tail) = rest.split_first_chunk::<4>()?;
+            let (raw, tail) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+            rest = tail;
+            Some(raw)
+        })
+    }
+
+    /// Checks that every field value is UTF-8, in place.
+    ///
+    /// # Errors
+    /// The first field that is not.
+    pub fn check_utf8(&self) -> Result<(), String> {
+        for raw in self.raw_fields() {
+            std::str::from_utf8(raw).map_err(|e| format!("field not utf-8: {e}"))?;
+        }
+        Ok(())
+    }
+}
+
+impl RecordView for RecordRef<'_> {
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn field_count(&self) -> usize {
+        self.count
+    }
+
+    fn fields(&self) -> impl Iterator<Item = &str> {
+        (self.raw_fields()).map(|raw| std::str::from_utf8(raw).unwrap_or_default())
     }
 }
 

@@ -16,7 +16,8 @@
 //! dropped candidates are the farthest, hence least likely to satisfy the
 //! rule).
 
-use cbv_hb::blocking::{BlockingPlan, ProbeScratch};
+use cbv_hb::blocking::BlockingPlan;
+use cbv_hb::buffers::with_probe_buffers;
 use cbv_hb::error::Result;
 use cbv_hb::matcher::{Classifier, MatchStats, RowClassifier};
 use cbv_hb::schema::RecordSchema;
@@ -159,27 +160,31 @@ impl CompiledRule {
         F: Fn(u64) -> Option<(u64, &'s [u64])>,
     {
         let layout = self.classifier.layout();
-        let mut scratch = ProbeScratch::default();
         let row_of = |slot| lookup(slot).map(|(_, row)| row);
-        self.plan.candidates_into_row(probe, row_of, &mut scratch);
-        let mut cands: Vec<(u64, &[u64])> = scratch
-            .candidates()
-            .iter()
-            .filter_map(|&slot| lookup(slot))
-            .collect();
-        stats.candidates += scratch.candidates().len() as u64;
-        if self.cap > 0 && cands.len() > self.cap {
-            // Keep the cap nearest.
-            cands.sort_by_key(|&(id, a)| (layout.total_distance(a, probe), id));
-            cands.truncate(self.cap);
-        }
         let mut out = Vec::new();
-        for (id, a) in cands {
-            stats.distance_computations += 1;
-            if self.classifier.matches(a, probe) {
-                out.push(id);
+        with_probe_buffers(|buffers| {
+            let scratch = &mut buffers.scratch;
+            self.plan.candidates_into_row(probe, row_of, scratch);
+            stats.candidates += scratch.candidates().len() as u64;
+            let resolved = scratch.candidates().iter().filter_map(|&slot| lookup(slot));
+            let classify = |(id, a): (u64, &[u64])| {
+                stats.distance_computations += 1;
+                if self.classifier.matches(a, probe) {
+                    out.push(id);
+                }
+            };
+            if self.cap > 0 && scratch.candidates().len() > self.cap {
+                let mut cands: Vec<(u64, &[u64])> = resolved.collect();
+                if cands.len() > self.cap {
+                    // Keep the cap nearest.
+                    cands.sort_by_key(|&(id, a)| (layout.total_distance(a, probe), id));
+                    cands.truncate(self.cap);
+                }
+                cands.into_iter().for_each(classify);
+            } else {
+                resolved.for_each(classify);
             }
-        }
+        });
         stats.matched += out.len() as u64;
         out.sort_unstable();
         out
@@ -300,15 +305,17 @@ mod tests {
                 assert!(mine.contains(t), "missed match {t} for probe {}", probe.id);
             }
             assert_eq!(mine.len(), truth.len(), "probe {}", probe.id);
-            match_record(
-                &unrestricted,
-                &store,
-                row.as_ref(),
-                &classifier,
-                &mut ProbeScratch::default(),
-                &mut unrestricted_stats,
-                |_| {},
-            );
+            with_probe_buffers(|buffers| {
+                match_record(
+                    &unrestricted,
+                    &store,
+                    row.as_ref(),
+                    &classifier,
+                    &mut buffers.scratch,
+                    &mut unrestricted_stats,
+                    |_| {},
+                );
+            });
         }
         // The shared "City" attribute floods the record-level buckets with
         // unrelated candidates; the rule-aware plan never looks at them.

@@ -60,6 +60,11 @@ impl SubEntry {
     /// appends the ids to `gone`.
     fn expire(&mut self, watermark: u64, slab: &RecordSlab, gone: &mut Vec<u64>) {
         for id in self.window.evict(watermark) {
+            // Cannot fail: the slab holds the row of every id a live window
+            // holds. An id enters the slab before any window admits it, and
+            // leaves only once no window holds it (`State::release`,
+            // `WindowedEngine::remove`); the seeded model test checks slab =
+            // ∪ windows after every step.
             let (slot, row) = slab.find(id).expect("a windowed id has a row");
             self.compiled.evict(slot, row);
             gone.push(id);

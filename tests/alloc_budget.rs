@@ -1,31 +1,36 @@
 //! Allocation budget of the probe path.
 //!
-//! A `LinkagePipeline::link(&[one record])` against a built index may
-//! allocate for what it returns and for buffers whose size the data
-//! decides — the batch's buffer of packed rows (one row here), the key
-//! buffer, the candidate buffer as it grows, the match list — and for
-//! nothing per attribute, per q-gram, per table or per candidate pair. This test counts, with its own counting allocator, the
+//! A `LinkagePipeline::link(&[one record])` against a built index takes the
+//! calling thread's probe buffers (`cbv_hb::buffers`): the batch's rows,
+//! the keys, the candidate and group buffers and the match list, all grown
+//! by the thread's earlier calls. So once a thread has probed, a call
+//! allocates for what it returns — the match list, copied out of the
+//! thread's buffer at its exact size — and for nothing else: nothing per
+//! attribute, per q-gram, per table or per candidate pair, and no buffer
+//! grown afresh. This test counts, with its own counting allocator, the
 //! heap allocations of each call over a few hundred probes on the three
-//! in-process benchmark configurations and holds the worst call to the
-//! committed count. A count that rises means something on the path began
-//! to allocate per item again; lower the pin when it falls.
+//! in-process benchmark configurations, after one pass over the same
+//! probes has grown the buffers, and holds the worst call to the committed
+//! count. A count that rises means something on the path began to
+//! allocate per call again; lower the pin when it falls.
 //!
 //! A `ShardedPipeline::link` runs on the calling thread too, so the same
 //! counter sees all of it: on two shards it may spend what the single
 //! pipeline spends plus [`SHARDED_EXTRA`], and nothing per shard walked:
-//! the key buffer and the candidate buffer of the first shard serve the
-//! second.
+//! the buffers of the first shard serve the second, and the shards' read
+//! guards are held on the stack.
 //!
 //! A `link` of a 250-record slice — the benchmark's link slice — may
-//! allocate for the same buffers, grown to the slice, and for nothing per
-//! probe or per probe group: the grouped probe loop keeps its buffers in
-//! the call's scratch, so its pin holds only if a group's buffers are
-//! reused from group to group.
+//! allocate for the same match list, and for nothing per probe or per
+//! probe group: the grouped probe loop keeps its buffers in the thread's
+//! scratch, so its pin holds only if a group's buffers are reused from
+//! group to group.
 //!
 //! The counter is per thread, and each test runs on a thread of its own.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use record_linkage::cbv_hb::buffers::{largest_retained_bytes, RETAIN_BYTES};
 use record_linkage::cbv_hb::matcher::Classifier;
 use record_linkage::cbv_hb::sharded::ShardedPipeline;
 use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema};
@@ -64,11 +69,9 @@ static ALLOCATOR: Counting = Counting;
 
 /// What a two-shard `ShardedPipeline::link` may allocate beyond the
 /// `LinkagePipeline` budget of the same configuration (same hash draws,
-/// same records): the vector holding the shards' read guards, and one more
-/// step of the candidate buffer's growth — a shard's buckets are half the
-/// single index's, so on `batch_rule` (178 tables of this schema before the
-/// de-duplication) the buffer reaches its size in smaller appends.
-const SHARDED_EXTRA: u64 = 2;
+/// same records): nothing. Its read guards are on the stack, its buffers
+/// the thread's, and its match list, like the pipeline's, one exact copy.
+const SHARDED_EXTRA: u64 = 0;
 
 /// C1 = f0 ≤ 4 ∧ f1 ≤ 4 ∧ f2 ≤ 8, the benchmark's classification rule.
 fn c1() -> Rule {
@@ -96,19 +99,23 @@ fn setup() -> (DatasetPair, RecordSchema, StdRng) {
 #[test]
 fn a_single_record_link_stays_within_its_allocation_budget() {
     let (pair, schema, mut rng) = setup();
-    // (configuration, committed worst-case allocations of one call).
+    // (configuration, committed worst-case allocations of one call). The
+    // one allocation is the returned match list (none when nothing
+    // matched). With a fresh `ProbeScratch` and rows buffer a call: 6 / 13
+    // / 8; with an `EmbeddedRecord` per probe: 11 / 18 / 13.
     let budgets = [
-        // One for the rows of the batch of one, one for the keys, one for
-        // the matches, the rest the candidate buffer doubling to its size.
-        // (With an `EmbeddedRecord` per probe: 11 / 18 / 13.)
-        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 6u64),
-        ("batch_rule", LinkageConfig::rule_aware(c1()), 13),
-        ("batch_covering", LinkageConfig::covering(c1(), 4), 8),
+        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 1u64),
+        ("batch_rule", LinkageConfig::rule_aware(c1()), 1),
+        ("batch_covering", LinkageConfig::covering(c1(), 4), 1),
     ];
     let probes = &pair.b[..300];
     // Worst and mean allocations of one call of `link`, which returns the
-    // number of pairs it matched.
+    // number of pairs it matched, after a pass that grows the thread's
+    // buffers.
     let spend = |name: &str, link: &dyn Fn(&Record) -> usize| {
+        for probe in probes {
+            link(probe);
+        }
         let (mut worst, mut total, mut matched) = (0u64, 0u64, 0usize);
         for probe in probes {
             let before = ALLOCATIONS.with(Cell::get);
@@ -154,22 +161,23 @@ const SLICE: usize = 250;
 #[test]
 fn a_link_slice_stays_within_its_allocation_budget() {
     let (pair, schema, mut rng) = setup();
-    // (configuration, committed worst-case allocations of one slice). The
-    // single-record buffers grown to the slice, the match list, and the two
-    // buffers a group's candidate sets pass between, each doubling to its
-    // size once: 13 / 269 / 15 before probes were grouped. `batch_rule`
-    // also grows the unique collection's bitmap as its candidates' range
-    // widens; it spent 278 while its plan's AND of one child built a list
-    // of candidate sets each probe. A buffer each group grew afresh would
-    // cost 15 or more on each configuration (a slice is 16 to 250 groups).
+    // (configuration, committed worst-case allocations of one slice, after
+    // a pass over the slices has grown the thread's buffers): the match
+    // list. With the buffers grown afresh each call: 17 / 29 / 20; 13 / 269
+    // / 15 before probes were grouped. A buffer each group grew afresh
+    // would cost 16 or more on each configuration (a slice is 16 to 250
+    // groups).
     let budgets = [
-        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 17u64),
-        ("batch_rule", LinkageConfig::rule_aware(c1()), 29),
-        ("batch_covering", LinkageConfig::covering(c1(), 4), 20),
+        ("batch_pl", LinkageConfig::record_level(c1(), 4, 30), 1u64),
+        ("batch_rule", LinkageConfig::rule_aware(c1()), 1),
+        ("batch_covering", LinkageConfig::covering(c1(), 4), 1),
     ];
     for (name, config, budget) in budgets {
         let mut pipeline = LinkagePipeline::new(schema.clone(), config, &mut rng).unwrap();
         pipeline.index(&pair.a).unwrap();
+        for slice in pair.b.chunks_exact(SLICE) {
+            pipeline.link(slice).unwrap();
+        }
         let (mut worst, mut matched) = (0u64, 0usize);
         for slice in pair.b.chunks_exact(SLICE) {
             let before = ALLOCATIONS.with(Cell::get);
@@ -181,5 +189,63 @@ fn a_link_slice_stays_within_its_allocation_budget() {
             worst <= budget,
             "{name}: a {SLICE}-record link allocated {worst} times; the budget is {budget}",
         );
+    }
+}
+
+/// A 20 000-record `link` grows the thread's row buffer past the retention
+/// bound; the call drops it on return, and a single-record `link` after it
+/// finds and keeps buffers of its own size. On both engines.
+#[test]
+fn a_huge_batch_leaves_no_probe_buffer_above_the_retention_bound() {
+    let (pair, _, mut rng) = setup();
+    // The NCVR schema with a 512-bit address: 9 words a row.
+    let schema = RecordSchema::build(
+        Alphabet::linkage(),
+        vec![
+            AttributeSpec::new("FirstName", 2, 15, false, 5),
+            AttributeSpec::new("LastName", 2, 15, false, 5),
+            AttributeSpec::new("Address", 2, 512, false, 10),
+            AttributeSpec::new("Town", 2, 22, false, 10),
+        ],
+        &mut rng,
+    );
+    let huge: Vec<Record> = (0..20_000u64)
+        .map(|id| Record {
+            id,
+            fields: pair.b[id as usize % pair.b.len()].fields.clone(),
+        })
+        .collect();
+    let rows_bytes = huge.len() * schema.row_words() * std::mem::size_of::<u64>();
+    assert!(
+        rows_bytes > RETAIN_BYTES,
+        "the batch's rows stay under the bound"
+    );
+    let config = LinkageConfig::record_level(c1(), 4, 30);
+    let mut pipeline = LinkagePipeline::new(schema.clone(), config, &mut rng).unwrap();
+    let (plan, classifier) = (pipeline.plan().clone(), Classifier::Rule(c1()));
+    let mut sharded = ShardedPipeline::from_parts(schema, plan, classifier, 2).unwrap();
+    pipeline.index(&pair.a).unwrap();
+    sharded.index(&pair.a).unwrap();
+    type Link<'a> = &'a dyn Fn(&[Record]) -> usize;
+    let links: [(&str, Link); 2] = [
+        ("LinkagePipeline", &|b| {
+            pipeline.link(b).unwrap().matches.len()
+        }),
+        ("ShardedPipeline", &|b| sharded.link(b).unwrap().0.len()),
+    ];
+    for (name, link) in links {
+        assert!(link(&huge) > 1_000, "{name}: the huge batch matched little");
+        let kept = largest_retained_bytes();
+        assert!(
+            kept <= RETAIN_BYTES,
+            "{name}: {kept} B kept after the huge batch"
+        );
+        link(&huge[..1]);
+        let kept = largest_retained_bytes();
+        assert!(
+            kept <= RETAIN_BYTES,
+            "{name}: {kept} B kept after one record"
+        );
+        assert!(kept > 0, "{name}: the single-record link kept no buffer");
     }
 }
