@@ -219,16 +219,27 @@ impl fmt::Debug for Base {
     }
 }
 
+/// The `N` bytes of `b` at `off`.
+fn read_bytes<const N: usize>(b: &[u8], off: usize) -> [u8; N] {
+    let mut bytes = [0; N];
+    // The index can panic: an offset read from a damaged file whose frames
+    // still pass their CRCs (a bucket's ids offset, say) can point past the
+    // end. That case belongs to the no-panic property over whole
+    // `gen-N.blk` bytes (ROADMAP item 6(a)).
+    bytes.copy_from_slice(&b[off..off + N]);
+    bytes
+}
+
 fn read_u32(b: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(b[off..off + 4].try_into().unwrap())
+    u32::from_le_bytes(read_bytes(b, off))
 }
 
 fn read_u64(b: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(b[off..off + 8].try_into().unwrap())
+    u64::from_le_bytes(read_bytes(b, off))
 }
 
 fn read_u128(b: &[u8], off: usize) -> u128 {
-    u128::from_le_bytes(b[off..off + 16].try_into().unwrap())
+    u128::from_le_bytes(read_bytes(b, off))
 }
 
 impl Base {
@@ -329,7 +340,7 @@ impl Base {
         if payload.len() != 4 + 2 + 4 + 8 || &payload[0..4] != FILE_MAGIC {
             return Err(StoreError::Corrupt("bad header frame".into()));
         }
-        let ver = u16::from_le_bytes(payload[4..6].try_into().unwrap());
+        let ver = u16::from_le_bytes([payload[4], payload[5]]);
         if ver != FORMAT_VERSION {
             return Err(StoreError::Corrupt(format!(
                 "unsupported blockstore format v{ver}"

@@ -420,6 +420,8 @@ impl Directory {
         }
         match self {
             Directory::Wide(wide) => wide,
+            // Cannot fire: a narrow directory was replaced by a wide one
+            // just above.
             Directory::Narrow(_) => unreachable!("widened above"),
         }
     }

@@ -13,7 +13,7 @@ use crate::snapshot::SnapshotError;
 use std::collections::HashSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Writes `bytes` (plus a trailing newline) to `path` atomically:
 /// serialize to a unique temp sibling, fsync, then rename over `path`.
@@ -25,7 +25,7 @@ use std::sync::Mutex;
 /// filesystem failure (create, write, sync, rename).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     let tmp = temp_sibling(path);
-    in_flight().lock().unwrap().insert(tmp.clone());
+    in_flight_set().insert(tmp.clone());
     let result = (|| -> Result<(), SnapshotError> {
         {
             let mut file =
@@ -51,7 +51,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
         fsync_dir(dir).map_err(|e| SnapshotError::io("fsync-dir", dir, e))?;
         Ok(())
     })();
-    in_flight().lock().unwrap().remove(&tmp);
+    in_flight_set().remove(&tmp);
     if result.is_ok() {
         sweep_stale_temps(path);
     }
@@ -93,9 +93,16 @@ fn dest_file_name(path: &Path) -> String {
 /// Temp paths this process is currently writing. The sweep must skip
 /// them: two in-process saves to the same path can overlap, and a
 /// finishing save must not delete the other's half-written temp.
-fn in_flight() -> &'static Mutex<HashSet<PathBuf>> {
+///
+/// A writer that panicked while holding the lock poisons it, but each
+/// critical section is one `insert`, `remove` or lookup, so the set is
+/// whole either way and the guard is taken back from the poison.
+fn in_flight_set() -> MutexGuard<'static, HashSet<PathBuf>> {
     static IN_FLIGHT: std::sync::OnceLock<Mutex<HashSet<PathBuf>>> = std::sync::OnceLock::new();
-    IN_FLIGHT.get_or_init(|| Mutex::new(HashSet::new()))
+    IN_FLIGHT
+        .get_or_init(|| Mutex::new(HashSet::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// True when `candidate` is `<dest-name>.tmp-<digits>-<digits>` — the
@@ -144,7 +151,7 @@ fn sweep_stale_temps(path: &Path) {
     // Check liveness under the lock *after* listing: a temp registered
     // while we iterated is then guaranteed visible here, so a concurrent
     // in-process save can never lose its half-written file.
-    let live = in_flight().lock().unwrap();
+    let live = in_flight_set();
     for path in candidates {
         if !live.contains(&path) {
             let _ = std::fs::remove_file(path);

@@ -222,7 +222,7 @@ impl Store {
                     // The new active segment must number past *every*
                     // scanned segment, never over a valid later one.
                     quarantine.extend(seqs[i..].iter().copied());
-                    abandoned_after = Some(*seqs.last().unwrap());
+                    abandoned_after = seqs.last().copied();
                     break;
                 }
                 Err(e) => return Err(e),
@@ -265,7 +265,7 @@ impl Store {
                     );
                 }
                 quarantine.extend(seqs[i + 1..].iter().copied());
-                abandoned_after = Some(*seqs.last().unwrap());
+                abandoned_after = seqs.last().copied();
                 break;
             }
         }
