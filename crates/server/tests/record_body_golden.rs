@@ -1,6 +1,7 @@
 //! Golden bytes of the record body `id u64 | nfields u16 | (len u32 | bytes)*`
 //! in its two carriers: a binary WAL op and a binary `Probe` request. Both
 //! are persisted or sent to peers of other builds, so their bytes are fixed.
+//! A binary `Insert` sent to a durable server lands in its WAL as that op.
 //!
 //! The same holds one level up: a WAL segment holding un-stamped frames, an
 //! epoch marker and stamped frames, and the `TAG_WAL` / `TAG_WAL_E` payloads
@@ -245,5 +246,51 @@ fn a_replicated_wal_frame_is_its_seq_then_the_wal_frame_payload() {
     let control = Client::connect(server.local_addr()).unwrap();
     control.shutdown().unwrap();
     server.wait();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn three_field_pipeline() -> ShardedPipeline {
+    let mut rng = StdRng::seed_from_u64(7);
+    let spec = |name| AttributeSpec::new(name, 2, 64, false, 5);
+    let schema = RecordSchema::build(
+        Alphabet::linkage(),
+        vec![spec("FirstName"), spec("MiddleName"), spec("LastName")],
+        &mut rng,
+    );
+    let rule = Rule::and([Rule::pred(0, 4), Rule::pred(2, 4)]);
+    ShardedPipeline::new(schema, LinkageConfig::rule_aware(rule), 2, &mut rng).unwrap()
+}
+
+#[test]
+fn a_served_binary_insert_is_logged_as_its_tag_then_the_record_body() {
+    let dir = scratch("served-insert");
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        durability: Some(DurabilityConfig {
+            data_dir: dir.clone(),
+            sync: SyncPolicy::Always,
+            checkpoint_every: None,
+        }),
+        ..ServerConfig::default()
+    };
+    let server = Server::spawn_durable(|| Ok(three_field_pipeline()), config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.insert(&[record()]).unwrap(), (1, 1));
+    client.shutdown().unwrap();
+    server.wait();
+
+    // `RLWAL2\0\0`, then one un-stamped frame: its header (magic, version,
+    // tag 1, payload length 30, CRC-32), OP_INSERT, and the record body.
+    let mut golden = WAL_MAGIC.to_vec();
+    golden.extend_from_slice(&[82, 87, 1, 1, 30, 0, 0, 0, 45, 33, 111, 195]);
+    golden.push(1); // OP_INSERT
+    golden.extend_from_slice(BODY);
+    let segments: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .collect();
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    assert_eq!(std::fs::read(&segments[0]).unwrap(), golden);
     std::fs::remove_dir_all(&dir).unwrap();
 }
