@@ -352,7 +352,9 @@ impl RecordSchema {
         rows: &mut Vec<u64>,
     ) -> Result<()> {
         let w = self.row_words();
+        let records = records.into_iter();
         rows.clear();
+        rows.reserve(records.size_hint().0 * w);
         for record in records {
             let at = rows.len();
             rows.resize(at + w, 0);

@@ -568,9 +568,12 @@ impl ShardedPipeline {
             .collect()
     }
 
-    /// Indexes data set A: records are embedded here and inserted into the
+    /// Indexes data set A: records are embedded here, with the calling
+    /// thread's row buffer ([`with_probe_buffers`]), and inserted into the
     /// shard owning each record's keyspace point, a record whose id is
     /// already indexed replacing it; when this returns they are searchable.
+    /// The records are read where they lie ([`RecordView`]: a [`Record`] is
+    /// one, and so is a record body read in place from a request frame).
     /// While a migration is in flight, writes landing in
     /// the moved ranges are **dual-applied** to source and target so
     /// neither the copy stream nor the cutover can lose them.
@@ -578,42 +581,47 @@ impl ShardedPipeline {
     /// # Errors
     /// Returns [`Error::FieldCountMismatch`] on malformed records, and the
     /// refusal of a full slab ([`index_row`]).
-    pub fn index(&mut self, records: &[Record]) -> Result<()> {
-        let t0 = Instant::now();
-        let mut rows = Vec::new();
-        self.schema.embed_rows(records, &mut rows)?;
-        let embed = t0.elapsed();
-        let t1 = Instant::now();
-        // Per shard, the records it owns; then those it is also the
-        // migration target of (not new records: their owner counts them).
-        let mut owned: Vec<Vec<(u64, &[u64])>> = vec![Vec::new(); self.shards.len()];
-        let mut dual_applied = Vec::new();
-        let dual = self
-            .migration
-            .as_ref()
-            .map(|m| (m.plan.target, m.plan.moved.as_slice()));
-        for (id, row) in self.schema.rows_of(records, &rows) {
-            let point = key_point(id);
-            if dual.is_some_and(|(_, moved)| moved.iter().any(|r| r.contains(point))) {
-                dual_applied.push((id, row));
+    pub fn index<R>(&mut self, records: R) -> Result<()>
+    where
+        R: IntoIterator + Copy,
+        R::Item: RecordView,
+    {
+        with_probe_buffers(|buffers| {
+            let t0 = Instant::now();
+            self.schema.embed_views(records, &mut buffers.rows)?;
+            let embed = t0.elapsed();
+            let t1 = Instant::now();
+            let rows = &buffers.rows;
+            let w = self.schema.row_words();
+            let placed = || (records.into_iter().map(|r| r.id())).zip(rows.chunks_exact(w));
+            // Per shard, the records it owns; then those it is also the
+            // migration target of (not new records: their owner counts
+            // them). A shard that owns none is not locked.
+            for (s, shard) in self.shards.iter().enumerate() {
+                let mut batch = placed()
+                    .filter(|&(id, _)| self.map.shard_of(key_point(id)) == s)
+                    .peekable();
+                if batch.peek().is_some() {
+                    shard.write().insert_all(batch, &mut self.indexed)?;
+                }
             }
-            owned[self.map.shard_of(point)].push((id, row));
-        }
-        for (shard, batch) in self.shards.iter().zip(owned) {
-            if !batch.is_empty() {
-                shard.write().insert_all(batch, &mut self.indexed)?;
+            if let Some(m) = &self.migration {
+                let moved = &m.plan.moved;
+                let mut dual = placed()
+                    .filter(|&(id, _)| moved.iter().any(|r| r.contains(key_point(id))))
+                    .peekable();
+                if dual.peek().is_some() {
+                    self.shards[m.plan.target]
+                        .write()
+                        .insert_all(dual, &mut 0)?;
+                }
             }
-        }
-        if let Some((target, _)) = dual.filter(|_| !dual_applied.is_empty()) {
-            self.shards[target]
-                .write()
-                .insert_all(dual_applied, &mut 0)?;
-        }
-        if let Some(m) = &self.metrics {
-            m.embed.observe_duration(embed);
-            m.block.observe_duration(t1.elapsed());
-        }
-        Ok(())
+            if let Some(m) = &self.metrics {
+                m.embed.observe_duration(embed);
+                m.block.observe_duration(t1.elapsed());
+            }
+            Ok(())
+        })
     }
 
     /// Deletes records by id across all shards. The record leaves the

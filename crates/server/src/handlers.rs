@@ -7,7 +7,7 @@
 use crate::background::{abort_migration, reshard_migrate_loop};
 use crate::commit::{commit, CommitError, Committed};
 use crate::conn::encode_reply;
-use crate::protocol::wire::{self, RequestRef};
+use crate::protocol::wire::{self, FrameRecords, Verb};
 use crate::protocol::{
     ErrorCode, ReplStatusReply, Reply, Request, RequestError, Response, ShardMapReply, StatsReply,
     PROTOCOL_VERSION,
@@ -18,7 +18,7 @@ use crate::snapshot::SnapshotError;
 use cbv_hb::sharded::Linked;
 use cbv_hb::{Record, RecordView};
 use rl_reshard::ReshardOp;
-use rl_store::Mutation;
+use rl_store::{Batch, Mutation};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -32,7 +32,9 @@ pub(crate) fn execute(inner: &Arc<Inner>, request: Request) -> Response {
     let handled = match request {
         // `Insert` is `Index` with the durability intent spelled out; both
         // hit the WAL before the reply when a data dir is configured.
-        Request::Index { records } | Request::Insert { records } => insert(inner, &records),
+        Request::Index { records } | Request::Insert { records } => {
+            insert(inner, records[..].into())
+        }
         Request::Delete { ids } => delete(inner, &ids),
         Request::Probe { records } => probe(inner, &records),
         Request::Stream { record } => stream(inner, &record),
@@ -89,7 +91,7 @@ fn commit_request(inner: &Inner, mutation: Mutation<'_>) -> Result<Committed, Re
     Ok(committed)
 }
 
-fn insert(inner: &Inner, records: &[Record]) -> Handled {
+fn insert(inner: &Inner, records: Batch<'_>) -> Handled {
     let committed = commit_request(inner, Mutation::Insert(records))?;
     Ok(Reply::Indexed {
         accepted: records.len(),
@@ -142,28 +144,37 @@ where
     }
 }
 
-/// [`probe`] on a worker of a binary probe's request payload
-/// ([`crate::server::Work::Probe`]), its records read in place: encodes
-/// the response under `id` into `out` and says whether it is a success.
-/// The matched pairs go from the engine's buffers straight into `out`.
-pub(crate) fn probe_payload(inner: &Inner, payload: &[u8], id: u64, out: &mut Vec<u8>) -> bool {
-    let linked = match wire::decode_request_ref(payload) {
-        Ok((_, RequestRef::Probe(records))) => {
+/// Executes a binary `Probe`, `Index` or `Insert` on a worker
+/// ([`crate::server::Work::Records`]), its records read in place where the
+/// reactor checked them: encodes the response under `id` into `out` and
+/// says whether it is a success. A probe's matched pairs go from the
+/// engine's buffers straight into `out`; an insert commits the records
+/// as they lie ([`Batch::Frame`]).
+pub(crate) fn execute_records(
+    inner: &Inner,
+    verb: Verb,
+    records: FrameRecords<'_>,
+    id: u64,
+    out: &mut Vec<u8>,
+) -> bool {
+    let handled = match verb {
+        Verb::Probe => {
             let state = inner.state.read();
             let encode =
                 |pairs: &[(u64, u64)], stats: &_| wire::encode_matches(id, pairs, stats, out);
-            state.pipeline.link_with(records, encode).map_err(linkage)
+            match state.pipeline.link_with(records, encode) {
+                Ok(()) => return true,
+                Err(e) => Err(linkage(e)),
+            }
         }
-        // The reactor decoded it as a binary probe before it copied it.
-        _ => Err(RequestError::new(ErrorCode::Parse, "not a binary probe")),
+        Verb::Index | Verb::Insert => insert(inner, Batch::Frame(records)),
     };
-    match linked {
-        Ok(()) => true,
-        Err(e) => {
-            encode_reply(id, &Response::Err(e), out);
-            false
-        }
-    }
+    let response = match handled {
+        Ok(reply) => Response::Ok(reply),
+        Err(e) => Response::Err(e),
+    };
+    encode_reply(id, &response, out);
+    matches!(response, Response::Ok(_))
 }
 
 fn matches_reply((pairs, stats): Linked) -> Reply {

@@ -10,6 +10,7 @@
 //! `Metrics` request (protocol v3) and renders to Prometheus text via
 //! [`rl_obs::encode_prometheus`]. See `docs/OBSERVABILITY.md`.
 
+use crate::protocol::wire::Verb;
 use crate::protocol::Request;
 use cbv_hb::pipeline::PipelineMetrics;
 use rl_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry, Unit};
@@ -140,6 +141,15 @@ impl ReqType {
             Request::GetShardMap => ReqType::GetShardMap,
             Request::Reshard { .. } => ReqType::Reshard,
             Request::MigrationStatus => ReqType::MigrationStatus,
+        }
+    }
+
+    /// Classifies a request whose binary body carries records.
+    pub fn of_verb(verb: Verb) -> Self {
+        match verb {
+            Verb::Probe => ReqType::Probe,
+            Verb::Index => ReqType::Index,
+            Verb::Insert => ReqType::Insert,
         }
     }
 

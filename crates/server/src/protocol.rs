@@ -658,9 +658,8 @@ pub mod wire {
     use super::{Reply, Request, Response};
     use cbv_hb::matcher::MatchStats;
     use cbv_hb::Record;
-    use rl_store::wal::{
-        encode_record, Cursor, RecordRef, WalFrame, WAL_FRAME_EPOCH_TAG, WAL_FRAME_TAG,
-    };
+    use rl_store::wal::{encode_record, Cursor, WalFrame, WAL_FRAME_EPOCH_TAG, WAL_FRAME_TAG};
+    pub use rl_store::wal::{FrameRecords, FrameRecordsIter};
     use rl_store::WalOp;
 
     /// Frame tag: an id-enveloped [`Request`].
@@ -827,100 +826,48 @@ pub mod wire {
         payload.extend_from_slice(&stats.truncated.to_le_bytes());
     }
 
-    /// A request as the server's read path holds it: a binary `Probe`
-    /// body's records stay in the frame, read in place; any other request
-    /// is decoded as [`decode_request`] decodes it.
+    /// A request as the server's read path holds it: a binary `Probe`,
+    /// `Index` or `Insert` body's records stay in the frame, read in place;
+    /// any other request is decoded as [`decode_request`] decodes it.
     #[derive(Debug)]
     pub enum RequestRef<'a> {
-        /// A `Probe` with a binary body.
-        Probe(FrameRecords<'a>),
-        /// Every other request, a JSON-bodied `Probe` included.
+        /// A `Probe`, `Index` or `Insert` with a binary body.
+        Records(Verb, FrameRecords<'a>),
+        /// Every other request, a JSON-bodied `Probe`, `Index` or `Insert`
+        /// included.
         Other(Request),
     }
 
-    /// The records of a binary body as its frame holds them: checked whole
-    /// when decoded — every length, and every field as UTF-8, what
-    /// [`decode_request`] checks — and then read in place, a [`RecordRef`]
-    /// each, without a `String` per field.
-    #[derive(Debug, Clone, Copy)]
-    pub struct FrameRecords<'a> {
-        count: usize,
-        /// The record bodies, after the count.
-        bodies: &'a [u8],
+    /// What a request whose binary body carries records asks for.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Verb {
+        /// [`Request::Probe`].
+        Probe,
+        /// [`Request::Index`].
+        Index,
+        /// [`Request::Insert`].
+        Insert,
     }
-
-    impl<'a> FrameRecords<'a> {
-        /// Checks `count u32 LE | records` whole.
-        fn decode(body: &'a [u8]) -> Result<Self, String> {
-            let mut cur = Cursor::new("body", body);
-            let count = cur.u32()? as usize;
-            let bodies = cur.rest();
-            for _ in 0..count {
-                cur.record_ref()?.check_utf8()?;
-            }
-            cur.finish()?;
-            Ok(Self { count, bodies })
-        }
-
-        /// How many records the body holds.
-        pub fn len(&self) -> usize {
-            self.count
-        }
-
-        /// Whether it holds none.
-        pub fn is_empty(&self) -> bool {
-            self.count == 0
-        }
-    }
-
-    impl<'a> IntoIterator for FrameRecords<'a> {
-        type Item = RecordRef<'a>;
-        type IntoIter = FrameRecordsIter<'a>;
-
-        fn into_iter(self) -> FrameRecordsIter<'a> {
-            FrameRecordsIter {
-                cur: Cursor::new("body", self.bodies),
-                left: self.count,
-            }
-        }
-    }
-
-    /// The records of a [`FrameRecords`], in order.
-    #[derive(Debug, Clone)]
-    pub struct FrameRecordsIter<'a> {
-        cur: Cursor<'a>,
-        left: usize,
-    }
-
-    impl<'a> Iterator for FrameRecordsIter<'a> {
-        type Item = RecordRef<'a>;
-
-        fn next(&mut self) -> Option<RecordRef<'a>> {
-            self.left = self.left.checked_sub(1)?;
-            // Checked by `FrameRecords::decode`: it cannot fail here.
-            self.cur.record_ref().ok()
-        }
-
-        fn size_hint(&self) -> (usize, Option<usize>) {
-            (self.left, Some(self.left))
-        }
-    }
-
-    impl ExactSizeIterator for FrameRecordsIter<'_> {}
 
     /// Decodes a [`TAG_REQUEST`] payload as the server's read path does,
-    /// a binary `Probe` body's records in place. Accepts exactly what
-    /// [`decode_request`] accepts, with the same id and the same request.
+    /// a binary `Probe`, `Index` or `Insert` body's records in place.
+    /// Accepts exactly what [`decode_request`] accepts, with the same id
+    /// and the same request.
     ///
     /// # Errors
     /// A description of the malformation.
     pub fn decode_request_ref(payload: &[u8]) -> Result<(u64, RequestRef<'_>), String> {
         let (id, format, body) = split_envelope(payload)?;
-        if format == BODY_PROBE {
-            return Ok((id, RequestRef::Probe(FrameRecords::decode(body)?)));
-        }
-        let (id, request) = decode_request(payload)?;
-        Ok((id, RequestRef::Other(request)))
+        let verb = match format {
+            BODY_PROBE => Verb::Probe,
+            BODY_INDEX => Verb::Index,
+            BODY_INSERT => Verb::Insert,
+            _ => {
+                let (id, request) = decode_request(payload)?;
+                return Ok((id, RequestRef::Other(request)));
+            }
+        };
+        Ok((id, RequestRef::Records(verb, FrameRecords::decode(body)?)))
     }
 
     /// Decodes a [`TAG_REQUEST`] payload.

@@ -37,7 +37,7 @@
 use crate::conn::{encode_reply, is_streaming, push_reply, serve_stream, ConnShared};
 use crate::handlers::try_probe;
 use crate::metrics::ReqType;
-use crate::protocol::wire::{self, RequestRef};
+use crate::protocol::wire::{self, RequestRef, Verb};
 use crate::protocol::{
     ErrorCode, Reply, Request, RequestError, Response, FIRST_BINARY_VERSION, PROTOCOL_VERSION,
 };
@@ -518,7 +518,7 @@ fn parse_frame(
     let inline = probe_inline(inner, &conn.shared.outbox, id, &request, alone);
     let work = match request {
         _ if inline => None,
-        RequestRef::Probe(_) => Some(Work::Probe(payload.to_vec())),
+        RequestRef::Records(verb, records) => Some(Work::Records(verb, records.to_buf())),
         RequestRef::Other(request) => Some(Work::Request(request)),
     };
     conn.rpos += consumed;
@@ -613,11 +613,13 @@ fn probe_inline(
     alone: bool,
 ) -> bool {
     match request {
-        RequestRef::Probe(records) => probe_inline_records(inner, outbox, id, *records, alone),
+        RequestRef::Records(Verb::Probe, records) => {
+            probe_inline_records(inner, outbox, id, *records, alone)
+        }
         RequestRef::Other(Request::Probe { records }) => {
             probe_inline_records(inner, outbox, id, records, alone)
         }
-        RequestRef::Other(_) => false,
+        RequestRef::Records(..) | RequestRef::Other(_) => false,
     }
 }
 

@@ -56,10 +56,11 @@
 //! every thread the server started.
 
 use crate::background;
-use crate::commit::apply;
-use crate::conn::{encode_reply, ConnShared};
-use crate::handlers::{execute, probe_payload, write_snapshot};
+use crate::commit::replay;
+use crate::conn::{encode_reply, push_reply, ConnShared};
+use crate::handlers::{execute, execute_records, write_snapshot};
 use crate::metrics::{ReqType, ServerMetrics};
+use crate::protocol::wire::{self, RequestRef, Verb};
 use crate::protocol::{ErrorCode, Request, RequestError, Response};
 use crate::repl::{ReplRole, ReplState};
 use crate::repl_handle::ReplHandle;
@@ -69,7 +70,7 @@ use cbv_hb::dedup::UnionFind;
 use cbv_hb::sharded::ShardedPipeline;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use rl_store::{Store, StoreOptions, SyncPolicy};
+use rl_store::{FrameRecordsBuf, Store, StoreOptions, SyncPolicy};
 use std::io::ErrorKind;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -228,11 +229,12 @@ impl ServerState {
 pub(crate) enum Work {
     /// A decoded request.
     Request(Request),
-    /// A binary `Probe`'s request payload, checked by
-    /// [`crate::protocol::wire::decode_request_ref`] and copied out of the
-    /// reactor's read buffer whole: one allocation, where decoding its
-    /// records would make a `String` for every field.
-    Probe(Vec<u8>),
+    /// A binary `Probe`, `Index` or `Insert`: its verb, and its records,
+    /// checked by [`crate::protocol::wire::decode_request_ref`] and copied
+    /// out of the reactor's read buffer whole — one allocation, where
+    /// decoding them would make a `String` for every field. The worker
+    /// reads them in place without checking them again.
+    Records(Verb, FrameRecordsBuf),
 }
 
 /// A unit of work plus the connection and request id its response goes
@@ -294,6 +296,24 @@ impl Server {
     #[doc(hidden)]
     pub fn probe_inline(&self, payload: &[u8], outbox: &mut Vec<u8>) -> bool {
         crate::reactor::probe_inline_payload(&self.inner, payload, outbox)
+    }
+
+    /// Runs one request payload the way the pool serves a binary `Probe`,
+    /// `Index` or `Insert` — decode in place and copy the records out of
+    /// the frame, as the reactor does, then execute, book and encode, as a
+    /// worker does — on the calling thread, appending the response frame
+    /// to `outbox`. `false`, with nothing appended, for any other request.
+    /// What the path allocates can be counted this way.
+    #[doc(hidden)]
+    pub fn execute_pooled(&self, payload: &[u8], outbox: &mut Vec<u8>) -> bool {
+        let Ok((id, RequestRef::Records(verb, records))) = wire::decode_request_ref(payload) else {
+            return false;
+        };
+        let records = records.to_buf();
+        let shared = Mutex::new(std::mem::take(outbox));
+        work_records(&self.inner, verb, &records, id, Duration::ZERO, &shared);
+        *outbox = shared.into_inner();
+        true
     }
 }
 
@@ -363,9 +383,7 @@ impl Server {
             Some(snap) => ServerState::restore(snap).map_err(std::io::Error::other)?,
             None => ServerState::new(fresh()?),
         };
-        for op in &recovery.ops {
-            apply(&mut state, op.into()).map_err(std::io::Error::other)?;
-        }
+        replay(&mut state, recovery.ops).map_err(std::io::Error::other)?;
         let report = recovery.report;
         if report.checkpoint_seq.is_some() || report.replayed_ops > 0 {
             eprintln!(
@@ -593,18 +611,39 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Receiver<Job>) {
                 account(inner, rtype, queue_wait, t0.elapsed(), ok);
                 job.conn.push_response(id, &response);
             }
-            // Booked before the reply is framed into the outbox, as above.
-            Work::Probe(payload) => job.conn.push_with(|out| {
-                let probed = guarded(metrics, || probe_payload(inner, &payload, id, out));
-                let ok = probed.unwrap_or_else(|panicked| {
-                    encode_reply(id, &Response::Err(panicked), out);
-                    false
-                });
-                account(inner, ReqType::Probe, queue_wait, t0.elapsed(), ok);
-            }),
+            Work::Records(verb, records) => {
+                work_records(inner, verb, &records, id, queue_wait, &job.conn.outbox);
+            }
         }
         job.conn.complete();
     }
+}
+
+/// A worker's run of a binary `Probe`, `Index` or `Insert`
+/// ([`Work::Records`]): executes it ([`execute_records`]), books it, and
+/// frames its response into `outbox` — booked before the reply is framed,
+/// as a decoded request is.
+fn work_records(
+    inner: &Inner,
+    verb: Verb,
+    records: &FrameRecordsBuf,
+    id: u64,
+    queue_wait: Duration,
+    outbox: &Mutex<Vec<u8>>,
+) {
+    let t0 = Instant::now();
+    let metrics = &inner.metrics;
+    push_reply(outbox, |out| {
+        let ran = guarded(metrics, || {
+            execute_records(inner, verb, records.records(), id, out)
+        });
+        let ok = ran.unwrap_or_else(|panicked| {
+            encode_reply(id, &Response::Err(panicked), out);
+            false
+        });
+        account(inner, ReqType::of_verb(verb), queue_wait, t0.elapsed(), ok);
+        Some(())
+    });
 }
 
 /// Runs a handler so that its panic costs one request, not the thread —

@@ -27,7 +27,7 @@ use crate::protocol::{ErrorCode, Reply, RequestError, Response};
 use crate::repl::HEARTBEAT_EVERY;
 use crate::server::Inner;
 use cbv_hb::schema::RecordSchema;
-use cbv_hb::{parse_rule, Record};
+use cbv_hb::{parse_rule, RecordView};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -91,6 +91,12 @@ impl SubHub {
         self.started.elapsed().as_millis() as u64
     }
 
+    /// Whether any subscription is open: with none, a record needs no
+    /// fan-out.
+    pub(crate) fn any_open(&self) -> bool {
+        self.engine.subscriptions() > 0
+    }
+
     /// Live subscriptions (for tests and the `Unavailable` cap check).
     pub(crate) fn live(&self) -> usize {
         self.conns.lock().len()
@@ -100,7 +106,11 @@ impl SubHub {
     /// from the mutation path under the state write lock, so event order
     /// matches mutation order. Never blocks: a full queue drops the event
     /// and marks the subscription lagged.
-    pub(crate) fn observe(&self, metrics: &crate::metrics::ServerMetrics, record: &Record) {
+    pub(crate) fn observe(
+        &self,
+        metrics: &crate::metrics::ServerMetrics,
+        record: &impl RecordView,
+    ) {
         let outcome = match self.engine.observe(record, self.now_ms()) {
             Ok(outcome) => outcome,
             // The pipeline already validated the record; an error here is
@@ -109,7 +119,7 @@ impl SubHub {
             Err(e) => {
                 eprintln!(
                     "rl-server: subscription fan-out skipped record {}: {e}",
-                    record.id
+                    record.id()
                 );
                 return;
             }

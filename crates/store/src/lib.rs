@@ -38,6 +38,7 @@ pub use store::{
     scan_segments, segment_path, Recovery, RecoveryReport, Store, StoreOptions, CHECKPOINT_FILE,
 };
 pub use wal::{
-    crc32, replay_from_epoch, Mutation, ReadFrame, SyncPolicy, Wal, WalFrame, WalOp, WalReader,
-    WAL_EPOCH_MARK_TAG, WAL_FRAME_EPOCH_TAG, WAL_FRAME_TAG, WAL_MAGIC,
+    crc32, replay_from_epoch, Batch, FrameRecords, FrameRecordsBuf, Mutation, ReadFrame,
+    SyncPolicy, Wal, WalFrame, WalOp, WalReader, WAL_EPOCH_MARK_TAG, WAL_FRAME_EPOCH_TAG,
+    WAL_FRAME_TAG, WAL_MAGIC,
 };

@@ -759,7 +759,9 @@ mod tests {
         let dir = fresh_dir("batch");
         let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
         let records = [rec(1), rec(2)];
-        store.append_mutation(Mutation::Insert(&records)).unwrap();
+        store
+            .append_mutation(Mutation::Insert(records[..].into()))
+            .unwrap();
         store.append_mutation(Mutation::Delete(&[1])).unwrap();
         assert_eq!((store.appends(), store.op_seq()), (3, 3));
         drop(store);

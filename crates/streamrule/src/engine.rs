@@ -19,7 +19,7 @@ use crate::window::WindowState;
 use cbv_hb::error::Result;
 use cbv_hb::matcher::{MatchStats, RecordSlab};
 use cbv_hb::schema::RecordSchema;
-use cbv_hb::Record;
+use cbv_hb::RecordView;
 use parking_lot::Mutex;
 use rand::Rng;
 
@@ -200,7 +200,7 @@ impl WindowedEngine {
     /// Returns [`cbv_hb::Error::FieldCountMismatch`] on malformed records,
     /// and the refusal of a full slab ([`RecordSlab::insert`]), which
     /// leaves the engine as it was.
-    pub fn observe(&self, record: &Record, event_ms: u64) -> Result<ObserveOutcome> {
+    pub fn observe(&self, record: &impl RecordView, event_ms: u64) -> Result<ObserveOutcome> {
         let mut state = self.state.lock();
         let state = &mut *state;
         let mut out = ObserveOutcome::default();
@@ -209,7 +209,7 @@ impl WindowedEngine {
         }
         let mut row = vec![0; self.schema.row_words()];
         self.schema.embed_row(record, &mut row)?;
-        let id = record.id;
+        let id = record.id();
         // Every plan indexes the record under one slot: the one it holds,
         // else a fresh one. A held row stays until every window has seen the
         // record (re-keying needs it); rows leave afterwards, once no window
@@ -304,7 +304,7 @@ mod tests {
     use super::*;
     use crate::window::{LateArrival, WindowSpec};
     use cbv_hb::schema::AttributeSpec;
-    use cbv_hb::Rule;
+    use cbv_hb::{Record, Rule};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::{BTreeSet, HashMap, HashSet};

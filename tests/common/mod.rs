@@ -122,6 +122,13 @@ pub fn durable_config(dir: &Path, role: ReplRole) -> ServerConfig {
 /// stderr. A drain thread keeps reading afterwards so the child never
 /// blocks on a full pipe.
 pub fn spawn_rl_serve(dir: &Path, extra: &[&str]) -> (Child, String) {
+    let (child, addr, _) = spawn_rl_serve_logged(dir, extra);
+    (child, addr)
+}
+
+/// [`spawn_rl_serve`], also returning what the server printed on stderr
+/// before it reported its address.
+pub fn spawn_rl_serve_logged(dir: &Path, extra: &[&str]) -> (Child, String, String) {
     let mut args = vec![
         "serve",
         "--addr",
@@ -144,7 +151,7 @@ pub fn spawn_rl_serve(dir: &Path, extra: &[&str]) -> (Child, String) {
         .spawn()
         .expect("spawn rl serve");
     let mut reader = BufReader::new(child.stderr.take().unwrap());
-    let mut addr = None;
+    let (mut addr, mut log) = (None, String::new());
     for _ in 0..50 {
         let mut line = String::new();
         if reader.read_line(&mut line).unwrap() == 0 {
@@ -154,13 +161,14 @@ pub fn spawn_rl_serve(dir: &Path, extra: &[&str]) -> (Child, String) {
             addr = rest.split_whitespace().next().map(str::to_owned);
             break;
         }
+        log.push_str(&line);
     }
-    let addr = addr.expect("server never reported its address");
+    let addr = addr.unwrap_or_else(|| panic!("server never reported its address: {log}"));
     std::thread::spawn(move || {
         let mut sink = Vec::new();
         let _ = reader.read_to_end(&mut sink);
     });
-    (child, addr)
+    (child, addr, log)
 }
 
 /// The value of gauge `name` in a `Metrics` reply.
