@@ -1,10 +1,11 @@
-//! Property tests for the frame codec (satellite of the wire PR):
-//! encode→decode roundtrips for arbitrary tag/payload, and a truncated
-//! or bit-flipped frame is always *rejected* — by CRC, magic, version,
-//! or length check — never silently misparsed into a different frame.
+//! Property tests for the frame codec: encode→decode roundtrips for
+//! arbitrary tag/payload, and a truncated or bit-flipped frame is always
+//! *rejected* — by CRC, magic, version, or length check — never silently
+//! misparsed into a different frame. The CRC-32 itself is held to a
+//! bit-at-a-time reference, whole and fed in pieces.
 
 use proptest::prelude::*;
-use rl_wire::{peek_frame, Frame, FrameReader, WireError, DEFAULT_MAX_FRAME};
+use rl_wire::{crc32, peek_frame, Crc32, Frame, FrameReader, WireError, DEFAULT_MAX_FRAME};
 use std::io::Cursor;
 
 proptest! {
@@ -86,5 +87,82 @@ proptest! {
             // frame can yield a successful parse.
             Ok(Some(_)) => prop_assert!(false, "1-bit flip at {} passed CRC", pos),
         }
+    }
+}
+
+/// Bit-at-a-time CRC-32 (IEEE, reflected polynomial `0xEDB88320`): no
+/// table, one byte after another. The oracle the crate's kernel is held to.
+fn reference_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// `len` pseudo-random bytes from `seed` (xorshift64).
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn crc32_matches_the_reference_at_every_short_length_and_offset() {
+    let buf = noise(0x5EED, 256 + 8);
+    for start in 0..8 {
+        for len in 0..=256 {
+            let bytes = &buf[start..start + len];
+            assert_eq!(
+                crc32(bytes),
+                reference_crc32(bytes),
+                "length {len} at offset {start}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn crc32_matches_the_reference_whole_and_in_pieces(
+        len in 0usize..=64 * 1024,
+        seed in 0u64..u64::MAX,
+        pieces in 1usize..=3,
+        cut_a in 0u64..u64::MAX,
+        cut_b in 0u64..u64::MAX,
+    ) {
+        let bytes = noise(seed, len);
+        let whole = crc32(&bytes);
+        prop_assert_eq!(whole, reference_crc32(&bytes));
+
+        // Up to two cut points anywhere in the buffer (empty pieces too).
+        let mut cuts = [0, len, len];
+        if pieces > 1 {
+            cuts[1] = (cut_a % (len as u64 + 1)) as usize;
+        }
+        if pieces > 2 {
+            cuts[2] = (cut_b % (len as u64 + 1)) as usize;
+        }
+        cuts.sort_unstable();
+        let mut crc = Crc32::new();
+        crc.update(&bytes[..cuts[1]]);
+        crc.update(&bytes[cuts[1]..cuts[2]]);
+        crc.update(&bytes[cuts[2]..]);
+        prop_assert_eq!(crc.finish(), whole, "pieces cut at {:?}", cuts);
     }
 }
