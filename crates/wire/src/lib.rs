@@ -43,9 +43,9 @@ pub const HEADER_LEN: usize = 12;
 /// guard; anything larger is treated as corruption, not a request.
 pub const DEFAULT_MAX_FRAME: u32 = 256 * 1024 * 1024;
 
-/// Table-driven IEEE CRC-32 (polynomial 0xEDB88320), the same checksum
-/// the v1 JSON WAL frames used — moved here so every framed byte stream
-/// in the workspace shares one implementation.
+/// IEEE CRC-32 (polynomial 0xEDB88320), the same checksum the v1 JSON WAL
+/// frames used — moved here so every framed byte stream in the workspace
+/// shares one implementation.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = Crc32::new();
     crc.update(bytes);
@@ -70,12 +70,30 @@ impl Crc32 {
         Crc32 { state: !0u32 }
     }
 
-    /// Feeds bytes into the checksum.
+    /// Feeds bytes into the checksum: slicing-by-8, eight bytes a step
+    /// through the eight static `CRC_TABLES`, then the tail a byte at a
+    /// time through table 0. Any split of the same bytes gives the same
+    /// state.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = ((self.state ^ u32::from(b)) & 0xFF) as usize;
-            self.state = (self.state >> 8) ^ CRC_TABLE[idx];
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t7[(lo & 0xFF) as usize]
+                ^ t6[((lo >> 8) & 0xFF) as usize]
+                ^ t5[((lo >> 16) & 0xFF) as usize]
+                ^ t4[(lo >> 24) as usize]
+                ^ t3[(hi & 0xFF) as usize]
+                ^ t2[((hi >> 8) & 0xFF) as usize]
+                ^ t1[((hi >> 16) & 0xFF) as usize]
+                ^ t0[(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t0[((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.state = crc;
     }
 
     /// Finalizes (the state itself is untouched, so this can be read
@@ -96,8 +114,13 @@ fn frame_crc(version: u8, tag: u8, len: u32, payload: &[u8]) -> u32 {
     crc.finish()
 }
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 tables, built at compile time (8 KiB of static data,
+/// nothing on the heap). `CRC_TABLES[0][b]` is the byte table: the CRC
+/// register after shifting byte `b` through it. `CRC_TABLES[k][b]` is the
+/// same for `b` followed by `k` zero bytes, so one step folds eight bytes
+/// with eight lookups.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -110,10 +133,20 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Why a byte stream failed to parse as frames.
