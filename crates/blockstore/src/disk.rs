@@ -26,6 +26,10 @@
 //! Opening a generation file walks **every** frame and checks **every**
 //! CRC (one sequential pass over the file — a deliberate trade: open is
 //! O(file), after which probes can trust the bytes unconditionally).
+//! A CRC proves only that a frame is the one its writer sealed, so the
+//! open also bounds-checks every offset the frames carry: the footer's
+//! directories and each directory entry's ids. Every read is checked, and
+//! bytes that pass their CRCs but point past the end are `Corrupt` too.
 //! A file that fails the walk is reported as [`StoreError::Corrupt`];
 //! a store deserialized against a torn file degrades to
 //! `needs_rebuild` instead of panicking, and the owner re-indexes from
@@ -219,27 +223,55 @@ impl fmt::Debug for Base {
     }
 }
 
-/// The `N` bytes of `b` at `off`.
-fn read_bytes<const N: usize>(b: &[u8], off: usize) -> [u8; N] {
-    let mut bytes = [0; N];
-    // The index can panic: an offset read from a damaged file whose frames
-    // still pass their CRCs (a bucket's ids offset, say) can point past the
-    // end. That case belongs to the no-panic property over whole
-    // `gen-N.blk` bytes (ROADMAP item 6(a)).
-    bytes.copy_from_slice(&b[off..off + N]);
-    bytes
+/// The `N` bytes of `b` at `off`, or `Corrupt` when they run past its
+/// end: an offset read from a damaged file whose frames still pass their
+/// CRCs can point anywhere.
+fn read_bytes<const N: usize>(b: &[u8], off: usize) -> Result<[u8; N], StoreError> {
+    off.checked_add(N)
+        .and_then(|end| b.get(off..end))
+        .and_then(|bytes| bytes.try_into().ok())
+        .ok_or_else(|| {
+            StoreError::Corrupt(format!(
+                "{N}-byte read at offset {off} past the end ({} bytes)",
+                b.len()
+            ))
+        })
 }
 
-fn read_u32(b: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(read_bytes(b, off))
+fn read_u32(b: &[u8], off: usize) -> Result<u32, StoreError> {
+    read_bytes(b, off).map(u32::from_le_bytes)
 }
 
-fn read_u64(b: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(read_bytes(b, off))
+fn read_u64(b: &[u8], off: usize) -> Result<u64, StoreError> {
+    read_bytes(b, off).map(u64::from_le_bytes)
 }
 
-fn read_u128(b: &[u8], off: usize) -> u128 {
-    u128::from_le_bytes(read_bytes(b, off))
+fn read_u128(b: &[u8], off: usize) -> Result<u128, StoreError> {
+    read_bytes(b, off).map(u128::from_le_bytes)
+}
+
+/// The directory entry at `off`: `(key, ids_off, count)`.
+fn entry_at(b: &[u8], off: usize) -> Result<(u128, usize, usize), StoreError> {
+    Ok((
+        read_u128(b, off)?,
+        read_u64(b, off + 16)? as usize,
+        read_u32(b, off + 24)? as usize,
+    ))
+}
+
+/// The bytes of the `count` ids at `off`, or `Corrupt` when they run past
+/// the end of `b`.
+fn ids_bytes(b: &[u8], off: usize, count: usize) -> Result<&[u8], StoreError> {
+    count
+        .checked_mul(8)
+        .and_then(|len| off.checked_add(len))
+        .and_then(|end| b.get(off..end))
+        .ok_or_else(|| {
+            StoreError::Corrupt(format!(
+                "{count} ids at offset {off} past the end ({} bytes)",
+                b.len()
+            ))
+        })
 }
 
 impl Base {
@@ -259,7 +291,7 @@ impl Base {
         if &data[trailer_off + 8..] != END_MAGIC {
             return Err(StoreError::Corrupt("missing end-of-file magic".into()));
         }
-        let footer_off = read_u64(data, trailer_off) as usize;
+        let footer_off = read_u64(data, trailer_off)? as usize;
         if footer_off >= trailer_off {
             return Err(StoreError::Corrupt("footer offset out of range".into()));
         }
@@ -311,20 +343,27 @@ impl Base {
         if fp_len < 8 || &fp[0..4] != FILE_MAGIC {
             return Err(StoreError::Corrupt("bad footer magic".into()));
         }
-        let nt = read_u32(fp, 4) as usize;
+        let nt = read_u32(fp, 4)? as usize;
         if nt != num_tables || fp_len != 8 + nt * 12 {
             return Err(StoreError::Corrupt("footer table count mismatch".into()));
         }
         let mut dirs = Vec::with_capacity(nt);
         for t in 0..nt {
             let e = 8 + t * 12;
-            let dir_off = read_u64(fp, e) as usize;
-            let count = read_u32(fp, e + 8) as usize;
-            let end = dir_off
-                .checked_add(count * DIR_ENTRY_LEN)
+            let dir_off = read_u64(fp, e)? as usize;
+            let count = read_u32(fp, e + 8)? as usize;
+            let end = count
+                .checked_mul(DIR_ENTRY_LEN)
+                .and_then(|len| dir_off.checked_add(len))
                 .ok_or_else(|| StoreError::Corrupt("directory extent overflow".into()))?;
             if end > trailer_off {
                 return Err(StoreError::Corrupt("directory out of bounds".into()));
+            }
+            // Every entry's ids lie before the trailer, so no probe reads
+            // past the end of the file.
+            for i in 0..count {
+                let (_, ids_off, n) = entry_at(data, dir_off + i * DIR_ENTRY_LEN)?;
+                ids_bytes(&data[..trailer_off], ids_off, n)?;
             }
             dirs.push((dir_off, count));
         }
@@ -346,8 +385,8 @@ impl Base {
                 "unsupported blockstore format v{ver}"
             )));
         }
-        let nt = read_u32(payload, 6) as usize;
-        let gen = read_u64(payload, 10);
+        let nt = read_u32(payload, 6)? as usize;
+        let gen = read_u64(payload, 10)?;
         if nt != num_tables {
             return Err(StoreError::Corrupt(format!(
                 "header table count {nt} != expected {num_tables}"
@@ -361,14 +400,22 @@ impl Base {
         Ok(())
     }
 
-    fn entry(&self, table: usize, i: usize) -> (u128, usize, usize) {
-        let data = self.map.as_slice();
+    /// Entry `i` of `table`'s directory. `open` read every entry and
+    /// bounded its ids, so the reads here and in the probes below cannot
+    /// fail; were one to, the probe would stop short rather than panic.
+    fn entry(&self, table: usize, i: usize) -> Option<(u128, usize, usize)> {
         let off = self.dirs[table].0 + i * DIR_ENTRY_LEN;
-        (
-            read_u128(data, off),
-            read_u64(data, off + 16) as usize,
-            read_u32(data, off + 24) as usize,
-        )
+        entry_at(self.map.as_slice(), off).ok()
+    }
+
+    /// The ids of one directory entry (nothing if they are out of bounds,
+    /// which `open` ruled out).
+    fn ids(&self, ids_off: usize, count: usize) -> impl Iterator<Item = u64> + '_ {
+        let bytes = ids_bytes(self.map.as_slice(), ids_off, count).unwrap_or_default();
+        bytes
+            .chunks_exact(8)
+            .filter_map(|id| id.try_into().ok())
+            .map(u64::from_le_bytes)
     }
 
     /// Index of the first directory entry with key ≥ `key`.
@@ -377,7 +424,7 @@ impl Base {
         let (mut lo, mut hi) = (0usize, count);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.entry(table, mid).0 < key {
+            if self.entry(table, mid).is_some_and(|(k, ..)| k < key) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -388,16 +435,17 @@ impl Base {
 
     /// Folds the raw ids of `key`'s bucket (all overflow chunks) into `f`.
     fn with_bucket_ids(&self, table: usize, key: u128, f: &mut dyn FnMut(u64)) {
-        let data = self.map.as_slice();
         let (_, count) = self.dirs[table];
         let mut i = self.lower_bound(table, key);
         while i < count {
-            let (k, ids_off, n) = self.entry(table, i);
+            let Some((k, ids_off, n)) = self.entry(table, i) else {
+                break;
+            };
             if k != key {
                 break;
             }
-            for j in 0..n {
-                f(read_u64(data, ids_off + j * 8));
+            for id in self.ids(ids_off, n) {
+                f(id);
             }
             i += 1;
         }
@@ -407,21 +455,22 @@ impl Base {
     /// chunks merged, keys in sorted order. The id slice is a reused
     /// scratch buffer — valid only for the duration of the call.
     fn for_each_key(&self, table: usize, f: &mut dyn FnMut(u128, &[u64])) {
-        let data = self.map.as_slice();
         let (_, count) = self.dirs[table];
         let mut ids = Vec::new();
         let mut i = 0usize;
         while i < count {
-            let key = self.entry(table, i).0;
+            let Some((key, ..)) = self.entry(table, i) else {
+                return;
+            };
             ids.clear();
             while i < count {
-                let (k, ids_off, n) = self.entry(table, i);
+                let Some((k, ids_off, n)) = self.entry(table, i) else {
+                    break;
+                };
                 if k != key {
                     break;
                 }
-                for j in 0..n {
-                    ids.push(read_u64(data, ids_off + j * 8));
-                }
+                ids.extend(self.ids(ids_off, n));
                 i += 1;
             }
             f(key, &ids);
@@ -431,7 +480,7 @@ impl Base {
     fn has_key(&self, table: usize, key: u128) -> bool {
         let (_, count) = self.dirs[table];
         let i = self.lower_bound(table, key);
-        i < count && self.entry(table, i).0 == key
+        i < count && self.entry(table, i).is_some_and(|(k, ..)| k == key)
     }
 }
 
@@ -889,6 +938,45 @@ mod tests {
         let mut expect = Vec::new();
         s.probe_into(0, 2, &mut expect);
         assert_eq!(out, expect);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ids_past_the_end_behind_a_valid_crc_are_corrupt_at_open() {
+        let dir = tmp_dir("ids-past-end");
+        let mut s = TableSet::mmap(dir.clone(), 1);
+        for id in 0..8u64 {
+            s.insert(0, 7, id);
+        }
+        s.compact().unwrap();
+        let path = gen_path(&dir, 1);
+        let bytes = fs::read(&path).unwrap();
+
+        // Re-frame the directory with its one entry's ids offset at the
+        // end of the file, under a fresh CRC, and keep the rest as it is.
+        let mut frames = Vec::new();
+        let mut off = 0;
+        while let Ok(Some((tag, payload, n))) =
+            peek_frame(&bytes[off..bytes.len() - TRAILER_LEN], DEFAULT_MAX_FRAME)
+        {
+            frames.push((tag, payload.to_vec()));
+            off += n;
+        }
+        let mut damaged = Vec::new();
+        for (tag, mut payload) in frames {
+            if tag == TAG_DIR {
+                payload[8 + 16..8 + 24].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+            }
+            encode_frame_into(tag, &payload, &mut damaged);
+        }
+        damaged.extend_from_slice(&bytes[off..]);
+        assert_eq!(damaged.len(), bytes.len());
+        fs::write(&path, &damaged).unwrap();
+
+        match Base::open(&path, 1, 1) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("past the end"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
