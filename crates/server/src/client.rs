@@ -61,7 +61,7 @@ use rl_wire::{FrameReader, WireError};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -280,11 +280,21 @@ impl Client {
     /// Reads the next *reply*, skipping `Heartbeat` and `MatchEvent`
     /// pushes, which are never the answer to a request. Streaming
     /// consumers that *want* every frame (the replication follower, the
-    /// watch loop) use [`Self::recv`] directly.
+    /// watch loop) use [`Self::recv`] directly. Pushes do not extend the
+    /// wait: a reply that has not come one timeout after the first push
+    /// is [`ClientError::Timeout`], as it is when nothing arrives at all.
     fn recv_reply(&mut self) -> Result<Reply, ClientError> {
+        let mut deadline = None;
         loop {
             match self.recv()? {
-                Reply::Heartbeat { .. } | Reply::MatchEvent { .. } => continue,
+                Reply::Heartbeat { .. } | Reply::MatchEvent { .. } => {
+                    let Some(timeout) = self.timeout else {
+                        continue;
+                    };
+                    if Instant::now() >= *deadline.get_or_insert_with(|| Instant::now() + timeout) {
+                        return Err(ClientError::Timeout);
+                    }
+                }
                 reply => return Ok(reply),
             }
         }
@@ -612,14 +622,14 @@ impl Client {
         if token <= self.session_checked {
             return Ok(());
         }
-        let deadline = std::time::Instant::now() + Self::READ_YOUR_WRITES_WAIT;
+        let deadline = Instant::now() + Self::READ_YOUR_WRITES_WAIT;
         loop {
             let status = self.repl_status()?;
             if status.role != "follower" || status.applied_seq >= token {
                 self.session_checked = token;
                 return Ok(());
             }
-            if std::time::Instant::now() >= deadline {
+            if Instant::now() >= deadline {
                 // Still behind: hop to the primary, which by definition
                 // has everything this client wrote.
                 let Some(primary) = status.primary_addr else {
@@ -804,13 +814,28 @@ impl Client {
     /// [`WatchEvent::Lagged`] is terminal: the server has stopped the
     /// stream and the client must resubscribe.
     ///
+    /// `within` bounds the wait for the event itself; heartbeats do not
+    /// extend it, and it is checked as each one arrives, so a lost event
+    /// fails within `within` plus one heartbeat interval. `None` waits for
+    /// as long as the server stays alive, as a watch that runs until it is
+    /// stopped does.
+    ///
     /// # Errors
-    /// I/O, timeout (no heartbeat within the read timeout means the
-    /// server is gone), or protocol errors.
-    pub fn next_watch_event(&mut self) -> Result<WatchEvent, ClientError> {
+    /// I/O, protocol errors, or [`ClientError::Timeout`]: no event within
+    /// `within`, or no heartbeat within the read timeout (the server is
+    /// gone).
+    pub fn next_watch_event(
+        &mut self,
+        within: Option<Duration>,
+    ) -> Result<WatchEvent, ClientError> {
+        let deadline = within.map(|d| Instant::now() + d);
         loop {
             match self.recv()? {
-                Reply::Heartbeat { .. } => continue,
+                Reply::Heartbeat { .. } => {
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Err(ClientError::Timeout);
+                    }
+                }
                 Reply::MatchEvent {
                     sub_id,
                     record_id,

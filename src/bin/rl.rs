@@ -969,7 +969,9 @@ fn client(flags: &Flags) -> Result<(), String> {
             eprintln!("subscribed {sub_id}: plan probes {tables} tables; Ctrl-C to stop");
             let mut seen = 0u64;
             loop {
-                match client.next_watch_event().map_err(|e| e.to_string())? {
+                // A watch runs until `--limit` events or Ctrl-C: no event
+                // deadline; a dead server still fails the socket timeout.
+                match client.next_watch_event(None).map_err(|e| e.to_string())? {
                     WatchEvent::Match {
                         record_id, matched, ..
                     } => {

@@ -11,7 +11,7 @@ use record_linkage::cbv_hb::sharded::ShardedPipeline;
 use record_linkage::cbv_hb::{AttributeSpec, Record, RecordSchema, Rule, StoreKind};
 use record_linkage::obs::MetricsSnapshot;
 use record_linkage::server::{
-    Client, DurabilityConfig, ReplRole, Server, ServerConfig, SyncPolicy,
+    Client, DurabilityConfig, ReplRole, Server, ServerConfig, SyncPolicy, WatchEvent,
 };
 use record_linkage::textdist::Alphabet;
 use std::io::{BufRead, BufReader, Read};
@@ -190,6 +190,17 @@ pub fn wait_for<T>(what: &str, mut check: impl FnMut() -> Option<T>) -> T {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// How long a test waits for one subscription event before it fails.
+pub const EVENT_WAIT: Duration = Duration::from_secs(10);
+
+/// The next event on the subscription stream `sub`. Panics, naming `what`,
+/// when none comes within [`EVENT_WAIT`]: heartbeats do not extend the
+/// wait, so a lost event fails the test instead of hanging it.
+pub fn next_event(sub: &mut Client, what: &str) -> WatchEvent {
+    sub.next_watch_event(Some(EVENT_WAIT))
+        .unwrap_or_else(|e| panic!("no {what} within {EVENT_WAIT:?}: {e}"))
 }
 
 /// Closes `clients`, then stops `server` and waits for it. The order

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{gauge, pipeline, stop, wait_for};
+use common::{gauge, next_event, pipeline, stop, wait_for, EVENT_WAIT};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use record_linkage::cbv_hb::blocking::BlockingPlan;
@@ -81,7 +81,7 @@ fn subscribers_receive_disjoint_event_streams() {
         .index(&[Record::new(3, ["BARTHOLOMEW", "SMITHSON"])])
         .unwrap();
 
-    match first_sub.next_watch_event().unwrap() {
+    match next_event(&mut first_sub, "first-name match event for record 2") {
         WatchEvent::Match {
             sub_id,
             record_id,
@@ -93,7 +93,7 @@ fn subscribers_receive_disjoint_event_streams() {
         }
         other => panic!("expected a match event, got {other:?}"),
     }
-    match last_sub.next_watch_event().unwrap() {
+    match next_event(&mut last_sub, "last-name match event for record 3") {
         WatchEvent::Match {
             sub_id,
             record_id,
@@ -150,7 +150,7 @@ fn evicted_record_stops_matching_over_the_wire() {
 
     // Events are delivered in order, so the first event proves record 4
     // matched nothing.
-    match sub.next_watch_event().unwrap() {
+    match next_event(&mut sub, "match event for record 5") {
         WatchEvent::Match {
             record_id, matched, ..
         } => {
@@ -205,7 +205,7 @@ fn slow_subscriber_gets_lagged_not_unbounded_memory() {
     let mut delivered = 0u64;
     let mut lagged = None;
     for _ in 0..=n {
-        match sub.next_watch_event() {
+        match sub.next_watch_event(Some(EVENT_WAIT)) {
             Ok(WatchEvent::Match { .. }) => delivered += 1,
             Ok(WatchEvent::Lagged { dropped }) => {
                 lagged = Some(dropped);
@@ -251,7 +251,10 @@ fn unsubscribe_from_another_connection_ends_the_stream() {
 
     // The serving loop notices the dropped channel and closes; the next
     // read fails rather than blocking forever.
-    assert!(sub.next_watch_event().is_err());
+    match sub.next_watch_event(Some(EVENT_WAIT)) {
+        Err(ClientError::Timeout) => panic!("the stream was not closed within {EVENT_WAIT:?}"),
+        other => assert!(other.is_err(), "the stream must end, got {other:?}"),
+    }
 
     admin.shutdown().unwrap();
     server.wait();
@@ -269,7 +272,7 @@ fn refused_subscription_is_a_typed_error_then_close() {
         Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Parse, "{}", e.message),
         other => panic!("expected a typed refusal, got {other:?}"),
     }
-    match sub.next_watch_event() {
+    match sub.next_watch_event(Some(EVENT_WAIT)) {
         Err(ClientError::Protocol(msg)) => assert!(msg.contains("closed"), "{msg}"),
         other => panic!("the refused connection must be closed, got {other:?}"),
     }
@@ -324,7 +327,7 @@ fn wait_returns_only_after_a_live_subscription_stream_has_ended() {
     // No waiting allowed: whatever the stream wrote is already buffered
     // and the close already happened, or the thread outlived `wait()`.
     sub.set_timeout(Some(Duration::from_millis(1))).unwrap();
-    match sub.next_watch_event() {
+    match sub.next_watch_event(Some(EVENT_WAIT)) {
         Err(ClientError::Protocol(msg)) => assert!(msg.contains("closed"), "{msg}"),
         other => panic!("stream thread still alive after wait(): {other:?}"),
     }
@@ -366,7 +369,7 @@ fn a_threshold_classifier_server_serves_subscriptions() {
     producer
         .index(&[Record::new(2, ["JOHNATHAN", "SMITHSON"])])
         .unwrap();
-    match sub.next_watch_event().unwrap() {
+    match next_event(&mut sub, "match event for record 2") {
         WatchEvent::Match {
             record_id, matched, ..
         } => {

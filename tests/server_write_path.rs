@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{durable_config, fresh_dir, gauge, pipeline, records, stop, wait_for};
+use common::{durable_config, fresh_dir, gauge, next_event, pipeline, records, stop, wait_for};
 use record_linkage::cbv_hb::Record;
 use record_linkage::repl::{Follower, FollowerConfig};
 use record_linkage::server::{
@@ -51,7 +51,7 @@ fn wal_appends(client: &mut Client) -> u64 {
 fn events_through(sub: &mut Client, record_id: u64) -> Vec<(u64, Vec<u64>)> {
     let mut events = Vec::new();
     loop {
-        match sub.next_watch_event().unwrap() {
+        match next_event(sub, &format!("match event through record {record_id}")) {
             WatchEvent::Match {
                 record_id: id,
                 matched,
