@@ -433,22 +433,21 @@ impl Base {
         lo
     }
 
-    /// Folds the raw ids of `key`'s bucket (all overflow chunks) into `f`.
-    fn with_bucket_ids(&self, table: usize, key: u128, f: &mut dyn FnMut(u64)) {
-        let (_, count) = self.dirs[table];
-        let mut i = self.lower_bound(table, key);
-        while i < count {
-            let Some((k, ids_off, n)) = self.entry(table, i) else {
-                break;
-            };
-            if k != key {
-                break;
-            }
-            for id in self.ids(ids_off, n) {
-                f(id);
-            }
-            i += 1;
-        }
+    /// Index of the first directory entry of `key`'s bucket, if `table`
+    /// has one.
+    fn find(&self, table: usize, key: u128) -> Option<usize> {
+        let i = self.lower_bound(table, key);
+        (i < self.dirs[table].1 && self.entry(table, i).is_some_and(|(k, ..)| k == key))
+            .then_some(i)
+    }
+
+    /// The raw ids of the bucket whose first directory entry is `i` (all
+    /// its overflow chunks: the entries from `i` on that share its key).
+    fn ids_from(&self, table: usize, i: usize) -> impl Iterator<Item = u64> + '_ {
+        let key = self.entry(table, i).map(|(k, ..)| k);
+        (i..self.dirs[table].1)
+            .map_while(move |j| self.entry(table, j).filter(|&(k, ..)| Some(k) == key))
+            .flat_map(|(_, ids_off, n)| self.ids(ids_off, n))
     }
 
     /// Folds every `(key, raw ids)` group of a table into `f`, overflow
@@ -475,12 +474,6 @@ impl Base {
             }
             f(key, &ids);
         }
-    }
-
-    fn has_key(&self, table: usize, key: u128) -> bool {
-        let (_, count) = self.dirs[table];
-        let i = self.lower_bound(table, key);
-        i < count && self.entry(table, i).is_some_and(|(k, ..)| k == key)
     }
 }
 
@@ -669,17 +662,23 @@ impl Sealed {
         (!self.overridden[table].contains(&key)).then_some(base)
     }
 
-    /// True when `key`'s bucket has a sealed copy that probes read.
-    pub(crate) fn holds(&self, table: usize, key: u128) -> bool {
-        self.base_for(table, key)
-            .is_some_and(|b| b.has_key(table, key))
+    /// Where `key`'s sealed bucket starts in `table`'s directory, if it has
+    /// a sealed copy that probes read: the handle [`Sealed::ids`] reads.
+    pub(crate) fn find(&self, table: usize, key: u128) -> Option<usize> {
+        self.base_for(table, key)?.find(table, key)
     }
 
-    /// Folds the sealed ids of `key`'s bucket into `f`.
-    pub(crate) fn with_ids(&self, table: usize, key: u128, f: &mut dyn FnMut(u64)) {
-        if let Some(base) = self.base_for(table, key) {
-            base.with_bucket_ids(table, key, f);
-        }
+    /// True when `key`'s bucket has a sealed copy that probes read.
+    pub(crate) fn holds(&self, table: usize, key: u128) -> bool {
+        self.find(table, key).is_some()
+    }
+
+    /// The sealed ids of the bucket [`Sealed::find`] found at `at` in
+    /// `table`'s directory.
+    pub(crate) fn ids(&self, table: usize, at: usize) -> impl Iterator<Item = u64> + '_ {
+        self.base
+            .iter()
+            .flat_map(move |base| base.ids_from(table, at))
     }
 
     /// Folds every sealed `(key, ids)` of `table` that probes read into `f`.

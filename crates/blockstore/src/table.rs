@@ -107,12 +107,20 @@ impl DirKey for Key {
 /// `StoreStats::dropped`, like a `CapMode::Drop` insert); nothing wraps and
 /// nothing panics.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
+pub(crate) struct Slot {
     first: u32,
     off: u32,
 }
 
 impl Slot {
+    /// What [`Table::find`] copies out for a key the table does not hold.
+    /// Its offset is no region's: a region has at least two words and ends
+    /// at or before [`ARENA_LIMIT`].
+    pub(crate) const ABSENT: Slot = Slot {
+        first: 0,
+        off: NO_REGION - 1,
+    };
+
     fn singleton(first: u32) -> Self {
         Slot {
             first,
@@ -510,6 +518,27 @@ impl Table {
     pub(crate) fn get(&self, key: u128) -> Option<Bucket<'_>> {
         let slot = at_width!(&self.dir, dir => dir.slot(key))?;
         Some(self.bucket(slot))
+    }
+
+    /// A copy of `key`'s directory slot, [`Slot::ABSENT`] if the table does
+    /// not hold it, with the cache asked for the bucket's region, if it has
+    /// one: a probe's first pass, which [`Table::found`] reads back.
+    #[inline]
+    pub(crate) fn find(&self, key: u128) -> Slot {
+        let Some(&slot) = at_width!(&self.dir, dir => dir.slot(key)) else {
+            return Slot::ABSENT;
+        };
+        if slot.off != NO_REGION {
+            crate::prefetch(self.arena.words.as_ptr().wrapping_add(slot.off as usize));
+        }
+        slot
+    }
+
+    /// The bucket of a slot [`Table::find`] copied out, unless it was
+    /// absent. Only valid while the table is unchanged since.
+    #[inline]
+    pub(crate) fn found(&self, slot: Slot) -> Option<Bucket<'_>> {
+        (slot.off != Slot::ABSENT.off).then(|| self.bucket(&slot))
     }
 
     /// Every `(key, bucket)`, in no particular order.

@@ -42,7 +42,7 @@ use crate::error::{Error, Result};
 use crate::rule::Rule;
 use crate::schema::{EmbeddedRecord, RecordSchema, RowLayout};
 use rl_blockstore::hash::WordState;
-use rl_blockstore::WordMap;
+use rl_blockstore::{prefetch, WordMap};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -1035,22 +1035,6 @@ fn match_grouped<'a>(
             std::mem::swap(&mut scratch.slots, &mut scratch.candidates);
         }
     }
-}
-
-/// Asks the cache for the line holding `at`, ahead of a read:
-/// `_mm_prefetch` on x86_64, nothing elsewhere. Any pointer will do, the
-/// dangling one of an empty `Vec` or `String` too.
-#[inline(always)]
-pub(crate) fn prefetch<T>(at: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch is a hint; it reads nothing and cannot fault,
-    // whatever the address.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(at.cast());
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = at;
 }
 
 /// Verbatim Algorithm 2 over a single blocking structure: scans the buckets

@@ -28,10 +28,10 @@
 
 use crate::cvector::{optimal_m, CVectorEmbedder};
 use crate::error::{Error, Result, SchemaError};
-use crate::matcher::prefetch;
 use crate::record::{Record, RecordView};
 use rand::Rng;
 use rl_bitvec::BitVec;
+use rl_blockstore::prefetch;
 use serde::{Deserialize, Deserializer, Serialize};
 use textdist::{qgram_count, Alphabet};
 
